@@ -75,7 +75,8 @@ void* Gpu::malloc_device_untimed(std::size_t bytes) {
   if (bytes_in_use_ + bytes > spec_.memory_bytes) {
     throw std::runtime_error("Gpu: out of device memory");
   }
-  auto storage = std::make_unique<std::byte[]>(bytes);
+  // Default-initialized, like cudaMalloc: pages stay unmapped until written.
+  auto storage = std::make_unique_for_overwrite<std::byte[]>(bytes);
   void* p = storage.get();
   allocations_.emplace(reinterpret_cast<std::uintptr_t>(p),
                        std::make_pair(std::move(storage), bytes));

@@ -78,12 +78,18 @@ class Gpu {
   [[nodiscard]] const CostModel& costs() const { return spec_.costs; }
 
   // --- device memory (real bytes, modeled allocation time) ---
+  //
+  // Fresh device memory has indeterminate contents, as with cudaMalloc:
+  // callers must write bytes before they read them. The asan-ubsan CI job
+  // enforces this by filling every fresh allocation with 0xA5.
 
-  /// cudaMalloc: real allocation + virtual-time driver cost.
+  /// cudaMalloc: real allocation + virtual-time driver cost. Contents are
+  /// indeterminate.
   void* malloc_device(Timeline& tl, std::size_t bytes, Breakdown* bd = nullptr);
   /// cudaFree (charged off the critical path rarely matters; still modeled).
   void free_device(Timeline& tl, void* p, Breakdown* bd = nullptr);
   /// Allocation with *no* time charge — used at init time (MPI_Init pools).
+  /// Contents are indeterminate; untouched pages are never faulted in.
   void* malloc_device_untimed(std::size_t bytes);
   void free_device_untimed(void* p);
 

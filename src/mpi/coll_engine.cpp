@@ -224,7 +224,7 @@ void Rank::allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n,
   ring_reduce_scatter_members(members, rank_, acc, n, op, tag, st);
   ring_allgather_members(members, rank_, acc, n, tag, st);
 
-  std::memcpy(recvbuf, acc, n * 4);
+  if (n != 0) std::memcpy(recvbuf, acc, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
   gpu_free(acc);
   record_collective("allreduce", core::CollectiveAlgorithm::Ring, n * 4, started, st);
@@ -320,7 +320,7 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
     }
   }
 
-  std::memcpy(recvbuf, acc, n * 4);
+  if (n != 0) std::memcpy(recvbuf, acc, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
   gpu_free(acc);
   record_collective("allreduce", core::CollectiveAlgorithm::Hierarchical, n * 4, started,
@@ -348,13 +348,13 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
   const sim::Time started = ctx_.now();
   CollStats st;
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
-  std::memcpy(acc, sendbuf, n * 4);
+  if (n != 0) std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
   std::vector<int> members(static_cast<std::size_t>(P));
   std::iota(members.begin(), members.end(), 0);
   ring_reduce_scatter_members(members, rank_, acc, n, op, tag, st);
   const auto [lo, hi] = core::shard_range(n, P, rank_);
-  std::memcpy(recvbuf, acc + lo, (hi - lo) * 4);
+  if (hi != lo) std::memcpy(recvbuf, acc + lo, (hi - lo) * 4);
   compute(gpu().costs().d2d_copy((hi - lo) * 4));
   gpu_free(acc);
   record_collective("reduce_scatter", core::CollectiveAlgorithm::Ring, n * 4, started,

@@ -353,7 +353,7 @@ void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, Reduce
   const int tag = next_coll_tag();
   const int P = size();
   if (P == 1) {
-    std::memcpy(recvbuf, sendbuf, n * 4);
+    if (n != 0) std::memcpy(recvbuf, sendbuf, n * 4);
     return;
   }
   switch (select_allreduce(n * 4)) {
@@ -410,7 +410,7 @@ void Rank::allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n,
       (void)recv(accum.data(), n * 4, rank_ - 1, tag);
     }
   }
-  std::memcpy(recvbuf, accum.data(), n * 4);
+  if (n != 0) std::memcpy(recvbuf, accum.data(), n * 4);
 }
 
 void Rank::alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf) {
@@ -418,8 +418,10 @@ void Rank::alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbu
   const int P = size();
   const auto* in = static_cast<const std::uint8_t*>(sendbuf);
   auto* out = static_cast<std::uint8_t*>(recvbuf);
-  std::memcpy(out + static_cast<std::uint64_t>(rank_) * block_bytes,
-              in + static_cast<std::uint64_t>(rank_) * block_bytes, block_bytes);
+  if (block_bytes != 0) {
+    std::memcpy(out + static_cast<std::uint64_t>(rank_) * block_bytes,
+                in + static_cast<std::uint64_t>(rank_) * block_bytes, block_bytes);
+  }
   if (P > 1 && block_bytes > 0 &&
       select_alltoall(block_bytes) == core::CollectiveAlgorithm::BatchedPairwise) {
     // One batched compression launch for all P-1 outgoing blocks; see

@@ -172,6 +172,8 @@ class Rank {
   void compute(sim::Time t) { ctx_.advance(t); }
 
   // --- device memory helpers ---
+  /// Timed cudaMalloc on this rank's GPU. Contents are indeterminate: write
+  /// before reading (the asan-ubsan CI job poisons fresh allocations).
   [[nodiscard]] void* gpu_malloc(std::size_t bytes);
   void gpu_free(void* p);
 

@@ -16,6 +16,7 @@
 // tests/CMakeLists.txt); CI runs `ctest -L collectives` as its own step.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -42,6 +43,11 @@ using mpi::ReduceOp;
 using mpi::World;
 
 enum class Codec { Raw, Mpc, Zfp };
+
+/// memcmp equality that also accepts the null data() of empty outputs.
+bool bits_equal(const void* a, const void* b, std::size_t bytes) {
+  return bytes == 0 || std::memcmp(a, b, bytes) == 0;
+}
 
 struct MatrixCase {
   int nodes = 2;
@@ -106,7 +112,7 @@ RunResult run_allreduce(const MatrixCase& c) {
   world.run([&](Rank& R) {
     const auto mine = contribution(R.rank(), c.n);
     auto* dev = static_cast<float*>(R.gpu_malloc(c.n * 4 + 4));
-    std::memcpy(dev, mine.data(), c.n * 4);
+    std::copy(mine.begin(), mine.end(), dev);
     std::vector<float>& out = res.outputs[static_cast<std::size_t>(R.rank())];
     out.resize(c.n);
     R.allreduce(dev, out.data(), c.n, c.op);
@@ -138,7 +144,7 @@ class CollectiveMatrix : public ::testing::Test {
       const auto& got = res.outputs[static_cast<std::size_t>(r)];
       ASSERT_EQ(got.size(), oracle.size()) << describe(c);
       if (c.codec != Codec::Zfp) {
-        ASSERT_EQ(std::memcmp(got.data(), oracle.data(), c.n * 4), 0)
+        ASSERT_TRUE(bits_equal(got.data(), oracle.data(), c.n * 4))
             << describe(c) << " rank " << r << ": engine diverged from the oracle";
       } else {
         // ZFP is lossy per hop; errors accumulate over O(P) hops. Smooth
@@ -155,9 +161,8 @@ class CollectiveMatrix : public ::testing::Test {
     // shard owner keeps its exact reduced values while the other ranks hold
     // the lossy decode of the forwarded wire form.
     for (int r = 1; c.codec != Codec::Zfp && r < P; ++r) {
-      ASSERT_EQ(std::memcmp(res.outputs[0].data(),
-                            res.outputs[static_cast<std::size_t>(r)].data(), c.n * 4),
-                0)
+      ASSERT_TRUE(bits_equal(res.outputs[0].data(),
+                             res.outputs[static_cast<std::size_t>(r)].data(), c.n * 4))
           << describe(c) << ": ranks 0 and " << r << " disagree";
     }
 
@@ -292,9 +297,8 @@ TEST(ReduceScatterMatrix, RingMatchesOracleShards) {
         for (int r = 0; r < P; ++r) {
           const auto [lo, hi] = core::shard_range(n, P, r);
           ASSERT_EQ(hi - lo, recvcount);
-          ASSERT_EQ(std::memcmp(outputs[static_cast<std::size_t>(r)].data(),
-                                oracle.data() + lo, recvcount * 4),
-                    0)
+          ASSERT_TRUE(bits_equal(outputs[static_cast<std::size_t>(r)].data(),
+                                 oracle.data() + lo, recvcount * 4))
               << "P=" << P << " recvcount=" << recvcount << " rank " << r;
         }
       }
@@ -383,7 +387,7 @@ AlltoallResult run_alltoall_case(const AlltoallCase& c) {
     auto* send = static_cast<float*>(R.gpu_malloc(n * 4 * static_cast<std::size_t>(P) + 4));
     for (int d = 0; d < P; ++d) {
       const auto block = alltoall_block(R.rank(), d, n);
-      std::memcpy(send + static_cast<std::size_t>(d) * n, block.data(), n * 4);
+      std::copy(block.begin(), block.end(), send + static_cast<std::size_t>(d) * n);
     }
     auto& out = res.outputs[static_cast<std::size_t>(R.rank())];
     out.assign(n * static_cast<std::size_t>(P), -7.0f);
@@ -408,7 +412,7 @@ class AlltoallMatrix : public ::testing::Test {
         const auto expect = alltoall_block(s, r, c.block_n);
         const float* slot = got.data() + static_cast<std::size_t>(s) * c.block_n;
         if (c.codec != Codec::Zfp) {
-          ASSERT_EQ(std::memcmp(slot, expect.data(), c.block_n * 4), 0)
+          ASSERT_TRUE(bits_equal(slot, expect.data(), c.block_n * 4))
               << describe(c) << ": rank " << r << " block from " << s
               << " is not bit-exact";
         } else {
@@ -878,9 +882,8 @@ TEST_F(MovingMatrix, DegenerateTopologyForcedHierIsBitIdenticalToFlat) {
     ASSERT_EQ(a.outputs.size(), b.outputs.size());
     for (std::size_t r = 0; r < a.outputs.size(); ++r) {
       ASSERT_EQ(a.outputs[r].size(), b.outputs[r].size()) << op << " rank " << r;
-      ASSERT_EQ(std::memcmp(a.outputs[r].data(), b.outputs[r].data(),
-                            a.outputs[r].size() * 4),
-                0)
+      ASSERT_TRUE(bits_equal(a.outputs[r].data(), b.outputs[r].data(),
+                             a.outputs[r].size() * 4))
           << op << " rank " << r << ": degenerate hierarchical diverged from flat";
     }
   }

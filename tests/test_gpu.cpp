@@ -1,6 +1,7 @@
 // GPU model tests: heap registry, cost charging, stream overlap semantics,
 // buffer pool behaviour, attribute caching.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "gpu/buffer.hpp"
 #include "gpu/buffer_pool.hpp"
@@ -232,6 +233,31 @@ TEST(BufferPool, ExhaustionGrowthIsGeometric) {
   EXPECT_EQ(pool.acquire_count(), 4u);
   for (auto* l : {&l1, &l2, &l3, &l4}) pool.release(*l);
   EXPECT_EQ(pool.free_buffers(), 4u);
+}
+
+TEST(BufferPool, FreshPoolIsNotFaultedIn) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "ASan's malloc fill touches every page on purpose";
+#else
+  // cudaMalloc contract: fresh device memory is indeterminate, so the
+  // simulator must not zero-fill MPI_Init's staging pool. A value-
+  // initializing allocator would fault in every one of its 4 KiB pages.
+  constexpr std::size_t kBufferBytes = std::size_t{40} << 20;
+  constexpr std::size_t kCount = 4;
+  constexpr long kPages = static_cast<long>(kBufferBytes * kCount / 4096);
+  auto minor_faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+  };
+  Gpu gpu(v100_spec());
+  const long before = minor_faults();
+  BufferPool pool(gpu, kBufferBytes, kCount);
+  const long faults = minor_faults() - before;
+  EXPECT_EQ(pool.total_buffers(), kCount);
+  EXPECT_LT(faults, kPages / 100) << "pool construction faulted in " << faults
+                                  << " of " << kPages << " pages";
+#endif
 }
 
 TEST(BufferPool, StaleLeaseRejected) {
