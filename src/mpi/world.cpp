@@ -40,6 +40,15 @@ bool warm_compatible(const Channel& ch, const core::CompressionHeader& h) {
   return h.partition_bytes.size() <= 255;  // RepeatHeader's u8 count
 }
 
+/// Header of an uncompressed wire payload of `bytes` bytes.
+core::CompressionHeader raw_header(std::uint64_t bytes, std::uint32_t crc) {
+  core::CompressionHeader raw;
+  raw.original_bytes = bytes;
+  raw.compressed_bytes = bytes;
+  raw.payload_crc32c = crc;
+  return raw;
+}
+
 }  // namespace
 
 World::World(sim::Engine& engine, net::ClusterSpec cluster,
@@ -173,7 +182,7 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
     ch->plan_hits += plan1.hits - plan0.hits;
     ch->plan_misses += plan1.misses - plan0.misses;
     if (ch->warm && warm_compatible(*ch, wire.header)) {
-      return warm_isend(ctx, ch, env, wire.header, std::move(wire.payload), buf, false);
+      return warm_isend(ctx, ch, env, wire.header, std::move(wire.payload), buf);
     }
   }
   ctx.advance(options_.host_send_overhead);
@@ -187,15 +196,16 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
   return req;
 }
 
+WireMessage World::stage_wire(const core::CompressionHeader& header, const void* data,
+                              std::uint64_t bytes) const {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  WireMessage msg{header, std::make_shared<std::vector<std::uint8_t>>(p, p + bytes)};
+  if (reliability_) msg.header.payload_crc32c = payload_crc(*msg.payload);
+  return msg;
+}
+
 WireMessage World::make_raw_wire(const void* buf, std::uint64_t bytes) const {
-  core::CompressionHeader raw;
-  raw.original_bytes = bytes;
-  raw.compressed_bytes = bytes;
-  auto payload = std::make_shared<std::vector<std::uint8_t>>(
-      static_cast<const std::uint8_t*>(buf),
-      static_cast<const std::uint8_t*>(buf) + bytes);
-  if (reliability_) raw.payload_crc32c = payload_crc(*payload);
-  return WireMessage{raw, std::move(payload)};
+  return stage_wire(raw_header(bytes, 0), buf, bytes);
 }
 
 WireMessage World::do_make_wire(sim::ActorContext& ctx, int rank, const void* buf,
@@ -203,11 +213,7 @@ WireMessage World::do_make_wire(sim::ActorContext& ctx, int rank, const void* bu
   auto& state = ranks_[static_cast<std::size_t>(rank)];
   Timeline tl(ctx.now());
   auto wire = state.mgr->compress_for_send(tl, buf, bytes);
-  auto payload = std::make_shared<std::vector<std::uint8_t>>(
-      static_cast<const std::uint8_t*>(wire.data),
-      static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
-  WireMessage msg{wire.header, std::move(payload)};
-  if (reliability_) msg.header.payload_crc32c = payload_crc(*msg.payload);
+  WireMessage msg = stage_wire(wire.header, wire.data, wire.bytes);
   state.mgr->release_send(tl, wire);
   ctx.advance_to(tl.now());
   return msg;
@@ -239,12 +245,7 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
     auto batch = state.mgr->compress_batch(tl, inputs);
     for (std::size_t k = 0; k < index.size(); ++k) {
       const auto& b = batch.blocks[k];
-      auto payload = std::make_shared<std::vector<std::uint8_t>>(
-          static_cast<const std::uint8_t*>(b.data),
-          static_cast<const std::uint8_t*>(b.data) + b.bytes);
-      WireMessage msg{b.header, std::move(payload)};
-      if (reliability_) msg.header.payload_crc32c = payload_crc(*msg.payload);
-      out[index[k]] = std::move(msg);
+      out[index[k]] = stage_wire(b.header, b.data, b.bytes);
     }
     state.mgr->release_batch(tl, batch);
   }
@@ -273,7 +274,7 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
     core::CompressionHeader hdr = msg.header;
     if (reliability_) hdr.payload_crc32c = payload_crc(*msg.payload);
     if (ch->warm && warm_compatible(*ch, hdr)) {
-      return warm_isend(ctx, ch, env, hdr, msg.payload, nullptr, true);
+      return warm_isend(ctx, ch, env, hdr, msg.payload, nullptr);
     }
   }
 
@@ -298,20 +299,35 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
 // Eager delivery failures complete the receive with a clean StatusError
 // instead of throwing: at a gather root one bad contributor must not take
 // down the whole job (head-of-line audit; see TESTING.md).
-StatusError World::deliver_eager_to(PostedRecv& recv, const EagerMsg& msg) {
-  if (!msg.crc_ok) return StatusError::ChecksumMismatch;
-  if (recv.capacity < msg.env.bytes) return StatusError::Truncated;
-  // Zero-byte messages are legal (match + status only); memcpy with a null
-  // src/dst is not, even for size 0.
-  if (!msg.payload->empty()) std::memcpy(recv.buf, msg.payload->data(), msg.payload->size());
-  return StatusError::None;
+Status World::deliver_eager(const PostedRecv& recv, const EagerMsg& msg) {
+  Status status{msg.env.src, msg.env.tag, msg.env.bytes};
+  if (!msg.crc_ok) {
+    status.error = StatusError::ChecksumMismatch;
+  } else if (recv.wire_out != nullptr) {
+    *recv.wire_out = WireMessage{raw_header(msg.env.bytes, msg.env.crc), msg.payload};
+  } else if (recv.capacity < msg.env.bytes) {
+    status.error = StatusError::Truncated;
+  } else if (!msg.payload->empty()) {
+    // Zero-byte messages are legal (match + status only); memcpy with a
+    // null src/dst is not, even for size 0.
+    std::memcpy(recv.buf, msg.payload->data(), msg.payload->size());
+  }
+  if (!status.ok()) status.bytes = 0;
+  return status;
+}
+
+std::optional<World::PostedRecv> World::take_posted(RankState& state, const Envelope& env) {
+  const auto it = std::find_if(state.posted.begin(), state.posted.end(),
+                               [&](const PostedRecv& r) { return matches(r, env); });
+  if (it == state.posted.end()) return std::nullopt;
+  PostedRecv recv = std::move(*it);
+  state.posted.erase(it);
+  return recv;
 }
 
 void World::wake_probers(RankState& state, const Envelope& env) {
   for (auto it = state.probe_waiters.begin(); it != state.probe_waiters.end(); ++it) {
-    const bool match = (it->src == kAnySource || it->src == env.src) &&
-                       (it->tag == kAnyTag || it->tag == env.tag);
-    if (match) {
+    if (matches(it->src, it->tag, env)) {
       const sim::ActorId actor = it->actor;
       state.probe_waiters.erase(it);
       engine_.wake(actor, engine_.now());
@@ -326,29 +342,9 @@ void World::on_eager_arrival(EagerMsg msg) {
   // end-to-end assertion rather than a recovery trigger: a mismatch is
   // surfaced as StatusError::ChecksumMismatch on the matching receive.
   msg.crc_ok = !reliability_ || msg.env.crc == payload_crc(*msg.payload);
-  for (auto it = state.posted.begin(); it != state.posted.end(); ++it) {
-    if (matches(*it, msg.env)) {
-      PostedRecv recv = *it;
-      state.posted.erase(it);
-      Status status{msg.env.src, msg.env.tag, msg.env.bytes};
-      if (recv.wire_out != nullptr) {
-        if (!msg.crc_ok) {
-          status.bytes = 0;
-          status.error = StatusError::ChecksumMismatch;
-        } else {
-          core::CompressionHeader raw;
-          raw.original_bytes = msg.env.bytes;
-          raw.compressed_bytes = msg.env.bytes;
-          raw.payload_crc32c = msg.env.crc;
-          *recv.wire_out = WireMessage{raw, msg.payload};
-        }
-      } else {
-        status.error = deliver_eager_to(recv, msg);
-        if (status.error != StatusError::None) status.bytes = 0;
-      }
-      complete(recv.req, status);
-      return;
-    }
+  if (const auto recv = take_posted(state, msg.env)) {
+    complete(recv->req, deliver_eager(*recv, msg));
+    return;
   }
   wake_probers(state, msg.env);
   msg.arrival = state.next_arrival++;
@@ -357,14 +353,10 @@ void World::on_eager_arrival(EagerMsg msg) {
 
 void World::on_rts_arrival(RtsMsg rts) {
   auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
-  for (auto it = state.posted.begin(); it != state.posted.end(); ++it) {
-    if (matches(*it, rts.env)) {
-      PostedRecv recv = *it;
-      state.posted.erase(it);
-      Timeline tl(engine_.now() + options_.progress_overhead);
-      begin_rndv_receive(tl, std::move(rts), std::move(recv));
-      return;
-    }
+  if (auto recv = take_posted(state, rts.env)) {
+    Timeline tl(engine_.now() + options_.progress_overhead);
+    begin_rndv_receive(tl, std::move(rts), std::move(*recv));
+    return;
   }
   wake_probers(state, rts.env);
   rts.arrival = state.next_arrival++;
@@ -385,8 +377,8 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
                                : state.mgr->prepare_receive(tl, rts.header));
   auto tx = std::make_shared<RndvTransfer>();
   tx->env = rts.env;
-  tx->header = std::move(rts.header);
-  tx->payload = std::move(rts.payload);
+  tx->seg.header = std::move(rts.header);
+  tx->seg.payload = std::move(rts.payload);
   tx->send_req = std::move(rts.send_req);
   tx->recv = std::move(recv);
   tx->staging = std::move(staging);
@@ -395,32 +387,39 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, options_.cts_bytes);
   engine_.schedule(t_cts, [this, tx]() {
     // Sender-side CTS handling: push the (compressed) payload.
-    push_rndv_data(tx);
+    push_segment(tx, 0, engine_.now() + options_.progress_overhead);
   });
 }
 
-void World::push_rndv_data(const RndvPtr& tx) {
-  if (tx->done) return;
-  tx->recovery_pending = false;
-  ++tx->attempts;
-  const Time start = engine_.now() + options_.progress_overhead;
-  const std::uint64_t wire_bytes = tx->payload->size() + options_.envelope_bytes;
+// ---------------------------------------------------------------------------
+// The segment cycle: one reliability loop for every transfer kind. Only
+// segment payloads can be dropped or corrupted; NACKs ride the reliable
+// control plane.
+// ---------------------------------------------------------------------------
+
+template <class Tx>
+net::Fabric::Delivery World::push_segment(const std::shared_ptr<Tx>& tx, int i, Time start) {
+  Segment& seg = tx->segment(i);
+  seg.recovery_pending = false;
+  ++seg.attempts;
+  const std::uint64_t wire_bytes =
+      seg.payload->size() + options_.envelope_bytes + tx->segment_header_bytes(i);
   const net::Fabric::Delivery d =
       fabric_->transfer_data(start, tx->env.src, tx->env.dst, wire_bytes);
 
   if (!d.dropped) {
-    Payload delivered = tx->payload;
+    Payload delivered = seg.payload;
     if (d.corrupted) {
       // Flip one bit of a private copy; the sender's staged payload must
       // stay intact for the retransmission the receiver will ask for.
-      delivered = std::make_shared<std::vector<std::uint8_t>>(*tx->payload);
+      delivered = std::make_shared<std::vector<std::uint8_t>>(*seg.payload);
       if (!delivered->empty()) {
         const std::uint64_t bit = d.corrupt_bits % (delivered->size() * 8);
         (*delivered)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
     }
-    engine_.schedule(d.at, [this, tx, delivered]() { on_rndv_data(tx, delivered); });
-    return;
+    engine_.schedule(d.at, [this, tx, i, delivered]() { on_segment_data(tx, i, delivered); });
+    return d;
   }
 
   // The fabric dropped the packet. The receiver cannot NACK what it never
@@ -428,46 +427,103 @@ void World::push_rndv_data(const RndvPtr& tx) {
   // retransmit_timeout past the would-be arrival and grows by
   // retransmit_backoff with every failed attempt.
   Time margin = options_.retransmit_timeout;
-  for (int i = 1; i < tx->attempts; ++i) {
+  for (int a = 1; a < seg.attempts; ++a) {
     margin = Time::ns(static_cast<std::int64_t>(static_cast<double>(margin.count_ns()) *
                                                 options_.retransmit_backoff));
   }
-  tx->watchdog = engine_.schedule_cancelable(
-      d.at + margin, [this, tx]() { request_retransmit(tx, engine_.now(), false); });
+  seg.watchdog = engine_.schedule_cancelable(
+      d.at + margin, [this, tx, i]() { nack_segment(tx, i, engine_.now(), false); });
+  return d;
 }
 
-void World::on_rndv_data(const RndvPtr& tx, const Payload& delivered) {
-  if (tx->done) return;
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  Timeline tl(engine_.now() + options_.progress_overhead);
+template <class Tx>
+bool World::segment_intact(const std::shared_ptr<Tx>& tx, int i, const Payload& delivered,
+                           Time at) {
+  const Segment& seg = tx->segment(i);
+  if (!reliability_ || payload_crc(*delivered) == seg.header.payload_crc32c) return true;
+  // A flipped bit anywhere in the payload — detected before any of it can
+  // reach a decompression kernel or the user buffer.
+  if (options_.telemetry != nullptr) {
+    options_.telemetry->record({at, tx->env.dst, core::EventKind::CorruptionDetected,
+                                tx->codec(i), seg.header.original_bytes, delivered->size(),
+                                Time::zero()});
+  }
+  nack_segment(tx, i, at, false);
+  return false;
+}
 
-  if (reliability_ && payload_crc(*delivered) != tx->header.payload_crc32c) {
-    // A flipped bit anywhere in the payload — detected before any of it
-    // can reach a decompression kernel or the user buffer.
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->record({tl.now(), tx->env.dst, core::EventKind::CorruptionDetected,
-                                  tx->header.algorithm, tx->env.bytes, delivered->size(),
-                                  Time::zero()});
-    }
-    request_retransmit(tx, tl.now(), false);
+template <class Tx>
+void World::nack_segment(const std::shared_ptr<Tx>& tx, int i, Time at, bool decode_fail) {
+  Segment& seg = tx->segment(i);
+  if (seg.done || seg.recovery_pending) return;
+  sim::Engine::cancel(seg.watchdog);
+  if (seg.attempts > options_.max_data_retries) {
+    fail_transfer(tx, at);
     return;
   }
+  seg.recovery_pending = true;
+  if (options_.telemetry != nullptr) {
+    options_.telemetry->record({at, tx->env.dst, core::EventKind::Retransmit, tx->codec(i),
+                                seg.header.original_bytes, seg.payload->size(),
+                                Time::zero()});
+  }
+  // NACK rides the reliable control plane back to the sender. For drop
+  // timeouts the "NACK" models the sender's own retransmission timer, but
+  // charging the control round-trip keeps the two recovery paths uniform.
+  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, options_.nack_bytes);
+  engine_.schedule(t_nack, [this, tx, i, decode_fail]() {
+    if (!tx->segment(i).done) resend_segment(tx, i, decode_fail);
+  });
+}
+
+bool World::degrade_segment(Segment& seg, const void* src, std::uint64_t len) {
+  // Decompression keeps failing on an intact stream: resend the original
+  // user bytes uncompressed. The send request is still pending, so MPI
+  // semantics keep that buffer alive and unchanged.
+  if (src == nullptr || seg.fell_back_raw) return false;
+  seg.fell_back_raw = true;
+  WireMessage raw = make_raw_wire(src, len);
+  seg.header = std::move(raw.header);
+  seg.payload = std::move(raw.payload);
+  return true;
+}
+
+void World::fail_requests(const Envelope& env, const Request& send_req,
+                          const Request& recv_req, Time at) {
+  // Retry budget exhausted: a clean error status instead of hanging the
+  // job on an undeliverable payload.
+  Status status{env.dst, env.tag, 0, StatusError::RetryLimit};
+  if (send_req) complete_at(send_req, status, at);
+  status.source = env.src;
+  if (recv_req) complete_at(recv_req, status, at);
+}
+
+// ---------------------------------------------------------------------------
+// Serial rendezvous: one segment, cleared by RTS/CTS.
+// ---------------------------------------------------------------------------
+
+void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
+  if (tx->seg.done) return;
+  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+  Timeline tl(engine_.now() + options_.progress_overhead);
+  if (!segment_intact(tx, 0, delivered, tl.now())) return;
+  const core::CompressionHeader& header = tx->seg.header;
 
   if (tx->recv.wire_out != nullptr) {
     // Deliver the wire representation as-is; the application decompresses
     // later (or forwards it on).
-    *tx->recv.wire_out = WireMessage{tx->header, delivered};
-  } else if (tx->header.compressed) {
+    *tx->recv.wire_out = WireMessage{header, delivered};
+  } else if (header.compressed) {
     // The payload landed in the receiver's temporary device buffer;
     // decompress into the user buffer (Algorithm 2, steps 6-7).
     std::memcpy(tx->staging->data, delivered->data(), delivered->size());
     try {
-      state.mgr->decompress_received(tl, tx->header, *tx->staging, tx->recv.buf,
+      state.mgr->decompress_received(tl, header, *tx->staging, tx->recv.buf,
                                      tx->recv.capacity);
     } catch (const core::CodecFaultError&) {
       // The stream is intact (CRC passed) but the kernel failed; ask the
       // sender for the raw buffer instead of relaunching on the same data.
-      request_retransmit(tx, tl.now(), true);
+      nack_segment(tx, 0, tl.now(), true);
       return;
     }
     state.mgr->release_receive(tl, *tx->staging);
@@ -483,76 +539,33 @@ void World::on_rndv_data(const RndvPtr& tx, const Payload& delivered) {
     }
   }
 
-  tx->done = true;
-  sim::Engine::cancel(tx->watchdog);
+  tx->seg.done = true;
+  sim::Engine::cancel(tx->seg.watchdog);
   complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
   complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
   // A successful cold exchange is the channel's warm-up exchange: the
   // receiver now grants credits so the next message can skip the handshake.
-  maybe_warm_channel(tx->env, tx->header, tx->recv.wire_out != nullptr, tl.now());
+  maybe_warm_channel(tx->env, header, tx->recv.wire_out != nullptr, tl.now());
 }
 
-void World::request_retransmit(const RndvPtr& tx, Time at, bool decode_fail) {
-  if (tx->done || tx->recovery_pending) return;
-  sim::Engine::cancel(tx->watchdog);
-  if (tx->attempts > options_.max_data_retries) {
-    fail_rndv(tx, at);
-    return;
-  }
-  tx->recovery_pending = true;
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->record({at, tx->env.dst, core::EventKind::Retransmit,
-                                tx->header.algorithm, tx->env.bytes, tx->payload->size(),
-                                Time::zero()});
-  }
-  // NACK rides the reliable control plane back to the sender. For drop
-  // timeouts the "NACK" models the sender's own retransmission timer, but
-  // charging the control round-trip keeps the two recovery paths uniform.
-  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, options_.nack_bytes);
-  engine_.schedule(t_nack, [this, tx, decode_fail]() {
-    if (tx->done) return;
-    if (decode_fail && tx->sender_buf != nullptr && !tx->fell_back_raw) {
-      switch_to_raw(tx);
-    }
-    push_rndv_data(tx);
-  });
+void World::resend_segment(const RndvPtr& tx, int, bool decode_fail) {
+  // Forwarded wire messages have no user buffer, hence no raw fallback.
+  if (decode_fail) degrade_segment(tx->seg, tx->sender_buf, tx->env.bytes);
+  push_segment(tx, 0, engine_.now() + options_.progress_overhead);
 }
 
-void World::switch_to_raw(const RndvPtr& tx) {
-  // Decompression keeps failing on an intact stream: resend the original
-  // user buffer uncompressed (graceful degradation). The send request is
-  // still pending, so MPI semantics keep that buffer alive and unchanged.
-  tx->fell_back_raw = true;
-  tx->payload = std::make_shared<std::vector<std::uint8_t>>(
-      static_cast<const std::uint8_t*>(tx->sender_buf),
-      static_cast<const std::uint8_t*>(tx->sender_buf) + tx->env.bytes);
-  core::CompressionHeader raw;
-  raw.original_bytes = tx->env.bytes;
-  raw.compressed_bytes = tx->env.bytes;
-  if (reliability_) raw.payload_crc32c = payload_crc(*tx->payload);
-  tx->header = raw;
-}
-
-void World::fail_rndv(const RndvPtr& tx, Time at) {
-  // Retry budget exhausted: complete both sides with a clean error status
-  // instead of hanging the job on an undeliverable payload.
-  tx->done = true;
-  sim::Engine::cancel(tx->watchdog);
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  if (tx->staging && tx->staging->data != nullptr) {
+void World::fail_transfer(const RndvPtr& tx, Time at) {
+  tx->seg.done = true;
+  if (tx->staging->data != nullptr) {
     Timeline tl(at);
-    state.mgr->release_receive(tl, *tx->staging);
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release_receive(tl, *tx->staging);
   }
-  Status recv_status{tx->env.src, tx->env.tag, 0};
-  recv_status.error = StatusError::RetryLimit;
-  Status send_status{tx->env.dst, tx->env.tag, 0};
-  send_status.error = StatusError::RetryLimit;
-  complete_at(tx->send_req, send_status, at);
-  complete_at(tx->recv.req, recv_status, at);
+  fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
 
 // ---------------------------------------------------------------------------
-// Persistent channels (see mpi/channel.hpp)
+// Persistent channels (see mpi/channel.hpp): one segment per warm message,
+// cleared by credits instead of RTS/CTS.
 // ---------------------------------------------------------------------------
 
 bool World::channel_eligible(int src, int dst, int tag, const void* buf,
@@ -634,30 +647,22 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
 
 Request World::warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& env,
                           const core::CompressionHeader& header, Payload payload,
-                          const void* sender_buf, bool wire_mode) {
+                          const void* sender_buf) {
   auto req = std::make_shared<RequestState>();
   auto tx = std::make_shared<WarmTransfer>();
   tx->ch = ch;
   tx->env = env;
-  tx->payload = std::move(payload);
+  tx->seg.header = header;
+  tx->seg.payload = std::move(payload);
   tx->send_req = req;
   tx->sender_buf = sender_buf;
-  tx->wire_mode = wire_mode;
   tx->seq = ch->next_send_seq++;
-
-  RepeatHeader rh;
-  rh.channel = ch->id;
-  rh.seq = tx->seq;
-  rh.wire_len = tx->payload->size();
-  rh.crc32c = header.payload_crc32c;
-  rh.flags = header.compressed ? RepeatHeader::kCompressed : 0;
-  rh.partition_bytes = header.partition_bytes;
-  tx->repeat_bytes = rh.serialize();
 
   ++ch->warm_sends;
   const std::size_t cold_ctrl =
       options_.rts_bytes + header.wire_bytes() + options_.cts_bytes;
-  ch->header_bytes_saved += cold_ctrl > rh.wire_bytes() ? cold_ctrl - rh.wire_bytes() : 0;
+  const std::size_t warm_ctrl = tx->segment_header_bytes(0);
+  ch->header_bytes_saved += cold_ctrl > warm_ctrl ? cold_ctrl - warm_ctrl : 0;
 
   ctx.advance(options_.host_send_overhead);
   if (ch->credits <= 0) {
@@ -668,71 +673,40 @@ Request World::warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& e
     return req;
   }
   --ch->credits;
-  push_warm_data(tx, ctx.now());
+  push_segment(tx, 0, ctx.now());
   return req;
 }
 
-void World::push_warm_data(const WarmPtr& tx, Time start) {
-  if (tx->done) return;
-  tx->recovery_pending = false;
-  ++tx->attempts;
-  const std::uint64_t wire_bytes =
-      tx->payload->size() + options_.envelope_bytes + tx->repeat_bytes.size();
-  const net::Fabric::Delivery d =
-      fabric_->transfer_data(start, tx->env.src, tx->env.dst, wire_bytes);
-
-  if (!d.dropped) {
-    Payload delivered = tx->payload;
-    if (d.corrupted) {
-      delivered = std::make_shared<std::vector<std::uint8_t>>(*tx->payload);
-      if (!delivered->empty()) {
-        const std::uint64_t bit = d.corrupt_bits % (delivered->size() * 8);
-        (*delivered)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
-    }
-    engine_.schedule(d.at, [this, tx, delivered]() { on_warm_data(tx, delivered); });
-    return;
-  }
-
-  // Dropped: same watchdog margin/backoff policy as the cold protocol,
-  // scoped to this message — the channel itself stays warm.
-  Time margin = options_.retransmit_timeout;
-  for (int i = 1; i < tx->attempts; ++i) {
-    margin = Time::ns(static_cast<std::int64_t>(static_cast<double>(margin.count_ns()) *
-                                                options_.retransmit_backoff));
-  }
-  tx->watchdog = engine_.schedule_cancelable(
-      d.at + margin, [this, tx]() { warm_retransmit(tx, engine_.now(), false); });
+RepeatHeader World::WarmTransfer::repeat() const {
+  RepeatHeader rh;
+  rh.channel = ch->id;
+  rh.seq = seq;
+  rh.wire_len = seg.payload->size();
+  rh.crc32c = seg.header.payload_crc32c;
+  rh.flags = seg.header.compressed ? RepeatHeader::kCompressed
+             : seg.fell_back_raw   ? RepeatHeader::kRawDegrade
+                                   : std::uint8_t{0};
+  rh.partition_bytes = seg.header.partition_bytes;
+  return rh;
 }
 
-void World::on_warm_data(const WarmPtr& tx, const Payload& delivered) {
-  if (tx->done) return;
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+void World::on_segment_data(const WarmPtr& tx, int, const Payload& delivered) {
+  if (tx->seg.done) return;
   Timeline tl(engine_.now() + options_.progress_overhead);
-  const RepeatHeader rh = RepeatHeader::deserialize(tx->repeat_bytes);
-
-  if (reliability_ && payload_crc(*delivered) != rh.crc32c) {
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->record({tl.now(), tx->env.dst, core::EventKind::CorruptionDetected,
-                                  tx->ch->tmpl.algorithm, tx->env.bytes, delivered->size(),
-                                  Time::zero()});
-    }
-    warm_retransmit(tx, tl.now(), false);
-    return;
-  }
-
+  if (!segment_intact(tx, 0, delivered, tl.now())) return;
   tx->delivered = delivered;
+  match_or_park_warm(tx, tl);
+}
+
+void World::match_or_park_warm(const WarmPtr& tx, Timeline& tl) {
+  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
   // Only the channel's next in-order message may consume (non-overtaking
   // under retransmission gaps); successors park until the gap closes.
   if (tx->seq == tx->ch->next_consume_seq) {
-    for (auto it = state.posted.begin(); it != state.posted.end(); ++it) {
-      if (matches(*it, tx->env)) {
-        PostedRecv recv = *it;
-        state.posted.erase(it);
-        consume_warm(tx, std::move(recv), tl);
-        drain_parked_warm(tx->env.dst);
-        return;
-      }
+    if (auto recv = take_posted(state, tx->env)) {
+      consume_warm(tx, std::move(*recv), tl);
+      drain_parked_warm(tx->env.dst);
+      return;
     }
   }
   wake_probers(state, tx->env);
@@ -742,10 +716,16 @@ void World::on_warm_data(const WarmPtr& tx, const Payload& delivered) {
 
 void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
   Channel* ch = tx->ch;
+  if (tx->failed) {
+    // The message ran out of retries: the receive it was due to fill fails
+    // in its place, so later messages still pair with the right receives.
+    ++ch->next_consume_seq;
+    fail_requests(tx->env, nullptr, recv.req, tl.now());
+    return;
+  }
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  const RepeatHeader rh = RepeatHeader::deserialize(tx->repeat_bytes);
-  core::CompressionHeader header = rh.expand(ch->tmpl);
-  const Payload delivered = tx->delivered != nullptr ? tx->delivered : tx->payload;
+  const core::CompressionHeader header = tx->repeat().expand(ch->tmpl);
+  const Payload delivered = tx->delivered;
 
   if (recv.wire_out != nullptr) {
     // Engine wire receive: hand over the compressed form as-is.
@@ -767,7 +747,7 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
       // Intact stream, faulting kernel: repost the receive so the raw
       // redelivery finds it, and ask the sender to degrade this message.
       state.posted.push_front(std::move(recv));
-      warm_retransmit(tx, tl.now(), true);
+      nack_segment(tx, 0, tl.now(), true);
       return;
     }
     if (planned) {
@@ -782,9 +762,9 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
     if (!delivered->empty()) std::memcpy(recv.buf, delivered->data(), delivered->size());
   }
 
-  tx->done = true;
+  tx->seg.done = true;
   tx->delivered.reset();
-  sim::Engine::cancel(tx->watchdog);
+  sim::Engine::cancel(tx->seg.watchdog);
   ++ch->next_consume_seq;
   complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
   complete_at(recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
@@ -799,81 +779,48 @@ void World::drain_parked_warm(int dst) {
     progress = false;
     for (auto it = state.parked_warm.begin(); it != state.parked_warm.end(); ++it) {
       const WarmPtr tx = *it;
-      if (tx->done || tx->seq != tx->ch->next_consume_seq) continue;
-      auto rit = state.posted.begin();
-      for (; rit != state.posted.end(); ++rit) {
-        if (matches(*rit, tx->env)) break;
-      }
-      if (rit == state.posted.end()) continue;
-      PostedRecv recv = *rit;
-      state.posted.erase(rit);
+      if (tx->seq != tx->ch->next_consume_seq) continue;
+      auto recv = take_posted(state, tx->env);
+      if (!recv) continue;
       state.parked_warm.erase(it);
       Timeline tl(engine_.now());
-      consume_warm(tx, std::move(recv), tl);
+      consume_warm(tx, std::move(*recv), tl);
       progress = true;
       break;  // iterators invalidated; rescan for the next head
     }
   }
 }
 
-void World::warm_retransmit(const WarmPtr& tx, Time at, bool decode_fail) {
-  if (tx->done || tx->recovery_pending) return;
-  sim::Engine::cancel(tx->watchdog);
-  if (tx->attempts > options_.max_data_retries) {
-    fail_warm(tx, at);
-    return;
-  }
-  tx->recovery_pending = true;
+void World::resend_segment(const WarmPtr& tx, int, bool decode_fail) {
   ++tx->ch->retransmits;
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->record({at, tx->env.dst, core::EventKind::Retransmit,
-                                tx->ch->tmpl.algorithm, tx->env.bytes, tx->payload->size(),
-                                Time::zero()});
+  // A decode fault degrades THIS message to a raw resend; the channel
+  // stays warm and the next iteration compresses again.
+  if (decode_fail && degrade_segment(tx->seg, tx->sender_buf, tx->env.bytes)) {
+    ++tx->ch->raw_degrades;
   }
-  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, options_.nack_bytes);
-  engine_.schedule(t_nack, [this, tx, decode_fail]() {
-    if (tx->done) return;
-    if (decode_fail && tx->sender_buf != nullptr && !tx->fell_back_raw) {
-      // Degrade THIS message to a raw resend; the channel stays warm and
-      // the next iteration compresses again.
-      tx->fell_back_raw = true;
-      ++tx->ch->raw_degrades;
-      tx->payload = std::make_shared<std::vector<std::uint8_t>>(
-          static_cast<const std::uint8_t*>(tx->sender_buf),
-          static_cast<const std::uint8_t*>(tx->sender_buf) + tx->env.bytes);
-      RepeatHeader rh = RepeatHeader::deserialize(tx->repeat_bytes);
-      rh.wire_len = tx->payload->size();
-      rh.crc32c = reliability_ ? payload_crc(*tx->payload) : 0;
-      rh.flags = RepeatHeader::kRawDegrade;
-      rh.partition_bytes.clear();
-      tx->repeat_bytes = rh.serialize();
-    }
-    push_warm_data(tx, engine_.now());
-  });
+  push_segment(tx, 0, engine_.now());
 }
 
-void World::fail_warm(const WarmPtr& tx, Time at) {
-  // Retry budget exhausted: fail the send cleanly and demote the channel to
-  // cold (it re-warms on the next successful cold exchange). Successor
-  // messages already staged keep flowing — the consume path does not check
-  // warmth — so nothing hangs.
-  tx->done = true;
-  sim::Engine::cancel(tx->watchdog);
+void World::fail_transfer(const WarmPtr& tx, Time at) {
+  // Fail the send and demote the channel to cold (it re-warms on the next
+  // successful cold exchange). Successor messages already staged keep
+  // flowing: the consume path does not check warmth.
+  tx->seg.done = true;
+  tx->failed = true;
   Channel* ch = tx->ch;
   ch->warm = false;
   ch->credits = 0;
-  if (ch->next_consume_seq == tx->seq) ++ch->next_consume_seq;
-  Status send_status{tx->env.dst, tx->env.tag, 0};
-  send_status.error = StatusError::RetryLimit;
-  complete_at(tx->send_req, send_status, at);
+  fail_requests(tx->env, tx->send_req, nullptr, at);
   // Flush the stall queue: no credits will ever refill a demoted channel.
   auto it = stalled_.find(ch->id);
   if (it != stalled_.end()) {
     std::deque<WarmPtr> pending = std::move(it->second);
     stalled_.erase(it);
-    for (auto& p : pending) push_warm_data(p, at);
+    for (auto& p : pending) push_segment(p, 0, at);
   }
-  drain_parked_warm(tx->env.dst);
+  // The receiver consumes the failure in sequence order, like a message.
+  Timeline tl(at);
+  match_or_park_warm(tx, tl);
 }
 
 void World::refill_credit(Channel* ch, Time at) {
@@ -883,11 +830,12 @@ void World::refill_credit(Channel* ch, Time at) {
   WarmPtr tx = it->second.front();
   it->second.pop_front();
   --ch->credits;
-  push_warm_data(tx, at);
+  push_segment(tx, 0, at);
 }
 
 // ---------------------------------------------------------------------------
-// Chunked pipelined rendezvous (see mpi/pipeline.hpp)
+// Chunked pipelined rendezvous (see mpi/pipeline.hpp): one segment per
+// chunk, each with its own sub-header, CRC, watchdog, and retry budget.
 // ---------------------------------------------------------------------------
 
 bool World::pipeline_eligible(int src, int dst, const void* buf, std::uint64_t bytes) const {
@@ -944,7 +892,7 @@ void World::begin_pipeline(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   tx->chunks = static_cast<int>(rts.header.pipeline_chunks);
   tx->window = std::min(tx->chunks, std::max(1, options_.pipeline.max_in_flight));
   tx->blocks = pipeline_chunk_blocks(cluster_.gpu, options_.pipeline.max_in_flight, tx->chunks);
-  tx->chunk_state.resize(static_cast<std::size_t>(tx->chunks));
+  tx->segments.resize(static_cast<std::size_t>(tx->chunks));
   // One staging acquisition for the whole transfer, sub-divided into
   // `window` slices; chunk i stages in slice i % window. A chunk's slice is
   // only touched within its own arrival event, so the reuse is safe.
@@ -993,102 +941,52 @@ void World::pipeline_chunk_ready(const PipePtr& tx, int chunk,
   const auto* user = static_cast<const std::uint8_t*>(tx->sender_buf) + off;
   Timeline tl(std::max(engine_.now(), tx->send_cursor));
   state.mgr->finish_chunk(tl, *ck, user, len);
-  auto payload = std::make_shared<std::vector<std::uint8_t>>(
-      static_cast<const std::uint8_t*>(ck->wire.data),
-      static_cast<const std::uint8_t*>(ck->wire.data) + ck->wire.bytes);
-  auto& cs = tx->chunk_state[static_cast<std::size_t>(chunk)];
-  cs.header = ck->wire.header;
-  if (reliability_) cs.header.payload_crc32c = payload_crc(*payload);
-  cs.payload = std::move(payload);
+  WireMessage staged = stage_wire(ck->wire.header, ck->wire.data, ck->wire.bytes);
+  Segment& seg = tx->segment(chunk);
+  seg.header = std::move(staged.header);
+  seg.payload = std::move(staged.payload);
   state.mgr->release_send(tl, ck->wire);
   tx->send_cursor = tl.now();
-  push_pipeline_chunk(tx, chunk, tx->send_cursor);
+  const net::Fabric::Delivery d = push_segment(tx, chunk, tx->send_cursor);
+  tx->wire_total += seg.payload->size();
+  tx->transfer_busy += d.wire;  // occupancy including retransmitted pushes
   // Keep the window full: one finished chunk funds the next launch.
   launch_pipeline_chunk(tx);
 }
 
-void World::push_pipeline_chunk(const PipePtr& tx, int chunk, Time start) {
-  if (tx->done) return;
-  auto& cs = tx->chunk_state[static_cast<std::size_t>(chunk)];
-  cs.recovery_pending = false;
-  ++cs.attempts;
-  const std::uint64_t wire_bytes =
-      cs.payload->size() + options_.envelope_bytes + cs.header.wire_bytes();
-  const net::Fabric::Delivery d =
-      fabric_->transfer_data(start, tx->env.src, tx->env.dst, wire_bytes);
-  tx->wire_total += cs.payload->size();
-  tx->transfer_busy += d.wire;  // occupancy including retransmitted pushes
-
-  if (!d.dropped) {
-    Payload delivered = cs.payload;
-    if (d.corrupted) {
-      delivered = std::make_shared<std::vector<std::uint8_t>>(*cs.payload);
-      if (!delivered->empty()) {
-        const std::uint64_t bit = d.corrupt_bits % (delivered->size() * 8);
-        (*delivered)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-      }
-    }
-    engine_.schedule(d.at, [this, tx, chunk, delivered]() {
-      on_pipeline_data(tx, chunk, delivered);
-    });
-    return;
-  }
-
-  // Dropped: per-chunk watchdog, same margin/backoff policy as the serial
-  // protocol but scoped to this chunk only.
-  Time margin = options_.retransmit_timeout;
-  for (int i = 1; i < cs.attempts; ++i) {
-    margin = Time::ns(static_cast<std::int64_t>(static_cast<double>(margin.count_ns()) *
-                                                options_.retransmit_backoff));
-  }
-  cs.watchdog = engine_.schedule_cancelable(d.at + margin, [this, tx, chunk]() {
-    pipeline_retransmit(tx, chunk, engine_.now(), false);
-  });
-}
-
-void World::on_pipeline_data(const PipePtr& tx, int chunk, const Payload& delivered) {
-  if (tx->done) return;
-  auto& cs = tx->chunk_state[static_cast<std::size_t>(chunk)];
-  if (cs.received) return;  // stale duplicate from a raced retransmit
+void World::on_segment_data(const PipePtr& tx, int chunk, const Payload& delivered) {
+  Segment& seg = tx->segment(chunk);
+  if (seg.done) return;  // failed transfer, or a stale duplicate
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
   Timeline tl(std::max(engine_.now() + options_.progress_overhead, tx->recv_cursor));
-
-  if (reliability_ && payload_crc(*delivered) != cs.header.payload_crc32c) {
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->record({tl.now(), tx->env.dst, core::EventKind::CorruptionDetected,
-                                  cs.header.algorithm, cs.header.original_bytes,
-                                  delivered->size(), Time::zero()});
-    }
-    pipeline_retransmit(tx, chunk, tl.now(), false);
-    return;
-  }
+  if (!segment_intact(tx, chunk, delivered, tl.now())) return;
 
   const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
   const std::uint64_t len = pipeline_chunk_len(tx, chunk);
   auto* out = (tx->recv.wire_out != nullptr ? tx->assemble->data()
                                             : static_cast<std::uint8_t*>(tx->recv.buf)) +
               off;
-  if (cs.header.compressed) {
+  if (seg.header.compressed) {
     void* slice = tx->staging.slice(chunk);
     std::memcpy(slice, delivered->data(), delivered->size());
     Time kernel_time;
     try {
-      const Time done = state.mgr->decompress_chunk(tl, cs.header, slice, out, len, chunk,
+      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, chunk,
                                                     tx->blocks, &kernel_time);
       tx->recv_done = std::max(tx->recv_done, done);
       tx->decompress_busy += kernel_time;
     } catch (const core::CodecFaultError&) {
       // Intact stream (CRC passed), faulting kernel: ask the sender to
       // resend just this chunk raw.
-      pipeline_retransmit(tx, chunk, tl.now(), true);
+      nack_segment(tx, chunk, tl.now(), true);
       return;
     }
   } else {
     if (!delivered->empty()) std::memcpy(out, delivered->data(), delivered->size());
     tx->recv_done = std::max(tx->recv_done, tl.now());
   }
-  cs.received = true;
-  sim::Engine::cancel(cs.watchdog);
+  seg.done = true;
+  sim::Engine::cancel(seg.watchdog);
   tx->recv_cursor = tl.now();
   ++tx->arrived;
   if (tx->arrived == tx->chunks) {
@@ -1096,42 +994,18 @@ void World::on_pipeline_data(const PipePtr& tx, int chunk, const Payload& delive
   }
 }
 
-void World::pipeline_retransmit(const PipePtr& tx, int chunk, Time at, bool decode_fail) {
-  auto& cs = tx->chunk_state[static_cast<std::size_t>(chunk)];
-  if (tx->done || cs.received || cs.recovery_pending) return;
-  sim::Engine::cancel(cs.watchdog);
-  if (cs.attempts > options_.max_data_retries) {
-    fail_pipeline(tx, at);
-    return;
-  }
-  cs.recovery_pending = true;
+void World::resend_segment(const PipePtr& tx, int chunk, bool decode_fail) {
+  Segment& seg = tx->segment(chunk);
   ++tx->retransmits;
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->record({at, tx->env.dst, core::EventKind::Retransmit,
-                                cs.header.algorithm, cs.header.original_bytes,
-                                cs.payload->size(), Time::zero()});
+  if (decode_fail) {
+    // Only the faulting chunk degrades to raw, from the still-live user buffer.
+    const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
+    degrade_segment(seg, static_cast<const std::uint8_t*>(tx->sender_buf) + off,
+                    pipeline_chunk_len(tx, chunk));
   }
-  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, options_.nack_bytes);
-  engine_.schedule(t_nack, [this, tx, chunk, decode_fail]() {
-    if (tx->done) return;
-    auto& cs = tx->chunk_state[static_cast<std::size_t>(chunk)];
-    if (cs.received) return;
-    if (decode_fail && !cs.fell_back_raw) {
-      // This chunk's decompression keeps faulting: degrade IT (and only it)
-      // to a raw resend from the still-live user buffer.
-      cs.fell_back_raw = true;
-      const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
-      const std::uint64_t len = pipeline_chunk_len(tx, chunk);
-      const auto* user = static_cast<const std::uint8_t*>(tx->sender_buf) + off;
-      cs.payload = std::make_shared<std::vector<std::uint8_t>>(user, user + len);
-      core::CompressionHeader raw;
-      raw.original_bytes = len;
-      raw.compressed_bytes = len;
-      if (reliability_) raw.payload_crc32c = payload_crc(*cs.payload);
-      cs.header = raw;
-    }
-    push_pipeline_chunk(tx, chunk, engine_.now());
-  });
+  const net::Fabric::Delivery d = push_segment(tx, chunk, engine_.now());
+  tx->wire_total += seg.payload->size();
+  tx->transfer_busy += d.wire;
 }
 
 void World::finish_pipeline(const PipePtr& tx) {
@@ -1143,11 +1017,8 @@ void World::finish_pipeline(const PipePtr& tx) {
   tl.advance(state.gpu->costs().stream_sync);
   state.mgr->release_pipeline_receive(tl, tx->staging);
   if (tx->recv.wire_out != nullptr) {
-    core::CompressionHeader raw;
-    raw.original_bytes = tx->env.bytes;
-    raw.compressed_bytes = tx->env.bytes;
-    if (reliability_) raw.payload_crc32c = payload_crc(*tx->assemble);
-    *tx->recv.wire_out = WireMessage{raw, tx->assemble};
+    const std::uint32_t crc = reliability_ ? payload_crc(*tx->assemble) : 0;
+    *tx->recv.wire_out = WireMessage{raw_header(tx->env.bytes, crc), tx->assemble};
   }
   if (options_.telemetry != nullptr) {
     options_.telemetry->record_pipeline(
@@ -1159,20 +1030,17 @@ void World::finish_pipeline(const PipePtr& tx) {
   complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
 }
 
-void World::fail_pipeline(const PipePtr& tx, Time at) {
+void World::fail_transfer(const PipePtr& tx, Time at) {
   tx->done = true;
-  for (auto& cs : tx->chunk_state) sim::Engine::cancel(cs.watchdog);
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+  for (auto& seg : tx->segments) {
+    seg.done = true;
+    sim::Engine::cancel(seg.watchdog);
+  }
   if (tx->staging.valid()) {
     Timeline tl(at);
-    state.mgr->release_pipeline_receive(tl, tx->staging);
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release_pipeline_receive(tl, tx->staging);
   }
-  Status recv_status{tx->env.src, tx->env.tag, 0};
-  recv_status.error = StatusError::RetryLimit;
-  Status send_status{tx->env.dst, tx->env.tag, 0};
-  send_status.error = StatusError::RetryLimit;
-  complete_at(tx->send_req, send_status, at);
-  complete_at(tx->recv.req, recv_status, at);
+  fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
 
 Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_t capacity,
@@ -1183,30 +1051,16 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
 
   // Find the OLDEST matching unexpected message across the queues so a
   // later eager message can never overtake an earlier rendezvous one.
-  auto eager_it = state.unexpected_eager.end();
-  for (auto it = state.unexpected_eager.begin(); it != state.unexpected_eager.end(); ++it) {
-    if (matches(self, it->env)) {
-      eager_it = it;
-      break;
-    }
-  }
-  auto rts_it = state.pending_rts.end();
-  for (auto it = state.pending_rts.begin(); it != state.pending_rts.end(); ++it) {
-    if (matches(self, it->env)) {
-      rts_it = it;
-      break;
-    }
-  }
+  const auto eager_it = std::find_if(state.unexpected_eager.begin(), state.unexpected_eager.end(),
+                                     [&](const EagerMsg& m) { return matches(self, m.env); });
+  const auto rts_it = std::find_if(state.pending_rts.begin(), state.pending_rts.end(),
+                                   [&](const RtsMsg& m) { return matches(self, m.env); });
   // Parked warm-channel arrivals: only a channel's next in-order message is
   // matchable (a predecessor in retransmission recovery blocks successors).
-  auto warm_it = state.parked_warm.end();
-  for (auto it = state.parked_warm.begin(); it != state.parked_warm.end(); ++it) {
-    if (!(*it)->done && (*it)->seq == (*it)->ch->next_consume_seq &&
-        matches(self, (*it)->env)) {
-      warm_it = it;
-      break;
-    }
-  }
+  const auto warm_it =
+      std::find_if(state.parked_warm.begin(), state.parked_warm.end(), [&](const WarmPtr& tx) {
+        return tx->seq == tx->ch->next_consume_seq && matches(self, tx->env);
+      });
   const bool has_eager = eager_it != state.unexpected_eager.end();
   const bool has_rts = rts_it != state.pending_rts.end();
   const bool has_warm = warm_it != state.parked_warm.end();
@@ -1224,22 +1078,7 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
     return req;
   }
   if (has_eager && eager_at < rts_at) {
-    Status status{eager_it->env.src, eager_it->env.tag, eager_it->env.bytes};
-    if (wire_out != nullptr) {
-      if (!eager_it->crc_ok) {
-        status.bytes = 0;
-        status.error = StatusError::ChecksumMismatch;
-      } else {
-        core::CompressionHeader raw;
-        raw.original_bytes = eager_it->env.bytes;
-        raw.compressed_bytes = eager_it->env.bytes;
-        raw.payload_crc32c = eager_it->env.crc;
-        *wire_out = WireMessage{raw, eager_it->payload};
-      }
-    } else {
-      status.error = deliver_eager_to(self, *eager_it);
-      if (status.error != StatusError::None) status.bytes = 0;
-    }
+    const Status status = deliver_eager(self, *eager_it);
     state.unexpected_eager.erase(eager_it);
     ctx.advance(options_.host_recv_overhead);
     req->status = status;
@@ -1261,29 +1100,18 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
 }
 
 bool World::do_iprobe(int rank, int src, int tag, Status* status) {
-  auto& state = ranks_[static_cast<std::size_t>(rank)];
-  auto match = [&](const Envelope& env) {
-    return (src == kAnySource || src == env.src) && (tag == kAnyTag || tag == env.tag);
+  const auto& state = ranks_[static_cast<std::size_t>(rank)];
+  const Envelope* found = nullptr;
+  auto scan = [&](const Envelope& env) {
+    if (found == nullptr && matches(src, tag, env)) found = &env;
   };
-  for (const auto& m : state.unexpected_eager) {
-    if (match(m.env)) {
-      if (status != nullptr) *status = Status{m.env.src, m.env.tag, m.env.bytes};
-      return true;
-    }
-  }
-  for (const auto& m : state.pending_rts) {
-    if (match(m.env)) {
-      if (status != nullptr) *status = Status{m.env.src, m.env.tag, m.env.bytes};
-      return true;
-    }
-  }
+  for (const auto& m : state.unexpected_eager) scan(m.env);
+  for (const auto& m : state.pending_rts) scan(m.env);
   for (const auto& tx : state.parked_warm) {
-    if (!tx->done && tx->seq == tx->ch->next_consume_seq && match(tx->env)) {
-      if (status != nullptr) *status = Status{tx->env.src, tx->env.tag, tx->env.bytes};
-      return true;
-    }
+    if (tx->seq == tx->ch->next_consume_seq) scan(tx->env);
   }
-  return false;
+  if (found != nullptr && status != nullptr) *status = Status{found->src, found->tag, found->bytes};
+  return found != nullptr;
 }
 
 Status World::do_probe(sim::ActorContext& ctx, int rank, int src, int tag) {

@@ -21,14 +21,17 @@
 // Wire reliability (active when WorldOptions::fault is set, or when
 // verify_checksums is requested explicitly):
 //   * every payload carries a CRC32C — in the eager envelope for eager
-//     messages, in the piggybacked CompressionHeader for rendezvous;
-//   * rendezvous data packets can be dropped or bit-corrupted by the fault
-//     injector; the receiver NACKs on CRC mismatch, a sender-side timeout
-//     covers drops, and the payload is re-pushed with exponential backoff
-//     up to max_data_retries before both requests complete with
+//     messages, in the header that travels with each data segment;
+//   * data segments can be dropped or bit-corrupted by the fault injector;
+//     the receiver NACKs on CRC mismatch, a sender-side timeout covers
+//     drops, and the segment is re-pushed with exponential backoff up to
+//     max_data_retries before both requests complete with
 //     StatusError::RetryLimit (no hangs);
 //   * a decompression kernel fault NACKs with decode_fail, and the sender
-//     falls back to resending the raw (uncompressed) user buffer.
+//     falls back to resending that segment raw from the user buffer.
+// One segment cycle implements this for every transfer kind: a serial
+// rendezvous is one segment cleared by RTS/CTS, a warm-channel message one
+// segment cleared by a credit, and a pipelined send one segment per chunk.
 // Control packets (RTS/CTS/NACK) and eager messages ride the modeled
 // link-level-reliable control plane and are never dropped.
 #pragma once
@@ -38,6 +41,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include <map>
@@ -364,53 +368,68 @@ class World {
     WireMessage* wire_out = nullptr;  // set => deliver wire form, skip decompress
   };
 
+  /// One reliably delivered unit of payload: the whole message of a serial
+  /// rendezvous or warm send, or one chunk of a pipelined send. Every kind
+  /// runs the same cycle on it (push_segment -> segment_intact ->
+  /// nack_segment -> resend_segment, raw degrade, RetryLimit).
+  struct Segment {
+    core::CompressionHeader header;  // wire header; carries the payload CRC
+    Payload payload;                 // staged wire bytes, re-pushed on NACK
+    int attempts = 0;                // payload pushes so far
+    bool done = false;               // delivered, or its transfer failed
+    bool fell_back_raw = false;      // decode faults switched it to raw
+    bool recovery_pending = false;   // a NACK/timeout is already in flight
+    sim::Engine::CancelToken watchdog;
+  };
+
+  // Each transfer kind below exposes the same three accessors to the
+  // segment cycle: segment(i), the per-segment header bytes riding with the
+  // payload, and the codec its telemetry events report.
+
   /// One in-flight rendezvous payload transfer (CTS received, data being
   /// pushed), kept alive until verified delivery or retry exhaustion.
   struct RndvTransfer {
     Envelope env;
-    core::CompressionHeader header;
-    Payload payload;
+    Segment seg;
     Request send_req;
     PostedRecv recv;
     std::shared_ptr<core::CompressionManager::RecvStaging> staging;
     const void* sender_buf = nullptr;
-    int attempts = 0;               // payload pushes so far
-    bool done = false;
-    bool fell_back_raw = false;     // decode faults switched us to raw
-    bool recovery_pending = false;  // a NACK/timeout is already in flight
-    sim::Engine::CancelToken watchdog;
+
+    Segment& segment(int) { return seg; }
+    [[nodiscard]] std::uint64_t segment_header_bytes(int) const { return 0; }  // rode the RTS
+    [[nodiscard]] core::Algorithm codec(int) const { return seg.header.algorithm; }
   };
   using RndvPtr = std::shared_ptr<RndvTransfer>;
 
   /// One in-flight warm-channel message (persistent channels): the payload
   /// ships with a compact RepeatHeader instead of the RTS/CTS handshake.
-  /// Mirrors RndvTransfer's recovery machinery — per-message watchdog,
-  /// NACK-driven re-push, raw degradation on decode faults — but scoped to
-  /// the channel: recovery never tears the channel down.
+  /// Recovery is scoped to the message and never tears the channel down.
   struct WarmTransfer {
     Channel* ch = nullptr;
     Envelope env;
-    std::vector<std::uint8_t> repeat_bytes;  // serialized RepeatHeader
-    Payload payload;                         // sender-staged wire bytes
+    Segment seg;
     Request send_req;
     const void* sender_buf = nullptr;  // raw-degrade source (user p2p only)
-    bool wire_mode = false;            // deliver wire form (engine channels)
     std::uint32_t seq = 0;
-    int attempts = 0;
-    bool done = false;
-    bool fell_back_raw = false;
-    bool recovery_pending = false;
+    bool failed = false;        // retry budget exhausted; its receive fails in order
     std::uint64_t arrival = 0;  // stamp when parked unexpected
     Payload delivered;          // arrived bytes, kept while parked
-    sim::Engine::CancelToken watchdog;
+
+    /// The compact header this message carries, derived from its segment.
+    [[nodiscard]] RepeatHeader repeat() const;
+    Segment& segment(int) { return seg; }
+    [[nodiscard]] std::uint64_t segment_header_bytes(int) const {
+      return repeat().wire_bytes();
+    }
+    [[nodiscard]] core::Algorithm codec(int) const { return ch->tmpl.algorithm; }
   };
   using WarmPtr = std::shared_ptr<WarmTransfer>;
 
   /// One in-flight CHUNKED pipelined rendezvous (announced via an RTS whose
   /// header carries pipeline_chunks >= 2). Compression, wire transfer, and
-  /// decompression of consecutive chunks overlap; each chunk has its own
-  /// CRC, watchdog, and retransmission budget, so a lost or corrupted chunk
-  /// re-pushes only itself.
+  /// decompression of consecutive chunks overlap; each chunk is its own
+  /// segment, so a lost or corrupted chunk re-pushes only itself.
   struct PipelineTransfer {
     Envelope env;
     Request send_req;
@@ -434,16 +453,7 @@ class World {
     int arrived = 0;        // chunks verified + consumed at the receiver
     bool done = false;
 
-    struct ChunkState {
-      core::CompressionHeader header;  // per-chunk sub-record (own CRC)
-      Payload payload;                 // staged wire bytes of this chunk
-      int attempts = 0;
-      bool received = false;
-      bool fell_back_raw = false;
-      bool recovery_pending = false;
-      sim::Engine::CancelToken watchdog;
-    };
-    std::vector<ChunkState> chunk_state;
+    std::vector<Segment> segments;  // one per chunk, own sub-header and CRC
 
     // Overlap telemetry accumulators (PipelineRecord).
     std::uint64_t wire_total = 0;  // payload bytes pushed, retransmits included
@@ -451,6 +461,14 @@ class World {
     sim::Time compress_busy;
     sim::Time transfer_busy;
     sim::Time decompress_busy;
+
+    Segment& segment(int i) { return segments[static_cast<std::size_t>(i)]; }
+    [[nodiscard]] std::uint64_t segment_header_bytes(int i) const {
+      return segments[static_cast<std::size_t>(i)].header.wire_bytes();
+    }
+    [[nodiscard]] core::Algorithm codec(int i) const {
+      return segments[static_cast<std::size_t>(i)].header.algorithm;
+    }
   };
   using PipePtr = std::shared_ptr<PipelineTransfer>;
 
@@ -474,9 +492,14 @@ class World {
                                      // non-overtaking)
   };
 
-  [[nodiscard]] static bool matches(const PostedRecv& r, const Envelope& e) {
-    return (r.src == kAnySource || r.src == e.src) && (r.tag == kAnyTag || r.tag == e.tag);
+  [[nodiscard]] static bool matches(int src, int tag, const Envelope& e) {
+    return (src == kAnySource || src == e.src) && (tag == kAnyTag || tag == e.tag);
   }
+  [[nodiscard]] static bool matches(const PostedRecv& r, const Envelope& e) {
+    return matches(r.src, r.tag, e);
+  }
+  /// Remove and return the oldest posted receive matching `env`, if any.
+  static std::optional<PostedRecv> take_posted(RankState& state, const Envelope& env);
 
   // Protocol steps (see .cpp). Receiver-side handlers run in engine events.
   Request do_isend(sim::ActorContext& ctx, int src, const void* buf,
@@ -491,19 +514,49 @@ class World {
   /// routing a block through the batched compress path)
   [[nodiscard]] bool batch_compress_eligible(int src, int dst, const void* buf,
                                              std::uint64_t bytes) const;
+  /// Copy wire bytes into a staged payload, stamping the CRC when the
+  /// reliability layer is on.
+  WireMessage stage_wire(const core::CompressionHeader& header, const void* data,
+                         std::uint64_t bytes) const;
   WireMessage make_raw_wire(const void* buf, std::uint64_t bytes) const;
   Request do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage& msg, int dst,
                         int tag);
   void on_eager_arrival(EagerMsg msg);
   void on_rts_arrival(RtsMsg rts);
   void begin_rndv_receive(sim::Timeline& tl, RtsMsg rts, PostedRecv recv);
-  // Reliability-aware data phase: push (or re-push) the payload, verify it
-  // on arrival, NACK / time out / fail cleanly as needed.
-  void push_rndv_data(const RndvPtr& tx);
-  void on_rndv_data(const RndvPtr& tx, const Payload& delivered);
-  void request_retransmit(const RndvPtr& tx, sim::Time at, bool decode_fail);
-  void switch_to_raw(const RndvPtr& tx);
-  void fail_rndv(const RndvPtr& tx, sim::Time at);
+
+  // --- the segment cycle, shared by every transfer kind ---
+  /// Push (or re-push) segment i: bit-flip delivery of a private copy on
+  /// corruption, a backoff watchdog on a drop.
+  template <class Tx>
+  net::Fabric::Delivery push_segment(const std::shared_ptr<Tx>& tx, int i, sim::Time start);
+  /// Receiver-side CRC check of an arrival; a mismatch is recorded and NACKed.
+  template <class Tx>
+  bool segment_intact(const std::shared_ptr<Tx>& tx, int i, const Payload& delivered,
+                      sim::Time at);
+  /// NACK segment i back to the sender, or fail its transfer once the
+  /// retry budget is spent.
+  template <class Tx>
+  void nack_segment(const std::shared_ptr<Tx>& tx, int i, sim::Time at, bool decode_fail);
+  /// Switch a segment to a raw copy of the live user bytes (graceful
+  /// degradation after a decode fault). False if it already is raw.
+  bool degrade_segment(Segment& seg, const void* src, std::uint64_t len);
+  /// Complete the given requests with StatusError::RetryLimit and 0 bytes.
+  void fail_requests(const Envelope& env, const Request& send_req, const Request& recv_req,
+                     sim::Time at);
+
+  // What each kind adds to the cycle: arrival handling, the sender's
+  // reaction to a NACK, and the cleanup when the budget is spent.
+  void on_segment_data(const RndvPtr& tx, int i, const Payload& delivered);
+  void on_segment_data(const WarmPtr& tx, int i, const Payload& delivered);
+  void on_segment_data(const PipePtr& tx, int i, const Payload& delivered);
+  void resend_segment(const RndvPtr& tx, int i, bool decode_fail);
+  void resend_segment(const WarmPtr& tx, int i, bool decode_fail);
+  void resend_segment(const PipePtr& tx, int i, bool decode_fail);
+  void fail_transfer(const RndvPtr& tx, sim::Time at);
+  void fail_transfer(const WarmPtr& tx, sim::Time at);
+  void fail_transfer(const PipePtr& tx, sim::Time at);
+
   // Chunked pipelined rendezvous (see mpi/pipeline.hpp and DESIGN.md).
   [[nodiscard]] bool pipeline_eligible(int src, int dst, const void* buf,
                                        std::uint64_t bytes) const;
@@ -517,11 +570,7 @@ class World {
   void launch_pipeline_chunk(const PipePtr& tx);
   void pipeline_chunk_ready(const PipePtr& tx, int chunk,
                             const std::shared_ptr<core::CompressionManager::ChunkWire>& ck);
-  void push_pipeline_chunk(const PipePtr& tx, int chunk, sim::Time start);
-  void on_pipeline_data(const PipePtr& tx, int chunk, const Payload& delivered);
-  void pipeline_retransmit(const PipePtr& tx, int chunk, sim::Time at, bool decode_fail);
   void finish_pipeline(const PipePtr& tx);
-  void fail_pipeline(const PipePtr& tx, sim::Time at);
   [[nodiscard]] std::uint64_t pipeline_chunk_len(const PipePtr& tx, int chunk) const {
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
     return std::min(tx->chunk_bytes, tx->env.bytes - off);
@@ -544,24 +593,26 @@ class World {
   /// header; `payload` the staged wire bytes.
   Request warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& env,
                      const core::CompressionHeader& header, Payload payload,
-                     const void* sender_buf, bool wire_mode);
-  void push_warm_data(const WarmPtr& tx, sim::Time start);
-  void on_warm_data(const WarmPtr& tx, const Payload& delivered);
+                     const void* sender_buf);
+  /// Receiver side of a verified (or failed) warm message: consume it now
+  /// if it is the channel's next in order and a receive is posted, else
+  /// park it until one is.
+  void match_or_park_warm(const WarmPtr& tx, sim::Timeline& tl);
   /// Deliver a verified, in-order warm message to a matching posted
-  /// receive; consumes a credit refill slot and drains the stall queue.
+  /// receive; consumes a credit refill slot and drains the stall queue. A
+  /// failed message completes the receive with RetryLimit instead.
   void consume_warm(const WarmPtr& tx, PostedRecv recv, sim::Timeline& tl);
   /// After a consume bumped next_consume_seq, a parked out-of-order
   /// successor may have become the head: try to match it.
   void drain_parked_warm(int dst);
-  void warm_retransmit(const WarmPtr& tx, sim::Time at, bool decode_fail);
-  void fail_warm(const WarmPtr& tx, sim::Time at);
   /// Sender-side credit refill (piggybacked on the zero-cost completion
   /// notification): un-stall the oldest parked send if any.
   void refill_credit(Channel* ch, sim::Time at);
 
   void complete(const Request& req, Status status);
   void complete_at(const Request& req, Status status, sim::Time at);
-  StatusError deliver_eager_to(PostedRecv& recv, const EagerMsg& msg);
+  /// Deliver an eager message to a matched receive (buffer or wire form).
+  Status deliver_eager(const PostedRecv& recv, const EagerMsg& msg);
   bool do_iprobe(int rank, int src, int tag, Status* status);
   Status do_probe(sim::ActorContext& ctx, int rank, int src, int tag);
   void wake_probers(RankState& state, const Envelope& env);

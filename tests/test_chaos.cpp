@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/telemetry.hpp"
@@ -335,40 +336,6 @@ TEST(Chaos, HierarchicalBcastUnderLossIsBitExactWithTransitBudget) {
   EXPECT_GT(telemetry.summarize().retransmits, 0u);
 }
 
-TEST(Chaos, RetryLimitCompletesWithCleanErrorStatus) {
-  // A black-hole link (100% drop) must not hang: after max_data_retries
-  // re-pushes both sides complete with StatusError::RetryLimit.
-  fault::FaultInjector injector(fault::FaultPlan::lossy(5, 1.0, 0.0));
-  sim::Engine engine;
-  core::Telemetry telemetry;
-  mpi::WorldOptions opts;
-  opts.fault = &injector;
-  opts.telemetry = &telemetry;
-  opts.max_data_retries = 4;
-  World world(engine, net::longhorn(2, 1), core::CompressionConfig::off(), opts);
-
-  const std::size_t n = 262144;  // 1 MB: rendezvous
-  mpi::Status send_status, recv_status;
-  world.run([&](Rank& R) {
-    std::vector<float> buf(n, 1.0f);
-    if (R.rank() == 0) {
-      auto req = R.isend(buf.data(), n * 4, 1, 9);
-      send_status = R.wait(req);
-    } else {
-      auto req = R.irecv(buf.data(), n * 4, 0, 9);
-      recv_status = R.wait(req);
-    }
-  });
-
-  EXPECT_EQ(send_status.error, StatusError::RetryLimit);
-  EXPECT_EQ(recv_status.error, StatusError::RetryLimit);
-  EXPECT_FALSE(send_status.ok());
-  EXPECT_EQ(recv_status.bytes, 0u);
-  // 1 initial push + max_data_retries re-pushes, not one more.
-  EXPECT_EQ(injector.stats().drops, 5u);
-  EXPECT_EQ(telemetry.summarize().retransmits, 4u);
-}
-
 TEST(Chaos, CompressionKernelFaultsDegradeToRaw) {
   // Every compression kernel launch fails: all rendezvous messages fall
   // back to raw sends, delivery stays bit-exact, telemetry records the
@@ -406,43 +373,6 @@ TEST(Chaos, CompressionKernelFaultsDegradeToRaw) {
   EXPECT_EQ(world.compression_of(0).stats().messages_fallback_raw, 4u);
 }
 
-TEST(Chaos, DecompressionFaultsTriggerRawResend) {
-  // The receiver's decompression kernel always fails. Protocol-level
-  // recovery: NACK(decode_fail) -> the sender re-pushes the original user
-  // buffer raw -> delivery completes bit-exactly without decompression.
-  fault::FaultPlan plan;
-  plan.seed = 13;
-  plan.decompress_fail_probability = 1.0;
-  fault::FaultInjector injector(plan);
-  sim::Engine engine;
-  core::Telemetry telemetry;
-  mpi::WorldOptions opts;
-  opts.fault = &injector;
-  opts.telemetry = &telemetry;
-  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(), opts);
-
-  const std::size_t n = 65536;
-  const auto payload = data::generate("msg_sppm", n, 8);
-  world.run([&](Rank& R) {
-    if (R.rank() == 0) {
-      auto* dev = static_cast<float*>(R.gpu_malloc(n * 4));
-      std::memcpy(dev, payload.data(), n * 4);
-      R.send(dev, n * 4, 1, 1);
-      R.gpu_free(dev);
-    } else {
-      std::vector<float> rbuf(n);
-      const auto st = R.recv(rbuf.data(), n * 4, 0, 1);
-      ASSERT_TRUE(st.ok());
-      ASSERT_EQ(std::memcmp(rbuf.data(), payload.data(), n * 4), 0);
-    }
-  });
-
-  const auto summary = telemetry.summarize();
-  EXPECT_EQ(summary.codec_faults, 1u);   // one failed decompress attempt
-  EXPECT_EQ(summary.retransmits, 1u);    // one decode_fail NACK -> raw resend
-  EXPECT_EQ(injector.stats().decompress_faults, 1u);
-}
-
 TEST(Chaos, NicFlapWindowDefersDelivery) {
   // Node 0's NIC is down for the first 2 ms: a rendezvous payload sent at
   // t~0 cannot complete before the window closes.
@@ -471,5 +401,177 @@ TEST(Chaos, NicFlapWindowDefersDelivery) {
   EXPECT_GE(recv_done, Time::ms(2));
   EXPECT_GT(injector.stats().stalls, 0u);
 }
+
+// --- one reliability contract, three transfer kinds ----------------------
+//
+// Serial rendezvous, pipelined chunks, and warm-channel messages all ride
+// the same per-segment cycle (push, CRC check, NACK or watchdog, raw
+// degrade, RetryLimit); these tests hold every kind to the same contract.
+
+enum class TransferKind { Serial, Pipelined, Warm };
+
+constexpr std::size_t kKindValues = 1 << 16;  // 256 KiB of floats: rendezvous
+constexpr int kKindMessages = 6;
+
+/// Segments one message of kKindValues floats moves as under `kind`.
+std::uint64_t segments_per_message(TransferKind kind) {
+  return kind == TransferKind::Pipelined ? 4 : 1;
+}
+
+/// Options that route a device-resident kKindValues send through `kind`.
+mpi::WorldOptions kind_options(TransferKind kind) {
+  mpi::WorldOptions o;
+  if (kind == TransferKind::Pipelined) {
+    o.pipeline.enabled = true;
+    o.pipeline.min_bytes = 128ull << 10;
+    o.pipeline.chunk_bytes = 64ull << 10;  // four chunks per message
+  }
+  o.persistent.enabled = kind == TransferKind::Warm;
+  return o;
+}
+
+/// Distinct contents per message, so a receive handed the wrong message
+/// cannot pass the bit-exact check.
+std::vector<float> kind_payload(int message) {
+  return data::smooth_field(kKindValues, 1e-4, 100 + static_cast<std::uint64_t>(message));
+}
+
+class ChaosByKind : public ::testing::TestWithParam<TransferKind> {};
+
+TEST_P(ChaosByKind, RetryLimitCompletesWithCleanErrorStatus) {
+  // One message of a same-tag stream crosses a black-hole link (100% drop).
+  // It must not hang: every segment is pushed exactly max_data_retries + 1
+  // times, then both sides complete with RetryLimit. The link then heals
+  // and every later message lands bit-exactly on its own receive. For the
+  // warm kind the failing message rides a warm channel (message 0 warmed it).
+  const TransferKind kind = GetParam();
+  constexpr int kFailing = 3;
+  const fault::FaultPlan clean = fault::FaultPlan::lossy(5, 0.0, 0.0);
+  fault::FaultInjector injector(clean);
+  sim::Engine engine;
+  core::Telemetry telemetry;
+  mpi::WorldOptions opts = kind_options(kind);
+  opts.fault = &injector;
+  opts.telemetry = &telemetry;
+  opts.max_data_retries = 2;
+  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(), opts);
+
+  const std::uint64_t bytes = kKindValues * 4;
+  std::vector<mpi::Status> sent(kKindMessages), got(kKindMessages);
+  fault::FaultStats black_hole;
+  auto warm_sends = [&world] {
+    return world.channels().empty() ? 0u : world.channels().begin()->second.warm_sends;
+  };
+  std::uint64_t failing_warm_sends = 0;
+  world.run([&](Rank& R) {
+    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
+    std::vector<float> rbuf(kKindValues);
+    for (int m = 0; m < kKindMessages; ++m) {
+      const auto payload = kind_payload(m);
+      if (R.rank() == 0) {
+        std::memcpy(dev, payload.data(), bytes);
+        const std::uint64_t warm_before = warm_sends();
+        if (m == kFailing) injector = fault::FaultInjector(fault::FaultPlan::lossy(5, 1.0, 0.0));
+        auto req = R.isend(dev, bytes, 1, 7);
+        sent[static_cast<std::size_t>(m)] = R.wait(req);
+        if (m == kFailing) {
+          black_hole = injector.stats();
+          failing_warm_sends = warm_sends() - warm_before;
+          injector = fault::FaultInjector(clean);
+        }
+      } else {
+        std::memset(rbuf.data(), 0, bytes);
+        const auto st = R.recv(rbuf.data(), bytes, 0, 7);
+        got[static_cast<std::size_t>(m)] = st;
+        if (st.ok()) {
+          EXPECT_EQ(std::memcmp(rbuf.data(), payload.data(), bytes), 0) << "message " << m;
+        }
+      }
+    }
+    R.gpu_free(dev);
+  });
+
+  for (int m = 0; m < kKindMessages; ++m) {
+    const auto& s = sent[static_cast<std::size_t>(m)];
+    const auto& r = got[static_cast<std::size_t>(m)];
+    const StatusError want = m == kFailing ? StatusError::RetryLimit : StatusError::None;
+    EXPECT_EQ(s.error, want) << "message " << m;
+    EXPECT_EQ(r.error, want) << "message " << m;
+    EXPECT_EQ(r.bytes, m == kFailing ? 0u : bytes) << "message " << m;
+  }
+  // 1 initial push + max_data_retries re-pushes per segment, not one more.
+  const std::uint64_t pushes = segments_per_message(kind) * 3;
+  EXPECT_EQ(black_hole.data_packets, pushes);
+  EXPECT_EQ(black_hole.drops, pushes);
+  EXPECT_EQ(telemetry.summarize().retransmits, segments_per_message(kind) * 2);
+  EXPECT_EQ(failing_warm_sends, kind == TransferKind::Warm ? 1u : 0u);
+  if (kind == TransferKind::Warm) {
+    // The failure demoted the channel; a later cold exchange re-warmed it.
+    ASSERT_EQ(world.channels().size(), 1u);
+    EXPECT_TRUE(world.channels().begin()->second.warm);
+  }
+}
+
+TEST_P(ChaosByKind, DecompressionFaultsTriggerRawResend) {
+  // The receiver's decompression kernel always fails. Protocol-level
+  // recovery: NACK(decode_fail) -> the sender re-pushes that segment from
+  // the original user buffer raw -> delivery completes bit-exactly
+  // without decompression. Exactly one fault and one NACK per segment.
+  const TransferKind kind = GetParam();
+  fault::FaultPlan plan;
+  plan.seed = 13;
+  plan.decompress_fail_probability = 1.0;
+  fault::FaultInjector injector(plan);
+  sim::Engine engine;
+  core::Telemetry telemetry;
+  mpi::WorldOptions opts = kind_options(kind);
+  opts.fault = &injector;
+  opts.telemetry = &telemetry;
+  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(), opts);
+
+  const std::uint64_t bytes = kKindValues * 4;
+  world.run([&](Rank& R) {
+    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
+    std::vector<float> rbuf(kKindValues);
+    for (int m = 0; m < kKindMessages; ++m) {
+      const auto payload = kind_payload(m);
+      if (R.rank() == 0) {
+        std::memcpy(dev, payload.data(), bytes);
+        R.send(dev, bytes, 1, 1);
+      } else {
+        std::memset(rbuf.data(), 0, bytes);
+        const auto st = R.recv(rbuf.data(), bytes, 0, 1);
+        ASSERT_TRUE(st.ok()) << "message " << m;
+        ASSERT_EQ(std::memcmp(rbuf.data(), payload.data(), bytes), 0) << "message " << m;
+      }
+    }
+    R.gpu_free(dev);
+  });
+
+  const std::uint64_t segments = segments_per_message(kind) * kKindMessages;
+  const auto summary = telemetry.summarize();
+  EXPECT_EQ(summary.codec_faults, segments);  // one failed decompress each
+  EXPECT_EQ(summary.retransmits, segments);   // one decode_fail NACK -> raw resend
+  EXPECT_EQ(injector.stats().decompress_faults, segments);
+  if (kind == TransferKind::Warm) {
+    ASSERT_EQ(world.channels().size(), 1u);
+    const auto& ch = world.channels().begin()->second;
+    EXPECT_GT(ch.warm_sends, 0u);
+    EXPECT_EQ(ch.raw_degrades, ch.warm_sends);  // each warm message degraded alone
+    EXPECT_TRUE(ch.warm);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transfer, ChaosByKind,
+                         ::testing::Values(TransferKind::Serial, TransferKind::Pipelined,
+                                           TransferKind::Warm),
+                         [](const ::testing::TestParamInfo<TransferKind>& info) {
+                           switch (info.param) {
+                             case TransferKind::Serial: return std::string("serial");
+                             case TransferKind::Pipelined: return std::string("pipelined");
+                             case TransferKind::Warm: return std::string("warm");
+                           }
+                           return std::string("unknown");
+                         });
 
 }  // namespace
