@@ -12,7 +12,7 @@
 //                 the sender then pushes the (compressed) payload; on
 //                 arrival the receiver decompresses into the user buffer.
 //
-// Each rank is an actor thread; the receiver side of the protocol runs in
+// Each rank is an actor fiber; the receiver side of the protocol runs in
 // engine events, modeling MVAPICH2-GDR's asynchronous progress engine.
 // Collectives (bcast, allgather, allreduce, reduce, alltoall, gather,
 // scatter, barrier) are built from these point-to-point primitives, so they

@@ -1,10 +1,55 @@
 #include "sim/engine.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
 
 namespace gcmpi::sim {
+
+namespace {
+
+// As deep as a default pthread stack. MAP_NORESERVE: only the pages an
+// actor touches are ever faulted in.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+std::size_t guard_bytes() { return static_cast<std::size_t>(sysconf(_SC_PAGESIZE)); }
+
+// ASan must hear of every stack switch, or it takes the other fiber's
+// frames for overflows (false stack-buffer-overflow reports from
+// __asan_handle_no_return). No-ops in every other build.
+void start_switch([[maybe_unused]] void** fake_stack_save, [[maybe_unused]] const void* bottom,
+                  [[maybe_unused]] std::size_t size) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(fake_stack_save, bottom, size);
+#endif
+}
+
+void finish_switch([[maybe_unused]] void* fake_stack_save,
+                   [[maybe_unused]] const void** bottom_old,
+                   [[maybe_unused]] std::size_t* size_old) {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fake_stack_save, bottom_old, size_old);
+#endif
+}
+
+// The catch-handler rule (engine.hpp): checked before any state changes.
+void reject_yield_in_handler() {
+  if (std::current_exception()) {
+    throw std::logic_error("ActorContext: an actor must not yield inside a catch handler");
+  }
+}
+
+}  // namespace
 
 std::string to_string(Time t) {
   char buf[64];
@@ -32,7 +77,9 @@ void ActorContext::advance_to(Time t) {
 
 void ActorContext::block() { engine_.actor_yield_blocked(id_); }
 
-Engine::~Engine() { join_all(); }
+void Engine::UnmapStack::operator()(void* mapping) const {
+  munmap(mapping, guard_bytes() + kStackBytes);
+}
 
 ActorId Engine::spawn(std::string name, std::function<void(ActorContext&)> body) {
   if (running_) throw std::logic_error("Engine::spawn: cannot spawn while running");
@@ -76,35 +123,32 @@ void Engine::enqueue_resume(ActorId id, Time t) {
   queue_.push(Event{t, next_seq_++, id, nullptr});
 }
 
+void Engine::fiber_entry(unsigned engine_hi, unsigned engine_lo, ActorId id) {
+  const std::uint64_t engine = (std::uint64_t{engine_hi} << 32) | engine_lo;
+  reinterpret_cast<Engine*>(static_cast<std::uintptr_t>(engine))->actor_main(id);
+}
+
 void Engine::actor_main(ActorId id) {
   Actor& a = *actors_[id];
-  {
-    // Wait for the first resume before touching any engine state.
-    std::unique_lock lock(a.mutex);
-    a.cv.wait(lock, [&] { return a.resume_flag; });
-    a.resume_flag = false;
-  }
+  finish_switch(nullptr, &asan_engine_stack_bottom_, &asan_engine_stack_size_);
   ActorContext ctx(*this, id);
   try {
     a.body(ctx);
   } catch (...) {
     a.error = std::current_exception();
   }
-  std::unique_lock lock(a.mutex);
   a.state = ActorState::Finished;
-  a.yield_flag = true;
-  a.cv.notify_all();
-}
+  start_switch(nullptr, asan_engine_stack_bottom_, asan_engine_stack_size_);
+}  // returns through uc_link into resume_actor()
 
 void Engine::yield_to_engine(Actor& a) {
-  std::unique_lock lock(a.mutex);
-  a.yield_flag = true;
-  a.cv.notify_all();
-  a.cv.wait(lock, [&] { return a.resume_flag; });
-  a.resume_flag = false;
+  start_switch(&a.asan_fake_stack, asan_engine_stack_bottom_, asan_engine_stack_size_);
+  swapcontext(&a.context, &engine_context_);
+  finish_switch(a.asan_fake_stack, &asan_engine_stack_bottom_, &asan_engine_stack_size_);
 }
 
 void Engine::actor_yield_runnable_at(ActorId id, Time t) {
+  reject_yield_in_handler();
   Actor& a = *actors_[id];
   a.state = ActorState::Runnable;
   enqueue_resume(id, t);
@@ -113,6 +157,7 @@ void Engine::actor_yield_runnable_at(ActorId id, Time t) {
 }
 
 void Engine::actor_yield_blocked(ActorId id) {
+  reject_yield_in_handler();
   Actor& a = *actors_[id];
   a.state = ActorState::Blocked;
   yield_to_engine(a);
@@ -122,14 +167,27 @@ void Engine::actor_yield_blocked(ActorId id) {
 void Engine::resume_actor(ActorId id) {
   Actor& a = *actors_[id];
   if (a.state == ActorState::NotStarted) {
-    a.thread = std::thread([this, id] { actor_main(id); });
+    // Guard page at the low end: an overflow faults instead of writing
+    // into the neighbouring mapping.
+    void* map = mmap(nullptr, guard_bytes() + kStackBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+    if (map == MAP_FAILED) throw std::system_error(errno, std::generic_category(), "actor stack");
+    a.stack.reset(map);
+    if (mprotect(map, guard_bytes(), PROT_NONE) != 0) {
+      throw std::system_error(errno, std::generic_category(), "actor stack guard");
+    }
+    getcontext(&a.context);
+    a.context.uc_stack.ss_sp = static_cast<char*>(map) + guard_bytes();
+    a.context.uc_stack.ss_size = kStackBytes;
+    a.context.uc_link = &engine_context_;
+    const std::uint64_t engine = reinterpret_cast<std::uintptr_t>(this);
+    makecontext(&a.context, reinterpret_cast<void (*)()>(&Engine::fiber_entry), 3,
+                static_cast<unsigned>(engine >> 32), static_cast<unsigned>(engine), id);
   }
   a.state = ActorState::Running;
-  std::unique_lock lock(a.mutex);
-  a.resume_flag = true;
-  a.cv.notify_all();
-  a.cv.wait(lock, [&] { return a.yield_flag; });
-  a.yield_flag = false;
+  start_switch(&asan_engine_fake_stack_, a.context.uc_stack.ss_sp, kStackBytes);
+  swapcontext(&engine_context_, &a.context);
+  finish_switch(asan_engine_fake_stack_, nullptr, nullptr);
 }
 
 void Engine::run() {
@@ -138,7 +196,10 @@ void Engine::run() {
   // All actors start at time zero.
   for (ActorId id = 0; id < actors_.size(); ++id) enqueue_resume(id, Time::zero());
 
-  while (!queue_.empty()) {
+  // The first exception from a callback or an actor ends the run. Parked
+  // actors are unwound outside the handler (see the catch-handler rule).
+  std::exception_ptr failure;
+  while (!failure && !queue_.empty()) {
     Event ev = queue_.top();
     queue_.pop();
     now_ = ev.time;
@@ -146,22 +207,19 @@ void Engine::run() {
       try {
         ev.fn();
       } catch (...) {
-        abort_all();
-        running_ = false;
-        throw;
+        failure = std::current_exception();
       }
     } else {
       Actor& a = *actors_[ev.actor];
       if (a.state == ActorState::Finished) continue;
       resume_actor(ev.actor);
-      if (a.error) {
-        const std::exception_ptr error = a.error;
-        a.error = nullptr;
-        abort_all();
-        running_ = false;
-        std::rethrow_exception(error);
-      }
+      failure = std::exchange(a.error, nullptr);
     }
+  }
+  if (failure) {
+    abort_all();
+    running_ = false;
+    std::rethrow_exception(failure);
   }
 
   // Queue drained: every actor must have finished, otherwise we deadlocked.
@@ -178,12 +236,11 @@ void Engine::run() {
     abort_all();
     throw std::runtime_error("Engine::run: deadlock, blocked actors:" + blocked.str());
   }
-  join_all();
 }
 
 void Engine::abort_all() {
-  // Resume every parked actor with the abort flag set so its thread
-  // unwinds (SimulationAborted) and can be joined.
+  // Resume every parked actor with the abort flag set so its fiber unwinds
+  // (SimulationAborted) before its stack is freed.
   aborting_ = true;
   queue_ = {};
   for (ActorId id = 0; id < actors_.size(); ++id) {
@@ -191,13 +248,6 @@ void Engine::abort_all() {
     if (a.state == ActorState::Blocked || a.state == ActorState::Runnable) {
       resume_actor(id);
     }
-  }
-  join_all();
-}
-
-void Engine::join_all() {
-  for (auto& a : actors_) {
-    if (a->thread.joinable()) a->thread.join();
   }
 }
 

@@ -1,10 +1,12 @@
-// Sequential discrete-event engine with threaded actors.
+// Sequential discrete-event engine with fiber actors.
 //
 // An MPI rank in the simulated cluster is an "actor": a user function that
-// runs on its own std::thread but is scheduled cooperatively — the engine
-// resumes exactly one actor at a time and advances a single global virtual
-// clock. Actor code therefore reads like ordinary blocking MPI code while
-// the whole simulation stays deterministic and data-race free.
+// runs on its own ucontext fiber (a private stack on the caller's OS thread)
+// and is scheduled cooperatively — the engine resumes exactly one actor at a
+// time and advances a single global virtual clock. Actor code therefore reads
+// like ordinary blocking MPI code while the whole simulation stays
+// deterministic and data-race free; a handoff is a swapcontext, not a
+// kernel wake-up.
 //
 // Scheduling model:
 //   * The engine owns a priority queue of events ordered by (time, seq).
@@ -12,21 +14,28 @@
 //   * ActorContext::block() yields without re-enqueueing; some other event
 //     must later call Engine::wake(actor, t).
 //   * Plain callbacks scheduled with Engine::schedule(t, fn) run on the
-//     engine thread between actor resumptions (never concurrently with one).
+//     engine's own stack between actor resumptions (never inside one).
+//
+// Catch-handler rule: all fibers share one OS thread, and the C++ runtime
+// keeps its stack of caught exceptions per thread. An actor must therefore
+// not advance() or block() inside a catch handler — another actor's
+// exception could land on top of its own and a `throw;` would rethrow the
+// wrong one. Leave the handler first (record what it needs, act after the
+// closing brace); the yield primitives throw std::logic_error otherwise.
 //
 // Deadlock (all actors blocked, queue empty) throws with a diagnostic that
 // lists the blocked actors — invaluable when debugging protocol bugs.
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -59,6 +68,9 @@ class ActorContext {
   /// time. Used by blocking receive / wait primitives.
   void block();
 
+  // advance(), advance_to() and block() throw std::logic_error when called
+  // inside a catch handler (see the catch-handler rule above).
+
  private:
   Engine& engine_;
   ActorId id_;
@@ -67,12 +79,11 @@ class ActorContext {
 class Engine {
  public:
   Engine() = default;
-  ~Engine();
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
   /// Register an actor. Must be called before run(). The body runs on its
-  /// own thread once run() starts; all bodies begin at time zero.
+  /// own fiber once run() starts; all bodies begin at time zero.
   ActorId spawn(std::string name, std::function<void(ActorContext&)> body);
 
   /// Run the simulation to completion. Rethrows the first actor exception.
@@ -82,7 +93,7 @@ class Engine {
   /// Global virtual clock (time of the event being dispatched).
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Schedule a callback on the engine thread at absolute time `t`.
+  /// Schedule a callback on the engine's stack at absolute time `t`.
   void schedule(Time t, std::function<void()> fn);
 
   /// Schedule a callback `dt` after the current time.
@@ -112,14 +123,16 @@ class Engine {
 
   enum class ActorState : std::uint8_t { NotStarted, Runnable, Running, Blocked, Finished };
 
+  struct UnmapStack {
+    void operator()(void* mapping) const;
+  };
+
   struct Actor {
     std::string name;
     std::function<void(ActorContext&)> body;
-    std::thread thread;
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool resume_flag = false;  // engine -> actor: you may run
-    bool yield_flag = false;   // actor -> engine: I have yielded
+    ucontext_t context{};
+    std::unique_ptr<void, UnmapStack> stack;  // guard page + stack, mapped on first resume
+    void* asan_fake_stack = nullptr;  // ASan's bookkeeping for this fiber
     ActorState state = ActorState::NotStarted;
     std::exception_ptr error;
   };
@@ -135,17 +148,17 @@ class Engine {
     }
   };
 
-  // Actor-side primitives (called from actor threads via ActorContext).
+  // Actor-side primitives (called from actor fibers via ActorContext).
   void actor_yield_runnable_at(ActorId id, Time t);  // advance()
   void actor_yield_blocked(ActorId id);              // block()
 
-  void resume_actor(ActorId id);   // engine side: hand control + wait for yield
-  void actor_main(ActorId id);     // thread body
-  void yield_to_engine(Actor& a);  // actor side: flip flags, wait for resume
+  void resume_actor(ActorId id);   // engine side: switch in, return at its yield
+  static void fiber_entry(unsigned engine_hi, unsigned engine_lo, ActorId id);
+  void actor_main(ActorId id);     // fiber body
+  void yield_to_engine(Actor& a);  // actor side: switch back to run()
   void enqueue_resume(ActorId id, Time t);
-  void join_all();
-  /// Unwind every live actor (SimulationAborted) and join; used on any
-  /// abnormal termination so run() can throw without leaking parked threads.
+  /// Unwind every parked actor (SimulationAborted) so run() can throw
+  /// without freeing a stack that still holds live objects.
   void abort_all();
 
   std::vector<std::unique_ptr<Actor>> actors_;
@@ -153,11 +166,16 @@ class Engine {
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 0;
   bool running_ = false;
-  bool aborting_ = false;  // set on deadlock; resumed actors unwind
+  bool aborting_ = false;  // set on abnormal end; resumed actors unwind
+  ucontext_t engine_context_{};  // run()'s context while an actor runs
+  // ASan bookkeeping for run()'s own stack, learnt on the first switch.
+  void* asan_engine_fake_stack_ = nullptr;
+  const void* asan_engine_stack_bottom_ = nullptr;
+  std::size_t asan_engine_stack_size_ = 0;
 };
 
-/// Thrown out of blocking primitives when the engine aborts a deadlocked
-/// simulation so actor threads can unwind and be joined.
+/// Thrown out of blocking primitives when the engine aborts a simulation
+/// (deadlock or an exception elsewhere) so parked actors unwind.
 struct SimulationAborted : std::exception {
   const char* what() const noexcept override { return "simulation aborted (deadlock)"; }
 };

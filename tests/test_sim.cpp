@@ -1,16 +1,30 @@
 // Unit tests for the discrete-event engine, virtual time, RNG, and stats.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/rng.hpp"
 #include "sim/stats.hpp"
 #include "sim/timeline.hpp"
+#include "support/sha256.hpp"
 
 namespace {
 
 using namespace gcmpi::sim;
+
+// Increments a counter when destroyed: held by an actor that is parked when
+// the engine aborts, it proves the actor's stack was unwound, not dropped.
+struct UnwindCounter {
+  int& count;
+  ~UnwindCounter() { ++count; }
+};
 
 TEST(Time, ArithmeticAndConversions) {
   EXPECT_EQ(Time::us(1).count_ns(), 1000);
@@ -131,19 +145,138 @@ TEST(Engine, BlockAndWake) {
 
 TEST(Engine, DeadlockIsDetectedAndReported) {
   Engine e;
-  e.spawn("stuck", [](ActorContext& ctx) { ctx.block(); });
+  int unwound = 0;
+  e.spawn("stuck", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
+    ctx.block();
+  });
+  e.spawn("also-stuck", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
+    ctx.advance(Time::us(3));
+    ctx.block();
+  });
   try {
     e.run();
     FAIL() << "expected deadlock";
   } catch (const std::runtime_error& err) {
     EXPECT_NE(std::string(err.what()).find("stuck"), std::string::npos);
+    EXPECT_NE(std::string(err.what()).find("also-stuck"), std::string::npos);
   }
+  EXPECT_EQ(unwound, 2);
 }
 
 TEST(Engine, ActorExceptionPropagates) {
   Engine e;
-  e.spawn("thrower", [](ActorContext&) { throw std::logic_error("boom"); });
+  int unwound = 0;
+  e.spawn("sleeper", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
+    ctx.advance(Time::seconds(100));
+  });
+  e.spawn("waiter", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
+    ctx.block();
+  });
+  e.spawn("thrower", [](ActorContext& ctx) {
+    ctx.advance(Time::us(1));
+    throw std::logic_error("boom");
+  });
   EXPECT_THROW(e.run(), std::logic_error);
+  EXPECT_EQ(unwound, 2);
+}
+
+// Two actors each keep a 4 MiB array live on their own stack across yields:
+// actor stacks are as deep as a default thread's and never shared.
+TEST(Engine, ActorStackHoldsFourMiB) {
+  Engine e;
+  std::vector<std::size_t> mismatches(2, 0);
+  for (ActorId id = 0; id < 2; ++id) {
+    e.spawn("deep", [&mismatches, id](ActorContext& ctx) {
+      constexpr std::size_t kBytes = std::size_t{4} << 20;
+      std::uint8_t big[kBytes];
+      std::uint8_t* volatile escape = big;  // the engine call could touch it
+      (void)escape;
+      const auto pattern = [id](std::size_t i) { return static_cast<std::uint8_t>(i * 31 + id); };
+      for (std::size_t i = 0; i < kBytes; ++i) big[i] = pattern(i);
+      for (int round = 0; round < 2; ++round) {
+        ctx.advance(Time::us(1));
+        for (std::size_t i = 0; i < kBytes; ++i) mismatches[id] += big[i] != pattern(i);
+      }
+    });
+  }
+  e.run();
+  EXPECT_EQ(mismatches, (std::vector<std::size_t>{0, 0}));
+  EXPECT_EQ(e.now(), Time::us(2));
+}
+
+// Fixed-seed stress of the scheduler: 32 actors x 500 steps mixing advance,
+// block/wake, same-time callbacks and cancelable timers, all drawn from one
+// Rng. Every actor resume and callback is logged with its virtual time; the
+// log's SHA-256 was captured on the thread-per-actor engine, so it pins
+// event order and virtual time across engine rewrites.
+TEST(Engine, ManyActorsInterleavingMatchesPinnedDigest) {
+  constexpr ActorId kActors = 32;
+  constexpr int kSteps = 500;
+  Engine e;
+  Rng rng(104729);
+  std::ostringstream log;
+  std::vector<Engine::CancelToken> wake_timer(kActors);
+  std::vector<bool> blocked(kActors, false);
+  std::vector<int> kinds(5, 0);
+  const auto note = [&](char what, ActorId id) {
+    log << what << id << '@' << e.now().count_ns() << '\n';
+  };
+  const auto draw_ns = [&](std::uint64_t below) {
+    return Time::ns(static_cast<std::int64_t>(rng.next_below(below)));
+  };
+  for (ActorId id = 0; id < kActors; ++id) {
+    e.spawn("actor", [&, id](ActorContext& ctx) {
+      for (int step = 0; step < kSteps; ++step) {
+        const auto kind = rng.next_below(5);
+        ++kinds[kind];
+        switch (kind) {
+          case 0:  // plain advance, zero included
+            ctx.advance(draw_ns(1000));
+            break;
+          case 1:  // block until our own timer or a peer wakes us
+            blocked[id] = true;
+            wake_timer[id] = e.schedule_cancelable(ctx.now() + Time::ns(1) + draw_ns(2000), [&, id] {
+              note('t', id);
+              blocked[id] = false;
+              e.wake(id, e.now());
+            });
+            ctx.block();
+            break;
+          case 2: {  // wake a blocked peer early and disarm its timer
+            const auto peer = static_cast<ActorId>(rng.next_below(kActors));
+            if (blocked[peer]) {
+              Engine::cancel(wake_timer[peer]);
+              blocked[peer] = false;
+              e.wake(peer, ctx.now() + draw_ns(500));
+            }
+            ctx.advance(Time::zero());
+            break;
+          }
+          case 3:  // same-time callback, queued ahead of our own resume
+            e.schedule(ctx.now(), [&, id] { note('c', id); });
+            ctx.advance(Time::zero());
+            break;
+          default: {  // timer armed, then kept or disarmed
+            auto timer = e.schedule_cancelable(ctx.now() + draw_ns(800), [&, id] { note('k', id); });
+            if (rng.next_below(2) == 0) Engine::cancel(timer);
+            ctx.advance(draw_ns(300));
+            break;
+          }
+        }
+        note('r', id);
+      }
+    });
+  }
+  e.run();
+  for (int count : kinds) EXPECT_GT(count, 1000);
+  const std::string text = log.str();
+  EXPECT_EQ(gcmpi::testing::sha256_hex(std::span(
+                reinterpret_cast<const std::uint8_t*>(text.data()), text.size())),
+            "4f79a2da3b778c81df42b9acd169cfddd990e81f7e8d308b7593295a08e99d60");
 }
 
 TEST(Engine, SameTimeEventsKeepFifoOrder) {
@@ -253,13 +386,44 @@ TEST(EngineContracts, SpawnWhileRunningRejected) {
 
 TEST(EngineContracts, ExceptionInScheduledCallbackUnwindsActors) {
   Engine e;
-  e.spawn("sleeper", [](ActorContext& ctx) { ctx.advance(Time::seconds(100)); });
-  e.spawn("bomber", [](ActorContext& ctx) {
+  int unwound = 0;
+  e.spawn("sleeper", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
+    ctx.advance(Time::seconds(100));
+  });
+  e.spawn("bomber", [&](ActorContext& ctx) {
+    UnwindCounter guard{unwound};
     ctx.engine().schedule(Time::us(1), [] { throw std::runtime_error("cb boom"); });
     ctx.advance(Time::us(10));
   });
   EXPECT_THROW(e.run(), std::runtime_error);
-  // Destruction must not hang: all actor threads were unwound and joined.
+  // Both parked actors were resumed and unwound before run() threw.
+  EXPECT_EQ(unwound, 2);
+}
+
+TEST(EngineContracts, YieldInsideCatchHandlerRejected) {
+  Engine e;
+  int rejected = 0;
+  e.spawn("a", [&](ActorContext& ctx) {
+    try {
+      throw std::runtime_error("handled");
+    } catch (const std::runtime_error&) {
+      try {
+        ctx.advance(Time::us(1));
+      } catch (const std::logic_error&) {
+        ++rejected;
+      }
+      try {
+        ctx.block();
+      } catch (const std::logic_error&) {
+        ++rejected;
+      }
+    }
+    ctx.advance(Time::us(2));  // outside the handler: fine
+  });
+  e.run();
+  EXPECT_EQ(rejected, 2);
+  EXPECT_EQ(e.now(), Time::us(2));  // the rejected calls did not enqueue
 }
 
 TEST(EngineContracts, ActorNamesAreReported) {
