@@ -1,5 +1,6 @@
 // google-benchmark microbenchmarks of the REAL codec implementations (CPU
-// wall-clock, this machine): MPC, ZFP at several rates, FPC. These measure
+// wall-clock, this machine): MPC, ZFP at several rates, FPC, plus the
+// CRC32C wire checksum on its hardware and portable paths. These measure
 // our from-scratch implementations honestly — the GPU throughputs used in
 // the simulation come from the calibrated model, not from these numbers.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,8 @@
 #include "compress/mpc.hpp"
 #include "compress/zfp.hpp"
 #include "data/datasets.hpp"
+#include "sim/rng.hpp"
+#include "util/crc32c.hpp"
 
 namespace {
 
@@ -89,6 +92,24 @@ void BM_FpcCompress(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 8));
 }
 BENCHMARK(BM_FpcCompress);
+
+template <std::uint32_t (*Crc)(const void*, std::size_t, std::uint32_t)>
+void BM_Crc32cImpl(benchmark::State& state) {
+  const auto bytes = static_cast<std::size_t>(state.range(0));
+  sim::Rng rng(104729);
+  std::vector<std::uint8_t> in(bytes);
+  for (auto& b : in) b = static_cast<std::uint8_t>(rng.next_below(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc(in.data(), in.size(), 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * bytes));
+}
+
+void BM_Crc32c(benchmark::State& state) { BM_Crc32cImpl<util::crc32c>(state); }
+BENCHMARK(BM_Crc32c)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
+
+void BM_Crc32cPortable(benchmark::State& state) { BM_Crc32cImpl<util::crc32c_portable>(state); }
+BENCHMARK(BM_Crc32cPortable)->Arg(64 << 10)->Arg(1 << 20)->Arg(8 << 20);
 
 }  // namespace
 

@@ -265,14 +265,17 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
   if (dst == src) throw std::invalid_argument("isend_wire: self-send unsupported");
   if (!msg.payload) throw std::invalid_argument("isend_wire: empty message");
   Envelope env{src, dst, tag, msg.original_bytes()};
+  // A forwarded payload is byte-identical to the original, so recomputing
+  // the CRC here both covers wire messages minted before the reliability
+  // layer was on and reproduces the original value otherwise.
+  core::CompressionHeader hdr = msg.header;
+  if (reliability_) hdr.payload_crc32c = payload_crc(*msg.payload);
 
   // Engine wire sends ride tag-wildcard channels: the collective tag
   // changes every invocation, but the (src, dst, shape) route repeats, so
   // iteration two onward skips the RTS/CTS round trip entirely.
   if (options_.persistent.enabled) {
     Channel* ch = channel_for(ChannelKey{src, dst, kWireTagClass, msg.original_bytes()});
-    core::CompressionHeader hdr = msg.header;
-    if (reliability_) hdr.payload_crc32c = payload_crc(*msg.payload);
     if (ch->warm && warm_compatible(*ch, hdr)) {
       return warm_isend(ctx, ch, env, hdr, msg.payload, nullptr);
     }
@@ -284,12 +287,8 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
   ctx.advance(options_.host_send_overhead);
   const Time t_rts = fabric_->control(ctx.now(), src, dst,
                                       options_.rts_bytes + msg.header.wire_bytes());
-  RtsMsg rts{env, msg.header, msg.payload, req};
-  // A forwarded payload is byte-identical to the original, so recomputing
-  // the CRC here both covers wire messages minted before the reliability
-  // layer was on and reproduces the original value otherwise. No raw
-  // fallback for forwards: there is no original user buffer to resend.
-  if (reliability_) rts.header.payload_crc32c = payload_crc(*rts.payload);
+  // No raw fallback for forwards: there is no original user buffer to resend.
+  RtsMsg rts{env, hdr, msg.payload, req};
   engine_.schedule(t_rts, [this, rts = std::move(rts)]() mutable {
     on_rts_arrival(std::move(rts));
   });

@@ -1,9 +1,12 @@
 // CRC32C (Castagnoli, polynomial 0x1EDC6F41, reflected 0x82F63B78): the
 // checksum used by iSCSI, ext4, and RDMA wire protocols, and by this
 // library to verify every rendezvous payload end-to-end (see the fault &
-// reliability section of DESIGN.md). Software slice-by-8 implementation —
-// on real NICs the ICRC is computed in hardware, so the simulator charges
-// zero virtual time for it.
+// reliability section of DESIGN.md). On x86-64 CPUs with SSE4.2, crc32c()
+// runs the crc32 instruction on three interleaved lanes over 4 KiB blocks
+// and folds them with a GF(2) multiply; elsewhere it falls back to
+// software slice-by-8 (crc32c_portable). The path is chosen once, at the
+// first call, and both return identical values. On real NICs the ICRC is
+// computed in hardware, so the simulator charges zero virtual time for it.
 //
 // Incremental use: pass the previous return value as `crc` to extend a
 // running checksum over split buffers; the default 0 starts a fresh one.
@@ -17,6 +20,11 @@ namespace gcmpi::util {
 /// CRC32C of `bytes` bytes at `data`, chained onto `crc` (0 = fresh).
 [[nodiscard]] std::uint32_t crc32c(const void* data, std::size_t bytes,
                                    std::uint32_t crc = 0);
+
+/// Software slice-by-8 path: what crc32c() runs on CPUs without SSE4.2.
+/// Exposed so tests can compare it with the hardware path on any host.
+[[nodiscard]] std::uint32_t crc32c_portable(const void* data, std::size_t bytes,
+                                            std::uint32_t crc = 0);
 
 /// Bit-at-a-time reference implementation (for cross-checking the sliced
 /// tables in tests; do not use on hot paths).

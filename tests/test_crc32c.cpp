@@ -17,7 +17,15 @@
 namespace {
 
 using gcmpi::util::crc32c;
+using gcmpi::util::crc32c_portable;
 using gcmpi::util::crc32c_reference;
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
+  gcmpi::sim::Rng rng(seed);
+  std::vector<std::uint8_t> buf(n);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
+  return buf;
+}
 
 TEST(Crc32c, EmptyInputIsZero) {
   EXPECT_EQ(crc32c(nullptr, 0), 0u);
@@ -60,8 +68,9 @@ TEST(Crc32c, SliceBy8MatchesBitwiseReference) {
     const std::size_t n = 1 + rng.next_below(4096);
     std::vector<std::uint8_t> buf(n);
     for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next_below(256));
-    EXPECT_EQ(crc32c(buf.data(), buf.size()), crc32c_reference(buf.data(), buf.size()))
-        << "length " << n;
+    const std::uint32_t want = crc32c_reference(buf.data(), buf.size());
+    EXPECT_EQ(crc32c_portable(buf.data(), buf.size()), want) << "length " << n;
+    EXPECT_EQ(crc32c(buf.data(), buf.size()), want) << "length " << n;
   }
 }
 
@@ -86,8 +95,8 @@ TEST(Crc32c, IncrementalChainingEqualsOneShot) {
 }
 
 TEST(Crc32c, MisalignedStartMatchesAligned) {
-  // The slice-by-8 head loop must make unaligned buffers agree with
-  // aligned copies of the same bytes.
+  // The head loop that aligns the 8-byte loop must make unaligned buffers
+  // agree with aligned copies of the same bytes.
   std::vector<std::uint8_t> storage(256 + 8);
   gcmpi::sim::Rng rng(99);
   for (auto& b : storage) b = static_cast<std::uint8_t>(rng.next_below(256));
@@ -107,6 +116,50 @@ TEST(Crc32c, DetectsSingleBitFlips) {
     auto flipped = buf;
     flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     EXPECT_NE(crc32c(flipped.data(), flipped.size()), clean) << "bit " << bit;
+  }
+}
+
+// The hardware path folds three 4 KiB lanes per 12 KiB round and finishes
+// on a single lane, so lengths around 3·4096 cross the round boundary and
+// the MiB sizes run many rounds with and without a tail.
+TEST(Crc32c, LargeInputsAgreeAcrossPaths) {
+  constexpr std::size_t kRound = 3 * 4096;
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const auto storage = random_bytes(8 * kMiB + 8, 0x3C3C);
+  for (const std::size_t n : {kRound - 1, kRound, kRound + 1, kMiB + 13, 8 * kMiB}) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      const std::uint8_t* p = storage.data() + offset;
+      const auto chain = static_cast<std::uint32_t>(0x9E3779B9u * (offset + 1));
+      const std::uint32_t want = crc32c_reference(p, n, chain);
+      EXPECT_EQ(crc32c(p, n, chain), want) << "length " << n << " offset " << offset;
+      EXPECT_EQ(crc32c_portable(p, n, chain), want) << "length " << n << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32c, ChainingAcrossLaneRoundsEqualsOneShot) {
+  const auto buf = random_bytes(40'000, 0x5EED);
+  const std::uint32_t whole = crc32c_reference(buf.data(), buf.size());
+  for (const std::size_t cut : {std::size_t{4096}, std::size_t{12288}, std::size_t{12289}}) {
+    const std::uint32_t head = crc32c(buf.data(), cut);
+    EXPECT_EQ(crc32c(buf.data() + cut, buf.size() - cut, head), whole) << "cut at " << cut;
+    const std::uint32_t head_portable = crc32c_portable(buf.data(), cut);
+    EXPECT_EQ(crc32c_portable(buf.data() + cut, buf.size() - cut, head_portable), whole)
+        << "cut at " << cut;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesPortableOnRandomSpans) {
+  constexpr std::size_t kMax = 64 * 1024;
+  const auto storage = random_bytes(kMax + 8, 0xF00D);
+  gcmpi::sim::Rng rng(0xC0FFEE);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t offset = rng.next_below(8);
+    const std::size_t n = rng.next_below(kMax + 1);
+    const auto chain = static_cast<std::uint32_t>(rng.next_below(std::uint64_t{1} << 32));
+    const std::uint8_t* p = storage.data() + offset;
+    EXPECT_EQ(crc32c(p, n, chain), crc32c_portable(p, n, chain))
+        << "offset " << offset << " length " << n << " crc " << chain;
   }
 }
 
