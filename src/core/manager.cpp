@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 
 #include "fault/injector.hpp"
@@ -17,29 +18,6 @@ constexpr Time kZfpStreamFieldCreation = Time::us(9);  // Sec. V-A
 void charge(Timeline& tl, Time t, Breakdown* bd, Phase phase) {
   tl.advance(t);
   if (bd != nullptr) bd->add(phase, t);
-}
-
-/// Contiguous value ranges for MPC-OPT's data partitioning (Fig. 7); each
-/// partition is chunk-aligned so chunk/thread-block boundaries never split.
-struct Partition {
-  std::size_t offset;  // in values
-  std::size_t count;
-};
-
-std::vector<Partition> make_partitions(std::size_t n_values, int requested,
-                                       std::size_t chunk) {
-  std::vector<Partition> parts;
-  const std::size_t max_parts = std::max<std::size_t>(1, n_values / chunk);
-  const std::size_t n = std::min<std::size_t>(static_cast<std::size_t>(std::max(1, requested)), max_parts);
-  std::size_t per = (n_values + n - 1) / n;
-  per = ((per + chunk - 1) / chunk) * chunk;
-  std::size_t off = 0;
-  while (off < n_values) {
-    const std::size_t cnt = std::min(per, n_values - off);
-    parts.push_back({off, cnt});
-    off += cnt;
-  }
-  return parts;
 }
 
 }  // namespace
@@ -84,18 +62,55 @@ CompressionManager::AdaptiveGuard::~AdaptiveGuard() {
   mgr_.config_.zfp_rate = saved_zfp_rate_;
 }
 
-void CompressionManager::acquire_staging(Timeline& tl, std::size_t bytes, Breakdown* bd,
-                                         gpu::BufferPool::Lease& lease,
-                                         void*& naive_buffer, bool& used_pool) {
-  ++staging_acquisitions_;
-  if (config_.use_buffer_pool) {
-    lease = pool_->acquire(tl, bytes, bd);
-    naive_buffer = nullptr;
-    used_pool = true;
-  } else {
-    naive_buffer = gpu_.malloc_device(tl, bytes, bd);
-    used_pool = false;
+// ---------------------------------------------------------------------------
+// Staging and the plan cache
+// ---------------------------------------------------------------------------
+
+Staging CompressionManager::acquire(Timeline& tl, PlanEntry* plan, std::size_t capacity,
+                                    Breakdown* bd) {
+  if (plan != nullptr) {
+    if (plan->capacity < capacity) plan->capacity = capacity;
+    auto slot = std::find_if(plan->slots.begin(), plan->slots.end(),
+                             [](const PlanSlot& s) { return !s.in_use; });
+    if (slot != plan->slots.end()) {
+      ++plan->hits;
+      ++plan_stats_.hits;
+    } else {
+      // No free slot: grow the plan by one (a real acquisition). Steady-state
+      // iterations find every slot free and never reach here.
+      plan->slots.push_back({acquire(tl, nullptr, plan->capacity, bd)});
+      slot = plan->slots.end() - 1;
+      ++plan->misses;
+      ++plan_stats_.misses;
+    }
+    slot->in_use = true;
+    Staging staging = slot->buffer;
+    staging.plan = plan;
+    staging.plan_slot = static_cast<int>(slot - plan->slots.begin());
+    return staging;
   }
+  ++staging_acquisitions_;
+  Staging staging;
+  staging.bd = bd;
+  if (config_.use_buffer_pool) {
+    staging.lease = pool_->acquire(tl, capacity, bd);
+    staging.data = staging.lease.data;
+  } else {
+    staging.data = gpu_.malloc_device(tl, capacity, bd);
+  }
+  return staging;
+}
+
+void CompressionManager::release(Timeline& tl, Staging& staging) {
+  if (staging.plan != nullptr) {
+    // A held plan slot: hand it back to the plan, not the pool.
+    staging.plan->slots[static_cast<std::size_t>(staging.plan_slot)].in_use = false;
+  } else if (staging.lease.valid()) {
+    pool_->release(staging.lease);
+  } else if (staging.data != nullptr) {
+    gpu_.free_device(tl, staging.data, staging.bd);
+  }
+  staging = {};
 }
 
 PlanEntry* CompressionManager::plan_entry(PlanKind kind, Algorithm algo, std::uint64_t bytes,
@@ -107,44 +122,6 @@ PlanEntry* CompressionManager::plan_entry(PlanKind kind, Algorithm algo, std::ui
   return &it->second;
 }
 
-int CompressionManager::plan_slot_acquire(Timeline& tl, PlanEntry* plan, std::size_t capacity,
-                                          Breakdown* bd, gpu::BufferPool::Lease& lease,
-                                          void*& naive_buffer, bool& used_pool) {
-  if (plan == nullptr) {
-    acquire_staging(tl, capacity, bd, lease, naive_buffer, used_pool);
-    return -1;
-  }
-  if (plan->capacity < capacity) plan->capacity = capacity;
-  for (std::size_t i = 0; i < plan->slots.size(); ++i) {
-    PlanSlot& slot = plan->slots[i];
-    if (slot.in_use) continue;
-    slot.in_use = true;
-    lease = slot.lease;
-    naive_buffer = slot.naive_buffer;
-    used_pool = slot.used_pool;
-    ++plan->hits;
-    ++plan_stats_.hits;
-    return static_cast<int>(i);
-  }
-  // No free slot: grow the plan by one (a real acquisition). Steady-state
-  // iterations find every slot free and never reach here.
-  PlanSlot slot;
-  acquire_staging(tl, plan->capacity, bd, slot.lease, slot.naive_buffer, slot.used_pool);
-  slot.in_use = true;
-  lease = slot.lease;
-  naive_buffer = slot.naive_buffer;
-  used_pool = slot.used_pool;
-  plan->slots.push_back(slot);
-  ++plan->misses;
-  ++plan_stats_.misses;
-  return static_cast<int>(plan->slots.size() - 1);
-}
-
-void CompressionManager::plan_slot_release(PlanEntry* plan, int slot) {
-  if (plan == nullptr || slot < 0) return;
-  plan->slots[static_cast<std::size_t>(slot)].in_use = false;
-}
-
 void CompressionManager::plan_mark_ready(Timeline& tl, PlanEntry* plan, Breakdown* bd) {
   if (plan == nullptr || plan->graph_ready) return;
   // One-time capture + cudaGraphInstantiate of the launch sequence that
@@ -153,6 +130,266 @@ void CompressionManager::plan_mark_ready(Timeline& tl, PlanEntry* plan, Breakdow
   plan->graph_ready = true;
   ++plan_stats_.graphs_instantiated;
 }
+
+// ---------------------------------------------------------------------------
+// The encode and decode steps
+// ---------------------------------------------------------------------------
+
+void CompressionManager::setup_codec(Timeline& tl, Algorithm algo, std::size_t d_off_bytes,
+                                     bool replay, Breakdown* bd) {
+  if (replay) return;  // a cached plan holds the objects and replays the memset
+  if (algo == Algorithm::MPC) {
+    // d_off scratch: cudaMalloc'ed per call in the naive scheme, pooled in
+    // MPC-OPT; either way it is memset to -1 before the kernels run.
+    if (!config_.use_buffer_pool) {
+      charge(tl, gpu_.costs().cuda_malloc(d_off_bytes), bd, Phase::MemoryAllocation);
+    }
+    charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
+    return;
+  }
+  // zfp_stream / zfp_field construction on the CPU (cheap, Sec. V-A), then
+  // get_max_grid_dims: the dominant naive overhead vs the ZFP-OPT cache.
+  charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
+  if (config_.cache_device_attributes) {
+    (void)gpu_.query_max_grid_dim_cached(tl, bd);
+  } else {
+    (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
+  }
+}
+
+void CompressionManager::teardown_codec(Timeline& tl, Algorithm algo, bool replay,
+                                        Breakdown* bd) {
+  if (algo == Algorithm::MPC && !replay && !config_.use_buffer_pool) {
+    charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
+  }
+}
+
+Time CompressionManager::enqueue(Timeline& tl, int stream, Time cost, bool replay, bool first,
+                                 Breakdown* bd, Phase phase) {
+  gpu::Stream& s = gpu_.stream(stream);
+  if (!replay) return s.launch(tl, cost, bd, phase);
+  return first ? s.launch_graph(tl, cost, bd, phase) : s.enqueue_graphed(tl, cost);
+}
+
+std::size_t CompressionManager::staging_bytes(Algorithm algo, std::size_t n,
+                                              int partitions) const {
+  if (algo != Algorithm::MPC) {
+    return comp::ZfpCodec(config_.zfp_rate).compressed_bytes(comp::ZfpField::d1(n));
+  }
+  return comp::MpcCodec(config_.mpc_dimensionality, config_.mpc_chunk_values)
+             .max_compressed_bytes(n) +
+         16 * static_cast<std::size_t>(partitions);
+}
+
+int CompressionManager::partition_blocks(int partitions) const {
+  return config_.multi_stream_partitions
+             ? std::max(1, gpu_.spec().sm_count / std::max(1, partitions))
+             : gpu_.spec().sm_count;  // original MPC always uses every SM
+}
+
+CompressionManager::Encoded CompressionManager::encode(Timeline& tl,
+                                                       const std::vector<Part>& parts,
+                                                       const Staging& out,
+                                                       std::size_t capacity,
+                                                       const Launch& launch,
+                                                       bool one_message) {
+  const Algorithm algo = config_.algorithm;
+  const bool replay = launch.plan != nullptr && launch.plan->graph_ready;
+  const comp::MpcCodec mpc(config_.mpc_dimensionality, config_.mpc_chunk_values);
+  std::size_t d_off_bytes = 0;
+  if (algo == Algorithm::MPC) {
+    for (const Part& p : parts) d_off_bytes += mpc.chunk_count(p.n) * 4;
+  }
+  setup_codec(tl, algo, d_off_bytes, replay, launch.bd);
+
+  // One kernel per part, round-robin over the streams. A replayed plan
+  // submits the whole round as one captured graph: a single graph_launch
+  // on the first stream, the remaining nodes cost no host time.
+  auto* base = static_cast<std::uint8_t*>(out.data);
+  Encoded enc;
+  std::size_t off = 0;
+  std::vector<int> streams;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const Part& p = parts[i];
+    const std::span<std::uint8_t> dst{base + off, capacity - off};
+    std::size_t size = 0;
+    if (algo == Algorithm::MPC) {
+      size = mpc.compress({p.values, p.n}, dst);
+      enc.last.cost = cost_model_.mpc_compress(p.n * 4, size, launch.blocks, gpu_.spec());
+    } else {
+      size = comp::ZfpCodec(config_.zfp_rate).compress({p.values, p.n},
+                                                       comp::ZfpField::d1(p.n), dst);
+      enc.last.cost = cost_model_.zfp_compress(p.n * 4, config_.zfp_rate, gpu_.spec());
+    }
+    streams.push_back((launch.first_stream + static_cast<int>(i)) % gpu_.num_streams());
+    enc.last.done = enqueue(tl, streams.back(), enc.last.cost, replay, i == 0, launch.bd,
+                            Phase::CompressionKernel);
+    enc.sizes.push_back(static_cast<std::uint32_t>(size));
+    off += size;
+  }
+
+  if (launch.synchronize) {
+    for (int sid : streams) gpu_.stream(sid).synchronize(tl, launch.bd, Phase::CompressionKernel);
+    if (one_message && parts.size() > 1) {
+      // Combine the partitions into one contiguous buffer in fixed order
+      // (Fig. 7). One D2D copy per partition on the copy stream (graph
+      // nodes under a cached plan).
+      for (std::uint32_t size : enc.sizes) {
+        enqueue(tl, 0, gpu_.costs().d2d_copy(size), replay, false, launch.bd,
+                Phase::CombinePartitions);
+      }
+      gpu_.stream(0).synchronize(tl, launch.bd, Phase::CombinePartitions);
+    }
+    finish_encode(tl, algo, enc.sizes, one_message, replay, launch.bd);
+  }
+  plan_mark_ready(tl, launch.plan, launch.bd);
+  return enc;
+}
+
+void CompressionManager::finish_encode(Timeline& tl, Algorithm algo,
+                                       const std::vector<std::uint32_t>& sizes,
+                                       bool one_message, bool replayed, Breakdown* bd) {
+  if (algo != Algorithm::MPC) return;  // fixed-rate ZFP sizes are known up front
+  // Read back the compressed sizes (the 4-byte control words): cudaMemcpy
+  // costs ~20us per call; GDRCopy reduces it to a few microseconds. A
+  // batch's words live contiguously in its offset/length table, so ONE
+  // readback covers all of them where a message pays one per partition.
+  const std::size_t words = one_message ? 1 : sizes.size();
+  std::uint32_t word = 0;
+  std::vector<std::uint32_t> table(one_message ? 0 : sizes.size());
+  std::uint32_t* host = one_message ? &word : table.data();
+  for (std::size_t w = 0; w < sizes.size(); w += words) {
+    if (config_.use_gdrcopy) {
+      gpu_.gdrcopy_small(tl, host, &sizes[w], words * 4, bd);
+    } else {
+      gpu_.memcpy_d2h_small(tl, host, &sizes[w], words * 4, bd);
+    }
+  }
+  teardown_codec(tl, algo, replayed, bd);
+}
+
+CompressionManager::LastKernel CompressionManager::decode(Timeline& tl,
+                                                         const CompressionHeader& header,
+                                                         const void* staged, float* out,
+                                                         const Launch& launch,
+                                                         const char* scope, const Fold* fold) {
+  const Time started = tl.now();
+  if (fault_ != nullptr && fault_->on_decompress(rank_id_)) {
+    // Injected decompression-kernel fault: the launch errors out before
+    // any output is produced (a fused reduce leaves the accumulator
+    // untouched). Charge the wasted enqueue and report; the caller
+    // recovers (protocol NACK -> raw resend, or a local relaunch).
+    tl.advance(gpu_.costs().kernel_launch);
+    ++stats_.codec_faults;
+    record({started, rank_id_, EventKind::CodecFault, header.algorithm, header.original_bytes,
+            header.compressed_bytes, tl.now() - started, scope});
+    throw CodecFaultError{};
+  }
+  const Algorithm algo = header.algorithm;
+  if (algo != Algorithm::MPC && algo != Algorithm::ZFP) {
+    throw std::runtime_error("CompressionManager: compressed payload with no algorithm");
+  }
+  const bool replay = launch.plan != nullptr && launch.plan->graph_ready;
+  const auto* in = static_cast<const std::uint8_t*>(staged);
+  const std::size_t n = header.original_bytes / 4;
+  std::vector<float> decoded(fold != nullptr ? n : 0);
+  float* dst = fold != nullptr ? decoded.data() : out;
+
+  LastKernel last;
+  std::vector<int> streams;
+  if (algo == Algorithm::MPC) {
+    // d_off scratch on the receiver side as well (Algorithm 2).
+    const comp::MpcCodec codec(header.mpc_dimensionality, header.mpc_chunk_values);
+    setup_codec(tl, algo, codec.chunk_count(n) * 4, replay, launch.bd);
+    std::size_t in_off = 0;
+    std::size_t val_off = 0;
+    for (int p = 0; p < header.partitions(); ++p) {
+      const std::size_t psize = header.partition_bytes.empty()
+                                    ? header.compressed_bytes
+                                    : header.partition_bytes[static_cast<std::size_t>(p)];
+      const std::span<const std::uint8_t> pin{in + in_off, psize};
+      const std::size_t pvalues = comp::MpcCodec::encoded_values(pin);
+      if (val_off + pvalues > n) throw std::runtime_error("MPC partition overflow");
+      codec.decompress(pin, {dst + val_off, pvalues});
+      last.cost = cost_model_.mpc_decompress(psize, pvalues * 4, launch.blocks, gpu_.spec());
+      streams.push_back((launch.first_stream + p) % gpu_.num_streams());
+      last.done = enqueue(tl, streams.back(), last.cost, replay, p == 0, launch.bd,
+                          Phase::DecompressionKernel);
+      in_off += psize;
+      val_off += pvalues;
+    }
+    if (val_off != n) throw std::runtime_error("MPC partitions do not cover message");
+  } else {
+    setup_codec(tl, algo, 0, replay, launch.bd);
+    const comp::ZfpCodec codec(header.zfp_rate);
+    codec.decompress({in, header.compressed_bytes}, comp::ZfpField::d1(n), {dst, n});
+    last.cost = cost_model_.zfp_decompress(n * 4, header.zfp_rate, gpu_.spec());
+    streams.push_back(launch.first_stream % gpu_.num_streams());
+    last.done = enqueue(tl, streams.back(), last.cost, replay, true, launch.bd,
+                        Phase::DecompressionKernel);
+  }
+  if (launch.synchronize && fold == nullptr) {
+    for (int sid : streams) {
+      gpu_.stream(sid).synchronize(tl, launch.bd, Phase::DecompressionKernel);
+    }
+  }
+  teardown_codec(tl, algo, replay, launch.bd);
+  if (fold != nullptr) {
+    // The fusion combines decoded values with the accumulator in registers
+    // before the store: only the extra accumulator traffic is charged, on
+    // the decode kernels' tail (a graph node under a cached plan).
+    enqueue(tl, 0, cost_model_.fused_reduce_overhead(header.original_bytes, gpu_.spec()),
+            replay, false, launch.bd, Phase::DecompressionKernel);
+  }
+  plan_mark_ready(tl, launch.plan, launch.bd);
+  if (fold != nullptr) {
+    comp::reduce_inplace(fold->acc, decoded.data(), n, fold->op);
+    if (launch.synchronize) gpu_.device_synchronize(tl, launch.bd);
+  }
+  // Pipeline chunks report device occupancy (their kernels overlap the
+  // protocol); the other paths report the host-side span.
+  record({started, rank_id_, EventKind::Decompress, algo, header.original_bytes,
+          header.compressed_bytes, scope == kScopeChunk ? last.cost : tl.now() - started, scope});
+  return last;
+}
+
+fault::CodecFault CompressionManager::draw_compress_fault(Timeline& tl) {
+  // Injected compression-kernel faults (chaos testing). A hard launch
+  // failure is detected immediately and the message degrades to a raw
+  // send; a truncated-output fault is only caught after the kernels ran,
+  // via the size validation on readback — both are survivable by design.
+  fault::CodecFault injected;
+  if (fault_ != nullptr) injected = fault_->on_compress(rank_id_);
+  if (injected.fail) {
+    tl.advance(gpu_.costs().kernel_launch);  // the wasted enqueue
+    ++stats_.codec_faults;
+  }
+  return injected;
+}
+
+void CompressionManager::send_raw(WireBlock& w, const void* buf, std::uint64_t bytes) {
+  w.data = buf;
+  w.bytes = bytes;
+  w.header.compressed = false;
+  w.header.compressed_bytes = bytes;
+  w.header.partition_bytes.clear();
+  stats_.original_bytes += bytes;
+  stats_.wire_bytes += bytes;
+}
+
+void CompressionManager::stamp(CompressionHeader& header, Algorithm algo) const {
+  header.algorithm = algo;
+  if (algo == Algorithm::MPC) {
+    header.mpc_dimensionality = static_cast<std::uint16_t>(config_.mpc_dimensionality);
+    header.mpc_chunk_values = static_cast<std::uint32_t>(config_.mpc_chunk_values);
+  } else {
+    header.zfp_rate = static_cast<std::uint16_t>(config_.zfp_rate);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Serial: one wire per message
+// ---------------------------------------------------------------------------
 
 CompressionManager::WireData CompressionManager::compress_for_send(
     Timeline& tl, const void* buf, std::uint64_t bytes) {
@@ -166,259 +403,133 @@ CompressionManager::WireData CompressionManager::compress_for_send(
   AdaptiveGuard adapt_guard(*this, tl, kScopeP2P, bytes, should_compress(buf, bytes));
 
   if (!should_compress(buf, bytes)) {
-    wire.data = buf;
-    wire.bytes = bytes;
-    wire.header.compressed = false;
-    wire.header.compressed_bytes = bytes;
-    stats_.original_bytes += bytes;
-    stats_.wire_bytes += bytes;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::RawBypass, Algorithm::None, bytes,
-                          bytes, Time::zero()});
-    }
+    send_raw(wire, buf, bytes);
+    record({started, rank_id_, EventKind::RawBypass, Algorithm::None, bytes, bytes,
+            Time::zero()});
     return wire;
   }
-
-  // Injected compression-kernel faults (chaos testing). A hard launch
-  // failure is detected immediately and the message degrades to a raw
-  // send; a truncated-output fault is only caught after the kernels ran,
-  // via the size validation below — both are survivable by design.
-  fault::CodecFault injected;
-  if (fault_ != nullptr) injected = fault_->on_compress(rank_id_);
-  if (injected.fail) {
-    // The launch itself errored: charge the wasted enqueue, then send raw.
-    tl.advance(gpu_.costs().kernel_launch);
-    wire.data = buf;
-    wire.bytes = bytes;
-    wire.header.compressed = false;
-    wire.header.compressed_bytes = bytes;
+  const Algorithm algo = config_.algorithm;
+  const auto fall_back = [&](EventKind kind) {
+    send_raw(wire, buf, bytes);
     ++stats_.messages_fallback_raw;
-    ++stats_.codec_faults;
-    stats_.original_bytes += bytes;
-    stats_.wire_bytes += bytes;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::CodecFault, config_.algorithm, bytes,
-                          bytes, tl.now() - started});
-    }
+    record({started, rank_id_, kind, algo, bytes, bytes, tl.now() - started});
     return wire;
-  }
+  };
+  const fault::CodecFault injected = draw_compress_fault(tl);
+  if (injected.fail) return fall_back(EventKind::CodecFault);
 
+  // MPC-OPT splits the message into chunk-aligned partitions (Fig. 7) so
+  // chunk/thread-block boundaries never split; ZFP runs one kernel.
   const auto* values = static_cast<const float*>(buf);
   const std::size_t n = bytes / 4;
-  Breakdown* bd = &sender_bd_;
-
-  if (config_.algorithm == Algorithm::MPC) {
-    const comp::MpcCodec codec(config_.mpc_dimensionality, config_.mpc_chunk_values);
-    const std::size_t capacity = codec.max_compressed_bytes(n) +
-                                 16 * static_cast<std::size_t>(config_.partitions_for(bytes));
-    wire.plan = plan_entry(PlanKind::SendP2P, Algorithm::MPC, bytes,
-                           config_.partitions_for(bytes));
-    const bool plan_mode = wire.plan != nullptr && wire.plan->graph_ready;
-    wire.plan_slot = plan_slot_acquire(tl, wire.plan, capacity, bd, wire.lease,
-                                       wire.naive_buffer, wire.used_pool);
-    auto* out = static_cast<std::uint8_t*>(wire.used_pool ? wire.lease.data : wire.naive_buffer);
-
-    const MpcOutput result = run_mpc_compress(tl, values, n, out, capacity, bd, plan_mode);
-    plan_mark_ready(tl, wire.plan, bd);
-
-    wire.header.algorithm = Algorithm::MPC;
-    wire.header.mpc_dimensionality = static_cast<std::uint16_t>(config_.mpc_dimensionality);
-    wire.header.mpc_chunk_values = static_cast<std::uint32_t>(config_.mpc_chunk_values);
-    wire.header.partition_bytes = result.partition_bytes;
-    wire.header.compressed_bytes = result.total_bytes;
-
-    if (result.total_bytes >= bytes) {
-      // Compression did not pay off: fall back to sending the raw buffer.
-      // The kernel time was already spent (and charged) — this is the real
-      // cost of a lossless compressor on incompressible data.
-      release_send(tl, wire);
-      wire.data = buf;
-      wire.bytes = bytes;
-      wire.header.compressed = false;
-      wire.header.compressed_bytes = bytes;
-      wire.header.partition_bytes.clear();
-      ++stats_.messages_fallback_raw;
-      stats_.original_bytes += bytes;
-      stats_.wire_bytes += bytes;
-      if (telemetry_ != nullptr) {
-        telemetry_->record({started, rank_id_, EventKind::FallbackRaw, Algorithm::MPC, bytes,
-                            bytes, tl.now() - started});
-      }
-      return wire;
+  std::vector<Part> parts;
+  int param = config_.zfp_rate;
+  if (algo == Algorithm::MPC) {
+    param = config_.partitions_for(bytes);
+    const std::size_t chunk = static_cast<std::size_t>(config_.mpc_chunk_values);
+    const std::size_t count = std::min<std::size_t>(static_cast<std::size_t>(std::max(1, param)),
+                                                    std::max<std::size_t>(1, n / chunk));
+    const std::size_t per = ((n + count - 1) / count + chunk - 1) / chunk * chunk;
+    for (std::size_t off = 0; off < n; off += per) {
+      parts.push_back({values + off, std::min(per, n - off)});
     }
-    wire.data = out;
-    wire.bytes = result.total_bytes;
-    wire.header.compressed = true;
-  } else {  // ZFP
-    const comp::ZfpCodec codec(config_.zfp_rate);
-    const comp::ZfpField field = comp::ZfpField::d1(n);
-    const std::size_t out_bytes = codec.compressed_bytes(field);
-    wire.plan = plan_entry(PlanKind::SendP2P, Algorithm::ZFP, bytes, config_.zfp_rate);
-    const bool plan_mode = wire.plan != nullptr && wire.plan->graph_ready;
-    wire.plan_slot = plan_slot_acquire(tl, wire.plan, out_bytes, bd, wire.lease,
-                                       wire.naive_buffer, wire.used_pool);
-    auto* out = static_cast<std::uint8_t*>(wire.used_pool ? wire.lease.data : wire.naive_buffer);
-
-    const std::uint64_t written = run_zfp_compress(tl, values, n, out, out_bytes, bd, plan_mode);
-    plan_mark_ready(tl, wire.plan, bd);
-
-    wire.header.algorithm = Algorithm::ZFP;
-    wire.header.zfp_rate = static_cast<std::uint16_t>(config_.zfp_rate);
-    wire.header.compressed_bytes = written;
-    wire.header.compressed = true;
-    wire.data = out;
-    wire.bytes = written;
+  } else {
+    parts.push_back({values, n});
   }
+  const std::size_t capacity = staging_bytes(algo, n, algo == Algorithm::MPC ? param : 1);
+  Breakdown* bd = &sender_bd_;
+  wire.staging = acquire(tl, plan_entry(PlanKind::SendP2P, algo, bytes, param), capacity, bd);
+  const Encoded enc = encode(tl, parts, wire.staging, capacity,
+                             {partition_blocks(static_cast<int>(parts.size())), 0, true,
+                              wire.staging.plan, bd},
+                             /*one_message=*/true);
 
+  stamp(wire.header, algo);
+  if (algo == Algorithm::MPC) wire.header.partition_bytes = enc.sizes;
+  wire.header.compressed_bytes = std::accumulate(enc.sizes.begin(), enc.sizes.end(), 0ull);
+  if (algo == Algorithm::MPC && wire.header.compressed_bytes >= bytes) {
+    // Compression did not pay off: fall back to sending the raw buffer.
+    // The kernel time was already spent (and charged) — this is the real
+    // cost of a lossless compressor on incompressible data.
+    release(tl, wire.staging);
+    return fall_back(EventKind::FallbackRaw);
+  }
   if (injected.truncate) {
     // The kernels ran but the device-reported output size disagrees with
     // the bytes actually written (truncated stream). Caught by the size
     // validation on readback; never put a short stream on the wire —
     // degrade to raw instead.
-    release_send(tl, wire);
-    wire.data = buf;
-    wire.bytes = bytes;
-    wire.header.compressed = false;
-    wire.header.compressed_bytes = bytes;
-    wire.header.partition_bytes.clear();
-    ++stats_.messages_fallback_raw;
+    release(tl, wire.staging);
     ++stats_.codec_faults;
-    stats_.original_bytes += bytes;
-    stats_.wire_bytes += bytes;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::CodecFault, config_.algorithm, bytes,
-                          bytes, tl.now() - started});
-    }
-    return wire;
+    return fall_back(EventKind::CodecFault);
   }
-
+  wire.data = wire.staging.data;
+  wire.bytes = wire.header.compressed_bytes;
+  wire.header.compressed = true;
   ++stats_.messages_compressed;
   stats_.original_bytes += bytes;
   stats_.wire_bytes += wire.bytes;
-  if (telemetry_ != nullptr) {
-    telemetry_->record({started, rank_id_, EventKind::Compress, config_.algorithm, bytes,
-                        wire.bytes, tl.now() - started});
-  }
+  record({started, rank_id_, EventKind::Compress, algo, bytes, wire.bytes, tl.now() - started});
   return wire;
 }
 
-CompressionManager::MpcOutput CompressionManager::run_mpc_compress(
-    Timeline& tl, const float* values, std::size_t n, std::uint8_t* out,
-    std::size_t out_capacity, Breakdown* bd, bool plan_mode) {
-  const comp::MpcCodec codec(config_.mpc_dimensionality, config_.mpc_chunk_values);
-  const auto parts = make_partitions(n, config_.partitions_for(n * 4), config_.mpc_chunk_values);
-  const int n_parts = static_cast<int>(parts.size());
-  const int blocks_per_kernel =
-      config_.multi_stream_partitions
-          ? std::max(1, gpu_.spec().sm_count / std::max(1, n_parts))
-          : gpu_.spec().sm_count;  // original MPC always uses every SM
-
-  // d_off scratch: cudaMalloc'ed per message in the naive scheme, pooled in
-  // MPC-OPT; either way it is memset to -1 before the kernels run. A cached
-  // plan owns a persistent d_off and replays the memset as a graph node.
-  const std::size_t d_off_bytes = codec.chunk_count(n) * 4;
-  if (!plan_mode) {
-    if (!config_.use_buffer_pool) {
-      charge(tl, gpu_.costs().cuda_malloc(d_off_bytes), bd, Phase::MemoryAllocation);
-    }
-    charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
-  }
-
-  // Launch one compression kernel per partition, round-robin over streams.
-  // Plan mode submits the whole round as one captured graph: a single
-  // graph_launch on the first stream, the remaining nodes cost no host time.
-  MpcOutput result;
-  std::size_t out_off = 0;
-  std::vector<int> used_streams;
-  for (int p = 0; p < n_parts; ++p) {
-    const auto& part = parts[static_cast<std::size_t>(p)];
-    const std::size_t cap = codec.max_compressed_bytes(part.count);
-    if (out_off + cap > out_capacity) throw std::runtime_error("MPC staging overflow");
-    const std::size_t psize = codec.compress({values + part.offset, part.count},
-                                             {out + out_off, cap});
-    const int sid = p % gpu_.num_streams();
-    used_streams.push_back(sid);
-    const Time cost = cost_model_.mpc_compress(part.count * 4, psize, blocks_per_kernel,
-                                               gpu_.spec());
-    if (!plan_mode) {
-      gpu_.stream(sid).launch(tl, cost, bd, Phase::CompressionKernel);
-    } else if (p == 0) {
-      gpu_.stream(sid).launch_graph(tl, cost, bd, Phase::CompressionKernel);
-    } else {
-      gpu_.stream(sid).enqueue_graphed(tl, cost);
-    }
-    result.partition_bytes.push_back(static_cast<std::uint32_t>(psize));
-    out_off += psize;
-  }
-  result.total_bytes = out_off;
-
-  // Wait for all partition kernels.
-  for (int sid : used_streams) {
-    gpu_.stream(sid).synchronize(tl, bd, Phase::CompressionKernel);
-  }
-
-  // Combine the partitions into one contiguous buffer in fixed order
-  // (Fig. 7). One D2D copy per partition on the copy stream (graph nodes
-  // under a cached plan).
-  if (n_parts > 1) {
-    gpu::Stream& copy_stream = gpu_.stream(0);
-    for (std::uint32_t psize : result.partition_bytes) {
-      if (!plan_mode) {
-        copy_stream.launch(tl, gpu_.costs().d2d_copy(psize), bd, Phase::CombinePartitions);
-      } else {
-        copy_stream.enqueue_graphed(tl, gpu_.costs().d2d_copy(psize));
-      }
-    }
-    copy_stream.synchronize(tl, bd, Phase::CombinePartitions);
-  }
-
-  // Read back the compressed sizes (the 4-byte control words): cudaMemcpy
-  // costs ~20us per call; GDRCopy reduces it to a few microseconds.
-  for (int p = 0; p < n_parts; ++p) {
-    const std::uint32_t device_word = result.partition_bytes[static_cast<std::size_t>(p)];
-    std::uint32_t host_word = 0;
-    if (config_.use_gdrcopy) {
-      gpu_.gdrcopy_small(tl, &host_word, &device_word, 4, bd);
-    } else {
-      gpu_.memcpy_d2h_small(tl, &host_word, &device_word, 4, bd);
-    }
-  }
-
-  if (!plan_mode && !config_.use_buffer_pool) {
-    charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
-  }
-  return result;
+Staging CompressionManager::prepare_receive(Timeline& tl, const CompressionHeader& header) {
+  if (!header.compressed) return {};
+  PlanEntry* plan = plan_entry(PlanKind::Recv, header.algorithm, header.original_bytes,
+                               header.algorithm == Algorithm::ZFP
+                                   ? static_cast<int>(header.zfp_rate)
+                                   : header.partitions());
+  // Plan slots are sized for the worst case (a raw-bounded wire can never
+  // exceed original_bytes), so every later compressed size fits in place.
+  const std::uint64_t capacity = plan != nullptr
+                                     ? std::max(header.original_bytes, header.compressed_bytes)
+                                     : header.compressed_bytes;
+  return acquire(tl, plan, static_cast<std::size_t>(capacity), &receiver_bd_);
 }
 
-std::uint64_t CompressionManager::run_zfp_compress(Timeline& tl, const float* values,
-                                                   std::size_t n, std::uint8_t* out,
-                                                   std::size_t out_capacity,
-                                                   Breakdown* bd, bool plan_mode) {
-  if (!plan_mode) {
-    // zfp_stream / zfp_field construction on the CPU (cheap, Sec. V-A);
-    // cached plans hold the objects and skip the rebuild.
-    charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
-    // get_max_grid_dims: the dominant naive overhead vs the ZFP-OPT cache.
-    if (config_.cache_device_attributes) {
-      (void)gpu_.query_max_grid_dim_cached(tl, bd);
-    } else {
-      (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
-    }
+void CompressionManager::decompress_received(Timeline& tl, const CompressionHeader& header,
+                                             const Staging& staging, void* user_buf,
+                                             std::uint64_t user_bytes, bool synchronize,
+                                             int stream_hint) {
+  if (!header.compressed) return;
+  if (header.original_bytes > user_bytes) {
+    throw std::runtime_error("CompressionManager: user buffer too small");
   }
-
-  const comp::ZfpCodec codec(config_.zfp_rate);
-  const comp::ZfpField field = comp::ZfpField::d1(n);
-  const std::size_t written = codec.compress({values, n}, field, {out, out_capacity});
-
-  const Time cost = cost_model_.zfp_compress(n * 4, config_.zfp_rate, gpu_.spec());
-  if (plan_mode) {
-    gpu_.stream(0).launch_graph(tl, cost, bd, Phase::CompressionKernel);
-  } else {
-    gpu_.stream(0).launch(tl, cost, bd, Phase::CompressionKernel);
-  }
-  gpu_.stream(0).synchronize(tl, bd, Phase::CompressionKernel);
-  return written;
+  decode(tl, header, staging.data, static_cast<float*>(user_buf),
+         {partition_blocks(header.partitions()), stream_hint, synchronize, staging.plan,
+          &receiver_bd_},
+         kScopeP2P);
 }
+
+void CompressionManager::decompress_reduce(Timeline& tl, const CompressionHeader& header,
+                                           const Staging& staging, float* acc,
+                                           std::uint64_t acc_bytes, comp::ReduceOp op,
+                                           bool synchronize) {
+  if (!header.compressed) {
+    throw std::runtime_error("CompressionManager: decompress_reduce needs a compressed payload");
+  }
+  if (header.original_bytes > acc_bytes) {
+    throw std::runtime_error("CompressionManager: accumulator too small");
+  }
+  const Fold fold{acc, op};
+  decode(tl, header, staging.data, nullptr,
+         {partition_blocks(header.partitions()), 0, synchronize, staging.plan, &receiver_bd_},
+         kScopeP2P, &fold);
+}
+
+Time CompressionManager::reduce_device(Timeline& tl, const float* in, float* acc,
+                                       std::size_t n, comp::ReduceOp op, bool synchronize) {
+  Breakdown* bd = &receiver_bd_;
+  const Time done = gpu_.stream(0).launch(
+      tl, cost_model_.reduce_kernel(n * 4, gpu_.spec()), bd, Phase::DecompressionKernel);
+  comp::reduce_inplace(acc, in, n, op);
+  if (synchronize) gpu_.stream(0).synchronize(tl, bd, Phase::DecompressionKernel);
+  return done;
+}
+
+// ---------------------------------------------------------------------------
+// Batch: one slab for N blocks
+// ---------------------------------------------------------------------------
 
 CompressionManager::BatchWire CompressionManager::compress_batch(
     Timeline& tl, const std::vector<BatchInput>& blocks) {
@@ -436,637 +547,152 @@ CompressionManager::BatchWire CompressionManager::compress_batch(
   }
   AdaptiveGuard adapt_guard(*this, tl, kScopeBatch, adapt_bytes, adapt_bytes > 0);
 
-  // Default every block to a raw view of the caller's buffer; the batched
-  // kernels below upgrade the eligible ones to slab slices.
   std::uint64_t original_total = 0;
   std::vector<std::size_t> eligible;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
-    auto& b = batch.blocks[i];
-    b.data = blocks[i].buf;
-    b.bytes = blocks[i].bytes;
-    b.header.original_bytes = blocks[i].bytes;
-    b.header.compressed_bytes = blocks[i].bytes;
+    batch.blocks[i].header.original_bytes = blocks[i].bytes;
     ++stats_.messages_considered;
     original_total += blocks[i].bytes;
     if (should_compress(blocks[i].buf, blocks[i].bytes)) eligible.push_back(i);
   }
-
-  const auto count_raw_bytes = [&] {
-    for (const auto& in : blocks) {
-      stats_.original_bytes += in.bytes;
-      stats_.wire_bytes += in.bytes;
+  const Algorithm algo = config_.algorithm;
+  // Every block not upgraded to a slab slice goes out as a raw view of the
+  // caller's buffer; exactly one telemetry event covers the batch.
+  const auto finish = [&](EventKind kind, Algorithm event_algo) {
+    std::uint64_t wire_total = 0;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+      WireBlock& b = batch.blocks[i];
+      if (b.header.compressed) {
+        stats_.original_bytes += blocks[i].bytes;
+        stats_.wire_bytes += b.bytes;
+      } else {
+        send_raw(b, blocks[i].buf, blocks[i].bytes);
+      }
+      wire_total += b.bytes;
     }
+    record({started, rank_id_, kind, event_algo, original_total, wire_total,
+            tl.now() - started, kScopeBatch});
+    return std::move(batch);
   };
-  const auto record_event = [&](EventKind kind, Algorithm algo, std::uint64_t wire_total) {
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, kind, algo, original_total, wire_total,
-                          tl.now() - started, kScopeBatch});
-    }
-  };
-
-  if (eligible.empty()) {
-    count_raw_bytes();
-    record_event(EventKind::RawBypass, Algorithm::None, original_total);
-    return batch;
-  }
+  if (eligible.empty()) return finish(EventKind::RawBypass, Algorithm::None);
 
   // One batched launch means one fault consultation covering every block:
   // a hard launch failure degrades the whole batch to raw sends.
-  fault::CodecFault injected;
-  if (fault_ != nullptr) injected = fault_->on_compress(rank_id_);
+  const fault::CodecFault injected = draw_compress_fault(tl);
   if (injected.fail) {
-    tl.advance(gpu_.costs().kernel_launch);
     stats_.messages_fallback_raw += eligible.size();
-    ++stats_.codec_faults;
-    count_raw_bytes();
-    record_event(EventKind::CodecFault, config_.algorithm, original_total);
-    return batch;
+    return finish(EventKind::CodecFault, algo);
   }
 
-  Breakdown* bd = &sender_bd_;
-  const int n_batch = static_cast<int>(eligible.size());
+  std::vector<Part> parts;
+  std::size_t capacity = 0;
   std::uint64_t eligible_total = 0;
-  for (std::size_t idx : eligible) eligible_total += blocks[idx].bytes;
-  std::vector<std::uint64_t> psize(eligible.size(), 0);
-  std::vector<std::size_t> offset(eligible.size(), 0);
-  std::vector<std::size_t> cap(eligible.size(), 0);
-  std::uint8_t* slab = nullptr;
-
-  if (config_.algorithm == Algorithm::MPC) {
-    const comp::MpcCodec codec(config_.mpc_dimensionality, config_.mpc_chunk_values);
-    std::size_t slab_capacity = 0;
-    std::size_t d_off_bytes = 0;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      const std::size_t n = blocks[eligible[k]].bytes / 4;
-      cap[k] = codec.max_compressed_bytes(n) + 16;
-      slab_capacity += cap[k];
-      d_off_bytes += codec.chunk_count(n) * 4;
-    }
-    // The per-block capacity offsets (the batch's offset-table slab) are a
-    // pure function of the shape, so a cached plan re-serves the same slab
-    // slot with the table precomputed.
-    batch.plan = plan_entry(PlanKind::Batch, Algorithm::MPC, eligible_total, n_batch);
-    const bool plan_mode = batch.plan != nullptr && batch.plan->graph_ready;
-    batch.plan_slot = plan_slot_acquire(tl, batch.plan, slab_capacity, bd, batch.lease,
-                                        batch.naive_buffer, batch.used_pool);
-    slab = static_cast<std::uint8_t*>(batch.used_pool ? batch.lease.data : batch.naive_buffer);
-
-    // ONE d_off scratch allocation + memset for the whole batch, where the
-    // naive per-destination scheme pays one per message.
-    if (!plan_mode) {
-      if (!config_.use_buffer_pool) {
-        charge(tl, gpu_.costs().cuda_malloc(d_off_bytes), bd, Phase::MemoryAllocation);
-      }
-      charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
-    }
-
-    // Divide the SMs across the batch (MPC-OPT's partitioned launch applied
-    // across destinations): every block's kernel runs concurrently on its
-    // stream and the launch+sync round is paid once.
-    const int blocks_per_kernel = std::max(1, gpu_.spec().sm_count / n_batch);
-    std::size_t out_off = 0;
-    std::vector<int> used_streams;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      const auto& in = blocks[eligible[k]];
-      const std::size_t n = in.bytes / 4;
-      if (out_off + cap[k] > slab_capacity) throw std::runtime_error("batch slab overflow");
-      psize[k] = codec.compress({static_cast<const float*>(in.buf), n},
-                                {slab + out_off, cap[k]});
-      offset[k] = out_off;
-      const int sid = static_cast<int>(k) % gpu_.num_streams();
-      used_streams.push_back(sid);
-      const Time cost =
-          cost_model_.mpc_compress(in.bytes, psize[k], blocks_per_kernel, gpu_.spec());
-      if (!plan_mode) {
-        gpu_.stream(sid).launch(tl, cost, bd, Phase::CompressionKernel);
-      } else if (k == 0) {
-        gpu_.stream(sid).launch_graph(tl, cost, bd, Phase::CompressionKernel);
-      } else {
-        gpu_.stream(sid).enqueue_graphed(tl, cost);
-      }
-      out_off += psize[k];
-    }
-    for (int sid : used_streams) {
-      gpu_.stream(sid).synchronize(tl, bd, Phase::CompressionKernel);
-    }
-
-    // The per-block size control words live contiguously in the batch's
-    // offset/length table, so ONE small readback covers all of them where
-    // the naive scheme pays one round-trip per destination.
-    std::vector<std::uint32_t> size_table(eligible.size());
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      size_table[k] = static_cast<std::uint32_t>(psize[k]);
-    }
-    std::vector<std::uint32_t> host_table(eligible.size());
-    if (config_.use_gdrcopy) {
-      gpu_.gdrcopy_small(tl, host_table.data(), size_table.data(),
-                         host_table.size() * 4, bd);
-    } else {
-      gpu_.memcpy_d2h_small(tl, host_table.data(), size_table.data(),
-                            host_table.size() * 4, bd);
-    }
-    if (!config_.use_buffer_pool) {
-      charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
-    }
-  } else {  // ZFP
-    const comp::ZfpCodec codec(config_.zfp_rate);
-    batch.plan = plan_entry(PlanKind::Batch, Algorithm::ZFP, eligible_total,
-                            (n_batch << 16) | config_.zfp_rate);
-    const bool plan_mode = batch.plan != nullptr && batch.plan->graph_ready;
-    // One stream/field creation and one grid-dim query cover the batch
-    // (zero with a cached plan: the objects are held across rounds).
-    if (!plan_mode) {
-      charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
-      if (config_.cache_device_attributes) {
-        (void)gpu_.query_max_grid_dim_cached(tl, bd);
-      } else {
-        (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
-      }
-    }
-
-    std::size_t slab_capacity = 0;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      const std::size_t n = blocks[eligible[k]].bytes / 4;
-      cap[k] = codec.compressed_bytes(comp::ZfpField::d1(n));
-      slab_capacity += cap[k];
-    }
-    batch.plan_slot = plan_slot_acquire(tl, batch.plan, slab_capacity, bd, batch.lease,
-                                        batch.naive_buffer, batch.used_pool);
-    slab = static_cast<std::uint8_t*>(batch.used_pool ? batch.lease.data : batch.naive_buffer);
-
-    std::size_t out_off = 0;
-    std::vector<int> used_streams;
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      const auto& in = blocks[eligible[k]];
-      const std::size_t n = in.bytes / 4;
-      psize[k] = codec.compress({static_cast<const float*>(in.buf), n},
-                                comp::ZfpField::d1(n), {slab + out_off, cap[k]});
-      offset[k] = out_off;
-      const int sid = static_cast<int>(k) % gpu_.num_streams();
-      used_streams.push_back(sid);
-      const Time cost = cost_model_.zfp_compress(in.bytes, config_.zfp_rate, gpu_.spec());
-      if (!plan_mode) {
-        gpu_.stream(sid).launch(tl, cost, bd, Phase::CompressionKernel);
-      } else if (k == 0) {
-        gpu_.stream(sid).launch_graph(tl, cost, bd, Phase::CompressionKernel);
-      } else {
-        gpu_.stream(sid).enqueue_graphed(tl, cost);
-      }
-      out_off += psize[k];
-    }
-    for (int sid : used_streams) {
-      gpu_.stream(sid).synchronize(tl, bd, Phase::CompressionKernel);
-    }
+  for (std::size_t idx : eligible) {
+    const std::size_t n = blocks[idx].bytes / 4;
+    parts.push_back({static_cast<const float*>(blocks[idx].buf), n});
+    eligible_total += blocks[idx].bytes;
+    capacity += staging_bytes(algo, n, 1);
   }
-  plan_mark_ready(tl, batch.plan, bd);
+  // The per-block capacity offsets (the batch's offset-table slab) are a
+  // pure function of the shape, so a cached plan re-serves the same slab
+  // slot with the table precomputed.
+  const int n_batch = static_cast<int>(eligible.size());
+  const int param = algo == Algorithm::MPC ? n_batch : (n_batch << 16) | config_.zfp_rate;
+  Breakdown* bd = &sender_bd_;
+  batch.staging = acquire(tl, plan_entry(PlanKind::Batch, algo, eligible_total, param),
+                          capacity, bd);
+  // Divide the SMs across the batch (MPC-OPT's partitioned launch applied
+  // across destinations): every block's kernel runs concurrently on its
+  // stream, and the launch+sync round, the d_off memset and the size
+  // readback are paid once, where the naive scheme pays one per message.
+  const Encoded enc =
+      encode(tl, parts, batch.staging, capacity,
+             {std::max(1, gpu_.spec().sm_count / n_batch), 0, true, batch.staging.plan, bd},
+             /*one_message=*/false);
 
   // Finalize headers block by block; an injected truncate fault (caught by
   // the size validation on readback) degrades the whole batch to raw.
   std::size_t n_compressed = 0;
+  std::size_t offset = 0;
   for (std::size_t k = 0; k < eligible.size(); ++k) {
-    auto& b = batch.blocks[eligible[k]];
-    const auto& in = blocks[eligible[k]];
-    if (injected.truncate || psize[k] >= in.bytes) {
-      ++stats_.messages_fallback_raw;  // raw view is already in place
-      continue;
-    }
-    b.data = slab + offset[k];
-    b.bytes = psize[k];
-    b.header.compressed = true;
-    b.header.algorithm = config_.algorithm;
-    b.header.compressed_bytes = psize[k];
-    if (config_.algorithm == Algorithm::MPC) {
-      b.header.mpc_dimensionality = static_cast<std::uint16_t>(config_.mpc_dimensionality);
-      b.header.mpc_chunk_values = static_cast<std::uint32_t>(config_.mpc_chunk_values);
-      b.header.partition_bytes = {static_cast<std::uint32_t>(psize[k])};
+    WireBlock& b = batch.blocks[eligible[k]];
+    const std::uint32_t size = enc.sizes[k];
+    if (injected.truncate || size >= blocks[eligible[k]].bytes) {
+      ++stats_.messages_fallback_raw;
     } else {
-      b.header.zfp_rate = static_cast<std::uint16_t>(config_.zfp_rate);
+      b.data = static_cast<std::uint8_t*>(batch.staging.data) + offset;
+      b.bytes = size;
+      b.header.compressed = true;
+      b.header.compressed_bytes = size;
+      stamp(b.header, algo);
+      if (algo == Algorithm::MPC) b.header.partition_bytes = {size};
+      ++stats_.messages_compressed;
+      ++n_compressed;
     }
-    ++stats_.messages_compressed;
-    ++n_compressed;
-  }
-  if (injected.truncate) ++stats_.codec_faults;
-
-  std::uint64_t wire_total = 0;
-  for (std::size_t i = 0; i < blocks.size(); ++i) {
-    stats_.original_bytes += blocks[i].bytes;
-    stats_.wire_bytes += batch.blocks[i].bytes;
-    wire_total += batch.blocks[i].bytes;
+    offset += size;
   }
   if (injected.truncate) {
-    record_event(EventKind::CodecFault, config_.algorithm, wire_total);
-  } else if (n_compressed > 0) {
-    record_event(EventKind::Compress, config_.algorithm, wire_total);
-  } else {
-    record_event(EventKind::FallbackRaw, config_.algorithm, wire_total);
-  }
-  return batch;
-}
-
-void CompressionManager::release_batch(Timeline& tl, BatchWire& batch) {
-  if (batch.plan != nullptr) {
-    // The slab is a held plan slot: hand it back to the plan, not the pool.
-    plan_slot_release(batch.plan, batch.plan_slot);
-    batch.plan = nullptr;
-    batch.plan_slot = -1;
-    batch.lease = {};
-    batch.naive_buffer = nullptr;
-    batch.used_pool = false;
-    return;
-  }
-  if (batch.used_pool) {
-    pool_->release(batch.lease);
-    batch.lease = {};
-    batch.used_pool = false;
-  } else if (batch.naive_buffer != nullptr) {
-    gpu_.free_device(tl, batch.naive_buffer, &sender_bd_);
-    batch.naive_buffer = nullptr;
-  }
-}
-
-void CompressionManager::release_send(Timeline& tl, WireData& wire) {
-  if (wire.plan != nullptr) {
-    plan_slot_release(wire.plan, wire.plan_slot);
-    wire.plan = nullptr;
-    wire.plan_slot = -1;
-    wire.lease = {};
-    wire.naive_buffer = nullptr;
-    wire.used_pool = false;
-    return;
-  }
-  if (wire.used_pool) {
-    pool_->release(wire.lease);
-    wire.lease = {};
-    wire.used_pool = false;
-  } else if (wire.naive_buffer != nullptr) {
-    gpu_.free_device(tl, wire.naive_buffer, &sender_bd_);
-    wire.naive_buffer = nullptr;
-  }
-}
-
-CompressionManager::RecvStaging CompressionManager::prepare_receive(
-    Timeline& tl, const CompressionHeader& header) {
-  RecvStaging staging;
-  if (!header.compressed) return staging;
-  Breakdown* bd = &receiver_bd_;
-  staging.plan = plan_entry(PlanKind::Recv, header.algorithm, header.original_bytes,
-                            header.algorithm == Algorithm::ZFP
-                                ? static_cast<int>(header.zfp_rate)
-                                : header.partitions());
-  // Plan slots are sized for the worst case (a raw-bounded wire can never
-  // exceed original_bytes), so every later compressed size fits in place.
-  const std::size_t capacity =
-      staging.plan != nullptr
-          ? static_cast<std::size_t>(std::max(header.original_bytes, header.compressed_bytes))
-          : static_cast<std::size_t>(header.compressed_bytes);
-  staging.plan_slot = plan_slot_acquire(tl, staging.plan, capacity, bd, staging.lease,
-                                        staging.naive_buffer, staging.used_pool);
-  staging.data = staging.used_pool ? staging.lease.data : staging.naive_buffer;
-  return staging;
-}
-
-void CompressionManager::decompress_received(Timeline& tl, const CompressionHeader& header,
-                                             const RecvStaging& staging, void* user_buf,
-                                             std::uint64_t user_bytes, bool synchronize,
-                                             int stream_hint) {
-  if (!header.compressed) return;
-  if (header.original_bytes > user_bytes) {
-    throw std::runtime_error("CompressionManager: user buffer too small");
-  }
-  Breakdown* bd = &receiver_bd_;
-  const auto* in = static_cast<const std::uint8_t*>(staging.data);
-  auto* out = static_cast<float*>(user_buf);
-  const std::size_t n = header.original_bytes / 4;
-
-  const Time started = tl.now();
-  if (fault_ != nullptr && fault_->on_decompress(rank_id_)) {
-    // Injected decompression-kernel fault: the launch errors out before
-    // any output is produced. Charge the wasted enqueue and report; the
-    // caller recovers (protocol NACK -> raw resend, or a local relaunch).
-    tl.advance(gpu_.costs().kernel_launch);
     ++stats_.codec_faults;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::CodecFault, header.algorithm,
-                          header.original_bytes, header.compressed_bytes, tl.now() - started});
-    }
-    throw CodecFaultError{};
+    return finish(EventKind::CodecFault, algo);
   }
-  const bool plan_mode = staging.plan != nullptr && staging.plan->graph_ready;
-  if (header.algorithm == Algorithm::MPC) {
-    run_mpc_decompress(tl, header, in, out, n, bd, synchronize, stream_hint, plan_mode);
-  } else if (header.algorithm == Algorithm::ZFP) {
-    run_zfp_decompress(tl, header, in, out, n, bd, synchronize, stream_hint, plan_mode);
-  } else {
-    throw std::runtime_error("CompressionManager: compressed payload with no algorithm");
-  }
-  plan_mark_ready(tl, staging.plan, bd);
-  if (telemetry_ != nullptr) {
-    telemetry_->record({started, rank_id_, EventKind::Decompress, header.algorithm,
-                        header.original_bytes, header.compressed_bytes, tl.now() - started});
-  }
-}
-
-void CompressionManager::decompress_with_retry(Timeline& tl, const CompressionHeader& header,
-                                               const RecvStaging& staging, void* user_buf,
-                                               std::uint64_t user_bytes, bool synchronize,
-                                               int max_retries, int stream_hint) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      decompress_received(tl, header, staging, user_buf, user_bytes, synchronize,
-                          stream_hint);
-      return;
-    } catch (const CodecFaultError&) {
-      if (attempt >= max_retries) throw;
-      // Transient kernel fault: relaunch. Each retry consults the injector
-      // again, so a fresh draw decides whether this attempt succeeds.
-    }
-  }
-}
-
-void CompressionManager::decompress_reduce(Timeline& tl, const CompressionHeader& header,
-                                           const RecvStaging& staging, float* acc,
-                                           std::uint64_t acc_bytes, comp::ReduceOp op,
-                                           bool synchronize) {
-  if (!header.compressed) {
-    throw std::runtime_error("CompressionManager: decompress_reduce needs a compressed payload");
-  }
-  if (header.original_bytes > acc_bytes) {
-    throw std::runtime_error("CompressionManager: accumulator too small");
-  }
-  Breakdown* bd = &receiver_bd_;
-  const auto* in = static_cast<const std::uint8_t*>(staging.data);
-  const std::size_t n = header.original_bytes / 4;
-
-  const Time started = tl.now();
-  if (fault_ != nullptr && fault_->on_decompress(rank_id_)) {
-    // Same contract as decompress_received: the fused kernel errors out
-    // before storing anything, so the accumulator still holds its pre-hop
-    // partial and the caller can simply relaunch.
-    tl.advance(gpu_.costs().kernel_launch);
-    ++stats_.codec_faults;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::CodecFault, header.algorithm,
-                          header.original_bytes, header.compressed_bytes, tl.now() - started});
-    }
-    throw CodecFaultError{};
-  }
-
-  const bool plan_mode = staging.plan != nullptr && staging.plan->graph_ready;
-  std::vector<float> decoded(n);
-  if (header.algorithm == Algorithm::MPC) {
-    run_mpc_decompress(tl, header, in, decoded.data(), n, bd, /*synchronize=*/false,
-                       /*stream_hint=*/0, plan_mode);
-  } else if (header.algorithm == Algorithm::ZFP) {
-    run_zfp_decompress(tl, header, in, decoded.data(), n, bd, /*synchronize=*/false,
-                       /*stream_hint=*/0, plan_mode);
-  } else {
-    throw std::runtime_error("CompressionManager: compressed payload with no algorithm");
-  }
-  // The fusion combines decoded values with the accumulator in registers
-  // before the store: only the extra accumulator traffic is charged, on the
-  // decode kernels' tail (a graph node under a cached plan).
-  const Time fused = cost_model_.fused_reduce_overhead(header.original_bytes, gpu_.spec());
-  if (plan_mode) {
-    gpu_.stream(0).enqueue_graphed(tl, fused);
-  } else {
-    gpu_.stream(0).launch(tl, fused, bd, Phase::DecompressionKernel);
-  }
-  plan_mark_ready(tl, staging.plan, bd);
-  comp::reduce_inplace(acc, decoded.data(), n, op);
-  if (synchronize) gpu_.device_synchronize(tl, bd);
-  if (telemetry_ != nullptr) {
-    telemetry_->record({started, rank_id_, EventKind::Decompress, header.algorithm,
-                        header.original_bytes, header.compressed_bytes, tl.now() - started});
-  }
-}
-
-void CompressionManager::decompress_reduce_with_retry(Timeline& tl,
-                                                      const CompressionHeader& header,
-                                                      const RecvStaging& staging, float* acc,
-                                                      std::uint64_t acc_bytes,
-                                                      comp::ReduceOp op, bool synchronize,
-                                                      int max_retries) {
-  for (int attempt = 0;; ++attempt) {
-    try {
-      decompress_reduce(tl, header, staging, acc, acc_bytes, op, synchronize);
-      return;
-    } catch (const CodecFaultError&) {
-      if (attempt >= max_retries) throw;
-    }
-  }
-}
-
-Time CompressionManager::reduce_device(Timeline& tl, const float* in, float* acc,
-                                       std::size_t n, comp::ReduceOp op, bool synchronize) {
-  Breakdown* bd = &receiver_bd_;
-  const Time done = gpu_.stream(0).launch(
-      tl, cost_model_.reduce_kernel(n * 4, gpu_.spec()), bd, Phase::DecompressionKernel);
-  comp::reduce_inplace(acc, in, n, op);
-  if (synchronize) gpu_.stream(0).synchronize(tl, bd, Phase::DecompressionKernel);
-  return done;
-}
-
-void CompressionManager::run_mpc_decompress(Timeline& tl, const CompressionHeader& header,
-                                            const std::uint8_t* in, float* out,
-                                            std::size_t n, Breakdown* bd, bool synchronize,
-                                            int stream_hint, bool plan_mode) {
-  const comp::MpcCodec codec(header.mpc_dimensionality,
-                             header.mpc_chunk_values);
-  const int n_parts = header.partitions();
-  const int blocks_per_kernel =
-      config_.multi_stream_partitions
-          ? std::max(1, gpu_.spec().sm_count / std::max(1, n_parts))
-          : gpu_.spec().sm_count;
-
-  // d_off scratch on the receiver side as well (Algorithm 2); a cached
-  // plan holds a persistent one and replays the memset inside the graph.
-  const std::size_t d_off_bytes = codec.chunk_count(n) * 4;
-  if (!plan_mode) {
-    if (!config_.use_buffer_pool) {
-      charge(tl, gpu_.costs().cuda_malloc(d_off_bytes), bd, Phase::MemoryAllocation);
-    }
-    charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
-  }
-
-  std::size_t in_off = 0;
-  std::size_t val_off = 0;
-  std::vector<int> used_streams;
-  for (int p = 0; p < n_parts; ++p) {
-    const std::size_t psize = header.partition_bytes.empty()
-                                  ? header.compressed_bytes
-                                  : header.partition_bytes[static_cast<std::size_t>(p)];
-    const std::span<const std::uint8_t> pin{in + in_off, psize};
-    const std::size_t pvalues = comp::MpcCodec::encoded_values(pin);
-    if (val_off + pvalues > n) throw std::runtime_error("MPC partition overflow");
-    codec.decompress(pin, {out + val_off, pvalues});
-
-    const int sid = (stream_hint + p) % gpu_.num_streams();
-    used_streams.push_back(sid);
-    const Time cost = cost_model_.mpc_decompress(psize, pvalues * 4, blocks_per_kernel,
-                                                 gpu_.spec());
-    if (!plan_mode) {
-      gpu_.stream(sid).launch(tl, cost, bd, Phase::DecompressionKernel);
-    } else if (p == 0) {
-      gpu_.stream(sid).launch_graph(tl, cost, bd, Phase::DecompressionKernel);
-    } else {
-      gpu_.stream(sid).enqueue_graphed(tl, cost);
-    }
-    in_off += psize;
-    val_off += pvalues;
-  }
-  if (val_off != n) throw std::runtime_error("MPC partitions do not cover message");
-  if (synchronize) {
-    for (int sid : used_streams) {
-      gpu_.stream(sid).synchronize(tl, bd, Phase::DecompressionKernel);
-    }
-  }
-  if (!plan_mode && !config_.use_buffer_pool) {
-    charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
-  }
-}
-
-void CompressionManager::run_zfp_decompress(Timeline& tl, const CompressionHeader& header,
-                                            const std::uint8_t* in, float* out,
-                                            std::size_t n, Breakdown* bd, bool synchronize,
-                                            int stream_hint, bool plan_mode) {
-  if (!plan_mode) {
-    charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
-    if (config_.cache_device_attributes) {
-      (void)gpu_.query_max_grid_dim_cached(tl, bd);
-    } else {
-      (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
-    }
-  }
-
-  const comp::ZfpCodec codec(header.zfp_rate);
-  const comp::ZfpField field = comp::ZfpField::d1(n);
-  codec.decompress({in, header.compressed_bytes}, field, {out, n});
-
-  const int sid = stream_hint % gpu_.num_streams();
-  const Time cost = cost_model_.zfp_decompress(n * 4, header.zfp_rate, gpu_.spec());
-  if (plan_mode) {
-    gpu_.stream(sid).launch_graph(tl, cost, bd, Phase::DecompressionKernel);
-  } else {
-    gpu_.stream(sid).launch(tl, cost, bd, Phase::DecompressionKernel);
-  }
-  if (synchronize) gpu_.stream(sid).synchronize(tl, bd, Phase::DecompressionKernel);
+  return finish(n_compressed > 0 ? EventKind::Compress : EventKind::FallbackRaw, algo);
 }
 
 // ---------------------------------------------------------------------------
-// Chunked pipelined rendezvous
+// Chunked pipelined rendezvous: asynchronous launch, then finish_chunk
 // ---------------------------------------------------------------------------
 
 CompressionManager::ChunkWire CompressionManager::compress_chunk(
     Timeline& tl, const void* buf, std::uint64_t bytes, int chunk_index, int blocks) {
   ChunkWire ck;
   ck.wire.header.original_bytes = bytes;
+  const auto eligible = [&] {
+    return config_.enabled && config_.algorithm != Algorithm::None && bytes % 4 == 0 &&
+           bytes >= 16;
+  };
 
   // Per-chunk policy consultation: each chunk carries its own header, so
   // the codec may change mid-message as the controller learns.
-  AdaptiveGuard adapt_guard(*this, tl, kScopeChunk, bytes,
-                            config_.enabled && config_.algorithm != Algorithm::None &&
-                                bytes % 4 == 0 && bytes >= 16);
+  AdaptiveGuard adapt_guard(*this, tl, kScopeChunk, bytes, eligible());
 
-  const bool eligible = config_.enabled && config_.algorithm != Algorithm::None &&
-                        bytes % 4 == 0 && bytes >= 16;
   fault::CodecFault injected;
-  if (eligible && fault_ != nullptr) injected = fault_->on_compress(rank_id_);
-  if (!eligible || injected.fail) {
+  if (eligible()) injected = draw_compress_fault(tl);
+  if (!eligible() || injected.fail) {
     if (injected.fail) {
-      // The launch itself errored: charge the wasted enqueue, send raw.
-      tl.advance(gpu_.costs().kernel_launch);
-      ++stats_.codec_faults;
-      if (telemetry_ != nullptr) {
-        telemetry_->record({tl.now(), rank_id_, EventKind::CodecFault, config_.algorithm,
-                            bytes, bytes, Time::zero(), kScopeChunk});
-      }
+      record({tl.now(), rank_id_, EventKind::CodecFault, config_.algorithm, bytes, bytes,
+              Time::zero(), kScopeChunk});
     }
-    ck.wire.data = buf;
-    ck.wire.bytes = bytes;
-    ck.wire.header.compressed = false;
-    ck.wire.header.compressed_bytes = bytes;
+    send_raw(ck.wire, buf, bytes);
     ck.finished = true;
     ++stats_.pipeline_chunks_raw;
-    stats_.original_bytes += bytes;
-    stats_.wire_bytes += bytes;
     ck.kernel_done = tl.now();
     return ck;
   }
   ck.pending_truncate = injected.truncate;
 
-  const auto* values = static_cast<const float*>(buf);
+  const Algorithm algo = config_.algorithm;
   const std::size_t n = bytes / 4;
+  const std::size_t capacity = staging_bytes(algo, n, 1);
   Breakdown* bd = &sender_bd_;
-
-  if (config_.algorithm == Algorithm::MPC) {
-    const comp::MpcCodec codec(config_.mpc_dimensionality, config_.mpc_chunk_values);
-    const std::size_t capacity = codec.max_compressed_bytes(n) + 16;
-    ck.wire.plan = plan_entry(PlanKind::ChunkSend, Algorithm::MPC, bytes, blocks);
-    const bool plan_mode = ck.wire.plan != nullptr && ck.wire.plan->graph_ready;
-    ck.wire.plan_slot = plan_slot_acquire(tl, ck.wire.plan, capacity, bd, ck.wire.lease,
-                                          ck.wire.naive_buffer, ck.wire.used_pool);
-    auto* out =
-        static_cast<std::uint8_t*>(ck.wire.used_pool ? ck.wire.lease.data : ck.wire.naive_buffer);
-    // Per-chunk d_off scratch + memset, exactly as the serial launch pays
-    // (held + replayed as a graph node once the chunk plan is cached).
-    if (!plan_mode) {
-      if (!config_.use_buffer_pool) {
-        charge(tl, gpu_.costs().cuda_malloc(codec.chunk_count(n) * 4), bd,
-               Phase::MemoryAllocation);
-      }
-      charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
-    }
-
-    const std::size_t psize = codec.compress({values, n}, {out, capacity});
-    gpu::Stream& stream = gpu_.stream(chunk_index % gpu_.num_streams());
-    const Time cost = cost_model_.mpc_compress(bytes, psize, blocks, gpu_.spec());
-    ck.kernel_done = plan_mode ? stream.launch_graph(tl, cost, bd, Phase::CompressionKernel)
-                               : stream.launch(tl, cost, bd, Phase::CompressionKernel);
-    ck.kernel_time = cost;
-    plan_mark_ready(tl, ck.wire.plan, bd);
-
-    ck.wire.data = out;
-    ck.wire.bytes = psize;
-    ck.wire.header.algorithm = Algorithm::MPC;
-    ck.wire.header.mpc_dimensionality = static_cast<std::uint16_t>(config_.mpc_dimensionality);
-    ck.wire.header.mpc_chunk_values = static_cast<std::uint32_t>(config_.mpc_chunk_values);
-    ck.wire.header.compressed_bytes = psize;
-    ck.wire.header.compressed = true;
-  } else {  // ZFP
-    ck.wire.plan = plan_entry(PlanKind::ChunkSend, Algorithm::ZFP, bytes, config_.zfp_rate);
-    const bool plan_mode = ck.wire.plan != nullptr && ck.wire.plan->graph_ready;
-    if (!plan_mode) {
-      charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
-      if (config_.cache_device_attributes) {
-        (void)gpu_.query_max_grid_dim_cached(tl, bd);
-      } else {
-        (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
-      }
-    }
-    const comp::ZfpCodec codec(config_.zfp_rate);
-    const comp::ZfpField field = comp::ZfpField::d1(n);
-    const std::size_t out_capacity = codec.compressed_bytes(field);
-    ck.wire.plan_slot = plan_slot_acquire(tl, ck.wire.plan, out_capacity, bd, ck.wire.lease,
-                                          ck.wire.naive_buffer, ck.wire.used_pool);
-    auto* out =
-        static_cast<std::uint8_t*>(ck.wire.used_pool ? ck.wire.lease.data : ck.wire.naive_buffer);
-    const std::uint64_t written = codec.compress({values, n}, field, {out, out_capacity});
-    // ZFP kernels expose no block-count knob to divide the GPU fairly
-    // among concurrent chunks, so chunk kernels serialize on stream 0.
-    const Time cost = cost_model_.zfp_compress(bytes, config_.zfp_rate, gpu_.spec());
-    ck.kernel_done = plan_mode
-                         ? gpu_.stream(0).launch_graph(tl, cost, bd, Phase::CompressionKernel)
-                         : gpu_.stream(0).launch(tl, cost, bd, Phase::CompressionKernel);
-    ck.kernel_time = cost;
-    plan_mark_ready(tl, ck.wire.plan, bd);
-
-    ck.wire.data = out;
-    ck.wire.bytes = written;
-    ck.wire.header.algorithm = Algorithm::ZFP;
-    ck.wire.header.zfp_rate = static_cast<std::uint16_t>(config_.zfp_rate);
-    ck.wire.header.compressed_bytes = written;
-    ck.wire.header.compressed = true;
-  }
+  ck.wire.staging = acquire(
+      tl, plan_entry(PlanKind::ChunkSend, algo, bytes,
+                     algo == Algorithm::MPC ? blocks : config_.zfp_rate),
+      capacity, bd);
+  ck.replayed = ck.wire.staging.planned();
+  // ZFP kernels expose no block-count knob to divide the GPU fairly among
+  // concurrent chunks, so ZFP chunk kernels serialize on stream 0.
+  const Encoded enc = encode(tl, {{static_cast<const float*>(buf), n}}, ck.wire.staging,
+                             capacity,
+                             {blocks, algo == Algorithm::MPC ? chunk_index : 0, false,
+                              ck.wire.staging.plan, bd},
+                             /*one_message=*/true);
+  ck.kernel_done = enc.last.done;
+  ck.kernel_time = enc.last.cost;
+  ck.wire.data = ck.wire.staging.data;
+  ck.wire.bytes = enc.sizes[0];
+  stamp(ck.wire.header, algo);
+  ck.wire.header.compressed_bytes = ck.wire.bytes;
+  ck.wire.header.compressed = true;
   return ck;
 }
 
@@ -1078,90 +704,43 @@ void CompressionManager::finish_chunk(Timeline& tl, ChunkWire& ck, const void* b
   // The codec that actually ran (the adaptive policy may have overridden
   // config_ for this chunk's compress_chunk call, since restored).
   const Algorithm used = ck.wire.header.algorithm;
-
-  if (ck.wire.header.algorithm == Algorithm::MPC) {
-    // Size readback of the chunk's single control word.
-    const auto device_word = static_cast<std::uint32_t>(ck.wire.bytes);
-    std::uint32_t host_word = 0;
-    if (config_.use_gdrcopy) {
-      gpu_.gdrcopy_small(tl, &host_word, &device_word, 4, bd);
-    } else {
-      gpu_.memcpy_d2h_small(tl, &host_word, &device_word, 4, bd);
-    }
-    if (!config_.use_buffer_pool) {
-      charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
-    }
-  }
+  finish_encode(tl, used, {static_cast<std::uint32_t>(ck.wire.bytes)}, true, ck.replayed, bd);
   // cudaStreamSynchronize on the chunk's stream; the protocol only calls
   // finish_chunk at/after kernel_done, so only the call cost remains.
   charge(tl, gpu_.costs().stream_sync, bd, Phase::CompressionKernel);
+  ck.finished = true;
 
   if (ck.pending_truncate || ck.wire.bytes >= bytes) {
     // Truncated stream (injected) or incompressible chunk: never put a
     // short or inflated stream on the wire — degrade this chunk to raw.
-    release_send(tl, ck.wire);
-    ck.wire.data = buf;
-    ck.wire.bytes = bytes;
-    ck.wire.header.compressed = false;
-    ck.wire.header.compressed_bytes = bytes;
-    ck.wire.header.partition_bytes.clear();
+    release(tl, ck.wire.staging);
+    send_raw(ck.wire, buf, bytes);
     if (ck.pending_truncate) ++stats_.codec_faults;
     ++stats_.pipeline_chunks_raw;
-    stats_.original_bytes += bytes;
-    stats_.wire_bytes += bytes;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_,
-                          ck.pending_truncate ? EventKind::CodecFault : EventKind::FallbackRaw,
-                          used, bytes, bytes, tl.now() - started, kScopeChunk});
-    }
-    ck.finished = true;
+    record({started, rank_id_,
+            ck.pending_truncate ? EventKind::CodecFault : EventKind::FallbackRaw, used, bytes,
+            bytes, tl.now() - started, kScopeChunk});
     return;
   }
-
   ++stats_.pipeline_chunks_compressed;
   stats_.original_bytes += bytes;
   stats_.wire_bytes += ck.wire.bytes;
-  if (telemetry_ != nullptr) {
-    telemetry_->record({started, rank_id_, EventKind::Compress, used, bytes,
-                        ck.wire.bytes, ck.kernel_time, kScopeChunk});
-  }
-  ck.finished = true;
+  record({started, rank_id_, EventKind::Compress, used, bytes, ck.wire.bytes, ck.kernel_time,
+          kScopeChunk});
 }
 
-CompressionManager::PipelineStaging CompressionManager::prepare_pipeline_receive(
-    Timeline& tl, std::uint64_t chunk_capacity, int slices) {
-  PipelineStaging st;
-  st.slices = std::max(1, slices);
-  st.slice_bytes = (static_cast<std::size_t>(chunk_capacity) + 255) & ~std::size_t{255};
-  Breakdown* bd = &receiver_bd_;
-  st.plan = plan_entry(PlanKind::PipeRecv, Algorithm::None, chunk_capacity, slices);
-  st.plan_slot =
-      plan_slot_acquire(tl, st.plan, st.slice_bytes * static_cast<std::size_t>(st.slices), bd,
-                        st.lease, st.naive_buffer, st.used_pool);
-  st.base = st.used_pool ? st.lease.data : st.naive_buffer;
-  return st;
-}
-
-void CompressionManager::release_pipeline_receive(Timeline& tl, PipelineStaging& staging) {
-  if (staging.plan != nullptr) {
-    plan_slot_release(staging.plan, staging.plan_slot);
-    staging.plan = nullptr;
-    staging.plan_slot = -1;
-    staging.lease = {};
-    staging.naive_buffer = nullptr;
-    staging.used_pool = false;
-    staging.base = nullptr;
-    return;
-  }
-  if (staging.used_pool) {
-    pool_->release(staging.lease);
-    staging.lease = {};
-    staging.used_pool = false;
-  } else if (staging.naive_buffer != nullptr) {
-    gpu_.free_device(tl, staging.naive_buffer, &receiver_bd_);
-    staging.naive_buffer = nullptr;
-  }
-  staging.base = nullptr;
+Staging CompressionManager::prepare_pipeline_receive(Timeline& tl,
+                                                     std::uint64_t chunk_capacity,
+                                                     int slices) {
+  const std::size_t slice_bytes =
+      (static_cast<std::size_t>(chunk_capacity) + 255) & ~std::size_t{255};
+  const int n_slices = std::max(1, slices);
+  Staging staging =
+      acquire(tl, plan_entry(PlanKind::PipeRecv, Algorithm::None, chunk_capacity, slices),
+              slice_bytes * static_cast<std::size_t>(n_slices), &receiver_bd_);
+  staging.slice_bytes = slice_bytes;
+  staging.slices = n_slices;
+  return staging;
 }
 
 Time CompressionManager::decompress_chunk(Timeline& tl, const CompressionHeader& header,
@@ -1172,95 +751,15 @@ Time CompressionManager::decompress_chunk(Timeline& tl, const CompressionHeader&
   if (header.original_bytes > out_capacity) {
     throw std::runtime_error("CompressionManager: pipeline chunk exceeds buffer");
   }
-  Breakdown* bd = &receiver_bd_;
-  const Time started = tl.now();
-  if (fault_ != nullptr && fault_->on_decompress(rank_id_)) {
-    tl.advance(gpu_.costs().kernel_launch);
-    ++stats_.codec_faults;
-    if (telemetry_ != nullptr) {
-      telemetry_->record({started, rank_id_, EventKind::CodecFault, header.algorithm,
-                          header.original_bytes, header.compressed_bytes, tl.now() - started,
-                          kScopeChunk});
-    }
-    throw CodecFaultError{};
-  }
-
-  const auto* in = static_cast<const std::uint8_t*>(staged);
-  auto* values = static_cast<float*>(out);
-  const std::size_t n = header.original_bytes / 4;
   PlanEntry* plan =
       plan_entry(PlanKind::ChunkRecv, header.algorithm, header.original_bytes, blocks);
-  const bool plan_mode = plan != nullptr && plan->graph_ready;
-  Time done;
-  Time cost;
-  if (header.algorithm == Algorithm::MPC) {
-    const comp::MpcCodec codec(header.mpc_dimensionality, header.mpc_chunk_values);
-    if (!plan_mode) {
-      if (!config_.use_buffer_pool) {
-        charge(tl, gpu_.costs().cuda_malloc(codec.chunk_count(n) * 4), bd,
-               Phase::MemoryAllocation);
-      }
-      charge(tl, gpu_.costs().cuda_memset_launch, bd, Phase::MemoryAllocation);
-    }
-    const std::span<const std::uint8_t> pin{in, header.compressed_bytes};
-    if (comp::MpcCodec::encoded_values(pin) != n) {
-      throw std::runtime_error("CompressionManager: pipeline chunk stream mismatch");
-    }
-    codec.decompress(pin, {values, n});
-    gpu::Stream& stream = gpu_.stream(chunk_index % gpu_.num_streams());
-    cost = cost_model_.mpc_decompress(header.compressed_bytes, n * 4, blocks, gpu_.spec());
-    done = plan_mode ? stream.launch_graph(tl, cost, bd, Phase::DecompressionKernel)
-                     : stream.launch(tl, cost, bd, Phase::DecompressionKernel);
-    if (!plan_mode && !config_.use_buffer_pool) {
-      charge(tl, gpu_.costs().cuda_free, bd, Phase::MemoryAllocation);  // d_off
-    }
-  } else if (header.algorithm == Algorithm::ZFP) {
-    if (!plan_mode) {
-      charge(tl, kZfpStreamFieldCreation, bd, Phase::StreamFieldCreation);
-      if (config_.cache_device_attributes) {
-        (void)gpu_.query_max_grid_dim_cached(tl, bd);
-      } else {
-        (void)gpu_.query_max_grid_dim_via_properties(tl, bd);
-      }
-    }
-    const comp::ZfpCodec codec(header.zfp_rate);
-    const comp::ZfpField field = comp::ZfpField::d1(n);
-    codec.decompress({in, header.compressed_bytes}, field, {values, n});
-    cost = cost_model_.zfp_decompress(n * 4, header.zfp_rate, gpu_.spec());
-    done = plan_mode ? gpu_.stream(0).launch_graph(tl, cost, bd, Phase::DecompressionKernel)
-                     : gpu_.stream(0).launch(tl, cost, bd, Phase::DecompressionKernel);
-  } else {
-    throw std::runtime_error("CompressionManager: compressed chunk with no algorithm");
-  }
-  plan_mark_ready(tl, plan, bd);
-  if (kernel_time != nullptr) *kernel_time = cost;
-  if (telemetry_ != nullptr) {
-    telemetry_->record({started, rank_id_, EventKind::Decompress, header.algorithm,
-                        header.original_bytes, header.compressed_bytes, cost, kScopeChunk});
-  }
-  return done;
-}
-
-void CompressionManager::release_receive(Timeline& tl, RecvStaging& staging) {
-  if (staging.plan != nullptr) {
-    plan_slot_release(staging.plan, staging.plan_slot);
-    staging.plan = nullptr;
-    staging.plan_slot = -1;
-    staging.lease = {};
-    staging.naive_buffer = nullptr;
-    staging.used_pool = false;
-    staging.data = nullptr;
-    return;
-  }
-  if (staging.used_pool) {
-    pool_->release(staging.lease);
-    staging.lease = {};
-    staging.used_pool = false;
-  } else if (staging.naive_buffer != nullptr) {
-    gpu_.free_device(tl, staging.naive_buffer, &receiver_bd_);
-    staging.naive_buffer = nullptr;
-  }
-  staging.data = nullptr;
+  const LastKernel last =
+      decode(tl, header, staged, static_cast<float*>(out),
+             {blocks, header.algorithm == Algorithm::MPC ? chunk_index : 0, false, plan,
+              &receiver_bd_},
+             kScopeChunk);
+  if (kernel_time != nullptr) *kernel_time = last.cost;
+  return last.done;
 }
 
 }  // namespace gcmpi::core

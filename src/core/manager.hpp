@@ -1,11 +1,27 @@
 // CompressionManager: the per-rank engine implementing Algorithms 1-3 of
-// the paper. The MPI rendezvous protocol calls into it on both sides:
+// the paper. The MPI layer calls into it on both sides:
 //
-//   sender:   compress_for_send()  -> wire buffer + header for the RTS
-//             release_send()       -> return pooled / free naive buffers
-//   receiver: prepare_receive()    -> temp device buffer for the payload
-//             decompress_received()-> restore into the user buffer
-//             release_receive()
+//   sender:   compress_for_send()  -> one wire (header + bytes) per message
+//             compress_batch()     -> one slab for N blocks (alltoall engine)
+//             compress_chunk()     -> asynchronous launch of one pipeline
+//             finish_chunk()          chunk, completed at kernel_done
+//   receiver: prepare_receive() / prepare_pipeline_receive() -> staging
+//             decompress_received() / decompress_reduce() / decompress_chunk()
+//   both:     release()            -> return any staging handed out above
+//
+// The front-ends differ only in their caller contract. Every compression
+// runs through one private encode step and every decompression through one
+// private decode step, each given a list of kernel partitions (a message's
+// partitions, a batch's eligible blocks, or one chunk) and a launch shape
+// (blocks per kernel, first stream, sync or not, plan replay, breakdown).
+// The steps own the codec setup (ZFP stream/field + grid dims, MPC d_off
+// scratch), the plain/graph launch choice, the size readback, the
+// decompress fault prologue and the raw fallback.
+//
+// Staging lifetime: each compress/prepare call that needs device staging
+// returns it as a Staging value (a pool lease, a naive cudaMalloc, or a
+// slot held by a cached plan) and the caller hands it back with release()
+// once the bytes left the node or were decoded.
 //
 // Every CUDA-call cost is charged to the provided Timeline and attributed
 // to a Breakdown phase, which is how the Fig. 6/8/10 breakdown benchmarks
@@ -35,6 +51,7 @@
 
 namespace gcmpi::fault {
 class FaultInjector;
+struct CodecFault;
 }
 
 namespace gcmpi::core {
@@ -43,10 +60,10 @@ using sim::Breakdown;
 using sim::Time;
 using sim::Timeline;
 
-/// Thrown by decompress_received when the (injected) decompression kernel
+/// Thrown by the decompress calls when the (injected) decompression kernel
 /// fails. The rendezvous protocol turns this into a NACK that asks the
 /// sender for a raw resend; collectives retry the kernel locally (see
-/// decompress_with_retry).
+/// CompressionManager::retry_decode).
 struct CodecFaultError : std::runtime_error {
   CodecFaultError() : std::runtime_error("injected decompression kernel fault") {}
 };
@@ -84,36 +101,22 @@ class CompressionManager {
   /// float payload of at least threshold size, Sec. III-A step 1).
   [[nodiscard]] bool should_compress(const void* buf, std::uint64_t bytes) const;
 
-  struct WireData {
-    const void* data = nullptr;        // bytes to put on the wire
+  /// One message on the wire: compressed bytes in a staging buffer, or a
+  /// raw view of the caller's buffer (header.compressed == false).
+  struct WireBlock {
+    const void* data = nullptr;
     std::uint64_t bytes = 0;
     CompressionHeader header;
-    // ownership of the staging buffer (one of the two below, or none if raw)
-    gpu::BufferPool::Lease lease;      // OPT path
-    void* naive_buffer = nullptr;      // naive path (timed cudaMalloc)
-    bool used_pool = false;
-    // Plan-cache slot (persistent channels): when set, release_send gives
-    // the slot back to the plan instead of the pool.
-    PlanEntry* plan = nullptr;
-    int plan_slot = -1;
   };
 
-  struct RecvStaging {
-    void* data = nullptr;
-    gpu::BufferPool::Lease lease;
-    void* naive_buffer = nullptr;
-    bool used_pool = false;
-    PlanEntry* plan = nullptr;
-    int plan_slot = -1;
+  struct WireData : WireBlock {
+    Staging staging;  // holds `data` when compressed; empty for a raw view
   };
 
   /// Sender side (Algorithms 1 and 3). Returns the wire view; if
   /// compression did not pay off, header.compressed is false and `data`
-  /// aliases `buf`.
+  /// aliases `buf`. Release `staging` once the payload left the node.
   WireData compress_for_send(Timeline& tl, const void* buf, std::uint64_t bytes);
-
-  /// Release sender staging once the payload left the node (send complete).
-  void release_send(Timeline& tl, WireData& wire);
 
   // --- batched one-shot compression (alltoall/shuffle engine) ---
   //
@@ -133,30 +136,18 @@ class CompressionManager {
   };
 
   struct BatchWire {
-    struct Block {
-      const void* data = nullptr;  // wire bytes: a slab slice, or the raw buf
-      std::uint64_t bytes = 0;
-      CompressionHeader header;
-    };
-    std::vector<Block> blocks;  // aligned with the compress_batch input
-    // ownership of the shared slab (all compressed blocks live in it)
-    gpu::BufferPool::Lease lease;
-    void* naive_buffer = nullptr;
-    bool used_pool = false;
-    PlanEntry* plan = nullptr;
-    int plan_slot = -1;
+    std::vector<WireBlock> blocks;  // aligned with the compress_batch input
+    Staging staging;                // the shared slab every compressed block lives in
   };
 
   /// Compress every eligible block of the batch in one batched launch;
   /// ineligible or incompressible blocks come back as raw views of the
-  /// caller's buffers. Blocks must stay alive until release_batch.
+  /// caller's buffers. Blocks must stay alive until the slab is released.
   BatchWire compress_batch(Timeline& tl, const std::vector<BatchInput>& blocks);
 
-  /// Release the batch slab once every slice left the node.
-  void release_batch(Timeline& tl, BatchWire& batch);
-
-  /// Receiver side, on RTS match (Algorithm 2, steps before CTS).
-  RecvStaging prepare_receive(Timeline& tl, const CompressionHeader& header);
+  /// Receiver side, on RTS match (Algorithm 2, steps before CTS): staging
+  /// for the compressed payload (empty when the header is raw).
+  Staging prepare_receive(Timeline& tl, const CompressionHeader& header);
 
   /// Receiver side, after the compressed payload arrived (steps 6-7).
   /// With `synchronize == false` the decompression kernels are only
@@ -168,18 +159,9 @@ class CompressionManager {
   /// serialize behind each other on stream 0.
   /// Throws CodecFaultError when an injected decompression fault fires.
   void decompress_received(Timeline& tl, const CompressionHeader& header,
-                           const RecvStaging& staging, void* user_buf,
+                           const Staging& staging, void* user_buf,
                            std::uint64_t user_bytes, bool synchronize = true,
                            int stream_hint = 0);
-
-  /// decompress_received with local kernel-relaunch recovery: an injected
-  /// transient decompression fault is retried (a fresh launch, a fresh
-  /// fault draw) up to `max_retries` times before the error propagates.
-  /// Used where no protocol-level resend exists (wire-form collectives).
-  void decompress_with_retry(Timeline& tl, const CompressionHeader& header,
-                             const RecvStaging& staging, void* user_buf,
-                             std::uint64_t user_bytes, bool synchronize = true,
-                             int max_retries = 8, int stream_hint = 0);
 
   /// Fused decompress+reduce (the collective engine's hop primitive):
   /// decode the staged payload and fold it into the device accumulator,
@@ -188,16 +170,26 @@ class CompressionManager {
   /// The injected-fault check fires BEFORE any output is produced, so the
   /// accumulator is untouched on a CodecFaultError and a relaunch is safe.
   void decompress_reduce(Timeline& tl, const CompressionHeader& header,
-                         const RecvStaging& staging, float* acc,
+                         const Staging& staging, float* acc,
                          std::uint64_t acc_bytes, comp::ReduceOp op,
                          bool synchronize = true);
 
-  /// decompress_reduce with the same local kernel-relaunch recovery as
-  /// decompress_with_retry (fresh launch, fresh fault draw per attempt).
-  void decompress_reduce_with_retry(Timeline& tl, const CompressionHeader& header,
-                                    const RecvStaging& staging, float* acc,
-                                    std::uint64_t acc_bytes, comp::ReduceOp op,
-                                    bool synchronize = true, int max_retries = 8);
+  /// Local kernel-relaunch recovery around one decompress_received or
+  /// decompress_reduce call, used where no protocol-level resend exists
+  /// (wire-form collectives): an injected transient decompression fault is
+  /// retried (a fresh launch, a fresh fault draw) up to `max_retries`
+  /// times before the error propagates.
+  template <class Decode>
+  static void retry_decode(Decode&& decode, int max_retries = 8) {
+    for (int attempt = 0;; ++attempt) {
+      try {
+        decode();
+        return;
+      } catch (const CodecFaultError&) {
+        if (attempt >= max_retries) throw;
+      }
+    }
+  }
 
   /// Plain on-device elementwise reduce of an uncompressed incoming payload
   /// into the accumulator (raw collective hops). Returns the kernel's
@@ -205,7 +197,11 @@ class CompressionManager {
   Time reduce_device(Timeline& tl, const float* in, float* acc, std::size_t n,
                      comp::ReduceOp op, bool synchronize = true);
 
-  void release_receive(Timeline& tl, RecvStaging& staging);
+  /// Return any staging this manager handed out (send wire, batch slab,
+  /// receive or pipeline staging): a held plan slot goes back to its plan,
+  /// a lease to the pool, a naive buffer to a timed cudaFree. Leaves
+  /// `staging` empty; releasing an empty staging is a no-op.
+  void release(Timeline& tl, Staging& staging);
 
   // --- chunked pipelined rendezvous (see mpi/pipeline.hpp) ---
   //
@@ -224,6 +220,7 @@ class CompressionManager {
     Time kernel_time;  // pure device occupancy (overlap telemetry)
     bool pending_truncate = false;  // injected truncate fault, applied at finish
     bool finished = false;          // raw chunks skip the finish work
+    bool replayed = false;          // launched from a captured plan (no d_off to free)
   };
 
   /// Launch compression of one pipeline chunk (`buf`, `bytes` must be the
@@ -240,25 +237,7 @@ class CompressionManager {
   /// Receiver staging for a whole pipelined transfer: ONE pooled buffer
   /// (or naive cudaMalloc) sub-allocated into `slices` per-chunk slices,
   /// so a deep pipeline costs one acquisition, not one per chunk.
-  struct PipelineStaging {
-    void* base = nullptr;
-    std::size_t slice_bytes = 0;
-    int slices = 0;
-    gpu::BufferPool::Lease lease;
-    void* naive_buffer = nullptr;
-    bool used_pool = false;
-    PlanEntry* plan = nullptr;
-    int plan_slot = -1;
-    [[nodiscard]] bool valid() const { return base != nullptr; }
-    [[nodiscard]] void* slice(int chunk_index) const {
-      return static_cast<std::uint8_t*>(base) +
-             static_cast<std::size_t>(chunk_index % slices) * slice_bytes;
-    }
-  };
-
-  PipelineStaging prepare_pipeline_receive(Timeline& tl, std::uint64_t chunk_capacity,
-                                           int slices);
-  void release_pipeline_receive(Timeline& tl, PipelineStaging& staging);
+  Staging prepare_pipeline_receive(Timeline& tl, std::uint64_t chunk_capacity, int slices);
 
   /// Launch decompression of one arrived chunk from its staging slice into
   /// `out`; returns the kernel completion time (the receive completes at
@@ -310,46 +289,91 @@ class CompressionManager {
   }
 
  private:
-  struct MpcOutput {
-    std::vector<std::uint32_t> partition_bytes;
-    std::uint64_t total_bytes = 0;
+  /// One kernel's input values: a partition of a message, a batch block
+  /// or a pipeline chunk.
+  struct Part {
+    const float* values = nullptr;
+    std::size_t n = 0;
   };
 
-  /// Run the (possibly partitioned) MPC compression kernels; writes the
-  /// compressed stream into `out` and charges all kernel/copy/readback
-  /// costs. `bd` selects sender vs receiver attribution. With `plan_mode`
-  /// the memset/kernel enqueues replay as one captured graph and the
-  /// per-call host setup is skipped (the plan already holds it).
-  MpcOutput run_mpc_compress(Timeline& tl, const float* values, std::size_t n,
-                             std::uint8_t* out, std::size_t out_capacity,
-                             Breakdown* bd, bool plan_mode = false);
-  void run_mpc_decompress(Timeline& tl, const CompressionHeader& header,
-                          const std::uint8_t* in, float* out, std::size_t n,
-                          Breakdown* bd, bool synchronize, int stream_hint = 0,
-                          bool plan_mode = false);
+  /// How one encode/decode round is launched.
+  struct Launch {
+    int blocks = 0;           // thread blocks per MPC kernel (cost model)
+    int first_stream = 0;     // kernel i runs on stream (first_stream + i) % streams
+    bool synchronize = true;  // wait for the kernels (encode: and read the sizes back)
+    PlanEntry* plan = nullptr;  // replay its captured graph; capture it on first use
+    Breakdown* bd = nullptr;    // sender or receiver attribution
+  };
 
-  std::uint64_t run_zfp_compress(Timeline& tl, const float* values, std::size_t n,
-                                 std::uint8_t* out, std::size_t out_capacity,
-                                 Breakdown* bd, bool plan_mode = false);
-  void run_zfp_decompress(Timeline& tl, const CompressionHeader& header,
-                          const std::uint8_t* in, float* out, std::size_t n,
-                          Breakdown* bd, bool synchronize, int stream_hint = 0,
-                          bool plan_mode = false);
+  /// The last kernel a round enqueued.
+  struct LastKernel {
+    Time done;  // device completion
+    Time cost;  // device occupancy
+  };
 
-  /// Acquire a staging device buffer: pooled (OPT) or cudaMalloc'ed (naive).
-  void acquire_staging(Timeline& tl, std::size_t bytes, Breakdown* bd,
-                       gpu::BufferPool::Lease& lease, void*& naive_buffer,
-                       bool& used_pool);
+  struct Encoded {
+    std::vector<std::uint32_t> sizes;  // compressed bytes per part, packed in order
+    LastKernel last;
+  };
 
-  // --- plan cache internals ---
+  struct Fold {
+    float* acc = nullptr;
+    comp::ReduceOp op = comp::ReduceOp::Sum;
+  };
+
+  /// The one encode path: per-call codec setup, one compression kernel per
+  /// part with the compressed streams packed into `out`, and (when
+  /// synchronizing) the sync, partition combine, size readback and d_off
+  /// release. `one_message`: the parts are partitions of one message —
+  /// combined in order, one size word read back each — rather than the
+  /// independent slices of a batch (one size-table readback).
+  Encoded encode(Timeline& tl, const std::vector<Part>& parts, const Staging& out,
+                 std::size_t capacity, const Launch& launch, bool one_message);
+  /// Size readback + d_off release that completes an encode round
+  /// (deferred to finish_chunk for asynchronous chunk launches).
+  void finish_encode(Timeline& tl, Algorithm algo, const std::vector<std::uint32_t>& sizes,
+                     bool one_message, bool replayed, Breakdown* bd);
+
+  /// The one decode path: fault prologue, codec setup, one decompression
+  /// kernel per stream partition, sync, d_off release, the optional fused
+  /// reduce into `fold`, and telemetry.
+  LastKernel decode(Timeline& tl, const CompressionHeader& header, const void* staged,
+                    float* out, const Launch& launch, const char* scope,
+                    const Fold* fold = nullptr);
+
+  /// Per-call host setup and teardown of a launch round (skipped when a
+  /// cached plan replays): MPC's d_off scratch, ZFP's stream/field objects.
+  void setup_codec(Timeline& tl, Algorithm algo, std::size_t d_off_bytes, bool replay,
+                   Breakdown* bd);
+  void teardown_codec(Timeline& tl, Algorithm algo, bool replay, Breakdown* bd);
+  /// Enqueue one node of a launch round: a plain launch, or under replay
+  /// the round's single graph launch (first node) and free graph nodes.
+  Time enqueue(Timeline& tl, int stream, Time cost, bool replay, bool first, Breakdown* bd,
+               sim::Phase phase);
+  /// Worst-case staging bytes for `n` values: the ZFP fixed-rate stream,
+  /// or the MPC bound plus 16 bytes of slack per partition.
+  [[nodiscard]] std::size_t staging_bytes(Algorithm algo, std::size_t n, int partitions) const;
+  /// Blocks per kernel of a message split into `partitions` (serial path).
+  [[nodiscard]] int partition_blocks(int partitions) const;
+
+  /// Injected compression-kernel fault draw. A hard launch failure is
+  /// charged its wasted enqueue here; the caller degrades to raw.
+  fault::CodecFault draw_compress_fault(Timeline& tl);
+  /// Point `w` at the caller's buffer (every raw send and fallback) and
+  /// account its bytes.
+  void send_raw(WireBlock& w, const void* buf, std::uint64_t bytes);
+  /// Stamp the running codec's parameters into a header.
+  void stamp(CompressionHeader& header, Algorithm algo) const;
+  void record(const TelemetryEvent& ev) {
+    if (telemetry_ != nullptr) telemetry_->record(ev);
+  }
+
+  /// Acquire staging for `capacity` bytes: a slot of `plan` (hit: no
+  /// acquisition; miss: the plan grows by one), or without a plan a pooled
+  /// (OPT) or cudaMalloc'ed (naive) buffer.
+  Staging acquire(Timeline& tl, PlanEntry* plan, std::size_t capacity, Breakdown* bd);
   /// Find-or-create the cache entry for a shape; nullptr when disabled.
   PlanEntry* plan_entry(PlanKind kind, Algorithm algo, std::uint64_t bytes, int param);
-  /// Hand out a staging slot from the plan (hit: no acquisition) or grow it
-  /// via acquire_staging (miss). Falls through to a plain acquisition when
-  /// `plan` is null. Returns the slot index (-1 when unplanned).
-  int plan_slot_acquire(Timeline& tl, PlanEntry* plan, std::size_t capacity, Breakdown* bd,
-                        gpu::BufferPool::Lease& lease, void*& naive_buffer, bool& used_pool);
-  void plan_slot_release(PlanEntry* plan, int slot);
   /// First-use epilogue: pay the one-time graph capture/instantiate and
   /// mark the plan replayable.
   void plan_mark_ready(Timeline& tl, PlanEntry* plan, Breakdown* bd);

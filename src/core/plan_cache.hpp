@@ -1,5 +1,6 @@
 // Compression plan cache (persistent-channel support, see mpi/channel.hpp
-// and DESIGN.md §13).
+// and DESIGN.md §13), and the one staging type every CompressionManager
+// entry point hands out.
 //
 // Iterative workloads send the same (shape, codec) message every timestep,
 // yet each call re-derives the whole launch plan: a staging acquisition, a
@@ -25,16 +26,43 @@
 
 #include "core/config.hpp"
 #include "gpu/buffer_pool.hpp"
+#include "sim/stats.hpp"
 
 namespace gcmpi::core {
 
+struct PlanEntry;
+
+/// One staging device buffer and who owns it: a BufferPool lease (OPT), a
+/// timed cudaMalloc (naive), or a slot held by a cached plan. Handed out by
+/// the CompressionManager's compress/prepare calls and returned with
+/// CompressionManager::release, whichever call acquired it. A copy refers
+/// to the same buffer; release exactly one of them.
+struct Staging {
+  void* data = nullptr;          // the device buffer; null when nothing is held
+  gpu::BufferPool::Lease lease;  // valid when pooled; else `data` is a cudaMalloc
+  sim::Breakdown* bd = nullptr;  // side (sender/receiver) its naive cudaFree is charged to
+  PlanEntry* plan = nullptr;     // set when the buffer is a held plan slot
+  int plan_slot = -1;
+  // Pipelined receives carve the buffer into equal per-chunk slices.
+  std::size_t slice_bytes = 0;
+  int slices = 1;
+
+  [[nodiscard]] bool valid() const { return data != nullptr; }
+  /// The plan's launch sequence is captured: the next use replays it.
+  [[nodiscard]] bool planned() const;
+  [[nodiscard]] void* slice(int chunk_index) const {
+    return static_cast<std::uint8_t*>(data) +
+           static_cast<std::size_t>(chunk_index % slices) * slice_bytes;
+  }
+};
+
 enum class PlanKind : std::uint8_t {
-  SendP2P,   // compress_for_send staging + launch sequence
-  Recv,      // prepare_receive staging + decompress launch sequence
+  SendP2P,   // compress_for_send: staging + launch round (param: partitions / zfp rate)
+  Recv,      // prepare_receive staging + decompress_received / decompress_reduce round
   Batch,     // compress_batch slab + offset table + batched launch round
-  ChunkSend, // per-chunk pipeline compression
-  ChunkRecv, // per-chunk pipeline decompression (graph only, no staging)
-  PipeRecv,  // prepare_pipeline_receive slice slab
+  ChunkSend, // compress_chunk: per-chunk staging + single-kernel launch
+  ChunkRecv, // decompress_chunk: launch graph only (decodes into a pipeline slice)
+  PipeRecv,  // prepare_pipeline_receive slice slab (staging only)
 };
 
 struct PlanKey {
@@ -49,9 +77,7 @@ struct PlanKey {
 /// operations (e.g. pipeline chunks in flight); the slot vector grows on
 /// demand and then serves every later iteration with zero acquisitions.
 struct PlanSlot {
-  gpu::BufferPool::Lease lease;
-  void* naive_buffer = nullptr;
-  bool used_pool = false;
+  Staging buffer;
   bool in_use = false;
 };
 
@@ -66,6 +92,8 @@ struct PlanEntry {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 };
+
+inline bool Staging::planned() const { return plan != nullptr && plan->graph_ready; }
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;                 // staging served from a held slot

@@ -15,7 +15,7 @@
 // Every slice is a WireMessage moved with isend_wire/irecv_wire, so it
 // rides the rendezvous reliability layer: a dropped or corrupted slice is
 // CRC-detected and retransmits only itself, and injected decode faults are
-// recovered by local kernel relaunch (decompress_with_retry).
+// recovered by local kernel relaunch (CompressionManager::retry_decode).
 #include <cstring>
 #include <vector>
 
@@ -71,7 +71,7 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
     sreqs.push_back(isend_wire(wires[static_cast<std::size_t>(step - 1)], dst, tag));
   }
 
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   for (int step = 1; step < P; ++step) {
     const int src = (rank_ - step + P) % P;
 
@@ -92,9 +92,10 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
       // Rotate the decode stream per slice: the P-1 decompressions are
       // independent, so they run concurrently instead of queueing on one
       // stream behind each other.
-      mgr.decompress_with_retry(tl, in.header, staging, out, block_bytes,
-                                /*synchronize=*/false, /*max_retries=*/8,
-                                /*stream_hint=*/step - 1);
+      core::CompressionManager::retry_decode([&] {
+        mgr.decompress_received(tl, in.header, staging, out, block_bytes,
+                                /*synchronize=*/false, /*stream_hint=*/step - 1);
+      });
       stagings.push_back(std::move(staging));
     } else if (!in.payload->empty()) {
       std::memcpy(out, in.payload->data(), in.payload->size());
@@ -110,7 +111,7 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
   sim::Timeline end(ctx_.now());
   const sim::Time s0 = end.now();
   gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release_receive(end, s);
+  for (auto& s : stagings) mgr.release(end, s);
   ctx_.advance_to(end.now());
   st.reduce_busy += ctx_.now() - s0;
 

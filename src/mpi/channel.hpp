@@ -109,7 +109,7 @@ struct Channel {
   // --- receiver side ---
   std::uint32_t next_consume_seq = 0;
   core::CompressionHeader tmpl;  // cached at warm-up, expands RepeatHeaders
-  core::CompressionManager::RecvStaging staging;  // held across iterations
+  core::Staging staging;  // held across iterations
   bool staging_held = false;
 
   // --- telemetry (flushed as one ChannelRecord at end of run) ---

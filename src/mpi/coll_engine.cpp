@@ -69,12 +69,12 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
   // Offset -1 schedule: at step t this member sends shard (pos-t-1) and
   // receives shard (pos-t-2), so after N-1 steps position s owns the fully
   // reduced shard s (MPI_Reduce_scatter_block placement for free).
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   bool kernels_in_flight = false;
   auto drain = [&] {
     sim::Timeline tl(ctx_.now());
     gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release_receive(tl, s);
+    for (auto& s : stagings) mgr.release(tl, s);
     stagings.clear();
     ctx_.advance_to(tl.now());
     kernels_in_flight = false;
@@ -118,8 +118,10 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
       if (in.header.compressed) {
         auto staging = mgr.prepare_receive(tl, in.header);
         std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        mgr.decompress_reduce_with_retry(tl, in.header, staging, acc + rlo, rlen * 4, op,
-                                         /*synchronize=*/false);
+        core::CompressionManager::retry_decode([&] {
+          mgr.decompress_reduce(tl, in.header, staging, acc + rlo, rlen * 4, op,
+                                /*synchronize=*/false);
+        });
         stagings.push_back(staging);
       } else {
         (void)mgr.reduce_device(tl,
@@ -162,7 +164,7 @@ void Rank::ring_allgather_members(const std::vector<int>& members, int pos, floa
     }
   }
 
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   for (int step = 0; step < N - 1; ++step) {
     const int send_s = (pos - step + 2 * N) % N;
     const int recv_s = (pos - step - 1 + 2 * N) % N;
@@ -189,8 +191,10 @@ void Rank::ring_allgather_members(const std::vector<int>& members, int pos, floa
       if (in.header.compressed) {
         auto staging = mgr.prepare_receive(tl, in.header);
         std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        mgr.decompress_with_retry(tl, in.header, staging, acc + rlo, rlen * 4,
+        core::CompressionManager::retry_decode([&] {
+          mgr.decompress_received(tl, in.header, staging, acc + rlo, rlen * 4,
                                   /*synchronize=*/false);
+        });
         stagings.push_back(staging);
       } else {
         std::memcpy(acc + rlo, in.payload->data(), in.payload->size());
@@ -203,7 +207,7 @@ void Rank::ring_allgather_members(const std::vector<int>& members, int pos, floa
   // Drain the overlapped decompressions and return the pool buffers.
   sim::Timeline end(ctx_.now());
   gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release_receive(end, s);
+  for (auto& s : stagings) mgr.release(end, s);
   ctx_.advance_to(end.now());
 }
 
@@ -263,7 +267,7 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
     // Phase 1: fold the node's members into the leader accumulator in
     // ascending rank order (the canonical intra-node order), fused on-GPU.
     auto& mgr = compression();
-    std::vector<core::CompressionManager::RecvStaging> stagings;
+    std::vector<core::Staging> stagings;
     for (int m = leader + 1; m < node_end; ++m) {
       sim::Time t0 = ctx_.now();
       WireMessage in;
@@ -275,8 +279,10 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
       if (in.header.compressed) {
         auto staging = mgr.prepare_receive(tl, in.header);
         std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        mgr.decompress_reduce_with_retry(tl, in.header, staging, acc, n * 4, op,
-                                         /*synchronize=*/false);
+        core::CompressionManager::retry_decode([&] {
+          mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op,
+                                /*synchronize=*/false);
+        });
         stagings.push_back(staging);
       } else {
         (void)mgr.reduce_device(tl,
@@ -292,7 +298,7 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
       // recompresses shards of the accumulator.
       sim::Timeline tl(ctx_.now());
       gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-      for (auto& s : stagings) mgr.release_receive(tl, s);
+      for (auto& s : stagings) mgr.release(tl, s);
       ctx_.advance_to(tl.now());
     }
 

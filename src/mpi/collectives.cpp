@@ -209,7 +209,7 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   std::vector<WireMessage> wires(static_cast<std::size_t>(P));
   wires[static_cast<std::size_t>(rank_)] = make_wire(sendbuf, block_bytes);
 
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   sim::Timeline tl(ctx_.now());
   for (int step = 0; step < P - 1; ++step) {
     const int send_idx = (rank_ - step + P) % P;
@@ -226,8 +226,10 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
     if (incoming.header.compressed) {
       auto staging = mgr.prepare_receive(tl, incoming.header);
       std::memcpy(staging.data, incoming.payload->data(), incoming.payload->size());
-      mgr.decompress_with_retry(tl, incoming.header, staging, dst, block_bytes,
+      core::CompressionManager::retry_decode([&] {
+        mgr.decompress_received(tl, incoming.header, staging, dst, block_bytes,
                                 /*synchronize=*/false);
+      });
       stagings.push_back(staging);
     } else {
       std::memcpy(dst, incoming.payload->data(), incoming.payload->size());
@@ -238,7 +240,7 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   // Drain the overlapped decompression kernels and return the pool buffers.
   sim::Timeline end(ctx_.now());
   gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release_receive(end, s);
+  for (auto& s : stagings) mgr.release(end, s);
   ctx_.advance_to(end.now());
 }
 
@@ -284,13 +286,13 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
   std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
 
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   bool kernels_in_flight = false;
   auto drain = [&] {
     const sim::Time t0 = ctx_.now();
     sim::Timeline tl(ctx_.now());
     gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release_receive(tl, s);
+    for (auto& s : stagings) mgr.release(tl, s);
     stagings.clear();
     ctx_.advance_to(tl.now());
     kernels_in_flight = false;
@@ -312,8 +314,10 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
         if (in.header.compressed) {
           auto staging = mgr.prepare_receive(tl, in.header);
           std::memcpy(staging.data, in.payload->data(), in.payload->size());
-          mgr.decompress_reduce_with_retry(tl, in.header, staging, acc, n * 4, op,
-                                           /*synchronize=*/false);
+          core::CompressionManager::retry_decode([&] {
+            mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op,
+                                  /*synchronize=*/false);
+          });
           stagings.push_back(staging);
         } else {
           (void)mgr.reduce_device(tl, reinterpret_cast<const float*>(in.payload->data()),

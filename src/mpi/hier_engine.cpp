@@ -281,7 +281,7 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
                   static_cast<std::uint64_t>(node_count(my_node)) * block_bytes);
     st.compress_busy += ctx_.now() - t0;
   }
-  std::vector<core::CompressionManager::RecvStaging> stagings;
+  std::vector<core::Staging> stagings;
   for (int step = 0; step < nodes - 1; ++step) {
     const int send_n = (my_node - step + nodes) % nodes;
     const int recv_n = (my_node - step - 1 + nodes) % nodes;
@@ -301,8 +301,9 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
     if (in.header.compressed) {
       auto staging = mgr.prepare_receive(tl, in.header);
       std::memcpy(staging.data, in.payload->data(), in.payload->size());
-      mgr.decompress_with_retry(tl, in.header, staging, dst, slab,
-                                /*synchronize=*/false);
+      core::CompressionManager::retry_decode([&] {
+        mgr.decompress_received(tl, in.header, staging, dst, slab, /*synchronize=*/false);
+      });
       stagings.push_back(staging);
     } else {
       std::memcpy(dst, in.payload->data(), in.payload->size());
@@ -316,7 +317,7 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
     const sim::Time t0 = ctx_.now();
     sim::Timeline end(ctx_.now());
     gpu().device_synchronize(end, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release_receive(end, s);
+    for (auto& s : stagings) mgr.release(end, s);
     ctx_.advance_to(end.now());
     st.reduce_busy += ctx_.now() - t0;
   }

@@ -214,7 +214,7 @@ WireMessage World::do_make_wire(sim::ActorContext& ctx, int rank, const void* bu
   Timeline tl(ctx.now());
   auto wire = state.mgr->compress_for_send(tl, buf, bytes);
   WireMessage msg = stage_wire(wire.header, wire.data, wire.bytes);
-  state.mgr->release_send(tl, wire);
+  state.mgr->release(tl, wire.staging);
   ctx.advance_to(tl.now());
   return msg;
 }
@@ -247,7 +247,7 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
       const auto& b = batch.blocks[k];
       out[index[k]] = stage_wire(b.header, b.data, b.bytes);
     }
-    state.mgr->release_batch(tl, batch);
+    state.mgr->release(tl, batch.staging);
   }
   ctx.advance_to(tl.now());
   return out;
@@ -371,8 +371,8 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   // Receiver prepares the temporary device buffer for the compressed
   // payload (Algorithm 2), then clears the sender to send. Wire-form
   // receives keep the payload compressed, so no staging buffer is needed.
-  auto staging = std::make_shared<core::CompressionManager::RecvStaging>(
-      recv.wire_out != nullptr ? core::CompressionManager::RecvStaging{}
+  auto staging = std::make_shared<core::Staging>(
+      recv.wire_out != nullptr ? core::Staging{}
                                : state.mgr->prepare_receive(tl, rts.header));
   auto tx = std::make_shared<RndvTransfer>();
   tx->env = rts.env;
@@ -525,7 +525,7 @@ void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
       nack_segment(tx, 0, tl.now(), true);
       return;
     }
-    state.mgr->release_receive(tl, *tx->staging);
+    state.mgr->release(tl, *tx->staging);
   } else {
     if (tx->recv.capacity < tx->env.bytes) {
       throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
@@ -534,7 +534,7 @@ void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
     if (tx->staging->data != nullptr) {
       // A decode-fault fallback switched the transfer to raw after the
       // receiver had already staged for the compressed form.
-      state.mgr->release_receive(tl, *tx->staging);
+      state.mgr->release(tl, *tx->staging);
     }
   }
 
@@ -557,7 +557,7 @@ void World::fail_transfer(const RndvPtr& tx, Time at) {
   tx->seg.done = true;
   if (tx->staging->data != nullptr) {
     Timeline tl(at);
-    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release_receive(tl, *tx->staging);
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, *tx->staging);
   }
   fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
@@ -738,7 +738,7 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
       ch->staging = state.mgr->prepare_receive(tl, synth);
       ch->staging_held = true;
     }
-    const bool planned = ch->staging.plan != nullptr && ch->staging.plan->graph_ready;
+    const bool planned = ch->staging.planned();
     std::memcpy(ch->staging.data, delivered->data(), delivered->size());
     try {
       state.mgr->decompress_received(tl, header, ch->staging, recv.buf, recv.capacity);
@@ -944,7 +944,7 @@ void World::pipeline_chunk_ready(const PipePtr& tx, int chunk,
   Segment& seg = tx->segment(chunk);
   seg.header = std::move(staged.header);
   seg.payload = std::move(staged.payload);
-  state.mgr->release_send(tl, ck->wire);
+  state.mgr->release(tl, ck->wire.staging);
   tx->send_cursor = tl.now();
   const net::Fabric::Delivery d = push_segment(tx, chunk, tx->send_cursor);
   tx->wire_total += seg.payload->size();
@@ -1014,7 +1014,7 @@ void World::finish_pipeline(const PipePtr& tx) {
   Timeline tl(engine_.now());
   // One final cudaStreamSynchronize before the user buffer is handed over.
   tl.advance(state.gpu->costs().stream_sync);
-  state.mgr->release_pipeline_receive(tl, tx->staging);
+  state.mgr->release(tl, tx->staging);
   if (tx->recv.wire_out != nullptr) {
     const std::uint32_t crc = reliability_ ? payload_crc(*tx->assemble) : 0;
     *tx->recv.wire_out = WireMessage{raw_header(tx->env.bytes, crc), tx->assemble};
@@ -1037,7 +1037,7 @@ void World::fail_transfer(const PipePtr& tx, Time at) {
   }
   if (tx->staging.valid()) {
     Timeline tl(at);
-    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release_pipeline_receive(tl, tx->staging);
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, tx->staging);
   }
   fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
@@ -1179,8 +1179,9 @@ void Rank::decompress_wire(const WireMessage& msg, void* buf, std::uint64_t capa
     if (!msg.payload->empty()) std::memcpy(staging.data, msg.payload->data(), msg.payload->size());
     // Wire-form receives have no protocol-level resend path, so injected
     // decompression faults are recovered by relaunching the kernels.
-    mgr.decompress_with_retry(tl, msg.header, staging, buf, capacity);
-    mgr.release_receive(tl, staging);
+    core::CompressionManager::retry_decode(
+        [&] { mgr.decompress_received(tl, msg.header, staging, buf, capacity); });
+    mgr.release(tl, staging);
   } else {
     if (capacity < msg.payload->size()) {
       throw std::runtime_error("decompress_wire: buffer too small");

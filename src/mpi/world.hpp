@@ -393,7 +393,7 @@ class World {
     Segment seg;
     Request send_req;
     PostedRecv recv;
-    std::shared_ptr<core::CompressionManager::RecvStaging> staging;
+    std::shared_ptr<core::Staging> staging;
     const void* sender_buf = nullptr;
 
     Segment& segment(int) { return seg; }
@@ -439,7 +439,7 @@ class World {
     int chunks = 0;
     int window = 0;  // max chunks concurrently in flight
     int blocks = 0;  // thread blocks per chunk kernel (SMs / window)
-    core::CompressionManager::PipelineStaging staging;  // receiver slices
+    core::Staging staging;  // receiver slices
     Payload assemble;  // wire-form receivers: chunks reassemble here
 
     // Progress-thread host cursors: per-chunk host work (launches, size

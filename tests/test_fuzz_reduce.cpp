@@ -85,7 +85,7 @@ std::optional<std::string> fused_matches_host(const CompressionConfig& cfg,
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const CompressionHeader header = wire.header;
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
 
   // Reference: whatever the plain decompress path yields, folded on host.
   std::vector<float> decoded(n, -1.0f);
@@ -93,7 +93,7 @@ std::optional<std::string> fused_matches_host(const CompressionConfig& cfg,
     auto staging = mgr.prepare_receive(tl, header);
     std::memcpy(staging.data, staged.data(), staged.size());
     mgr.decompress_received(tl, header, staging, decoded.data(), n * 4);
-    mgr.release_receive(tl, staging);
+    mgr.release(tl, staging);
   } else if (!staged.empty()) {
     std::memcpy(decoded.data(), staged.data(), staged.size());
   }
@@ -107,7 +107,7 @@ std::optional<std::string> fused_matches_host(const CompressionConfig& cfg,
       auto staging = mgr.prepare_receive(tl, header);
       std::memcpy(staging.data, staged.data(), staged.size());
       mgr.decompress_reduce(tl, header, staging, acc.data(), n * 4, op);
-      mgr.release_receive(tl, staging);
+      mgr.release(tl, staging);
     } else {
       if (!staged.empty()) std::memcpy(decoded.data(), staged.data(), staged.size());
       mgr.reduce_device(tl, decoded.data(), acc.data(), n, op);
@@ -213,7 +213,7 @@ TEST(FuzzReduce, FpcDoubleRoundTripThenReduceIsLossless) {
 TEST(FuzzReduce, FusedFaultRetryLeavesAccumulatorIntact) {
   // A decompression fault must be raised BEFORE the accumulator is touched
   // so a kernel relaunch reduces exactly once (retry safety of the ring's
-  // per-hop recovery). decompress_reduce_with_retry hides the fault; the
+  // per-hop recovery). CompressionManager::retry_decode hides the fault; the
   // result must match the fault-free fold.
   const std::size_t n = 2048;
   const auto payload = make_floats(PayloadKind::SmoothField, n, 7);
@@ -234,7 +234,7 @@ TEST(FuzzReduce, FusedFaultRetryLeavesAccumulatorIntact) {
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const CompressionHeader header = wire.header;
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
 
   std::vector<float> expect = accumulator_for(n);
   reduce_inplace(expect.data(), payload.data(), n, ReduceOp::Sum);
@@ -245,9 +245,9 @@ TEST(FuzzReduce, FusedFaultRetryLeavesAccumulatorIntact) {
     auto staging = mgr.prepare_receive(tl, header);
     std::memcpy(staging.data, staged.data(), staged.size());
     const auto before = mgr.stats().codec_faults;
-    mgr.decompress_reduce_with_retry(tl, header, staging, acc.data(), n * 4,
-                                     ReduceOp::Sum);
-    mgr.release_receive(tl, staging);
+    CompressionManager::retry_decode(
+        [&] { mgr.decompress_reduce(tl, header, staging, acc.data(), n * 4, ReduceOp::Sum); });
+    mgr.release(tl, staging);
     if (mgr.stats().codec_faults > before) ++faulted_runs;
     ASSERT_EQ(std::memcmp(expect.data(), acc.data(), n * 4), 0)
         << "trial " << trial << " (faults so far: " << mgr.stats().codec_faults << ")";

@@ -6,18 +6,24 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/manager.hpp"
 #include "data/datasets.hpp"
+#include "fault/injector.hpp"
 #include "sim/rng.hpp"
 #include "sim/timeline.hpp"
+#include "support/sha256.hpp"
 
 namespace {
 
 using namespace gcmpi::core;
 using gcmpi::gpu::Gpu;
 using gcmpi::gpu::v100_spec;
+using gcmpi::sim::Breakdown;
 using gcmpi::sim::Phase;
 using gcmpi::sim::Time;
 using gcmpi::sim::Timeline;
@@ -42,14 +48,14 @@ std::vector<float> pump(CompressionManager& mgr, const float* buf, std::size_t b
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const CompressionHeader header = wire.header;
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
 
   std::vector<float> out(header.original_bytes / 4, -1.0f);
   if (header.compressed) {
     auto staging = mgr.prepare_receive(tl, header);
     std::memcpy(staging.data, staged.data(), staged.size());
     mgr.decompress_received(tl, header, staging, out.data(), out.size() * 4);
-    mgr.release_receive(tl, staging);
+    mgr.release(tl, staging);
   } else {
     std::memcpy(out.data(), staged.data(), staged.size());
   }
@@ -128,7 +134,7 @@ TEST(Manager, IncompressibleDataFallsBackToRaw) {
   EXPECT_EQ(wire.data, dev);  // raw send, no staging held
   EXPECT_EQ(mgr.stats().messages_fallback_raw, 1u);
   EXPECT_GT(tl.now(), Time::zero());  // the kernel time was genuinely wasted
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
 }
 
 TEST(Manager, NaiveChargesMallocOptDoesNot) {
@@ -189,17 +195,17 @@ TEST(Manager, MpcPartitionCountFollowsTuningTable) {
   Timeline tl(Time::zero());
   auto wire = mgr.compress_for_send(tl, f.device_buf, 32ull << 20);
   EXPECT_EQ(wire.header.partitions(), 8);  // >8MB rule
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
 
   Timeline t2(Time::zero());
   auto wire2 = mgr.compress_for_send(t2, f.device_buf, 1ull << 20);
   EXPECT_EQ(wire2.header.partitions(), 2);  // <=2MB rule
-  mgr.release_send(t2, wire2);
+  mgr.release(t2, wire2.staging);
 
   Timeline t3(Time::zero());
   auto wire3 = mgr.compress_for_send(t3, f.device_buf, 256ull << 10);
   EXPECT_EQ(wire3.header.partitions(), 1);  // <=512KB rule
-  mgr.release_send(t3, wire3);
+  mgr.release(t3, wire3.staging);
 }
 
 TEST(Manager, PartitionedMpcRestoresExactly) {
@@ -224,6 +230,298 @@ TEST(Manager, StatsAccumulateAcrossMessages) {
   EXPECT_NEAR(mgr.stats().achieved_ratio(), 4.0, 0.01);  // rate 8 => 4x
   mgr.reset_stats();
   EXPECT_EQ(mgr.stats().messages_considered, 0u);
+}
+
+TEST(Manager, WarmPlanChargesNoAllocation) {
+  // A replayed plan holds its staging and its d_off scratch, so once warm
+  // no entry point may charge a cudaMalloc or cudaFree, naive schemes
+  // included.
+  const std::size_t n = (1u << 20) / 4;
+  for (const auto& [name, cfg] : {std::pair{"mpc_naive", CompressionConfig::mpc_naive()},
+                                  std::pair{"zfp_naive16", CompressionConfig::zfp_naive(16)}}) {
+    Fixture f(n);
+    CompressionManager mgr(f.gpu, cfg);
+    mgr.enable_plan_cache(true);
+    Timeline tl(Time::zero());
+    std::vector<float> out(n);
+
+    const auto serial = [&] {
+      auto wire = mgr.compress_for_send(tl, f.device_buf, n * 4);
+      ASSERT_TRUE(wire.header.compressed);
+      auto staging = mgr.prepare_receive(tl, wire.header);
+      std::memcpy(staging.data, wire.data, wire.bytes);
+      mgr.decompress_received(tl, wire.header, staging, out.data(), n * 4);
+      mgr.release(tl, staging);
+      mgr.release(tl, wire.staging);
+    };
+    const auto batched = [&] {
+      auto batch = mgr.compress_batch(
+          tl, {{f.device_buf, 256u << 10}, {f.device_buf + (64u << 10), 512u << 10}});
+      for (const auto& b : batch.blocks) {
+        ASSERT_TRUE(b.header.compressed);
+        auto staging = mgr.prepare_receive(tl, b.header);
+        std::memcpy(staging.data, b.data, b.bytes);
+        mgr.decompress_received(tl, b.header, staging, out.data(), n * 4);
+        mgr.release(tl, staging);
+      }
+      mgr.release(tl, batch.staging);
+    };
+    const auto chunked = [&] {
+      const std::uint64_t chunk = 256u << 10;
+      auto pipe = mgr.prepare_pipeline_receive(tl, chunk, 2);
+      for (int i = 0; i < 2; ++i) {
+        const float* src = f.device_buf + static_cast<std::size_t>(i) * (chunk / 4);
+        auto ck = mgr.compress_chunk(tl, src, chunk, i, 20);
+        tl.advance_to(ck.kernel_done);
+        mgr.finish_chunk(tl, ck, src, chunk);
+        ASSERT_TRUE(ck.wire.header.compressed);
+        std::memcpy(pipe.slice(i), ck.wire.data, ck.wire.bytes);
+        mgr.decompress_chunk(tl, ck.wire.header, pipe.slice(i), out.data(), chunk, i, 20);
+        mgr.release(tl, ck.wire.staging);
+      }
+      mgr.release(tl, pipe);
+    };
+
+    const auto allocation = [&] {
+      return mgr.sender_breakdown().get(Phase::MemoryAllocation) +
+             mgr.receiver_breakdown().get(Phase::MemoryAllocation);
+    };
+    for (const auto& [entry, run] : {std::pair<const char*, std::function<void()>>{"serial", serial},
+                                     {"batch", batched},
+                                     {"chunk", chunked}}) {
+      run();  // cold: acquires the staging and captures the plan
+      const Time alloc_before = allocation();
+      const auto acquisitions_before = mgr.staging_acquisitions();
+      run();
+      EXPECT_EQ(allocation().count_ns(), alloc_before.count_ns()) << name << ' ' << entry;
+      EXPECT_EQ(mgr.staging_acquisitions(), acquisitions_before) << name << ' ' << entry;
+    }
+  }
+}
+
+// --- Charge pin -------------------------------------------------------------
+//
+// Every manager entry point (serial send/receive, fused reduce, batch, and
+// the pipelined chunk calls) under the four paper configurations, with the
+// plan cache off (one pass) and on (three passes), on compressible and
+// incompressible payloads, plus a seeded fault schedule. The log records
+// the virtual clock after each call, both breakdowns per phase, headers and
+// wire bytes, decoded output, stats, plan stats, staging acquisitions and
+// telemetry; its SHA-256 is pinned so a refactor of the manager cannot
+// move a charge unnoticed.
+
+struct ChargeCell {
+  const char* name;
+  CompressionConfig cfg;
+  bool plan_cache;
+  bool incompressible;
+  bool faults;
+};
+
+/// FNV-1a: the log only needs to change when the bytes do.
+std::uint64_t bytes_digest(const void* data, std::size_t bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (std::size_t i = 0; i < bytes; ++i) {
+    h = (h ^ static_cast<const std::uint8_t*>(data)[i]) * 1099511628211ull;
+  }
+  return h;
+}
+
+std::string charge_log(const ChargeCell& c, const std::vector<float>& payload,
+                       std::uint64_t* faults_seen) {
+  // Two streams, so batches and chunk sequences wrap around.
+  Gpu gpu{v100_spec(), 2};
+  const std::size_t n = payload.size();
+  auto* dev = static_cast<float*>(gpu.malloc_device_untimed(n * 4));
+  std::memcpy(dev, payload.data(), n * 4);
+  std::vector<float> host_block(16384, 1.0f);  // ineligible: host memory
+
+  CompressionManager mgr(gpu, c.cfg);
+  Telemetry telemetry;
+  mgr.attach_telemetry(&telemetry, 0);
+  auto plan = gcmpi::fault::FaultPlan::lossy(99, 0.0, 0.0);
+  plan.compress_fail_probability = 0.2;
+  plan.compress_truncate_probability = 0.2;
+  plan.decompress_fail_probability = 0.25;
+  gcmpi::fault::FaultInjector injector(plan);
+  if (c.faults) mgr.attach_fault_injector(&injector);
+  mgr.enable_plan_cache(c.plan_cache);
+
+  Timeline tl(Time::zero());
+  std::ostringstream log;
+  log << c.name << (c.plan_cache ? " plan" : " cold") << (c.incompressible ? " noise" : " smooth")
+      << (c.faults ? " faults" : "") << '\n';
+  const auto mark = [&](const char* what) {
+    log << what << " t=" << tl.now().count_ns();
+    for (std::size_t p = 0; p < Breakdown::kPhases; ++p) {
+      log << ' ' << mgr.sender_breakdown().get(static_cast<Phase>(p)).count_ns() << '/'
+          << mgr.receiver_breakdown().get(static_cast<Phase>(p)).count_ns();
+    }
+    log << '\n';
+  };
+  const auto wire_line = [&](const CompressionHeader& h, const void* data, std::uint64_t bytes) {
+    const auto ser = h.serialize();
+    log << "  hdr " << bytes_digest(ser.data(), ser.size()) << " wire " << bytes << ' '
+        << bytes_digest(data, bytes) << '\n';
+  };
+
+  std::vector<float> out(n);
+  const int passes = c.plan_cache ? 3 : 1;
+  for (int pass = 0; pass < passes; ++pass) {
+    // Serial: compress_for_send -> prepare_receive -> decompress_received,
+    // then the same wire through the fused reduce.
+    auto wire = mgr.compress_for_send(tl, dev, n * 4);
+    mark("send");
+    wire_line(wire.header, wire.data, wire.bytes);
+    const CompressionHeader header = wire.header;
+    std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
+                                     static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
+    mgr.release(tl, wire.staging);
+    mark("release_send");
+    if (header.compressed) {
+      auto staging = mgr.prepare_receive(tl, header);
+      mark("prepare_receive");
+      std::memcpy(staging.data, staged.data(), staged.size());
+      try {
+        CompressionManager::retry_decode(
+            [&] { mgr.decompress_received(tl, header, staging, out.data(), n * 4); }, 1);
+        log << "  out " << bytes_digest(out.data(), n * 4) << '\n';
+      } catch (const CodecFaultError&) {
+        log << "  decode fault\n";
+      }
+      mark("decompress_received");
+      std::vector<float> acc(n, 0.5f);
+      try {
+        CompressionManager::retry_decode(
+            [&] {
+              mgr.decompress_reduce(tl, header, staging, acc.data(), n * 4,
+                                    gcmpi::comp::ReduceOp::Sum);
+            },
+            1);
+        log << "  acc " << bytes_digest(acc.data(), n * 4) << '\n';
+      } catch (const CodecFaultError&) {
+        log << "  reduce fault\n";
+      }
+      mark("decompress_reduce");
+      mgr.release(tl, staging);
+      mark("release_receive");
+    }
+
+    // Batch: three eligible device blocks (wrapping the two streams) and
+    // one ineligible host block, decoded unsynchronized on rotated streams.
+    const std::vector<CompressionManager::BatchInput> inputs = {
+        {dev, 256u << 10},
+        {host_block.data(), host_block.size() * 4},
+        {dev + (256u << 8), 512u << 10},
+        {dev + (768u << 8), 256u << 10}};
+    auto batch = mgr.compress_batch(tl, inputs);
+    mark("compress_batch");
+    std::vector<Staging> stagings;
+    for (std::size_t k = 0; k < batch.blocks.size(); ++k) {
+      const auto& b = batch.blocks[k];
+      wire_line(b.header, b.data, b.bytes);
+      if (!b.header.compressed) continue;
+      auto s = mgr.prepare_receive(tl, b.header);
+      std::memcpy(s.data, b.data, b.bytes);
+      try {
+        CompressionManager::retry_decode(
+            [&] {
+              mgr.decompress_received(tl, b.header, s, out.data(), n * 4,
+                                      /*synchronize=*/false,
+                                      /*stream_hint=*/static_cast<int>(k) + 1);
+            },
+            1);
+        log << "  out " << bytes_digest(out.data(), b.header.original_bytes) << '\n';
+      } catch (const CodecFaultError&) {
+        log << "  decode fault\n";
+      }
+      mark("decompress_block");
+      stagings.push_back(s);
+    }
+    gpu.device_synchronize(tl, &mgr.receiver_breakdown());
+    mark("device_synchronize");
+    for (auto& s : stagings) mgr.release(tl, s);
+    mgr.release(tl, batch.staging);
+    mark("release_batch");
+
+    // Pipelined chunks: four 128 KiB chunks through compress_chunk /
+    // finish_chunk and decompress_chunk into a two-slice receive staging.
+    const std::uint64_t chunk = 128u << 10;
+    mgr.note_pipelined_message();
+    auto pipe = mgr.prepare_pipeline_receive(tl, chunk, 2);
+    mark("prepare_pipeline_receive");
+    for (int i = 0; i < 4; ++i) {
+      const float* src = dev + static_cast<std::size_t>(i) * (chunk / 4);
+      auto ck = mgr.compress_chunk(tl, src, chunk, i, 20);
+      log << "  kernel " << ck.kernel_done.count_ns() << ' ' << ck.kernel_time.count_ns() << '\n';
+      mark("compress_chunk");
+      tl.advance_to(ck.kernel_done);
+      mgr.finish_chunk(tl, ck, src, chunk);
+      mark("finish_chunk");
+      wire_line(ck.wire.header, ck.wire.data, ck.wire.bytes);
+      void* slice = pipe.slice(i);
+      std::memcpy(slice, ck.wire.data, ck.wire.bytes);
+      try {
+        Time kernel;
+        const Time done = mgr.decompress_chunk(tl, ck.wire.header, slice, out.data(), chunk, i,
+                                               20, &kernel);
+        log << "  done " << done.count_ns() << ' ' << kernel.count_ns() << '\n';
+      } catch (const CodecFaultError&) {
+        log << "  chunk fault\n";
+      }
+      mark("decompress_chunk");
+      mgr.release(tl, ck.wire.staging);
+      mark("release_chunk");
+    }
+    mgr.release(tl, pipe);
+    mark("release_pipeline_receive");
+  }
+
+  const auto& s = mgr.stats();
+  log << "stats " << s.messages_considered << ' ' << s.messages_compressed << ' '
+      << s.messages_fallback_raw << ' ' << s.codec_faults << ' ' << s.original_bytes << ' '
+      << s.wire_bytes << ' ' << s.pipelined_messages << ' ' << s.pipeline_chunks_compressed
+      << ' ' << s.pipeline_chunks_raw << '\n';
+  const auto& ps = mgr.plan_stats();
+  log << "plans " << ps.hits << ' ' << ps.misses << ' ' << ps.graphs_instantiated
+      << " acquisitions " << mgr.staging_acquisitions() << '\n';
+  for (const auto& ev : telemetry.events()) {
+    log << "ev " << ev.at.count_ns() << ' ' << event_kind_name(ev.kind) << ' '
+        << algorithm_name(ev.algorithm) << ' ' << ev.original_bytes << ' ' << ev.wire_bytes
+        << ' ' << ev.duration.count_ns() << ' ' << ev.channel << '\n';
+  }
+  *faults_seen += s.codec_faults;
+  return log.str();
+}
+
+TEST(Manager, ChargeDigestIsPinned) {
+  const std::vector<std::pair<const char*, CompressionConfig>> configs = {
+      {"mpc_opt", CompressionConfig::mpc_opt()},
+      {"mpc_naive", CompressionConfig::mpc_naive()},
+      {"zfp_opt8", CompressionConfig::zfp_opt(8)},
+      {"zfp_naive16", CompressionConfig::zfp_naive(16)}};
+  const std::size_t n = (1u << 20) / 4;
+  const std::vector<float> smooth = gcmpi::data::smooth_field(n, 1e-4, 11);
+  std::vector<float> noise(n);
+  gcmpi::sim::Rng rng(5);
+  for (auto& x : noise) {
+    const std::uint32_t b = rng.next_u32() & 0xBFFFFFFFu;  // finite, |x| < 2
+    std::memcpy(&x, &b, 4);
+  }
+  std::string all;
+  std::uint64_t faults_seen = 0;
+  for (const auto& [name, cfg] : configs) {
+    for (const bool plan_cache : {false, true}) {
+      for (const auto& [noisy, faults] : {std::pair{false, false}, {true, false}, {false, true}}) {
+        all += charge_log({name, cfg, plan_cache, noisy, faults}, noisy ? noise : smooth,
+                          &faults_seen);
+      }
+    }
+  }
+  EXPECT_GT(faults_seen, 0u) << "the seeded fault schedule never fired";
+  EXPECT_EQ(gcmpi::testing::sha256_hex({reinterpret_cast<const std::uint8_t*>(all.data()),
+                                        all.size()}),
+            "cb0148c5a1e8ef764efe3a87cdb47de0ffb8e383a2a28b36171a884be7964af0");
 }
 
 }  // namespace

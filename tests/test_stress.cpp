@@ -187,14 +187,14 @@ TEST_P(ManagerConfigMatrix, EveryToggleComboRoundTripsLosslessly) {
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const auto header = wire.header;
-  mgr.release_send(tl, wire);
+  mgr.release(tl, wire.staging);
   ASSERT_TRUE(header.compressed);
 
   std::vector<float> out(n);
   auto staging = mgr.prepare_receive(tl, header);
   std::memcpy(staging.data, staged.data(), staged.size());
   mgr.decompress_received(tl, header, staging, out.data(), n * 4);
-  mgr.release_receive(tl, staging);
+  mgr.release(tl, staging);
   EXPECT_EQ(std::memcmp(out.data(), data.data(), n * 4), 0) << "toggle bits " << bits;
   EXPECT_GT(tl.now(), Time::zero());
 }
