@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks of the REAL codec implementations (CPU
-// wall-clock, this machine): MPC, ZFP at several rates, FPC, plus the
-// CRC32C wire checksum on its hardware and portable paths. These measure
-// our from-scratch implementations honestly — the GPU throughputs used in
-// the simulation come from the calibrated model, not from these numbers.
+// wall-clock, this machine): MPC on its dispatched and portable paths, ZFP
+// at several rates, FPC, plus the CRC32C wire checksum on its hardware and
+// portable paths. These measure our from-scratch implementations honestly
+// — the GPU throughputs used in the simulation come from the calibrated
+// model, not from these numbers.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -25,32 +26,67 @@ const std::vector<float>& payload() {
   return data;
 }
 
-void BM_MpcCompress(benchmark::State& state) {
-  const auto& in = payload();
+// 4 MiB MPC payloads: msg_sweep3d (range 0, ratio ~1.5: dense tiles, so the
+// transpose and zero elimination set the pace) and msg_sppm (range 1, ratio
+// ~11: mostly empty tiles, so the d = 1 decode recurrence sets it).
+const std::vector<float>& mpc_payload(std::int64_t which) {
+  static const auto sppm = data::generate("msg_sppm", (4u << 20) / 4);
+  return which == 0 ? payload() : sppm;
+}
+
+template <auto Compress>
+void BM_MpcCompressImpl(benchmark::State& state) {
+  const auto& in = mpc_payload(state.range(1));
   comp::MpcCodec codec(static_cast<int>(state.range(0)));
   std::vector<std::uint8_t> out(codec.max_compressed_bytes(in.size()));
   std::size_t size = 0;
   for (auto _ : state) {
-    size = codec.compress(in, out);
+    size = (codec.*Compress)(in, out);
     benchmark::DoNotOptimize(size);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 4));
   state.counters["ratio"] = static_cast<double>(in.size() * 4) / static_cast<double>(size);
 }
-BENCHMARK(BM_MpcCompress)->Arg(1)->Arg(4);
 
-void BM_MpcDecompress(benchmark::State& state) {
-  const auto& in = payload();
+template <auto Decompress>
+void BM_MpcDecompressImpl(benchmark::State& state) {
+  const auto& in = mpc_payload(state.range(0));
   comp::MpcCodec codec(1);
   std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
   const std::size_t size = codec.compress(in, buf);
   std::vector<float> out(in.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.decompress({buf.data(), size}, out));
+    benchmark::DoNotOptimize((codec.*Decompress)({buf.data(), size}, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 4));
 }
-BENCHMARK(BM_MpcDecompress);
+
+// Args: {dimensionality, payload}. The plain names run the path compress()
+// selects on this CPU (AVX-512 where available); *Portable the scalar path.
+void BM_MpcCompress(benchmark::State& state) {
+  BM_MpcCompressImpl<&comp::MpcCodec::compress>(state);
+}
+BENCHMARK(BM_MpcCompress)->Args({1, 0})->Args({4, 0})->Args({1, 1});
+
+void BM_MpcCompressPortable(benchmark::State& state) {
+  BM_MpcCompressImpl<&comp::MpcCodec::compress_portable>(state);
+}
+BENCHMARK(BM_MpcCompressPortable)->Args({1, 0})->Args({4, 0})->Args({1, 1});
+
+// Arg: payload.
+void BM_MpcDecompress(benchmark::State& state) {
+  BM_MpcDecompressImpl<&comp::MpcCodec::decompress>(state);
+}
+BENCHMARK(BM_MpcDecompress)->Arg(0)->Arg(1);
+
+void BM_MpcDecompressPortable(benchmark::State& state) {
+  BM_MpcDecompressImpl<&comp::MpcCodec::decompress_portable>(state);
+}
+BENCHMARK(BM_MpcDecompressPortable)->Arg(0)->Arg(1);
 
 void BM_ZfpCompress(benchmark::State& state) {
   const auto& in = payload();

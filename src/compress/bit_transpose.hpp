@@ -6,41 +6,74 @@
 // in[0..N)" layout MPC's zero-elimination stage expects.
 //
 // The implementation is the Hacker's Delight recursive block swap
-// (Sec. 7-3), mirrored for LSB-first bit order: at each level, the
-// block of rows with bit j clear / columns with bit j set trades places
-// with the block of rows with bit j set / columns with bit j clear using a
-// mask/shift/xor exchange. log2(N) passes of N/2 word operations replace
-// the naive N*N double loop; the whole 32x32 tile transposes in ~160 word
-// ops. Each function is an involution: applying it twice is the identity,
-// which is what lets MPC decompression reuse the forward transpose.
+// (Sec. 7-3), mirrored for LSB-first bit order: at level J (N/2, ..., 2, 1)
+// the rows with bit J clear trade their J-bit column blocks selected by the
+// level mask with the rows J further on, using a mask/shift/xor exchange.
+// Each level is its own fixed-stride loop with a constant shift and mask,
+// which the compiler unrolls to straight-line code: log2(N) levels of N/2
+// exchanges replace the naive N*N double loop (the 32x32 tile runs them on
+// 64-bit words, 48 exchanges instead of 5 x 16). Each function is an
+// involution: applying it twice is the identity, which is what lets MPC
+// decompression reuse the forward transpose.
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 
 namespace gcmpi::comp {
 
-/// Transpose a 32x32 bit matrix in place.
-inline void bit_transpose32(std::uint32_t a[32]) {
-  std::uint32_t m = 0x0000FFFFu;
-  for (int j = 16; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 32; k = (k + j + 1) & ~j) {
-      const std::uint32_t t = ((a[k] >> j) ^ a[k + j]) & m;
-      a[k] ^= t << j;
-      a[k + j] ^= t;
+namespace detail {
+
+/// One block-swap level over N words: for every word k with bit S of k
+/// clear, words k and k + S exchange the bits selected by M (in k + S) and
+/// M << J (in k).
+template <class W, int N, int S, int J, W M>
+inline void swap_blocks(W* a) {
+#pragma GCC unroll 32
+  for (int row = 0; row < N; row += 2 * S) {
+#pragma GCC unroll 32
+    for (int k = row; k < row + S; ++k) {
+      const W t = ((a[k] >> J) ^ a[k + S]) & M;
+      a[k] ^= t << J;
+      a[k + S] ^= t;
     }
   }
 }
 
+}  // namespace detail
+
+/// Transpose a 32x32 bit matrix in place.
+///
+/// Rows 2p and 2p + 1 share one 64-bit word (row 2p in the low half), so
+/// levels 16 to 2 exchange two row pairs per word operation — the masks
+/// keep zeros in the top J bits of each half, so nothing crosses halves —
+/// and level 1, which pairs the two rows of a word, is a delta swap by 31
+/// inside each word: 64 exchanges of the 32-bit form become 48.
+inline void bit_transpose32(std::uint32_t a[32]) {
+  using W = std::uint64_t;
+  W w[16];
+  std::memcpy(w, a, sizeof w);
+  detail::swap_blocks<W, 16, 8, 16, 0x0000FFFF0000FFFFull>(w);
+  detail::swap_blocks<W, 16, 4, 8, 0x00FF00FF00FF00FFull>(w);
+  detail::swap_blocks<W, 16, 2, 4, 0x0F0F0F0F0F0F0F0Full>(w);
+  detail::swap_blocks<W, 16, 1, 2, 0x3333333333333333ull>(w);
+#pragma GCC unroll 16
+  for (W& x : w) {
+    const W t = ((x >> 31) ^ x) & 0x00000000AAAAAAAAull;
+    x ^= t ^ (t << 31);
+  }
+  std::memcpy(a, w, sizeof w);
+}
+
 /// Transpose a 64x64 bit matrix in place.
 inline void bit_transpose64(std::uint64_t a[64]) {
-  std::uint64_t m = 0x00000000FFFFFFFFull;
-  for (int j = 32; j != 0; j >>= 1, m ^= m << j) {
-    for (int k = 0; k < 64; k = (k + j + 1) & ~j) {
-      const std::uint64_t t = ((a[k] >> j) ^ a[k + j]) & m;
-      a[k] ^= t << j;
-      a[k + j] ^= t;
-    }
-  }
+  using W = std::uint64_t;
+  detail::swap_blocks<W, 64, 32, 32, 0x00000000FFFFFFFFull>(a);
+  detail::swap_blocks<W, 64, 16, 16, 0x0000FFFF0000FFFFull>(a);
+  detail::swap_blocks<W, 64, 8, 8, 0x00FF00FF00FF00FFull>(a);
+  detail::swap_blocks<W, 64, 4, 4, 0x0F0F0F0F0F0F0F0Full>(a);
+  detail::swap_blocks<W, 64, 2, 2, 0x3333333333333333ull>(a);
+  detail::swap_blocks<W, 64, 1, 1, 0x5555555555555555ull>(a);
 }
 
 }  // namespace gcmpi::comp

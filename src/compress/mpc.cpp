@@ -1,8 +1,15 @@
 #include "compress/mpc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
+
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
 
 #include "compress/bit_transpose.hpp"
 
@@ -10,123 +17,470 @@ namespace gcmpi::comp {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4d504331u;  // "MPC1"
+constexpr std::uint32_t kMagic = 0x4d504331u;    // "MPC1"
+constexpr std::uint32_t kMagic64 = 0x4d504338u;  // "MPC8"
 
-// Header layout (little-endian u32 words):
+// Header layout (little-endian u32 words), shared by both widths:
 //   [0] magic  [1] n_values  [2] dimensionality  [3] chunk_values
 //   [4] n_chunks  [5 .. 5+n_chunks) compressed words per chunk
+// then the chunk payloads back to back, in words of the value width. In a
+// chunk, each tile of W-bit values (W values per tile) is one mask word
+// followed by the tile's nonzero transposed words in bit order.
 constexpr std::size_t kFixedHeaderWords = 5;
 
-[[nodiscard]] std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, p, 4);
+template <class W>
+[[nodiscard]] W load(const std::uint8_t* p) {
+  W v = 0;
+  std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-void store_u32(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, 4); }
+template <class W>
+void store(std::uint8_t* p, W v) {
+  std::memcpy(p, &v, sizeof v);
+}
 
 /// Map a signed residual so that small magnitudes have small unsigned
 /// values (zig-zag). This plays the role of MPC's residual conditioning:
 /// it makes the high bit planes of near-predictable data all zero so the
 /// transpose + zero-elimination stages can delete them.
-[[nodiscard]] std::uint32_t zigzag(std::uint32_t r) {
-  const std::int32_t s = static_cast<std::int32_t>(r);
-  return (static_cast<std::uint32_t>(s) << 1) ^ static_cast<std::uint32_t>(s >> 31);
+template <class W>
+[[nodiscard]] W zigzag(W r) {
+  const auto s = static_cast<std::make_signed_t<W>>(r);
+  return (r << 1) ^ static_cast<W>(s >> (8 * sizeof(W) - 1));
 }
 
-[[nodiscard]] std::uint32_t unzigzag(std::uint32_t z) {
+template <class W>
+[[nodiscard]] W unzigzag(W z) {
   return (z >> 1) ^ (~(z & 1u) + 1u);
 }
 
-/// Compress one chunk of `n` values (n <= chunk capacity) into u32 words.
-std::size_t compress_chunk(const std::uint32_t* bits, std::size_t n, int dim,
-                           std::uint32_t* out) {
-  const auto d = static_cast<std::size_t>(dim);
-  std::size_t out_words = 0;
-  std::uint32_t tile[32];
-  for (std::size_t base = 0; base < n; base += 32) {
-    // Stage 1+2: dimension-stride residual, zig-zag.
-    if (base >= d && base + 32 <= n) {
-      // Interior tile: the predictor never clamps and there is no tail
-      // padding, so the loop has no data-dependent branches to block
-      // vectorization.
-      for (std::size_t j = 0; j < 32; ++j) {
-        tile[j] = zigzag(bits[base + j] - bits[base + j - d]);
-      }
-    } else {
-      for (std::size_t j = 0; j < 32; ++j) {
-        const std::size_t i = base + j;
-        if (i < n) {
-          const std::uint32_t prev = i >= d ? bits[i - d] : 0u;
-          tile[j] = zigzag(bits[i] - prev);
-        } else {
-          tile[j] = 0;  // tail padding, elided by zero elimination
-        }
-      }
-    }
-    // All-zero tile (constant or slowly-varying data hits this constantly):
-    // the transpose of zero is zero, so the tile is just an empty mask.
-    std::uint32_t any = 0;
-    for (std::size_t j = 0; j < 32; ++j) any |= tile[j];
-    if (any == 0) {
-      out[out_words++] = 0;
+void transpose(std::uint32_t* tile) { bit_transpose32(tile); }
+void transpose(std::uint64_t* tile) { bit_transpose64(tile); }
+
+// A chunk routine reads and writes the caller's buffers in place, through
+// byte pointers with no alignment assumed. Encoding returns the words it
+// wrote; decoding reads at most `in_words` words and throws on a chunk
+// that is truncated, has trailing words, or has a mask that promises more
+// kept words than remain.
+using EncodeChunk = std::size_t (*)(const std::uint8_t* in, std::size_t n, std::size_t d,
+                                    std::uint8_t* out);
+using DecodeChunk = void (*)(const std::uint8_t* in, std::size_t in_words, std::size_t n,
+                             std::size_t d, std::uint8_t* out);
+
+// ---------------------------------------------------------------------------
+// Portable path (both widths): one tile of W values at a time.
+// ---------------------------------------------------------------------------
+
+/// Stages 1+2 for the tile at `base`: dimension-stride residual, zig-zag.
+/// Values before the chunk predict as 0; tail padding encodes as 0.
+template <class W>
+void load_residuals(const std::uint8_t* in, std::size_t base, std::size_t n, std::size_t d,
+                    W* tile) {
+  constexpr std::size_t kN = 8 * sizeof(W);
+  if (base >= d && base + kN <= n) {
+    // Interior tile: no clamping, no padding, so the loop vectorizes.
+    W cur[kN];
+    W prev[kN];
+    std::memcpy(cur, in + base * sizeof(W), sizeof cur);
+    std::memcpy(prev, in + (base - d) * sizeof(W), sizeof prev);
+    for (std::size_t j = 0; j < kN; ++j) tile[j] = zigzag<W>(cur[j] - prev[j]);
+    return;
+  }
+  for (std::size_t j = 0; j < kN; ++j) {
+    const std::size_t i = base + j;
+    if (i >= n) {
+      tile[j] = 0;
       continue;
     }
-    // Stage 3: 32x32 bit transpose (log-depth block swap, in place).
-    bit_transpose32(tile);
-    // Stage 4: zero elimination behind a presence mask. Both loops are
-    // branchless: the mask accumulates comparison results, and the scatter
-    // always stores but only advances past kept words (the dead store is
-    // overwritten by the next kept word or ignored by the word count).
-    std::uint32_t mask = 0;
-    for (int b = 0; b < 32; ++b) {
-      mask |= static_cast<std::uint32_t>(tile[b] != 0) << b;
-    }
-    out[out_words++] = mask;
-    for (int b = 0; b < 32; ++b) {
-      out[out_words] = tile[b];
-      out_words += tile[b] != 0;
-    }
+    const W prev = i >= d ? load<W>(in + (i - d) * sizeof(W)) : W{0};
+    tile[j] = zigzag<W>(load<W>(in + i * sizeof(W)) - prev);
   }
-  return out_words;
 }
 
-void decompress_chunk(const std::uint32_t* in, std::size_t in_words, std::size_t n,
-                      int dim, std::uint32_t* bits) {
-  const auto d = static_cast<std::size_t>(dim);
-  std::size_t pos = 0;
-  std::uint32_t tile[32];
-  for (std::size_t base = 0; base < n; base += 32) {
-    if (pos >= in_words) throw std::runtime_error("MPC: truncated chunk");
-    const std::uint32_t mask = in[pos++];
-    if (mask == 0) {
-      // Empty tile: every residual is zero, so each value is its predictor.
-      for (std::size_t j = 0; j < 32; ++j) {
-        const std::size_t i = base + j;
-        if (i >= n) break;
-        bits[i] = i >= d ? bits[i - d] : 0u;
-      }
+template <class W>
+std::size_t encode_chunk_portable(const std::uint8_t* in, std::size_t n, std::size_t d,
+                                  std::uint8_t* out) {
+  constexpr std::size_t kN = 8 * sizeof(W);
+  std::size_t words = 0;
+  W tile[kN];
+  for (std::size_t base = 0; base < n; base += kN) {
+    load_residuals(in, base, n, d, tile);
+    // All-zero tile (constant or slowly-varying data hits this constantly):
+    // the transpose of zero is zero, so the tile is just an empty mask.
+    W any = 0;
+    for (std::size_t j = 0; j < kN; ++j) any |= tile[j];
+    if (any == 0) {
+      store<W>(out + sizeof(W) * words++, 0);
       continue;
     }
-    for (int b = 0; b < 32; ++b) {
-      tile[b] = (mask >> b) & 1u ? in[pos++] : 0u;
+    // Stage 3: bit transpose. Stage 4: zero elimination behind a presence
+    // mask; the store loop walks only the mask's set bits.
+    transpose(tile);
+    W mask = 0;
+    for (std::size_t b = 0; b < kN; ++b) mask |= static_cast<W>(tile[b] != 0) << b;
+    store<W>(out + sizeof(W) * words++, mask);
+    for (W m = mask; m != 0; m &= m - 1) {
+      store<W>(out + sizeof(W) * words++, tile[std::countr_zero(m)]);
     }
-    bit_transpose32(tile);  // involution: same transpose inverts
-    if (base >= d && base + 32 <= n) {
-      for (std::size_t j = 0; j < 32; ++j) {
-        const std::size_t i = base + j;
-        bits[i] = unzigzag(tile[j]) + bits[i - d];
+  }
+  return words;
+}
+
+template <class W>
+void decode_chunk_portable(const std::uint8_t* in, std::size_t in_words, std::size_t n,
+                           std::size_t d, std::uint8_t* out) {
+  constexpr std::size_t kN = 8 * sizeof(W);
+  std::size_t pos = 0;
+  W last = 0;  // the d = 1 predictor, carried in a register
+  W tile[kN];
+  for (std::size_t base = 0; base < n; base += kN) {
+    if (pos >= in_words) throw std::runtime_error("MPC: truncated chunk");
+    const W mask = load<W>(in + sizeof(W) * pos++);
+    const std::size_t count = std::min(kN, n - base);
+    if (mask == 0 && d == 1) {
+      // Empty tile: every residual is zero, so each value is its predictor.
+      for (std::size_t j = 0; j < count; ++j) store<W>(out + sizeof(W) * (base + j), last);
+      continue;
+    }
+    std::fill_n(tile, kN, W{0});
+    if (mask != 0) {
+      if (static_cast<std::size_t>(std::popcount(mask)) > in_words - pos) {
+        throw std::runtime_error("MPC: tile mask overruns chunk");
+      }
+      for (W m = mask; m != 0; m &= m - 1) {
+        tile[std::countr_zero(m)] = load<W>(in + sizeof(W) * pos++);
+      }
+      transpose(tile);  // involution: same transpose inverts
+    }
+    if (d == 1) {
+      for (std::size_t j = 0; j < count; ++j) {
+        last += unzigzag(tile[j]);
+        store<W>(out + sizeof(W) * (base + j), last);
       }
     } else {
-      for (std::size_t j = 0; j < 32; ++j) {
+      for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = base + j;
-        if (i >= n) break;
-        const std::uint32_t prev = i >= d ? bits[i - d] : 0u;
-        bits[i] = unzigzag(tile[j]) + prev;
+        const W prev = i >= d ? load<W>(out + sizeof(W) * (i - d)) : W{0};
+        store<W>(out + sizeof(W) * i, unzigzag(tile[j]) + prev);
       }
     }
   }
   if (pos != in_words) throw std::runtime_error("MPC: trailing chunk bytes");
+}
+
+// ---------------------------------------------------------------------------
+// AVX-512F/BW/VL path (float codec): a 32-value tile is two 16-lane vectors.
+// ---------------------------------------------------------------------------
+
+#if defined(__x86_64__)
+
+#define GCMPI_AVX512 __attribute__((target("avx512f,avx512bw,avx512vl")))
+
+// GCC 12 reports -Wmaybe-uninitialized from inside avx512fintrin.h for the
+// unmasked shift/shuffle/permute intrinsics (their pass-through operand is
+// _mm512_undefined_epi32()); the zero-masking forms with all lanes set
+// compile to the same instructions without it.
+constexpr __mmask16 kAllLanes = 0xFFFF;
+
+template <unsigned J>
+GCMPI_AVX512 inline __m512i shr(__m512i v) {
+  return _mm512_maskz_srli_epi32(kAllLanes, v, J);
+}
+
+template <unsigned J>
+GCMPI_AVX512 inline __m512i shl(__m512i v) {
+  return _mm512_maskz_slli_epi32(kAllLanes, v, J);
+}
+
+/// Bitwise `sel ? a : b`.
+GCMPI_AVX512 inline __m512i select_bits(__m512i sel, __m512i a, __m512i b) {
+  return _mm512_ternarylogic_epi32(sel, a, b, 0xCA);
+}
+
+/// Level J (8, 4, 2, 1) of bit_transpose32 inside one vector of 16 rows:
+/// lane k with bit J of k clear trades bits with lane k + J. With w the
+/// vector with those lanes exchanged, low lanes take w << J under M << J
+/// and high lanes take w >> J under M.
+template <unsigned J, std::uint32_t M>
+GCMPI_AVX512 inline __m512i swap_level(__m512i v) {
+  constexpr __mmask16 kLow = J == 8 ? 0x00FF : J == 4 ? 0x0F0F : J == 2 ? 0x3333 : 0x5555;
+  __m512i w;
+  if constexpr (J == 8) {
+    w = _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0x4E);
+  } else if constexpr (J == 4) {
+    w = _mm512_maskz_shuffle_i64x2(0xFF, v, v, 0xB1);
+  } else if constexpr (J == 2) {
+    w = _mm512_maskz_shuffle_epi32(kAllLanes, v, _MM_PERM_BADC);
+  } else {
+    w = _mm512_maskz_shuffle_epi32(kAllLanes, v, _MM_PERM_CDAB);
+  }
+  const __m512i shifted = _mm512_mask_slli_epi32(shr<J>(w), kLow, w, J);
+  const __m512i sel = _mm512_mask_blend_epi32(kLow, _mm512_set1_epi32(static_cast<int>(M)),
+                                              _mm512_set1_epi32(static_cast<int>(M << J)));
+  return select_bits(sel, shifted, v);
+}
+
+/// bit_transpose32 of the tile whose rows 0..15 are `lo` and 16..31 `hi`.
+GCMPI_AVX512 inline void transpose_tile(__m512i& lo, __m512i& hi) {
+  const __m512i low_half = _mm512_set1_epi32(0x0000FFFF);
+  const __m512i row_lo = select_bits(low_half, lo, shl<16>(hi));
+  hi = select_bits(low_half, shr<16>(lo), hi);
+  lo = swap_level<8, 0x00FF00FFu>(row_lo);
+  hi = swap_level<8, 0x00FF00FFu>(hi);
+  lo = swap_level<4, 0x0F0F0F0Fu>(lo);
+  hi = swap_level<4, 0x0F0F0F0Fu>(hi);
+  lo = swap_level<2, 0x33333333u>(lo);
+  hi = swap_level<2, 0x33333333u>(hi);
+  lo = swap_level<1, 0x55555555u>(lo);
+  hi = swap_level<1, 0x55555555u>(hi);
+}
+
+GCMPI_AVX512 inline __m512i lane_index() {
+  return _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+}
+
+/// The lanes of the vector starting at value `first` that hold one of the
+/// chunk's `n` values.
+GCMPI_AVX512 inline __mmask16 valid_lanes(std::size_t first, std::size_t n) {
+  if (first >= n) return 0;
+  return n - first >= 16 ? kAllLanes : static_cast<__mmask16>((1u << (n - first)) - 1);
+}
+
+/// Zig-zagged residuals of the 16 values `x` (lanes outside `valid` are
+/// tail padding and encode as zero); shifts `x` into the history.
+/// Lane j predicts from value j - d of this vector: index 16 + j - d of
+/// [back1 | x] when d <= 16, index 32 + j - d of [back2 | back1] above.
+GCMPI_AVX512 inline __m512i residuals(__m512i x, __mmask16 valid, bool near, __m512i pred_idx,
+                                      __m512i& back2, __m512i& back1) {
+  const __m512i pred = near ? _mm512_permutex2var_epi32(back1, pred_idx, x)
+                            : _mm512_permutex2var_epi32(back2, pred_idx, back1);
+  back2 = back1;
+  back1 = x;
+  const __m512i r = _mm512_maskz_sub_epi32(valid, x, pred);
+  return _mm512_xor_si512(shl<1>(r), _mm512_maskz_srai_epi32(kAllLanes, r, 31));
+}
+
+/// Zero elimination of one 16-word vector: stores its nonzero words.
+GCMPI_AVX512 inline std::size_t store_kept(std::uint8_t* out, std::size_t words, __m512i v,
+                                           __mmask16 keep) {
+  const int kept = std::popcount(static_cast<unsigned>(keep));
+  _mm512_mask_storeu_epi32(out + 4 * words, static_cast<__mmask16>((1u << kept) - 1),
+                           _mm512_maskz_compress_epi32(keep, v));
+  return words + static_cast<std::size_t>(kept);
+}
+
+GCMPI_AVX512 std::size_t encode_chunk_avx512(const std::uint8_t* in, std::size_t n, std::size_t d,
+                                             std::uint8_t* out) {
+  const bool near = d <= 16;
+  const __m512i pred_idx =
+      _mm512_add_epi32(lane_index(), _mm512_set1_epi32(static_cast<int>((near ? 16 : 32) - d)));
+  // The history starts at zero: values before the chunk predict as 0.
+  __m512i back2 = _mm512_setzero_si512();
+  __m512i back1 = _mm512_setzero_si512();
+  std::size_t words = 0;
+  for (std::size_t base = 0; base < n; base += 32) {
+    const __mmask16 valid_lo = valid_lanes(base, n);
+    const __mmask16 valid_hi = valid_lanes(base + 16, n);
+    const __m512i x_lo = _mm512_maskz_loadu_epi32(valid_lo, in + 4 * base);
+    const __m512i x_hi = valid_hi == 0 ? _mm512_setzero_si512()
+                                       : _mm512_maskz_loadu_epi32(valid_hi, in + 4 * base + 64);
+    __m512i lo = residuals(x_lo, valid_lo, near, pred_idx, back2, back1);
+    __m512i hi = residuals(x_hi, valid_hi, near, pred_idx, back2, back1);
+    const __m512i any = _mm512_or_si512(lo, hi);
+    if (_mm512_test_epi32_mask(any, any) == 0) {
+      store<std::uint32_t>(out + 4 * words++, 0);
+      continue;
+    }
+    transpose_tile(lo, hi);
+    const __mmask16 keep_lo = _mm512_test_epi32_mask(lo, lo);
+    const __mmask16 keep_hi = _mm512_test_epi32_mask(hi, hi);
+    store<std::uint32_t>(out + 4 * words++, keep_lo | static_cast<std::uint32_t>(keep_hi) << 16);
+    words = store_kept(out, words, lo, keep_lo);
+    words = store_kept(out, words, hi, keep_hi);
+  }
+  return words;
+}
+
+GCMPI_AVX512 void decode_chunk_avx512(const std::uint8_t* in, std::size_t in_words, std::size_t n,
+                                      std::size_t d, std::uint8_t* out) {
+  // Value i is its residual plus value i - d. Inside a vector, a prefix
+  // sum strided by d (shifts d, 2d, 4d, 8d below 16) adds the residuals of
+  // lanes j, j - d, j - 2d, ...; the carry adds the decoded value that
+  // precedes the vector: lane 16 - d + (j mod d) of the previous vector
+  // for d < 16, or value i - d itself for d >= 16. Both are index
+  // 32 - d + (d < 16 ? j mod d : j) of [back2 | back1].
+  alignas(64) std::int32_t carry[16];
+  for (std::size_t j = 0, r = 0; j < 16; ++j, r = r + 1 == d ? 0 : r + 1) {
+    carry[j] = static_cast<std::int32_t>(32 - d + (d < 16 ? r : j));
+  }
+  const __m512i carry_idx = _mm512_load_si512(carry);
+  __m512i step_idx[4];
+  __mmask16 step_lanes[4];
+  int steps = 0;
+  for (std::size_t s = d; s < 16; s *= 2, ++steps) {
+    step_idx[steps] = _mm512_sub_epi32(lane_index(), _mm512_set1_epi32(static_cast<int>(s)));
+    step_lanes[steps] = static_cast<__mmask16>(kAllLanes << s);
+  }
+  const __m512i one = _mm512_set1_epi32(1);
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i back2 = zero;
+  __m512i back1 = zero;
+  std::size_t pos = 0;
+  for (std::size_t base = 0; base < n; base += 32) {
+    if (pos >= in_words) throw std::runtime_error("MPC: truncated chunk");
+    const std::uint32_t mask = load<std::uint32_t>(in + 4 * pos++);
+    __m512i r[2] = {zero, zero};
+    if (mask != 0) {
+      const auto kept = static_cast<std::size_t>(std::popcount(mask));
+      if (kept > in_words - pos) throw std::runtime_error("MPC: tile mask overruns chunk");
+      const auto mask_lo = static_cast<__mmask16>(mask);
+      const auto mask_hi = static_cast<__mmask16>(mask >> 16);
+      r[0] = _mm512_maskz_expandloadu_epi32(mask_lo, in + 4 * pos);
+      r[1] = _mm512_maskz_expandloadu_epi32(
+          mask_hi, in + 4 * (pos + static_cast<std::size_t>(std::popcount(mask & 0xFFFFu))));
+      pos += kept;
+      transpose_tile(r[0], r[1]);
+      for (__m512i& v : r) {
+        // Un-zig-zag: (z >> 1) ^ -(z & 1).
+        v = _mm512_xor_si512(shr<1>(v), _mm512_sub_epi32(zero, _mm512_and_si512(v, one)));
+        for (int s = 0; s < steps; ++s) {
+          v = _mm512_add_epi32(v, _mm512_maskz_permutexvar_epi32(step_lanes[s], step_idx[s], v));
+        }
+      }
+    }
+    // An empty tile decodes to the carries alone: for d = 1 a broadcast of
+    // the last value.
+    for (int h = 0; h < 2; ++h) {
+      const __m512i x = _mm512_add_epi32(r[h], _mm512_permutex2var_epi32(back2, carry_idx, back1));
+      back2 = back1;
+      back1 = x;
+      const __mmask16 valid = valid_lanes(base + 16 * static_cast<std::size_t>(h), n);
+      if (valid != 0) _mm512_mask_storeu_epi32(out + 4 * base + 64 * h, valid, x);
+    }
+  }
+  if (pos != in_words) throw std::runtime_error("MPC: trailing chunk bytes");
+}
+
+#undef GCMPI_AVX512
+
+#endif  // __x86_64__
+
+// ---------------------------------------------------------------------------
+// Stream layer: header, size table and the chunk loop, shared by both paths
+// and both widths.
+// ---------------------------------------------------------------------------
+
+struct Format {
+  std::uint32_t magic;
+  std::size_t word_bytes;
+  std::size_t max_dim;
+  const char* name;
+};
+
+constexpr Format kFloat{kMagic, 4, 32, "MpcCodec"};
+constexpr Format kDouble{kMagic64, 8, 64, "MpcCodec64"};
+
+template <class E>
+[[noreturn]] void fail(const Format& f, const char* what) {
+  throw E(std::string(f.name) + what);
+}
+
+std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_t* in,
+                          std::size_t n, int dim, std::size_t chunk, std::uint8_t* out) {
+  const std::size_t chunks = (n + chunk - 1) / chunk;
+  store<std::uint32_t>(out + 0, f.magic);
+  store<std::uint32_t>(out + 4, static_cast<std::uint32_t>(n));
+  store<std::uint32_t>(out + 8, static_cast<std::uint32_t>(dim));
+  store<std::uint32_t>(out + 12, static_cast<std::uint32_t>(chunk));
+  store<std::uint32_t>(out + 16, static_cast<std::uint32_t>(chunks));
+  std::uint8_t* size_table = out + kFixedHeaderWords * 4;
+  std::uint8_t* payload = size_table + chunks * 4;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t begin = c * chunk;
+    const std::size_t words = encode(in + begin * f.word_bytes, std::min(chunk, n - begin),
+                                     static_cast<std::size_t>(dim), payload);
+    store<std::uint32_t>(size_table + c * 4, static_cast<std::uint32_t>(words));
+    payload += words * f.word_bytes;
+  }
+  return static_cast<std::size_t>(payload - out);
+}
+
+std::size_t decode_stream(const Format& f, DecodeChunk decode, std::span<const std::uint8_t> in,
+                          std::uint8_t* out, std::size_t out_values) {
+  if (in.size() < kFixedHeaderWords * 4) fail<std::invalid_argument>(f, ": truncated input");
+  const std::uint8_t* base = in.data();
+  if (load<std::uint32_t>(base) != f.magic) fail<std::invalid_argument>(f, ": bad magic");
+  const std::size_t n = load<std::uint32_t>(base + 4);
+  const std::size_t dim = load<std::uint32_t>(base + 8);
+  const std::size_t chunk = load<std::uint32_t>(base + 12);
+  const std::size_t chunks = load<std::uint32_t>(base + 16);
+  if (dim < 1 || dim > f.max_dim || chunk == 0 || chunk % (8 * f.word_bytes) != 0) {
+    fail<std::invalid_argument>(f, ": corrupt header");
+  }
+  // Also for n == 0: a chunk count the values do not need would decode
+  // chunks past the end of `out`.
+  if (chunks != (n + chunk - 1) / chunk) {
+    fail<std::invalid_argument>(f, ": inconsistent chunk count");
+  }
+  if (out_values < n) fail<std::invalid_argument>(f, "::decompress: output too small");
+  const std::size_t table_bytes = (kFixedHeaderWords + chunks) * 4;
+  if (in.size() < table_bytes) fail<std::invalid_argument>(f, ": truncated size table");
+
+  const std::uint8_t* size_table = base + kFixedHeaderWords * 4;
+  const std::uint8_t* payload = base + table_bytes;
+  std::size_t words_left = (in.size() - table_bytes) / f.word_bytes;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t words = load<std::uint32_t>(size_table + c * 4);
+    if (words > words_left) fail<std::runtime_error>(f, ": truncated payload");
+    const std::size_t begin = c * chunk;
+    decode(payload, words, std::min(chunk, n - begin), dim, out + begin * f.word_bytes);
+    payload += words * f.word_bytes;
+    words_left -= words;
+  }
+  return n;
+}
+
+// ---------------------------------------------------------------------------
+// Path selection: once, at the first call.
+// ---------------------------------------------------------------------------
+
+struct ChunkPath {
+  EncodeChunk encode;
+  DecodeChunk decode;
+};
+
+constexpr ChunkPath kPortable{encode_chunk_portable<std::uint32_t>,
+                              decode_chunk_portable<std::uint32_t>};
+
+ChunkPath select_path() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl")) {
+    return {encode_chunk_avx512, decode_chunk_avx512};
+  }
+#endif
+  return kPortable;
+}
+
+const ChunkPath& dispatched() {
+  static const ChunkPath path = select_path();
+  return path;
+}
+
+std::size_t compress_floats(const MpcCodec& codec, EncodeChunk encode, std::span<const float> in,
+                            std::span<std::uint8_t> out) {
+  if (out.size() < codec.max_compressed_bytes(in.size())) {
+    throw std::invalid_argument("MpcCodec::compress: output buffer too small");
+  }
+  return encode_stream(kFloat, encode, reinterpret_cast<const std::uint8_t*>(in.data()), in.size(),
+                       codec.dimensionality(), codec.chunk_values(), out.data());
+}
+
+std::size_t decompress_floats(DecodeChunk decode, std::span<const std::uint8_t> in,
+                              std::span<float> out) {
+  return decode_stream(kFloat, decode, in, reinterpret_cast<std::uint8_t*>(out.data()), out.size());
 }
 
 }  // namespace
@@ -148,83 +502,28 @@ std::size_t MpcCodec::max_compressed_bytes(std::size_t n_values) const {
 }
 
 std::size_t MpcCodec::compress(std::span<const float> in, std::span<std::uint8_t> out) const {
-  const std::size_t n = in.size();
-  if (out.size() < max_compressed_bytes(n)) {
-    throw std::invalid_argument("MpcCodec::compress: output buffer too small");
-  }
-  const std::size_t chunks = n == 0 ? 0 : chunk_count(n);
-  std::uint8_t* base = out.data();
-  store_u32(base + 0, kMagic);
-  store_u32(base + 4, static_cast<std::uint32_t>(n));
-  store_u32(base + 8, static_cast<std::uint32_t>(dim_));
-  store_u32(base + 12, static_cast<std::uint32_t>(chunk_));
-  store_u32(base + 16, static_cast<std::uint32_t>(chunks));
+  return compress_floats(*this, dispatched().encode, in, out);
+}
 
-  std::uint8_t* size_table = base + kFixedHeaderWords * 4;
-  std::uint8_t* payload = size_table + chunks * 4;
-
-  std::vector<std::uint32_t> in_bits(chunk_);
-  std::vector<std::uint32_t> scratch(chunk_ + chunk_ / 32 + 1);
-  std::size_t payload_words = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_;
-    const std::size_t count = std::min(chunk_, n - begin);
-    std::memcpy(in_bits.data(), in.data() + begin, count * 4);
-    const std::size_t words = compress_chunk(in_bits.data(), count, dim_, scratch.data());
-    store_u32(size_table + c * 4, static_cast<std::uint32_t>(words));
-    std::memcpy(payload + payload_words * 4, scratch.data(), words * 4);
-    payload_words += words;
-  }
-  return (kFixedHeaderWords + chunks + payload_words) * 4;
+std::size_t MpcCodec::compress_portable(std::span<const float> in,
+                                        std::span<std::uint8_t> out) const {
+  return compress_floats(*this, kPortable.encode, in, out);
 }
 
 std::size_t MpcCodec::encoded_values(std::span<const std::uint8_t> in) {
-  if (in.size() < kFixedHeaderWords * 4 || load_u32(in.data()) != kMagic) {
+  if (in.size() < kFixedHeaderWords * 4 || load<std::uint32_t>(in.data()) != kMagic) {
     throw std::invalid_argument("MpcCodec: bad header");
   }
-  return load_u32(in.data() + 4);
+  return load<std::uint32_t>(in.data() + 4);
 }
 
 std::size_t MpcCodec::decompress(std::span<const std::uint8_t> in, std::span<float> out) const {
-  if (in.size() < kFixedHeaderWords * 4) throw std::invalid_argument("MpcCodec: truncated input");
-  const std::uint8_t* base = in.data();
-  if (load_u32(base) != kMagic) throw std::invalid_argument("MpcCodec: bad magic");
-  const std::size_t n = load_u32(base + 4);
-  const int dim = static_cast<int>(load_u32(base + 8));
-  const std::size_t chunk = load_u32(base + 12);
-  const std::size_t chunks = load_u32(base + 16);
-  if (dim < 1 || dim > 32 || chunk == 0 || chunk % 32 != 0) {
-    throw std::invalid_argument("MpcCodec: corrupt header");
-  }
-  if (n != 0 && chunks != (n + chunk - 1) / chunk) {
-    throw std::invalid_argument("MpcCodec: inconsistent chunk count");
-  }
-  if (out.size() < n) throw std::invalid_argument("MpcCodec::decompress: output too small");
-  if (in.size() < (kFixedHeaderWords + chunks) * 4) {
-    throw std::invalid_argument("MpcCodec: truncated size table");
-  }
+  return decompress_floats(dispatched().decode, in, out);
+}
 
-  const std::uint8_t* size_table = base + kFixedHeaderWords * 4;
-  const std::uint8_t* payload = size_table + chunks * 4;
-  const std::size_t payload_offset = (kFixedHeaderWords + chunks) * 4;
-
-  std::vector<std::uint32_t> scratch(chunk + chunk / 32 + 1);
-  std::vector<std::uint32_t> out_bits(chunk);
-  std::size_t offset_words = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t words = load_u32(size_table + c * 4);
-    if (words > scratch.size()) throw std::runtime_error("MpcCodec: corrupt chunk size");
-    const std::size_t begin = c * chunk;
-    const std::size_t count = std::min(chunk, n - begin);
-    if (payload_offset + (offset_words + words) * 4 > in.size()) {
-      throw std::runtime_error("MpcCodec: truncated payload");
-    }
-    std::memcpy(scratch.data(), payload + offset_words * 4, words * 4);
-    decompress_chunk(scratch.data(), words, count, dim, out_bits.data());
-    std::memcpy(out.data() + begin, out_bits.data(), count * 4);
-    offset_words += words;
-  }
-  return n;
+std::size_t MpcCodec::decompress_portable(std::span<const std::uint8_t> in,
+                                          std::span<float> out) const {
+  return decompress_floats(kPortable.decode, in, out);
 }
 
 int MpcCodec::tune_dimensionality(std::span<const float> data, std::size_t sample_values) {
@@ -248,101 +547,8 @@ int MpcCodec::tune_dimensionality(std::span<const float> data, std::size_t sampl
 }
 
 // ---------------------------------------------------------------------------
-// Double-precision variant: same pipeline at 64-bit width.
+// Double-precision variant: same stream at 64-bit width, portable path only.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr std::uint32_t kMagic64 = 0x4d504338u;  // "MPC8"
-
-[[nodiscard]] std::uint64_t zigzag64(std::uint64_t r) {
-  const std::int64_t s = static_cast<std::int64_t>(r);
-  return (static_cast<std::uint64_t>(s) << 1) ^ static_cast<std::uint64_t>(s >> 63);
-}
-
-[[nodiscard]] std::uint64_t unzigzag64(std::uint64_t z) {
-  return (z >> 1) ^ (~(z & 1u) + 1u);
-}
-
-std::size_t compress_chunk64(const std::uint64_t* bits, std::size_t n, int dim,
-                             std::uint64_t* out) {
-  const auto d = static_cast<std::size_t>(dim);
-  std::size_t out_words = 0;
-  std::uint64_t tile[64];
-  for (std::size_t base = 0; base < n; base += 64) {
-    if (base >= d && base + 64 <= n) {
-      for (std::size_t j = 0; j < 64; ++j) {
-        tile[j] = zigzag64(bits[base + j] - bits[base + j - d]);
-      }
-    } else {
-      for (std::size_t j = 0; j < 64; ++j) {
-        const std::size_t i = base + j;
-        if (i < n) {
-          const std::uint64_t prev = i >= d ? bits[i - d] : 0u;
-          tile[j] = zigzag64(bits[i] - prev);
-        } else {
-          tile[j] = 0;
-        }
-      }
-    }
-    std::uint64_t any = 0;
-    for (std::size_t j = 0; j < 64; ++j) any |= tile[j];
-    if (any == 0) {
-      out[out_words++] = 0;  // empty mask; zero tile transposes to itself
-      continue;
-    }
-    bit_transpose64(tile);
-    std::uint64_t mask = 0;
-    for (int b = 0; b < 64; ++b) {
-      mask |= static_cast<std::uint64_t>(tile[b] != 0) << b;
-    }
-    out[out_words++] = mask;
-    for (int b = 0; b < 64; ++b) {
-      out[out_words] = tile[b];
-      out_words += tile[b] != 0;
-    }
-  }
-  return out_words;
-}
-
-void decompress_chunk64(const std::uint64_t* in, std::size_t in_words, std::size_t n,
-                        int dim, std::uint64_t* bits) {
-  const auto d = static_cast<std::size_t>(dim);
-  std::size_t pos = 0;
-  std::uint64_t tile[64];
-  for (std::size_t base = 0; base < n; base += 64) {
-    if (pos >= in_words) throw std::runtime_error("MPC64: truncated chunk");
-    const std::uint64_t mask = in[pos++];
-    if (mask == 0) {
-      for (std::size_t j = 0; j < 64; ++j) {
-        const std::size_t i = base + j;
-        if (i >= n) break;
-        bits[i] = i >= d ? bits[i - d] : 0u;
-      }
-      continue;
-    }
-    for (int b = 0; b < 64; ++b) {
-      tile[b] = (mask >> b) & 1u ? in[pos++] : 0u;
-    }
-    bit_transpose64(tile);  // involution
-    if (base >= d && base + 64 <= n) {
-      for (std::size_t j = 0; j < 64; ++j) {
-        const std::size_t i = base + j;
-        bits[i] = unzigzag64(tile[j]) + bits[i - d];
-      }
-    } else {
-      for (std::size_t j = 0; j < 64; ++j) {
-        const std::size_t i = base + j;
-        if (i >= n) break;
-        const std::uint64_t prev = i >= d ? bits[i - d] : 0u;
-        bits[i] = unzigzag64(tile[j]) + prev;
-      }
-    }
-  }
-  if (pos != in_words) throw std::runtime_error("MPC64: trailing chunk bytes");
-}
-
-}  // namespace
 
 MpcCodec64::MpcCodec64(int dimensionality, std::size_t chunk_values)
     : dim_(dimensionality), chunk_(chunk_values) {
@@ -359,77 +565,18 @@ std::size_t MpcCodec64::max_compressed_bytes(std::size_t n_values) const {
 }
 
 std::size_t MpcCodec64::compress(std::span<const double> in, std::span<std::uint8_t> out) const {
-  const std::size_t n = in.size();
-  if (out.size() < max_compressed_bytes(n)) {
+  if (out.size() < max_compressed_bytes(in.size())) {
     throw std::invalid_argument("MpcCodec64::compress: output buffer too small");
   }
-  const std::size_t chunks = n == 0 ? 0 : chunk_count(n);
-  std::uint8_t* base = out.data();
-  store_u32(base + 0, kMagic64);
-  store_u32(base + 4, static_cast<std::uint32_t>(n));
-  store_u32(base + 8, static_cast<std::uint32_t>(dim_));
-  store_u32(base + 12, static_cast<std::uint32_t>(chunk_));
-  store_u32(base + 16, static_cast<std::uint32_t>(chunks));
-
-  std::uint8_t* size_table = base + kFixedHeaderWords * 4;
-  std::uint8_t* payload = size_table + chunks * 4;
-
-  std::vector<std::uint64_t> in_bits(chunk_);
-  std::vector<std::uint64_t> scratch(chunk_ + chunk_ / 64 + 1);
-  std::size_t payload_words = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk_;
-    const std::size_t count = std::min(chunk_, n - begin);
-    std::memcpy(in_bits.data(), in.data() + begin, count * 8);
-    const std::size_t words = compress_chunk64(in_bits.data(), count, dim_, scratch.data());
-    store_u32(size_table + c * 4, static_cast<std::uint32_t>(words));
-    std::memcpy(payload + payload_words * 8, scratch.data(), words * 8);
-    payload_words += words;
-  }
-  return (kFixedHeaderWords + chunks) * 4 + payload_words * 8;
+  return encode_stream(kDouble, encode_chunk_portable<std::uint64_t>,
+                       reinterpret_cast<const std::uint8_t*>(in.data()), in.size(), dim_, chunk_,
+                       out.data());
 }
 
 std::size_t MpcCodec64::decompress(std::span<const std::uint8_t> in,
                                    std::span<double> out) const {
-  if (in.size() < kFixedHeaderWords * 4) throw std::invalid_argument("MpcCodec64: truncated input");
-  const std::uint8_t* base = in.data();
-  if (load_u32(base) != kMagic64) throw std::invalid_argument("MpcCodec64: bad magic");
-  const std::size_t n = load_u32(base + 4);
-  const int dim = static_cast<int>(load_u32(base + 8));
-  const std::size_t chunk = load_u32(base + 12);
-  const std::size_t chunks = load_u32(base + 16);
-  if (dim < 1 || dim > 64 || chunk == 0 || chunk % 64 != 0) {
-    throw std::invalid_argument("MpcCodec64: corrupt header");
-  }
-  if (n != 0 && chunks != (n + chunk - 1) / chunk) {
-    throw std::invalid_argument("MpcCodec64: inconsistent chunk count");
-  }
-  if (out.size() < n) throw std::invalid_argument("MpcCodec64::decompress: output too small");
-  if (in.size() < (kFixedHeaderWords + chunks) * 4) {
-    throw std::invalid_argument("MpcCodec64: truncated size table");
-  }
-
-  const std::uint8_t* size_table = base + kFixedHeaderWords * 4;
-  const std::uint8_t* payload = size_table + chunks * 4;
-  const std::size_t payload_offset = (kFixedHeaderWords + chunks) * 4;
-
-  std::vector<std::uint64_t> scratch(chunk + chunk / 64 + 1);
-  std::vector<std::uint64_t> out_bits(chunk);
-  std::size_t offset_words = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t words = load_u32(size_table + c * 4);
-    if (words > scratch.size()) throw std::runtime_error("MpcCodec64: corrupt chunk size");
-    const std::size_t begin = c * chunk;
-    const std::size_t count = std::min(chunk, n - begin);
-    if (payload_offset + (offset_words + words) * 8 > in.size()) {
-      throw std::runtime_error("MpcCodec64: truncated payload");
-    }
-    std::memcpy(scratch.data(), payload + offset_words * 8, words * 8);
-    decompress_chunk64(scratch.data(), words, count, dim, out_bits.data());
-    std::memcpy(out.data() + begin, out_bits.data(), count * 8);
-    offset_words += words;
-  }
-  return n;
+  return decode_stream(kDouble, decode_chunk_portable<std::uint64_t>, in,
+                       reinterpret_cast<std::uint8_t*>(out.data()), out.size());
 }
 
 }  // namespace gcmpi::comp

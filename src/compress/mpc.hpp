@@ -17,6 +17,23 @@
 //
 // The codec is bit-exact lossless for arbitrary payloads (NaNs, infinities,
 // denormals included) because all arithmetic is modular on the raw bits.
+//
+// Host paths. The float codec has two implementations of the per-chunk
+// work that produce the same bytes: a portable scalar path (unrolled
+// transpose, set-bit gather, a register-carried predictor for d = 1) and,
+// on x86-64 CPUs with AVX-512F/BW/VL, a vector path (vector predictor and
+// zig-zag, in-register transpose, vpcompressd/vpexpandd zero elimination
+// and a 16-lane strided prefix sum for the decode recurrence). The path is
+// chosen once, at the first call; compress_portable()/decompress_portable()
+// always run the scalar path so tests can compare the two on any host.
+// MpcCodec64 has the scalar path only.
+//
+// Both paths read the caller's `in` and write the caller's `out` in place,
+// with no staging copies or per-call allocations. compress() writes only the
+// returned prefix of `out`, and decompress() only out[0, n) and never reads
+// outside `in`: every size-table entry is
+// checked against the bytes left, and every tile mask against the words
+// left in its chunk, before the words are gathered; a violation throws.
 #pragma once
 
 #include <cstddef>
@@ -50,6 +67,11 @@ class MpcCodec {
   /// Decompress; returns number of values restored (must equal out.size()
   /// capacity check is enforced).
   std::size_t decompress(std::span<const std::uint8_t> in, std::span<float> out) const;
+
+  /// compress()/decompress() on the portable scalar path: what they run on
+  /// CPUs without AVX-512. Same bytes and same checks on every host.
+  std::size_t compress_portable(std::span<const float> in, std::span<std::uint8_t> out) const;
+  std::size_t decompress_portable(std::span<const std::uint8_t> in, std::span<float> out) const;
 
   /// Number of float values encoded in a compressed buffer (header peek).
   [[nodiscard]] static std::size_t encoded_values(std::span<const std::uint8_t> in);

@@ -4,12 +4,15 @@
 
 #include <cmath>
 #include <cstring>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "compress/bit_transpose.hpp"
 #include "compress/mpc.hpp"
 #include "data/datasets.hpp"
 #include "sim/rng.hpp"
+#include "support/payloads.hpp"
 
 namespace {
 
@@ -144,6 +147,115 @@ TEST(Mpc, CorruptInputsThrow) {
   // Output too small.
   std::vector<float> tiny(in.size() - 1);
   EXPECT_THROW((void)codec.decompress({buf.data(), size}, tiny), std::invalid_argument);
+}
+
+// Rebuilds `stream` so that its last chunk is a forged mask followed by
+// `kept` words, the size-table entry says so, and the stream ends exactly
+// at the end of its own heap allocation: a read past the kept words is a
+// read past the allocation. Returns the owner and its size.
+template <class Word>
+std::pair<std::unique_ptr<std::uint8_t[]>, std::size_t> forge_last_chunk(
+    const std::vector<std::uint8_t>& stream, std::size_t size, Word mask, std::size_t kept) {
+  std::uint32_t chunks = 0;
+  std::memcpy(&chunks, stream.data() + 16, 4);
+  const std::size_t entry = 20 + 4 * (chunks - 1);
+  std::uint32_t last_words = 0;
+  std::memcpy(&last_words, stream.data() + entry, 4);
+  const std::size_t last_chunk = size - last_words * sizeof(Word);
+  const std::size_t forged_size = last_chunk + (1 + kept) * sizeof(Word);
+  std::unique_ptr<std::uint8_t[]> forged(new std::uint8_t[forged_size]);
+  std::memcpy(forged.get(), stream.data(), last_chunk);
+  const auto words = static_cast<std::uint32_t>(1 + kept);
+  std::memcpy(forged.get() + entry, &words, 4);
+  std::memcpy(forged.get() + last_chunk, &mask, sizeof(Word));
+  for (std::size_t i = 0; i < kept; ++i) {
+    const Word w = ~Word{0};
+    std::memcpy(forged.get() + last_chunk + (1 + i) * sizeof(Word), &w, sizeof(Word));
+  }
+  return {std::move(forged), forged_size};
+}
+
+// Decoding reads the caller's span in place, so a tile mask that promises
+// more kept words than its chunk holds must throw before the gather, on
+// both paths. The promised words would lie past the end of the allocation,
+// which the asan-ubsan build reports as a heap overflow.
+TEST(Mpc, CorruptMaskNeverReadsPastInput) {
+  MpcCodec codec(1);
+  const auto in = gcmpi::data::smooth_field(2 * 1024 + 5, 1e-3, 7);
+  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
+  const std::size_t size = codec.compress(in, buf);
+  std::vector<float> out(in.size());
+  for (const std::size_t kept : {0u, 1u, 15u, 16u, 31u}) {
+    const std::uint32_t low = kept == 31 ? ~0u : (2u << kept) - 1;  // kept + 1 bits
+    for (const std::uint32_t mask : {low, kept < 16 ? low << 16 : ~0u}) {
+      const auto [forged, forged_size] = forge_last_chunk(buf, size, mask, kept);
+      const std::span<const std::uint8_t> stream(forged.get(), forged_size);
+      EXPECT_THROW((void)codec.decompress(stream, out), std::runtime_error)
+          << "kept " << kept << " mask " << std::hex << mask;
+      EXPECT_THROW((void)codec.decompress_portable(stream, out), std::runtime_error)
+          << "kept " << kept << " mask " << std::hex << mask;
+    }
+  }
+}
+
+TEST(Mpc, ChunkCountMustMatchValueCount) {
+  // An n = 0 header that claims two chunks, the second a real 1024-value
+  // chunk: decoding it would write a whole chunk past `out`.
+  MpcCodec codec(1);
+  const auto in = gcmpi::data::smooth_field(1024, 1e-3, 3);
+  std::vector<std::uint8_t> one(codec.max_compressed_bytes(in.size()));
+  const std::size_t size = codec.compress(in, one);
+  std::vector<std::uint8_t> forged(one.begin(), one.begin() + 20);
+  const std::uint32_t zero = 0;
+  const std::uint32_t two = 2;
+  std::memcpy(forged.data() + 4, &zero, 4);
+  std::memcpy(forged.data() + 16, &two, 4);
+  forged.insert(forged.end(), 4, std::uint8_t{0});  // chunk 0: no words
+  forged.insert(forged.end(), one.begin() + 20, one.begin() + static_cast<long>(size));
+  std::vector<float> out(1);
+  EXPECT_THROW((void)codec.decompress(forged, out), std::invalid_argument);
+  EXPECT_THROW((void)codec.decompress_portable(forged, out), std::invalid_argument);
+}
+
+// The path compress()/decompress() select on this CPU (AVX-512F/BW/VL
+// where present) against the portable path, in the style of the CRC32C
+// cross-check: equal streams, and each path decodes the other's stream
+// bit-exactly. Sizes straddle tile (32) and chunk (1024) edges; d covers
+// the strided-prefix (d < 16), boundary (16) and plain-carry (d > 16)
+// decode cases. On a CPU without AVX-512 both sides are the portable path.
+TEST(Mpc, VectorPathMatchesScalar) {
+  using gcmpi::testing::PayloadKind;
+  const auto same_bits = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           (a.empty() || std::memcmp(a.data(), b.data(), a.size() * 4) == 0);
+  };
+  std::uint64_t seed = 0;
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{31}, std::size_t{33},
+                              std::size_t{1023}, std::size_t{1025}, std::size_t{4099},
+                              (std::size_t{1} << 20) / 4 + 13}) {
+    for (const PayloadKind kind : {PayloadKind::Constant, PayloadKind::SmoothField,
+                                   PayloadKind::Plateaus, PayloadKind::SpecialValues,
+                                   PayloadKind::HighEntropy}) {
+      const auto in = gcmpi::testing::make_floats(kind, n, ++seed);
+      for (const int dim : {1, 2, 3, 4, 8, 15, 16, 17, 31, 32}) {
+        SCOPED_TRACE(::testing::Message() << gcmpi::testing::payload_kind_name(kind) << " n "
+                                          << n << " d " << dim);
+        const MpcCodec codec(dim);
+        std::vector<std::uint8_t> fast(codec.max_compressed_bytes(n));
+        std::vector<std::uint8_t> portable(fast.size());
+        const std::size_t size = codec.compress(in, fast);
+        ASSERT_EQ(codec.compress_portable(in, portable), size);
+        ASSERT_EQ(std::memcmp(fast.data(), portable.data(), size), 0);
+
+        std::vector<float> out(n, -99.0f);
+        ASSERT_EQ(codec.decompress_portable({fast.data(), size}, out), n);
+        ASSERT_TRUE(same_bits(out, in));
+        std::fill(out.begin(), out.end(), -99.0f);
+        ASSERT_EQ(codec.decompress({portable.data(), size}, out), n);
+        ASSERT_TRUE(same_bits(out, in));
+      }
+    }
+  }
 }
 
 TEST(Mpc, OutputBufferTooSmallThrows) {
@@ -308,6 +420,21 @@ TEST(Mpc64, CorruptHeaderRejected) {
   std::vector<double> out(in.size());
   buf[0] ^= 0xFF;
   EXPECT_THROW((void)codec.decompress({buf.data(), size}, out), std::invalid_argument);
+}
+
+TEST(Mpc64, CorruptMaskNeverReadsPastInput) {
+  MpcCodec64 codec(1);
+  std::vector<double> in(2 * 1024 + 5);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(0.001 * static_cast<double>(i));
+  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
+  const std::size_t size = codec.compress(in, buf);
+  std::vector<double> out(in.size());
+  for (const std::size_t kept : {0u, 1u, 31u, 63u}) {
+    const std::uint64_t mask = kept == 63 ? ~0ull : (2ull << kept) - 1;
+    const auto [forged, forged_size] = forge_last_chunk(buf, size, mask, kept);
+    EXPECT_THROW((void)codec.decompress({forged.get(), forged_size}, out), std::runtime_error)
+        << "kept " << kept;
+  }
 }
 
 TEST(Mpc64, FloatStreamIsNotADoubleStream) {
