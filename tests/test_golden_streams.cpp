@@ -8,7 +8,8 @@
 // format.
 //
 // To regenerate after an *intentional* format change:
-//   GCMPI_UPDATE_GOLDEN=1 ./test_golden_streams | grep '{"' (paste into kGolden)
+//   GCMPI_UPDATE_GOLDEN=1 ./test_golden_streams | grep '{"' (paste into kGolden
+//   and, for the zfp decode digests, kZfpDecoded)
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -65,6 +66,19 @@ constexpr GoldenEntry kGolden[] = {
     {"huffman/qnoise/65536", "7cfb9af4490de830332a12df5450bef72138f1c4af5d150aebbbadf7b2cfea01"},
 };
 
+// Pinned digests of the floats each zfp golden stream decodes to. The
+// stream hashes above cannot catch a decoder that shifts bits consistently
+// (every round-trip test compares against the same decoder); these can.
+constexpr GoldenEntry kZfpDecoded[] = {
+    {"zfp/r4/d1/65536", "bb5266f582468684820e3e05baa2ecdad2cea63b5c52bc3334cdcd32c6bbd99f"},
+    {"zfp/r8/d1/4099", "252f04cc3001560065a0601f77bb79963b4123d3831fa55ae1b7db3cfb7ec254"},
+    {"zfp/r16/d1/65536", "67cb840007ab33c51112986ef440e693fd9b8b657d2b023c294e392ab26671f7"},
+    {"zfp/r8/d2/318x202", "2ff75192687595d31e46188bc744fd0981253a8070af8d35e0da894f443b965d"},
+    {"zfp/r8/d3/40x31x23", "eefe1d44772608051bb811fd9877a104e4b214d0cbe0c0c9b5364198b0e9f601"},
+    {"zfp/prec14/d2/128x128", "f11b9f693d75a75504b7b726518b3097656c72833102683956223ba1e5beec56"},
+    {"zfp/acc1e-4/d1/65536", "988f4f76092f43679c8d055e13ffe41902648ad50d5ffb7ee915a59337b5679e"},
+};
+
 using MakeStream = std::function<std::vector<std::uint8_t>()>;
 
 std::vector<std::uint8_t> mpc_stream(int dim, gt::PayloadKind kind, std::size_t n,
@@ -91,6 +105,31 @@ std::vector<std::uint8_t> zfp_stream(const comp::ZfpCodec& codec, const comp::Zf
   std::vector<std::uint8_t> out(codec.compressed_bytes(field));
   out.resize(codec.compress(in, field, out));
   return out;
+}
+
+struct ZfpCase {
+  const char* name;
+  comp::ZfpCodec codec;
+  comp::ZfpField field;
+  gt::PayloadKind kind;
+  std::uint64_t seed;
+};
+
+std::vector<ZfpCase> zfp_cases() {
+  using K = gt::PayloadKind;
+  using comp::ZfpCodec;
+  using comp::ZfpField;
+  return {
+      {"zfp/r4/d1/65536", ZfpCodec(4), ZfpField::d1(65536), K::SmoothField, 21},
+      {"zfp/r8/d1/4099", ZfpCodec(8), ZfpField::d1(4099), K::VelocityPlane, 22},
+      {"zfp/r16/d1/65536", ZfpCodec(16), ZfpField::d1(65536), K::SmoothField, 23},
+      {"zfp/r8/d2/318x202", ZfpCodec(8), ZfpField::d2(318, 202), K::SmoothField, 24},
+      {"zfp/r8/d3/40x31x23", ZfpCodec(8), ZfpField::d3(40, 31, 23), K::SmoothField, 25},
+      {"zfp/prec14/d2/128x128", ZfpCodec::fixed_precision(14), ZfpField::d2(128, 128),
+       K::SmoothField, 26},
+      {"zfp/acc1e-4/d1/65536", ZfpCodec::fixed_accuracy(1e-4), ZfpField::d1(65536),
+       K::SmoothField, 27},
+  };
 }
 
 std::vector<std::uint8_t> fpc_stream(gt::PayloadKind kind, std::size_t n, std::uint64_t seed) {
@@ -142,29 +181,9 @@ std::vector<std::pair<std::string, MakeStream>> corpus() {
   c.emplace_back("mpc64/d1/smooth/32768", [] { return mpc64_stream(1, K::SmoothField, 32768, 15); });
   c.emplace_back("mpc64/d2/special/4097",
                  [] { return mpc64_stream(2, K::SpecialValues, 4097, 16); });
-  c.emplace_back("zfp/r4/d1/65536", [] {
-    return zfp_stream(comp::ZfpCodec(4), comp::ZfpField::d1(65536), K::SmoothField, 21);
-  });
-  c.emplace_back("zfp/r8/d1/4099", [] {
-    return zfp_stream(comp::ZfpCodec(8), comp::ZfpField::d1(4099), K::VelocityPlane, 22);
-  });
-  c.emplace_back("zfp/r16/d1/65536", [] {
-    return zfp_stream(comp::ZfpCodec(16), comp::ZfpField::d1(65536), K::SmoothField, 23);
-  });
-  c.emplace_back("zfp/r8/d2/318x202", [] {
-    return zfp_stream(comp::ZfpCodec(8), comp::ZfpField::d2(318, 202), K::SmoothField, 24);
-  });
-  c.emplace_back("zfp/r8/d3/40x31x23", [] {
-    return zfp_stream(comp::ZfpCodec(8), comp::ZfpField::d3(40, 31, 23), K::SmoothField, 25);
-  });
-  c.emplace_back("zfp/prec14/d2/128x128", [] {
-    return zfp_stream(comp::ZfpCodec::fixed_precision(14), comp::ZfpField::d2(128, 128),
-                      K::SmoothField, 26);
-  });
-  c.emplace_back("zfp/acc1e-4/d1/65536", [] {
-    return zfp_stream(comp::ZfpCodec::fixed_accuracy(1e-4), comp::ZfpField::d1(65536),
-                      K::SmoothField, 27);
-  });
+  for (const ZfpCase& z : zfp_cases()) {
+    c.emplace_back(z.name, [z] { return zfp_stream(z.codec, z.field, z.kind, z.seed); });
+  }
   c.emplace_back("fpc/smooth/32768", [] { return fpc_stream(K::SmoothField, 32768, 31); });
   c.emplace_back("fpc/special/4099", [] { return fpc_stream(K::SpecialValues, 4099, 32); });
   c.emplace_back("sz/eb1e-3/smooth/65536", [] { return sz_stream(1e-3, K::SmoothField, 65536, 41); });
@@ -196,6 +215,26 @@ TEST(GoldenStreams, CompressedBytesAreBitIdentical) {
   }
 }
 
+TEST(GoldenStreams, ZfpDecodedFloatsArePinned) {
+  const bool update = std::getenv("GCMPI_UPDATE_GOLDEN") != nullptr;
+  const auto cases = zfp_cases();
+  ASSERT_EQ(cases.size(), std::size(kZfpDecoded));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const ZfpCase& z = cases[i];
+    ASSERT_STREQ(z.name, kZfpDecoded[i].name);
+    const std::vector<std::uint8_t> bytes = zfp_stream(z.codec, z.field, z.kind, z.seed);
+    std::vector<float> out(z.field.values());
+    z.codec.decompress(bytes, z.field, out);
+    const std::string got = gt::sha256_hex(
+        {reinterpret_cast<const std::uint8_t*>(out.data()), out.size() * sizeof(float)});
+    if (update) {
+      std::printf("    {\"%s\", \"%s\"},\n", z.name, got.c_str());
+      continue;
+    }
+    EXPECT_EQ(got, kZfpDecoded[i].sha256) << z.name << ": decoded floats changed.";
+  }
+}
+
 // The corpus exercises every wire path the hashes pin: decode each stream
 // once so a silently-corrupt golden stream cannot hide behind its own hash.
 TEST(GoldenStreams, StreamsRoundTrip) {
@@ -220,8 +259,9 @@ TEST(GoldenStreams, StreamsRoundTrip) {
       comp::MpcCodec codec(dim);
       EXPECT_EQ(codec.decompress(bytes, out), n);
     }
-    // zfp/fpc/sz/gfc round-trips are covered by their dedicated suites and
-    // the fuzz harness; here the hash comparison is the contract.
+    // zfp decodes are pinned by ZfpDecodedFloatsArePinned; fpc/sz/gfc
+    // round-trips are covered by their dedicated suites and the fuzz
+    // harness; here the hash comparison is the contract.
   }
 }
 
