@@ -1,9 +1,9 @@
 // google-benchmark microbenchmarks of the REAL codec implementations (CPU
-// wall-clock, this machine): MPC on its dispatched and portable paths, ZFP
-// at several rates, FPC, plus the CRC32C wire checksum on its hardware and
-// portable paths. These measure our from-scratch implementations honestly
-// — the GPU throughputs used in the simulation come from the calibrated
-// model, not from these numbers.
+// wall-clock, this machine): MPC and ZFP (at several rates) on their
+// dispatched and portable paths, FPC, plus the CRC32C wire checksum on its
+// hardware and portable paths. These measure our from-scratch
+// implementations honestly — the GPU throughputs used in the simulation
+// come from the calibrated model, not from these numbers.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -88,34 +88,58 @@ void BM_MpcDecompressPortable(benchmark::State& state) {
 }
 BENCHMARK(BM_MpcDecompressPortable)->Arg(0)->Arg(1);
 
-void BM_ZfpCompress(benchmark::State& state) {
+template <auto Compress>
+void BM_ZfpCompressImpl(benchmark::State& state) {
   const auto& in = payload();
-  const int rate = static_cast<int>(state.range(0));
-  comp::ZfpCodec codec(rate);
+  const comp::ZfpCodec codec(static_cast<int>(state.range(0)));
   const comp::ZfpField field = comp::ZfpField::d1(in.size());
   std::vector<std::uint8_t> out(codec.compressed_bytes(field));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.compress(in, field, out));
+    benchmark::DoNotOptimize((codec.*Compress)(in, field, out));
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 4));
 }
-BENCHMARK(BM_ZfpCompress)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_ZfpDecompress(benchmark::State& state) {
+template <auto Decompress>
+void BM_ZfpDecompressImpl(benchmark::State& state) {
   const auto& in = payload();
-  const int rate = static_cast<int>(state.range(0));
-  comp::ZfpCodec codec(rate);
+  const comp::ZfpCodec codec(static_cast<int>(state.range(0)));
   const comp::ZfpField field = comp::ZfpField::d1(in.size());
   std::vector<std::uint8_t> buf(codec.compressed_bytes(field));
   (void)codec.compress(in, field, buf);
   std::vector<float> out(in.size());
   for (auto _ : state) {
-    codec.decompress(buf, field, out);
+    (codec.*Decompress)(buf, field, out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 4));
 }
-BENCHMARK(BM_ZfpDecompress)->Arg(4)->Arg(16);
+
+// Arg: rate (8 is the rate coll-mix runs). The plain names run the path
+// compress()/decompress() select on this CPU (AVX-512 for rates 4..16
+// where available); *Portable the scalar path.
+void BM_ZfpCompress(benchmark::State& state) {
+  BM_ZfpCompressImpl<&comp::ZfpCodec::compress>(state);
+}
+BENCHMARK(BM_ZfpCompress)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_ZfpCompressPortable(benchmark::State& state) {
+  BM_ZfpCompressImpl<&comp::ZfpCodec::compress_portable>(state);
+}
+BENCHMARK(BM_ZfpCompressPortable)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_ZfpDecompress(benchmark::State& state) {
+  BM_ZfpDecompressImpl<&comp::ZfpCodec::decompress>(state);
+}
+BENCHMARK(BM_ZfpDecompress)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_ZfpDecompressPortable(benchmark::State& state) {
+  BM_ZfpDecompressImpl<&comp::ZfpCodec::decompress_portable>(state);
+}
+BENCHMARK(BM_ZfpDecompressPortable)->Arg(4)->Arg(8)->Arg(16);
 
 void BM_FpcCompress(benchmark::State& state) {
   std::vector<double> in((2u << 20) / 8);

@@ -1,4 +1,5 @@
-// Bit-granular stream writer/reader used by the ZFP codec.
+// Bit-granular stream writer/reader used by the generic ZFP block coder
+// (2D/3D and the variable-rate modes), SZ and the Huffman coder.
 //
 // Bits are packed LSB-first into little-endian 64-bit words, matching the
 // convention of Lindstrom's zfp bitstream. The reader supports absolute
@@ -8,8 +9,8 @@
 // Both ends are word-parallel: the writer packs into a 64-bit accumulator
 // and emits whole words; the reader keeps a 64-bit refill buffer so
 // `get_bits(n)` costs at most two word loads (never n per-bit probes).
-// Reading past the end of the buffer yields zero bits, which fixed-rate
-// ZFP relies on for the zero-padded tail of the final block.
+// Reading past the end of the buffer yields zero bits, so a decoder may
+// peek a fixed window ahead of the final block.
 #pragma once
 
 #include <algorithm>

@@ -1,12 +1,17 @@
 // ZFP fixed-rate codec tests: exact compressed sizes, error bounds,
-// all-zero blocks, partial blocks, 1D/2D/3D, and parameterized rate sweeps.
+// all-zero blocks, partial blocks, 1D/2D/3D, parameterized rate sweeps, the
+// variable-rate modes, and the dispatched fixed-rate path against the
+// portable one.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
 #include <vector>
 
 #include "compress/zfp.hpp"
 #include "sim/rng.hpp"
+#include "support/payloads.hpp"
 
 namespace {
 
@@ -311,6 +316,121 @@ TEST(ZfpModes, AccuracyModeCompressesBetterThanEquivalentRate) {
   // Fixed rate 16 gives 2x; the accuracy mode at this tolerance should
   // do at least as well on this data.
   EXPECT_LT(acc_size, in.size() * 4 / 2 + 64);
+}
+
+}  // namespace
+
+namespace {
+
+using gcmpi::testing::PayloadKind;
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() && std::memcmp(a.data(), b.data(), a.size() * 4) == 0;
+}
+
+/// Write the low `n` bits of v at bit offset `bit` (LSB first).
+void put_bits(std::vector<std::uint8_t>& bytes, std::size_t bit, std::uint32_t v, int n) {
+  for (int i = 0; i < n; ++i, ++bit) {
+    const auto mask = static_cast<std::uint8_t>(1u << (bit % 8));
+    bytes[bit / 8] = ((v >> i) & 1u) != 0 ? (bytes[bit / 8] | mask) : (bytes[bit / 8] & ~mask);
+  }
+}
+
+// The fixed-rate 1D path compress()/decompress() select on this CPU (the
+// AVX-512 group kernel for rates 4..16 where present) against the portable
+// path, as Mpc.VectorPathMatchesScalar does for MPC: equal streams, and
+// equal floats from either decoder. Lengths straddle the block (4) and
+// group (64 values) edges; the payloads cover every PayloadKind (SpecialValues
+// carries +-inf, NaN, denormals, +-0 and FLT_MAX) plus all-zero blocks. Every
+// buffer has its exact size, so a read past a stream shows in the asan job.
+// On a CPU without AVX-512 both sides are the portable path.
+TEST(Zfp, DispatchedPathMatchesPortable) {
+  std::uint64_t seed = 0;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+                              std::size_t{5}, std::size_t{63}, std::size_t{64}, std::size_t{65},
+                              std::size_t{4099}, std::size_t{65539}}) {
+    const ZfpField f = ZfpField::d1(n);
+    std::vector<std::vector<float>> payloads;
+    for (int k = 0; k < static_cast<int>(PayloadKind::kCount); ++k) {
+      payloads.push_back(gcmpi::testing::make_floats(static_cast<PayloadKind>(k), n, ++seed));
+    }
+    payloads.emplace_back(n, 0.0f);
+    for (int rate = 4; rate <= 32; ++rate) {
+      const ZfpCodec codec(rate);
+      for (std::size_t p = 0; p < payloads.size(); ++p) {
+        SCOPED_TRACE(::testing::Message() << "n " << n << " rate " << rate << " payload " << p);
+        std::vector<std::uint8_t> fast(codec.compressed_bytes(f));
+        std::vector<std::uint8_t> portable(fast.size());
+        ASSERT_EQ(codec.compress(payloads[p], f, fast), fast.size());
+        ASSERT_EQ(codec.compress_portable(payloads[p], f, portable), fast.size());
+        ASSERT_EQ(fast, portable);
+
+        std::vector<float> a(n, -99.0f);
+        std::vector<float> b(n, -77.0f);
+        codec.decompress(fast, f, a);
+        codec.decompress_portable(fast, f, b);
+        ASSERT_TRUE(same_bits(a, b));
+      }
+    }
+  }
+}
+
+// Seeded random streams of exact fixed-rate length decode to the same
+// floats on both paths. Each block header is forced to a zero flag or to a
+// 9-bit exponent field that cycles through the float range and past both
+// ends of it (field 0..1 and 279..511 are no float's exponent). A third of
+// the blocks then start with a run of 20..40 empty planes, so the budget
+// outlasts the 32 planes and the decoders must stop at plane 0.
+TEST(Zfp, DispatchedPathMatchesPortableOnRandomStreams) {
+  constexpr std::uint32_t kFields[] = {0, 1, 2, 100, 150, 277, 278, 279, 300, 511};
+  gcmpi::sim::Rng rng(104729);
+  for (const std::size_t n : {std::size_t{5}, std::size_t{64}, std::size_t{4099}}) {
+    const ZfpField f = ZfpField::d1(n);
+    for (int rate = 4; rate <= 32; ++rate) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " rate " << rate);
+      const ZfpCodec codec(rate);
+      std::vector<std::uint8_t> stream(codec.compressed_bytes(f));
+      for (auto& byte : stream) byte = static_cast<std::uint8_t>(rng.next_below(256));
+      for (std::size_t i = 0; i < f.blocks(); ++i) {
+        const std::size_t at = i * 4 * static_cast<std::size_t>(rate);
+        const std::uint32_t pick = static_cast<std::uint32_t>(rng.next_below(12));
+        const std::uint32_t header =
+            pick >= std::size(kFields) ? 0u : 1u | kFields[pick] << 1;  // else a zero flag
+        put_bits(stream, at, header, 10);
+        const std::size_t budget = 4 * static_cast<std::size_t>(rate) - 10;
+        const std::size_t zeros = 20 + rng.next_below(21);
+        if (rng.next_below(3) == 0 && zeros < budget) {
+          for (std::size_t b = 0; b < zeros; ++b) put_bits(stream, at + 10 + b, 0, 1);
+          put_bits(stream, at + 10 + zeros, 1, 1);
+        }
+      }
+      std::vector<float> a(n, -99.0f);
+      std::vector<float> b(n, -77.0f);
+      codec.decompress(stream, f, a);
+      codec.decompress_portable(stream, f, b);
+      ASSERT_TRUE(same_bits(a, b));
+    }
+  }
+}
+
+// A fixed-rate stream shorter than compressed_bytes() used to decode its
+// missing blocks as zeros; it is now rejected, in every dimensionality and
+// on both paths. Variable-rate streams are shorter by design and still
+// decode from the bytes compress() returned (ZfpModes above).
+TEST(Zfp, ShortFixedRateStreamIsRejected) {
+  for (const ZfpField& f : {ZfpField::d1(4099), ZfpField::d2(37, 23), ZfpField::d3(9, 10, 11)}) {
+    const ZfpCodec codec(8);
+    const auto in = smooth(f.values(), 7);
+    std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
+    ASSERT_EQ(codec.compress(in, f, buf), buf.size());
+    std::vector<float> out(f.values());
+    for (const std::size_t shortfall : {std::size_t{1}, std::size_t{8}}) {
+      const std::span<const std::uint8_t> cut{buf.data(), buf.size() - shortfall};
+      EXPECT_THROW(codec.decompress(cut, f, out), std::invalid_argument) << f.dims;
+      EXPECT_THROW(codec.decompress_portable(cut, f, out), std::invalid_argument) << f.dims;
+    }
+    EXPECT_NO_THROW(codec.decompress(buf, f, out));
+  }
 }
 
 }  // namespace
