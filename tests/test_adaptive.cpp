@@ -1,10 +1,12 @@
 // Adaptive control-plane tests (the paper's Sec. IX closed loop): decision
 // determinism across reruns, convergence to the best fixed codec on a
 // stationary workload, codec quarantine under an injected fault storm, and
-// the all-ranks-agree contract for adaptive collective selection.
+// the all-ranks-agree contract for adaptive collective selection, plus a
+// pinned digest of every adaptive collective decision.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "data/datasets.hpp"
 #include "fault/injector.hpp"
 #include "mpi/world.hpp"
+#include "support/sha256.hpp"
 
 namespace {
 
@@ -225,6 +228,98 @@ TEST(Adaptive, AllreduceAgreesAcrossRanksAndMatchesOracle) {
     if (std::strcmp(d.scope, "allreduce") == 0) ++allreduce_decisions;
   }
   EXPECT_EQ(allreduce_decisions, 3);
+}
+
+// (e) Pin: every collective, on each side of its static floor, through
+// enough rounds that the measured history overrides the cost-model prior.
+// Two measured alternatives are fed in up front (a fast hierarchical
+// allreduce and a fast flat bcast below their floors), so the refinement
+// displaces the prior once the prior's own schedule has min_samples. The
+// decision log, the collective records and the final virtual clock are
+// hashed together, so a selection refactor that moves any adaptive
+// decision (or the schedule it runs) changes the digest.
+TEST(Adaptive, CollectiveDecisionsArePinned) {
+  constexpr std::uint64_t KiB = 1024, MiB = 1024 * KiB;
+  Telemetry telemetry;
+  AdaptiveOptions aopts;
+  aopts.lossy_allowed = false;
+  AdaptiveController controller(gpu::v100_spec(), kNetworkGbs, aopts);
+  controller.bind(telemetry);
+  mpi::WorldOptions opts;
+  opts.telemetry = &telemetry;
+  opts.adaptive = &controller;
+  sim::Engine engine;
+  mpi::World world(engine, net::longhorn(2, 2), core::CompressionConfig::mpc_opt(), opts);
+  const int P = world.size();
+
+  // Below / above each static floor: allreduce and reduce_scatter 4 MiB,
+  // alltoall 1 MiB blocks, bcast 1 MiB, allgather/gather/scatter 256 KiB
+  // blocks.
+  const std::uint64_t reduce_bytes[] = {2 * MiB, 6 * MiB};
+  const std::uint64_t alltoall_block[] = {512 * KiB, 2 * MiB};
+  const std::uint64_t bcast_bytes[] = {512 * KiB, 2 * MiB};
+  const std::uint64_t block_bytes[] = {128 * KiB, 512 * KiB};
+  const std::uint64_t max_bytes = 8 * MiB;  // the largest send or receive buffer
+  const auto payload = data::generate("msg_sppm", max_bytes / 4);
+
+  for (int i = 0; i < 2; ++i) {
+    core::CollectiveRecord rec;
+    rec.op = "allreduce";
+    rec.algorithm = "hierarchical";
+    rec.bytes = reduce_bytes[0];
+    rec.span = sim::Time::us(100);
+    telemetry.record_collective(rec);
+    rec.op = "bcast";
+    rec.algorithm = "linear";
+    rec.bytes = bcast_bytes[0];
+    rec.span = sim::Time::us(10);
+    telemetry.record_collective(rec);
+  }
+
+  world.run([&](mpi::Rank& R) {
+    auto* src = static_cast<float*>(R.gpu_malloc(max_bytes));
+    auto* dst = static_cast<float*>(R.gpu_malloc(max_bytes));
+    std::memcpy(src, payload.data(), max_bytes);
+    for (int round = 0; round < 4; ++round) {
+      for (int side = 0; side < 2; ++side) {
+        const std::size_t n = reduce_bytes[side] / 4;
+        R.allreduce(src, dst, n, mpi::ReduceOp::Sum);
+        R.reduce_scatter(src, dst, n / static_cast<std::size_t>(P), mpi::ReduceOp::Sum);
+        R.alltoall(src, alltoall_block[side], dst);
+        R.bcast(src, bcast_bytes[side], 0);
+        R.allgather(src, block_bytes[side], dst);
+        R.gather(src, block_bytes[side], dst, 1);
+        R.scatter(src, block_bytes[side], dst, 2);
+      }
+    }
+    R.gpu_free(dst);
+    R.gpu_free(src);
+  });
+
+  std::ostringstream log;
+  log << decision_csv(telemetry);
+  telemetry.write_collective_csv(log);
+  log << "now_ns=" << engine.now().count_ns() << "\n";
+  const std::string text = log.str();
+
+  // One decision per collective call (reduce_scatter shares allreduce's
+  // sequence), and the two fed-in alternatives displaced the prior.
+  std::map<std::string, int> decisions;
+  for (const auto& d : telemetry.decisions()) {
+    ++decisions[std::string(d.scope) + ":" + d.choice];
+  }
+  EXPECT_EQ(decisions["allreduce:ring"] + decisions["allreduce:hierarchical"], 16);
+  EXPECT_EQ(decisions["allreduce:hierarchical"], 3);
+  EXPECT_EQ(decisions["bcast:linear"], 3);
+  EXPECT_EQ(decisions["bcast:hierarchical"], 5);
+  for (const char* op : {"alltoall:batched", "allgather:hierarchical", "gather:hierarchical",
+                         "scatter:hierarchical"}) {
+    EXPECT_EQ(decisions[op], 8) << op;
+  }
+  EXPECT_EQ(text.size(), 26611u);
+  EXPECT_EQ(gcmpi::testing::sha256_hex(
+                {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}),
+            "c0f6314d01fc5092fda3064cd8336b9819e27d698744beaf3ec042e1992f3976");
 }
 
 }  // namespace
