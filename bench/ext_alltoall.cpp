@@ -63,7 +63,7 @@ RunResult run_alltoall(core::CollectiveAlgorithm algorithm, core::CompressionCon
   cfg.pool_buffers = 24;  // the batch slab + P-1 decompressions in flight
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
-  opts.collectives.alltoall_algorithm = algorithm;
+  opts.collectives[core::CollectiveOp::Alltoall] = algorithm;
   mpi::World world(engine, net::longhorn(ranks, 1), cfg, opts);
   sim::Time t = sim::Time::zero();
   world.run([&](mpi::Rank& R) {

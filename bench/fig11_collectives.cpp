@@ -110,7 +110,7 @@ sim::Time run_allreduce(core::CollectiveAlgorithm algorithm, core::CompressionCo
   cfg.pool_buffer_bytes = bytes + (1u << 20);
   cfg.pool_buffers = 24;
   mpi::WorldOptions opts;
-  opts.collectives.algorithm = algorithm;
+  opts.collectives[core::CollectiveOp::Allreduce] = algorithm;
   mpi::World world(engine, net::longhorn(nodes, gpn), cfg, opts);
   sim::Time t = sim::Time::zero();
   world.run([&](mpi::Rank& R) {

@@ -63,7 +63,7 @@ RunResult run_bcast(core::CollectiveAlgorithm algorithm, core::CompressionConfig
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
   opts.fault = &counter;
-  opts.collectives.bcast_algorithm = algorithm;
+  opts.collectives[core::CollectiveOp::Bcast] = algorithm;
   mpi::World world(engine, net::longhorn(nodes, gpn), cfg, opts);
   const int root = 1;  // off-leader root: the representative tree is not aligned
   sim::Time t = sim::Time::zero();

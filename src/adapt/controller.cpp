@@ -206,18 +206,18 @@ core::CompressChoice AdaptiveController::choose_codec(sim::Time now, int rank,
 }
 
 core::CollectiveAlgorithm AdaptiveController::refine_collective(
-    const char* op, core::CollectiveAlgorithm prior_choice, std::uint64_t bytes,
-    std::initializer_list<core::CollectiveAlgorithm> candidates) const {
+    core::CollectiveOp op, core::CollectiveAlgorithm prior_choice, std::uint64_t bytes) const {
   // The prior stays in charge until ITS schedule has been measured; from
   // then on, a measured alternative displaces it only past the hysteresis
   // band (same anti-oscillation rule as the codec loop).
-  const CollectiveStats& inc = history_.collective(op, prior_choice, bytes);
+  const core::CollectiveRow& row = core::collective_row(op);
+  const CollectiveStats& inc = history_.collective(row.name, prior_choice, bytes);
   if (inc.samples < opts_.min_samples) return prior_choice;
   core::CollectiveAlgorithm best = prior_choice;
   double best_us = inc.span_us;
-  for (core::CollectiveAlgorithm a : candidates) {
+  for (core::CollectiveAlgorithm a : row.candidates) {
     if (a == prior_choice) continue;
-    const CollectiveStats& m = history_.collective(op, a, bytes);
+    const CollectiveStats& m = history_.collective(row.name, a, bytes);
     if (m.samples >= opts_.min_samples && m.span_us < best_us * (1.0 - opts_.hysteresis)) {
       best = a;
       best_us = m.span_us;
@@ -226,112 +226,66 @@ core::CollectiveAlgorithm AdaptiveController::refine_collective(
   return best;
 }
 
-core::CollectiveAlgorithm AdaptiveController::choose_allreduce(sim::Time now, int rank,
-                                                               std::uint64_t bytes,
-                                                               int ranks, int nodes,
-                                                               int gpus_per_node) {
-  const std::size_t k = allreduce_.cursor[rank]++;
-  if (k < allreduce_.seq.size()) return allreduce_.seq[k];  // replay round k
+core::CollectiveAlgorithm AdaptiveController::choose_collective(core::CollectiveOp op,
+                                                                sim::Time now, int rank,
+                                                                std::uint64_t bytes, int ranks,
+                                                                int nodes, int gpus_per_node) {
+  CollectiveSequence& s = sequences_[static_cast<std::size_t>(op)];
+  const std::size_t k = s.cursor[rank]++;
+  if (k < s.seq.size()) return s.seq[k];  // replay round k
   const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg =
-      prior_.choose_allreduce_algorithm(bytes, ranks, nodes, gpus_per_node, cr);
-  alg = refine_collective("allreduce", alg, bytes,
-                          {core::CollectiveAlgorithm::Linear, core::CollectiveAlgorithm::Ring,
-                           core::CollectiveAlgorithm::Hierarchical});
-  allreduce_.seq.push_back(alg);
-  record(now, rank, core::kScopeAllreduce, bytes, core::collective_algorithm_name(alg),
-         false, false, history_.collective("allreduce", alg, bytes).span_us);
+  const core::CollectiveAlgorithm alg = refine_collective(
+      op, prior_.choose_collective(op, bytes, ranks, nodes, gpus_per_node, cr), bytes);
+  s.seq.push_back(alg);
+  const char* name = core::collective_row(op).name;
+  record(now, rank, name, bytes, core::collective_algorithm_name(alg), false, false,
+         history_.collective(name, alg, bytes).span_us);
   return alg;
+}
+
+core::CollectiveAlgorithm AdaptiveController::choose_allreduce(sim::Time now, int rank,
+                                                               std::uint64_t bytes, int ranks,
+                                                               int nodes, int gpus_per_node) {
+  return choose_collective(core::CollectiveOp::Allreduce, now, rank, bytes, ranks, nodes,
+                           gpus_per_node);
 }
 
 core::CollectiveAlgorithm AdaptiveController::choose_alltoall(sim::Time now, int rank,
                                                               std::uint64_t block_bytes,
                                                               int ranks) {
-  const std::size_t k = alltoall_.cursor[rank]++;
-  if (k < alltoall_.seq.size()) return alltoall_.seq[k];
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg = prior_.choose_alltoall_algorithm(block_bytes, ranks, cr);
-  alg = refine_collective("alltoall", alg, block_bytes,
-                          {core::CollectiveAlgorithm::Linear,
-                           core::CollectiveAlgorithm::BatchedPairwise});
-  alltoall_.seq.push_back(alg);
-  record(now, rank, core::kScopeAlltoall, block_bytes,
-         core::collective_algorithm_name(alg), false, false,
-         history_.collective("alltoall", alg, block_bytes).span_us);
-  return alg;
+  // The alltoall price does not depend on the topology.
+  return choose_collective(core::CollectiveOp::Alltoall, now, rank, block_bytes, ranks, 1, 1);
 }
 
 core::CollectiveAlgorithm AdaptiveController::choose_bcast(sim::Time now, int rank,
                                                            std::uint64_t bytes, int ranks,
                                                            int nodes, int gpus_per_node) {
-  const std::size_t k = bcast_.cursor[rank]++;
-  if (k < bcast_.seq.size()) return bcast_.seq[k];
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg =
-      prior_.choose_bcast_algorithm(bytes, ranks, nodes, gpus_per_node, cr);
-  alg = refine_collective("bcast", alg, bytes,
-                          {core::CollectiveAlgorithm::Linear,
-                           core::CollectiveAlgorithm::Hierarchical});
-  bcast_.seq.push_back(alg);
-  record(now, rank, core::kScopeBcast, bytes, core::collective_algorithm_name(alg), false,
-         false, history_.collective("bcast", alg, bytes).span_us);
-  return alg;
+  return choose_collective(core::CollectiveOp::Bcast, now, rank, bytes, ranks, nodes,
+                           gpus_per_node);
 }
 
 core::CollectiveAlgorithm AdaptiveController::choose_allgather(sim::Time now, int rank,
                                                                std::uint64_t block_bytes,
                                                                int ranks, int nodes,
                                                                int gpus_per_node) {
-  const std::size_t k = allgather_.cursor[rank]++;
-  if (k < allgather_.seq.size()) return allgather_.seq[k];
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg =
-      prior_.choose_allgather_algorithm(block_bytes, ranks, nodes, gpus_per_node, cr);
-  alg = refine_collective("allgather", alg, block_bytes,
-                          {core::CollectiveAlgorithm::Linear,
-                           core::CollectiveAlgorithm::Hierarchical});
-  allgather_.seq.push_back(alg);
-  record(now, rank, core::kScopeAllgather, block_bytes,
-         core::collective_algorithm_name(alg), false, false,
-         history_.collective("allgather", alg, block_bytes).span_us);
-  return alg;
+  return choose_collective(core::CollectiveOp::Allgather, now, rank, block_bytes, ranks,
+                           nodes, gpus_per_node);
 }
 
 core::CollectiveAlgorithm AdaptiveController::choose_gather(sim::Time now, int rank,
                                                             std::uint64_t block_bytes,
                                                             int ranks, int nodes,
                                                             int gpus_per_node) {
-  const std::size_t k = gather_.cursor[rank]++;
-  if (k < gather_.seq.size()) return gather_.seq[k];
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg =
-      prior_.choose_gather_algorithm(block_bytes, ranks, nodes, gpus_per_node, cr);
-  alg = refine_collective("gather", alg, block_bytes,
-                          {core::CollectiveAlgorithm::Linear,
-                           core::CollectiveAlgorithm::Hierarchical});
-  gather_.seq.push_back(alg);
-  record(now, rank, core::kScopeGather, block_bytes, core::collective_algorithm_name(alg),
-         false, false, history_.collective("gather", alg, block_bytes).span_us);
-  return alg;
+  return choose_collective(core::CollectiveOp::Gather, now, rank, block_bytes, ranks, nodes,
+                           gpus_per_node);
 }
 
 core::CollectiveAlgorithm AdaptiveController::choose_scatter(sim::Time now, int rank,
                                                              std::uint64_t block_bytes,
                                                              int ranks, int nodes,
                                                              int gpus_per_node) {
-  const std::size_t k = scatter_.cursor[rank]++;
-  if (k < scatter_.seq.size()) return scatter_.seq[k];
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
-  core::CollectiveAlgorithm alg =
-      prior_.choose_scatter_algorithm(block_bytes, ranks, nodes, gpus_per_node, cr);
-  alg = refine_collective("scatter", alg, block_bytes,
-                          {core::CollectiveAlgorithm::Linear,
-                           core::CollectiveAlgorithm::Hierarchical});
-  scatter_.seq.push_back(alg);
-  record(now, rank, core::kScopeScatter, block_bytes,
-         core::collective_algorithm_name(alg), false, false,
-         history_.collective("scatter", alg, block_bytes).span_us);
-  return alg;
+  return choose_collective(core::CollectiveOp::Scatter, now, rank, block_bytes, ranks, nodes,
+                           gpus_per_node);
 }
 
 }  // namespace gcmpi::adapt

@@ -26,6 +26,7 @@
 // replay it.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <utility>
@@ -123,8 +124,13 @@ class AdaptiveController final : public core::AdaptivePolicy,
   void record(sim::Time now, int rank, const char* scope, std::uint64_t bytes,
               const char* choice, bool probe, bool quarantined, double predicted_us);
   [[nodiscard]] core::CollectiveAlgorithm refine_collective(
-      const char* op, core::CollectiveAlgorithm prior_choice, std::uint64_t bytes,
-      std::initializer_list<core::CollectiveAlgorithm> candidates) const;
+      core::CollectiveOp op, core::CollectiveAlgorithm prior_choice, std::uint64_t bytes) const;
+  /// The one collective decision body the six AdaptivePolicy overrides
+  /// forward to: replay round k, or price it with the DynamicSelector prior,
+  /// refine it from the measured history and log it.
+  core::CollectiveAlgorithm choose_collective(core::CollectiveOp op, sim::Time now, int rank,
+                                              std::uint64_t bytes, int ranks, int nodes,
+                                              int gpus_per_node);
 
   gpu::GpuSpec gpu_;
   double network_gbs_;
@@ -134,12 +140,7 @@ class AdaptiveController final : public core::AdaptivePolicy,
   History history_;
   core::Telemetry* telemetry_ = nullptr;
   std::map<std::pair<int, int>, Channel> channels_;  // (scope, bucket)
-  CollectiveSequence allreduce_;
-  CollectiveSequence alltoall_;
-  CollectiveSequence bcast_;
-  CollectiveSequence allgather_;
-  CollectiveSequence gather_;
-  CollectiveSequence scatter_;
+  std::array<CollectiveSequence, core::kCollectiveOps> sequences_;  // by CollectiveOp
 };
 
 }  // namespace gcmpi::adapt

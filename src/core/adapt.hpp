@@ -91,4 +91,25 @@ class AdaptivePolicy {
                                              int nodes, int gpus_per_node) = 0;
 };
 
+/// Ask `policy` for `op`'s schedule through the matching choose_* override.
+inline CollectiveAlgorithm choose_collective(AdaptivePolicy& policy, CollectiveOp op,
+                                             sim::Time now, int rank, std::uint64_t bytes,
+                                             int ranks, int nodes, int gpus_per_node) {
+  switch (op) {
+    case CollectiveOp::Allreduce:
+      return policy.choose_allreduce(now, rank, bytes, ranks, nodes, gpus_per_node);
+    case CollectiveOp::Alltoall:
+      return policy.choose_alltoall(now, rank, bytes, ranks);
+    case CollectiveOp::Bcast:
+      return policy.choose_bcast(now, rank, bytes, ranks, nodes, gpus_per_node);
+    case CollectiveOp::Allgather:
+      return policy.choose_allgather(now, rank, bytes, ranks, nodes, gpus_per_node);
+    case CollectiveOp::Gather:
+      return policy.choose_gather(now, rank, bytes, ranks, nodes, gpus_per_node);
+    case CollectiveOp::Scatter:
+      return policy.choose_scatter(now, rank, bytes, ranks, nodes, gpus_per_node);
+  }
+  return CollectiveAlgorithm::Linear;
+}
+
 }  // namespace gcmpi::core

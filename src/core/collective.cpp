@@ -17,80 +17,69 @@ const char* collective_algorithm_name(CollectiveAlgorithm a) {
   return "?";
 }
 
-CollectiveAlgorithm resolve_allreduce_algorithm(const CollectiveTuning& tuning,
-                                                std::uint64_t bytes, int ranks,
-                                                int nodes, int gpus_per_node) {
-  if (tuning.algorithm != CollectiveAlgorithm::Auto) return tuning.algorithm;
-  if (ranks < tuning.ring_min_ranks || bytes < tuning.ring_min_bytes) {
-    return CollectiveAlgorithm::Linear;
-  }
-  if (tuning.allow_hierarchical && nodes > 1 && gpus_per_node > 1) {
-    return CollectiveAlgorithm::Hierarchical;
-  }
-  return CollectiveAlgorithm::Ring;
-}
-
 namespace {
 
-/// Shared resolution rule for the leader-staged moving collectives: the
-/// hierarchical schedule needs a genuine two-level topology; a forced
-/// Hierarchical on a degenerate one resolves to the flat path (Linear) so
-/// the result is bit-identical to the flat schedule by construction.
-CollectiveAlgorithm resolve_hier(const CollectiveTuning& tuning, CollectiveAlgorithm forced,
-                                 std::uint64_t floor_bytes, std::uint64_t bytes, int ranks,
-                                 int nodes, int gpus_per_node) {
-  const bool two_level = nodes > 1 && gpus_per_node > 1;
-  if (forced != CollectiveAlgorithm::Auto) {
-    return forced == CollectiveAlgorithm::Hierarchical && two_level
-               ? CollectiveAlgorithm::Hierarchical
-               : CollectiveAlgorithm::Linear;
-  }
-  if (!tuning.allow_hierarchical || !two_level) return CollectiveAlgorithm::Linear;
-  if (ranks < tuning.hier_min_ranks || bytes < floor_bytes) return CollectiveAlgorithm::Linear;
-  return CollectiveAlgorithm::Hierarchical;
-}
+using A = CollectiveAlgorithm;
+constexpr A kReduceCandidates[] = {A::Linear, A::Ring, A::Hierarchical};
+constexpr A kAlltoallCandidates[] = {A::Linear, A::BatchedPairwise};
+constexpr A kStagedCandidates[] = {A::Linear, A::Hierarchical};
+
+// Floors:
+//  * allreduce: the ring shards the message across ranks, so it only pays
+//    once per-shard chunks are big enough to compress and saturate the
+//    wire; on Longhorn at 8 ranks it pulls ahead of the linear schedule
+//    between 4 and 8 MiB (bench/fig11_collectives.cpp).
+//  * alltoall: one batched launch for all P-1 blocks only pays once the
+//    per-destination compression kernels, not the launch overhead being
+//    amortized, dominate; measured crossover in bench/ext_alltoall.cpp on
+//    Longhorn at 8 ranks.
+//  * bcast/allgather/gather/scatter: staging at one representative per node
+//    (hier_engine.cpp) beats the flat schedules' lower hop count and launch
+//    overhead from 1 MiB messages / 256 KiB blocks.
+constexpr CollectiveRow kRows[kCollectiveOps] = {
+    {"allreduce", kReduceCandidates, 4ull << 20, 4, false},
+    {"alltoall", kAlltoallCandidates, 1ull << 20, 4, false},
+    {"bcast", kStagedCandidates, 1ull << 20, 4, true},
+    {"allgather", kStagedCandidates, 256ull << 10, 4, true},
+    {"gather", kStagedCandidates, 256ull << 10, 4, true},
+    {"scatter", kStagedCandidates, 256ull << 10, 4, true},
+};
+
+bool two_level(int nodes, int gpus_per_node) { return nodes > 1 && gpus_per_node > 1; }
 
 }  // namespace
 
-CollectiveAlgorithm resolve_bcast_algorithm(const CollectiveTuning& tuning,
-                                            std::uint64_t bytes, int ranks, int nodes,
-                                            int gpus_per_node) {
-  return resolve_hier(tuning, tuning.bcast_algorithm, tuning.hier_min_bytes, bytes, ranks,
-                      nodes, gpus_per_node);
+const CollectiveRow& collective_row(CollectiveOp op) {
+  return kRows[static_cast<std::size_t>(op)];
 }
 
-CollectiveAlgorithm resolve_allgather_algorithm(const CollectiveTuning& tuning,
-                                                std::uint64_t block_bytes, int ranks,
-                                                int nodes, int gpus_per_node) {
-  return resolve_hier(tuning, tuning.allgather_algorithm, tuning.hier_min_block_bytes,
-                      block_bytes, ranks, nodes, gpus_per_node);
-}
-
-CollectiveAlgorithm resolve_gather_algorithm(const CollectiveTuning& tuning,
-                                             std::uint64_t block_bytes, int ranks,
-                                             int nodes, int gpus_per_node) {
-  return resolve_hier(tuning, tuning.gather_algorithm, tuning.hier_min_block_bytes,
-                      block_bytes, ranks, nodes, gpus_per_node);
-}
-
-CollectiveAlgorithm resolve_scatter_algorithm(const CollectiveTuning& tuning,
-                                              std::uint64_t block_bytes, int ranks,
-                                              int nodes, int gpus_per_node) {
-  return resolve_hier(tuning, tuning.scatter_algorithm, tuning.hier_min_block_bytes,
-                      block_bytes, ranks, nodes, gpus_per_node);
-}
-
-CollectiveAlgorithm resolve_alltoall_algorithm(const CollectiveTuning& tuning,
-                                               std::uint64_t block_bytes, int ranks) {
-  if (tuning.alltoall_algorithm != CollectiveAlgorithm::Auto) {
-    return tuning.alltoall_algorithm == CollectiveAlgorithm::BatchedPairwise
-               ? CollectiveAlgorithm::BatchedPairwise
-               : CollectiveAlgorithm::Linear;
+CollectiveAlgorithm admit_collective(CollectiveOp op, CollectiveAlgorithm alg, int nodes,
+                                     int gpus_per_node) {
+  const CollectiveRow& row = collective_row(op);
+  if (std::find(row.candidates.begin(), row.candidates.end(), alg) == row.candidates.end() ||
+      (alg == A::Hierarchical && row.flat_on_one_level && !two_level(nodes, gpus_per_node))) {
+    return A::Linear;
   }
-  if (ranks < tuning.alltoall_min_ranks || block_bytes < tuning.alltoall_min_block_bytes) {
-    return CollectiveAlgorithm::Linear;
+  return alg;
+}
+
+CollectiveAlgorithm resolve_collective(CollectiveOp op, const CollectiveTuning& tuning,
+                                       std::uint64_t bytes, int ranks, int nodes,
+                                       int gpus_per_node) {
+  const CollectiveRow& row = collective_row(op);
+  CollectiveAlgorithm alg = tuning[op];
+  if (alg == A::Auto) {
+    alg = A::Linear;
+    if (ranks >= row.min_ranks && bytes >= row.min_bytes) {
+      for (auto it = row.candidates.rbegin(); it != row.candidates.rend(); ++it) {
+        if (*it != A::Hierarchical || two_level(nodes, gpus_per_node)) {
+          alg = *it;
+          break;
+        }
+      }
+    }
   }
-  return CollectiveAlgorithm::BatchedPairwise;
+  return admit_collective(op, alg, nodes, gpus_per_node);
 }
 
 namespace {

@@ -18,8 +18,10 @@
 //                  order, then node partials fold along the leader ring.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -43,97 +45,67 @@ enum class CollectiveAlgorithm : std::uint8_t {
 
 [[nodiscard]] const char* collective_algorithm_name(CollectiveAlgorithm a);
 
-/// Allreduce/reduce-scatter algorithm selection knobs, surfaced through
-/// mpi::WorldOptions::collectives.
-struct CollectiveTuning {
-  CollectiveAlgorithm algorithm = CollectiveAlgorithm::Auto;
-  // Auto policy: ring algorithms shard the message across ranks, so they
-  // only pay off once per-shard chunks are big enough to compress and to
-  // saturate the wire; below these floors the linear schedule's lower hop
-  // count wins. The byte floor matches the measured crossover in
-  // bench/fig11_collectives.cpp: on Longhorn at 8 ranks the ring pulls
-  // ahead of the linear schedule between 4 and 8 MiB.
-  std::uint64_t ring_min_bytes = 4ull << 20;
-  int ring_min_ranks = 4;
-  bool allow_hierarchical = true;  // use the leader ring when nodes > 1
+/// The collectives whose schedule is selected. reduce_scatter asks as
+/// Allreduce: it shares allreduce's decision and history.
+enum class CollectiveOp : std::uint8_t {
+  Allreduce,
+  Alltoall,
+  Bcast,
+  Allgather,
+  Gather,
+  Scatter,
+};
+inline constexpr std::size_t kCollectiveOps = 6;
 
-  // Alltoall: naive pairwise sendrecv (one compression launch per
-  // destination) vs the batched engine (one launch for all P-1 blocks).
-  // Auto policy: batching only pays once the per-destination blocks are
-  // big enough that their compression kernels — not the launch overhead
-  // being amortized — dominate; below the floors the eager/serial path's
-  // lower per-message cost wins. The byte floor matches the measured
-  // crossover in bench/ext_alltoall.cpp on Longhorn at 8 ranks.
-  CollectiveAlgorithm alltoall_algorithm = CollectiveAlgorithm::Auto;
-  std::uint64_t alltoall_min_block_bytes = 1ull << 20;
-  int alltoall_min_ranks = 4;
-
-  // Hierarchical staging for the moving collectives (bcast / allgather /
-  // gather / scatter): stage payloads at one representative per node so the
-  // shared IB NIC carries one wire transit per node instead of one per
-  // rank (gZCCL-style topology awareness; see src/mpi/hier_engine.cpp).
-  // Auto policy: below the floors the flat schedules' lower hop count and
-  // launch overhead win; above them the per-node staging pays for itself.
-  // Hierarchical staging needs a real two-level topology (nodes > 1 AND
-  // gpus_per_node > 1) — degenerate topologies fall back to the flat path
-  // even when forced, bit-identically.
-  CollectiveAlgorithm bcast_algorithm = CollectiveAlgorithm::Auto;
-  CollectiveAlgorithm allgather_algorithm = CollectiveAlgorithm::Auto;
-  CollectiveAlgorithm gather_algorithm = CollectiveAlgorithm::Auto;
-  CollectiveAlgorithm scatter_algorithm = CollectiveAlgorithm::Auto;
-  std::uint64_t hier_min_bytes = 1ull << 20;        // full-message floor (bcast)
-  std::uint64_t hier_min_block_bytes = 256ull << 10;  // per-rank block floor
-  int hier_min_ranks = 4;
+/// One op's selection constants, read by every selection layer: the static
+/// policy (resolve_collective), the cost model
+/// (DynamicSelector::choose_collective), the adaptive controller and the
+/// engines (mpi::Rank::select_collective).
+struct CollectiveRow {
+  const char* name;  // decision scope and adaptive History key
+  // Linear (the flat schedule) first, then the staged/sharded ones in the
+  // order the adaptive refinement tries them.
+  std::span<const CollectiveAlgorithm> candidates;
+  // Auto floors: below either one Linear runs. Bytes are the whole message
+  // for allreduce and bcast, the per-rank block for the others.
+  std::uint64_t min_bytes;
+  int min_ranks;
+  // A Hierarchical answer on a one-level topology (one node, or one GPU per
+  // node) runs Linear: there is no second level to stage on. Allreduce's
+  // engine runs it as a leader ring instead.
+  bool flat_on_one_level;
 };
 
-/// Resolve `Auto` into a concrete algorithm for a `bytes`-sized allreduce
-/// over `ranks` ranks on a (nodes x gpus_per_node) cluster. Non-Auto
-/// settings are honored as-is (degenerate topologies still run correctly:
-/// Hierarchical with one GPU per node degenerates to Ring).
-[[nodiscard]] CollectiveAlgorithm resolve_allreduce_algorithm(
-    const CollectiveTuning& tuning, std::uint64_t bytes, int ranks, int nodes,
-    int gpus_per_node);
+[[nodiscard]] const CollectiveRow& collective_row(CollectiveOp op);
 
-/// Resolve the bcast schedule for a `bytes`-sized message: Hierarchical
-/// (root compresses once, node representatives forward the wire form over
-/// IB, intra-node fan-out below them) or Linear (the flat binomial tree).
-/// A forced Hierarchical on a degenerate topology (one node, or one GPU
-/// per node) resolves to Linear: there is no second level to stage on.
-[[nodiscard]] CollectiveAlgorithm resolve_bcast_algorithm(const CollectiveTuning& tuning,
-                                                          std::uint64_t bytes, int ranks,
-                                                          int nodes, int gpus_per_node);
+/// The forced algorithm per op, surfaced through
+/// mpi::WorldOptions::collectives. Auto selects by the row's floors (or the
+/// adaptive controller when one is installed); anything else is forced.
+struct CollectiveTuning {
+  std::array<CollectiveAlgorithm, kCollectiveOps> forced{};  // all Auto
 
-/// Resolve the allgather schedule for `block_bytes` per-rank blocks:
-/// Hierarchical (intra-node gather to the leader, leader ring of node
-/// slabs in wire form, intra-node bcast of the assembled vector) or
-/// Linear (the flat ring). Same degenerate-topology rule as bcast.
-[[nodiscard]] CollectiveAlgorithm resolve_allgather_algorithm(
-    const CollectiveTuning& tuning, std::uint64_t block_bytes, int ranks, int nodes,
-    int gpus_per_node);
+  CollectiveAlgorithm& operator[](CollectiveOp op) {
+    return forced[static_cast<std::size_t>(op)];
+  }
+  CollectiveAlgorithm operator[](CollectiveOp op) const {
+    return forced[static_cast<std::size_t>(op)];
+  }
+};
 
-/// Resolve the gather schedule: Hierarchical (members stage blocks at the
-/// node leader, leaders ship one assembled slab to the root) or Linear
-/// (every rank sends its block straight to the root).
-[[nodiscard]] CollectiveAlgorithm resolve_gather_algorithm(const CollectiveTuning& tuning,
-                                                           std::uint64_t block_bytes,
-                                                           int ranks, int nodes,
-                                                           int gpus_per_node);
+/// The admission rule every answer passes, forced, Auto or adaptive: an
+/// algorithm that is not among the op's candidates runs Linear, and so does
+/// Hierarchical on a one-level topology where the row says so.
+[[nodiscard]] CollectiveAlgorithm admit_collective(CollectiveOp op, CollectiveAlgorithm alg,
+                                                   int nodes, int gpus_per_node);
 
-/// Resolve the scatter schedule: Hierarchical (the root batch-compresses
-/// one slab per remote node, leaders fan the blocks out intra-node) or
-/// Linear (the root sends every rank its block directly).
-[[nodiscard]] CollectiveAlgorithm resolve_scatter_algorithm(const CollectiveTuning& tuning,
-                                                            std::uint64_t block_bytes,
-                                                            int ranks, int nodes,
-                                                            int gpus_per_node);
-
-/// Resolve the alltoall schedule for `block_bytes` per-destination blocks
-/// over `ranks` ranks: BatchedPairwise (one-launch batch compression) or
-/// Linear (the legacy naive pairwise sendrecv loop). A non-Auto
-/// tuning.alltoall_algorithm is honored: BatchedPairwise forces the batch
-/// engine, anything else forces the naive loop.
-[[nodiscard]] CollectiveAlgorithm resolve_alltoall_algorithm(
-    const CollectiveTuning& tuning, std::uint64_t block_bytes, int ranks);
+/// The static policy for a `bytes`-sized `op` over `ranks` ranks on a
+/// (nodes x gpus_per_node) cluster: the forced algorithm, or under Auto
+/// Linear below the row's floors and above them the last candidate the
+/// topology can stage; then admit_collective.
+[[nodiscard]] CollectiveAlgorithm resolve_collective(CollectiveOp op,
+                                                     const CollectiveTuning& tuning,
+                                                     std::uint64_t bytes, int ranks, int nodes,
+                                                     int gpus_per_node);
 
 /// Contiguous shard of an n-element vector split across P ranks:
 /// [first, second) for shard s, balanced to within one element.

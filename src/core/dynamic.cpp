@@ -98,187 +98,116 @@ void DynamicSelector::apply(const CandidateCost& decision, CompressionConfig& co
   }
 }
 
-CollectiveAlgorithm DynamicSelector::choose_allreduce_algorithm(
-    std::uint64_t message_bytes, int ranks, int nodes, int gpus_per_node,
-    double mpc_cr) const {
-  if (ranks <= 2 || message_bytes == 0) return CollectiveAlgorithm::Linear;
-  const double wire_bps = network_gbs_ * 1e9;
-  const double cr = std::max(1.0, mpc_cr);
-  const double S = static_cast<double>(message_bytes);
-  const int blocks = std::max(1, gpu_.sm_count / 4);
-  const auto secs = [](Time t) { return static_cast<double>(t.count_ns()) * 1e-9; };
-  const auto hop_kernels = [&](double bytes) {
-    // Per hop: recompress the outgoing shard + fused decode of the incoming.
-    const auto b = static_cast<std::uint64_t>(bytes);
-    return secs(model_.mpc_compress(b, static_cast<std::uint64_t>(bytes / cr), blocks, gpu_)) +
-           secs(model_.mpc_decompress(static_cast<std::uint64_t>(bytes / cr), b, blocks, gpu_)) +
-           secs(model_.fused_reduce_overhead(b, gpu_));
-  };
-
-  // Linear (Rabenseifner): ~log2(P)+1 serialized full-vector exchanges,
-  // each compressed once per direction.
-  double logp = 1.0;
-  for (int p = 1; p < ranks; p <<= 1) logp += 1.0;
-  const double linear = logp * (S / (cr * wire_bps) + hop_kernels(S));
-
-  // Ring: 2(P-1) steps of S/P-sized shards; kernels per hop.
-  const double shard = S / static_cast<double>(ranks);
-  const double steps = 2.0 * static_cast<double>(ranks - 1);
-  const double ring = steps * (shard / (cr * wire_bps) + hop_kernels(shard));
-
-  // Hierarchical: intra-node fold (gpn-1 full-vector hops over the fast
-  // intra-node link, approximated at 4x the wire) + a leader ring + the
-  // intra-node result broadcast.
-  double hier = 1e18;  // effectively +inf unless applicable
-  if (nodes > 1 && gpus_per_node > 1) {
-    const double intra = 2.0 * static_cast<double>(gpus_per_node - 1) * S /
-                         (cr * intra_bps());
-    const double nshard = S / static_cast<double>(nodes);
-    const double nsteps = 2.0 * static_cast<double>(nodes - 1);
-    hier = intra + nsteps * (nshard / (cr * wire_bps) + hop_kernels(nshard)) +
-           hop_kernels(S) * static_cast<double>(gpus_per_node);
-  }
-
-  if (hier < linear && hier < ring) return CollectiveAlgorithm::Hierarchical;
-  return ring < linear ? CollectiveAlgorithm::Ring : CollectiveAlgorithm::Linear;
-}
-
-CollectiveAlgorithm DynamicSelector::choose_alltoall_algorithm(std::uint64_t block_bytes,
-                                                               int ranks,
-                                                               double mpc_cr) const {
+CollectiveAlgorithm DynamicSelector::choose_collective(CollectiveOp op, std::uint64_t bytes,
+                                                       int ranks, int nodes, int gpus_per_node,
+                                                       double mpc_cr) const {
   // Below the compression engagement floor (CompressionConfig's default
-  // threshold) neither schedule launches kernels, so batching has nothing
-  // to amortize; same when the sample says the blocks are incompressible.
+  // threshold) neither alltoall schedule launches kernels, so batching has
+  // nothing to amortize; same when the sample says the blocks are
+  // incompressible.
   constexpr std::uint64_t kCompressFloorBytes = 256ull << 10;
-  if (ranks <= 2 || block_bytes == 0) return CollectiveAlgorithm::Linear;
-  if (block_bytes < kCompressFloorBytes || mpc_cr <= 1.0) {
+  const CollectiveRow& row = collective_row(op);
+  if (ranks <= 2 || bytes == 0 ||
+      (row.flat_on_one_level && !(nodes > 1 && gpus_per_node > 1)) ||
+      (op == CollectiveOp::Alltoall && (bytes < kCompressFloorBytes || mpc_cr <= 1.0))) {
     return CollectiveAlgorithm::Linear;
   }
-
   const double wire_bps = network_gbs_ * 1e9;
   const double cr = std::max(1.0, mpc_cr);
-  const double S = static_cast<double>(block_bytes);
-  const auto wire_b = static_cast<std::uint64_t>(S / cr);
-  const int n_blocks = ranks - 1;
+  const double S = static_cast<double>(bytes);
+  const double gpn = static_cast<double>(gpus_per_node);
   const auto secs = [](Time t) { return static_cast<double>(t.count_ns()) * 1e-9; };
+  double flat = 0.0;    // price of Linear
+  double staged = 0.0;  // price of the row's last candidate
 
-  // Naive pairwise: every step pays its own full-SM compress launch+sync,
-  // the wire, and a full-SM decompress — all serialized across P-1 steps.
-  const int full = std::max(1, gpu_.sm_count);
-  const double per_step = secs(model_.mpc_compress(block_bytes, wire_b, full, gpu_)) +
-                          S / (cr * wire_bps) +
-                          secs(model_.mpc_decompress(wire_b, block_bytes, full, gpu_));
-  const double naive = static_cast<double>(n_blocks) * per_step;
-
-  // Batched: ONE launch round with sm/(P-1) thread blocks per destination
-  // block (the kernels run concurrently, so the elapsed compression time is
-  // one divided-SM kernel), then the same P-1 serialized transfers with the
-  // decodes enqueued as slices arrive — only the last decode is exposed.
-  const int divided = std::max(1, gpu_.sm_count / n_blocks);
-  const double batched =
-      secs(model_.mpc_compress(block_bytes, wire_b, divided, gpu_)) +
-      static_cast<double>(n_blocks) * (S / (cr * wire_bps)) +
-      secs(model_.mpc_decompress(wire_b, block_bytes, full, gpu_));
-
-  return batched < naive ? CollectiveAlgorithm::BatchedPairwise
-                         : CollectiveAlgorithm::Linear;
-}
-
-CollectiveAlgorithm DynamicSelector::choose_bcast_algorithm(std::uint64_t message_bytes,
-                                                            int ranks, int nodes,
-                                                            int gpus_per_node,
-                                                            double mpc_cr) const {
-  if (ranks <= 2 || message_bytes == 0 || nodes <= 1 || gpus_per_node <= 1) {
-    return CollectiveAlgorithm::Linear;
+  switch (op) {
+    case CollectiveOp::Allreduce: {
+      // Per hop: recompress the outgoing shard + fused decode of the incoming.
+      const auto hop = [&](double b) {
+        return hop_kernel_secs(b, cr) +
+               secs(model_.fused_reduce_overhead(static_cast<std::uint64_t>(b), gpu_));
+      };
+      // Linear (Rabenseifner): ~log2(P)+1 serialized full-vector exchanges,
+      // each compressed once per direction.
+      double logp = 1.0;
+      for (int p = 1; p < ranks; p <<= 1) logp += 1.0;
+      const double linear = logp * (S / (cr * wire_bps) + hop(S));
+      // Ring: 2(P-1) steps of S/P-sized shards; kernels per hop.
+      const double shard = S / static_cast<double>(ranks);
+      const double steps = 2.0 * static_cast<double>(ranks - 1);
+      const double ring = steps * (shard / (cr * wire_bps) + hop(shard));
+      // Hierarchical: intra-node fold (gpn-1 full-vector hops over the fast
+      // intra-node link) + a leader ring + the intra-node result broadcast.
+      double hier = 1e18;  // effectively +inf unless applicable
+      if (nodes > 1 && gpus_per_node > 1) {
+        const double intra = 2.0 * static_cast<double>(gpus_per_node - 1) * S /
+                             (cr * intra_bps());
+        const double nshard = S / static_cast<double>(nodes);
+        const double nsteps = 2.0 * static_cast<double>(nodes - 1);
+        hier = intra + nsteps * (nshard / (cr * wire_bps) + hop(nshard)) + hop(S) * gpn;
+      }
+      if (hier < linear && hier < ring) return CollectiveAlgorithm::Hierarchical;
+      return ring < linear ? CollectiveAlgorithm::Ring : CollectiveAlgorithm::Linear;
+    }
+    case CollectiveOp::Alltoall: {
+      const auto wire_b = static_cast<std::uint64_t>(S / cr);
+      const int n_blocks = ranks - 1;
+      // Naive pairwise: every step pays its own full-SM compress launch+sync,
+      // the wire, and a full-SM decompress, all serialized across P-1 steps.
+      const int full = std::max(1, gpu_.sm_count);
+      const double per_step = secs(model_.mpc_compress(bytes, wire_b, full, gpu_)) +
+                              S / (cr * wire_bps) +
+                              secs(model_.mpc_decompress(wire_b, bytes, full, gpu_));
+      flat = static_cast<double>(n_blocks) * per_step;
+      // Batched: ONE launch round with sm/(P-1) thread blocks per destination
+      // block (the kernels run concurrently, so the elapsed compression time
+      // is one divided-SM kernel), then the same P-1 serialized transfers
+      // with the decodes enqueued as slices arrive: only the last one shows.
+      const int divided = std::max(1, gpu_.sm_count / n_blocks);
+      staged = secs(model_.mpc_compress(bytes, wire_b, divided, gpu_)) +
+               static_cast<double>(n_blocks) * (S / (cr * wire_bps)) +
+               secs(model_.mpc_decompress(wire_b, bytes, full, gpu_));
+      break;
+    }
+    case CollectiveOp::Bcast: {
+      const auto log2ceil = [](int p) {
+        double d = 0.0;
+        for (int v = 1; v < p; v <<= 1) d += 1.0;
+        return std::max(1.0, d);
+      };
+      // Flat binomial: the tree depth is log2(P) full-message transits, nearly
+      // all crossing IB on a block rank layout, plus one compress and the leaf
+      // decode. (Forwarded wire forms: no per-hop recompression.)
+      const double kernels = hop_kernel_secs(S, cr);
+      flat = log2ceil(ranks) * S / (cr * wire_bps) + kernels;
+      // Hierarchical: log2(nodes) IB transits of the same wire form, then the
+      // intra-node fan-out (gpn-1 copies over NVLink, decoded once per node
+      // off the inter-node critical path).
+      staged = log2ceil(nodes) * S / (cr * wire_bps) +
+               static_cast<double>(gpus_per_node - 1) * S / (cr * intra_bps()) + kernels;
+      break;
+    }
+    case CollectiveOp::Allgather:
+    case CollectiveOp::Gather:
+    case CollectiveOp::Scatter: {
+      // Flat: P-1 blocks, each its own compress + decode launch; the
+      // node-boundary hops (allgather's ring, the root's NIC) carry every
+      // block across IB one at a time.
+      flat = static_cast<double>(ranks - 1) * (S / (cr * wire_bps) + hop_kernel_secs(S, cr));
+      // Hierarchical: the intra-node staging rides NVLink, then nodes-1
+      // slabs (gpn blocks each) cross IB with one compress+decode per slab;
+      // allgather then fans the assembled vector back out intra-node.
+      const double slab = gpn * S;
+      staged = (gpn - 1.0) * S / intra_bps() +
+               static_cast<double>(nodes - 1) *
+                   (slab / (cr * wire_bps) + hop_kernel_secs(slab, cr));
+      if (op == CollectiveOp::Allgather) {
+        staged += static_cast<double>(ranks) * S / (cr * intra_bps());
+      }
+      break;
+    }
   }
-  const double wire_bps = network_gbs_ * 1e9;
-  const double cr = std::max(1.0, mpc_cr);
-  const double S = static_cast<double>(message_bytes);
-  const auto log2ceil = [](int p) {
-    double d = 0.0;
-    for (int v = 1; v < p; v <<= 1) d += 1.0;
-    return std::max(1.0, d);
-  };
-
-  // Flat binomial: the tree depth is log2(P) full-message transits, nearly
-  // all crossing IB on a block rank layout, plus one compress and the leaf
-  // decode. (Forwarded wire forms: no per-hop recompression.)
-  const double kernels = hop_kernel_secs(S, cr);
-  const double flat = log2ceil(ranks) * S / (cr * wire_bps) + kernels;
-
-  // Hierarchical: log2(nodes) IB transits of the same wire form, then the
-  // intra-node fan-out (gpn-1 copies over NVLink, decoded once per node off
-  // the inter-node critical path).
-  const double hier = log2ceil(nodes) * S / (cr * wire_bps) +
-                      static_cast<double>(gpus_per_node - 1) * S / (cr * intra_bps()) +
-                      kernels;
-  return hier < flat ? CollectiveAlgorithm::Hierarchical : CollectiveAlgorithm::Linear;
-}
-
-CollectiveAlgorithm DynamicSelector::choose_allgather_algorithm(std::uint64_t block_bytes,
-                                                                int ranks, int nodes,
-                                                                int gpus_per_node,
-                                                                double mpc_cr) const {
-  if (ranks <= 2 || block_bytes == 0 || nodes <= 1 || gpus_per_node <= 1) {
-    return CollectiveAlgorithm::Linear;
-  }
-  const double wire_bps = network_gbs_ * 1e9;
-  const double cr = std::max(1.0, mpc_cr);
-  const double B = static_cast<double>(block_bytes);
-  const double gpn = static_cast<double>(gpus_per_node);
-
-  // Flat ring: P-1 steps, each moving one block (and paying one block-sized
-  // decode); the node-boundary hops carry every block across IB one at a
-  // time, so per-message kernel overhead is paid P-1 times.
-  const double flat = static_cast<double>(ranks - 1) * (B / (cr * wire_bps) +
-                                                        hop_kernel_secs(B, cr));
-
-  // Hierarchical: members stage blocks at the leader over NVLink, the
-  // leader ring moves nodes-1 gpn-sized slabs (one compress+decode per
-  // slab), and the assembled vector fans back out intra-node.
-  const double slab = gpn * B;
-  const double total = static_cast<double>(ranks) * B;
-  const double hier = (gpn - 1.0) * B / intra_bps() +
-                      static_cast<double>(nodes - 1) *
-                          (slab / (cr * wire_bps) + hop_kernel_secs(slab, cr)) +
-                      total / (cr * intra_bps());
-  return hier < flat ? CollectiveAlgorithm::Hierarchical : CollectiveAlgorithm::Linear;
-}
-
-CollectiveAlgorithm DynamicSelector::choose_gather_algorithm(std::uint64_t block_bytes,
-                                                             int ranks, int nodes,
-                                                             int gpus_per_node,
-                                                             double mpc_cr) const {
-  if (ranks <= 2 || block_bytes == 0 || nodes <= 1 || gpus_per_node <= 1) {
-    return CollectiveAlgorithm::Linear;
-  }
-  const double wire_bps = network_gbs_ * 1e9;
-  const double cr = std::max(1.0, mpc_cr);
-  const double B = static_cast<double>(block_bytes);
-  const double gpn = static_cast<double>(gpus_per_node);
-
-  // Flat: P-1 blocks converge on the root's NIC, each its own compress +
-  // decode launch; the NIC ingress serializes the inter-node ones.
-  const double flat = static_cast<double>(ranks - 1) * (B / (cr * wire_bps) +
-                                                        hop_kernel_secs(B, cr));
-
-  // Hierarchical: the intra-node staging rides NVLink, then nodes-1 slabs
-  // (gpn blocks each) cross IB with one compress+decode per slab.
-  const double slab = gpn * B;
-  const double hier = (gpn - 1.0) * B / intra_bps() +
-                      static_cast<double>(nodes - 1) *
-                          (slab / (cr * wire_bps) + hop_kernel_secs(slab, cr));
-  return hier < flat ? CollectiveAlgorithm::Hierarchical : CollectiveAlgorithm::Linear;
-}
-
-CollectiveAlgorithm DynamicSelector::choose_scatter_algorithm(std::uint64_t block_bytes,
-                                                              int ranks, int nodes,
-                                                              int gpus_per_node,
-                                                              double mpc_cr) const {
-  // Same traffic shape as gather with the direction reversed (the root's
-  // batched compress amortizes the launch the same way the leaders' slab
-  // staging does), so the crossover is shared.
-  return choose_gather_algorithm(block_bytes, ranks, nodes, gpus_per_node, mpc_cr);
+  return staged < flat ? row.candidates.back() : CollectiveAlgorithm::Linear;
 }
 
 }  // namespace gcmpi::core

@@ -59,58 +59,27 @@ class DynamicSelector {
   /// Apply a decision onto a config (keeps all other knobs).
   static void apply(const CandidateCost& decision, CompressionConfig& config);
 
-  /// Cost-model companion to core::resolve_allreduce_algorithm: predict the
-  /// completion time of each allreduce algorithm for a `message_bytes`
-  /// vector over `ranks` ranks (nodes x gpus_per_node topology) whose
-  /// sampled MPC ratio is `mpc_cr`, and return the fastest. Linear moves
-  /// the full vector O(log P) times; the ring algorithms move ~2S of
-  /// compressed shards plus per-hop kernel time (gZCCL-style analysis).
-  [[nodiscard]] CollectiveAlgorithm choose_allreduce_algorithm(
-      std::uint64_t message_bytes, int ranks, int nodes, int gpus_per_node,
-      double mpc_cr) const;
-
-  /// Cost-model companion to core::resolve_alltoall_algorithm: price the
-  /// naive pairwise alltoall (P-1 serialized full-SM compress launches,
-  /// one per destination block) against the batched engine (one launch
-  /// round with the SMs divided across the P-1 blocks, decodes overlapped
-  /// with the remaining transfers) from the kernel-cost batch terms, and
-  /// return Linear (naive) or BatchedPairwise. Below the compression floor
-  /// — or when the sampled ratio says the data is incompressible — there
-  /// are no kernels to batch and the naive path wins by default.
-  [[nodiscard]] CollectiveAlgorithm choose_alltoall_algorithm(std::uint64_t block_bytes,
-                                                              int ranks,
-                                                              double mpc_cr) const;
-
-  /// Cost-model companion to core::resolve_bcast_algorithm: price the flat
-  /// binomial tree (log2 P serialized wire transits of the whole message,
-  /// most of them crossing IB) against the hierarchical staging (log2 nodes
-  /// IB transits + the NVLink fan-out + one decode per node off the
-  /// critical path) and return Linear or Hierarchical.
-  [[nodiscard]] CollectiveAlgorithm choose_bcast_algorithm(std::uint64_t message_bytes,
-                                                           int ranks, int nodes,
-                                                           int gpus_per_node,
-                                                           double mpc_cr) const;
-
-  /// Flat ring of P-1 per-rank blocks vs intra-node gather + leader ring
-  /// of node slabs + intra-node slab broadcast.
-  [[nodiscard]] CollectiveAlgorithm choose_allgather_algorithm(std::uint64_t block_bytes,
-                                                               int ranks, int nodes,
-                                                               int gpus_per_node,
-                                                               double mpc_cr) const;
-
-  /// P-1 individually compressed blocks converging on the root's NIC vs
-  /// nodes-1 leader slabs (one compress+decode per node).
-  [[nodiscard]] CollectiveAlgorithm choose_gather_algorithm(std::uint64_t block_bytes,
-                                                            int ranks, int nodes,
-                                                            int gpus_per_node,
-                                                            double mpc_cr) const;
-
-  /// Mirror of choose_gather_algorithm for the root-to-ranks direction
-  /// (the root batch-compresses one slab per remote node).
-  [[nodiscard]] CollectiveAlgorithm choose_scatter_algorithm(std::uint64_t block_bytes,
-                                                             int ranks, int nodes,
-                                                             int gpus_per_node,
-                                                             double mpc_cr) const;
+  /// Cost-model companion to core::resolve_collective: price each of
+  /// `op`'s candidates for a `bytes`-sized message (per-rank block for
+  /// alltoall/allgather/gather/scatter) over `ranks` ranks on a (nodes x
+  /// gpus_per_node) topology whose sampled MPC ratio is `mpc_cr`, and
+  /// return the fastest (gZCCL-style analysis):
+  ///  * allreduce: Linear moves the full vector O(log P) times; the ring
+  ///    moves ~2S of compressed shards plus per-hop kernel time; the
+  ///    hierarchical variant folds intra-node first, then rings the leaders;
+  ///  * alltoall: P-1 serialized full-SM compress launches (naive) against
+  ///    one launch round with the SMs divided across the blocks, decodes
+  ///    overlapped with the remaining transfers (batched). Below the
+  ///    compression floor, or on incompressible data, there are no kernels
+  ///    to batch and the naive path wins by default;
+  ///  * bcast: log2 P serialized wire transits of the whole message (flat
+  ///    binomial tree) against log2 nodes IB transits + the NVLink fan-out;
+  ///  * allgather/gather/scatter: P-1 individually compressed blocks against
+  ///    node slabs (one compress+decode per node) staged over NVLink;
+  ///    scatter is gather with the direction reversed and shares its price.
+  [[nodiscard]] CollectiveAlgorithm choose_collective(CollectiveOp op, std::uint64_t bytes,
+                                                      int ranks, int nodes, int gpus_per_node,
+                                                      double mpc_cr) const;
 
  private:
   [[nodiscard]] double intra_bps() const;

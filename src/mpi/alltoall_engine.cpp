@@ -23,17 +23,6 @@
 
 namespace gcmpi::mpi {
 
-core::CollectiveAlgorithm Rank::select_alltoall(std::uint64_t block_bytes) const {
-  // Same Auto-only refinement + all-ranks-agree contract as select_allreduce.
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.alltoall_algorithm == core::CollectiveAlgorithm::Auto) {
-    return world_.options().adaptive->choose_alltoall(ctx_.now(), rank_, block_bytes,
-                                                      world_.cluster().ranks());
-  }
-  return core::resolve_alltoall_algorithm(world_.options().collectives, block_bytes,
-                                          world_.cluster().ranks());
-}
-
 void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_bytes,
                             std::uint8_t* recvbuf, int tag) {
   const int P = size();

@@ -23,18 +23,23 @@
 
 namespace gcmpi::mpi {
 
-core::CollectiveAlgorithm Rank::select_allreduce(std::uint64_t bytes) const {
+core::CollectiveAlgorithm Rank::select_collective(core::CollectiveOp op,
+                                                   std::uint64_t bytes) const {
   const auto& cl = world_.cluster();
+  const core::CollectiveTuning& tuning = world_.options().collectives;
+  core::AdaptivePolicy* adaptive = world_.options().adaptive;
   // The adaptive control plane only refines Auto: a forced algorithm stays
   // forced. Every rank of one collective receives the same answer (the
   // controller keys a shared decision sequence by per-rank round index).
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.algorithm == core::CollectiveAlgorithm::Auto) {
-    return world_.options().adaptive->choose_allreduce(ctx_.now(), rank_, bytes, cl.ranks(),
-                                                       cl.nodes, cl.gpus_per_node);
+  if (adaptive == nullptr || tuning[op] != core::CollectiveAlgorithm::Auto) {
+    return core::resolve_collective(op, tuning, bytes, cl.ranks(), cl.nodes,
+                                    cl.gpus_per_node);
   }
-  return core::resolve_allreduce_algorithm(world_.options().collectives, bytes,
-                                           cl.ranks(), cl.nodes, cl.gpus_per_node);
+  return core::admit_collective(
+      op,
+      core::choose_collective(*adaptive, op, ctx_.now(), rank_, bytes, cl.ranks(), cl.nodes,
+                              cl.gpus_per_node),
+      cl.nodes, cl.gpus_per_node);
 }
 
 void Rank::record_collective(const char* op, core::CollectiveAlgorithm algorithm,
@@ -342,7 +347,8 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
     std::memcpy(recvbuf, sendbuf, recvcount * 4);
     return;
   }
-  if (select_allreduce(n * 4) == core::CollectiveAlgorithm::Linear) {
+  if (select_collective(core::CollectiveOp::Allreduce, n * 4) ==
+      core::CollectiveAlgorithm::Linear) {
     // Small/low-rank: binomial reduce to rank 0, then scatter the shards.
     std::vector<float> full(rank_ == 0 ? n : 0);
     reduce(sendbuf, full.data(), n, op, 0);

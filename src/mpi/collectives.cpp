@@ -70,7 +70,8 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
 
   // Topology-aware staging: one inter-node wire transit per node instead of
   // one per rank (see hier_engine.cpp).
-  if (select_bcast(bytes) == core::CollectiveAlgorithm::Hierarchical) {
+  if (select_collective(core::CollectiveOp::Bcast, bytes) ==
+      core::CollectiveAlgorithm::Hierarchical) {
     bcast_hierarchical(buf, bytes, root, tag);
     return;
   }
@@ -180,7 +181,8 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
 
   // Topology-aware staging: leaders ring node slabs so each node pays
   // nodes-1 inter-node transits instead of P-1 (see hier_engine.cpp).
-  if (select_allgather(block_bytes) == core::CollectiveAlgorithm::Hierarchical) {
+  if (select_collective(core::CollectiveOp::Allgather, block_bytes) ==
+      core::CollectiveAlgorithm::Hierarchical) {
     allgather_hierarchical(sendbuf, block_bytes, recvbuf, tag);
     return;
   }
@@ -360,7 +362,7 @@ void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, Reduce
     if (n != 0) std::memcpy(recvbuf, sendbuf, n * 4);
     return;
   }
-  switch (select_allreduce(n * 4)) {
+  switch (select_collective(core::CollectiveOp::Allreduce, n * 4)) {
     case core::CollectiveAlgorithm::Ring:
       allreduce_ring(sendbuf, recvbuf, n, op, tag);
       return;
@@ -427,7 +429,8 @@ void Rank::alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbu
                 in + static_cast<std::uint64_t>(rank_) * block_bytes, block_bytes);
   }
   if (P > 1 && block_bytes > 0 &&
-      select_alltoall(block_bytes) == core::CollectiveAlgorithm::BatchedPairwise) {
+      select_collective(core::CollectiveOp::Alltoall, block_bytes) ==
+          core::CollectiveAlgorithm::BatchedPairwise) {
     // One batched compression launch for all P-1 outgoing blocks; see
     // alltoall_engine.cpp.
     alltoall_batched(in, block_bytes, out, tag);
@@ -445,7 +448,8 @@ void Rank::gather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
   const int tag = next_coll_tag();
   const int P = size();
   if (P > 1 && block_bytes > 0 &&
-      select_gather(block_bytes) == core::CollectiveAlgorithm::Hierarchical) {
+      select_collective(core::CollectiveOp::Gather, block_bytes) ==
+          core::CollectiveAlgorithm::Hierarchical) {
     // Leader-staged: remote nodes ship one assembled slab each instead of
     // gpus_per_node individual blocks (see hier_engine.cpp).
     gather_hierarchical(sendbuf, block_bytes, recvbuf, root, tag);
@@ -474,7 +478,8 @@ void Rank::scatter(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf
   const int tag = next_coll_tag();
   const int P = size();
   if (P > 1 && block_bytes > 0 &&
-      select_scatter(block_bytes) == core::CollectiveAlgorithm::Hierarchical) {
+      select_collective(core::CollectiveOp::Scatter, block_bytes) ==
+          core::CollectiveAlgorithm::Hierarchical) {
     // Root batch-compresses one slab per remote node in a single launch;
     // leaders fan the blocks out intra-node (see hier_engine.cpp).
     scatter_hierarchical(sendbuf, block_bytes, recvbuf, root, tag);

@@ -25,10 +25,9 @@
 // rendezvous reliability layer, so per-hop CRC/NACK/retransmit recovery
 // applies unchanged — a corrupted slab re-pushes only itself.
 //
-// Selection: resolve_{bcast,allgather,gather,scatter}_algorithm floors
-// (forced knobs honored; degenerate topologies resolve to Linear so the
-// flat path runs bit-identically), refined by the adaptive control plane
-// under Auto with the shared all-ranks-agree decision sequence.
+// Selection: Rank::select_collective with the op's row (DESIGN.md §9,
+// "Collective selection"). A Hierarchical answer on a one-level topology,
+// forced or adaptive, runs the flat path, bit-identically.
 #include <algorithm>
 #include <cstring>
 #include <vector>
@@ -36,73 +35,6 @@
 #include "mpi/world.hpp"
 
 namespace gcmpi::mpi {
-
-namespace {
-
-/// The adaptive controller prices with the same degenerate guard as the
-/// resolver, but defend the engines anyway: Hierarchical needs two levels.
-core::CollectiveAlgorithm sanitize(core::CollectiveAlgorithm alg, int nodes,
-                                   int gpus_per_node) {
-  if (alg == core::CollectiveAlgorithm::Hierarchical && !(nodes > 1 && gpus_per_node > 1)) {
-    return core::CollectiveAlgorithm::Linear;
-  }
-  return alg;
-}
-
-}  // namespace
-
-core::CollectiveAlgorithm Rank::select_bcast(std::uint64_t bytes) const {
-  const auto& cl = world_.cluster();
-  // Same Auto-only refinement + all-ranks-agree contract as select_allreduce.
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.bcast_algorithm == core::CollectiveAlgorithm::Auto) {
-    return sanitize(world_.options().adaptive->choose_bcast(ctx_.now(), rank_, bytes,
-                                                            cl.ranks(), cl.nodes,
-                                                            cl.gpus_per_node),
-                    cl.nodes, cl.gpus_per_node);
-  }
-  return core::resolve_bcast_algorithm(world_.options().collectives, bytes, cl.ranks(),
-                                       cl.nodes, cl.gpus_per_node);
-}
-
-core::CollectiveAlgorithm Rank::select_allgather(std::uint64_t block_bytes) const {
-  const auto& cl = world_.cluster();
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.allgather_algorithm == core::CollectiveAlgorithm::Auto) {
-    return sanitize(world_.options().adaptive->choose_allgather(ctx_.now(), rank_,
-                                                                block_bytes, cl.ranks(),
-                                                                cl.nodes, cl.gpus_per_node),
-                    cl.nodes, cl.gpus_per_node);
-  }
-  return core::resolve_allgather_algorithm(world_.options().collectives, block_bytes,
-                                           cl.ranks(), cl.nodes, cl.gpus_per_node);
-}
-
-core::CollectiveAlgorithm Rank::select_gather(std::uint64_t block_bytes) const {
-  const auto& cl = world_.cluster();
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.gather_algorithm == core::CollectiveAlgorithm::Auto) {
-    return sanitize(world_.options().adaptive->choose_gather(ctx_.now(), rank_, block_bytes,
-                                                             cl.ranks(), cl.nodes,
-                                                             cl.gpus_per_node),
-                    cl.nodes, cl.gpus_per_node);
-  }
-  return core::resolve_gather_algorithm(world_.options().collectives, block_bytes,
-                                        cl.ranks(), cl.nodes, cl.gpus_per_node);
-}
-
-core::CollectiveAlgorithm Rank::select_scatter(std::uint64_t block_bytes) const {
-  const auto& cl = world_.cluster();
-  if (world_.options().adaptive != nullptr &&
-      world_.options().collectives.scatter_algorithm == core::CollectiveAlgorithm::Auto) {
-    return sanitize(world_.options().adaptive->choose_scatter(ctx_.now(), rank_,
-                                                              block_bytes, cl.ranks(),
-                                                              cl.nodes, cl.gpus_per_node),
-                    cl.nodes, cl.gpus_per_node);
-  }
-  return core::resolve_scatter_algorithm(world_.options().collectives, block_bytes,
-                                         cl.ranks(), cl.nodes, cl.gpus_per_node);
-}
 
 WireMessage Rank::make_intra_wire(const void* buf, std::uint64_t bytes) {
   if (world_.compression_.compress_intra_node) return make_wire(buf, bytes);

@@ -132,9 +132,10 @@ struct WorldOptions {
   /// the serial protocol above is reproduced bit-for-bit.
   PipelineConfig pipeline;
 
-  /// Collective algorithm engine tuning (allreduce/reduce_scatter: linear
-  /// p2p composition vs compression-aware ring vs hierarchical leader
-  /// ring). Auto keeps small/low-rank jobs on the legacy linear schedule.
+  /// Forced collective algorithm per op, e.g.
+  /// `collectives[core::CollectiveOp::Allreduce] = core::CollectiveAlgorithm::Ring`.
+  /// Auto (the default) keeps small/low-rank jobs on the linear schedule
+  /// (DESIGN.md §9, "Collective selection").
   core::CollectiveTuning collectives;
 
   /// Closed-loop codec/algorithm selection (src/adapt). When installed it
@@ -253,7 +254,11 @@ class Rank {
     sim::Time transfer_busy;
     sim::Time reduce_busy;
   };
-  [[nodiscard]] core::CollectiveAlgorithm select_allreduce(std::uint64_t bytes) const;
+  /// The schedule `op` runs for `bytes` (see DESIGN.md §9, "Collective
+  /// selection"): the static policy, or the adaptive controller under Auto,
+  /// through one admission rule. reduce_scatter asks as Allreduce.
+  [[nodiscard]] core::CollectiveAlgorithm select_collective(core::CollectiveOp op,
+                                                            std::uint64_t bytes) const;
   void allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
                         int tag);
   void allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
@@ -276,12 +281,7 @@ class Rank {
   // Two-level staging for bcast/allgather/gather/scatter: one wire transit
   // crosses IB per node (forwarded compressed form), intra-node traffic
   // rides NVLink, decode happens once per node off the inter-node critical
-  // path. Selected by the resolve_*_algorithm floors (or forced knobs),
-  // refined by the adaptive control plane under Auto.
-  [[nodiscard]] core::CollectiveAlgorithm select_bcast(std::uint64_t bytes) const;
-  [[nodiscard]] core::CollectiveAlgorithm select_allgather(std::uint64_t block_bytes) const;
-  [[nodiscard]] core::CollectiveAlgorithm select_gather(std::uint64_t block_bytes) const;
-  [[nodiscard]] core::CollectiveAlgorithm select_scatter(std::uint64_t block_bytes) const;
+  // path. Chosen by select_collective.
   void bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag);
   void allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
                               void* recvbuf, int tag);
@@ -294,7 +294,6 @@ class Rank {
   [[nodiscard]] WireMessage make_intra_wire(const void* buf, std::uint64_t bytes);
 
   // --- alltoall engine (alltoall_engine.cpp) ---
-  [[nodiscard]] core::CollectiveAlgorithm select_alltoall(std::uint64_t block_bytes) const;
   /// Batched alltoall: ONE compression launch for the P-1 outgoing blocks,
   /// slab slices exchanged over the scattered pairwise schedule, decodes
   /// enqueued per arriving slice and synced once at the end. The caller

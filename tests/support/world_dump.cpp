@@ -61,15 +61,15 @@ std::string run_world_dump(const WorldScenario& s) {
   opts.pipeline.min_bytes = s.pipeline_min_bytes;
   opts.pipeline.chunk_bytes = s.pipeline_chunk_bytes;
   opts.pipeline.max_in_flight = s.pipeline_max_in_flight;
-  opts.collectives.algorithm =
+  using core::CollectiveOp;
+  opts.collectives[CollectiveOp::Allreduce] =
       static_cast<core::CollectiveAlgorithm>(s.collective_algorithm);
-  opts.collectives.alltoall_algorithm =
+  opts.collectives[CollectiveOp::Alltoall] =
       static_cast<core::CollectiveAlgorithm>(s.alltoall_algorithm);
-  const auto hier_alg = static_cast<core::CollectiveAlgorithm>(s.hier_algorithm);
-  opts.collectives.bcast_algorithm = hier_alg;
-  opts.collectives.allgather_algorithm = hier_alg;
-  opts.collectives.gather_algorithm = hier_alg;
-  opts.collectives.scatter_algorithm = hier_alg;
+  for (const CollectiveOp op : {CollectiveOp::Bcast, CollectiveOp::Allgather,
+                                CollectiveOp::Gather, CollectiveOp::Scatter}) {
+    opts.collectives[op] = static_cast<core::CollectiveAlgorithm>(s.hier_algorithm);
+  }
   std::optional<fault::FaultInjector> injector;
   if (s.fault_seed != 0) {
     fault::FaultPlan plan;

@@ -44,7 +44,7 @@ struct WorldScenario {
   // Collective algorithm engine. A nonzero engine_allreduce_values adds one
   // engine-sized allreduce (device-resident, that many floats) per
   // collective round, logged with its result checksum; collective_algorithm
-  // pins WorldOptions::collectives.algorithm (0 = Auto). The dump only
+  // pins WorldOptions::collectives[Allreduce] (0 = Auto). The dump only
   // grows collective-record lines when the engine actually ran, so legacy
   // scenario dumps stay byte-identical.
   std::size_t engine_allreduce_values = 0;
@@ -53,7 +53,7 @@ struct WorldScenario {
   // Batched alltoall engine. A nonzero alltoall_block_values adds one
   // device-resident alltoall (that many floats per destination block) per
   // collective round, logged with its receive-buffer checksum;
-  // alltoall_algorithm pins WorldOptions::collectives.alltoall_algorithm
+  // alltoall_algorithm pins WorldOptions::collectives[Alltoall]
   // (0 = Auto). Inert by default, so legacy scenario dumps stay
   // byte-identical.
   std::size_t alltoall_block_values = 0;

@@ -206,7 +206,7 @@ TEST(PersistentChannel, WarmRingAllreduceZeroControlPlane) {
   sim::Engine engine;
   mpi::WorldOptions opts;
   opts.persistent.enabled = true;
-  opts.collectives.algorithm = core::CollectiveAlgorithm::Ring;
+  opts.collectives[core::CollectiveOp::Allreduce] = core::CollectiveAlgorithm::Ring;
   World world(engine, net::longhorn(4, 1), core::CompressionConfig::mpc_opt(), opts);
   const int P = world.size();
   const std::size_t n = 1 << 18;  // 1 MiB of floats; 256 KiB ring shards
@@ -257,7 +257,7 @@ TEST(PersistentChannel, WarmBatchedAlltoallZeroControlPlane) {
   sim::Engine engine;
   mpi::WorldOptions opts;
   opts.persistent.enabled = true;
-  opts.collectives.alltoall_algorithm = core::CollectiveAlgorithm::BatchedPairwise;
+  opts.collectives[core::CollectiveOp::Alltoall] = core::CollectiveAlgorithm::BatchedPairwise;
   World world(engine, net::longhorn(4, 1), core::CompressionConfig::mpc_opt(), opts);
   const int P = world.size();
   const std::size_t bn = 1 << 17;  // 512 KiB per-destination blocks

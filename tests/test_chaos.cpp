@@ -138,7 +138,7 @@ TEST(Chaos, RingAllreduceUnderLossIsBitExactWithAccountedRetransmits) {
     mpi::WorldOptions opts;
     opts.fault = injector;
     opts.telemetry = telemetry;
-    opts.collectives.algorithm = core::CollectiveAlgorithm::Ring;
+    opts.collectives[core::CollectiveOp::Allreduce] = core::CollectiveAlgorithm::Ring;
     auto cfg = core::CompressionConfig::mpc_opt();
     cfg.threshold_bytes = 8 * 1024;
     World world(engine, net::longhorn(nodes, gpn), cfg, opts);
@@ -209,7 +209,7 @@ TEST(Chaos, BatchedAlltoallUnderLossIsBitExactWithAccountedRetransmits) {
     mpi::WorldOptions opts;
     opts.fault = injector;
     opts.telemetry = telemetry;
-    opts.collectives.alltoall_algorithm = core::CollectiveAlgorithm::BatchedPairwise;
+    opts.collectives[core::CollectiveOp::Alltoall] = core::CollectiveAlgorithm::BatchedPairwise;
     auto cfg = core::CompressionConfig::mpc_opt();
     cfg.threshold_bytes = 8 * 1024;
     World world(engine, net::longhorn(nodes, gpn), cfg, opts);
@@ -284,7 +284,7 @@ TEST(Chaos, HierarchicalBcastUnderLossIsBitExactWithTransitBudget) {
     mpi::WorldOptions opts;
     opts.fault = injector;
     opts.telemetry = telemetry;
-    opts.collectives.bcast_algorithm = core::CollectiveAlgorithm::Hierarchical;
+    opts.collectives[core::CollectiveOp::Bcast] = core::CollectiveAlgorithm::Hierarchical;
     World world(engine, net::longhorn(nodes, gpn), core::CompressionConfig::mpc_opt(),
                 opts);
     std::vector<std::vector<float>> outs(static_cast<std::size_t>(P));

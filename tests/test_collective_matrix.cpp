@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "core/collective.hpp"
-#include "core/dynamic.hpp"
 #include "fault/injector.hpp"
 #include "gpu/cost_model.hpp"
 #include "mpi/world.hpp"
@@ -36,6 +35,7 @@ namespace {
 
 using namespace gcmpi;
 using core::CollectiveAlgorithm;
+using core::CollectiveOp;
 using gcmpi::testing::make_floats;
 using gcmpi::testing::PayloadKind;
 using mpi::Rank;
@@ -101,7 +101,7 @@ RunResult run_allreduce(const MatrixCase& c) {
   core::Telemetry telemetry;
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
-  opts.collectives.algorithm = c.algorithm;
+  opts.collectives[CollectiveOp::Allreduce] = c.algorithm;
   opts.pipeline.enabled = c.pipeline;
   opts.pipeline.min_bytes = 256 * 1024;
   World world(engine, net::longhorn(c.nodes, c.gpus_per_node), config_for(c), opts);
@@ -131,9 +131,9 @@ class CollectiveMatrix : public ::testing::Test {
     // Resolve what the world actually ran (Auto goes through the same
     // policy function the dispatcher uses).
     core::CollectiveTuning tuning;
-    tuning.algorithm = c.algorithm;
-    const auto resolved = core::resolve_allreduce_algorithm(
-        tuning, c.n * 4, P, c.nodes, c.gpus_per_node);
+    tuning[CollectiveOp::Allreduce] = c.algorithm;
+    const auto resolved = core::resolve_collective(CollectiveOp::Allreduce, tuning, c.n * 4,
+                                                   P, c.nodes, c.gpus_per_node);
 
     std::vector<std::vector<float>> contribs;
     for (int r = 0; r < P; ++r) contribs.push_back(contribution(r, c.n));
@@ -276,7 +276,7 @@ TEST(ReduceScatterMatrix, RingMatchesOracleShards) {
         const std::size_t n = recvcount * static_cast<std::size_t>(P);
         sim::Engine engine;
         mpi::WorldOptions opts;
-        opts.collectives.algorithm = CollectiveAlgorithm::Ring;
+        opts.collectives[CollectiveOp::Allreduce] = CollectiveAlgorithm::Ring;
         World world(engine, net::longhorn(nodes, gpn),
                     core::CompressionConfig::mpc_opt(), opts);
 
@@ -334,6 +334,69 @@ TEST(ReduceScatterMatrix, LinearFallbackMatchesCommutativeOracle) {
   }
 }
 
+TEST(ReduceScatterMatrix, ForeignForcedAlgorithmRunsLinearForBothReductions) {
+  // BatchedPairwise is not an allreduce candidate, so forcing it must run
+  // the Linear schedule for allreduce AND reduce_scatter (they share one
+  // decision): the same outputs, records and virtual clock as forcing
+  // Linear, and no allreduce or reduce_scatter engine record (the Linear
+  // reduce_scatter's own reduce and scatter still select their schedules).
+  const int P = 4;
+  const std::size_t recvcount = 1u << 16;
+  const std::size_t n = recvcount * P;
+  struct Outcome {
+    std::vector<std::vector<float>> allreduce, reduce_scatter;
+    std::vector<std::string> records;
+    sim::Time end;
+  };
+  const auto run = [&](CollectiveAlgorithm forced) {
+    sim::Engine engine;
+    core::Telemetry telemetry;
+    mpi::WorldOptions opts;
+    opts.telemetry = &telemetry;
+    opts.collectives[CollectiveOp::Allreduce] = forced;
+    World world(engine, net::longhorn(2, 2), core::CompressionConfig::mpc_opt(), opts);
+    Outcome o;
+    o.allreduce.resize(P);
+    o.reduce_scatter.resize(P);
+    world.run([&](Rank& R) {
+      std::vector<float> mine(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        mine[i] = static_cast<float>((R.rank() + 1) * static_cast<int>(i % 1000));
+      }
+      auto& all = o.allreduce[static_cast<std::size_t>(R.rank())];
+      all.assign(n, -1.0f);
+      R.allreduce(mine.data(), all.data(), n, ReduceOp::Sum);
+      auto& shard = o.reduce_scatter[static_cast<std::size_t>(R.rank())];
+      shard.assign(recvcount, -1.0f);
+      R.reduce_scatter(mine.data(), shard.data(), recvcount, ReduceOp::Sum);
+    });
+    for (const auto& rec : telemetry.collectives()) {
+      o.records.push_back(std::string(rec.op) + ":" + rec.algorithm);
+    }
+    o.end = engine.now();
+    return o;
+  };
+  const Outcome linear = run(CollectiveAlgorithm::Linear);
+  const Outcome foreign = run(CollectiveAlgorithm::BatchedPairwise);
+  for (const auto& rec : foreign.records) {
+    EXPECT_NE(rec.rfind("allreduce:", 0), 0u) << "engine ran " << rec;
+    EXPECT_NE(rec.rfind("reduce_scatter:", 0), 0u) << "engine ran " << rec;
+  }
+  EXPECT_EQ(foreign.records, linear.records);
+  EXPECT_EQ(foreign.end, linear.end);
+  for (int r = 0; r < P; ++r) {
+    const auto& all = foreign.allreduce[static_cast<std::size_t>(r)];
+    const auto& shard = foreign.reduce_scatter[static_cast<std::size_t>(r)];
+    EXPECT_EQ(all, linear.allreduce[static_cast<std::size_t>(r)]) << "rank " << r;
+    EXPECT_EQ(shard, linear.reduce_scatter[static_cast<std::size_t>(r)]) << "rank " << r;
+    for (std::size_t i = 0; i < recvcount; ++i) {
+      const std::size_t idx = static_cast<std::size_t>(r) * recvcount + i;
+      ASSERT_EQ(shard[i], static_cast<float>((1 + 2 + 3 + 4) * static_cast<int>(idx % 1000)))
+          << "rank " << r << " index " << i;
+    }
+  }
+}
+
 // --- alltoall conformance ---
 //
 // The alltoall oracle is trivial and exact: received block s at rank r must
@@ -375,7 +438,7 @@ AlltoallResult run_alltoall_case(const AlltoallCase& c) {
   core::Telemetry telemetry;
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
-  opts.collectives.alltoall_algorithm = c.algorithm;
+  opts.collectives[CollectiveOp::Alltoall] = c.algorithm;
   auto cfg = config_for(MatrixCase{.codec = c.codec});
   World world(engine, net::longhorn(c.nodes, c.gpus_per_node), cfg, opts);
   const int P = world.size();
@@ -429,8 +492,9 @@ class AlltoallMatrix : public ::testing::Test {
     // Telemetry cross-check: the batched engine emits one "alltoall"
     // CollectiveRecord per rank; the naive sendrecv loop emits none.
     core::CollectiveTuning tuning;
-    tuning.alltoall_algorithm = c.algorithm;
-    const auto resolved = core::resolve_alltoall_algorithm(tuning, c.block_n * 4, P);
+    tuning[CollectiveOp::Alltoall] = c.algorithm;
+    const auto resolved = core::resolve_collective(CollectiveOp::Alltoall, tuning,
+                                                   c.block_n * 4, P, c.nodes, c.gpus_per_node);
     if (P > 1 && c.block_n > 0 && resolved == CollectiveAlgorithm::BatchedPairwise) {
       EXPECT_EQ(res.engine_records, static_cast<std::size_t>(P)) << describe(c);
     } else {
@@ -552,10 +616,10 @@ struct MovingResult {
 mpi::WorldOptions moving_options(const MovingCase& c, core::Telemetry* t) {
   mpi::WorldOptions opts;
   opts.telemetry = t;
-  opts.collectives.bcast_algorithm = c.algorithm;
-  opts.collectives.allgather_algorithm = c.algorithm;
-  opts.collectives.gather_algorithm = c.algorithm;
-  opts.collectives.scatter_algorithm = c.algorithm;
+  for (const CollectiveOp op : {CollectiveOp::Bcast, CollectiveOp::Allgather,
+                                CollectiveOp::Gather, CollectiveOp::Scatter}) {
+    opts.collectives[op] = c.algorithm;
+  }
   return opts;
 }
 
@@ -675,24 +739,13 @@ class MovingMatrix : public ::testing::Test {
  protected:
   static std::uint64_t eager_threshold() { return mpi::WorldOptions{}.eager_threshold; }
 
-  static CollectiveAlgorithm resolved_for(const char* op, const MovingCase& c) {
-    const int P = c.nodes * c.gpus_per_node;
+  /// Whether the dispatcher's policy function resolves `op` to the
+  /// hierarchical schedule for this case.
+  static bool hierarchical(CollectiveOp op, const MovingCase& c) {
     core::CollectiveTuning t;
-    t.bcast_algorithm = c.algorithm;
-    t.allgather_algorithm = c.algorithm;
-    t.gather_algorithm = c.algorithm;
-    t.scatter_algorithm = c.algorithm;
-    const std::uint64_t bytes = c.n * 4;
-    if (std::string(op) == "bcast") {
-      return core::resolve_bcast_algorithm(t, bytes, P, c.nodes, c.gpus_per_node);
-    }
-    if (std::string(op) == "allgather") {
-      return core::resolve_allgather_algorithm(t, bytes, P, c.nodes, c.gpus_per_node);
-    }
-    if (std::string(op) == "gather") {
-      return core::resolve_gather_algorithm(t, bytes, P, c.nodes, c.gpus_per_node);
-    }
-    return core::resolve_scatter_algorithm(t, bytes, P, c.nodes, c.gpus_per_node);
+    t[op] = c.algorithm;
+    return core::resolve_collective(op, t, c.n * 4, c.nodes * c.gpus_per_node, c.nodes,
+                                    c.gpus_per_node) == CollectiveAlgorithm::Hierarchical;
   }
 
   void check_bcast(const MovingCase& c) {
@@ -715,8 +768,8 @@ class MovingMatrix : public ::testing::Test {
     }
     // Hierarchical records on every rank; the eager path (<= threshold)
     // preempts the engine even when Hierarchical is forced.
-    const bool engine = P > 1 && resolved_for("bcast", c) == CollectiveAlgorithm::Hierarchical &&
-                        c.n * 4 > eager_threshold();
+    const bool engine =
+        P > 1 && hierarchical(CollectiveOp::Bcast, c) && c.n * 4 > eager_threshold();
     EXPECT_EQ(res.records, engine ? static_cast<std::size_t>(P) : 0u)
         << describe("bcast", c);
   }
@@ -734,9 +787,8 @@ class MovingMatrix : public ::testing::Test {
             << describe("allgather", c) << " rank " << r << " block from " << s;
       }
     }
-    const bool engine = P > 1 &&
-                        resolved_for("allgather", c) == CollectiveAlgorithm::Hierarchical &&
-                        c.n * 4 > eager_threshold();
+    const bool engine =
+        P > 1 && hierarchical(CollectiveOp::Allgather, c) && c.n * 4 > eager_threshold();
     EXPECT_EQ(res.records, engine ? static_cast<std::size_t>(P) : 0u)
         << describe("allgather", c);
   }
@@ -753,8 +805,7 @@ class MovingMatrix : public ::testing::Test {
           << describe("gather", c) << " block from " << s;
     }
     // Root + one record per remote node leader.
-    const bool engine =
-        P > 1 && c.n > 0 && resolved_for("gather", c) == CollectiveAlgorithm::Hierarchical;
+    const bool engine = P > 1 && c.n > 0 && hierarchical(CollectiveOp::Gather, c);
     EXPECT_EQ(res.records, engine ? static_cast<std::size_t>(c.nodes) : 0u)
         << describe("gather", c);
   }
@@ -777,8 +828,7 @@ class MovingMatrix : public ::testing::Test {
         }
       }
     }
-    const bool engine =
-        P > 1 && c.n > 0 && resolved_for("scatter", c) == CollectiveAlgorithm::Hierarchical;
+    const bool engine = P > 1 && c.n > 0 && hierarchical(CollectiveOp::Scatter, c);
     EXPECT_EQ(res.records, engine ? static_cast<std::size_t>(c.nodes) : 0u)
         << describe("scatter", c);
   }
@@ -958,111 +1008,6 @@ TEST(OracleSanity, RingOracleMatchesNaiveSumOnIntegers) {
     ASSERT_EQ(std::memcmp(got.data(), naive.data(), n * 4), 0)
         << core::collective_algorithm_name(algo);
   }
-}
-
-TEST(OracleSanity, ResolvePolicyHonorsFloors) {
-  core::CollectiveTuning t;  // defaults: 4 MiB, 4 ranks
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 16u << 20, 2, 2, 1),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 1 << 20, 8, 8, 1),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 16u << 20, 8, 8, 1),
-            CollectiveAlgorithm::Ring);
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 16u << 20, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  t.allow_hierarchical = false;
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 16u << 20, 8, 4, 2),
-            CollectiveAlgorithm::Ring);
-  t.algorithm = CollectiveAlgorithm::Linear;
-  EXPECT_EQ(core::resolve_allreduce_algorithm(t, 16u << 20, 8, 4, 2),
-            CollectiveAlgorithm::Linear);
-}
-
-TEST(OracleSanity, ResolveAlltoallHonorsFloors) {
-  core::CollectiveTuning t;  // defaults: 1 MiB blocks, 4 ranks
-  // Auto below either floor stays on the naive loop.
-  EXPECT_EQ(core::resolve_alltoall_algorithm(t, 512u << 10, 8),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_alltoall_algorithm(t, 4u << 20, 2),
-            CollectiveAlgorithm::Linear);
-  // Above both floors Auto routes to the batched engine.
-  EXPECT_EQ(core::resolve_alltoall_algorithm(t, 1u << 20, 4),
-            CollectiveAlgorithm::BatchedPairwise);
-  // Forcing overrides the floors in both directions.
-  t.alltoall_algorithm = CollectiveAlgorithm::BatchedPairwise;
-  EXPECT_EQ(core::resolve_alltoall_algorithm(t, 4 * 1024, 2),
-            CollectiveAlgorithm::BatchedPairwise);
-  t.alltoall_algorithm = CollectiveAlgorithm::Linear;
-  EXPECT_EQ(core::resolve_alltoall_algorithm(t, 16u << 20, 8),
-            CollectiveAlgorithm::Linear);
-}
-
-TEST(OracleSanity, DynamicSelectorPrefersRingForLargeCompressibleVectors) {
-  const core::DynamicSelector sel(gpu::v100_spec(), 12.5);
-  EXPECT_EQ(sel.choose_allreduce_algorithm(8u << 20, 8, 8, 1, 4.0),
-            CollectiveAlgorithm::Ring);
-  EXPECT_EQ(sel.choose_allreduce_algorithm(4 * 1024, 2, 2, 1, 1.0),
-            CollectiveAlgorithm::Linear);
-}
-
-TEST(OracleSanity, ResolveMovingCollectivesHonorFloorsAndTopology) {
-  core::CollectiveTuning t;  // defaults: 1 MiB bcast, 256 KiB blocks, 4 ranks
-  // Auto: below the floor stays flat, at/above it goes hierarchical — but
-  // only on a genuinely two-level topology.
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 512u << 10, 8, 4, 2),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 1u << 20, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 16u << 20, 8, 8, 1),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 16u << 20, 8, 1, 8),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_allgather_algorithm(t, 128u << 10, 8, 4, 2),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_allgather_algorithm(t, 256u << 10, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(core::resolve_gather_algorithm(t, 256u << 10, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(core::resolve_scatter_algorithm(t, 256u << 10, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  // Too few ranks for the staging to pay off.
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 16u << 20, 2, 2, 1),
-            CollectiveAlgorithm::Linear);
-  // allow_hierarchical gates Auto.
-  t.allow_hierarchical = false;
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 16u << 20, 8, 4, 2),
-            CollectiveAlgorithm::Linear);
-  t.allow_hierarchical = true;
-  // Forcing overrides the floors — except on degenerate topologies, where
-  // Hierarchical resolves to Linear (no second level to stage on).
-  t.bcast_algorithm = CollectiveAlgorithm::Hierarchical;
-  t.gather_algorithm = CollectiveAlgorithm::Hierarchical;
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 4 * 1024, 8, 4, 2),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(core::resolve_bcast_algorithm(t, 4 * 1024, 8, 8, 1),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(core::resolve_gather_algorithm(t, 4 * 1024, 8, 1, 8),
-            CollectiveAlgorithm::Linear);
-}
-
-TEST(OracleSanity, DynamicSelectorPrefersHierarchicalOnTwoLevelTopologies) {
-  // NVLink intra at 4x the IB wire rate (the default multiplier): staging
-  // at node leaders wins for large messages on a 4x4 cluster but can never
-  // be chosen on a flat one.
-  const core::DynamicSelector sel(gpu::v100_spec(), 12.5);
-  EXPECT_EQ(sel.choose_bcast_algorithm(16u << 20, 16, 4, 4, 2.0),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(sel.choose_bcast_algorithm(16u << 20, 16, 16, 1, 2.0),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(sel.choose_bcast_algorithm(16u << 20, 16, 1, 16, 2.0),
-            CollectiveAlgorithm::Linear);
-  EXPECT_EQ(sel.choose_allgather_algorithm(4u << 20, 16, 4, 4, 2.0),
-            CollectiveAlgorithm::Hierarchical);
-  EXPECT_EQ(sel.choose_gather_algorithm(4u << 20, 16, 4, 4, 2.0),
-            CollectiveAlgorithm::Hierarchical);
-  // Scatter mirrors gather by construction.
-  EXPECT_EQ(sel.choose_scatter_algorithm(4u << 20, 16, 4, 4, 2.0),
-            sel.choose_gather_algorithm(4u << 20, 16, 4, 4, 2.0));
 }
 
 }  // namespace

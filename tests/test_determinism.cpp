@@ -372,7 +372,7 @@ TEST(Determinism, AllreduceIsDeliveryOrderInvariant) {
   auto run_skewed = [n](bool ascending) {
     sim::Engine engine;
     mpi::WorldOptions opts;
-    opts.collectives.algorithm = core::CollectiveAlgorithm::Ring;
+    opts.collectives[core::CollectiveOp::Allreduce] = core::CollectiveAlgorithm::Ring;
     mpi::World world(engine, net::longhorn(2, 2), core::CompressionConfig::mpc_opt(),
                      opts);
     const int P = world.size();
