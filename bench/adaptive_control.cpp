@@ -13,20 +13,19 @@
 // Usage:
 //   adaptive_control [--quick] [--out FILE] [--baseline FILE] [--threshold FRAC]
 //
-// Exit status is nonzero if (a) any baseline entry regressed beyond the
-// threshold, or (b) the PR's acceptance bar fails: adaptive must beat the
-// worst fixed codec by >= 10% and stay within 5% of the best.
+// Exit status is nonzero if (a) a row is missing from the baseline or
+// regressed beyond the threshold, or (b) the acceptance bar fails: adaptive
+// must beat the worst fixed codec by >= 10% and stay within 5% of the best.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "adapt/controller.hpp"
 #include "core/telemetry.hpp"
 #include "data/datasets.hpp"
+#include "harness.hpp"
 #include "mpi/world.hpp"
 #include "net/cluster.hpp"
 #include "sim/engine.hpp"
@@ -35,21 +34,9 @@ namespace {
 
 using namespace gcmpi;
 
-struct Options {
-  bool quick = false;
-  std::string out = "BENCH_adaptive.json";
-  std::string baseline;
-  double threshold = 0.02;  // simulation is deterministic; tiny drift budget
-};
-
-struct Row {
-  std::string name;  // adaptive/<mode>
-  std::string mode;  // fixed_raw | fixed_mpc | fixed_zfp16 | adaptive
-  double elapsed_us = 0.0;
-  double mbps = 0.0;  // original bytes / simulated elapsed time
-  std::uint64_t decisions = 0;
-  std::uint64_t probes = 0;
-};
+const bench::Schema kSchema{"gcmpi-bench-adaptive-v1",
+                            {{"mbps", "original MB per simulated second, drifting 3-phase "
+                                      "stream, Longhorn inter-node"}}};
 
 constexpr std::size_t kMsgBytes = 4u << 20;
 constexpr double kNetworkGbs = 12.5;  // matches the static selector's prior
@@ -93,116 +80,40 @@ sim::Time run_stream(const core::CompressionConfig& cfg,
   return engine.now();
 }
 
-Row run_mode(const std::string& mode, const core::CompressionConfig& cfg,
-             bool adaptive, int iters_per_phase) {
+/// Runs one mode (fixed_raw | fixed_mpc | fixed_zfp16 | adaptive), prints
+/// it and returns it as the row adaptive/<mode>.
+bench::Row run_mode(const std::string& mode, const core::CompressionConfig& cfg,
+                    bool adaptive, int iters_per_phase) {
   core::Telemetry telemetry;
   adapt::AdaptiveController controller(gpu::v100_spec(), kNetworkGbs);
   const sim::Time elapsed = run_stream(cfg, adaptive ? &controller : nullptr,
                                        &telemetry, iters_per_phase);
   const double total_bytes = 3.0 * iters_per_phase * static_cast<double>(kMsgBytes);
-  Row row;
-  row.name = "adaptive/" + mode;
-  row.mode = mode;
-  row.elapsed_us = elapsed.to_seconds() * 1e6;
-  row.mbps = total_bytes / elapsed.to_seconds() / 1e6;
+  const double elapsed_us = elapsed.to_seconds() * 1e6;
+  const double mbps = total_bytes / elapsed.to_seconds() / 1e6;
+  std::uint64_t decisions = 0, probes = 0;
   for (const auto& d : telemetry.decisions()) {
-    ++row.decisions;
-    if (d.probe) ++row.probes;
+    ++decisions;
+    if (d.probe) ++probes;
   }
+  bench::Row row{"adaptive/" + mode};
+  row.text("mode", mode)
+      .fixed("elapsed_us", elapsed_us, 3)
+      .fixed("mbps", mbps, 1)
+      .count("decisions", decisions)
+      .count("probes", probes);
+  std::printf("%-28s %12.1f us %9.1f MB/s  decisions=%llu probes=%llu\n", row.name.c_str(),
+              elapsed_us, mbps, static_cast<unsigned long long>(decisions),
+              static_cast<unsigned long long>(probes));
   return row;
-}
-
-void write_json(const Options& opt, const std::vector<Row>& rows) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"gcmpi-bench-adaptive-v1\",\n"
-     << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-     << "  \"units\": {\"mbps\": \"original MB per simulated second, drifting "
-        "3-phase stream, Longhorn inter-node\"},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char line[384];
-    std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s\", \"mode\": \"%s\", \"elapsed_us\": %.3f, "
-                  "\"mbps\": %.1f, \"decisions\": %llu, \"probes\": %llu}%s\n",
-                  r.name.c_str(), r.mode.c_str(), r.elapsed_us, r.mbps,
-                  static_cast<unsigned long long>(r.decisions),
-                  static_cast<unsigned long long>(r.probes),
-                  i + 1 < rows.size() ? "," : "");
-    os << line;
-  }
-  os << "  ]\n}\n";
-  std::ofstream f(opt.out);
-  if (!f) {
-    std::fprintf(stderr, "adaptive_control: cannot write %s\n", opt.out.c_str());
-    std::exit(2);
-  }
-  f << os.str();
-  std::printf("wrote %s (%zu entries)\n", opt.out.c_str(), rows.size());
-}
-
-std::vector<std::pair<std::string, double>> read_baseline(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "adaptive_control: cannot read baseline %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::vector<std::pair<std::string, double>> out;
-  std::string line;
-  while (std::getline(f, line)) {
-    const std::size_t np = line.find("\"name\": \"");
-    const std::size_t mp = line.find("\"mbps\": ");
-    if (np == std::string::npos || mp == std::string::npos) continue;
-    const std::size_t ns = np + 9;
-    const std::size_t ne = line.find('"', ns);
-    if (ne == std::string::npos) continue;
-    out.emplace_back(line.substr(ns, ne - ns), std::strtod(line.c_str() + mp + 8, nullptr));
-  }
-  return out;
-}
-
-int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
-  const auto base = read_baseline(opt.baseline);
-  int regressions = 0;
-  std::size_t matched = 0;
-  for (const Row& r : rows) {
-    const auto it = std::find_if(base.begin(), base.end(),
-                                 [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
-    ++matched;
-    if (r.mbps < it->second * (1.0 - opt.threshold)) {
-      ++regressions;
-      std::printf("REGRESSION %-32s %8.1f -> %8.1f MB/s\n", r.name.c_str(), it->second,
-                  r.mbps);
-    }
-  }
-  std::printf("baseline: %zu/%zu entries matched, %d regression(s) beyond %.1f%%\n",
-              matched, rows.size(), regressions, opt.threshold * 100.0);
-  return regressions == 0 ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opt.baseline = argv[++i];
-    } else if (arg == "--threshold" && i + 1 < argc) {
-      opt.threshold = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: adaptive_control [--quick] [--out FILE] [--baseline FILE] "
-                   "[--threshold FRAC]\n");
-      return 2;
-    }
-  }
+  const auto opt =
+      bench::parse_options(argc, argv, "adaptive_control", "BENCH_adaptive.json", 0.02);
+  if (!opt) return 2;
 
   // The sweep is only 4 rows and runs in seconds, so --quick does not
   // shrink it: quick rows stay numerically identical to the committed
@@ -212,7 +123,7 @@ int main(int argc, char** argv) {
               "Longhorn inter-node (IB-EDR)\n",
               iters_per_phase);
 
-  std::vector<Row> rows;
+  std::vector<bench::Row> rows;
   rows.push_back(run_mode("fixed_raw", core::CompressionConfig::off(), false,
                           iters_per_phase));
   rows.push_back(run_mode("fixed_mpc", core::CompressionConfig::mpc_opt(), false,
@@ -221,38 +132,25 @@ int main(int argc, char** argv) {
                           iters_per_phase));
   rows.push_back(run_mode("adaptive", core::CompressionConfig::mpc_opt(), true,
                           iters_per_phase));
-  for (const Row& r : rows) {
-    std::printf("%-28s %12.1f us %9.1f MB/s  decisions=%llu probes=%llu\n",
-                r.name.c_str(), r.elapsed_us, r.mbps,
-                static_cast<unsigned long long>(r.decisions),
-                static_cast<unsigned long long>(r.probes));
-  }
 
   // The PR's acceptance bar on the drifting workload.
-  double worst = rows[0].mbps, best = rows[0].mbps;
+  double worst = rows[0].number("mbps"), best = worst;
   for (std::size_t i = 0; i < 3; ++i) {
-    worst = std::min(worst, rows[i].mbps);
-    best = std::max(best, rows[i].mbps);
+    worst = std::min(worst, rows[i].number("mbps"));
+    best = std::max(best, rows[i].number("mbps"));
   }
-  const double adaptive_mbps = rows[3].mbps;
-  int gate_failures = 0;
-  if (adaptive_mbps < worst * 1.10) {
-    ++gate_failures;
-    std::printf("GATE FAIL adaptive %.1f MB/s not >= 10%% over worst fixed %.1f MB/s\n",
-                adaptive_mbps, worst);
-  }
-  if (adaptive_mbps < best * 0.95) {
-    ++gate_failures;
-    std::printf("GATE FAIL adaptive %.1f MB/s not within 5%% of best fixed %.1f MB/s\n",
-                adaptive_mbps, best);
-  }
+  const double adaptive_mbps = rows[3].number("mbps");
+  int gate_failures =
+      bench::gate(adaptive_mbps >= worst * 1.10,
+                  "adaptive %.1f MB/s not >= 10%% over worst fixed %.1f MB/s", adaptive_mbps,
+                  worst);
+  gate_failures += bench::gate(adaptive_mbps >= best * 0.95,
+                               "adaptive %.1f MB/s not within 5%% of best fixed %.1f MB/s",
+                               adaptive_mbps, best);
   if (gate_failures == 0) {
     std::printf("gates OK: adaptive %.1f MB/s vs fixed [%.1f, %.1f] MB/s\n",
                 adaptive_mbps, worst, best);
   }
 
-  write_json(opt, rows);
-  int rc = gate_failures == 0 ? 0 : 1;
-  if (!opt.baseline.empty()) rc = std::max(rc, compare_baseline(opt, rows));
-  return rc;
+  return bench::finish(*opt, kSchema, rows, gate_failures);
 }

@@ -13,20 +13,18 @@
 //
 //   fig11_collectives [--quick] [--out FILE] [--baseline FILE] [--threshold FRAC]
 //
-// Exit status is nonzero if (a) any baseline entry regressed beyond the
-// threshold, or (b) the engine's acceptance bar fails: ring+MPC must beat
-// the linear p2p allreduce by >= 25% at 8 ranks / 16 MiB. (The linear path
-// moves host accumulators, so compression never applies to it and
-// linear+raw IS the linear+MPC baseline; at 8 MiB the ring's per-hop MPC
-// kernels still eat most of the wire win — the gap opens decisively from
+// Exit status is nonzero if (a) a row is missing from the baseline or
+// regressed beyond the threshold, or (b) the engine's acceptance bar fails:
+// ring+MPC must beat the linear p2p allreduce by >= 25% at 8 ranks / 16 MiB.
+// (The linear path moves host accumulators, so compression never applies to
+// it and linear+raw IS the linear+MPC baseline; at 8 MiB the ring's per-hop
+// MPC kernels still eat most of the wire win — the gap opens decisively from
 // 16 MiB on, which is the smallest size the gate pins.)
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "common.hpp"
 #include "core/collective.hpp"
+#include "harness.hpp"
 
 using namespace gcmpi;
 using namespace gcmpi::bench;
@@ -34,13 +32,6 @@ using namespace gcmpi::bench;
 namespace {
 
 enum class Coll { Bcast, Allgather };
-
-struct Options {
-  bool quick = false;
-  std::string out = "BENCH_collectives.json";
-  std::string baseline;
-  double threshold = 0.02;  // simulation is deterministic; tiny drift budget
-};
 
 sim::Time run_collective(Coll which, core::CompressionConfig cfg,
                          const std::vector<float>& payload) {
@@ -96,12 +87,9 @@ void panel(const char* title, Coll which, std::size_t message_bytes) {
 
 // --- panel (c): the allreduce algorithm engine ---
 
-struct Row {
-  std::string name;
-  std::size_t bytes = 0;
-  double latency_us = 0.0;
-  double mbps = 0.0;
-};
+const Schema kSchema{"gcmpi-bench-collectives-v1",
+                     {{"mbps", "original MB per simulated second, full allreduce including "
+                               "both barriers"}}};
 
 sim::Time run_allreduce(core::CollectiveAlgorithm algorithm, core::CompressionConfig cfg,
                         const std::vector<float>& payload, int nodes, int gpn) {
@@ -131,26 +119,25 @@ Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
              core::CompressionConfig cfg, std::size_t bytes, int nodes, int gpn) {
   const auto payload = data::generate("msg_sppm", bytes / 4);
   const auto t = run_allreduce(a, std::move(cfg), payload, nodes, gpn);
-  Row r;
   std::ostringstream name;
   name << "allreduce/" << algo << "/" << codec << "/" << size_label(bytes) << "@" << nodes
        << "x" << gpn;
-  r.name = name.str();
-  r.bytes = bytes;
-  r.latency_us = t.to_seconds() * 1e6;
-  r.mbps = static_cast<double>(bytes) / 1e6 / t.to_seconds();
-  std::printf("%-36s %10.1f us %9.1f MB/s\n", r.name.c_str(), r.latency_us, r.mbps);
+  const double latency_us = t.to_seconds() * 1e6;
+  const double mbps = static_cast<double>(bytes) / 1e6 / t.to_seconds();
+  Row r{name.str()};
+  r.count("bytes", bytes).fixed("latency_us", latency_us, 3).fixed("mbps", mbps, 1);
+  std::printf("%-36s %10.1f us %9.1f MB/s\n", r.name.c_str(), latency_us, mbps);
   return r;
 }
 
-int allreduce_panel(const Options& opt, std::vector<Row>& rows) {
+int allreduce_panel(bool quick, std::vector<Row>& rows) {
   print_header("Fig 11(c): MPI_Allreduce latency by algorithm, Longhorn (msg_sppm)");
   auto mpc = core::CompressionConfig::mpc_opt();
   mpc.threshold_bytes = 64 * 1024;  // 2 MiB / 8 ranks shards must compress
   const auto raw = core::CompressionConfig::off();
   const std::vector<std::size_t> sizes =
-      opt.quick ? std::vector<std::size_t>{16u << 20}
-                : std::vector<std::size_t>{2u << 20, 8u << 20, 16u << 20};
+      quick ? std::vector<std::size_t>{16u << 20}
+            : std::vector<std::size_t>{2u << 20, 8u << 20, 16u << 20};
 
   double linear_16m = 0.0, ring_mpc_16m = 0.0;
   for (const std::size_t bytes : sizes) {
@@ -163,8 +150,8 @@ int allreduce_panel(const Options& opt, std::vector<Row>& rows) {
     const Row hier = make_row("hier", "mpc", core::CollectiveAlgorithm::Hierarchical, mpc,
                               bytes, 4, 2);
     if (bytes == (16u << 20)) {
-      linear_16m = lin.latency_us;
-      ring_mpc_16m = cring.latency_us;
+      linear_16m = lin.number("latency_us");
+      ring_mpc_16m = cring.number("latency_us");
     }
     rows.push_back(lin);
     rows.push_back(rring);
@@ -175,105 +162,19 @@ int allreduce_panel(const Options& opt, std::vector<Row>& rows) {
   const double improvement = (1.0 - ring_mpc_16m / linear_16m) * 100.0;
   std::printf("\nring+MPC vs linear at 16M / 8 ranks: %.1f%% faster (gate: >= 25%%)\n\n",
               improvement);
-  if (!(ring_mpc_16m <= 0.75 * linear_16m)) {
-    std::fprintf(stderr,
-                 "FAIL: ring+MPC (%.1f us) does not beat linear (%.1f us) by 25%%\n",
-                 ring_mpc_16m, linear_16m);
-    return 1;
-  }
-  return 0;
-}
-
-void write_json(const Options& opt, const std::vector<Row>& rows) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"gcmpi-bench-collectives-v1\",\n"
-     << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-     << "  \"units\": {\"mbps\": \"original MB per simulated second, full allreduce "
-        "including both barriers\"},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char line[512];
-    std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s\", \"bytes\": %zu, \"latency_us\": %.3f, "
-                  "\"mbps\": %.1f}%s\n",
-                  r.name.c_str(), r.bytes, r.latency_us, r.mbps,
-                  i + 1 < rows.size() ? "," : "");
-    os << line;
-  }
-  os << "  ]\n}\n";
-  std::ofstream f(opt.out);
-  if (!f) {
-    std::fprintf(stderr, "fig11_collectives: cannot write %s\n", opt.out.c_str());
-    std::exit(2);
-  }
-  f << os.str();
-  std::printf("wrote %s (%zu entries)\n", opt.out.c_str(), rows.size());
-}
-
-std::vector<std::pair<std::string, double>> read_baseline(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "fig11_collectives: cannot read baseline %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::vector<std::pair<std::string, double>> out;
-  std::string line;
-  while (std::getline(f, line)) {
-    const std::size_t np = line.find("\"name\": \"");
-    const std::size_t mp = line.find("\"mbps\": ");
-    if (np == std::string::npos || mp == std::string::npos) continue;
-    const std::size_t ns = np + 9;
-    const std::size_t ne = line.find('"', ns);
-    if (ne == std::string::npos) continue;
-    out.emplace_back(line.substr(ns, ne - ns), std::strtod(line.c_str() + mp + 8, nullptr));
-  }
-  return out;
-}
-
-int compare_baseline(const Options& opt, const std::vector<Row>& rows) {
-  const auto base = read_baseline(opt.baseline);
-  int regressions = 0;
-  std::size_t matched = 0;
-  for (const Row& r : rows) {
-    const auto it = std::find_if(base.begin(), base.end(),
-                                 [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
-    ++matched;
-    if (r.mbps < it->second * (1.0 - opt.threshold)) {
-      ++regressions;
-      std::printf("REGRESSION %-44s %8.1f -> %8.1f MB/s\n", r.name.c_str(), it->second, r.mbps);
-    }
-  }
-  std::printf("baseline: %zu/%zu entries matched, %d regression(s) beyond %.1f%%\n", matched,
-              rows.size(), regressions, opt.threshold * 100.0);
-  return regressions == 0 ? 0 : 1;
+  return gate(ring_mpc_16m <= 0.75 * linear_16m,
+              "ring+MPC (%.1f us) does not beat linear (%.1f us) by 25%%", ring_mpc_16m,
+              linear_16m);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opt.baseline = argv[++i];
-    } else if (arg == "--threshold" && i + 1 < argc) {
-      opt.threshold = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: fig11_collectives [--quick] [--out FILE] [--baseline FILE] "
-                   "[--threshold FRAC]\n");
-      return 2;
-    }
-  }
+  const auto opt =
+      parse_options(argc, argv, "fig11_collectives", "BENCH_collectives.json", 0.02);
+  if (!opt) return 2;
 
-  if (!opt.quick) {
+  if (!opt->quick) {
     panel("Fig 11(a): MPI_Bcast latency, 8 nodes x 2 ppn, Frontera Liquid (4MB)", Coll::Bcast,
           4u << 20);
     panel("Fig 11(b): MPI_Allgather latency, 8 nodes x 2 ppn, Frontera Liquid (512KB blocks)",
@@ -281,11 +182,10 @@ int main(int argc, char** argv) {
   }
 
   std::vector<Row> rows;
-  int rc = allreduce_panel(opt, rows);
-  write_json(opt, rows);
-  if (!opt.baseline.empty()) rc = std::max(rc, compare_baseline(opt, rows));
+  const int gate_failures = allreduce_panel(opt->quick, rows);
+  const int rc = finish(*opt, kSchema, rows, gate_failures);
 
-  if (!opt.quick) {
+  if (!opt->quick) {
     std::printf(
         "Paper anchors: Bcast MPC-OPT 15%% (msg_bt) .. 57%% (msg_sppm), ZFP-OPT(4) 85%%;\n"
         "Allgather MPC-OPT 20-30%%, ZFP-OPT up to 73%%. Improvements track dataset CR\n"

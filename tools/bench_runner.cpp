@@ -15,17 +15,13 @@
 // --quick      smaller sweep (one size, two datasets) for CI
 // --out        where to write the JSON (default: BENCH_codecs.json in cwd)
 // --baseline   compare against a previous BENCH_codecs.json; exit 1 if any
-//              matching entry regressed by more than --threshold
+//              entry is missing from it or regressed by more than --threshold
 // --threshold  allowed fractional regression vs. baseline (default 0.25)
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,29 +33,16 @@
 #include "compress/zfp.hpp"
 #include "data/datasets.hpp"
 #include "gpu/cost_model.hpp"
+#include "harness.hpp"
 
 namespace {
 
 using namespace gcmpi;
 using Clock = std::chrono::steady_clock;
 
-struct Options {
-  bool quick = false;
-  std::string out = "BENCH_codecs.json";
-  std::string baseline;
-  double threshold = 0.25;
-};
-
-struct Result {
-  std::string name;     // codec/op/dataset/size
-  std::string codec;
-  std::string op;       // compress | decompress | roundtrip
-  std::string dataset;
-  std::size_t bytes = 0;
-  double mbps = 0.0;    // wall-clock, input-referenced
-  double ratio = 1.0;   // in/out
-  double sim_gbs = 0.0; // calibrated GPU-model throughput (0 = not modeled)
-};
+const bench::Schema kSchema{
+    "gcmpi-bench-codecs-v1",
+    {{"mbps", "input MB/s wall-clock"}, {"sim_gbs", "calibrated V100 model Gb/s"}}};
 
 /// Median-of-repeats wall time of `fn`, auto-scaling the iteration count so
 /// each repeat runs at least `min_seconds` (one-shot timings of a sub-ms
@@ -119,26 +102,42 @@ double sim_gbs_zfp(bool compress, std::size_t in_bytes, int rate) {
   return static_cast<double>(in_bytes) * 8.0 / t.to_seconds() / 1e9;
 }
 
-void push_pair(std::vector<Result>& out, const std::string& codec, const std::string& dataset,
+/// Prints and appends the rows <codec>.<op>/<dataset>/<size> for op =
+/// compress, decompress and roundtrip. mbps is wall-clock and
+/// input-referenced, ratio is in/out, sim_gbs the calibrated GPU-model
+/// throughput (0 = not modeled).
+void push_pair(std::vector<bench::Row>& out, const std::string& codec, const std::string& dataset,
                std::size_t bytes, double t_comp, double t_dec, double ratio, double sim_c,
                double sim_d) {
-  const std::string base = codec + "/" + dataset + "/" + size_label(bytes);
-  out.push_back({codec + ".compress/" + dataset + "/" + size_label(bytes), codec, "compress",
-                 dataset, bytes, mbps_of(bytes, t_comp), ratio, sim_c});
-  out.push_back({codec + ".decompress/" + dataset + "/" + size_label(bytes), codec, "decompress",
-                 dataset, bytes, mbps_of(bytes, t_dec), ratio, sim_d});
-  out.push_back({codec + ".roundtrip/" + dataset + "/" + size_label(bytes), codec, "roundtrip",
-                 dataset, bytes, mbps_of(bytes, t_comp + t_dec), ratio, 0.0});
+  const struct {
+    const char* op;
+    double seconds;
+    double sim_gbs;
+  } ops[] = {{"compress", t_comp, sim_c}, {"decompress", t_dec, sim_d},
+             {"roundtrip", t_comp + t_dec, 0.0}};
+  for (const auto& [op, seconds, sim_gbs] : ops) {
+    const double mbps = mbps_of(bytes, seconds);
+    bench::Row row{codec + "." + op + "/" + dataset + "/" + size_label(bytes)};
+    row.text("codec", codec)
+        .text("op", op)
+        .text("dataset", dataset)
+        .count("bytes", bytes)
+        .fixed("mbps", mbps, 1)
+        .fixed("ratio", ratio, 3)
+        .fixed("sim_gbs", sim_gbs, 1);
+    std::printf("%-52s %10.1f %8.3f %9.1f\n", row.name.c_str(), mbps, ratio, sim_gbs);
+    out.push_back(std::move(row));
+  }
 }
 
-void bench_all(const Options& opt, std::vector<Result>& results) {
-  const double min_s = opt.quick ? 0.05 : 0.2;
+void bench_all(bool quick, std::vector<bench::Row>& results) {
+  const double min_s = quick ? 0.05 : 0.2;
   const std::vector<std::size_t> sizes =
-      opt.quick ? std::vector<std::size_t>{4u << 20}
-                : std::vector<std::size_t>{1u << 20, 4u << 20, 16u << 20};
+      quick ? std::vector<std::size_t>{4u << 20}
+            : std::vector<std::size_t>{1u << 20, 4u << 20, 16u << 20};
   const std::vector<std::string> float_sets =
-      opt.quick ? std::vector<std::string>{"msg_sweep3d", "msg_sppm"}
-                : std::vector<std::string>{"msg_sweep3d", "msg_sppm", "num_plasma"};
+      quick ? std::vector<std::string>{"msg_sweep3d", "msg_sppm"}
+            : std::vector<std::string>{"msg_sweep3d", "msg_sppm", "num_plasma"};
 
   for (const std::string& ds : float_sets) {
     for (std::size_t bytes : sizes) {
@@ -234,112 +233,14 @@ void bench_all(const Options& opt, std::vector<Result>& results) {
   }
 }
 
-void write_json(const Options& opt, const std::vector<Result>& results) {
-  std::ostringstream os;
-  os << "{\n"
-     << "  \"schema\": \"gcmpi-bench-codecs-v1\",\n"
-     << "  \"quick\": " << (opt.quick ? "true" : "false") << ",\n"
-     << "  \"units\": {\"mbps\": \"input MB/s wall-clock\", \"sim_gbs\": "
-        "\"calibrated V100 model Gb/s\"},\n"
-     << "  \"results\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Result& r = results[i];
-    char line[512];
-    std::snprintf(line, sizeof(line),
-                  "    {\"name\": \"%s\", \"codec\": \"%s\", \"op\": \"%s\", \"dataset\": "
-                  "\"%s\", \"bytes\": %zu, \"mbps\": %.1f, \"ratio\": %.3f, \"sim_gbs\": %.1f}%s\n",
-                  r.name.c_str(), r.codec.c_str(), r.op.c_str(), r.dataset.c_str(), r.bytes,
-                  r.mbps, r.ratio, r.sim_gbs, i + 1 < results.size() ? "," : "");
-    os << line;
-  }
-  os << "  ]\n}\n";
-  std::ofstream f(opt.out);
-  if (!f) {
-    std::fprintf(stderr, "bench_runner: cannot write %s\n", opt.out.c_str());
-    std::exit(2);
-  }
-  f << os.str();
-  std::printf("wrote %s (%zu entries)\n", opt.out.c_str(), results.size());
-}
-
-/// Minimal scan of a previous BENCH_codecs.json: (name, mbps) pairs. Only
-/// reads files this tool itself wrote, so a full JSON parser is overkill.
-std::vector<std::pair<std::string, double>> read_baseline(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) {
-    std::fprintf(stderr, "bench_runner: cannot read baseline %s\n", path.c_str());
-    std::exit(2);
-  }
-  std::vector<std::pair<std::string, double>> out;
-  std::string line;
-  while (std::getline(f, line)) {
-    const std::size_t np = line.find("\"name\": \"");
-    const std::size_t mp = line.find("\"mbps\": ");
-    if (np == std::string::npos || mp == std::string::npos) continue;
-    const std::size_t ns = np + 9;
-    const std::size_t ne = line.find('"', ns);
-    if (ne == std::string::npos) continue;
-    out.emplace_back(line.substr(ns, ne - ns), std::strtod(line.c_str() + mp + 8, nullptr));
-  }
-  return out;
-}
-
-int compare_baseline(const Options& opt, const std::vector<Result>& results) {
-  const auto base = read_baseline(opt.baseline);
-  int regressions = 0;
-  std::size_t matched = 0;
-  for (const Result& r : results) {
-    const auto it = std::find_if(base.begin(), base.end(),
-                                 [&](const auto& b) { return b.first == r.name; });
-    if (it == base.end()) continue;
-    ++matched;
-    const double floor = it->second * (1.0 - opt.threshold);
-    const double delta = (r.mbps / it->second - 1.0) * 100.0;
-    if (r.mbps < floor) {
-      ++regressions;
-      std::printf("REGRESSION %-44s %8.1f -> %8.1f MB/s (%+.1f%%)\n", r.name.c_str(),
-                  it->second, r.mbps, delta);
-    } else if (std::fabs(delta) > 10.0) {
-      std::printf("  %-52s %8.1f -> %8.1f MB/s (%+.1f%%)\n", r.name.c_str(), it->second,
-                  r.mbps, delta);
-    }
-  }
-  std::printf("baseline: %zu/%zu entries matched, %d regression(s) beyond %.0f%%\n", matched,
-              results.size(), regressions, opt.threshold * 100.0);
-  return regressions == 0 ? 0 : 1;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      opt.quick = true;
-    } else if (arg == "--out" && i + 1 < argc) {
-      opt.out = argv[++i];
-    } else if (arg == "--baseline" && i + 1 < argc) {
-      opt.baseline = argv[++i];
-    } else if (arg == "--threshold" && i + 1 < argc) {
-      opt.threshold = std::strtod(argv[++i], nullptr);
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_runner [--quick] [--out FILE] [--baseline FILE] "
-                   "[--threshold FRAC]\n");
-      return 2;
-    }
-  }
-
-  std::vector<Result> results;
-  bench_all(opt, results);
+  const auto opt = bench::parse_options(argc, argv, "bench_runner", "BENCH_codecs.json", 0.25);
+  if (!opt) return 2;
 
   std::printf("%-52s %10s %8s %9s\n", "benchmark", "MB/s", "ratio", "sim Gb/s");
-  for (const Result& r : results) {
-    std::printf("%-52s %10.1f %8.3f %9.1f\n", r.name.c_str(), r.mbps, r.ratio, r.sim_gbs);
-  }
-
-  write_json(opt, results);
-  if (!opt.baseline.empty()) return compare_baseline(opt, results);
-  return 0;
+  std::vector<bench::Row> results;
+  bench_all(opt->quick, results);
+  return bench::finish(*opt, kSchema, results, 0);
 }
