@@ -203,6 +203,38 @@ std::string run_world_dump(const WorldScenario& s) {
         os << " fnv_hsc=" << fnv1a(piece.data(), hn * 4);
         R.gpu_free(dev);
       }
+      if (s.flat_block_values > 0) {
+        // Flat schedules above the eager threshold: the wire-forwarding (or
+        // pipelined) binomial bcast, the compressed (or pipelined) ring
+        // allgather and the rendezvous binomial reduce, plus one eager
+        // reduce; each checksum pins its schedule bit-exactly.
+        const std::size_t fn = s.flat_block_values;
+        const int root = (round + 1) % P;
+        auto* dev = static_cast<float*>(R.gpu_malloc(fn * 4));
+        const auto msg = make_floats(PayloadKind::SmoothField, fn,
+                                     s.seed * 6000 + static_cast<std::uint64_t>(round));
+        if (me == root) std::memcpy(dev, msg.data(), fn * 4);
+        R.bcast(dev, fn * 4, root);
+        os << " fnv_fb=" << fnv1a(dev, fn * 4);
+
+        const auto mine = make_floats(PayloadKind::SmoothField, fn,
+                                      s.seed * 7000 + static_cast<std::uint64_t>(me) * 17 +
+                                          static_cast<std::uint64_t>(round));
+        std::memcpy(dev, mine.data(), fn * 4);
+        std::vector<float> vec(fn * static_cast<std::size_t>(P));
+        R.allgather(dev, fn * 4, vec.data());
+        os << " fnv_fag=" << fnv1a(vec.data(), vec.size() * 4);
+
+        std::vector<float> red(fn);
+        R.reduce(dev, red.data(), fn, mpi::ReduceOp::Sum, root);
+        if (me == root) os << " fnv_fr=" << fnv1a(red.data(), fn * 4);
+
+        std::vector<float> small(1000, static_cast<float>(me) * 0.25f + 1.0f);
+        std::vector<float> small_red(small.size());
+        R.reduce(small.data(), small_red.data(), small.size(), mpi::ReduceOp::Max, root);
+        if (me == root) os << " fnv_fre=" << fnv1a(small_red.data(), small_red.size() * 4);
+        R.gpu_free(dev);
+      }
       log.push_back(os.str());
       R.barrier();
     }

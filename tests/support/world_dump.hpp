@@ -67,6 +67,15 @@ struct WorldScenario {
   // default, so legacy scenario dumps stay byte-identical.
   std::size_t hier_block_values = 0;
   int hier_algorithm = 0;  // core::CollectiveAlgorithm numeric value
+
+  // Flat wire schedules. A nonzero flat_block_values adds, per collective
+  // round, one device-resident bcast (that many floats, rotating root), one
+  // allgather (that many floats per block) and one reduce (that many
+  // floats, same root), plus a host-resident eager reduce, each logged with
+  // its result checksum. Pair it with hier_algorithm = Linear to keep bcast
+  // and allgather on the flat binomial tree and ring. Inert by default, so
+  // legacy scenario dumps stay byte-identical.
+  std::size_t flat_block_values = 0;
 };
 
 [[nodiscard]] std::string run_world_dump(const WorldScenario& s);

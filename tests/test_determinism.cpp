@@ -265,14 +265,26 @@ TEST(Determinism, RingAllreduceWorldIsByteIdentical) {
   EXPECT_NE(dump.find(",ring,"), std::string::npos);
 }
 
-TEST(Determinism, HierarchicalAllreduceWorldIsByteIdentical) {
+WorldScenario hier_allreduce_scenario() {
   WorldScenario s = ring_scenario();
   s.nodes = 3;
   s.collective_algorithm = static_cast<int>(core::CollectiveAlgorithm::Hierarchical);
   s.seed = 0x41E7;
+  return s;
+}
+
+TEST(Determinism, HierarchicalAllreduceWorldIsByteIdentical) {
+  const WorldScenario s = hier_allreduce_scenario();
   expect_identical_runs(s);
   const auto dump = run_world_dump(s);
   EXPECT_NE(dump.find(",hierarchical,"), std::string::npos);
+}
+
+TEST(Determinism, HierarchicalAllreduceWorldDumpMatchesPinnedDigest) {
+  // Golden for the hierarchical allreduce: member folds at the leader, the
+  // leader ring's two halves and the intra-node hand-back.
+  EXPECT_EQ(digest(run_world_dump(hier_allreduce_scenario())),
+            "11e5161a0b943566008e16c4289f73b1442202deaf3d0a6b5ec594974ddb347a");
 }
 
 TEST(Determinism, RingWorldDumpMatchesPinnedDigest) {
@@ -361,6 +373,44 @@ TEST(Determinism, HierarchicalMovingWorldDumpMatchesPinnedDigest) {
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
             "9df52d9c11df81fe8a1afe9fb8d9b96854dd8ab848fdad631fdc9caf7e9c7479");
+}
+
+WorldScenario flat_scenario() {
+  // Flat wire-schedule regime: a 2x2 world with Linear forced for bcast and
+  // allgather and a device-resident 64 KiB-class bcast / allgather /
+  // reduce per round (rotating non-zero root), so every round runs the
+  // wire-forwarding binomial bcast, the compressed allgather ring and the
+  // rendezvous binomial reduce with its fused device folds.
+  WorldScenario s;
+  s.nodes = 2;
+  s.gpus_per_node = 2;
+  s.messages_per_rank = 6;
+  s.collective_rounds = 2;
+  s.flat_block_values = 16411;
+  s.hier_algorithm = static_cast<int>(core::CollectiveAlgorithm::Linear);
+  s.seed = 0xF1A7;
+  return s;
+}
+
+TEST(Determinism, FlatWireWorldDumpMatchesPinnedDigest) {
+  // Golden for the flat compressed bodies: any change to the binomial
+  // tree's post order, the ring's decode overlap or the reduce's fold and
+  // drain points shows up as a digest mismatch. Update deliberately.
+  const std::string dump = run_world_dump(flat_scenario());
+  ASSERT_NE(dump.find("reduce,linear"), std::string::npos);
+  EXPECT_EQ(digest(dump), "03991629d645f0f3386ada452b1fdfe8f14d89645b264ce8266ff0ec14fcb848");
+}
+
+TEST(Determinism, FlatPipelinedWorldDumpMatchesPinnedDigest) {
+  // The same flat scenario with the chunked pipeline covering the bcast and
+  // allgather blocks: pins the pipelined binomial bcast and sendrecv ring.
+  WorldScenario s = flat_scenario();
+  s.pipeline = true;
+  s.pipeline_min_bytes = 32ull << 10;
+  s.pipeline_chunk_bytes = 32ull << 10;
+  const std::string dump = run_world_dump(s);
+  ASSERT_NE(dump.find(" pipelined="), std::string::npos);
+  EXPECT_EQ(digest(dump), "f2aec807f0dc2ead36b6c6ff99392a5607055c114a0fbd53075552923319d516");
 }
 
 TEST(Determinism, AllreduceIsDeliveryOrderInvariant) {
