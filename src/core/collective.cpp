@@ -82,6 +82,17 @@ CollectiveAlgorithm resolve_collective(CollectiveOp op, const CollectiveTuning& 
   return admit_collective(op, alg, nodes, gpus_per_node);
 }
 
+BinomialTree binomial_tree(int vrank, int P) {
+  BinomialTree tree;
+  int mask = 1;
+  while (mask < P && (vrank & mask) == 0) mask <<= 1;
+  if (vrank != 0) tree.parent = vrank - mask;
+  for (mask >>= 1; mask > 0; mask >>= 1) {
+    if (vrank + mask < P) tree.children.push_back(vrank + mask);
+  }
+  return tree;
+}
+
 namespace {
 
 /// Ring fold for shard `s` over `parts` contributions (each a full-length

@@ -117,6 +117,17 @@ struct CollectiveTuning {
   return {n * i / p, n * (i + 1) / p};
 }
 
+/// One vrank's place in the binomial tree over P vranks rooted at vrank 0
+/// (MPICH's bcast/reduce tree). The parent is vrank minus its lowest set
+/// bit, -1 at the root. Children are vrank + 2^k for each 2^k below that
+/// bit, largest first: the order a broadcast posts them. A reduction folds
+/// them in reverse, nearest first.
+struct BinomialTree {
+  int parent = -1;
+  std::vector<int> children;
+};
+[[nodiscard]] BinomialTree binomial_tree(int vrank, int P);
+
 /// Host-side replay of the canonical fold order: given every rank's
 /// contribution, compute the allreduce result `algorithm` must produce.
 /// `algorithm` must be concrete (not Auto); `gpus_per_node` shapes the

@@ -8,15 +8,14 @@
 // blocks and packs them into one wire slab), then serves every destination
 // its slice over the scattered pairwise schedule — at step t, rank r sends
 // to (r+t)%P and receives from (r-t)%P, so no port sees two slices at
-// once. Receivers enqueue each arriving slice's decompression without a
-// stream sync (it overlaps the remaining transfers) and synchronize once
-// at the end.
+// once. Receivers enqueue each arriving slice's decompression on a
+// DecodeQueue (no stream sync, so it overlaps the remaining transfers) and
+// synchronize once at the end.
 //
 // Every slice is a WireMessage moved with isend_wire/irecv_wire, so it
 // rides the rendezvous reliability layer: a dropped or corrupted slice is
 // CRC-detected and retransmits only itself, and injected decode faults are
-// recovered by local kernel relaunch (CompressionManager::retry_decode).
-#include <cstring>
+// recovered by local kernel relaunch (Rank::DecodeQueue).
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -28,7 +27,6 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
   const int P = size();
   const sim::Time started = ctx_.now();
   CollStats st;
-  auto& mgr = compression();
 
   // One batched compression launch for the P-1 outgoing blocks, built in
   // the scattered send order so wires[step-1] is step's destination.
@@ -60,7 +58,11 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
     sreqs.push_back(isend_wire(wires[static_cast<std::size_t>(step - 1)], dst, tag));
   }
 
-  std::vector<core::Staging> stagings;
+  // Each arrived slice's decode is enqueued on a stream rotated per slice:
+  // the P-1 decompressions are independent, so they run concurrently
+  // instead of queueing on one stream, overlap the remaining transfers,
+  // and are drained once, below.
+  DecodeQueue queue(*this);
   for (int step = 1; step < P; ++step) {
     const int src = (rank_ - step + P) % P;
 
@@ -69,40 +71,14 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
     st.transfer_busy += ctx_.now() - t0;
     ++st.hops;
 
-    // Enqueue the arrived slice's decompression; the kernels overlap the
-    // remaining transfers and are drained once, below.
-    const sim::Time d0 = ctx_.now();
-    sim::Timeline tl(ctx_.now());
-    WireMessage& in = inbox[static_cast<std::size_t>(step - 1)];
-    auto* out = recvbuf + static_cast<std::uint64_t>(src) * block_bytes;
-    if (in.header.compressed) {
-      auto staging = mgr.prepare_receive(tl, in.header);
-      std::memcpy(staging.data, in.payload->data(), in.payload->size());
-      // Rotate the decode stream per slice: the P-1 decompressions are
-      // independent, so they run concurrently instead of queueing on one
-      // stream behind each other.
-      core::CompressionManager::retry_decode([&] {
-        mgr.decompress_received(tl, in.header, staging, out, block_bytes,
-                                /*synchronize=*/false, /*stream_hint=*/step - 1);
-      });
-      stagings.push_back(std::move(staging));
-    } else if (!in.payload->empty()) {
-      std::memcpy(out, in.payload->data(), in.payload->size());
-    }
-    ctx_.advance_to(tl.now());
-    st.reduce_busy += ctx_.now() - d0;
+    st.reduce_busy += queue.decode(inbox[static_cast<std::size_t>(step - 1)],
+                                   recvbuf + static_cast<std::uint64_t>(src) * block_bytes,
+                                   block_bytes, /*stream_hint=*/step - 1);
   }
   const sim::Time w0 = ctx_.now();
   waitall(sreqs);
   st.transfer_busy += ctx_.now() - w0;
-
-  // Single sync covers every enqueued decompression of the collective.
-  sim::Timeline end(ctx_.now());
-  const sim::Time s0 = end.now();
-  gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release(end, s);
-  ctx_.advance_to(end.now());
-  st.reduce_busy += ctx_.now() - s0;
+  st.reduce_busy += queue.drain();
 
   record_collective("alltoall", core::CollectiveAlgorithm::BatchedPairwise,
                     static_cast<std::uint64_t>(P) * block_bytes, started, st);

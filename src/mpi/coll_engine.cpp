@@ -15,8 +15,15 @@
 // rank order within a node — and the fused primitive always folds
 // accumulator-first (acc = op(acc, incoming)), so results are bit-identical
 // across runs and delivery timings.
+//
+// The steps every compressed collective body shares live here too:
+// Rank::DecodeQueue absorbs arrived wire messages into device slices (the
+// staging, the unsynchronized decode or fused reduce, the drain), and
+// ring_allgather_members is the one ring allgather, run by the flat
+// allgather, the hierarchical leader ring and both allreduce rings.
+#include <algorithm>
 #include <cstring>
-#include <numeric>
+#include <ranges>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -62,29 +69,105 @@ void Rank::record_collective(const char* op, core::CollectiveAlgorithm algorithm
   t->record_collective(rec);
 }
 
+sim::Time Rank::DecodeQueue::decode(const WireMessage& in, void* dst, std::uint64_t bytes,
+                                    int stream_hint) {
+  const sim::Time started = rank_.ctx_.now();
+  sim::Timeline tl(started);
+  if (in.header.compressed) {
+    const core::Staging& staging = stage(tl, in);
+    core::CompressionManager::retry_decode([&] {
+      rank_.compression().decompress_received(tl, in.header, staging, dst, bytes,
+                                              /*synchronize=*/false, stream_hint);
+    });
+  } else if (!in.payload->empty()) {
+    std::memcpy(dst, in.payload->data(), in.payload->size());
+  }
+  pending_ = true;
+  return settle(tl, started);
+}
+
+sim::Time Rank::DecodeQueue::reduce(const WireMessage& in, float* acc, std::size_t n,
+                                    ReduceOp op) {
+  const sim::Time started = rank_.ctx_.now();
+  sim::Timeline tl(started);
+  auto& mgr = rank_.compression();
+  if (in.header.compressed) {
+    const core::Staging& staging = stage(tl, in);
+    core::CompressionManager::retry_decode([&] {
+      mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op, /*synchronize=*/false);
+    });
+  } else {
+    (void)mgr.reduce_device(tl, reinterpret_cast<const float*>(in.payload->data()), acc, n,
+                            op, /*synchronize=*/false);
+  }
+  pending_ = true;
+  return settle(tl, started);
+}
+
+sim::Time Rank::DecodeQueue::drain() {
+  const sim::Time started = rank_.ctx_.now();
+  sim::Timeline tl(started);
+  auto& mgr = rank_.compression();
+  rank_.gpu().device_synchronize(tl, &mgr.receiver_breakdown());
+  for (auto& s : stagings_) mgr.release(tl, s);
+  stagings_.clear();
+  pending_ = false;
+  return settle(tl, started);
+}
+
+const core::Staging& Rank::DecodeQueue::stage(sim::Timeline& tl, const WireMessage& in) {
+  stagings_.push_back(rank_.compression().prepare_receive(tl, in.header));
+  std::memcpy(stagings_.back().data, in.payload->data(), in.payload->size());
+  return stagings_.back();
+}
+
+sim::Time Rank::DecodeQueue::settle(const sim::Timeline& tl, sim::Time started) {
+  rank_.ctx_.advance_to(tl.now());
+  return rank_.ctx_.now() - started;
+}
+
+std::vector<int> Rank::strided_ranks(int count, int stride) {
+  std::vector<int> ranks(static_cast<std::size_t>(count));
+  for (int i = 0; i < count; ++i) ranks[static_cast<std::size_t>(i)] = i * stride;
+  return ranks;
+}
+
+std::vector<std::span<std::uint8_t>> Rank::block_slices(void* base, std::uint64_t bytes,
+                                                        int count) {
+  std::vector<std::span<std::uint8_t>> slices;
+  for (int i = 0; i < count; ++i) {
+    slices.emplace_back(static_cast<std::uint8_t*>(base) + static_cast<std::uint64_t>(i) * bytes,
+                        bytes);
+  }
+  return slices;
+}
+
+namespace {
+
+/// The byte slices of an n-float accumulator's N balanced shards.
+std::vector<std::span<std::uint8_t>> shard_slices(float* acc, std::size_t n, int N) {
+  std::vector<std::span<std::uint8_t>> slices;
+  for (int s = 0; s < N; ++s) {
+    const auto [lo, hi] = core::shard_range(n, N, s);
+    slices.emplace_back(reinterpret_cast<std::uint8_t*>(acc + lo), (hi - lo) * 4);
+  }
+  return slices;
+}
+
+}  // namespace
+
 void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
                                        float* acc, std::size_t n, ReduceOp op, int tag,
                                        CollStats& st) {
   const int N = static_cast<int>(members.size());
   if (N <= 1 || n == 0) return;
-  auto& mgr = compression();
   const int right = members[static_cast<std::size_t>((pos + 1) % N)];
   const int left = members[static_cast<std::size_t>((pos - 1 + N) % N)];
 
   // Offset -1 schedule: at step t this member sends shard (pos-t-1) and
   // receives shard (pos-t-2), so after N-1 steps position s owns the fully
   // reduced shard s (MPI_Reduce_scatter_block placement for free).
-  std::vector<core::Staging> stagings;
-  bool kernels_in_flight = false;
-  auto drain = [&] {
-    sim::Timeline tl(ctx_.now());
-    gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release(tl, s);
-    stagings.clear();
-    ctx_.advance_to(tl.now());
-    kernels_in_flight = false;
-  };
-
+  DecodeQueue queue(*this);
   for (int step = 0; step < N - 1; ++step) {
     const int send_s = (pos - step - 1 + 2 * N) % N;
     const int recv_s = (pos - step - 2 + 2 * N) % N;
@@ -98,7 +181,7 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
     WireMessage out;
     if (slen > 0) {
       const sim::Time t0 = ctx_.now();
-      if (kernels_in_flight) drain();
+      if (queue.pending()) (void)queue.drain();
       out = make_wire(acc + slo, slen * 4);
       st.compress_busy += ctx_.now() - t0;
     }
@@ -118,102 +201,60 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
     st.transfer_busy += ctx_.now() - t1;
 
     if (rlen > 0) {
-      const sim::Time t2 = ctx_.now();
-      sim::Timeline tl(ctx_.now());
-      if (in.header.compressed) {
-        auto staging = mgr.prepare_receive(tl, in.header);
-        std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        core::CompressionManager::retry_decode([&] {
-          mgr.decompress_reduce(tl, in.header, staging, acc + rlo, rlen * 4, op,
-                                /*synchronize=*/false);
-        });
-        stagings.push_back(staging);
-      } else {
-        (void)mgr.reduce_device(tl,
-                                reinterpret_cast<const float*>(in.payload->data()),
-                                acc + rlo, rlen, op, /*synchronize=*/false);
-      }
+      st.reduce_busy += queue.reduce(in, acc + rlo, rlen, op);
       ++st.reduces;
-      kernels_in_flight = true;
-      ctx_.advance_to(tl.now());
-      st.reduce_busy += ctx_.now() - t2;
     }
   }
   // Own shard's fused reduce finished the schedule; drain before callers
   // read or recompress the accumulator.
-  if (kernels_in_flight) {
-    const sim::Time t0 = ctx_.now();
-    drain();
-    st.reduce_busy += ctx_.now() - t0;
-  }
+  if (queue.pending()) st.reduce_busy += queue.drain();
 }
 
-void Rank::ring_allgather_members(const std::vector<int>& members, int pos, float* acc,
-                                  std::size_t n, int tag, CollStats& st) {
+sim::Time Rank::ring_allgather_members(const std::vector<int>& members, int pos,
+                                       const std::vector<std::span<std::uint8_t>>& slices,
+                                       const void* own, int tag, CollStats& st) {
   const int N = static_cast<int>(members.size());
-  if (N <= 1 || n == 0) return;
-  auto& mgr = compression();
+  if (N <= 1 || std::all_of(slices.begin(), slices.end(), [](auto s) { return s.empty(); })) {
+    return {};
+  }
   const int right = members[static_cast<std::size_t>((pos + 1) % N)];
   const int left = members[static_cast<std::size_t>((pos - 1 + N) % N)];
 
-  // Each member compresses its reduced shard ONCE; the wire forms then
-  // circulate, with decompression kernels enqueued as shards arrive so they
-  // overlap the remaining ring steps (the allgather idiom).
+  // Each member compresses its own slice ONCE; the wire forms then
+  // circulate, and at step t this member forwards slice (pos-t) and
+  // receives slice (pos-t-1).
   std::vector<WireMessage> wires(static_cast<std::size_t>(N));
-  {
-    const auto [lo, hi] = core::shard_range(n, N, pos);
-    if (hi > lo) {
-      const sim::Time t0 = ctx_.now();
-      wires[static_cast<std::size_t>(pos)] = make_wire(acc + lo, (hi - lo) * 4);
-      st.compress_busy += ctx_.now() - t0;
-    }
+  if (!slices[static_cast<std::size_t>(pos)].empty()) {
+    const sim::Time t0 = ctx_.now();
+    wires[static_cast<std::size_t>(pos)] =
+        make_wire(own, slices[static_cast<std::size_t>(pos)].size());
+    st.compress_busy += ctx_.now() - t0;
   }
 
-  std::vector<core::Staging> stagings;
+  DecodeQueue queue(*this);
   for (int step = 0; step < N - 1; ++step) {
-    const int send_s = (pos - step + 2 * N) % N;
-    const int recv_s = (pos - step - 1 + 2 * N) % N;
-    const auto [slo, shi] = core::shard_range(n, N, send_s);
-    const auto [rlo, rhi] = core::shard_range(n, N, recv_s);
-    const std::size_t slen = shi - slo;
-    const std::size_t rlen = rhi - rlo;
+    const auto send_s = static_cast<std::size_t>((pos - step + N) % N);
+    const auto recv_s = static_cast<std::size_t>((pos - step - 1 + N) % N);
+    const std::span<std::uint8_t> into = slices[recv_s];
 
     const sim::Time t0 = ctx_.now();
     Request rr, sr;
     WireMessage in;
-    if (rlen > 0) rr = irecv_wire(&in, left, tag);
-    if (slen > 0) {
-      sr = isend_wire(wires[static_cast<std::size_t>(send_s)], right, tag);
+    if (!into.empty()) rr = irecv_wire(&in, left, tag);
+    if (!slices[send_s].empty()) {
+      sr = isend_wire(wires[send_s], right, tag);
       ++st.hops;
     }
     if (rr) (void)wait(rr);
     if (sr) (void)wait(sr);
     st.transfer_busy += ctx_.now() - t0;
 
-    if (rlen > 0) {
-      const sim::Time t1 = ctx_.now();
-      sim::Timeline tl(ctx_.now());
-      if (in.header.compressed) {
-        auto staging = mgr.prepare_receive(tl, in.header);
-        std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        core::CompressionManager::retry_decode([&] {
-          mgr.decompress_received(tl, in.header, staging, acc + rlo, rlen * 4,
-                                  /*synchronize=*/false);
-        });
-        stagings.push_back(staging);
-      } else {
-        std::memcpy(acc + rlo, in.payload->data(), in.payload->size());
-      }
-      ctx_.advance_to(tl.now());
-      st.reduce_busy += ctx_.now() - t1;
-      wires[static_cast<std::size_t>(recv_s)] = std::move(in);
+    if (!into.empty()) {
+      st.reduce_busy += queue.decode(in, into.data(), into.size());
+      wires[recv_s] = std::move(in);
     }
   }
-  // Drain the overlapped decompressions and return the pool buffers.
-  sim::Timeline end(ctx_.now());
-  gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release(end, s);
-  ctx_.advance_to(end.now());
+  return queue.drain();
 }
 
 void Rank::allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n,
@@ -228,10 +269,11 @@ void Rank::allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n,
   std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
 
-  std::vector<int> members(static_cast<std::size_t>(P));
-  std::iota(members.begin(), members.end(), 0);
+  const std::vector<int> members = strided_ranks(P, 1);
   ring_reduce_scatter_members(members, rank_, acc, n, op, tag, st);
-  ring_allgather_members(members, rank_, acc, n, tag, st);
+  const auto shards = shard_slices(acc, n, P);
+  (void)ring_allgather_members(members, rank_, shards,
+                               shards[static_cast<std::size_t>(rank_)].data(), tag, st);
 
   if (n != 0) std::memcpy(recvbuf, acc, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
@@ -245,7 +287,8 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
   CollStats st;
   const auto& cl = world_.cluster();
   const int leader = cl.node_leader(rank_);
-  const int node_end = std::min(leader + cl.gpus_per_node, size());
+  const int my_node = cl.node_of(rank_);
+  const auto members = cl.node_ranks(my_node) | std::views::drop(1);
 
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
   std::memcpy(acc, sendbuf, n * 4);
@@ -255,7 +298,7 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
     // Member: ship the contribution to the node leader, receive the final
     // vector back in wire form.
     sim::Time t0 = ctx_.now();
-    WireMessage w = make_wire(acc, n * 4);
+    WireMessage w = make_intra_wire(acc, n * 4);
     st.compress_busy += ctx_.now() - t0;
     t0 = ctx_.now();
     Request sr = isend_wire(w, leader, tag);
@@ -270,63 +313,38 @@ void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::siz
     st.reduce_busy += ctx_.now() - t0;
   } else {
     // Phase 1: fold the node's members into the leader accumulator in
-    // ascending rank order (the canonical intra-node order), fused on-GPU.
-    auto& mgr = compression();
-    std::vector<core::Staging> stagings;
-    for (int m = leader + 1; m < node_end; ++m) {
-      sim::Time t0 = ctx_.now();
+    // ascending rank order (the canonical intra-node order), fused on-GPU,
+    // and drain before the leader ring recompresses shards of it.
+    DecodeQueue queue(*this);
+    for (int m : members) {
+      const sim::Time t0 = ctx_.now();
       WireMessage in;
       Request rr = irecv_wire(&in, m, tag);
       (void)wait(rr);
       st.transfer_busy += ctx_.now() - t0;
-      t0 = ctx_.now();
-      sim::Timeline tl(ctx_.now());
-      if (in.header.compressed) {
-        auto staging = mgr.prepare_receive(tl, in.header);
-        std::memcpy(staging.data, in.payload->data(), in.payload->size());
-        core::CompressionManager::retry_decode([&] {
-          mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op,
-                                /*synchronize=*/false);
-        });
-        stagings.push_back(staging);
-      } else {
-        (void)mgr.reduce_device(tl,
-                                reinterpret_cast<const float*>(in.payload->data()), acc,
-                                n, op, /*synchronize=*/false);
-      }
+      st.reduce_busy += queue.reduce(in, acc, n, op);
       ++st.reduces;
-      ctx_.advance_to(tl.now());
-      st.reduce_busy += ctx_.now() - t0;
     }
-    if (!stagings.empty() || node_end - leader > 1) {
-      // Drain the intra-node fused reduces before the leader ring
-      // recompresses shards of the accumulator.
-      sim::Timeline tl(ctx_.now());
-      gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-      for (auto& s : stagings) mgr.release(tl, s);
-      ctx_.advance_to(tl.now());
-    }
+    if (queue.pending()) (void)queue.drain();
 
     // Phase 2: ring allreduce of node partials across the leader ring.
-    std::vector<int> leaders(static_cast<std::size_t>(cl.nodes));
-    for (int node = 0; node < cl.nodes; ++node) {
-      leaders[static_cast<std::size_t>(node)] = node * cl.gpus_per_node;
-    }
-    const int my_node = cl.node_of(rank_);
+    const std::vector<int> leaders = strided_ranks(cl.nodes, cl.gpus_per_node);
     ring_reduce_scatter_members(leaders, my_node, acc, n, op, tag, st);
-    ring_allgather_members(leaders, my_node, acc, n, tag, st);
+    const auto shards = shard_slices(acc, n, cl.nodes);
+    (void)ring_allgather_members(leaders, my_node, shards,
+                                 shards[static_cast<std::size_t>(my_node)].data(), tag, st);
 
     // Phase 3: hand the result back to the node's members (compressed once,
     // wire-forwarded to each).
-    if (node_end - leader > 1) {
+    if (!members.empty()) {
       sim::Time t0 = ctx_.now();
-      WireMessage w = make_wire(acc, n * 4);
+      WireMessage w = make_intra_wire(acc, n * 4);
       st.compress_busy += ctx_.now() - t0;
       t0 = ctx_.now();
       std::vector<Request> sends;
-      for (int m = leader + 1; m < node_end; ++m) sends.push_back(isend_wire(w, m, tag));
+      for (int m : members) sends.push_back(isend_wire(w, m, tag));
       waitall(sends);
-      st.hops += static_cast<std::uint32_t>(node_end - leader - 1);
+      st.hops += static_cast<std::uint32_t>(sends.size());
       st.transfer_busy += ctx_.now() - t0;
     }
   }
@@ -362,9 +380,7 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
   if (n != 0) std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
-  std::vector<int> members(static_cast<std::size_t>(P));
-  std::iota(members.begin(), members.end(), 0);
-  ring_reduce_scatter_members(members, rank_, acc, n, op, tag, st);
+  ring_reduce_scatter_members(strided_ranks(P, 1), rank_, acc, n, op, tag, st);
   const auto [lo, hi] = core::shard_range(n, P, rank_);
   if (hi != lo) std::memcpy(recvbuf, acc + lo, (hi - lo) * 4);
   compute(gpu().costs().d2d_copy((hi - lo) * 4));

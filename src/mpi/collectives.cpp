@@ -6,9 +6,8 @@
 // ring allgather (bandwidth-optimal for large messages), Rabenseifner-style
 // non-power-of-two folding + recursive doubling for allreduce, pairwise
 // exchange for alltoall, dissemination barrier.
-#include <algorithm>
 #include <cstring>
-#include <stdexcept>
+#include <ranges>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -44,67 +43,28 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
   const int tag = next_coll_tag();
   const int P = size();
   if (P == 1) return;
-  const int vrank = (rank_ - root + P) % P;
-
-  // Small messages: plain binomial tree over the eager path.
-  if (bytes <= world_.options().eager_threshold) {
-    int mask = 1;
-    while (mask < P) {
-      if (vrank & mask) {
-        const int src = ((vrank - mask) + root) % P;
-        (void)recv(buf, bytes, src, tag);
-        break;
-      }
-      mask <<= 1;
-    }
-    mask >>= 1;
-    while (mask > 0) {
-      if (vrank + mask < P) {
-        const int dst = ((vrank + mask) + root) % P;
-        send(buf, bytes, dst, tag);
-      }
-      mask >>= 1;
-    }
-    return;
-  }
+  const core::BinomialTree tree = core::binomial_tree((rank_ - root + P) % P, P);
+  const auto real = [&](int vrank) { return (vrank + root) % P; };
+  const WorldOptions& opt = world_.options();
+  const bool eager = bytes <= opt.eager_threshold;
 
   // Topology-aware staging: one inter-node wire transit per node instead of
   // one per rank (see hier_engine.cpp).
-  if (select_collective(core::CollectiveOp::Bcast, bytes) ==
-      core::CollectiveAlgorithm::Hierarchical) {
+  if (!eager && select_collective(core::CollectiveOp::Bcast, bytes) ==
+                    core::CollectiveAlgorithm::Hierarchical) {
     bcast_hierarchical(buf, bytes, root, tag);
     return;
   }
 
-  // Chunked pipelined hops: when the pipeline covers this size, run the
-  // binomial tree over plain point-to-point sends so every edge overlaps
-  // compression, transfer, and decompression chunk by chunk. The wire-
-  // forwarding scheme below can't chunk — it ships one opaque stream — and
-  // for pipeline-sized messages the per-hop overlap wins over forwarding.
-  const WorldOptions& opt = world_.options();
-  if (opt.pipeline.enabled && opt.pipeline.collectives && bytes >= opt.pipeline.min_bytes) {
-    int pmask = 1;
-    if (vrank != 0) {
-      while (pmask < P) {
-        if (vrank & pmask) {
-          const int src = ((vrank - pmask) + root) % P;
-          (void)recv(buf, bytes, src, tag);
-          break;
-        }
-        pmask <<= 1;
-      }
-    } else {
-      while (pmask < P) pmask <<= 1;
-    }
-    pmask >>= 1;
-    std::vector<Request> sends;
-    while (pmask > 0) {
-      if (vrank + pmask < P) {
-        const int dst = ((vrank + pmask) + root) % P;
-        sends.push_back(isend(buf, bytes, dst, tag));
-      }
-      pmask >>= 1;
-    }
+  // Plain point-to-point hops: small messages over the eager path, and
+  // pipeline-sized ones so every edge overlaps compression, transfer, and
+  // decompression chunk by chunk. The wire-forwarding scheme below can't
+  // chunk — it ships one opaque stream — and for pipeline-sized messages
+  // the per-hop overlap wins over forwarding.
+  std::vector<Request> sends;
+  if (eager || (opt.pipeline.enabled && bytes >= opt.pipeline.min_bytes)) {
+    if (tree.parent >= 0) (void)recv(buf, bytes, real(tree.parent), tag);
+    for (int child : tree.children) sends.push_back(isend(buf, bytes, real(child), tag));
     waitall(sends);
     return;
   }
@@ -114,31 +74,14 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
   // before decompressing its own copy, so neither recompression nor
   // decompression sits on the tree's critical path.
   WireMessage msg;
-  int mask = 1;
-  if (vrank != 0) {
-    while (mask < P) {
-      if (vrank & mask) {
-        const int src = ((vrank - mask) + root) % P;
-        Request r = irecv_wire(&msg, src, tag);
-        (void)wait(r);
-        break;
-      }
-      mask <<= 1;
-    }
+  if (tree.parent >= 0) {
+    Request r = irecv_wire(&msg, real(tree.parent), tag);
+    (void)wait(r);
   } else {
     msg = make_wire(buf, bytes);
-    while (mask < P) mask <<= 1;
   }
-  mask >>= 1;
-  std::vector<Request> sends;
-  while (mask > 0) {
-    if (vrank + mask < P) {
-      const int dst = ((vrank + mask) + root) % P;
-      sends.push_back(isend_wire(msg, dst, tag));
-    }
-    mask >>= 1;
-  }
-  if (vrank != 0) decompress_wire(msg, buf, bytes);  // overlaps the forwards
+  for (int child : tree.children) sends.push_back(isend_wire(msg, real(child), tag));
+  if (tree.parent >= 0) decompress_wire(msg, buf, bytes);  // overlaps the forwards
   waitall(sends);
 }
 
@@ -148,51 +91,40 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   auto* out = static_cast<std::uint8_t*>(recvbuf);
   std::memcpy(out + static_cast<std::uint64_t>(rank_) * block_bytes, sendbuf, block_bytes);
   if (P == 1) return;
-
-  const int right = (rank_ + 1) % P;
-  const int left = (rank_ - 1 + P) % P;
+  const WorldOptions& opt = world_.options();
+  const bool eager = block_bytes <= opt.eager_threshold;
 
   // Small blocks: recursive doubling (log P rounds) when P is a power of
   // two — the latency-optimal MPICH choice — otherwise the classic ring.
-  if (block_bytes <= world_.options().eager_threshold) {
-    if ((P & (P - 1)) == 0) {
-      // After round r, each rank holds the 2^(r+1)-block group containing
-      // its own block, aligned to the group boundary.
-      for (int mask = 1; mask < P; mask <<= 1) {
-        const int peer = rank_ ^ mask;
-        const int my_group = (rank_ / mask) * mask;
-        const int peer_group = (peer / mask) * mask;
-        const std::uint64_t group_bytes = static_cast<std::uint64_t>(mask) * block_bytes;
-        sendrecv(out + static_cast<std::uint64_t>(my_group) * block_bytes, group_bytes, peer,
-                 tag, out + static_cast<std::uint64_t>(peer_group) * block_bytes, group_bytes,
-                 peer, tag);
-      }
-      return;
-    }
-    for (int step = 0; step < P - 1; ++step) {
-      const int send_idx = (rank_ - step + P) % P;
-      const int recv_idx = (rank_ - step - 1 + P) % P;
-      sendrecv(out + static_cast<std::uint64_t>(send_idx) * block_bytes, block_bytes, right,
-               tag, out + static_cast<std::uint64_t>(recv_idx) * block_bytes, block_bytes,
-               left, tag);
+  if (eager && (P & (P - 1)) == 0) {
+    // After round r, each rank holds the 2^(r+1)-block group containing
+    // its own block, aligned to the group boundary.
+    for (int mask = 1; mask < P; mask <<= 1) {
+      const int peer = rank_ ^ mask;
+      const int my_group = (rank_ / mask) * mask;
+      const int peer_group = (peer / mask) * mask;
+      const std::uint64_t group_bytes = static_cast<std::uint64_t>(mask) * block_bytes;
+      sendrecv(out + static_cast<std::uint64_t>(my_group) * block_bytes, group_bytes, peer,
+               tag, out + static_cast<std::uint64_t>(peer_group) * block_bytes, group_bytes,
+               peer, tag);
     }
     return;
   }
 
   // Topology-aware staging: leaders ring node slabs so each node pays
   // nodes-1 inter-node transits instead of P-1 (see hier_engine.cpp).
-  if (select_collective(core::CollectiveOp::Allgather, block_bytes) ==
-      core::CollectiveAlgorithm::Hierarchical) {
+  if (!eager && select_collective(core::CollectiveOp::Allgather, block_bytes) ==
+                    core::CollectiveAlgorithm::Hierarchical) {
     allgather_hierarchical(sendbuf, block_bytes, recvbuf, tag);
     return;
   }
 
-  // Chunked pipelined ring: pipeline-sized blocks go through plain
-  // point-to-point hops so each ring step overlaps chunk compression,
+  // The classic ring over plain point-to-point hops: small blocks, and
+  // pipeline-sized ones so each ring step overlaps chunk compression,
   // transfer, and decompression (see bcast above for the rationale).
-  const WorldOptions& opt = world_.options();
-  if (opt.pipeline.enabled && opt.pipeline.collectives &&
-      block_bytes >= opt.pipeline.min_bytes) {
+  if (eager || (opt.pipeline.enabled && block_bytes >= opt.pipeline.min_bytes)) {
+    const int right = (rank_ + 1) % P;
+    const int left = (rank_ - 1 + P) % P;
     for (int step = 0; step < P - 1; ++step) {
       const int send_idx = (rank_ - step + P) % P;
       const int recv_idx = (rank_ - step - 1 + P) % P;
@@ -204,73 +136,33 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   }
 
   // Compression-aware ring: each block is compressed once by its owner and
-  // circulates in wire form; decompression kernels are enqueued as blocks
-  // arrive (no stream sync) so they overlap the remaining ring steps, with
-  // one device synchronization at the end.
-  auto& mgr = compression();
-  std::vector<WireMessage> wires(static_cast<std::size_t>(P));
-  wires[static_cast<std::size_t>(rank_)] = make_wire(sendbuf, block_bytes);
-
-  std::vector<core::Staging> stagings;
-  sim::Timeline tl(ctx_.now());
-  for (int step = 0; step < P - 1; ++step) {
-    const int send_idx = (rank_ - step + P) % P;
-    const int recv_idx = (rank_ - step - 1 + P) % P;
-    WireMessage incoming;
-    Request rr = irecv_wire(&incoming, left, tag);
-    Request sr = isend_wire(wires[static_cast<std::size_t>(send_idx)], right, tag);
-    (void)wait(rr);
-    (void)wait(sr);
-
-    // Enqueue this block's decompression without blocking the ring.
-    tl.advance_to(ctx_.now());
-    auto* dst = out + static_cast<std::uint64_t>(recv_idx) * block_bytes;
-    if (incoming.header.compressed) {
-      auto staging = mgr.prepare_receive(tl, incoming.header);
-      std::memcpy(staging.data, incoming.payload->data(), incoming.payload->size());
-      core::CompressionManager::retry_decode([&] {
-        mgr.decompress_received(tl, incoming.header, staging, dst, block_bytes,
-                                /*synchronize=*/false);
-      });
-      stagings.push_back(staging);
-    } else {
-      std::memcpy(dst, incoming.payload->data(), incoming.payload->size());
-    }
-    ctx_.advance_to(tl.now());
-    wires[static_cast<std::size_t>(recv_idx)] = std::move(incoming);
-  }
-  // Drain the overlapped decompression kernels and return the pool buffers.
-  sim::Timeline end(ctx_.now());
-  gpu().device_synchronize(end, &mgr.receiver_breakdown());
-  for (auto& s : stagings) mgr.release(end, s);
-  ctx_.advance_to(end.now());
+  // circulates in wire form; decodes overlap the remaining ring steps, with
+  // one device synchronization at the end. The flat ring records no
+  // collective, so its stage accounting is dropped.
+  CollStats unrecorded;
+  (void)ring_allgather_members(strided_ranks(P, 1), rank_, block_slices(out, block_bytes, P),
+                               sendbuf, tag, unrecorded);
 }
 
 void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
                   int root) {
   const int tag = next_coll_tag();
   const int P = size();
-  const int vrank = (rank_ - root + P) % P;
+  const core::BinomialTree tree = core::binomial_tree((rank_ - root + P) % P, P);
+  const auto real = [&](int vrank) { return (vrank + root) % P; };
+  // Children fold nearest first (the reverse of bcast's post order).
+  const auto children = tree.children | std::views::reverse;
 
   // Small vectors ride the eager path uncompressed; the host-side fold is
   // cheaper than staging a device accumulator for them.
   if (n * 4 <= world_.options().eager_threshold) {
     std::vector<float> accum(sendbuf, sendbuf + n);
     std::vector<float> tmp(n);
-    for (int mask = 1; mask < P; mask <<= 1) {
-      if ((vrank & mask) == 0) {
-        const int peer_v = vrank | mask;
-        if (peer_v < P) {
-          const int peer = (peer_v + root) % P;
-          (void)recv(tmp.data(), n * 4, peer, tag);
-          apply_op(accum.data(), tmp.data(), n, op);
-        }
-      } else {
-        const int peer = ((vrank & ~mask) + root) % P;
-        send(accum.data(), n * 4, peer, tag);
-        break;
-      }
+    for (int child : children) {
+      (void)recv(tmp.data(), n * 4, real(child), tag);
+      apply_op(accum.data(), tmp.data(), n, op);
     }
+    if (tree.parent >= 0) send(accum.data(), n * 4, real(tree.parent), tag);
     if (rank_ == root) std::memcpy(recvbuf, accum.data(), n * 4);
     return;
   }
@@ -279,74 +171,37 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
   // wire form and arriving contributions fold into a device accumulator
   // with the manager's FUSED decompress+reduce kernels (enqueued without a
   // stream sync, so the decode of one child overlaps the wait for the
-  // next). The fold order is identical to the host path — children in
-  // ascending mask order, accumulator-first — so results are bit-identical.
+  // next). The fold order is identical to the host path, so results are
+  // bit-identical.
   const sim::Time started = ctx_.now();
   CollStats st;
-  auto& mgr = compression();
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
   std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
 
-  std::vector<core::Staging> stagings;
-  bool kernels_in_flight = false;
-  auto drain = [&] {
+  DecodeQueue queue(*this);
+  for (int child : children) {
+    WireMessage in;
+    Request rr = irecv_wire(&in, real(child), tag);
     const sim::Time t0 = ctx_.now();
-    sim::Timeline tl(ctx_.now());
-    gpu().device_synchronize(tl, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release(tl, s);
-    stagings.clear();
-    ctx_.advance_to(tl.now());
-    kernels_in_flight = false;
-    st.reduce_busy += ctx_.now() - t0;
-  };
-
-  for (int mask = 1; mask < P; mask <<= 1) {
-    if ((vrank & mask) == 0) {
-      const int peer_v = vrank | mask;
-      if (peer_v < P) {
-        const int peer = (peer_v + root) % P;
-        WireMessage in;
-        Request rr = irecv_wire(&in, peer, tag);
-        const sim::Time t0 = ctx_.now();
-        (void)wait(rr);
-        st.transfer_busy += ctx_.now() - t0;
-        const sim::Time t1 = ctx_.now();
-        sim::Timeline tl(ctx_.now());
-        if (in.header.compressed) {
-          auto staging = mgr.prepare_receive(tl, in.header);
-          std::memcpy(staging.data, in.payload->data(), in.payload->size());
-          core::CompressionManager::retry_decode([&] {
-            mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op,
-                                  /*synchronize=*/false);
-          });
-          stagings.push_back(staging);
-        } else {
-          (void)mgr.reduce_device(tl, reinterpret_cast<const float*>(in.payload->data()),
-                                  acc, n, op, /*synchronize=*/false);
-        }
-        ++st.reduces;
-        kernels_in_flight = true;
-        ctx_.advance_to(tl.now());
-        st.reduce_busy += ctx_.now() - t1;
-      }
-    } else {
-      // The accumulator ships upward: drain the pending fused folds first,
-      // then compress it once for the single parent hop.
-      if (kernels_in_flight) drain();
-      const sim::Time t0 = ctx_.now();
-      WireMessage w = make_wire(acc, n * 4);
-      st.compress_busy += ctx_.now() - t0;
-      const int peer = ((vrank & ~mask) + root) % P;
-      const sim::Time t1 = ctx_.now();
-      Request sr = isend_wire(w, peer, tag);
-      (void)wait(sr);
-      ++st.hops;
-      st.transfer_busy += ctx_.now() - t1;
-      break;
-    }
+    (void)wait(rr);
+    st.transfer_busy += ctx_.now() - t0;
+    st.reduce_busy += queue.reduce(in, acc, n, op);
+    ++st.reduces;
   }
-  if (kernels_in_flight) drain();
+  // The accumulator ships upward (or the root reads it): drain the pending
+  // fused folds first, then compress it once for the single parent hop.
+  if (queue.pending()) st.reduce_busy += queue.drain();
+  if (tree.parent >= 0) {
+    const sim::Time t0 = ctx_.now();
+    WireMessage w = make_wire(acc, n * 4);
+    st.compress_busy += ctx_.now() - t0;
+    const sim::Time t1 = ctx_.now();
+    Request sr = isend_wire(w, real(tree.parent), tag);
+    (void)wait(sr);
+    ++st.hops;
+    st.transfer_busy += ctx_.now() - t1;
+  }
   if (rank_ == root) {
     std::memcpy(recvbuf, acc, n * 4);
     compute(gpu().costs().d2d_copy(n * 4));

@@ -6,13 +6,14 @@
 // copies of the same traffic through its shared IB NIC. The hierarchical
 // schedules here move exactly ONE wire transit per remote NODE:
 //
-//   bcast      root compresses once; the wire form hops a binomial tree
+//   bcast      root compresses once; the wire form hops core::binomial_tree
 //              over node representatives (IB), then fans out intra-node
 //              over NVLink; each node decodes once, off the inter-node
 //              critical path.
 //   allgather  members stage blocks at their node leader; the leader ring
-//              circulates node SLABS in wire form (nodes-1 IB transits per
-//              leader); the assembled vector fans back out intra-node.
+//              (ring_allgather_members) circulates node SLABS in wire form
+//              (nodes-1 IB transits per leader); the assembled vector fans
+//              back out intra-node.
 //   gather     members stage blocks at the leader; each leader ships one
 //              assembled slab to the root (nodes-1 IB transits total).
 //   scatter    the root batch-compresses one slab per remote node in a
@@ -28,8 +29,8 @@
 // Selection: Rank::select_collective with the op's row (DESIGN.md §9,
 // "Collective selection"). A Hierarchical answer on a one-level topology,
 // forced or adaptive, runs the flat path, bit-identically.
-#include <algorithm>
 #include <cstring>
+#include <ranges>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -45,15 +46,16 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
   const sim::Time started = ctx_.now();
   CollStats st;
   const auto& cl = world_.cluster();
-  const int P = size();
   const int nodes = cl.nodes;
-  const int gpn = cl.gpus_per_node;
   const int root_node = cl.node_of(root);
   const int my_node = cl.node_of(rank_);
   // One representative per node carries the inter-node traffic: the root
   // itself on the root's node (it already holds the data), the node leader
   // elsewhere.
-  const int rep = my_node == root_node ? root : cl.node_leader(rank_);
+  const auto rep_of = [&](int node) {
+    return node == root_node ? root : node * cl.gpus_per_node;
+  };
+  const int rep = rep_of(my_node);
 
   if (rank_ != rep) {
     // Member: one intra-node hop from the representative, then decode.
@@ -70,75 +72,49 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
   }
 
   // Representative: binomial tree over nodes in virtual node order.
-  const int vnode = (my_node - root_node + nodes) % nodes;
+  const core::BinomialTree tree =
+      core::binomial_tree((my_node - root_node + nodes) % nodes, nodes);
+  const auto rep_of_vnode = [&](int vnode) { return rep_of((vnode + root_node) % nodes); };
   WireMessage msg;
-  int mask = 1;
-  if (vnode != 0) {
-    while (mask < nodes) {
-      if (vnode & mask) {
-        const int src_node = ((vnode - mask) + root_node) % nodes;
-        const int src = src_node == root_node ? root : src_node * gpn;
-        WireMessage in;
-        Request rr = irecv_wire(&in, src, tag);
-        const sim::Time t0 = ctx_.now();
-        (void)wait(rr);
-        st.transfer_busy += ctx_.now() - t0;
-        msg = std::move(in);
-        break;
-      }
-      mask <<= 1;
-    }
+  if (tree.parent >= 0) {
+    Request rr = irecv_wire(&msg, rep_of_vnode(tree.parent), tag);
+    const sim::Time t0 = ctx_.now();
+    (void)wait(rr);
+    st.transfer_busy += ctx_.now() - t0;
   } else {
     const sim::Time t0 = ctx_.now();
     msg = make_wire(buf, bytes);
     st.compress_busy += ctx_.now() - t0;
-    while (mask < nodes) mask <<= 1;
   }
 
   // Forward the SAME wire form down the tree — no recompression anywhere.
   // Virtual node 0 is the root's node, so every child here is remote.
-  mask >>= 1;
   const sim::Time t2 = ctx_.now();
   std::vector<Request> sends;
-  while (mask > 0) {
-    if (vnode + mask < nodes) {
-      const int dst_node = ((vnode + mask) + root_node) % nodes;
-      sends.push_back(isend_wire(msg, dst_node * gpn, tag));
-      ++st.hops;
-    }
-    mask >>= 1;
+  for (int child : tree.children) {
+    sends.push_back(isend_wire(msg, rep_of_vnode(child), tag));
+    ++st.hops;
   }
 
   // Intra-node fan-out: forward the wire form when the intra gate compresses
   // NVLink traffic (members decode in parallel); otherwise decode once here
   // and fan the raw bytes out. Either way the decode is off the inter-node
   // critical path — the tree forwards above were already posted.
-  const int node_begin = cl.node_leader(rank_);
-  const int node_end = std::min(node_begin + gpn, P);
-  if (world_.compression_.compress_intra_node) {
-    for (int m = node_begin; m < node_end; ++m) {
-      if (m == rep) continue;
-      sends.push_back(isend_wire(msg, m, tag));
-      ++st.hops;
-    }
-    if (rank_ != root) {
-      const sim::Time t3 = ctx_.now();
-      decompress_wire(msg, buf, bytes);
-      st.reduce_busy += ctx_.now() - t3;
-    }
-  } else {
-    if (rank_ != root) {
-      const sim::Time t3 = ctx_.now();
-      decompress_wire(msg, buf, bytes);
-      st.reduce_busy += ctx_.now() - t3;
-    }
-    const WireMessage raw = world_.make_raw_wire(buf, bytes);
-    for (int m = node_begin; m < node_end; ++m) {
-      if (m == rep) continue;
-      sends.push_back(isend_wire(raw, m, tag));
-      ++st.hops;
-    }
+  const bool forward = world_.compression_.compress_intra_node;
+  const auto decode_own = [&] {
+    if (rank_ == root) return;
+    const sim::Time t3 = ctx_.now();
+    decompress_wire(msg, buf, bytes);
+    st.reduce_busy += ctx_.now() - t3;
+  };
+  if (!forward) decode_own();
+  const WireMessage fan = forward ? msg : world_.make_raw_wire(buf, bytes);
+  for (int m : cl.node_ranks(my_node)) {
+    if (m == rep) continue;
+    sends.push_back(isend_wire(fan, m, tag));
+    ++st.hops;
   }
+  if (forward) decode_own();
   waitall(sends);
   st.transfer_busy += ctx_.now() - t2;
   record_collective("bcast", core::CollectiveAlgorithm::Hierarchical, bytes, started, st);
@@ -149,17 +125,12 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
   const sim::Time started = ctx_.now();
   CollStats st;
   const auto& cl = world_.cluster();
-  const int P = size();
-  const int nodes = cl.nodes;
   const int gpn = cl.gpus_per_node;
   const int my_node = cl.node_of(rank_);
   const int leader = cl.node_leader(rank_);
+  const auto members = cl.node_ranks(my_node) | std::views::drop(1);
   auto* out = static_cast<std::uint8_t*>(recvbuf);
-  const std::uint64_t total = static_cast<std::uint64_t>(P) * block_bytes;
-  const auto node_begin = [&](int node) { return node * gpn; };
-  const auto node_count = [&](int node) {
-    return std::min((node + 1) * gpn, P) - node * gpn;
-  };
+  const std::uint64_t total = static_cast<std::uint64_t>(size()) * block_bytes;
 
   if (rank_ != leader) {
     // Member: stage the block at the leader, receive the assembled vector.
@@ -190,7 +161,7 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
   {
     const sim::Time t0 = ctx_.now();
     std::vector<Request> reqs;
-    for (int m = leader + 1; m < std::min(leader + gpn, P); ++m) {
+    for (int m : members) {
       reqs.push_back(irecv(full + static_cast<std::uint64_t>(m) * block_bytes, block_bytes,
                            m, tag));
     }
@@ -198,71 +169,25 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
     st.transfer_busy += ctx_.now() - t0;
   }
 
-  // Leader phase 2: ring over node leaders, circulating node SLABS in wire
-  // form — each leader compresses its own slab exactly once and forwards
-  // the others; decodes are enqueued without a stream sync so they overlap
-  // the remaining ring steps.
-  auto& mgr = compression();
-  const int right = ((my_node + 1) % nodes) * gpn;
-  const int left = ((my_node - 1 + nodes) % nodes) * gpn;
-  std::vector<WireMessage> wires(static_cast<std::size_t>(nodes));
-  {
-    const sim::Time t0 = ctx_.now();
-    wires[static_cast<std::size_t>(my_node)] =
-        make_wire(full + static_cast<std::uint64_t>(node_begin(my_node)) * block_bytes,
-                  static_cast<std::uint64_t>(node_count(my_node)) * block_bytes);
-    st.compress_busy += ctx_.now() - t0;
-  }
-  std::vector<core::Staging> stagings;
-  for (int step = 0; step < nodes - 1; ++step) {
-    const int send_n = (my_node - step + nodes) % nodes;
-    const int recv_n = (my_node - step - 1 + nodes) % nodes;
-    const sim::Time t0 = ctx_.now();
-    WireMessage in;
-    Request rr = irecv_wire(&in, left, tag);
-    Request sr = isend_wire(wires[static_cast<std::size_t>(send_n)], right, tag);
-    (void)wait(rr);
-    (void)wait(sr);
-    ++st.hops;
-    st.transfer_busy += ctx_.now() - t0;
-
-    const sim::Time t1 = ctx_.now();
-    sim::Timeline tl(ctx_.now());
-    auto* dst = full + static_cast<std::uint64_t>(node_begin(recv_n)) * block_bytes;
-    const std::uint64_t slab = static_cast<std::uint64_t>(node_count(recv_n)) * block_bytes;
-    if (in.header.compressed) {
-      auto staging = mgr.prepare_receive(tl, in.header);
-      std::memcpy(staging.data, in.payload->data(), in.payload->size());
-      core::CompressionManager::retry_decode([&] {
-        mgr.decompress_received(tl, in.header, staging, dst, slab, /*synchronize=*/false);
-      });
-      stagings.push_back(staging);
-    } else {
-      std::memcpy(dst, in.payload->data(), in.payload->size());
-    }
-    ctx_.advance_to(tl.now());
-    st.reduce_busy += ctx_.now() - t1;
-    wires[static_cast<std::size_t>(recv_n)] = std::move(in);
-  }
-  {
-    // Drain the overlapped decodes before fanning the assembled buffer out.
-    const sim::Time t0 = ctx_.now();
-    sim::Timeline end(ctx_.now());
-    gpu().device_synchronize(end, &mgr.receiver_breakdown());
-    for (auto& s : stagings) mgr.release(end, s);
-    ctx_.advance_to(end.now());
-    st.reduce_busy += ctx_.now() - t0;
-  }
+  // Leader phase 2: the ring allgather over node leaders, circulating node
+  // SLABS in wire form — each leader compresses its own slab exactly once
+  // and forwards the others; the final drain, which precedes the fan-out,
+  // counts as decode time here.
+  const auto slabs = block_slices(full, static_cast<std::uint64_t>(gpn) * block_bytes, cl.nodes);
+  const sim::Time drained =
+      ring_allgather_members(strided_ranks(cl.nodes, gpn), my_node, slabs,
+                             slabs[static_cast<std::size_t>(my_node)].data(), tag, st);
+  st.reduce_busy += drained;
 
   // Leader phase 3: intra-node bcast of the assembled vector (compressed
   // once when the intra gate is on, raw otherwise).
-  if (gpn > 1) {
+  if (!members.empty()) {
     const sim::Time t0 = ctx_.now();
     WireMessage w = make_intra_wire(full, total);
     st.compress_busy += ctx_.now() - t0;
     const sim::Time t1 = ctx_.now();
     std::vector<Request> sends;
-    for (int m = leader + 1; m < std::min(leader + gpn, P); ++m) {
+    for (int m : members) {
       sends.push_back(isend_wire(w, m, tag));
       ++st.hops;
     }
@@ -282,10 +207,10 @@ void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   CollStats st;
   const auto& cl = world_.cluster();
   const int P = size();
-  const int gpn = cl.gpus_per_node;
   const int root_node = cl.node_of(root);
   const int my_node = cl.node_of(rank_);
   const int leader = cl.node_leader(rank_);
+  const std::uint64_t slab_bytes = static_cast<std::uint64_t>(cl.gpus_per_node) * block_bytes;
 
   if (rank_ == root) {
     auto* out = static_cast<std::uint8_t*>(recvbuf);
@@ -294,18 +219,16 @@ void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
     // from the root's own node, ONE slab per remote node — the slabs are
     // contiguous runs of `out` because each node's ranks are consecutive.
     std::vector<Request> reqs;
-    for (int m = cl.node_leader(root); m < std::min(cl.node_leader(root) + gpn, P); ++m) {
+    for (int m : cl.node_ranks(root_node)) {
       if (m == root) continue;
       reqs.push_back(irecv(out + static_cast<std::uint64_t>(m) * block_bytes, block_bytes,
                            m, tag));
     }
     for (int node = 0; node < cl.nodes; ++node) {
       if (node == root_node) continue;
-      const int first = node * gpn;
-      const std::uint64_t slab =
-          static_cast<std::uint64_t>(std::min((node + 1) * gpn, P) - first) * block_bytes;
-      reqs.push_back(
-          irecv(out + static_cast<std::uint64_t>(first) * block_bytes, slab, first, tag));
+      const int first = cl.node_ranks(node).front();
+      reqs.push_back(irecv(out + static_cast<std::uint64_t>(first) * block_bytes, slab_bytes,
+                           first, tag));
     }
     const sim::Time t0 = ctx_.now();
     waitall(reqs);
@@ -331,15 +254,13 @@ void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   // ship it to the root as ONE message — the single IB transit this node
   // pays; rendezvous compression (and its CRC/NACK recovery) applies to
   // the whole slab.
-  const int count = std::min(leader + gpn, P) - leader;
-  const std::uint64_t slab_bytes = static_cast<std::uint64_t>(count) * block_bytes;
   auto* slab = static_cast<std::uint8_t*>(gpu_malloc(slab_bytes));
   std::memcpy(slab, sendbuf, block_bytes);
   compute(gpu().costs().d2d_copy(block_bytes));
   {
     const sim::Time t0 = ctx_.now();
     std::vector<Request> reqs;
-    for (int m = leader + 1; m < leader + count; ++m) {
+    for (int m : cl.node_ranks(my_node) | std::views::drop(1)) {
       reqs.push_back(irecv(slab + static_cast<std::uint64_t>(m - leader) * block_bytes,
                            block_bytes, m, tag));
     }
@@ -361,10 +282,10 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   CollStats st;
   const auto& cl = world_.cluster();
   const int P = size();
-  const int gpn = cl.gpus_per_node;
   const int root_node = cl.node_of(root);
   const int my_node = cl.node_of(rank_);
   const int leader = cl.node_leader(rank_);
+  const std::uint64_t slab_bytes = static_cast<std::uint64_t>(cl.gpus_per_node) * block_bytes;
 
   if (rank_ == root) {
     const auto* in = static_cast<const std::uint8_t*>(sendbuf);
@@ -376,13 +297,11 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
     std::vector<WireBlock> blocks;
     for (int node = 0; node < cl.nodes; ++node) {
       if (node == root_node) continue;
-      const int first = node * gpn;
-      const std::uint64_t slab =
-          static_cast<std::uint64_t>(std::min((node + 1) * gpn, P) - first) * block_bytes;
-      blocks.push_back({in + static_cast<std::uint64_t>(first) * block_bytes, slab, first,
+      const int first = cl.node_ranks(node).front();
+      blocks.push_back({in + static_cast<std::uint64_t>(first) * block_bytes, slab_bytes, first,
                         tag});
     }
-    for (int m = cl.node_leader(root); m < std::min(cl.node_leader(root) + gpn, P); ++m) {
+    for (int m : cl.node_ranks(root_node)) {
       if (m == root) continue;
       blocks.push_back({in + static_cast<std::uint64_t>(m) * block_bytes, block_bytes, m,
                         tag});
@@ -409,8 +328,6 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
 
   // Remote leader: receive the node slab (decoded by the rendezvous layer)
   // into device memory, keep block 0, fan the rest out over NVLink.
-  const int count = std::min(leader + gpn, P) - leader;
-  const std::uint64_t slab_bytes = static_cast<std::uint64_t>(count) * block_bytes;
   auto* slab = static_cast<std::uint8_t*>(gpu_malloc(slab_bytes));
   const sim::Time t0 = ctx_.now();
   (void)recv(slab, slab_bytes, root, tag);
@@ -420,7 +337,7 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   {
     const sim::Time t1 = ctx_.now();
     std::vector<Request> sends;
-    for (int m = leader + 1; m < leader + count; ++m) {
+    for (int m : cl.node_ranks(my_node) | std::views::drop(1)) {
       sends.push_back(isend(slab + static_cast<std::uint64_t>(m - leader) * block_bytes,
                             block_bytes, m, tag));
       ++st.hops;

@@ -31,9 +31,6 @@ struct PipelineConfig {
   /// Chunks concurrently in flight (compressing / on the wire / arriving).
   /// Also divides the SMs among concurrent chunk kernels.
   int max_in_flight = 4;
-  /// Route large bcast/allgather hops through the chunked path instead of
-  /// the serial wire-forwarding scheme.
-  bool collectives = true;
 };
 
 /// Cost-model-driven chunk size: balances the per-chunk fixed overhead O

@@ -42,6 +42,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include <map>
@@ -265,23 +266,65 @@ class Rank {
                       int tag);
   void allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::size_t n,
                               ReduceOp op, int tag);
+  void record_collective(const char* op, core::CollectiveAlgorithm algorithm,
+                         std::uint64_t bytes, sim::Time started, const CollStats& st);
+
+  // --- steps shared by the compressed collective bodies (coll_engine.cpp) ---
+  /// Absorbs arrived wire messages into device slices. A compressed payload
+  /// is staged and its decode (or fused decode+reduce) enqueued without a
+  /// stream sync, retried on injected decode faults; a raw one is copied
+  /// (or reduced on-device). Every staging stays alive until drain(). Each
+  /// call returns the virtual time it charged, for the caller's CollStats.
+  class DecodeQueue {
+   public:
+    explicit DecodeQueue(Rank& rank) : rank_(rank) {}
+    /// Decode `in` into `dst` (`bytes` of capacity) on stream `stream_hint`.
+    sim::Time decode(const WireMessage& in, void* dst, std::uint64_t bytes,
+                     int stream_hint = 0);
+    /// Fold `in` into the n-float device accumulator: acc = op(acc, in).
+    sim::Time reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op);
+    /// Synchronize the device (charged even when nothing is queued) and
+    /// release every staging.
+    sim::Time drain();
+    /// Something was enqueued since the last drain.
+    [[nodiscard]] bool pending() const { return pending_; }
+
+   private:
+    const core::Staging& stage(sim::Timeline& tl, const WireMessage& in);
+    sim::Time settle(const sim::Timeline& tl, sim::Time started);
+
+    Rank& rank_;
+    std::vector<core::Staging> stagings_;
+    bool pending_ = false;
+  };
   /// Ring reduce-scatter over `members` (this rank at `members[pos]`): after
   /// N-1 steps the member at position s owns the fully reduced shard s of
   /// the device accumulator `acc` (n floats).
   void ring_reduce_scatter_members(const std::vector<int>& members, int pos, float* acc,
                                    std::size_t n, ReduceOp op, int tag, CollStats& st);
-  /// Ring allgather of the reduced shards (wire forms forwarded, decode
-  /// overlapped): on return every member's `acc` holds the full vector.
-  void ring_allgather_members(const std::vector<int>& members, int pos, float* acc,
-                              std::size_t n, int tag, CollStats& st);
-  void record_collective(const char* op, core::CollectiveAlgorithm algorithm,
-                         std::uint64_t bytes, sim::Time started, const CollStats& st);
+  /// Ring allgather over `members` (this rank at `members[pos]`): position
+  /// s contributes `slices[s]`. This member compresses its slice once from
+  /// `own`; every slice then circulates in wire form and is decoded as it
+  /// arrives, overlapping the remaining steps. Empty slices move nothing.
+  /// On return every slice holds its owner's bytes; the result is the time
+  /// the final drain charged (zero when nothing moved).
+  sim::Time ring_allgather_members(const std::vector<int>& members, int pos,
+                                   const std::vector<std::span<std::uint8_t>>& slices,
+                                   const void* own, int tag, CollStats& st);
+  /// Ranks 0, stride, 2*stride, ... (`count` of them): all ranks as one
+  /// ring, or the node leaders as the leader ring.
+  [[nodiscard]] static std::vector<int> strided_ranks(int count, int stride);
+  /// `count` consecutive `bytes`-sized slices of `base`.
+  [[nodiscard]] static std::vector<std::span<std::uint8_t>> block_slices(
+      void* base, std::uint64_t bytes, int count);
 
   // --- hierarchical moving collectives (hier_engine.cpp) ---
   // Two-level staging for bcast/allgather/gather/scatter: one wire transit
   // crosses IB per node (forwarded compressed form), intra-node traffic
   // rides NVLink, decode happens once per node off the inter-node critical
-  // path. Chosen by select_collective.
+  // path. Chosen by select_collective. The node-level bcast tree is
+  // core::binomial_tree over nodes; the leader ring is
+  // ring_allgather_members over node slabs.
   void bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag);
   void allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
                               void* recvbuf, int tag);
@@ -289,15 +332,16 @@ class Rank {
                            int root, int tag);
   void scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
                             int root, int tag);
-  /// Intra-node fan-out form of a payload this rank holds raw: compressed
-  /// wire when the compress_intra_node gate is on, raw wire otherwise.
+  /// Wire form of an intra-node hop (member<->leader staging, fan-out) of a
+  /// payload this rank holds raw: compressed when the compress_intra_node
+  /// gate is on, raw otherwise. Every intra-node collective hop uses it.
   [[nodiscard]] WireMessage make_intra_wire(const void* buf, std::uint64_t bytes);
 
   // --- alltoall engine (alltoall_engine.cpp) ---
   /// Batched alltoall: ONE compression launch for the P-1 outgoing blocks,
   /// slab slices exchanged over the scattered pairwise schedule, decodes
-  /// enqueued per arriving slice and synced once at the end. The caller
-  /// already placed the rank's own block in `recvbuf`.
+  /// enqueued per arriving slice on a DecodeQueue drained once at the end.
+  /// The caller already placed the rank's own block in `recvbuf`.
   void alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_bytes,
                         std::uint8_t* recvbuf, int tag);
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <ranges>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,6 +36,11 @@ struct ClusterSpec {
   /// hierarchical collectives' inter-node leader ring.
   [[nodiscard]] int node_leader(int rank) const { return node_of(rank) * gpus_per_node; }
   [[nodiscard]] bool is_node_leader(int rank) const { return rank == node_leader(rank); }
+  /// The ranks on `node` in rank order, leader first: gpus_per_node
+  /// consecutive ranks under the block distribution.
+  [[nodiscard]] auto node_ranks(int node) const {
+    return std::views::iota(node * gpus_per_node, (node + 1) * gpus_per_node);
+  }
 };
 
 /// TACC Longhorn: V100, NVLink intra-node, IB EDR inter-node.

@@ -1010,4 +1010,88 @@ TEST(OracleSanity, RingOracleMatchesNaiveSumOnIntegers) {
   }
 }
 
+// --- the binomial tree, without a World ---
+
+/// Reference copy of the hand-rolled bcast loop core::binomial_tree
+/// replaced: receive at vrank's lowest set bit, then post children from the
+/// next lower bit down.
+core::BinomialTree reference_bcast_tree(int vrank, int P) {
+  core::BinomialTree t;
+  int mask = 1;
+  if (vrank != 0) {
+    while (mask < P) {
+      if (vrank & mask) {
+        t.parent = vrank - mask;
+        break;
+      }
+      mask <<= 1;
+    }
+  } else {
+    while (mask < P) mask <<= 1;
+  }
+  mask >>= 1;
+  while (mask > 0) {
+    if (vrank + mask < P) t.children.push_back(vrank + mask);
+    mask >>= 1;
+  }
+  return t;
+}
+
+/// Reference copy of the hand-rolled reduce loop: fold children in
+/// ascending mask order, then ship to vrank with its lowest set bit cleared.
+core::BinomialTree reference_reduce_tree(int vrank, int P) {
+  core::BinomialTree t;
+  for (int mask = 1; mask < P; mask <<= 1) {
+    if ((vrank & mask) == 0) {
+      if ((vrank | mask) < P) t.children.push_back(vrank | mask);
+    } else {
+      t.parent = vrank & ~mask;
+      break;
+    }
+  }
+  return t;
+}
+
+TEST(BinomialTree, EveryShapeIsASpanningTreeInBcastPostOrder) {
+  for (int P = 1; P <= 64; ++P) {
+    std::vector<int> parent(static_cast<std::size_t>(P));
+    std::vector<int> listed_by(static_cast<std::size_t>(P), -1);
+    for (int v = 0; v < P; ++v) {
+      const core::BinomialTree t = core::binomial_tree(v, P);
+      const core::BinomialTree bcast = reference_bcast_tree(v, P);
+      EXPECT_EQ(t.parent, bcast.parent) << "P=" << P << " vrank=" << v;
+      EXPECT_EQ(t.children, bcast.children) << "P=" << P << " vrank=" << v;
+      // The reduce loop folds the same children, nearest first.
+      const core::BinomialTree reduce = reference_reduce_tree(v, P);
+      EXPECT_EQ(t.parent, reduce.parent) << "P=" << P << " vrank=" << v;
+      EXPECT_EQ(std::vector<int>(t.children.rbegin(), t.children.rend()), reduce.children)
+          << "P=" << P << " vrank=" << v;
+
+      parent[static_cast<std::size_t>(v)] = t.parent;
+      for (int c : t.children) {
+        ASSERT_GT(c, v);
+        ASSERT_LT(c, P);
+        EXPECT_EQ(listed_by[static_cast<std::size_t>(c)], -1) << "listed twice: " << c;
+        listed_by[static_cast<std::size_t>(c)] = v;
+      }
+    }
+    EXPECT_EQ(parent[0], -1);
+    EXPECT_EQ(listed_by[0], -1);
+    for (int v = 1; v < P; ++v) {
+      // Exactly one parent, and that parent lists v as a child.
+      EXPECT_EQ(listed_by[static_cast<std::size_t>(v)], parent[static_cast<std::size_t>(v)])
+          << "P=" << P << " vrank=" << v;
+      // Parents are strictly smaller, so following them reaches the root:
+      // the tree spans all P vranks.
+      int u = v;
+      while (u > 0) {
+        const int up = parent[static_cast<std::size_t>(u)];
+        ASSERT_GE(up, 0);
+        ASSERT_LT(up, u);
+        u = up;
+      }
+    }
+  }
+}
+
 }  // namespace

@@ -181,6 +181,34 @@ TEST(Wire, IntraNodeGatingStillCompressesInterNode) {
   });
 }
 
+TEST(Wire, IntraNodeGatingCoversHierarchicalAllreduceHops) {
+  // The hierarchical allreduce's member->leader and leader->members hops
+  // are intra-node: with the gate off they move raw, so the members never
+  // compress; the leaders still compress their inter-node ring shards.
+  auto cfg = core::CompressionConfig::mpc_opt();
+  cfg.compress_intra_node = false;
+  mpi::WorldOptions opts;
+  opts.collectives[core::CollectiveOp::Allreduce] = core::CollectiveAlgorithm::Hierarchical;
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 2), cfg, opts);
+  const std::size_t n = (1u << 20) / 4;
+  const auto payload = data::generate("msg_sppm", n);
+  std::vector<std::uint64_t> compressed(4);
+  world.run([&](Rank& R) {
+    auto* dev = static_cast<float*>(R.gpu_malloc(n * 4));
+    std::memcpy(dev, payload.data(), n * 4);
+    std::vector<float> out(n);
+    R.allreduce(dev, out.data(), n, mpi::ReduceOp::Max);
+    EXPECT_EQ(std::memcmp(out.data(), payload.data(), n * 4), 0);
+    compressed[static_cast<std::size_t>(R.rank())] = R.compression().stats().messages_compressed;
+    R.gpu_free(dev);
+  });
+  EXPECT_EQ(compressed[1], 0u);
+  EXPECT_EQ(compressed[3], 0u);
+  EXPECT_GT(compressed[0], 0u);
+  EXPECT_GT(compressed[2], 0u);
+}
+
 TEST(Wire, CompressedBcastEqualsPlainBcast) {
   const std::size_t n = (1u << 20) / 4;
   const auto payload = data::generate("msg_lu", n);
