@@ -1,16 +1,14 @@
-// Bit-granular stream writer/reader used by the generic ZFP block coder
-// (2D/3D and the variable-rate modes), SZ and the Huffman coder.
+// Bit-granular stream writer/reader used by SZ and its Huffman coder.
 //
 // Bits are packed LSB-first into little-endian 64-bit words, matching the
-// convention of Lindstrom's zfp bitstream. The reader supports absolute
-// seeks so fixed-rate blocks (each exactly `maxbits` long) can be skipped
-// to independently of how many bits the previous block consumed.
+// convention of Lindstrom's zfp bitstream.
 //
 // Both ends are word-parallel: the writer packs into a 64-bit accumulator
 // and emits whole words; the reader keeps a 64-bit refill buffer so
 // `get_bits(n)` costs at most two word loads (never n per-bit probes).
 // Reading past the end of the buffer yields zero bits, so a decoder may
-// peek a fixed window ahead of the final block.
+// peek a fixed window ahead of its last code. A decoder that has consumed
+// bits past the end (tell() > bit_size()) read a truncated stream.
 #pragma once
 
 #include <algorithm>
@@ -26,11 +24,6 @@ namespace gcmpi::comp {
 
 class BitWriter {
  public:
-  void put_bit(std::uint32_t bit) {
-    accum_ |= static_cast<std::uint64_t>(bit & 1u) << fill_;
-    if (++fill_ == 64) flush_word();
-  }
-
   /// Write the low `n` bits of `v` (LSB first), 0 <= n <= 64.
   void put_bits(std::uint64_t v, int n) {
     if (n == 0) return;
@@ -47,35 +40,13 @@ class BitWriter {
     }
   }
 
-  /// Pad with zero bits until the stream is exactly `bits` long. Whole
-  /// zero words are appended directly instead of being shifted through the
-  /// accumulator bit by bit.
-  void pad_to(std::size_t bits) {
-    if (bits < bit_size()) throw std::invalid_argument("BitWriter::pad_to: shrinking");
-    std::size_t todo = bits - bit_size();
-    if (fill_ > 0) {
-      const int align = static_cast<int>(
-          std::min<std::size_t>(static_cast<std::size_t>(64 - fill_), todo));
-      todo -= static_cast<std::size_t>(align);
-      fill_ += align;
-      if (fill_ == 64) flush_word();
-    }
-    if (todo == 0) return;
-    words_.resize(words_.size() + todo / 64, 0);  // accum_ is zero here
-    fill_ = static_cast<int>(todo % 64);
-  }
-
   /// Grow the word buffer up front so a stream of known maximum length
   /// never reallocates mid-encode.
   void reserve_bits(std::size_t bits) { words_.reserve((bits + 63) / 64); }
 
-  [[nodiscard]] std::size_t bit_size() const {
-    return words_.size() * 64 + static_cast<std::size_t>(fill_);
-  }
-
   /// Finish the stream and return the bytes (padded to a whole word).
   [[nodiscard]] std::vector<std::uint8_t> take() {
-    if (fill_ > 0) flush_word();
+    if (fill_ > 0) words_.push_back(accum_);
     std::vector<std::uint8_t> out(words_.size() * 8);
     if constexpr (std::endian::native == std::endian::little) {
       if (!out.empty()) std::memcpy(out.data(), words_.data(), out.size());
@@ -94,12 +65,6 @@ class BitWriter {
   }
 
  private:
-  void flush_word() {
-    words_.push_back(accum_);
-    accum_ = 0;
-    fill_ = 0;
-  }
-
   std::vector<std::uint64_t> words_;
   std::uint64_t accum_ = 0;
   int fill_ = 0;  // bits used in accum_
@@ -107,19 +72,8 @@ class BitWriter {
 
 class BitReader {
  public:
-  explicit BitReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) { seek(0); }
-
-  [[nodiscard]] std::uint32_t get_bit() {
-    if (avail_ == 0) {
-      buf_ = load_word(word_idx_++);
-      avail_ = 64;
-    }
-    const auto bit = static_cast<std::uint32_t>(buf_ & 1u);
-    buf_ >>= 1;
-    --avail_;
-    ++pos_;
-    return bit;
-  }
+  explicit BitReader(std::span<const std::uint8_t> bytes)
+      : bytes_(bytes), word_idx_(1), buf_(load_word(0)), avail_(64) {}
 
   /// Read `n` bits LSB-first, 0 <= n <= 64: at most two word loads.
   [[nodiscard]] std::uint64_t get_bits(int n) {
@@ -153,15 +107,6 @@ class BitReader {
 
   /// Consume `n` bits previously examined with peek_bits.
   void skip(int n) { (void)get_bits(n); }
-
-  /// Absolute reposition; refills the accumulator from the target word.
-  void seek(std::size_t bit_pos) {
-    pos_ = bit_pos;
-    word_idx_ = bit_pos / 64;
-    const int used = static_cast<int>(bit_pos % 64);
-    buf_ = load_word(word_idx_++) >> used;
-    avail_ = 64 - used;
-  }
 
   [[nodiscard]] std::size_t tell() const { return pos_; }
   [[nodiscard]] std::size_t bit_size() const { return bytes_.size() * 8; }

@@ -147,6 +147,9 @@ std::size_t SzCodec::decompress(std::span<const std::uint8_t> in, std::span<floa
       throw std::runtime_error("SzCodec: corrupt quantization code");
     }
   }
+  // The reader yields zeros past the end, so a cut stream would otherwise
+  // decode its missing codes as wrong floats without an error.
+  if (r.tell() > r.bit_size()) throw std::invalid_argument("SzCodec: truncated stream");
   return n;
 }
 

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <numeric>
 #include <stdexcept>
 
 #if defined(__x86_64__)
@@ -17,8 +16,6 @@
 #include <immintrin.h>
 #pragma GCC diagnostic pop
 #endif
-
-#include "compress/bitstream.hpp"
 
 namespace gcmpi::comp {
 
@@ -44,49 +41,26 @@ constexpr int kEmaxBits = 9;
   return static_cast<std::int32_t>(static_cast<std::uint32_t>(a) << 1);
 }
 
-/// zfp forward lifting transform over 4 values with stride s.
-void fwd_lift(std::int32_t* p, std::size_t s) {
-  std::int32_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
+/// zfp forward lifting transform over the 4 values of a block.
+void fwd_lift(std::int32_t* p) {
+  std::int32_t x = p[0], y = p[1], z = p[2], w = p[3];
   x = wadd(x, w); x >>= 1; w = wsub(w, x);
   z = wadd(z, y); z >>= 1; y = wsub(y, z);
   x = wadd(x, z); x >>= 1; z = wsub(z, x);
   w = wadd(w, y); w >>= 1; y = wsub(y, w);
   w = wadd(w, y >> 1); y = wsub(y, w >> 1);
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
+  p[0] = x; p[1] = y; p[2] = z; p[3] = w;
 }
 
 /// Exact inverse of fwd_lift.
-void inv_lift(std::int32_t* p, std::size_t s) {
-  std::int32_t x = p[0 * s], y = p[1 * s], z = p[2 * s], w = p[3 * s];
+void inv_lift(std::int32_t* p) {
+  std::int32_t x = p[0], y = p[1], z = p[2], w = p[3];
   y = wadd(y, w >> 1); w = wsub(w, y >> 1);
   y = wadd(y, w); w = wshl1(w); w = wsub(w, y);
   z = wadd(z, x); x = wshl1(x); x = wsub(x, z);
   y = wadd(y, z); z = wshl1(z); z = wsub(z, y);
   w = wadd(w, x); x = wshl1(x); x = wsub(x, w);
-  p[0 * s] = x; p[1 * s] = y; p[2 * s] = z; p[3 * s] = w;
-}
-
-/// Total-sequency coefficient order for a d-dimensional block: low-frequency
-/// (small coordinate sum) coefficients first so truncation drops the least
-/// important bits. Tie-break by linear index (deterministic; not
-/// bit-identical to libzfp's table but serves the same purpose).
-template <int Dims>
-const std::array<std::uint8_t, std::size_t(1) << (2 * Dims)>& perm() {
-  static const auto table = [] {
-    constexpr std::size_t n = std::size_t(1) << (2 * Dims);
-    std::array<std::uint8_t, n> t{};
-    std::array<std::uint8_t, n> idx{};
-    std::iota(idx.begin(), idx.end(), std::uint8_t{0});
-    auto coord_sum = [](std::size_t i) {
-      return (i & 3u) + ((i >> 2) & 3u) + ((i >> 4) & 3u);
-    };
-    std::stable_sort(idx.begin(), idx.end(), [&](std::uint8_t a, std::uint8_t b) {
-      return coord_sum(a) < coord_sum(b);
-    });
-    t = idx;
-    return t;
-  }();
-  return table;
+  p[0] = x; p[1] = y; p[2] = z; p[3] = w;
 }
 
 // Block floating point, on the float bits. A block's exponent is frexp's
@@ -146,440 +120,10 @@ constexpr int kQuantShift = kIntPrec - 2;
   return static_cast<std::int32_t>((x ^ mask) - mask);
 }
 
-/// Embedded bit-plane encoder with group testing (zfp's encode_ints).
-/// Writes at most `budget` bits; stops above plane `kmin` (fixed-precision
-/// and fixed-accuracy modes truncate by plane instead of by budget).
-///
-/// The emitted bit sequence is identical to the scalar reference (one
-/// group-test bit, then a unary run of zeros ending in the next value's
-/// significance bit), but each unary run is emitted as one put_bits call
-/// sized by countr_zero instead of a bit-at-a-time loop.
-template <int BlockSize>
-void encode_ints(BitWriter& w, const std::uint32_t* u, std::size_t budget, int kmin) {
-  constexpr std::uint32_t bs = BlockSize;
-  std::size_t bits = budget;
-  std::uint32_t n = 0;  // values known to be significant so far
-  for (int k = kIntPrec; bits > 0 && k-- > kmin;) {
-    // Extract bit plane k across the block.
-    std::uint64_t x = 0;
-    for (std::uint32_t i = 0; i < bs; ++i) {
-      x += static_cast<std::uint64_t>((u[i] >> k) & 1u) << i;
-    }
-    // Verbatim bits for the already-significant prefix.
-    const std::uint32_t m = static_cast<std::uint32_t>(std::min<std::size_t>(n, bits));
-    bits -= m;
-    w.put_bits(x, static_cast<int>(m));
-    x = (m < 64) ? (x >> m) : 0;
-    // Group-tested unary expansion of the remainder of the plane.
-    while (n < bs && bits) {
-      --bits;  // group-test bit
-      if (x == 0) {
-        w.put_bit(0);
-        break;  // rest of the plane is zero
-      }
-      w.put_bit(1);
-      if (n == bs - 1) {
-        // Last position: the group bit doubles as the significance bit.
-        n = bs;
-        break;
-      }
-      const std::size_t head = bs - 1 - n;  // unary positions before the cap
-      const auto tz = static_cast<std::size_t>(std::countr_zero(x));
-      if (tz < head && tz < bits) {
-        // Full run: tz zeros then the terminating one, in one store.
-        w.put_bits(std::uint64_t{1} << tz, static_cast<int>(tz + 1));
-        bits -= tz + 1;
-        x >>= tz + 1;
-        n += static_cast<std::uint32_t>(tz + 1);
-        continue;
-      }
-      // Clipped run: only zeros fit before the budget or the position cap.
-      const std::size_t zeros = std::min(std::min(tz, head), bits);
-      w.put_bits(0, static_cast<int>(zeros));
-      bits -= zeros;
-      n = bs;  // plane over either way: budget exhausted or position cap hit
-      break;
-    }
-  }
-}
-
-/// Scatter plane k into the values. Small blocks take the branchless form
-/// (the data-dependent jump loop mispredicts once or twice per plane, which
-/// dominates the decode for 4- and 16-value blocks); 64-value blocks keep
-/// the sparse set-bit walk, which wins while high planes are mostly zero.
-template <int BlockSize>
-inline void deposit_plane(std::uint32_t* u, std::uint64_t x, int k) {
-  if (x == 0) return;  // empty planes dominate smooth data; skip the stores
-  if constexpr (BlockSize <= 16) {
-    for (int i = 0; i < BlockSize; ++i) {
-      u[i] |= static_cast<std::uint32_t>((x >> i) & 1u) << k;
-    }
-  } else {
-    while (x != 0) {
-      const int i = std::countr_zero(x);
-      u[i] |= 1u << k;
-      x &= x - 1;
-    }
-  }
-}
-
-/// Mirror of encode_ints: consumes exactly the bit positions the scalar
-/// reference reads, batching each unary run with peek_bits + countr_zero.
-template <int BlockSize>
-void decode_ints(BitReader& r, std::uint32_t* out, std::size_t budget, int kmin) {
-  constexpr std::uint32_t bs = BlockSize;
-  std::uint32_t u[BlockSize] = {};
-  std::size_t bits = budget;
-  std::uint32_t n = 0;
-  auto deposit = [&u](std::uint64_t x, int k) { deposit_plane<BlockSize>(u, x, k); };
-  int k = kIntPrec;
-  if constexpr (bs <= 16) {
-    // A whole plane (verbatim prefix + group bits + unary runs) consumes at
-    // most 2*bs + 1 <= 33 bits, so one peek covers it and the plane parses
-    // entirely out of a register with a single skip at the end.
-    constexpr int kPlanePeek = 2 * static_cast<int>(bs) + 1;
-    while (bits > 0 && k-- > kmin) {
-      std::uint64_t win = r.peek_bits(kPlanePeek);
-      int t = 0;  // bits consumed from the window
-      const std::uint32_t m = static_cast<std::uint32_t>(std::min<std::size_t>(n, bits));
-      bits -= m;
-      std::uint64_t x = win & ((std::uint64_t{1} << m) - 1u);
-      win >>= m;
-      t += static_cast<int>(m);
-      while (n < bs && bits) {
-        --bits;  // group-test bit
-        ++t;
-        const std::uint64_t g = win & 1u;
-        win >>= 1;
-        if (g == 0) break;
-        const auto limit =
-            static_cast<std::size_t>(std::min<std::size_t>(bs - 1 - n, bits));
-        const auto z = static_cast<std::size_t>(
-            std::countr_zero(win | (std::uint64_t{1} << limit)));
-        if (z < limit) {
-          win >>= z + 1;
-          t += static_cast<int>(z + 1);
-          bits -= z + 1;
-          x += std::uint64_t{1} << (n + z);
-          n += static_cast<std::uint32_t>(z + 1);
-          continue;
-        }
-        // Clipped run: the significance bit at position n+z is implied by
-        // the budget or position cap, exactly as the scalar loop's exit path.
-        win >>= z;
-        t += static_cast<int>(z);
-        bits -= z;
-        x += std::uint64_t{1} << (n + z);
-        n += static_cast<std::uint32_t>(z + 1);
-        break;
-      }
-      r.skip(t);
-      deposit(x, k);
-      if (n == bs) break;  // all significant: the rest is pure verbatim
-    }
-  } else {
-    while (bits > 0 && k-- > kmin) {
-      const std::uint32_t m = static_cast<std::uint32_t>(std::min<std::size_t>(n, bits));
-      bits -= m;
-      std::uint64_t x = r.get_bits(static_cast<int>(m));
-      while (n < bs && bits) {
-        --bits;  // group-test bit
-        if (!r.get_bit()) break;
-        // Unary run: zeros until the next significance bit, capped by the
-        // remaining budget and by position bs-1 (whose bit is implied).
-        const auto limit =
-            static_cast<std::size_t>(std::min<std::size_t>(bs - 1 - n, bits));  // <= 63
-        const std::uint64_t window = r.peek_bits(static_cast<int>(limit));
-        const auto z = static_cast<std::size_t>(
-            std::countr_zero(window | (std::uint64_t{1} << limit)));
-        if (z < limit) {
-          r.skip(static_cast<int>(z + 1));
-          bits -= z + 1;
-          x += std::uint64_t{1} << (n + z);
-          n += static_cast<std::uint32_t>(z + 1);
-          continue;
-        }
-        // Clipped run: the significance bit at position n+z is implied by the
-        // budget or position cap, exactly as the scalar loop's exit path.
-        r.skip(static_cast<int>(z));
-        bits -= z;
-        x += std::uint64_t{1} << (n + z);
-        n += static_cast<std::uint32_t>(z + 1);
-        break;
-      }
-      deposit(x, k);
-      if (n == bs) break;  // all significant: the rest is pure verbatim
-    }
-  }
-  // Verbatim tail: every remaining plane is exactly bs bits with no group
-  // tests, so several planes come out of the reader per call (64/bs at a
-  // time) instead of one.
-  if (n == bs) {
-    constexpr int kPlanesPerRead = 64 / static_cast<int>(bs);
-    while (k > kmin && bits >= bs) {
-      const int planes = std::min(
-          {k - kmin, kPlanesPerRead, static_cast<int>(bits / bs)});
-      std::uint64_t v = r.get_bits(planes * static_cast<int>(bs));
-      bits -= static_cast<std::size_t>(planes) * bs;
-      for (int p = 0; p < planes; ++p) {
-        --k;
-        deposit((bs < 64) ? (v & ((std::uint64_t{1} << bs) - 1)) : v, k);
-        v = (bs < 64) ? (v >> bs) : 0;
-      }
-    }
-    if (k > kmin && bits > 0) {
-      // Budget ends inside the final plane: m = min(n, bits) = bits < bs.
-      deposit(r.get_bits(static_cast<int>(bits)), k - 1);
-      bits = 0;
-    }
-  }
-  std::memcpy(out, u, sizeof(u));
-}
-
-template <int Dims>
-struct BlockTraits {
-  static constexpr int kSize = 1 << (2 * Dims);
-};
-
-template <int Dims>
-void fwd_xform(std::int32_t* b) {
-  if constexpr (Dims == 1) {
-    fwd_lift(b, 1);
-  } else if constexpr (Dims == 2) {
-    for (int y = 0; y < 4; ++y) fwd_lift(b + 4 * y, 1);
-    for (int x = 0; x < 4; ++x) fwd_lift(b + x, 4);
-  } else {
-    for (int z = 0; z < 4; ++z)
-      for (int y = 0; y < 4; ++y) fwd_lift(b + 16 * z + 4 * y, 1);
-    for (int z = 0; z < 4; ++z)
-      for (int x = 0; x < 4; ++x) fwd_lift(b + 16 * z + x, 4);
-    for (int y = 0; y < 4; ++y)
-      for (int x = 0; x < 4; ++x) fwd_lift(b + 4 * y + x, 16);
-  }
-}
-
-template <int Dims>
-void inv_xform(std::int32_t* b) {
-  if constexpr (Dims == 1) {
-    inv_lift(b, 1);
-  } else if constexpr (Dims == 2) {
-    for (int x = 0; x < 4; ++x) inv_lift(b + x, 4);
-    for (int y = 0; y < 4; ++y) inv_lift(b + 4 * y, 1);
-  } else {
-    for (int y = 0; y < 4; ++y)
-      for (int x = 0; x < 4; ++x) inv_lift(b + 4 * y + x, 16);
-    for (int z = 0; z < 4; ++z)
-      for (int x = 0; x < 4; ++x) inv_lift(b + 16 * z + x, 4);
-    for (int z = 0; z < 4; ++z)
-      for (int y = 0; y < 4; ++y) inv_lift(b + 16 * z + 4 * y, 1);
-  }
-}
-
-/// Per-mode coding bounds for one block; kmin is the lowest bit plane kept.
-struct BlockCoding {
-  std::size_t budget;
-  int kmin;
-  bool pad;  // fixed rate pads to exactly `budget` + header bits
-};
-
-template <int Dims>
-BlockCoding block_coding(ZfpMode mode, int rate, int precision, double tolerance, int emax) {
-  constexpr int BS = BlockTraits<Dims>::kSize;
-  switch (mode) {
-    case ZfpMode::FixedPrecision:
-      return {std::size_t{10} + 64u * BS, kIntPrec - precision, false};
-    case ZfpMode::FixedAccuracy: {
-      // Keep every plane whose original-domain weight exceeds the
-      // tolerance; guard planes absorb quantization + transform gain.
-      int minexp = 0;
-      (void)std::frexp(tolerance, &minexp);
-      int kmin = minexp + (kIntPrec - 2) - emax - (2 + Dims);
-      if (kmin < 0) kmin = 0;
-      if (kmin > kIntPrec) kmin = kIntPrec;
-      return {std::size_t{10} + 64u * BS, kmin, false};
-    }
-    case ZfpMode::FixedRate:
-    default:
-      return {static_cast<std::size_t>(rate) * BS, 0, true};
-  }
-}
-
-template <int Dims>
-void encode_block(BitWriter& w, const float* fblock, ZfpMode mode, int rate, int precision,
-                  double tolerance) {
-  constexpr int BS = BlockTraits<Dims>::kSize;
-  const std::size_t block_start = w.bit_size();
-  const std::size_t rate_bits = static_cast<std::size_t>(rate) * BS;
-
-  std::uint32_t bits[BS];
-  std::memcpy(bits, fblock, sizeof bits);
-  std::uint32_t max_abs = 0;
-  for (int i = 0; i < BS; ++i) max_abs = std::max(max_abs, finite_abs(bits[i]));
-  if (max_abs == 0) {
-    w.put_bit(0);  // all-zero block
-    if (mode == ZfpMode::FixedRate) w.pad_to(block_start + rate_bits);
-    return;
-  }
-  w.put_bit(1);
-  const int emax = exponent_of(max_abs);
-  w.put_bits(static_cast<std::uint64_t>(emax + kEmaxBias), kEmaxBits);
-
-  std::int32_t iblock[BS];
-  for (int i = 0; i < BS; ++i) iblock[i] = quantize(bits[i], emax);
-
-  fwd_xform<Dims>(iblock);
-
-  std::uint32_t ublock[BS];
-  if constexpr (Dims == 1) {
-    for (int i = 0; i < BS; ++i) ublock[i] = int_to_negabinary(iblock[i]);
-  } else {
-    const auto& p = perm<Dims>();
-    for (int i = 0; i < BS; ++i) {
-      ublock[i] = int_to_negabinary(iblock[p[static_cast<std::size_t>(i)]]);
-    }
-  }
-
-  const BlockCoding c = block_coding<Dims>(mode, rate, precision, tolerance, emax);
-  const std::size_t used = w.bit_size() - block_start;
-  encode_ints<BS>(w, ublock, c.pad ? c.budget - used : c.budget, c.kmin);
-  if (c.pad) w.pad_to(block_start + c.budget);
-}
-
-template <int Dims>
-void decode_block(BitReader& r, float* fblock, ZfpMode mode, int rate, int precision,
-                  double tolerance) {
-  constexpr int BS = BlockTraits<Dims>::kSize;
-  const std::size_t block_start = r.tell();
-  const std::size_t rate_bits = static_cast<std::size_t>(rate) * BS;
-
-  // One peek covers the nonzero flag and the exponent; the skip settles the
-  // position for either outcome with a single reader advance.
-  const std::uint64_t hdr = r.peek_bits(1 + kEmaxBits);
-  if ((hdr & 1u) == 0) {
-    r.skip(1);
-    std::fill_n(fblock, BS, 0.0f);
-    if (mode == ZfpMode::FixedRate) r.seek(block_start + rate_bits);
-    return;
-  }
-  r.skip(1 + kEmaxBits);
-  const int emax =
-      static_cast<int>((hdr >> 1) & ((1u << kEmaxBits) - 1u)) - kEmaxBias;
-
-  std::uint32_t ublock[BS];
-  const BlockCoding c = block_coding<Dims>(mode, rate, precision, tolerance, emax);
-  const std::size_t used = r.tell() - block_start;
-  decode_ints<BS>(r, ublock, c.pad ? c.budget - used : c.budget, c.kmin);
-  if (c.pad) r.seek(block_start + c.budget);
-
-  std::int32_t iblock[BS];
-  if constexpr (Dims == 1) {
-    // The 1D sequency permutation is the identity; skip the table lookup
-    // (and its static-init guard) entirely.
-    for (int i = 0; i < BS; ++i) iblock[i] = negabinary_to_int(ublock[i]);
-  } else {
-    const auto& p = perm<Dims>();
-    for (int i = 0; i < BS; ++i) {
-      iblock[p[static_cast<std::size_t>(i)]] = negabinary_to_int(ublock[i]);
-    }
-  }
-
-  inv_xform<Dims>(iblock);
-
-  const double scale = dequantize_scale(emax);
-  for (int i = 0; i < BS; ++i) fblock[i] = dequantize(iblock[i], scale);
-}
-
-/// Gather a (possibly partial) block, replicating edge values as padding.
-template <int Dims>
-void gather(const float* data, const ZfpField& f, std::size_t bx, std::size_t by,
-            std::size_t bz, float* block) {
-  for (std::size_t z = 0; z < (Dims >= 3 ? 4u : 1u); ++z) {
-    const std::size_t sz = std::min(4 * bz + z, f.nz - 1);
-    for (std::size_t y = 0; y < (Dims >= 2 ? 4u : 1u); ++y) {
-      const std::size_t sy = std::min(4 * by + y, f.ny - 1);
-      for (std::size_t x = 0; x < 4u; ++x) {
-        const std::size_t sx = std::min(4 * bx + x, f.nx - 1);
-        block[16 * z + 4 * y + x] = data[(sz * f.ny + sy) * f.nx + sx];
-      }
-    }
-  }
-}
-
-/// Scatter a block back, dropping padded lanes.
-template <int Dims>
-void scatter(const float* block, const ZfpField& f, std::size_t bx, std::size_t by,
-             std::size_t bz, float* data) {
-  for (std::size_t z = 0; z < (Dims >= 3 ? 4u : 1u); ++z) {
-    const std::size_t dz = 4 * bz + z;
-    if (dz >= f.nz) break;
-    for (std::size_t y = 0; y < (Dims >= 2 ? 4u : 1u); ++y) {
-      const std::size_t dy = 4 * by + y;
-      if (dy >= f.ny) break;
-      for (std::size_t x = 0; x < 4u; ++x) {
-        const std::size_t dx = 4 * bx + x;
-        if (dx >= f.nx) break;
-        data[(dz * f.ny + dy) * f.nx + dx] = block[16 * z + 4 * y + x];
-      }
-    }
-  }
-}
-
-struct ModeParams {
-  ZfpMode mode;
-  int rate;
-  int precision;
-  double tolerance;
-};
-
-template <int Dims>
-void compress_impl(const float* in, const ZfpField& f, const ModeParams& m, BitWriter& w) {
-  constexpr int BS = BlockTraits<Dims>::kSize;
-  float block[64];
-  const std::size_t bx_n = (f.nx + 3) / 4;
-  const std::size_t by_n = Dims >= 2 ? (f.ny + 3) / 4 : 1;
-  const std::size_t bz_n = Dims >= 3 ? (f.nz + 3) / 4 : 1;
-  for (std::size_t bz = 0; bz < bz_n; ++bz) {
-    for (std::size_t by = 0; by < by_n; ++by) {
-      for (std::size_t bx = 0; bx < bx_n; ++bx) {
-        // For 1D blocks only the first 4 lanes are populated.
-        std::fill_n(block, BS, 0.0f);
-        gather<Dims>(in, f, bx, by, bz, block);
-        encode_block<Dims>(w, block, m.mode, m.rate, m.precision, m.tolerance);
-      }
-    }
-  }
-}
-
-template <int Dims>
-void decompress_impl(BitReader& r, const ZfpField& f, const ModeParams& m, float* out) {
-  float block[64];
-  const std::size_t bx_n = (f.nx + 3) / 4;
-  const std::size_t by_n = Dims >= 2 ? (f.ny + 3) / 4 : 1;
-  const std::size_t bz_n = Dims >= 3 ? (f.nz + 3) / 4 : 1;
-  for (std::size_t bz = 0; bz < bz_n; ++bz) {
-    for (std::size_t by = 0; by < by_n; ++by) {
-      for (std::size_t bx = 0; bx < bx_n; ++bx) {
-        decode_block<Dims>(r, block, m.mode, m.rate, m.precision, m.tolerance);
-        scatter<Dims>(block, f, bx, by, bz, out);
-      }
-    }
-  }
-}
-
-void validate_field(const ZfpField& f) {
-  if (f.dims < 1 || f.dims > 3) throw std::invalid_argument("ZfpField: dims must be 1..3");
-  if (f.nx == 0 || f.ny == 0 || f.nz == 0) {
-    throw std::invalid_argument("ZfpField: zero extent");
-  }
-  if (f.dims < 3 && f.nz != 1) throw std::invalid_argument("ZfpField: nz must be 1 for dims<3");
-  if (f.dims < 2 && f.ny != 1) throw std::invalid_argument("ZfpField: ny must be 1 for dims<2");
-}
-
 // ---------------------------------------------------------------------------
-// Fixed-rate 1D layer: the mode CompressionManager runs. Block i is the
-// 4*rate bits at bit offset 4*rate*i, so every block is coded on its own,
-// straight into `out` and straight out of `in`. Same bits as the generic
-// coder above.
+// The fixed-rate 1D coder. Block i is the 4*rate bits at bit offset
+// 4*rate*i, so every block is coded on its own, straight into `out` and
+// straight out of `in`.
 // ---------------------------------------------------------------------------
 
 constexpr int kHeaderBits = 1 + kEmaxBits;
@@ -620,7 +164,7 @@ constexpr std::uint32_t kWindow = 8;
 /// of the block) with `n` values significant: four 8-bit columns, value i's
 /// bits of the decoded planes with the first plane highest, then bits used
 /// << 32, planes << 36 and new n << 41. A plane that runs out of budget is
-/// clipped with its significance bit implied, as in the generic decoder.
+/// clipped with its significance bit implied.
 constexpr std::uint64_t decode_planes(std::uint32_t n, std::uint32_t width, std::uint32_t w) {
   std::uint64_t columns = 0;
   std::uint32_t used = 0;
@@ -746,7 +290,7 @@ template <bool Wide>
   const int emax = exponent_of(max_abs);
   std::int32_t q[4];
   for (int i = 0; i < 4; ++i) q[i] = quantize(bits[i], emax);
-  fwd_lift(q, 1);
+  fwd_lift(q);
   Planes p;
   std::uint32_t any = 0;
   for (int i = 0; i < 4; ++i) {
@@ -851,7 +395,7 @@ void decode_fixed_block(BlockCode c, int rate, float* out) {
 
   std::int32_t q[4];
   for (int i = 0; i < 4; ++i) q[i] = negabinary_to_int(u[i]);
-  inv_lift(q, 1);
+  inv_lift(q);
   const double scale = dequantize_scale(emax);
   for (int i = 0; i < 4; ++i) out[i] = dequantize(q[i], scale);
 }
@@ -918,8 +462,7 @@ using EncodeStream = void (*)(const float* in, std::size_t n, int rate, std::uin
 using DecodeStream = void (*)(const std::uint8_t* in, std::size_t size, std::size_t n, int rate,
                               float* out);
 
-/// Encode n values into out; a partial last block repeats its last value,
-/// like the generic gather.
+/// Encode n values into out; a partial last block repeats its last value.
 template <bool Wide>
 void encode_values(const float* in, std::size_t n, int rate, std::uint8_t* out) {
   WordSink sink(out);
@@ -1361,93 +904,38 @@ const FixedRatePath& dispatched() {
   return path;
 }
 
-std::size_t compress_with(const ZfpCodec& codec, EncodeStream encode_fixed_rate,
+std::size_t compress_with(const ZfpCodec& codec, EncodeStream encode,
                           std::span<const float> in, const ZfpField& field,
                           std::span<std::uint8_t> out) {
-  validate_field(field);
   if (in.size() < field.values()) throw std::invalid_argument("ZfpCodec::compress: input too small");
   const std::size_t need = codec.compressed_bytes(field);
   if (out.size() < need) throw std::invalid_argument("ZfpCodec::compress: output too small");
-  if (codec.mode() == ZfpMode::FixedRate && field.dims == 1) {
-    encode_fixed_rate(in.data(), field.nx, codec.rate(), out.data());
-    return need;
-  }
-
-  const ModeParams m{codec.mode(), codec.rate(), codec.precision(), codec.tolerance()};
-  BitWriter w;
-  w.reserve_bits(need * 8);  // block loop never reallocates the word buffer
-  switch (field.dims) {
-    case 1: compress_impl<1>(in.data(), field, m, w); break;
-    case 2: compress_impl<2>(in.data(), field, m, w); break;
-    case 3: compress_impl<3>(in.data(), field, m, w); break;
-    default: break;
-  }
-  const std::vector<std::uint8_t> bytes = w.take();
-  std::memcpy(out.data(), bytes.data(), bytes.size());
-  return bytes.size();
+  encode(in.data(), field.nx, codec.rate(), out.data());
+  return need;
 }
 
-void decompress_with(const ZfpCodec& codec, DecodeStream decode_fixed_rate,
+void decompress_with(const ZfpCodec& codec, DecodeStream decode,
                      std::span<const std::uint8_t> in, const ZfpField& field,
                      std::span<float> out) {
-  validate_field(field);
   if (out.size() < field.values()) throw std::invalid_argument("ZfpCodec::decompress: output too small");
-  if (codec.mode() == ZfpMode::FixedRate) {
-    // A short stream would otherwise decode its missing blocks as zeros.
-    if (in.size() < codec.compressed_bytes(field)) {
-      throw std::invalid_argument("ZfpCodec::decompress: input shorter than the fixed-rate stream");
-    }
-    if (field.dims == 1) {
-      decode_fixed_rate(in.data(), in.size(), field.nx, codec.rate(), out.data());
-      return;
-    }
+  // A short stream would otherwise decode its missing blocks as zeros.
+  if (in.size() < codec.compressed_bytes(field)) {
+    throw std::invalid_argument("ZfpCodec::decompress: input shorter than the fixed-rate stream");
   }
-  const ModeParams m{codec.mode(), codec.rate(), codec.precision(), codec.tolerance()};
-  BitReader r(in);
-  switch (field.dims) {
-    case 1: decompress_impl<1>(r, field, m, out.data()); break;
-    case 2: decompress_impl<2>(r, field, m, out.data()); break;
-    case 3: decompress_impl<3>(r, field, m, out.data()); break;
-    default: break;
-  }
+  decode(in.data(), in.size(), field.nx, codec.rate(), out.data());
 }
 
 }  // namespace
 
-std::size_t ZfpField::blocks() const {
-  const std::size_t bx = (nx + 3) / 4;
-  const std::size_t by = dims >= 2 ? (ny + 3) / 4 : 1;
-  const std::size_t bz = dims >= 3 ? (nz + 3) / 4 : 1;
-  return bx * by * bz;
-}
-
 ZfpCodec::ZfpCodec(int rate) : rate_(rate) {
-  // Rate 4 is the paper's most aggressive setting; below that a 1D block's
+  // Rate 4 is the paper's most aggressive setting; below that a block's
   // bit budget cannot even hold the exponent header.
   if (rate < 4 || rate > 32) throw std::invalid_argument("ZfpCodec: rate must be 4..32");
 }
 
-ZfpCodec ZfpCodec::fixed_precision(int precision) {
-  if (precision < 1 || precision > 32) {
-    throw std::invalid_argument("ZfpCodec: precision must be 1..32");
-  }
-  return ZfpCodec(ZfpMode::FixedPrecision, 32, precision, 0.0);
-}
-
-ZfpCodec ZfpCodec::fixed_accuracy(double tolerance) {
-  if (!(tolerance > 0.0) || !std::isfinite(tolerance)) {
-    throw std::invalid_argument("ZfpCodec: tolerance must be positive and finite");
-  }
-  return ZfpCodec(ZfpMode::FixedAccuracy, 32, 32, tolerance);
-}
-
 std::size_t ZfpCodec::compressed_bytes(const ZfpField& field) const {
-  validate_field(field);
-  const std::size_t block_values = std::size_t(1) << (2 * field.dims);
-  const std::size_t maxbits = mode_ == ZfpMode::FixedRate
-                                  ? static_cast<std::size_t>(rate_) * block_values
-                                  : 10 + 64 * block_values;  // variable-mode bound
-  const std::size_t total_bits = field.blocks() * maxbits;
+  if (field.nx == 0) throw std::invalid_argument("ZfpField: zero extent");
+  const std::size_t total_bits = field.blocks() * 4 * static_cast<std::size_t>(rate_);
   return ((total_bits + 63) / 64) * 8;  // word-aligned stream
 }
 
@@ -1474,14 +962,14 @@ void ZfpCodec::decompress_portable(std::span<const std::uint8_t> in, const ZfpFi
 double ZfpCodec::error_bound(double max_abs) const {
   if (max_abs <= 0.0) return 0.0;
   // Truncating to the rate budget leaves ~2^(emax - planes + 5) of error
-  // (30-bit quantization aligned at the block exponent, transform gain
-  // <= 2^dims). `planes` is the bit planes the budget can actually code:
-  // the per-block header (zero marker + biased emax) is paid out of the
-  // same fixed-rate budget, and on 1D blocks (4 values) it costs up to
-  // three whole planes — at low rates that dominates the error.
+  // (30-bit quantization aligned at the block exponent, plus the gain of
+  // the lifting transform). `planes` is the bit planes the budget can
+  // actually code: the per-block header (zero marker + biased emax) is paid
+  // out of the same fixed-rate budget, and with 4 values per block it costs
+  // up to three whole planes — at low rates that dominates the error.
   int emax = 0;
   (void)std::frexp(max_abs, &emax);
-  const int header_planes = (1 + kEmaxBits + 3) / 4;  // worst case: 1D blocks
+  const int header_planes = (kHeaderBits + 3) / 4;
   const int planes = rate_ > header_planes ? rate_ - header_planes : 0;
   return std::ldexp(1.0, emax - planes + 5);
 }

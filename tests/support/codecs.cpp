@@ -97,77 +97,6 @@ Property<float> zfp_rate_prop(int rate) {
   };
 }
 
-/// 2D/3D fixed-rate round trip: fold the 1D payload into a boxy field so
-/// partial blocks occur on every axis.
-Property<float> zfp_multidim_prop(int rate, int dims) {
-  return [rate, dims](std::span<const float> in) -> std::optional<std::string> {
-    if (in.empty()) return std::nullopt;
-    ZfpField f;
-    if (dims == 2) {
-      std::size_t nx = 1;
-      while ((nx + 1) * (nx + 1) <= in.size()) ++nx;
-      f = ZfpField::d2(nx, (in.size() + nx - 1) / nx);
-    } else {
-      std::size_t nx = 1;
-      while ((nx + 1) * (nx + 1) * (nx + 1) <= in.size()) ++nx;
-      const std::size_t ny = nx;
-      const std::size_t nz = (in.size() + nx * ny - 1) / (nx * ny);
-      f = ZfpField::d3(nx, ny, nz);
-    }
-    std::vector<float> padded(f.values(), 0.0f);
-    std::memcpy(padded.data(), in.data(), in.size() * sizeof(float));
-    const ZfpCodec codec(rate);
-    std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
-    if (codec.compress(padded, f, buf) != buf.size()) return "fixed-rate size not exact";
-    std::vector<float> out(f.values(), -1.0f);
-    codec.decompress(buf, f, out);
-    double max_abs = 0.0;
-    for (float x : padded) max_abs = std::max(max_abs, std::fabs(static_cast<double>(x)));
-    return bound_divergence(padded, std::span<const float>(out), codec.error_bound(max_abs));
-  };
-}
-
-Property<float> zfp_accuracy_prop(double tolerance) {
-  return [tolerance](std::span<const float> in) -> std::optional<std::string> {
-    if (in.empty()) return std::nullopt;
-    const auto codec = ZfpCodec::fixed_accuracy(tolerance);
-    const ZfpField f = ZfpField::d1(in.size());
-    std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
-    const std::size_t written = codec.compress(in, f, buf);
-    if (written > buf.size()) return "compress overran the upper bound";
-    std::vector<float> out(in.size(), -1.0f);
-    codec.decompress({buf.data(), written}, f, out);
-    return bound_divergence(in, std::span<const float>(out), tolerance);
-  };
-}
-
-/// Fixed-precision mode has no simple absolute bound; the fuzzable
-/// invariants are: encode is deterministic, size respects the upper bound,
-/// and finite input decodes to finite output.
-Property<float> zfp_precision_prop(int precision) {
-  return [precision](std::span<const float> in) -> std::optional<std::string> {
-    if (in.empty()) return std::nullopt;
-    const auto codec = ZfpCodec::fixed_precision(precision);
-    const ZfpField f = ZfpField::d1(in.size());
-    std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
-    const std::size_t a = codec.compress(in, f, buf);
-    if (a > buf.size()) return "compress overran the upper bound";
-    std::vector<std::uint8_t> buf2(codec.compressed_bytes(f));
-    const std::size_t b = codec.compress(in, f, buf2);
-    if (a != b || std::memcmp(buf.data(), buf2.data(), a) != 0) {
-      return "encode is not deterministic";
-    }
-    std::vector<float> out(in.size(), -1.0f);
-    codec.decompress({buf.data(), a}, f, out);
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      if (!std::isfinite(out[i])) {
-        return "non-finite output at [" + std::to_string(i) + "] from finite input";
-      }
-    }
-    return std::nullopt;
-  };
-}
-
 Property<float> sz_prop(double bound, int quant_bits) {
   return [bound, quant_bits](std::span<const float> in) -> std::optional<std::string> {
     const comp::SzCodec codec(bound, quant_bits);
@@ -271,11 +200,6 @@ std::vector<FloatCodecCheck> float_codec_checks() {
   for (int rate : {4, 8, 16, 32}) {
     checks.push_back({"zfp_rate" + std::to_string(rate), true, 1u << 15, zfp_rate_prop(rate)});
   }
-  checks.push_back({"zfp_rate16_2d", true, 1u << 13, zfp_multidim_prop(16, 2)});
-  checks.push_back({"zfp_rate8_3d", true, 1u << 12, zfp_multidim_prop(8, 3)});
-  checks.push_back({"zfp_accuracy_1e_3", true, 1u << 14, zfp_accuracy_prop(1e-3)});
-  checks.push_back({"zfp_accuracy_1e_6", true, 1u << 14, zfp_accuracy_prop(1e-6)});
-  checks.push_back({"zfp_precision_20", true, 1u << 14, zfp_precision_prop(20)});
   checks.push_back({"sz_1e_2_q16", true, 1u << 15, sz_prop(1e-2, 16)});
   checks.push_back({"sz_1e_4_q12", true, 1u << 15, sz_prop(1e-4, 12)});
   checks.push_back({"huffman_bits", false, 1u << 14, huffman_prop()});

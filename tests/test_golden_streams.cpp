@@ -53,10 +53,6 @@ constexpr GoldenEntry kGolden[] = {
     {"zfp/r4/d1/65536", "47a49718211adf30cf7e6c2c5124476905fd467f7ea253a8e1b18af23baf54d2"},
     {"zfp/r8/d1/4099", "51d39314f5d7139cac7a1da0a26f46bc8d3082f2dcc318e10afc9ff5ee016a96"},
     {"zfp/r16/d1/65536", "284761de7fc182d801d75f5c773fee544c893b6b582613d14ac04eced90d17db"},
-    {"zfp/r8/d2/318x202", "a81f249b99b1a7bb78a6cb949bd4586ca94f94aaed26c7800e3be9872c478ab4"},
-    {"zfp/r8/d3/40x31x23", "990de514d7dd85cfdc19cca937d5ce62e28fce409e5157842da22af15beb0a0f"},
-    {"zfp/prec14/d2/128x128", "9b96e2edae73688dc889f40dd88c79b78227026ced375c9293d7fb55eff37d8d"},
-    {"zfp/acc1e-4/d1/65536", "6e517c3666ad0c5be85b15df30fed2fbc6fd83d1836018b026e806df53ed1831"},
     {"fpc/smooth/32768", "e4f536c5799e585c50d7b18f3818700c0df8995e2189e24cb84eb4415db8073c"},
     {"fpc/special/4099", "a935aa283f6a613cdace544d8094fae58bfe7148fc736da4d55bb309a4a8ff44"},
     {"sz/eb1e-3/smooth/65536", "71eb60322b7a8c1d5d4e7fdecb6c43ea5b3a9c248ac819cf7b3a05ff8a7fb97d"},
@@ -73,10 +69,6 @@ constexpr GoldenEntry kZfpDecoded[] = {
     {"zfp/r4/d1/65536", "bb5266f582468684820e3e05baa2ecdad2cea63b5c52bc3334cdcd32c6bbd99f"},
     {"zfp/r8/d1/4099", "252f04cc3001560065a0601f77bb79963b4123d3831fa55ae1b7db3cfb7ec254"},
     {"zfp/r16/d1/65536", "67cb840007ab33c51112986ef440e693fd9b8b657d2b023c294e392ab26671f7"},
-    {"zfp/r8/d2/318x202", "2ff75192687595d31e46188bc744fd0981253a8070af8d35e0da894f443b965d"},
-    {"zfp/r8/d3/40x31x23", "eefe1d44772608051bb811fd9877a104e4b214d0cbe0c0c9b5364198b0e9f601"},
-    {"zfp/prec14/d2/128x128", "f11b9f693d75a75504b7b726518b3097656c72833102683956223ba1e5beec56"},
-    {"zfp/acc1e-4/d1/65536", "988f4f76092f43679c8d055e13ffe41902648ad50d5ffb7ee915a59337b5679e"},
 };
 
 using MakeStream = std::function<std::vector<std::uint8_t>()>;
@@ -123,12 +115,6 @@ std::vector<ZfpCase> zfp_cases() {
       {"zfp/r4/d1/65536", ZfpCodec(4), ZfpField::d1(65536), K::SmoothField, 21},
       {"zfp/r8/d1/4099", ZfpCodec(8), ZfpField::d1(4099), K::VelocityPlane, 22},
       {"zfp/r16/d1/65536", ZfpCodec(16), ZfpField::d1(65536), K::SmoothField, 23},
-      {"zfp/r8/d2/318x202", ZfpCodec(8), ZfpField::d2(318, 202), K::SmoothField, 24},
-      {"zfp/r8/d3/40x31x23", ZfpCodec(8), ZfpField::d3(40, 31, 23), K::SmoothField, 25},
-      {"zfp/prec14/d2/128x128", ZfpCodec::fixed_precision(14), ZfpField::d2(128, 128),
-       K::SmoothField, 26},
-      {"zfp/acc1e-4/d1/65536", ZfpCodec::fixed_accuracy(1e-4), ZfpField::d1(65536),
-       K::SmoothField, 27},
   };
 }
 

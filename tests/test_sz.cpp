@@ -130,6 +130,38 @@ TEST(Sz, CorruptMagicRejected) {
   EXPECT_THROW((void)codec.decompress({buf.data(), size}, out), std::invalid_argument);
 }
 
+// BitReader yields zeros past the end of its input, so a cut stream used to
+// decode its missing codes as wrong floats. Every prefix of a stream that
+// holds escapes (the verbatim path) now either throws or, when the cut
+// removes only word padding, decodes to exactly the floats of the whole
+// stream. Each prefix is its own exact-size buffer, so the asan job sees a
+// read past it.
+TEST(Sz, TruncatedStreamIsRejected) {
+  auto in = gcmpi::data::smooth_field(300, 1e-3, 5);
+  in[17] = 1e30f;
+  in[150] = NAN;
+  SzCodec codec(1e-3);
+  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
+  buf.resize(codec.compress(in, buf));
+  std::vector<float> full(in.size());
+  ASSERT_EQ(codec.decompress(buf, full), in.size());
+
+  std::size_t clean = 0;
+  for (std::size_t len = 0; len < buf.size(); ++len) {
+    const std::vector<std::uint8_t> cut(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(len));
+    std::vector<float> out(in.size(), -99.0f);
+    try {
+      (void)codec.decompress(cut, out);
+    } catch (const std::exception&) {
+      continue;
+    }
+    ++clean;
+    ASSERT_EQ(std::memcmp(out.data(), full.data(), full.size() * sizeof(float)), 0)
+        << "prefix of " << len << " of " << buf.size() << " bytes decoded to other floats";
+  }
+  EXPECT_LT(clean, 8u);  // only the padding of the last word may go
+}
+
 class SzBoundSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(SzBoundSweep, BoundHoldsOnEveryDataset) {

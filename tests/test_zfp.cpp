@@ -1,7 +1,6 @@
 // ZFP fixed-rate codec tests: exact compressed sizes, error bounds,
-// all-zero blocks, partial blocks, 1D/2D/3D, parameterized rate sweeps, the
-// variable-rate modes, and the dispatched fixed-rate path against the
-// portable one.
+// all-zero blocks, partial blocks, parameterized rate sweeps, and the
+// dispatched path against the portable one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -58,9 +57,7 @@ TEST(Zfp, RejectsInvalidRates) {
 
 TEST(Zfp, RejectsBadFields) {
   ZfpCodec codec(16);
-  EXPECT_THROW((void)codec.compressed_bytes(ZfpField{0, 4, 1, 1}), std::invalid_argument);
-  EXPECT_THROW((void)codec.compressed_bytes(ZfpField{1, 0, 1, 1}), std::invalid_argument);
-  EXPECT_THROW((void)codec.compressed_bytes(ZfpField{1, 4, 2, 1}), std::invalid_argument);
+  EXPECT_THROW((void)codec.compressed_bytes(ZfpField::d1(0)), std::invalid_argument);
 }
 
 TEST(Zfp, AllZeroBlockDecodesToZero) {
@@ -128,40 +125,6 @@ TEST(Zfp, PartialTailBlock1D) {
   }
 }
 
-TEST(Zfp, TwoDimensionalRoundTrip) {
-  ZfpCodec codec(16);
-  const std::size_t nx = 37, ny = 23;  // partial blocks on both axes
-  const ZfpField f = ZfpField::d2(nx, ny);
-  std::vector<float> in(nx * ny);
-  for (std::size_t y = 0; y < ny; ++y) {
-    for (std::size_t x = 0; x < nx; ++x) {
-      in[y * nx + x] = static_cast<float>(std::sin(0.2 * static_cast<double>(x)) *
-                                          std::cos(0.15 * static_cast<double>(y)));
-    }
-  }
-  std::vector<float> out;
-  roundtrip(codec, f, in, out);
-  for (std::size_t i = 0; i < in.size(); ++i) ASSERT_NEAR(in[i], out[i], 1e-3f);
-}
-
-TEST(Zfp, ThreeDimensionalRoundTrip) {
-  ZfpCodec codec(16);
-  const std::size_t nx = 9, ny = 10, nz = 11;
-  const ZfpField f = ZfpField::d3(nx, ny, nz);
-  std::vector<float> in(nx * ny * nz);
-  for (std::size_t z = 0; z < nz; ++z) {
-    for (std::size_t y = 0; y < ny; ++y) {
-      for (std::size_t x = 0; x < nx; ++x) {
-        in[(z * ny + y) * nx + x] =
-            static_cast<float>(std::sin(0.3 * static_cast<double>(x + 2 * y + 3 * z)));
-      }
-    }
-  }
-  std::vector<float> out;
-  roundtrip(codec, f, in, out);
-  for (std::size_t i = 0; i < in.size(); ++i) ASSERT_NEAR(in[i], out[i], 2e-3f);
-}
-
 TEST(Zfp, NonFiniteValuesAreSanitized) {
   ZfpCodec codec(16);
   const ZfpField f = ZfpField::d1(8);
@@ -215,108 +178,6 @@ TEST_P(ZfpRateSweep, RandomDataRoundTripsWithinQuantizationError) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Rates, ZfpRateSweep, ::testing::Values(4, 6, 8, 12, 16, 24, 32));
-
-}  // namespace
-
-namespace {
-
-using gcmpi::comp::ZfpMode;
-
-std::vector<float> variable_roundtrip(const ZfpCodec& codec, const ZfpField& f,
-                                      const std::vector<float>& in, std::size_t* size_out) {
-  std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
-  const std::size_t written = codec.compress(in, f, buf);
-  EXPECT_LE(written, buf.size());
-  if (size_out != nullptr) *size_out = written;
-  std::vector<float> out(f.values(), -1.0f);
-  codec.decompress({buf.data(), written}, f, out);
-  return out;
-}
-
-TEST(ZfpModes, FixedPrecisionFullPrecisionIsNearLossless) {
-  const auto codec = ZfpCodec::fixed_precision(32);
-  EXPECT_EQ(codec.mode(), ZfpMode::FixedPrecision);
-  const auto in = smooth(2048, 21);
-  const ZfpField f = ZfpField::d1(in.size());
-  const auto out = variable_roundtrip(codec, f, in, nullptr);
-  for (std::size_t i = 0; i < in.size(); ++i) ASSERT_NEAR(in[i], out[i], 2e-6f);
-}
-
-TEST(ZfpModes, FixedPrecisionErrorDropsWithPrecision) {
-  const auto in = smooth(4096, 22);
-  const ZfpField f = ZfpField::d1(in.size());
-  double prev_err = 1e30;
-  std::size_t prev_size = 0;
-  for (int prec : {8, 14, 20, 28}) {
-    std::size_t size = 0;
-    const auto out = variable_roundtrip(ZfpCodec::fixed_precision(prec), f, in, &size);
-    double err = 0;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      err = std::max(err, static_cast<double>(std::fabs(in[i] - out[i])));
-    }
-    EXPECT_LT(err, prev_err);      // more planes => smaller error
-    EXPECT_GT(size, prev_size);    // ... and more bits
-    prev_err = err;
-    prev_size = size;
-  }
-}
-
-TEST(ZfpModes, FixedAccuracyRespectsTolerance) {
-  const auto in = smooth(8192, 23);
-  const ZfpField f = ZfpField::d1(in.size());
-  for (double tol : {1e-1, 1e-2, 1e-3, 1e-4, 1e-5}) {
-    const auto codec = ZfpCodec::fixed_accuracy(tol);
-    EXPECT_EQ(codec.mode(), ZfpMode::FixedAccuracy);
-    const auto out = variable_roundtrip(codec, f, in, nullptr);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      ASSERT_LE(std::fabs(in[i] - out[i]), tol) << "tol " << tol << " i " << i;
-    }
-  }
-}
-
-TEST(ZfpModes, FixedAccuracyLooserToleranceIsSmaller) {
-  const auto in = smooth(8192, 24);
-  const ZfpField f = ZfpField::d1(in.size());
-  std::size_t tight = 0, loose = 0;
-  (void)variable_roundtrip(ZfpCodec::fixed_accuracy(1e-6), f, in, &tight);
-  (void)variable_roundtrip(ZfpCodec::fixed_accuracy(1e-1), f, in, &loose);
-  EXPECT_LT(loose, tight);
-}
-
-TEST(ZfpModes, FixedAccuracyWorksIn3D) {
-  const ZfpField f = ZfpField::d3(10, 9, 7);
-  std::vector<float> in(f.values());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = static_cast<float>(std::sin(0.11 * static_cast<double>(i)));
-  }
-  const double tol = 1e-3;
-  const auto out = variable_roundtrip(ZfpCodec::fixed_accuracy(tol), f, in, nullptr);
-  for (std::size_t i = 0; i < in.size(); ++i) ASSERT_LE(std::fabs(in[i] - out[i]), tol);
-}
-
-TEST(ZfpModes, BadModeParametersRejected) {
-  EXPECT_THROW((void)ZfpCodec::fixed_precision(0), std::invalid_argument);
-  EXPECT_THROW((void)ZfpCodec::fixed_precision(33), std::invalid_argument);
-  EXPECT_THROW((void)ZfpCodec::fixed_accuracy(0.0), std::invalid_argument);
-  EXPECT_THROW((void)ZfpCodec::fixed_accuracy(-1.0), std::invalid_argument);
-}
-
-TEST(ZfpModes, AccuracyModeCompressesBetterThanEquivalentRate) {
-  // For smooth data, stopping at the tolerance-determined plane beats
-  // spending a uniform bit budget on every block.
-  const auto in = smooth(16384, 25);
-  const ZfpField f = ZfpField::d1(in.size());
-  std::size_t acc_size = 0;
-  const auto out = variable_roundtrip(ZfpCodec::fixed_accuracy(2e-3), f, in, &acc_size);
-  double err = 0;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    err = std::max(err, static_cast<double>(std::fabs(in[i] - out[i])));
-  }
-  EXPECT_LE(err, 2e-3);
-  // Fixed rate 16 gives 2x; the accuracy mode at this tolerance should
-  // do at least as well on this data.
-  EXPECT_LT(acc_size, in.size() * 4 / 2 + 64);
-}
 
 }  // namespace
 
@@ -414,23 +275,20 @@ TEST(Zfp, DispatchedPathMatchesPortableOnRandomStreams) {
 }
 
 // A fixed-rate stream shorter than compressed_bytes() used to decode its
-// missing blocks as zeros; it is now rejected, in every dimensionality and
-// on both paths. Variable-rate streams are shorter by design and still
-// decode from the bytes compress() returned (ZfpModes above).
+// missing blocks as zeros; it is now rejected on both paths.
 TEST(Zfp, ShortFixedRateStreamIsRejected) {
-  for (const ZfpField& f : {ZfpField::d1(4099), ZfpField::d2(37, 23), ZfpField::d3(9, 10, 11)}) {
-    const ZfpCodec codec(8);
-    const auto in = smooth(f.values(), 7);
-    std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
-    ASSERT_EQ(codec.compress(in, f, buf), buf.size());
-    std::vector<float> out(f.values());
-    for (const std::size_t shortfall : {std::size_t{1}, std::size_t{8}}) {
-      const std::span<const std::uint8_t> cut{buf.data(), buf.size() - shortfall};
-      EXPECT_THROW(codec.decompress(cut, f, out), std::invalid_argument) << f.dims;
-      EXPECT_THROW(codec.decompress_portable(cut, f, out), std::invalid_argument) << f.dims;
-    }
-    EXPECT_NO_THROW(codec.decompress(buf, f, out));
+  const ZfpField f = ZfpField::d1(4099);
+  const ZfpCodec codec(8);
+  const auto in = smooth(f.values(), 7);
+  std::vector<std::uint8_t> buf(codec.compressed_bytes(f));
+  ASSERT_EQ(codec.compress(in, f, buf), buf.size());
+  std::vector<float> out(f.values());
+  for (const std::size_t shortfall : {std::size_t{1}, std::size_t{8}}) {
+    const std::span<const std::uint8_t> cut{buf.data(), buf.size() - shortfall};
+    EXPECT_THROW(codec.decompress(cut, f, out), std::invalid_argument);
+    EXPECT_THROW(codec.decompress_portable(cut, f, out), std::invalid_argument);
   }
+  EXPECT_NO_THROW(codec.decompress(buf, f, out));
 }
 
 }  // namespace

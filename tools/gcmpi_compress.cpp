@@ -11,7 +11,6 @@
 // codecs (param):
 //   mpc [dimensionality]      float32, lossless
 //   zfp [rate]                float32, fixed-rate lossy
-//   zfp-acc [tolerance]       float32, fixed-accuracy lossy
 //   sz  [error_bound]         float32, error-bounded lossy
 //   fpc                       float64, lossless (CPU baseline)
 //   gfc                       float64, lossless (GPU-style baseline)
@@ -73,7 +72,7 @@ std::vector<T> as_values(const std::vector<std::uint8_t>& bytes) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: gcmpi_compress c|d mpc|zfp|zfp-acc|sz|fpc|gfc <in> <out> [param]\n"
+               "usage: gcmpi_compress c|d mpc|zfp|sz|fpc|gfc <in> <out> [param]\n"
                "       gcmpi_compress crc <in> [...]\n"
                "       gcmpi_compress trace [out.json] [dataset]\n");
   return 2;
@@ -196,14 +195,6 @@ int main(int argc, char** argv) {
         body.resize(c.compress(values, f, body));
         hdr.param = static_cast<std::uint32_t>(c.rate());
         hdr.values = values.size();
-      } else if (codec == "zfp-acc") {
-        const auto values = as_values<float>(input);
-        const auto c = ZfpCodec::fixed_accuracy(param > 0 ? param : 1e-3);
-        const ZfpField f = ZfpField::d1(values.size());
-        body.resize(c.compressed_bytes(f));
-        body.resize(c.compress(values, f, body));
-        hdr.fparam = c.tolerance();
-        hdr.values = values.size();
       } else if (codec == "sz") {
         const auto values = as_values<float>(input);
         SzCodec c(param > 0 ? param : 1e-3);
@@ -236,15 +227,22 @@ int main(int argc, char** argv) {
       if (hdr.magic != 0x47434d43u) throw std::runtime_error("not a gcmpi_compress file");
       const std::span<const std::uint8_t> body{input.data() + sizeof(hdr),
                                                input.size() - sizeof(hdr)};
+      // The output is sized from the header; a stream holding fewer values
+      // would leave its tail as zeros. (zfp's fixed-rate size check covers
+      // this case.)
+      const auto expect_values = [&hdr](std::size_t decoded) {
+        if (decoded != hdr.values) {
+          throw std::runtime_error("container header disagrees with its stream");
+        }
+      };
       if (codec == "mpc") {
         MpcCodec c(static_cast<int>(hdr.param));
         std::vector<float> values(hdr.values);
-        (void)c.decompress(body, values);
+        expect_values(c.decompress(body, values));
         out.resize(values.size() * 4);
         std::memcpy(out.data(), values.data(), out.size());
-      } else if (codec == "zfp" || codec == "zfp-acc") {
-        const ZfpCodec c = codec == "zfp" ? ZfpCodec(static_cast<int>(hdr.param))
-                                          : ZfpCodec::fixed_accuracy(hdr.fparam);
+      } else if (codec == "zfp") {
+        const ZfpCodec c(static_cast<int>(hdr.param));
         const ZfpField f = ZfpField::d1(hdr.values);
         std::vector<float> values(hdr.values);
         c.decompress(body, f, values);
@@ -253,19 +251,19 @@ int main(int argc, char** argv) {
       } else if (codec == "sz") {
         SzCodec c(hdr.fparam);
         std::vector<float> values(hdr.values);
-        (void)c.decompress(body, values);
+        expect_values(c.decompress(body, values));
         out.resize(values.size() * 4);
         std::memcpy(out.data(), values.data(), out.size());
       } else if (codec == "fpc") {
         FpcCodec c;
         std::vector<double> values(hdr.values);
-        (void)c.decompress(body, values);
+        expect_values(c.decompress(body, values));
         out.resize(values.size() * 8);
         std::memcpy(out.data(), values.data(), out.size());
       } else if (codec == "gfc") {
         GfcCodec c;
         std::vector<double> values(hdr.values);
-        (void)c.decompress(body, values);
+        expect_values(c.decompress(body, values));
         out.resize(values.size() * 8);
         std::memcpy(out.data(), values.data(), out.size());
       } else {
