@@ -1,19 +1,35 @@
 #include "adapt/controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 
 #include "sim/rng.hpp"
 
 namespace gcmpi::adapt {
 
+namespace {
+
+constexpr std::uint64_t kProbeSeed = 0xAD4F7;  // probe-draw stream (no wall clock anywhere)
+constexpr double kEwmaAlpha = 0.3;             // History smoothing
+constexpr double kHysteresis = 0.15;           // challenger must beat incumbent by 15%
+constexpr std::uint32_t kProbePeriod = 16;     // ~1 in N decisions probes the runner-up
+constexpr std::uint32_t kMinSamples = 2;       // measured terms below this use the prior
+constexpr std::uint32_t kQuarantineAfter = 3;  // consecutive fallbacks/faults
+constexpr std::uint32_t kQuarantineBackoff = 32;  // decisions excluded before re-entry
+constexpr double kPriorMpcRatio = 2.0;  // assumed CR until the first measurement
+constexpr int kMinZfpRate = 8;          // the static prior's lowest admitted ZFP rate
+constexpr std::array<int, 2> kZfpRates = {16, 8};  // ZFP candidates, in evaluation order
+
+}  // namespace
+
 AdaptiveController::AdaptiveController(const gpu::GpuSpec& gpu, double network_gbs,
                                        AdaptiveOptions opts)
     : gpu_(gpu),
       network_gbs_(network_gbs),
-      opts_(std::move(opts)),
-      prior_(gpu, network_gbs, opts_.lossy_allowed, opts_.min_zfp_rate),
-      history_(opts_.ewma_alpha) {}
+      opts_(opts),
+      prior_(gpu, network_gbs, opts_.lossy_allowed, kMinZfpRate),
+      history_(kEwmaAlpha) {}
 
 void AdaptiveController::bind(core::Telemetry& telemetry) {
   telemetry_ = &telemetry;
@@ -33,7 +49,7 @@ void AdaptiveController::update_quarantine(Channel& ch, const char* scope,
                                            std::uint64_t bytes) {
   const std::uint64_t k = ch.rounds;
   // Re-admit families whose backoff elapsed (their streak was reset on
-  // entry, so a still-broken codec re-quarantines after quarantine_after
+  // entry, so a still-broken codec re-quarantines after kQuarantineAfter
   // more bad events — periodic, bounded re-probing of a faulty kernel).
   for (auto it = ch.quarantined_until.begin(); it != ch.quarantined_until.end();) {
     it = it->second <= k ? ch.quarantined_until.erase(it) : std::next(it);
@@ -41,8 +57,8 @@ void AdaptiveController::update_quarantine(Channel& ch, const char* scope,
   for (core::Algorithm family : {core::Algorithm::MPC, core::Algorithm::ZFP}) {
     const int f = static_cast<int>(family);
     if (ch.quarantined_until.count(f) != 0) continue;
-    if (history_.bad_streak(scope, bytes, family) >= opts_.quarantine_after) {
-      ch.quarantined_until[f] = k + opts_.quarantine_backoff;
+    if (history_.bad_streak(scope, bytes, family) >= kQuarantineAfter) {
+      ch.quarantined_until[f] = k + kQuarantineBackoff;
       history_.reset_streak(scope, bytes, family);
     }
   }
@@ -56,8 +72,8 @@ std::vector<AdaptiveController::Candidate> AdaptiveController::evaluate(
   // receiver under a different scope), else the static prior.
   const auto pick_term = [&](double exact, std::uint64_t exact_n, double any,
                              std::uint64_t any_n, double prior) {
-    if (exact_n >= opts_.min_samples) return exact;
-    if (any_n >= opts_.min_samples) return any;
+    if (exact_n >= kMinSamples) return exact;
+    if (any_n >= kMinSamples) return any;
     return prior;
   };
   const auto quarantined = [&](core::Algorithm family) {
@@ -74,7 +90,7 @@ std::vector<AdaptiveController::Candidate> AdaptiveController::evaluate(
     const CodecStats& any = history_.codec_any_scope(bytes, cand);
     const double cr = std::max(
         1.0, pick_term(ex.ratio, ex.ratio_samples, any.ratio, any.ratio_samples,
-                       opts_.prior_mpc_ratio));
+                       kPriorMpcRatio));
     const auto comp_b = static_cast<std::uint64_t>(static_cast<double>(bytes) / cr);
     const int blocks = std::max(1, gpu_.sm_count / 4);
     const double prior_comp =
@@ -93,8 +109,7 @@ std::vector<AdaptiveController::Candidate> AdaptiveController::evaluate(
   }
 
   if (opts_.lossy_allowed) {
-    for (int rate : opts_.zfp_rates) {
-      if (rate < opts_.min_zfp_rate) continue;
+    for (int rate : kZfpRates) {
       const int cand = candidate_id(core::Algorithm::ZFP, rate);
       const CodecStats& ex = history_.codec(scope, bytes, cand);
       const CodecStats& any = history_.codec_any_scope(bytes, cand);
@@ -169,30 +184,28 @@ core::CompressChoice AdaptiveController::choose_codec(sim::Time now, int rank,
     ch.incumbent = best->id;  // first decision, or the incumbent fell ill
     inc = best;
   } else if (best->id != inc->id &&
-             best->predicted_us < inc->predicted_us * (1.0 - opts_.hysteresis)) {
+             best->predicted_us < inc->predicted_us * (1.0 - kHysteresis)) {
     ch.incumbent = best->id;  // challenger cleared the hysteresis band
     inc = best;
   }
 
   const Candidate* pick = inc;
   bool probe = false;
-  if (opts_.probe_period > 0) {
-    const Candidate* runner = nullptr;
-    for (const auto& c : cands) {
-      if (!c.quarantined && c.id != ch.incumbent) {
-        runner = &c;
-        break;
-      }
+  const Candidate* runner = nullptr;
+  for (const auto& c : cands) {
+    if (!c.quarantined && c.id != ch.incumbent) {
+      runner = &c;
+      break;
     }
-    if (runner != nullptr) {
-      // Counter-based exploration: the draw depends only on (seed,
-      // channel, round), so reruns replay the identical probe schedule.
-      sim::Rng rng(opts_.seed ^ (static_cast<std::uint64_t>(scope_id(scope)) << 48) ^
-                   (static_cast<std::uint64_t>(size_bucket(bytes)) << 40) ^ k);
-      if (rng.next_below(opts_.probe_period) == 0) {
-        pick = runner;
-        probe = true;
-      }
+  }
+  if (runner != nullptr) {
+    // Counter-based exploration: the draw depends only on (seed, channel,
+    // round), so reruns replay the identical probe schedule.
+    sim::Rng rng(kProbeSeed ^ (static_cast<std::uint64_t>(scope_id(scope)) << 48) ^
+                 (static_cast<std::uint64_t>(size_bucket(bytes)) << 40) ^ k);
+    if (rng.next_below(kProbePeriod) == 0) {
+      pick = runner;
+      probe = true;
     }
   }
 
@@ -212,13 +225,13 @@ core::CollectiveAlgorithm AdaptiveController::refine_collective(
   // band (same anti-oscillation rule as the codec loop).
   const core::CollectiveRow& row = core::collective_row(op);
   const CollectiveStats& inc = history_.collective(row.name, prior_choice, bytes);
-  if (inc.samples < opts_.min_samples) return prior_choice;
+  if (inc.samples < kMinSamples) return prior_choice;
   core::CollectiveAlgorithm best = prior_choice;
   double best_us = inc.span_us;
   for (core::CollectiveAlgorithm a : row.candidates) {
     if (a == prior_choice) continue;
     const CollectiveStats& m = history_.collective(row.name, a, bytes);
-    if (m.samples >= opts_.min_samples && m.span_us < best_us * (1.0 - opts_.hysteresis)) {
+    if (m.samples >= kMinSamples && m.span_us < best_us * (1.0 - kHysteresis)) {
       best = a;
       best_us = m.span_us;
     }
@@ -233,7 +246,7 @@ core::CollectiveAlgorithm AdaptiveController::choose_collective(core::Collective
   CollectiveSequence& s = sequences_[static_cast<std::size_t>(op)];
   const std::size_t k = s.cursor[rank]++;
   if (k < s.seq.size()) return s.seq[k];  // replay round k
-  const double cr = history_.global_mpc_ratio(opts_.prior_mpc_ratio);
+  const double cr = history_.global_mpc_ratio(kPriorMpcRatio);
   const core::CollectiveAlgorithm alg = refine_collective(
       op, prior_.choose_collective(op, bytes, ranks, nodes, gpus_per_node, cr), bytes);
   s.seq.push_back(alg);

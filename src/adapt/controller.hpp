@@ -7,17 +7,19 @@
 // samples arrive. Three mechanisms keep the loop stable and deterministic:
 //
 //  * Hysteresis — the per-channel incumbent codec is only displaced when a
-//    challenger's prediction beats it by a configurable margin, so noisy
-//    EWMAs cannot make decisions oscillate.
+//    challenger's prediction beats it by kHysteresis (15%), so noisy EWMAs
+//    cannot make decisions oscillate.
 //  * Probing — a deterministic, counter-based draw (sim::Rng seeded from
-//    (seed, channel, round); never the wall clock) routes ~1/probe_period
-//    messages to the best non-incumbent candidate so a displaced codec's
-//    statistics stay fresh. Probes never move the incumbent.
-//  * Quarantine — a codec family with quarantine_after consecutive
-//    fallbacks/faults on a channel is excluded for quarantine_backoff
+//    (kProbeSeed, channel, round); never the wall clock) routes ~1 in
+//    kProbePeriod (16) messages to the best non-incumbent candidate so a
+//    displaced codec's statistics stay fresh. Probes never move the
+//    incumbent.
+//  * Quarantine — a codec family with kQuarantineAfter (3) consecutive
+//    fallbacks/faults on a channel is excluded for kQuarantineBackoff (32)
 //    decisions (graceful degradation to raw under a fault storm, riding
 //    the fault-injection subsystem), then re-admitted so a drifting
 //    workload can recover it.
+// The k* tuning constants live in controller.cpp.
 //
 // Collective algorithm choices must agree across ranks: ranks issue their
 // collectives in identical program order, so the controller keeps ONE
@@ -42,17 +44,7 @@
 namespace gcmpi::adapt {
 
 struct AdaptiveOptions {
-  std::uint64_t seed = 0xAD4F7;   // probe-draw stream (no wall clock anywhere)
-  double ewma_alpha = 0.3;        // History smoothing
-  double hysteresis = 0.15;       // challenger must beat incumbent by 15%
-  std::uint32_t probe_period = 16;       // ~1 in N decisions probes the runner-up
-  std::uint32_t min_samples = 2;         // measured terms below this use the prior
-  std::uint32_t quarantine_after = 3;    // consecutive fallbacks/faults
-  std::uint32_t quarantine_backoff = 32; // decisions excluded before re-entry
-  double prior_mpc_ratio = 2.0;   // assumed CR until the first measurement
-  bool lossy_allowed = true;      // admit ZFP candidates (fixed-rate loss)
-  int min_zfp_rate = 8;
-  std::vector<int> zfp_rates = {16, 8};
+  bool lossy_allowed = true;  // admit ZFP candidates (fixed-rate loss)
 };
 
 class AdaptiveController final : public core::AdaptivePolicy,

@@ -52,7 +52,7 @@ struct CollectiveStats {
 
 class History {
  public:
-  explicit History(double ewma_alpha = 0.3) : alpha_(ewma_alpha) {}
+  explicit History(double alpha = 0.3) : alpha_(alpha) {}
 
   void observe(const core::TelemetryEvent& ev);
   void observe(const core::PipelineRecord& rec);

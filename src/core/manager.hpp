@@ -207,7 +207,7 @@ class CompressionManager {
   //
   // A pipelined message is compressed one chunk at a time: each chunk is a
   // single-partition kernel on stream (chunk_index % num_streams) with a
-  // caller-chosen block count, so up to max_in_flight chunk kernels share
+  // caller-chosen block count, so up to a window of chunk kernels share
   // the GPU concurrently — MPC-OPT's partitioned launch lifted to the
   // protocol level. compress_chunk charges only host-side enqueue costs to
   // `tl` and reports the kernel's completion time; the protocol schedules

@@ -57,8 +57,8 @@ struct ChannelKey {
 inline constexpr int kWireTagClass = -1;
 
 /// The compact per-message header of a warm send — the whole point of the
-/// channel. The cold protocol ships rts_bytes + a full serialized
-/// CompressionHeader and answers with cts_bytes; a warm message carries
+/// channel. The cold protocol ships an RTS + a full serialized
+/// CompressionHeader and answers with a CTS; a warm message carries
 /// only what changes between iterations: which channel, which sequence
 /// number, how many wire bytes, their CRC, and (MPC) the per-partition
 /// split. Everything else is reconstructed from the channel's cached

@@ -73,15 +73,11 @@ sim::Time Rank::DecodeQueue::decode(const WireMessage& in, void* dst, std::uint6
                                     int stream_hint) {
   const sim::Time started = rank_.ctx_.now();
   sim::Timeline tl(started);
-  if (in.header.compressed) {
-    const core::Staging& staging = stage(tl, in);
-    core::CompressionManager::retry_decode([&] {
-      rank_.compression().decompress_received(tl, in.header, staging, dst, bytes,
-                                              /*synchronize=*/false, stream_hint);
-    });
-  } else if (!in.payload->empty()) {
-    std::memcpy(dst, in.payload->data(), in.payload->size());
-  }
+  const core::Staging staging = in.header.compressed ? stage(tl, in) : core::Staging{};
+  core::CompressionManager::retry_decode([&] {
+    rank_.world_.land(tl, rank_.rank_, in, staging, dst, bytes, /*synchronize=*/false,
+                      stream_hint);
+  });
   pending_ = true;
   return settle(tl, started);
 }
@@ -93,6 +89,7 @@ sim::Time Rank::DecodeQueue::reduce(const WireMessage& in, float* acc, std::size
   auto& mgr = rank_.compression();
   if (in.header.compressed) {
     const core::Staging& staging = stage(tl, in);
+    std::memcpy(staging.data, in.payload->data(), in.payload->size());
     core::CompressionManager::retry_decode([&] {
       mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op, /*synchronize=*/false);
     });
@@ -116,9 +113,7 @@ sim::Time Rank::DecodeQueue::drain() {
 }
 
 const core::Staging& Rank::DecodeQueue::stage(sim::Timeline& tl, const WireMessage& in) {
-  stagings_.push_back(rank_.compression().prepare_receive(tl, in.header));
-  std::memcpy(stagings_.back().data, in.payload->data(), in.payload->size());
-  return stagings_.back();
+  return stagings_.emplace_back(rank_.compression().prepare_receive(tl, in.header));
 }
 
 sim::Time Rank::DecodeQueue::settle(const sim::Timeline& tl, sim::Time started) {

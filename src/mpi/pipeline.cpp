@@ -24,18 +24,17 @@ double planning_ratio(const core::CompressionConfig& cfg) {
 
 }  // namespace
 
-int pipeline_chunk_blocks(const gpu::GpuSpec& gpu, int max_in_flight, int chunks) {
-  const int window = std::max(1, std::min(max_in_flight, chunks));
-  return std::max(1, gpu.sm_count / window);
+int pipeline_chunk_blocks(const gpu::GpuSpec& gpu, int window, int chunks) {
+  const int concurrent = std::max(1, std::min(window, chunks));
+  return std::max(1, gpu.sm_count / concurrent);
 }
 
 std::uint64_t auto_chunk_bytes(std::uint64_t message_bytes,
                                const core::CompressionConfig& cfg,
-                               const gpu::GpuSpec& gpu, const net::LinkSpec& link,
-                               const PipelineConfig& pipeline) {
+                               const gpu::GpuSpec& gpu, const net::LinkSpec& link) {
   const comp::KernelCostModel model;
   const double ratio = planning_ratio(cfg);
-  const int window = std::max(1, pipeline.max_in_flight);
+  constexpr int window = kPipelineWindow;
   const int blocks = std::max(1, gpu.sm_count / window);
 
   // Per-byte slope of each stage, probed at two sizes so per-kernel fixed

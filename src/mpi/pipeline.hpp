@@ -1,5 +1,5 @@
-// Chunked pipelined rendezvous configuration (PR: overlap compression,
-// wire transfer, and decompression).
+// Chunked pipelined rendezvous configuration: overlap compression, wire
+// transfer, and decompression.
 //
 // A large rendezvous message is split into N pipeline chunks; chunk i+1 is
 // compressed on the sender's streams while chunk i occupies the wire and
@@ -7,8 +7,8 @@
 //   max(compress, transfer, decompress) + pipeline fill/drain
 // instead of their sum. Chunk kernels reuse MPC-OPT's partitioned-launch
 // idea one level up: each chunk is a single-partition kernel on stream
-// (chunk % num_streams) with sm_count / max_in_flight thread blocks, so up
-// to max_in_flight chunks genuinely share the GPU, exactly like the
+// (chunk % num_streams) with sm_count / kPipelineWindow thread blocks, so
+// up to kPipelineWindow chunks genuinely share the GPU, exactly like the
 // multi-stream partitions of one serial message do.
 #pragma once
 
@@ -28,10 +28,11 @@ struct PipelineConfig {
   std::uint64_t min_bytes = 1ull << 20;
   /// Pipeline chunk size; 0 selects the cost-model auto-tune below.
   std::uint64_t chunk_bytes = 0;
-  /// Chunks concurrently in flight (compressing / on the wire / arriving).
-  /// Also divides the SMs among concurrent chunk kernels.
-  int max_in_flight = 4;
 };
+
+/// Chunks concurrently in flight (compressing / on the wire / arriving).
+/// Also divides the SMs among concurrent chunk kernels.
+inline constexpr int kPipelineWindow = 4;
 
 /// Cost-model-driven chunk size: balances the per-chunk fixed overhead O
 /// (kernel launches, memset, size readback, per-message wire overhead)
@@ -43,12 +44,10 @@ struct PipelineConfig {
 [[nodiscard]] std::uint64_t auto_chunk_bytes(std::uint64_t message_bytes,
                                              const core::CompressionConfig& cfg,
                                              const gpu::GpuSpec& gpu,
-                                             const net::LinkSpec& link,
-                                             const PipelineConfig& pipeline);
+                                             const net::LinkSpec& link);
 
 /// Thread blocks per chunk kernel: divide the SMs among the chunks that can
-/// run concurrently (the window), never below 1.
-[[nodiscard]] int pipeline_chunk_blocks(const gpu::GpuSpec& gpu, int max_in_flight,
-                                        int chunks);
+/// run concurrently (min(window, chunks)), never below 1.
+[[nodiscard]] int pipeline_chunk_blocks(const gpu::GpuSpec& gpu, int window, int chunks);
 
 }  // namespace gcmpi::mpi

@@ -12,6 +12,26 @@ using sim::Timeline;
 
 namespace {
 
+// The modelled MVAPICH2 protocol costs (Sec. III-A): host-side overheads
+// per send/receive call and per progress-engine event, and the sizes of
+// the message envelope and the control packets.
+constexpr Time kHostSendOverhead = Time::us(0.4);
+constexpr Time kHostRecvOverhead = Time::us(0.4);
+constexpr Time kProgressOverhead = Time::us(0.5);
+constexpr std::uint64_t kEnvelopeBytes = 48;  // wire header per message
+constexpr std::uint64_t kRtsBytes = 64;       // RTS before the piggybacked header
+constexpr std::uint64_t kCtsBytes = 32;
+constexpr std::uint64_t kNackBytes = 32;      // control packet asking for a re-push
+/// Sender-side drop-detection margin past the expected arrival, multiplied
+/// by kRetransmitBackoff after every failed attempt.
+constexpr Time kRetransmitTimeout = Time::us(200);
+constexpr double kRetransmitBackoff = 2.0;
+/// Persistent channels: credits in the one-time grant (warm messages the
+/// sender may have in flight before consume notifications refill them),
+/// and the size of that grant's control packet.
+constexpr int kChannelCredits = 4;
+constexpr std::uint64_t kGrantBytes = 32;
+
 /// CRC32C of a staged payload. Checksums are charged zero virtual time:
 /// real NICs fold the ICRC into the DMA engine, so the paper's timing
 /// model is unchanged by turning the reliability layer on.
@@ -58,7 +78,7 @@ World::World(sim::Engine& engine, net::ClusterSpec cluster,
       compression_(std::move(compression)),
       options_(options),
       fabric_(std::make_unique<net::Fabric>(cluster_)),
-      reliability_(options.fault != nullptr || options.verify_checksums) {
+      reliability_(options.fault != nullptr) {
   fabric_->set_fault_injector(options_.fault);
   ranks_.resize(static_cast<std::size_t>(cluster_.ranks()));
   int rank_id = 0;
@@ -142,8 +162,8 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
         static_cast<const std::uint8_t*>(buf),
         static_cast<const std::uint8_t*>(buf) + bytes);
     if (reliability_) env.crc = payload_crc(*payload);
-    ctx.advance(options_.host_send_overhead);
-    const Time t_arr = fabric_->transfer(ctx.now(), src, dst, bytes + options_.envelope_bytes);
+    ctx.advance(kHostSendOverhead);
+    const Time t_arr = fabric_->transfer(ctx.now(), src, dst, bytes + kEnvelopeBytes);
     EagerMsg msg{env, std::move(payload)};
     engine_.schedule(t_arr, [this, msg = std::move(msg)]() mutable {
       on_eager_arrival(std::move(msg));
@@ -154,29 +174,29 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
 
   // Chunked pipelined rendezvous: large compressible messages overlap
   // compression, wire transfer, and decompression chunk by chunk.
-  if (pipeline_eligible(src, dst, buf, bytes)) {
-    const std::uint64_t cb = resolve_chunk_bytes(src, dst, bytes);
-    if ((bytes + cb - 1) / cb >= 2) {
-      return pipeline_isend(ctx, src, buf, bytes, dst, tag, cb);
-    }
+  if (const std::uint64_t cb = pipelined_chunk_bytes(src, dst, buf, bytes); cb != 0) {
+    return pipeline_isend(ctx, src, buf, bytes, dst, tag, cb);
   }
 
   // Persistent channels: repeated sends on the same (src, dst, tag, shape)
-  // route skip the handshake once the channel is warm.
+  // route skip the handshake once the channel is warm. Eager and pipelined
+  // messages never get here: the pipeline keeps its own overlap machinery,
+  // and warming it would need per-chunk channel state. User point-to-point
+  // only: collective-internal tags mint a fresh value per invocation and
+  // would never re-warm (engines ride wire channels).
   Channel* ch = nullptr;
-  if (channel_eligible(src, dst, tag, buf, bytes)) {
+  if (options_.persistent.enabled && tag >= 0 && tag < kMaxUserTag) {
     ch = channel_for(ChannelKey{src, dst, tag, bytes});
   }
 
   // Rendezvous: compress on the sender GPU (Algorithm 1 / 3), then RTS with
   // the piggybacked compression header. Intra-node paths may be exempted
-  // from compression (CompressionConfig::compress_intra_node).
-  const bool allow = compression_.compress_intra_node || !cluster_.same_node(src, dst);
+  // from compression (see compresses).
   const core::PlanCacheStats plan0 =
       ch != nullptr ? ranks_[static_cast<std::size_t>(src)].mgr->plan_stats()
                     : core::PlanCacheStats{};
-  WireMessage wire = allow ? do_make_wire(ctx, src, buf, bytes)
-                           : make_raw_wire(buf, bytes);
+  WireMessage wire = compresses(src, dst) ? do_make_wire(ctx, src, buf, bytes)
+                                          : make_raw_wire(buf, bytes);
   if (ch != nullptr) {
     const auto& plan1 = ranks_[static_cast<std::size_t>(src)].mgr->plan_stats();
     ch->plan_hits += plan1.hits - plan0.hits;
@@ -185,15 +205,17 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
       return warm_isend(ctx, ch, env, wire.header, std::move(wire.payload), buf);
     }
   }
-  ctx.advance(options_.host_send_overhead);
+  post_rts(ctx, RtsMsg{env, std::move(wire.header), std::move(wire.payload), req, buf});
+  return req;
+}
 
-  const Time t_rts = fabric_->control(ctx.now(), src, dst,
-                                      options_.rts_bytes + wire.header.wire_bytes());
-  RtsMsg rts{env, wire.header, std::move(wire.payload), req, buf};
+void World::post_rts(sim::ActorContext& ctx, RtsMsg rts) {
+  ctx.advance(kHostSendOverhead);
+  const Time t_rts = fabric_->control(ctx.now(), rts.env.src, rts.env.dst,
+                                      kRtsBytes + rts.header.wire_bytes());
   engine_.schedule(t_rts, [this, rts = std::move(rts)]() mutable {
     on_rts_arrival(std::move(rts));
   });
-  return req;
 }
 
 WireMessage World::stage_wire(const core::CompressionHeader& header, const void* data,
@@ -231,9 +253,7 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
   std::vector<std::size_t> index;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const auto& b = blocks[i];
-    const bool allow =
-        compression_.compress_intra_node || !cluster_.same_node(rank, b.peer);
-    if (allow) {
+    if (compresses(rank, b.peer)) {
       inputs.push_back({b.buf, b.bytes});
       index.push_back(i);
     } else {
@@ -253,10 +273,14 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
   return out;
 }
 
+bool World::compresses(int src, int dst) const {
+  return compression_.compress_intra_node || !cluster_.same_node(src, dst);
+}
+
 bool World::batch_compress_eligible(int src, int dst, const void* buf,
                                     std::uint64_t bytes) const {
-  if (!compression_.compress_intra_node && cluster_.same_node(src, dst)) return false;
-  return ranks_[static_cast<std::size_t>(src)].mgr->should_compress(buf, bytes);
+  return compresses(src, dst) &&
+         ranks_[static_cast<std::size_t>(src)].mgr->should_compress(buf, bytes);
 }
 
 Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage& msg,
@@ -283,15 +307,9 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
 
   auto req = std::make_shared<RequestState>();
   // Forwarding a pre-built wire representation: protocol costs only — the
-  // whole point of the compression-aware collectives.
-  ctx.advance(options_.host_send_overhead);
-  const Time t_rts = fabric_->control(ctx.now(), src, dst,
-                                      options_.rts_bytes + msg.header.wire_bytes());
-  // No raw fallback for forwards: there is no original user buffer to resend.
-  RtsMsg rts{env, hdr, msg.payload, req};
-  engine_.schedule(t_rts, [this, rts = std::move(rts)]() mutable {
-    on_rts_arrival(std::move(rts));
-  });
+  // whole point of the compression-aware collectives. No raw fallback for
+  // forwards: there is no original user buffer to resend.
+  post_rts(ctx, RtsMsg{env, std::move(hdr), msg.payload, req});
   return req;
 }
 
@@ -353,13 +371,29 @@ void World::on_eager_arrival(EagerMsg msg) {
 void World::on_rts_arrival(RtsMsg rts) {
   auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
   if (auto recv = take_posted(state, rts.env)) {
-    Timeline tl(engine_.now() + options_.progress_overhead);
+    Timeline tl(engine_.now() + kProgressOverhead);
     begin_rndv_receive(tl, std::move(rts), std::move(*recv));
     return;
   }
   wake_probers(state, rts.env);
   rts.arrival = state.next_arrival++;
   state.pending_rts.push_back(std::move(rts));
+}
+
+void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
+                 void* buf, std::uint64_t capacity, bool synchronize, int stream_hint) {
+  const std::vector<std::uint8_t>& payload = *msg.payload;
+  if (msg.header.compressed) {
+    std::memcpy(staging.data, payload.data(), payload.size());
+    ranks_[static_cast<std::size_t>(rank)].mgr->decompress_received(
+        tl, msg.header, staging, buf, capacity, synchronize, stream_hint);
+    return;
+  }
+  if (capacity < payload.size()) {
+    throw std::runtime_error("MiniMPI: receive buffer too small for the message");
+  }
+  // Zero-byte messages are legal; memcpy with a null src/dst is not.
+  if (!payload.empty()) std::memcpy(buf, payload.data(), payload.size());
 }
 
 void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
@@ -383,10 +417,10 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   tx->staging = std::move(staging);
   tx->sender_buf = rts.sender_buf;
 
-  const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, options_.cts_bytes);
+  const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, kCtsBytes);
   engine_.schedule(t_cts, [this, tx]() {
     // Sender-side CTS handling: push the (compressed) payload.
-    push_segment(tx, 0, engine_.now() + options_.progress_overhead);
+    push_segment(tx, 0, engine_.now() + kProgressOverhead);
   });
 }
 
@@ -402,7 +436,7 @@ net::Fabric::Delivery World::push_segment(const std::shared_ptr<Tx>& tx, int i, 
   seg.recovery_pending = false;
   ++seg.attempts;
   const std::uint64_t wire_bytes =
-      seg.payload->size() + options_.envelope_bytes + tx->segment_header_bytes(i);
+      seg.payload->size() + kEnvelopeBytes + tx->segment_header_bytes(i);
   const net::Fabric::Delivery d =
       fabric_->transfer_data(start, tx->env.src, tx->env.dst, wire_bytes);
 
@@ -423,12 +457,12 @@ net::Fabric::Delivery World::push_segment(const std::shared_ptr<Tx>& tx, int i, 
 
   // The fabric dropped the packet. The receiver cannot NACK what it never
   // saw, so a timeout covers this case: the margin starts one
-  // retransmit_timeout past the would-be arrival and grows by
-  // retransmit_backoff with every failed attempt.
-  Time margin = options_.retransmit_timeout;
+  // kRetransmitTimeout past the would-be arrival and grows by
+  // kRetransmitBackoff with every failed attempt.
+  Time margin = kRetransmitTimeout;
   for (int a = 1; a < seg.attempts; ++a) {
     margin = Time::ns(static_cast<std::int64_t>(static_cast<double>(margin.count_ns()) *
-                                                options_.retransmit_backoff));
+                                                kRetransmitBackoff));
   }
   seg.watchdog = engine_.schedule_cancelable(
       d.at + margin, [this, tx, i]() { nack_segment(tx, i, engine_.now(), false); });
@@ -469,7 +503,7 @@ void World::nack_segment(const std::shared_ptr<Tx>& tx, int i, Time at, bool dec
   // NACK rides the reliable control plane back to the sender. For drop
   // timeouts the "NACK" models the sender's own retransmission timer, but
   // charging the control round-trip keeps the two recovery paths uniform.
-  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, options_.nack_bytes);
+  const Time t_nack = fabric_->control(at, tx->env.dst, tx->env.src, kNackBytes);
   engine_.schedule(t_nack, [this, tx, i, decode_fail]() {
     if (!tx->segment(i).done) resend_segment(tx, i, decode_fail);
   });
@@ -503,39 +537,28 @@ void World::fail_requests(const Envelope& env, const Request& send_req,
 
 void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
   if (tx->seg.done) return;
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  Timeline tl(engine_.now() + options_.progress_overhead);
+  Timeline tl(engine_.now() + kProgressOverhead);
   if (!segment_intact(tx, 0, delivered, tl.now())) return;
-  const core::CompressionHeader& header = tx->seg.header;
+  const WireMessage msg{tx->seg.header, delivered};
 
   if (tx->recv.wire_out != nullptr) {
     // Deliver the wire representation as-is; the application decompresses
     // later (or forwards it on).
-    *tx->recv.wire_out = WireMessage{header, delivered};
-  } else if (header.compressed) {
-    // The payload landed in the receiver's temporary device buffer;
-    // decompress into the user buffer (Algorithm 2, steps 6-7).
-    std::memcpy(tx->staging->data, delivered->data(), delivered->size());
+    *tx->recv.wire_out = msg;
+  } else {
+    // A compressed payload landed in the receiver's temporary device buffer
+    // and decompresses into the user buffer (Algorithm 2, steps 6-7).
     try {
-      state.mgr->decompress_received(tl, header, *tx->staging, tx->recv.buf,
-                                     tx->recv.capacity);
+      land(tl, tx->env.dst, msg, *tx->staging, tx->recv.buf, tx->recv.capacity);
     } catch (const core::CodecFaultError&) {
       // The stream is intact (CRC passed) but the kernel failed; ask the
       // sender for the raw buffer instead of relaunching on the same data.
       nack_segment(tx, 0, tl.now(), true);
       return;
     }
-    state.mgr->release(tl, *tx->staging);
-  } else {
-    if (tx->recv.capacity < tx->env.bytes) {
-      throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
-    }
-    if (!delivered->empty()) std::memcpy(tx->recv.buf, delivered->data(), delivered->size());
-    if (tx->staging->data != nullptr) {
-      // A decode-fault fallback switched the transfer to raw after the
-      // receiver had already staged for the compressed form.
-      state.mgr->release(tl, *tx->staging);
-    }
+    // Also frees the staging a decode-fault fallback to raw left unused
+    // (a no-op when none was taken).
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, *tx->staging);
   }
 
   tx->seg.done = true;
@@ -544,13 +567,13 @@ void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
   complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
   // A successful cold exchange is the channel's warm-up exchange: the
   // receiver now grants credits so the next message can skip the handshake.
-  maybe_warm_channel(tx->env, header, tx->recv.wire_out != nullptr, tl.now());
+  maybe_warm_channel(tx->env, msg.header, tx->recv.wire_out != nullptr, tl.now());
 }
 
 void World::resend_segment(const RndvPtr& tx, int, bool decode_fail) {
   // Forwarded wire messages have no user buffer, hence no raw fallback.
   if (decode_fail) degrade_segment(tx->seg, tx->sender_buf, tx->env.bytes);
-  push_segment(tx, 0, engine_.now() + options_.progress_overhead);
+  push_segment(tx, 0, engine_.now() + kProgressOverhead);
 }
 
 void World::fail_transfer(const RndvPtr& tx, Time at) {
@@ -566,20 +589,6 @@ void World::fail_transfer(const RndvPtr& tx, Time at) {
 // Persistent channels (see mpi/channel.hpp): one segment per warm message,
 // cleared by credits instead of RTS/CTS.
 // ---------------------------------------------------------------------------
-
-bool World::channel_eligible(int src, int dst, int tag, const void* buf,
-                             std::uint64_t bytes) const {
-  if (!options_.persistent.enabled) return false;
-  if (dst == src || bytes <= options_.eager_threshold) return false;
-  if (tag < 0 || tag >= kMaxUserTag) return false;
-  if (pipeline_eligible(src, dst, buf, bytes)) {
-    // Messages that ride the chunked pipeline keep their own overlap
-    // machinery; warming them would need per-chunk channel state.
-    const std::uint64_t cb = resolve_chunk_bytes(src, dst, bytes);
-    if ((bytes + cb - 1) / cb >= 2) return false;
-  }
-  return true;
-}
 
 Channel* World::channel_for(const ChannelKey& key) {
   auto [it, inserted] = channels_.try_emplace(key);
@@ -606,8 +615,7 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
   // expansion needs. A raw first delivery (fallback) still records the
   // route's configured codec so later compressed messages stay expandable.
   core::CompressionHeader basis = header;
-  const bool allow =
-      compression_.compress_intra_node || !cluster_.same_node(env.src, env.dst);
+  const bool allow = compresses(env.src, env.dst);
   if (!header.compressed && allow && compression_.algorithm != core::Algorithm::None) {
     basis.algorithm = compression_.algorithm;
     basis.zfp_rate = static_cast<std::uint16_t>(compression_.zfp_rate);
@@ -636,11 +644,10 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
   // ONE control packet grants the full credit window; refills piggyback on
   // the (zero-cost) consume notifications from then on.
   ++ch->warmups;
-  const Time t_grant =
-      fabric_->control(tl.now(), env.dst, env.src, options_.persistent.grant_bytes);
-  engine_.schedule(t_grant, [this, ch]() {
+  const Time t_grant = fabric_->control(tl.now(), env.dst, env.src, kGrantBytes);
+  engine_.schedule(t_grant, [ch]() {
     ch->warm = true;
-    ch->credits = std::max(1, options_.persistent.credits);
+    ch->credits = kChannelCredits;
   });
 }
 
@@ -658,12 +665,11 @@ Request World::warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& e
   tx->seq = ch->next_send_seq++;
 
   ++ch->warm_sends;
-  const std::size_t cold_ctrl =
-      options_.rts_bytes + header.wire_bytes() + options_.cts_bytes;
+  const std::size_t cold_ctrl = kRtsBytes + header.wire_bytes() + kCtsBytes;
   const std::size_t warm_ctrl = tx->segment_header_bytes(0);
   ch->header_bytes_saved += cold_ctrl > warm_ctrl ? cold_ctrl - warm_ctrl : 0;
 
-  ctx.advance(options_.host_send_overhead);
+  ctx.advance(kHostSendOverhead);
   if (ch->credits <= 0) {
     // Credit window exhausted: the payload is staged and queued; the next
     // consume notification funds the push.
@@ -691,7 +697,7 @@ RepeatHeader World::WarmTransfer::repeat() const {
 
 void World::on_segment_data(const WarmPtr& tx, int, const Payload& delivered) {
   if (tx->seg.done) return;
-  Timeline tl(engine_.now() + options_.progress_overhead);
+  Timeline tl(engine_.now() + kProgressOverhead);
   if (!segment_intact(tx, 0, delivered, tl.now())) return;
   tx->delivered = delivered;
   match_or_park_warm(tx, tl);
@@ -723,25 +729,23 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
     return;
   }
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  const core::CompressionHeader header = tx->repeat().expand(ch->tmpl);
-  const Payload delivered = tx->delivered;
+  const WireMessage msg{tx->repeat().expand(ch->tmpl), tx->delivered};
 
   if (recv.wire_out != nullptr) {
     // Engine wire receive: hand over the compressed form as-is.
-    *recv.wire_out = WireMessage{header, delivered};
-  } else if (header.compressed) {
-    if (!ch->staging_held) {
+    *recv.wire_out = msg;
+  } else {
+    if (msg.header.compressed && !ch->staging_held) {
       // Channel warmed on wire-form deliveries; the first buffer-form
       // consume acquires the staging, which is then held like the rest.
-      core::CompressionHeader synth = header;
+      core::CompressionHeader synth = msg.header;
       synth.compressed_bytes = tx->env.bytes;
       ch->staging = state.mgr->prepare_receive(tl, synth);
       ch->staging_held = true;
     }
     const bool planned = ch->staging.planned();
-    std::memcpy(ch->staging.data, delivered->data(), delivered->size());
     try {
-      state.mgr->decompress_received(tl, header, ch->staging, recv.buf, recv.capacity);
+      land(tl, tx->env.dst, msg, ch->staging, recv.buf, recv.capacity);
     } catch (const core::CodecFaultError&) {
       // Intact stream, faulting kernel: repost the receive so the raw
       // redelivery finds it, and ask the sender to degrade this message.
@@ -749,16 +753,7 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
       nack_segment(tx, 0, tl.now(), true);
       return;
     }
-    if (planned) {
-      ++ch->plan_hits;
-    } else {
-      ++ch->plan_misses;
-    }
-  } else {
-    if (recv.capacity < tx->env.bytes) {
-      throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
-    }
-    if (!delivered->empty()) std::memcpy(recv.buf, delivered->data(), delivered->size());
+    if (msg.header.compressed) ++(planned ? ch->plan_hits : ch->plan_misses);
   }
 
   tx->seg.done = true;
@@ -837,20 +832,17 @@ void World::refill_credit(Channel* ch, Time at) {
 // chunk, each with its own sub-header, CRC, watchdog, and retry budget.
 // ---------------------------------------------------------------------------
 
-bool World::pipeline_eligible(int src, int dst, const void* buf, std::uint64_t bytes) const {
+std::uint64_t World::pipelined_chunk_bytes(int src, int dst, const void* buf,
+                                           std::uint64_t bytes) const {
   const PipelineConfig& cfg = options_.pipeline;
-  if (!cfg.enabled || bytes < cfg.min_bytes) return false;
-  if (!compression_.compress_intra_node && cluster_.same_node(src, dst)) return false;
-  return ranks_[static_cast<std::size_t>(src)].mgr->should_compress(buf, bytes);
-}
-
-std::uint64_t World::resolve_chunk_bytes(int src, int dst, std::uint64_t bytes) const {
-  const PipelineConfig& cfg = options_.pipeline;
-  if (cfg.chunk_bytes != 0) {
-    return std::min(std::max<std::uint64_t>(cfg.chunk_bytes, 1), bytes);
+  if (!cfg.enabled || bytes < cfg.min_bytes || !batch_compress_eligible(src, dst, buf, bytes)) {
+    return 0;
   }
   const net::LinkSpec& link = cluster_.same_node(src, dst) ? cluster_.intra : cluster_.inter;
-  return auto_chunk_bytes(bytes, compression_, cluster_.gpu, link, cfg);
+  const std::uint64_t chunk = cfg.chunk_bytes != 0
+                                  ? std::min(std::max<std::uint64_t>(cfg.chunk_bytes, 1), bytes)
+                                  : auto_chunk_bytes(bytes, compression_, cluster_.gpu, link);
+  return (bytes + chunk - 1) / chunk >= 2 ? chunk : 0;
 }
 
 Request World::pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
@@ -867,13 +859,7 @@ Request World::pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
   announce.compressed_bytes = bytes;
   announce.pipeline_chunks = static_cast<std::uint32_t>((bytes + chunk_bytes - 1) / chunk_bytes);
   announce.pipeline_chunk_bytes = chunk_bytes;
-  ctx.advance(options_.host_send_overhead);
-  const Time t_rts =
-      fabric_->control(ctx.now(), src, dst, options_.rts_bytes + announce.wire_bytes());
-  RtsMsg rts{env, announce, nullptr, req, buf};
-  engine_.schedule(t_rts, [this, rts = std::move(rts)]() mutable {
-    on_rts_arrival(std::move(rts));
-  });
+  post_rts(ctx, RtsMsg{env, std::move(announce), nullptr, req, buf});
   return req;
 }
 
@@ -889,8 +875,8 @@ void World::begin_pipeline(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   tx->sender_buf = rts.sender_buf;
   tx->chunk_bytes = rts.header.pipeline_chunk_bytes;
   tx->chunks = static_cast<int>(rts.header.pipeline_chunks);
-  tx->window = std::min(tx->chunks, std::max(1, options_.pipeline.max_in_flight));
-  tx->blocks = pipeline_chunk_blocks(cluster_.gpu, options_.pipeline.max_in_flight, tx->chunks);
+  tx->window = std::min(tx->chunks, kPipelineWindow);
+  tx->blocks = pipeline_chunk_blocks(cluster_.gpu, kPipelineWindow, tx->chunks);
   tx->segments.resize(static_cast<std::size_t>(tx->chunks));
   // One staging acquisition for the whole transfer, sub-divided into
   // `window` slices; chunk i stages in slice i % window. A chunk's slice is
@@ -902,14 +888,14 @@ void World::begin_pipeline(Timeline& tl, RtsMsg rts, PostedRecv recv) {
     tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
   }
   tx->recv_cursor = tl.now();
-  const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, options_.cts_bytes);
+  const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, kCtsBytes);
   engine_.schedule(t_cts, [this, tx]() { start_pipeline_sender(tx); });
 }
 
 void World::start_pipeline_sender(const PipePtr& tx) {
   if (tx->done) return;
   tx->start = engine_.now();
-  tx->send_cursor = engine_.now() + options_.progress_overhead;
+  tx->send_cursor = engine_.now() + kProgressOverhead;
   ranks_[static_cast<std::size_t>(tx->env.src)].mgr->note_pipelined_message();
   for (int i = 0; i < tx->window; ++i) launch_pipeline_chunk(tx);
 }
@@ -933,8 +919,14 @@ void World::launch_pipeline_chunk(const PipePtr& tx) {
 
 void World::pipeline_chunk_ready(const PipePtr& tx, int chunk,
                                  const std::shared_ptr<core::CompressionManager::ChunkWire>& ck) {
-  if (tx->done) return;
   auto& state = ranks_[static_cast<std::size_t>(tx->env.src)];
+  if (tx->done) {
+    // The transfer failed while this chunk was compressing: nothing will
+    // push it, so hand its staging back.
+    Timeline tl(engine_.now());
+    state.mgr->release(tl, ck->wire.staging);
+    return;
+  }
   const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
   const std::uint64_t len = pipeline_chunk_len(tx, chunk);
   const auto* user = static_cast<const std::uint8_t*>(tx->sender_buf) + off;
@@ -957,7 +949,7 @@ void World::on_segment_data(const PipePtr& tx, int chunk, const Payload& deliver
   Segment& seg = tx->segment(chunk);
   if (seg.done) return;  // failed transfer, or a stale duplicate
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  Timeline tl(std::max(engine_.now() + options_.progress_overhead, tx->recv_cursor));
+  Timeline tl(std::max(engine_.now() + kProgressOverhead, tx->recv_cursor));
   if (!segment_intact(tx, chunk, delivered, tl.now())) return;
 
   const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
@@ -1079,7 +1071,7 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
   if (has_eager && eager_at < rts_at) {
     const Status status = deliver_eager(self, *eager_it);
     state.unexpected_eager.erase(eager_it);
-    ctx.advance(options_.host_recv_overhead);
+    ctx.advance(kHostRecvOverhead);
     req->status = status;
     req->complete = true;
     return req;
@@ -1094,7 +1086,7 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
   }
   // Nothing waiting: post the receive.
   state.posted.push_back(std::move(self));
-  ctx.advance(options_.host_recv_overhead);
+  ctx.advance(kHostRecvOverhead);
   return req;
 }
 
@@ -1174,20 +1166,13 @@ void Rank::decompress_wire(const WireMessage& msg, void* buf, std::uint64_t capa
   if (!msg.payload) throw std::invalid_argument("decompress_wire: empty message");
   auto& mgr = compression();
   sim::Timeline tl(ctx_.now());
-  if (msg.header.compressed) {
-    auto staging = mgr.prepare_receive(tl, msg.header);
-    if (!msg.payload->empty()) std::memcpy(staging.data, msg.payload->data(), msg.payload->size());
-    // Wire-form receives have no protocol-level resend path, so injected
-    // decompression faults are recovered by relaunching the kernels.
-    core::CompressionManager::retry_decode(
-        [&] { mgr.decompress_received(tl, msg.header, staging, buf, capacity); });
-    mgr.release(tl, staging);
-  } else {
-    if (capacity < msg.payload->size()) {
-      throw std::runtime_error("decompress_wire: buffer too small");
-    }
-    if (!msg.payload->empty()) std::memcpy(buf, msg.payload->data(), msg.payload->size());
-  }
+  core::Staging staging =
+      msg.header.compressed ? mgr.prepare_receive(tl, msg.header) : core::Staging{};
+  // Wire-form receives have no protocol-level resend path, so injected
+  // decompression faults are recovered by relaunching the kernels.
+  core::CompressionManager::retry_decode(
+      [&] { world_.land(tl, rank_, msg, staging, buf, capacity); });
+  mgr.release(tl, staging);
   ctx_.advance_to(tl.now());
 }
 

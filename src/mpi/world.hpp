@@ -18,13 +18,13 @@
 // scatter, barrier) are built from these point-to-point primitives, so they
 // inherit per-hop compression exactly as in the paper's OMB experiments.
 //
-// Wire reliability (active when WorldOptions::fault is set, or when
-// verify_checksums is requested explicitly):
+// Wire reliability (active exactly when WorldOptions::fault is set):
 //   * every payload carries a CRC32C — in the eager envelope for eager
 //     messages, in the header that travels with each data segment;
 //   * data segments can be dropped or bit-corrupted by the fault injector;
 //     the receiver NACKs on CRC mismatch, a sender-side timeout covers
-//     drops, and the segment is re-pushed with exponential backoff up to
+//     drops, and the segment is re-pushed with exponential backoff
+//     (world.cpp's kRetransmitTimeout, doubled per attempt) up to
 //     max_data_retries before both requests complete with
 //     StatusError::RetryLimit (no hangs);
 //   * a decompression kernel fault NACKs with decode_fail, and the sender
@@ -103,31 +103,19 @@ struct WireMessage {
 /// accumulator-first primitives from compress/reduce.hpp).
 using ReduceOp = core::ReduceOp;
 
+/// The settable protocol options. The modelled host overheads and
+/// control-packet sizes are fixed constants in world.cpp.
 struct WorldOptions {
   std::uint64_t eager_threshold = 16 * 1024;
   core::Telemetry* telemetry = nullptr;  // optional INAM-style monitor
-  sim::Time host_send_overhead = sim::Time::us(0.4);
-  sim::Time host_recv_overhead = sim::Time::us(0.4);
-  sim::Time progress_overhead = sim::Time::us(0.5);  // per protocol event
-  std::uint64_t envelope_bytes = 48;                 // wire header per message
-  std::uint64_t rts_bytes = 64;                      // RTS before piggyback
-  std::uint64_t cts_bytes = 32;
 
   // --- wire reliability (see the protocol notes at the top of this file) ---
   /// Deterministic chaos source consulted by the fabric and the codecs.
   /// Installing one turns the reliability layer on.
   fault::FaultInjector* fault = nullptr;
-  /// Force CRC computation/verification even without an injector (the
-  /// checksums are then pure assertions: nothing corrupts the payloads).
-  bool verify_checksums = false;
   /// Give up after this many re-pushes of one rendezvous payload; both
   /// requests then complete with StatusError::RetryLimit.
   int max_data_retries = 8;
-  /// Sender-side drop-detection margin past the expected arrival, doubled
-  /// (by retransmit_backoff) after every failed attempt.
-  sim::Time retransmit_timeout = sim::Time::us(200);
-  double retransmit_backoff = 2.0;
-  std::uint64_t nack_bytes = 32;  // control packet asking for a re-push
 
   /// Chunked pipelined rendezvous (see mpi/pipeline.hpp). Off by default:
   /// the serial protocol above is reproduced bit-for-bit.
@@ -146,16 +134,12 @@ struct WorldOptions {
   core::AdaptivePolicy* adaptive = nullptr;
 
   /// Persistent channels (see mpi/channel.hpp): repeated same-shape
-  /// exchanges skip the RTS/CTS handshake after a one-time warm-up and
-  /// reuse cached compression plans + held receiver staging. Off by
-  /// default: the cold protocol is reproduced bit-for-bit.
+  /// exchanges skip the RTS/CTS handshake after a one-time warm-up (one
+  /// grant of world.cpp's kChannelCredits) and reuse cached compression
+  /// plans + held receiver staging. Off by default: the cold protocol is
+  /// reproduced bit-for-bit.
   struct PersistentOptions {
     bool enabled = false;
-    /// Credits granted at warm-up: warm messages the sender may have in
-    /// flight before the receiver's consume notifications refill them.
-    int credits = 4;
-    /// Size of the one-time credit-grant control packet.
-    std::uint64_t grant_bytes = 32;
   };
   PersistentOptions persistent;
 };
@@ -553,8 +537,11 @@ class World {
                            std::uint64_t bytes);
   std::vector<WireMessage> do_make_wire_batch(sim::ActorContext& ctx, int rank,
                                               const std::vector<Rank::WireBlock>& blocks);
+  /// Does the src -> dst route compress at all? Intra-node routes are
+  /// exempt unless CompressionConfig::compress_intra_node is set.
+  [[nodiscard]] bool compresses(int src, int dst) const;
   /// Would the normal isend path compress this block? (eligibility gate for
-  /// routing a block through the batched compress path)
+  /// routing a block through the batched compress path or the pipeline)
   [[nodiscard]] bool batch_compress_eligible(int src, int dst, const void* buf,
                                              std::uint64_t bytes) const;
   /// Copy wire bytes into a staged payload, stamping the CRC when the
@@ -564,8 +551,17 @@ class World {
   WireMessage make_raw_wire(const void* buf, std::uint64_t bytes) const;
   Request do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage& msg, int dst,
                         int tag);
+  /// Charge the host send overhead, send the RTS control packet (with its
+  /// piggybacked header) and schedule its arrival at the receiver.
+  void post_rts(sim::ActorContext& ctx, RtsMsg rts);
   void on_eager_arrival(EagerMsg msg);
   void on_rts_arrival(RtsMsg rts);
+  /// Deliver an arrived message into `buf` on `rank`: a compressed payload
+  /// is copied into `staging` and decoded from there (a CodecFaultError
+  /// propagates to the caller, which owns recovery and the staging); a raw
+  /// one is capacity-checked and copied.
+  void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
+            void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
   void begin_rndv_receive(sim::Timeline& tl, RtsMsg rts, PostedRecv recv);
 
   // --- the segment cycle, shared by every transfer kind ---
@@ -601,10 +597,11 @@ class World {
   void fail_transfer(const PipePtr& tx, sim::Time at);
 
   // Chunked pipelined rendezvous (see mpi/pipeline.hpp and DESIGN.md).
-  [[nodiscard]] bool pipeline_eligible(int src, int dst, const void* buf,
-                                       std::uint64_t bytes) const;
-  [[nodiscard]] std::uint64_t resolve_chunk_bytes(int src, int dst,
-                                                  std::uint64_t bytes) const;
+  /// Chunk size of a pipelined send of this message, or 0 when it takes
+  /// the serial path (pipeline off, too small, not compressed on this
+  /// route, or fewer than two chunks).
+  [[nodiscard]] std::uint64_t pipelined_chunk_bytes(int src, int dst, const void* buf,
+                                                    std::uint64_t bytes) const;
   Request pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
                          std::uint64_t bytes, int dst, int tag,
                          std::uint64_t chunk_bytes);
@@ -620,11 +617,6 @@ class World {
   }
 
   // --- persistent channels (see mpi/channel.hpp) ---
-  /// Is this send eligible to ride (and eventually warm) a channel? User
-  /// point-to-point only: collective-internal tags mint a fresh value per
-  /// invocation and would never re-warm (engines ride wire channels).
-  [[nodiscard]] bool channel_eligible(int src, int dst, int tag, const void* buf,
-                                      std::uint64_t bytes) const;
   /// Find-or-create the channel for a key (assigns the id on creation).
   Channel* channel_for(const ChannelKey& key);
   /// Receiver-side warm-up after a successful cold delivery: pre-acquire
@@ -666,7 +658,7 @@ class World {
   WorldOptions options_;
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<RankState> ranks_;
-  bool reliability_ = false;  // fault injector installed or CRCs forced on
+  bool reliability_ = false;  // fault injector installed
 
   // Persistent channels: table ordered by key for deterministic telemetry
   // flush; entries are pointed into, so node stability matters.

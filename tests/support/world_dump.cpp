@@ -60,7 +60,6 @@ std::string run_world_dump(const WorldScenario& s) {
   opts.pipeline.enabled = s.pipeline;
   opts.pipeline.min_bytes = s.pipeline_min_bytes;
   opts.pipeline.chunk_bytes = s.pipeline_chunk_bytes;
-  opts.pipeline.max_in_flight = s.pipeline_max_in_flight;
   using core::CollectiveOp;
   opts.collectives[CollectiveOp::Allreduce] =
       static_cast<core::CollectiveAlgorithm>(s.collective_algorithm);

@@ -39,7 +39,6 @@ struct WorldScenario {
   bool pipeline = false;
   std::uint64_t pipeline_min_bytes = 1ull << 20;
   std::uint64_t pipeline_chunk_bytes = 0;  // 0 = cost-model auto-tune
-  int pipeline_max_in_flight = 4;
 
   // Collective algorithm engine. A nonzero engine_allreduce_values adds one
   // engine-sized allreduce (device-resident, that many floats) per

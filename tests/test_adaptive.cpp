@@ -123,7 +123,7 @@ TEST(Adaptive, ConvergesToBestFixedCodecOnStationaryWorkload) {
     if (d.probe) ++probes;
   }
   ASSERT_EQ(p2p.size(), static_cast<std::size_t>(iters));
-  // Probe budget: the counter-based draw routes ~1/probe_period decisions
+  // Probe budget: the counter-based draw routes ~1 in 16 decisions
   // to the runner-up; over 32 rounds that must stay well under a quarter.
   EXPECT_LE(probes, 8);
   // Every late non-probe decision agrees with the measured best fixed codec.
@@ -234,7 +234,7 @@ TEST(Adaptive, AllreduceAgreesAcrossRanksAndMatchesOracle) {
 // enough rounds that the measured history overrides the cost-model prior.
 // Two measured alternatives are fed in up front (a fast hierarchical
 // allreduce and a fast flat bcast below their floors), so the refinement
-// displaces the prior once the prior's own schedule has min_samples. The
+// displaces the prior once the prior's own schedule has enough samples. The
 // decision log, the collective records and the final virtual clock are
 // hashed together, so a selection refactor that moves any adaptive
 // decision (or the schedule it runs) changes the digest.

@@ -5,6 +5,8 @@
 
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -186,22 +188,58 @@ TEST(MiniMpi, TruncationIsAnError) {
   });
 }
 
-TEST(MiniMpi, RendezvousTruncationStillThrows) {
+// A rendezvous transfer cannot be abandoned mid-protocol, so a too-small
+// receive on the large-message path remains a hard error for every kind of
+// delivery: raw or compressed (MPC-OPT, device buffers), cold or on a warm
+// persistent channel (the short receive is the second message of a warmed
+// route).
+class RendezvousTruncation : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(RendezvousTruncation, StillThrows) {
+  const auto [compressed, warm] = GetParam();
   sim::Engine engine;
-  World world(engine, net::longhorn(2, 1), no_compression());
-  // A rendezvous transfer cannot be abandoned mid-protocol, so a too-small
-  // receive on the large-message path remains a hard error.
+  mpi::WorldOptions opts;
+  opts.persistent.enabled = warm;
+  World world(engine, net::longhorn(2, 1),
+              compressed ? core::CompressionConfig::mpc_opt() : no_compression(), opts);
+  const std::size_t n = 1 << 18;  // 1 MiB of floats
+  const auto payload = data::smooth_field(n, 1e-4, 8);
   EXPECT_THROW(world.run([&](Rank& R) {
+    std::vector<float> host(n);
+    float* buf = host.data();
+    if (compressed) buf = static_cast<float*>(R.gpu_malloc(n * 4));
     if (R.rank() == 0) {
-      std::vector<float> in(1 << 16, 1.0f);
-      R.send(in.data(), sizeof(float) << 16, 1, 1);
+      std::memcpy(buf, payload.data(), n * 4);
+      if (warm) {
+        R.send(buf, n * 4, 1, 1);
+        R.barrier();
+      }
+      R.send(buf, n * 4, 1, 1);
     } else {
-      std::vector<float> out(16);
-      R.recv(out.data(), 64, 0, 1);  // too small
+      if (warm) {
+        R.recv(buf, n * 4, 0, 1);
+        R.barrier();
+      }
+      R.recv(buf, 64, 0, 1);  // too small
     }
   }),
                std::runtime_error);
+  if (compressed) {
+    EXPECT_GE(world.compression_of(0).stats().messages_compressed, 1u);
+  }
+  if (warm) {
+    ASSERT_EQ(world.channels().size(), 1u);
+    EXPECT_EQ(world.channels().begin()->second.warm_sends, 1u);
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    MiniMpi, RendezvousTruncation,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "MpcDevice" : "RawHost") +
+             (std::get<1>(info.param) ? "Warm" : "Cold");
+    });
 
 TEST(MiniMpi, DeviceBufferRendezvousWithMpcCompression) {
   sim::Engine engine;

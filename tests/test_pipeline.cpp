@@ -66,11 +66,10 @@ TransferResult run_transfer(const std::vector<float>& payload,
 
 mpi::WorldOptions serial_opts() { return {}; }
 
-mpi::WorldOptions pipelined_opts(std::uint64_t chunk_bytes = 0, int max_in_flight = 4) {
+mpi::WorldOptions pipelined_opts(std::uint64_t chunk_bytes = 0) {
   mpi::WorldOptions o;
   o.pipeline.enabled = true;
   o.pipeline.chunk_bytes = chunk_bytes;
-  o.pipeline.max_in_flight = max_in_flight;
   return o;
 }
 
@@ -160,12 +159,11 @@ TEST(Pipeline, OverlapTimingIdentities) {
 TEST(Pipeline, AutoTuneChunkIsMonotoneAlignedAndClamped) {
   const auto gpu = gpu::v100_spec();
   const auto link = net::ib_edr();
-  const mpi::PipelineConfig pl;
   for (const auto& cfg :
        {core::CompressionConfig::mpc_opt(), core::CompressionConfig::zfp_opt(16)}) {
     std::uint64_t prev = 0;
     for (std::uint64_t bytes = 1ull << 20; bytes <= 64ull << 20; bytes *= 2) {
-      const std::uint64_t c = mpi::auto_chunk_bytes(bytes, cfg, gpu, link, pl);
+      const std::uint64_t c = mpi::auto_chunk_bytes(bytes, cfg, gpu, link);
       EXPECT_GE(c, 256ull << 10);
       EXPECT_LE(c, bytes);
       EXPECT_EQ(c % (64ull << 10), 0u);
@@ -252,6 +250,45 @@ TEST(Pipeline, DecompressFaultDegradesOnlyTheFaultingChunkToRaw) {
     EXPECT_LT(rec.wire_bytes, rec.original_bytes + (512ull << 10) * summary.retransmits);
   }
   EXPECT_TRUE(fired) << "no seed in the scan list injected a decompress fault";
+}
+
+TEST(Pipeline, FailedTransferReleasesTheStagingOfChunksStillCompressing) {
+  // Every chunk is dropped, so the transfer fails while later chunks are
+  // still compressing. Each of them must hand its staging back: the naive
+  // scheme cudaMallocs one per chunk, so a leak shows in the sender's live
+  // allocations once the run is over.
+  for (const int retries : {0, 2}) {
+    fault::FaultPlan plan;
+    plan.seed = 1;
+    plan.drop_probability = 1.0;
+    fault::FaultInjector injector(plan);
+    mpi::WorldOptions opts = pipelined_opts(64ull << 10);
+    opts.max_data_retries = retries;
+    opts.fault = &injector;
+    sim::Engine engine;
+    mpi::World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_naive(), opts);
+    const std::size_t n = (16ull << 20) / 4;
+    const auto payload = make_floats(PayloadKind::SmoothField, n, 52);
+    std::size_t before = 0;
+    mpi::Status send_status;
+    mpi::Status recv_status;
+    world.run([&](mpi::Rank& R) {
+      if (R.rank() == 0) {
+        void* d = R.gpu_malloc(n * 4);
+        std::memcpy(d, payload.data(), n * 4);
+        before = R.gpu().allocation_count();
+        mpi::Request req = R.isend(d, n * 4, 1, 7);
+        send_status = R.wait(req);
+      } else {
+        std::vector<float> out(n);
+        recv_status = R.recv(out.data(), n * 4, 0, 7);
+      }
+    });
+    EXPECT_EQ(send_status.error, mpi::StatusError::RetryLimit) << "retries " << retries;
+    EXPECT_EQ(recv_status.error, mpi::StatusError::RetryLimit) << "retries " << retries;
+    EXPECT_EQ(before, 1u);
+    EXPECT_EQ(world.gpu_of(0).allocation_count(), before) << "retries " << retries;
+  }
 }
 
 }  // namespace

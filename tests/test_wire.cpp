@@ -50,6 +50,19 @@ TEST(Wire, MakeWirePassesThroughHostBuffers) {
   });
 }
 
+TEST(Wire, DecompressWireOfRawMessageIntoShortBufferThrows) {
+  sim::Engine engine;
+  World world(engine, net::longhorn(1, 1), core::CompressionConfig::off());
+  EXPECT_THROW(world.run([&](Rank& R) {
+    std::vector<float> in(1024, 1.5f);
+    std::vector<float> out(16);
+    const WireMessage msg = R.make_wire(in.data(), in.size() * 4);
+    EXPECT_FALSE(msg.header.compressed);
+    R.decompress_wire(msg, out.data(), out.size() * 4);  // too small
+  }),
+               std::runtime_error);
+}
+
 TEST(Wire, ForwardingSkipsRecompression) {
   // Rank 0 compresses once and sends; rank 1 receives in wire form and
   // forwards to rank 2 — rank 1's compression manager must never run a
