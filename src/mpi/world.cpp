@@ -364,8 +364,7 @@ void World::on_eager_arrival(EagerMsg msg) {
     return;
   }
   wake_probers(state, msg.env);
-  msg.arrival = state.next_arrival++;
-  state.unexpected_eager.push_back(std::move(msg));
+  state.unexpected.push_back(std::move(msg));
 }
 
 void World::on_rts_arrival(RtsMsg rts) {
@@ -376,8 +375,7 @@ void World::on_rts_arrival(RtsMsg rts) {
     return;
   }
   wake_probers(state, rts.env);
-  rts.arrival = state.next_arrival++;
-  state.pending_rts.push_back(std::move(rts));
+  state.unexpected.push_back(std::move(rts));
 }
 
 void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
@@ -397,31 +395,46 @@ void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Sta
 }
 
 void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
-  if (rts.header.pipeline_chunks >= 2) {
-    begin_pipeline(tl, std::move(rts), std::move(recv));
-    return;
+  const bool pipelined = rts.header.pipeline_chunks >= 2;
+  if (pipelined && recv.wire_out == nullptr && recv.capacity < rts.env.bytes) {
+    throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
   }
   auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
-  // Receiver prepares the temporary device buffer for the compressed
-  // payload (Algorithm 2), then clears the sender to send. Wire-form
-  // receives keep the payload compressed, so no staging buffer is needed.
-  auto staging = std::make_shared<core::Staging>(
-      recv.wire_out != nullptr ? core::Staging{}
-                               : state.mgr->prepare_receive(tl, rts.header));
   auto tx = std::make_shared<RndvTransfer>();
   tx->env = rts.env;
-  tx->seg.header = std::move(rts.header);
-  tx->seg.payload = std::move(rts.payload);
   tx->send_req = std::move(rts.send_req);
   tx->recv = std::move(recv);
-  tx->staging = std::move(staging);
   tx->sender_buf = rts.sender_buf;
-
+  if (pipelined) {
+    tx->chunk_bytes = rts.header.pipeline_chunk_bytes;
+    tx->chunks = static_cast<int>(rts.header.pipeline_chunks);
+    tx->window = std::min(tx->chunks, kPipelineWindow);
+    tx->blocks = pipeline_chunk_blocks(cluster_.gpu, kPipelineWindow, tx->chunks);
+    tx->segments.resize(static_cast<std::size_t>(tx->chunks));
+    // One staging acquisition for the whole transfer, sub-divided into
+    // `window` slices; chunk i stages in slice i % window. A chunk's slice is
+    // only touched within its own arrival event, so the reuse is safe.
+    tx->staging = state.mgr->prepare_pipeline_receive(tl, tx->chunk_bytes, tx->window);
+    if (tx->recv.wire_out != nullptr) {
+      // Wire-form receivers of a pipelined send get the reassembled message
+      // as a raw wire view (the per-chunk streams are not forwardable).
+      tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
+    }
+  } else {
+    // Receiver prepares the temporary device buffer for the compressed
+    // payload (Algorithm 2). Wire-form receives keep the payload
+    // compressed, so no staging buffer is needed.
+    if (tx->recv.wire_out == nullptr) tx->staging = state.mgr->prepare_receive(tl, rts.header);
+    tx->chunk_bytes = tx->env.bytes;
+    tx->chunks = 1;
+    Segment& seg = tx->segments.emplace_back();
+    seg.header = std::move(rts.header);
+    seg.payload = std::move(rts.payload);
+  }
+  // Clear the sender to send.
+  tx->recv_cursor = tl.now();
   const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, kCtsBytes);
-  engine_.schedule(t_cts, [this, tx]() {
-    // Sender-side CTS handling: push the (compressed) payload.
-    push_segment(tx, 0, engine_.now() + kProgressOverhead);
-  });
+  engine_.schedule(t_cts, [this, tx]() { start_rndv_sender(tx); });
 }
 
 // ---------------------------------------------------------------------------
@@ -529,60 +542,6 @@ void World::fail_requests(const Envelope& env, const Request& send_req,
   if (send_req) complete_at(send_req, status, at);
   status.source = env.src;
   if (recv_req) complete_at(recv_req, status, at);
-}
-
-// ---------------------------------------------------------------------------
-// Serial rendezvous: one segment, cleared by RTS/CTS.
-// ---------------------------------------------------------------------------
-
-void World::on_segment_data(const RndvPtr& tx, int, const Payload& delivered) {
-  if (tx->seg.done) return;
-  Timeline tl(engine_.now() + kProgressOverhead);
-  if (!segment_intact(tx, 0, delivered, tl.now())) return;
-  const WireMessage msg{tx->seg.header, delivered};
-
-  if (tx->recv.wire_out != nullptr) {
-    // Deliver the wire representation as-is; the application decompresses
-    // later (or forwards it on).
-    *tx->recv.wire_out = msg;
-  } else {
-    // A compressed payload landed in the receiver's temporary device buffer
-    // and decompresses into the user buffer (Algorithm 2, steps 6-7).
-    try {
-      land(tl, tx->env.dst, msg, *tx->staging, tx->recv.buf, tx->recv.capacity);
-    } catch (const core::CodecFaultError&) {
-      // The stream is intact (CRC passed) but the kernel failed; ask the
-      // sender for the raw buffer instead of relaunching on the same data.
-      nack_segment(tx, 0, tl.now(), true);
-      return;
-    }
-    // Also frees the staging a decode-fault fallback to raw left unused
-    // (a no-op when none was taken).
-    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, *tx->staging);
-  }
-
-  tx->seg.done = true;
-  sim::Engine::cancel(tx->seg.watchdog);
-  complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
-  complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
-  // A successful cold exchange is the channel's warm-up exchange: the
-  // receiver now grants credits so the next message can skip the handshake.
-  maybe_warm_channel(tx->env, msg.header, tx->recv.wire_out != nullptr, tl.now());
-}
-
-void World::resend_segment(const RndvPtr& tx, int, bool decode_fail) {
-  // Forwarded wire messages have no user buffer, hence no raw fallback.
-  if (decode_fail) degrade_segment(tx->seg, tx->sender_buf, tx->env.bytes);
-  push_segment(tx, 0, engine_.now() + kProgressOverhead);
-}
-
-void World::fail_transfer(const RndvPtr& tx, Time at) {
-  tx->seg.done = true;
-  if (tx->staging->data != nullptr) {
-    Timeline tl(at);
-    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, *tx->staging);
-  }
-  fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
 
 // ---------------------------------------------------------------------------
@@ -710,13 +669,12 @@ void World::match_or_park_warm(const WarmPtr& tx, Timeline& tl) {
   if (tx->seq == tx->ch->next_consume_seq) {
     if (auto recv = take_posted(state, tx->env)) {
       consume_warm(tx, std::move(*recv), tl);
-      drain_parked_warm(tx->env.dst);
+      drain_warm_heads(tx->env.dst);
       return;
     }
   }
   wake_probers(state, tx->env);
-  tx->arrival = state.next_arrival++;
-  state.parked_warm.push_back(tx);
+  state.unexpected.push_back(tx);
 }
 
 void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
@@ -766,17 +724,19 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
   refill_credit(ch, tl.now());
 }
 
-void World::drain_parked_warm(int dst) {
+void World::drain_warm_heads(int dst) {
   auto& state = ranks_[static_cast<std::size_t>(dst)];
   bool progress = true;
   while (progress) {
     progress = false;
-    for (auto it = state.parked_warm.begin(); it != state.parked_warm.end(); ++it) {
-      const WarmPtr tx = *it;
+    for (auto it = state.unexpected.begin(); it != state.unexpected.end(); ++it) {
+      const auto* parked = std::get_if<WarmPtr>(&*it);
+      if (parked == nullptr) continue;
+      const WarmPtr tx = *parked;
       if (tx->seq != tx->ch->next_consume_seq) continue;
       auto recv = take_posted(state, tx->env);
       if (!recv) continue;
-      state.parked_warm.erase(it);
+      state.unexpected.erase(it);
       Timeline tl(engine_.now());
       consume_warm(tx, std::move(*recv), tl);
       progress = true;
@@ -828,8 +788,9 @@ void World::refill_credit(Channel* ch, Time at) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked pipelined rendezvous (see mpi/pipeline.hpp): one segment per
-// chunk, each with its own sub-header, CRC, watchdog, and retry budget.
+// Rendezvous: one segment cleared by RTS/CTS (serial), or one segment per
+// chunk, each with its own sub-header, CRC, watchdog, and retry budget
+// (chunked pipelined, see mpi/pipeline.hpp).
 // ---------------------------------------------------------------------------
 
 std::uint64_t World::pipelined_chunk_bytes(int src, int dst, const void* buf,
@@ -863,44 +824,20 @@ Request World::pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
   return req;
 }
 
-void World::begin_pipeline(Timeline& tl, RtsMsg rts, PostedRecv recv) {
-  auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
-  if (recv.wire_out == nullptr && recv.capacity < rts.env.bytes) {
-    throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
-  }
-  auto tx = std::make_shared<PipelineTransfer>();
-  tx->env = rts.env;
-  tx->send_req = std::move(rts.send_req);
-  tx->recv = std::move(recv);
-  tx->sender_buf = rts.sender_buf;
-  tx->chunk_bytes = rts.header.pipeline_chunk_bytes;
-  tx->chunks = static_cast<int>(rts.header.pipeline_chunks);
-  tx->window = std::min(tx->chunks, kPipelineWindow);
-  tx->blocks = pipeline_chunk_blocks(cluster_.gpu, kPipelineWindow, tx->chunks);
-  tx->segments.resize(static_cast<std::size_t>(tx->chunks));
-  // One staging acquisition for the whole transfer, sub-divided into
-  // `window` slices; chunk i stages in slice i % window. A chunk's slice is
-  // only touched within its own arrival event, so the reuse is safe.
-  tx->staging = state.mgr->prepare_pipeline_receive(tl, tx->chunk_bytes, tx->window);
-  if (tx->recv.wire_out != nullptr) {
-    // Wire-form receivers of a pipelined send get the reassembled message
-    // as a raw wire view (the per-chunk streams are not forwardable).
-    tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
-  }
-  tx->recv_cursor = tl.now();
-  const Time t_cts = fabric_->control(tl.now(), tx->env.dst, tx->env.src, kCtsBytes);
-  engine_.schedule(t_cts, [this, tx]() { start_pipeline_sender(tx); });
-}
-
-void World::start_pipeline_sender(const PipePtr& tx) {
+void World::start_rndv_sender(const RndvPtr& tx) {
   if (tx->done) return;
   tx->start = engine_.now();
   tx->send_cursor = engine_.now() + kProgressOverhead;
+  if (!tx->pipelined()) {
+    // Serial: push the payload compressed before the RTS.
+    push_segment(tx, 0, tx->send_cursor);
+    return;
+  }
   ranks_[static_cast<std::size_t>(tx->env.src)].mgr->note_pipelined_message();
   for (int i = 0; i < tx->window; ++i) launch_pipeline_chunk(tx);
 }
 
-void World::launch_pipeline_chunk(const PipePtr& tx) {
+void World::launch_pipeline_chunk(const RndvPtr& tx) {
   if (tx->done || tx->next_chunk >= tx->chunks) return;
   const int ci = tx->next_chunk++;
   const std::uint64_t off = static_cast<std::uint64_t>(ci) * tx->chunk_bytes;
@@ -917,7 +854,7 @@ void World::launch_pipeline_chunk(const PipePtr& tx) {
   engine_.schedule(ready, [this, tx, ci, ck]() { pipeline_chunk_ready(tx, ci, ck); });
 }
 
-void World::pipeline_chunk_ready(const PipePtr& tx, int chunk,
+void World::pipeline_chunk_ready(const RndvPtr& tx, int chunk,
                                  const std::shared_ptr<core::CompressionManager::ChunkWire>& ck) {
   auto& state = ranks_[static_cast<std::size_t>(tx->env.src)];
   if (tx->done) {
@@ -945,31 +882,62 @@ void World::pipeline_chunk_ready(const PipePtr& tx, int chunk,
   launch_pipeline_chunk(tx);
 }
 
-void World::on_segment_data(const PipePtr& tx, int chunk, const Payload& delivered) {
-  Segment& seg = tx->segment(chunk);
+void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) {
+  Segment& seg = tx->segment(i);
   if (seg.done) return;  // failed transfer, or a stale duplicate
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
   Timeline tl(std::max(engine_.now() + kProgressOverhead, tx->recv_cursor));
-  if (!segment_intact(tx, chunk, delivered, tl.now())) return;
+  if (!segment_intact(tx, i, delivered, tl.now())) return;
 
-  const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
-  const std::uint64_t len = pipeline_chunk_len(tx, chunk);
+  if (!tx->pipelined()) {
+    const WireMessage msg{seg.header, delivered};
+    if (tx->recv.wire_out != nullptr) {
+      // Deliver the wire representation as-is; the application decompresses
+      // later (or forwards it on).
+      *tx->recv.wire_out = msg;
+    } else {
+      // A compressed payload landed in the receiver's temporary device
+      // buffer and decompresses into the user buffer (Algorithm 2, steps 6-7).
+      try {
+        land(tl, tx->env.dst, msg, tx->staging, tx->recv.buf, tx->recv.capacity);
+      } catch (const core::CodecFaultError&) {
+        // The stream is intact (CRC passed) but the kernel failed; ask the
+        // sender for the raw buffer instead of relaunching on the same data.
+        nack_segment(tx, i, tl.now(), true);
+        return;
+      }
+      // Also frees the staging a decode-fault fallback to raw left unused
+      // (a no-op when none was taken).
+      state.mgr->release(tl, tx->staging);
+    }
+    seg.done = true;
+    sim::Engine::cancel(seg.watchdog);
+    complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
+    complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
+    // A successful cold exchange is the channel's warm-up exchange: the
+    // receiver now grants credits so the next message can skip the handshake.
+    maybe_warm_channel(tx->env, msg.header, tx->recv.wire_out != nullptr, tl.now());
+    return;
+  }
+
+  const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
+  const std::uint64_t len = pipeline_chunk_len(tx, i);
   auto* out = (tx->recv.wire_out != nullptr ? tx->assemble->data()
                                             : static_cast<std::uint8_t*>(tx->recv.buf)) +
               off;
   if (seg.header.compressed) {
-    void* slice = tx->staging.slice(chunk);
+    void* slice = tx->staging.slice(i);
     std::memcpy(slice, delivered->data(), delivered->size());
     Time kernel_time;
     try {
-      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, chunk,
+      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
                                                     tx->blocks, &kernel_time);
       tx->recv_done = std::max(tx->recv_done, done);
       tx->decompress_busy += kernel_time;
     } catch (const core::CodecFaultError&) {
       // Intact stream (CRC passed), faulting kernel: ask the sender to
       // resend just this chunk raw.
-      nack_segment(tx, chunk, tl.now(), true);
+      nack_segment(tx, i, tl.now(), true);
       return;
     }
   } else {
@@ -985,21 +953,25 @@ void World::on_segment_data(const PipePtr& tx, int chunk, const Payload& deliver
   }
 }
 
-void World::resend_segment(const PipePtr& tx, int chunk, bool decode_fail) {
-  Segment& seg = tx->segment(chunk);
+void World::resend_segment(const RndvPtr& tx, int i, bool decode_fail) {
+  Segment& seg = tx->segment(i);
   ++tx->retransmits;
   if (decode_fail) {
-    // Only the faulting chunk degrades to raw, from the still-live user buffer.
-    const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
+    // Only the faulting segment degrades to raw, from the still-live user
+    // buffer. Forwarded wire messages have none, hence no raw fallback.
+    const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
     degrade_segment(seg, static_cast<const std::uint8_t*>(tx->sender_buf) + off,
-                    pipeline_chunk_len(tx, chunk));
+                    pipeline_chunk_len(tx, i));
   }
-  const net::Fabric::Delivery d = push_segment(tx, chunk, engine_.now());
+  // A serial re-push waits for the sender's progress engine, as its first
+  // push did; a chunk re-push does not (DESIGN.md §7).
+  const Time at = engine_.now() + (tx->pipelined() ? Time::zero() : kProgressOverhead);
+  const net::Fabric::Delivery d = push_segment(tx, i, at);
   tx->wire_total += seg.payload->size();
   tx->transfer_busy += d.wire;
 }
 
-void World::finish_pipeline(const PipePtr& tx) {
+void World::finish_pipeline(const RndvPtr& tx) {
   if (tx->done) return;
   tx->done = true;
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
@@ -1021,7 +993,7 @@ void World::finish_pipeline(const PipePtr& tx) {
   complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
 }
 
-void World::fail_transfer(const PipePtr& tx, Time at) {
+void World::fail_transfer(const RndvPtr& tx, Time at) {
   tx->done = true;
   for (auto& seg : tx->segments) {
     seg.done = true;
@@ -1034,75 +1006,70 @@ void World::fail_transfer(const PipePtr& tx, Time at) {
   fail_requests(tx->env, tx->send_req, tx->recv.req, at);
 }
 
+const World::Envelope& World::envelope_of(const Unexpected& u) {
+  if (const auto* tx = std::get_if<WarmPtr>(&u)) return (*tx)->env;
+  if (const auto* rts = std::get_if<RtsMsg>(&u)) return rts->env;
+  return std::get<EagerMsg>(u).env;
+}
+
+std::deque<World::Unexpected>::iterator World::find_unexpected(RankState& state, int src,
+                                                                int tag) {
+  return std::find_if(state.unexpected.begin(), state.unexpected.end(), [&](const Unexpected& u) {
+    // A predecessor in retransmission recovery blocks a warm successor.
+    if (const auto* tx = std::get_if<WarmPtr>(&u);
+        tx != nullptr && (*tx)->seq != (*tx)->ch->next_consume_seq) {
+      return false;
+    }
+    return matches(src, tag, envelope_of(u));
+  });
+}
+
 Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_t capacity,
                         int src, int tag, WireMessage* wire_out) {
   auto req = std::make_shared<RequestState>();
   auto& state = ranks_[static_cast<std::size_t>(dst)];
   PostedRecv self{buf, capacity, src, tag, req, wire_out};
 
-  // Find the OLDEST matching unexpected message across the queues so a
-  // later eager message can never overtake an earlier rendezvous one.
-  const auto eager_it = std::find_if(state.unexpected_eager.begin(), state.unexpected_eager.end(),
-                                     [&](const EagerMsg& m) { return matches(self, m.env); });
-  const auto rts_it = std::find_if(state.pending_rts.begin(), state.pending_rts.end(),
-                                   [&](const RtsMsg& m) { return matches(self, m.env); });
-  // Parked warm-channel arrivals: only a channel's next in-order message is
-  // matchable (a predecessor in retransmission recovery blocks successors).
-  const auto warm_it =
-      std::find_if(state.parked_warm.begin(), state.parked_warm.end(), [&](const WarmPtr& tx) {
-        return tx->seq == tx->ch->next_consume_seq && matches(self, tx->env);
-      });
-  const bool has_eager = eager_it != state.unexpected_eager.end();
-  const bool has_rts = rts_it != state.pending_rts.end();
-  const bool has_warm = warm_it != state.parked_warm.end();
-  const std::uint64_t eager_at = has_eager ? eager_it->arrival : ~0ull;
-  const std::uint64_t rts_at = has_rts ? rts_it->arrival : ~0ull;
-  const std::uint64_t warm_at = has_warm ? (*warm_it)->arrival : ~0ull;
-
-  if (has_warm && warm_at < eager_at && warm_at < rts_at) {
-    WarmPtr tx = *warm_it;
-    state.parked_warm.erase(warm_it);
-    Timeline tl(ctx.now());
-    consume_warm(tx, std::move(self), tl);
-    ctx.advance_to(tl.now());
-    drain_parked_warm(dst);
+  // The oldest matching arrival, so a later message can never overtake an
+  // earlier one.
+  const auto it = find_unexpected(state, src, tag);
+  if (it == state.unexpected.end()) {
+    // Nothing waiting: post the receive.
+    state.posted.push_back(std::move(self));
+    ctx.advance(kHostRecvOverhead);
     return req;
   }
-  if (has_eager && eager_at < rts_at) {
-    const Status status = deliver_eager(self, *eager_it);
-    state.unexpected_eager.erase(eager_it);
+  if (const auto* eager = std::get_if<EagerMsg>(&*it)) {
+    const Status status = deliver_eager(self, *eager);
+    state.unexpected.erase(it);
     ctx.advance(kHostRecvOverhead);
     req->status = status;
     req->complete = true;
     return req;
   }
-  if (has_rts) {
-    RtsMsg rts = std::move(*rts_it);
-    state.pending_rts.erase(rts_it);
-    Timeline tl(ctx.now());
-    begin_rndv_receive(tl, std::move(rts), std::move(self));
+  Timeline tl(ctx.now());
+  if (auto* rts = std::get_if<RtsMsg>(&*it)) {
+    RtsMsg msg = std::move(*rts);
+    state.unexpected.erase(it);
+    begin_rndv_receive(tl, std::move(msg), std::move(self));
     ctx.advance_to(tl.now());
     return req;
   }
-  // Nothing waiting: post the receive.
-  state.posted.push_back(std::move(self));
-  ctx.advance(kHostRecvOverhead);
+  const WarmPtr tx = std::get<WarmPtr>(*it);
+  state.unexpected.erase(it);
+  consume_warm(tx, std::move(self), tl);
+  ctx.advance_to(tl.now());
+  drain_warm_heads(dst);
   return req;
 }
 
 bool World::do_iprobe(int rank, int src, int tag, Status* status) {
-  const auto& state = ranks_[static_cast<std::size_t>(rank)];
-  const Envelope* found = nullptr;
-  auto scan = [&](const Envelope& env) {
-    if (found == nullptr && matches(src, tag, env)) found = &env;
-  };
-  for (const auto& m : state.unexpected_eager) scan(m.env);
-  for (const auto& m : state.pending_rts) scan(m.env);
-  for (const auto& tx : state.parked_warm) {
-    if (tx->seq == tx->ch->next_consume_seq) scan(tx->env);
-  }
-  if (found != nullptr && status != nullptr) *status = Status{found->src, found->tag, found->bytes};
-  return found != nullptr;
+  auto& state = ranks_[static_cast<std::size_t>(rank)];
+  const auto it = find_unexpected(state, src, tag);
+  if (it == state.unexpected.end()) return false;
+  const Envelope& env = envelope_of(*it);
+  if (status != nullptr) *status = Status{env.src, env.tag, env.bytes};
+  return true;
 }
 
 Status World::do_probe(sim::ActorContext& ctx, int rank, int src, int tag) {

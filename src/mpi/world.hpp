@@ -11,6 +11,15 @@
 //                 prepares a temporary device buffer and answers with CTS;
 //                 the sender then pushes the (compressed) payload; on
 //                 arrival the receiver decompresses into the user buffer.
+//                 A pipelined rendezvous (mpi/pipeline.hpp) announces its
+//                 chunk geometry in the RTS and compresses chunk by chunk
+//                 after the CTS; a serial one is the same transfer with a
+//                 single segment.
+//
+// Matching: arrivals no posted receive wants (eager messages, RTSs, warm
+// channel messages) wait in one queue in arrival order. A receive takes
+// the first match and a probe reports that same message, so order alone
+// gives MPI's non-overtaking rule.
 //
 // Each rank is an actor fiber; the receiver side of the protocol runs in
 // engine events, modeling MVAPICH2-GDR's asynchronous progress engine.
@@ -29,9 +38,9 @@
 //     StatusError::RetryLimit (no hangs);
 //   * a decompression kernel fault NACKs with decode_fail, and the sender
 //     falls back to resending that segment raw from the user buffer.
-// One segment cycle implements this for every transfer kind: a serial
-// rendezvous is one segment cleared by RTS/CTS, a warm-channel message one
-// segment cleared by a credit, and a pipelined send one segment per chunk.
+// One segment cycle implements this for both transfer kinds: a rendezvous
+// is cleared by RTS/CTS and has one segment (serial) or one per chunk
+// (pipelined); a warm-channel message is one segment cleared by a credit.
 // Control packets (RTS/CTS/NACK) and eager messages ride the modeled
 // link-level-reliable control plane and are never dropped.
 #pragma once
@@ -43,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include <map>
@@ -373,8 +383,7 @@ class World {
   struct EagerMsg {
     Envelope env;
     Payload payload;
-    std::uint64_t arrival = 0;  // per-receiver arrival order (matching)
-    bool crc_ok = true;         // end-to-end CRC verdict (reliability layer)
+    bool crc_ok = true;  // end-to-end CRC verdict (reliability layer)
   };
 
   struct RtsMsg {
@@ -383,7 +392,6 @@ class World {
     Payload payload;  // wire bytes, staged at send time
     Request send_req;
     const void* sender_buf = nullptr;  // user buffer, for raw-resend fallback
-    std::uint64_t arrival = 0;
   };
 
   struct PostedRecv {
@@ -413,22 +421,6 @@ class World {
   // segment cycle: segment(i), the per-segment header bytes riding with the
   // payload, and the codec its telemetry events report.
 
-  /// One in-flight rendezvous payload transfer (CTS received, data being
-  /// pushed), kept alive until verified delivery or retry exhaustion.
-  struct RndvTransfer {
-    Envelope env;
-    Segment seg;
-    Request send_req;
-    PostedRecv recv;
-    std::shared_ptr<core::Staging> staging;
-    const void* sender_buf = nullptr;
-
-    Segment& segment(int) { return seg; }
-    [[nodiscard]] std::uint64_t segment_header_bytes(int) const { return 0; }  // rode the RTS
-    [[nodiscard]] core::Algorithm codec(int) const { return seg.header.algorithm; }
-  };
-  using RndvPtr = std::shared_ptr<RndvTransfer>;
-
   /// One in-flight warm-channel message (persistent channels): the payload
   /// ships with a compact RepeatHeader instead of the RTS/CTS handshake.
   /// Recovery is scoped to the message and never tears the channel down.
@@ -439,9 +431,8 @@ class World {
     Request send_req;
     const void* sender_buf = nullptr;  // raw-degrade source (user p2p only)
     std::uint32_t seq = 0;
-    bool failed = false;        // retry budget exhausted; its receive fails in order
-    std::uint64_t arrival = 0;  // stamp when parked unexpected
-    Payload delivered;          // arrived bytes, kept while parked
+    bool failed = false;  // retry budget exhausted; its receive fails in order
+    Payload delivered;    // arrived bytes, kept while parked
 
     /// The compact header this message carries, derived from its segment.
     [[nodiscard]] RepeatHeader repeat() const;
@@ -453,26 +444,29 @@ class World {
   };
   using WarmPtr = std::shared_ptr<WarmTransfer>;
 
-  /// One in-flight CHUNKED pipelined rendezvous (announced via an RTS whose
-  /// header carries pipeline_chunks >= 2). Compression, wire transfer, and
-  /// decompression of consecutive chunks overlap; each chunk is its own
-  /// segment, so a lost or corrupted chunk re-pushes only itself.
-  struct PipelineTransfer {
+  /// One in-flight rendezvous, kept alive until verified delivery or retry
+  /// exhaustion. Serial (chunks == 1): its one segment is the RTS header
+  /// and the payload compressed before the RTS. Pipelined (chunks >= 2,
+  /// announced by an RTS whose header carries pipeline_chunks):
+  /// compression, wire transfer, and decompression of consecutive chunks
+  /// overlap after the CTS; each chunk is its own segment, so a lost or
+  /// corrupted chunk re-pushes only itself.
+  struct RndvTransfer {
     Envelope env;
     Request send_req;
     PostedRecv recv;
-    const void* sender_buf = nullptr;
-    std::uint64_t chunk_bytes = 0;
+    const void* sender_buf = nullptr;  // user buffer: chunk and raw-degrade source
+    std::uint64_t chunk_bytes = 0;     // serial: the whole message
     int chunks = 0;
     int window = 0;  // max chunks concurrently in flight
     int blocks = 0;  // thread blocks per chunk kernel (SMs / window)
-    core::Staging staging;  // receiver slices
-    Payload assemble;  // wire-form receivers: chunks reassemble here
+    core::Staging staging;  // receiver decode staging (pipelined: per-chunk slices)
+    Payload assemble;  // pipelined wire-form receivers: chunks reassemble here
 
     // Progress-thread host cursors: per-chunk host work (launches, size
     // readbacks, CRC handling) serializes on the owning side's cursor even
     // when chunk events interleave in engine time.
-    sim::Time start;        // CTS arrival at the sender = pipeline start
+    sim::Time start;        // CTS arrival at the sender
     sim::Time send_cursor;
     sim::Time recv_cursor;
     sim::Time recv_done;    // max over chunk decompression completions
@@ -480,7 +474,7 @@ class World {
     int arrived = 0;        // chunks verified + consumed at the receiver
     bool done = false;
 
-    std::vector<Segment> segments;  // one per chunk, own sub-header and CRC
+    std::vector<Segment> segments;  // one per chunk (serial: one), own header and CRC
 
     // Overlap telemetry accumulators (PipelineRecord).
     std::uint64_t wire_total = 0;  // payload bytes pushed, retransmits included
@@ -489,15 +483,17 @@ class World {
     sim::Time transfer_busy;
     sim::Time decompress_busy;
 
+    [[nodiscard]] bool pipelined() const { return chunks >= 2; }
     Segment& segment(int i) { return segments[static_cast<std::size_t>(i)]; }
+    /// A serial header rode the RTS; a chunk carries its own sub-header.
     [[nodiscard]] std::uint64_t segment_header_bytes(int i) const {
-      return segments[static_cast<std::size_t>(i)].header.wire_bytes();
+      return pipelined() ? segments[static_cast<std::size_t>(i)].header.wire_bytes() : 0;
     }
     [[nodiscard]] core::Algorithm codec(int i) const {
       return segments[static_cast<std::size_t>(i)].header.algorithm;
     }
   };
-  using PipePtr = std::shared_ptr<PipelineTransfer>;
+  using RndvPtr = std::shared_ptr<RndvTransfer>;
 
   struct ProbeWaiter {
     int src = kAnySource;
@@ -505,18 +501,15 @@ class World {
     sim::ActorId actor = sim::kNoActor;
   };
 
+  /// An arrival no posted receive has matched yet.
+  using Unexpected = std::variant<EagerMsg, RtsMsg, WarmPtr>;
+
   struct RankState {
     std::unique_ptr<gpu::Gpu> gpu;
     std::unique_ptr<core::CompressionManager> mgr;
     std::deque<PostedRecv> posted;
-    std::deque<EagerMsg> unexpected_eager;
-    std::deque<RtsMsg> pending_rts;
-    std::deque<WarmPtr> parked_warm;  // warm arrivals with no posted receive
+    std::deque<Unexpected> unexpected;  // arrival order
     std::vector<ProbeWaiter> probe_waiters;
-    std::uint64_t next_arrival = 0;  // stamps unexpected messages so a
-                                     // receive matches the OLDEST arrival
-                                     // across the unexpected queues (MPI
-                                     // non-overtaking)
   };
 
   [[nodiscard]] static bool matches(int src, int tag, const Envelope& e) {
@@ -527,6 +520,11 @@ class World {
   }
   /// Remove and return the oldest posted receive matching `env`, if any.
   static std::optional<PostedRecv> take_posted(RankState& state, const Envelope& env);
+  [[nodiscard]] static const Envelope& envelope_of(const Unexpected& u);
+  /// The oldest unexpected arrival matching (src, tag): what the next such
+  /// receive takes and what a probe reports. A warm message matches only
+  /// as its channel's next in order.
+  static std::deque<Unexpected>::iterator find_unexpected(RankState& state, int src, int tag);
 
   // Protocol steps (see .cpp). Receiver-side handlers run in engine events.
   Request do_isend(sim::ActorContext& ctx, int src, const void* buf,
@@ -562,6 +560,8 @@ class World {
   /// one is capacity-checked and copied.
   void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
             void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
+  /// Receiver side of a matched RTS: build the transfer (serial or
+  /// pipelined), acquire its decode staging and send the CTS.
   void begin_rndv_receive(sim::Timeline& tl, RtsMsg rts, PostedRecv recv);
 
   // --- the segment cycle, shared by every transfer kind ---
@@ -588,13 +588,10 @@ class World {
   // reaction to a NACK, and the cleanup when the budget is spent.
   void on_segment_data(const RndvPtr& tx, int i, const Payload& delivered);
   void on_segment_data(const WarmPtr& tx, int i, const Payload& delivered);
-  void on_segment_data(const PipePtr& tx, int i, const Payload& delivered);
   void resend_segment(const RndvPtr& tx, int i, bool decode_fail);
   void resend_segment(const WarmPtr& tx, int i, bool decode_fail);
-  void resend_segment(const PipePtr& tx, int i, bool decode_fail);
   void fail_transfer(const RndvPtr& tx, sim::Time at);
   void fail_transfer(const WarmPtr& tx, sim::Time at);
-  void fail_transfer(const PipePtr& tx, sim::Time at);
 
   // Chunked pipelined rendezvous (see mpi/pipeline.hpp and DESIGN.md).
   /// Chunk size of a pipelined send of this message, or 0 when it takes
@@ -605,13 +602,14 @@ class World {
   Request pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
                          std::uint64_t bytes, int dst, int tag,
                          std::uint64_t chunk_bytes);
-  void begin_pipeline(sim::Timeline& tl, RtsMsg rts, PostedRecv recv);
-  void start_pipeline_sender(const PipePtr& tx);
-  void launch_pipeline_chunk(const PipePtr& tx);
-  void pipeline_chunk_ready(const PipePtr& tx, int chunk,
+  /// CTS arrival at the sender: push a serial payload, or start the
+  /// compression window of a pipelined one.
+  void start_rndv_sender(const RndvPtr& tx);
+  void launch_pipeline_chunk(const RndvPtr& tx);
+  void pipeline_chunk_ready(const RndvPtr& tx, int chunk,
                             const std::shared_ptr<core::CompressionManager::ChunkWire>& ck);
-  void finish_pipeline(const PipePtr& tx);
-  [[nodiscard]] std::uint64_t pipeline_chunk_len(const PipePtr& tx, int chunk) const {
+  void finish_pipeline(const RndvPtr& tx);
+  [[nodiscard]] std::uint64_t pipeline_chunk_len(const RndvPtr& tx, int chunk) const {
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
     return std::min(tx->chunk_bytes, tx->env.bytes - off);
   }
@@ -638,8 +636,9 @@ class World {
   /// failed message completes the receive with RetryLimit instead.
   void consume_warm(const WarmPtr& tx, PostedRecv recv, sim::Timeline& tl);
   /// After a consume bumped next_consume_seq, a parked out-of-order
-  /// successor may have become the head: try to match it.
-  void drain_parked_warm(int dst);
+  /// successor in the unexpected queue may have become the head: try to
+  /// match it.
+  void drain_warm_heads(int dst);
   /// Sender-side credit refill (piggybacked on the zero-cost completion
   /// notification): un-stall the oldest parked send if any.
   void refill_credit(Channel* ch, sim::Time at);

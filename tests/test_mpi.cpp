@@ -397,4 +397,37 @@ TEST(MiniMpiProbe, ProbeThenSizedRecv) {
   });
 }
 
+TEST(MiniMpiProbe, ProbeReportsTheMessageTheNextReceiveTakes) {
+  // A rendezvous message and a later eager one wait unexpected under the
+  // same tag. The receive takes the older one (non-overtaking), so the
+  // probe must report it too, or the probe-then-sized-receive idiom sizes
+  // its buffer for the wrong message.
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 1), no_compression());
+  const std::size_t big = 1 << 20;
+  mpi::Status probed;
+  mpi::Status first;
+  mpi::Status second;
+  world.run([&](Rank& R) {
+    if (R.rank() == 0) {
+      const std::vector<std::uint8_t> large(big, 3);
+      const int small = 7;
+      std::vector<mpi::Request> reqs{R.isend(large.data(), big, 1, 9), R.isend(&small, 4, 1, 9)};
+      R.waitall(reqs);
+    } else {
+      R.compute(Time::ms(1));  // both arrive before any receive is posted
+      EXPECT_TRUE(R.iprobe(0, 9, &probed));
+      std::vector<std::uint8_t> out(big);
+      first = R.recv(out.data(), big, 0, 9);
+      int small = 0;
+      second = R.recv(&small, 4, 0, 9);
+      EXPECT_EQ(out[big - 1], 3);
+      EXPECT_EQ(small, 7);
+    }
+  });
+  EXPECT_EQ(probed.bytes, big);
+  EXPECT_EQ(first.bytes, probed.bytes);
+  EXPECT_EQ(second.bytes, 4u);
+}
+
 }  // namespace

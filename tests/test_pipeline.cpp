@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/manager.hpp"
@@ -253,41 +254,50 @@ TEST(Pipeline, DecompressFaultDegradesOnlyTheFaultingChunkToRaw) {
 }
 
 TEST(Pipeline, FailedTransferReleasesTheStagingOfChunksStillCompressing) {
-  // Every chunk is dropped, so the transfer fails while later chunks are
-  // still compressing. Each of them must hand its staging back: the naive
-  // scheme cudaMallocs one per chunk, so a leak shows in the sender's live
-  // allocations once the run is over.
-  for (const int retries : {0, 2}) {
-    fault::FaultPlan plan;
-    plan.seed = 1;
-    plan.drop_probability = 1.0;
-    fault::FaultInjector injector(plan);
-    mpi::WorldOptions opts = pipelined_opts(64ull << 10);
-    opts.max_data_retries = retries;
-    opts.fault = &injector;
-    sim::Engine engine;
-    mpi::World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_naive(), opts);
-    const std::size_t n = (16ull << 20) / 4;
-    const auto payload = make_floats(PayloadKind::SmoothField, n, 52);
-    std::size_t before = 0;
-    mpi::Status send_status;
-    mpi::Status recv_status;
-    world.run([&](mpi::Rank& R) {
-      if (R.rank() == 0) {
-        void* d = R.gpu_malloc(n * 4);
-        std::memcpy(d, payload.data(), n * 4);
-        before = R.gpu().allocation_count();
-        mpi::Request req = R.isend(d, n * 4, 1, 7);
-        send_status = R.wait(req);
-      } else {
-        std::vector<float> out(n);
-        recv_status = R.recv(out.data(), n * 4, 0, 7);
-      }
-    });
-    EXPECT_EQ(send_status.error, mpi::StatusError::RetryLimit) << "retries " << retries;
-    EXPECT_EQ(recv_status.error, mpi::StatusError::RetryLimit) << "retries " << retries;
-    EXPECT_EQ(before, 1u);
-    EXPECT_EQ(world.gpu_of(0).allocation_count(), before) << "retries " << retries;
+  // Every segment is dropped, so the transfer fails; a pipelined one fails
+  // while later chunks are still compressing. Each staging must go back:
+  // the naive scheme cudaMallocs one per chunk on the sender and the decode
+  // staging on the receiver, so a leak shows in either side's live
+  // allocations once the run is over. The serial input (pipeline off) runs
+  // the one-segment form of the same transfer.
+  for (const bool pipelined : {true, false}) {
+    for (const int retries : {0, 2}) {
+      SCOPED_TRACE(std::string(pipelined ? "pipelined" : "serial") + ", retries " +
+                   std::to_string(retries));
+      fault::FaultPlan plan;
+      plan.seed = 1;
+      plan.drop_probability = 1.0;
+      fault::FaultInjector injector(plan);
+      mpi::WorldOptions opts = pipelined ? pipelined_opts(64ull << 10) : mpi::WorldOptions{};
+      opts.max_data_retries = retries;
+      opts.fault = &injector;
+      sim::Engine engine;
+      mpi::World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_naive(), opts);
+      const std::size_t n = (16ull << 20) / 4;
+      const auto payload = make_floats(PayloadKind::SmoothField, n, 52);
+      std::size_t send_before = 0;
+      std::size_t recv_before = 0;
+      mpi::Status send_status;
+      mpi::Status recv_status;
+      world.run([&](mpi::Rank& R) {
+        if (R.rank() == 0) {
+          void* d = R.gpu_malloc(n * 4);
+          std::memcpy(d, payload.data(), n * 4);
+          send_before = R.gpu().allocation_count();
+          mpi::Request req = R.isend(d, n * 4, 1, 7);
+          send_status = R.wait(req);
+        } else {
+          std::vector<float> out(n);
+          recv_before = R.gpu().allocation_count();
+          recv_status = R.recv(out.data(), n * 4, 0, 7);
+        }
+      });
+      EXPECT_EQ(send_status.error, mpi::StatusError::RetryLimit);
+      EXPECT_EQ(recv_status.error, mpi::StatusError::RetryLimit);
+      EXPECT_EQ(send_before, 1u);
+      EXPECT_EQ(world.gpu_of(0).allocation_count(), send_before);
+      EXPECT_EQ(world.gpu_of(1).allocation_count(), recv_before);
+    }
   }
 }
 
