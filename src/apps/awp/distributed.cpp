@@ -1,11 +1,8 @@
 #include "apps/awp/distributed.hpp"
 
-#include "apps/awp/elastic.hpp"
-
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 namespace gcmpi::apps::awp {
@@ -34,10 +31,8 @@ Neighbors neighbors_of(int rank, int px, int py) {
 
 /// Exchange ghost planes of every field with the (up to) four neighbours,
 /// device-buffer to device-buffer, non-blocking + waitall to avoid
-/// ordering deadlocks — the AWP-ODC-OS pattern. Works for both the
-/// 4-field acoustic and the 9-field elastic solver.
-template <typename SolverT>
-void halo_exchange(Rank& R, SolverT& solver, const Neighbors& nb, float* sxm, float* sxp,
+/// ordering deadlocks — the AWP-ODC-OS pattern.
+void halo_exchange(Rank& R, Solver& solver, const Neighbors& nb, float* sxm, float* sxp,
                    float* sym, float* syp, float* rxm, float* rxp, float* rym, float* ryp) {
   const std::size_t xv = solver.x_face_values();
   const std::size_t yv = solver.y_face_values();
@@ -77,28 +72,23 @@ float* zeroed_floats(Rank& R, std::size_t n) {
   return q;
 }
 
-/// The half step that follows the velocity update.
-void step_second_half(Solver& solver) { solver.step_pressure(); }
-void step_second_half(ElasticSolver& solver) { solver.step_stress(); }
+}  // namespace
 
-/// The distributed driver both solvers share. `make_solver` allocates the
-/// solver's fields in device memory, so halo sends are device buffers; it
-/// records them in `fields` (freed first at the end) and builds the solver
-/// over them.
-template <typename MakeSolver>
-AwpReport drive(Rank& R, const AwpConfig& config, const std::string& who,
-                MakeSolver make_solver) {
+AwpReport run_awp(Rank& R, const AwpConfig& config) {
   const int P = R.size();
   if (config.px * config.py != P) {
-    throw std::invalid_argument(who + ": px*py must equal world size");
+    throw std::invalid_argument("run_awp: px*py must equal world size");
   }
   const Grid& g = config.local;
   const int cx = R.rank() % config.px;
   const int cy = R.rank() / config.px;
   const Neighbors nb = neighbors_of(R.rank(), config.px, config.py);
 
-  std::vector<float*> fields;
-  auto solver = make_solver(fields);
+  // Fields live in (simulated) GPU memory so halo sends are device buffers.
+  const std::size_t store = g.storage();
+  float *p = zeroed_floats(R, store), *vx = zeroed_floats(R, store);
+  float *vy = zeroed_floats(R, store), *vz = zeroed_floats(R, store);
+  Solver solver(g, config.physics, {p, store}, {vx, store}, {vy, store}, {vz, store});
 
   // Single moment source at the global center (Sec. VII-A).
   const auto gcx = static_cast<std::ptrdiff_t>(config.px * g.nx / 2);
@@ -114,7 +104,7 @@ AwpReport drive(Rank& R, const AwpConfig& config, const std::string& who,
   float *sxm = dev_floats(xv), *sxp = dev_floats(xv), *rxm = dev_floats(xv), *rxp = dev_floats(xv);
   float *sym = dev_floats(yv), *syp = dev_floats(yv), *rym = dev_floats(yv), *ryp = dev_floats(yv);
 
-  // GPU compute-time charge per half step (velocity or second-half update).
+  // GPU compute-time charge per half step (velocity or pressure update).
   const double peak = R.gpu().spec().peak_fp32_tflops * 1e12;
   const Time half_step = Time::seconds(static_cast<double>(g.cells()) *
                                        config.model_flops_per_cell / 2.0 /
@@ -143,7 +133,7 @@ AwpReport drive(Rank& R, const AwpConfig& config, const std::string& who,
     halo_exchange(R, solver, nb, sxm, sxp, sym, syp, rxm, rxp, rym, ryp);
     comm_acc += R.now() - c0;
     solver.apply_rigid_boundary(cx == 0, cx == config.px - 1, cy == 0, cy == config.py - 1);
-    step_second_half(solver);
+    solver.step_pressure();
     R.compute(half_step);
     compute_acc += half_step;
   }
@@ -163,31 +153,8 @@ AwpReport drive(Rank& R, const AwpConfig& config, const std::string& who,
   R.allreduce(&local_e, &global_e, 1, mpi::ReduceOp::Sum);
   report.final_energy = global_e;
 
-  for (float* q : fields) R.gpu_free(q);
-  for (float* q : {sxm, sxp, rxm, rxp, sym, syp, rym, ryp}) R.gpu_free(q);
+  for (float* q : {p, vx, vy, vz, sxm, sxp, rxm, rxp, sym, syp, rym, ryp}) R.gpu_free(q);
   return report;
-}
-
-}  // namespace
-
-AwpReport run_awp(Rank& R, const AwpConfig& config) {
-  return drive(R, config, "run_awp", [&](std::vector<float*>& fields) {
-    const std::size_t store = config.local.storage();
-    for (int f = 0; f < kFields; ++f) fields.push_back(zeroed_floats(R, store));
-    return Solver(config.local, config.physics, {fields[0], store}, {fields[1], store},
-                  {fields[2], store}, {fields[3], store});
-  });
-}
-
-AwpReport run_elastic(Rank& R, const AwpConfig& config) {
-  return drive(R, config, "run_elastic", [&](std::vector<float*>& fields) {
-    const std::size_t store = ElasticSolver::storage_floats(config.local);
-    fields.push_back(zeroed_floats(R, store));
-    ElasticParams phys;
-    phys.dt = config.physics.dt * 0.5;  // elastic CFL is tighter (vp > c)
-    phys.dx = config.physics.dx;
-    return ElasticSolver(config.local, phys, {fields[0], store});
-  });
 }
 
 }  // namespace gcmpi::apps::awp

@@ -47,10 +47,3 @@ struct AwpReport {
 AwpReport run_awp(mpi::Rank& R, const AwpConfig& config);
 
 }  // namespace gcmpi::apps::awp
-
-namespace gcmpi::apps::awp {
-/// Same driver with the faithful 9-field elastic solver (elastic.hpp):
-/// halo messages carry 3 velocity + 6 stress planes per face, the layout
-/// AWP-ODC actually exchanges. Uses half the acoustic dt (tighter CFL).
-AwpReport run_elastic(mpi::Rank& R, const AwpConfig& config);
-}  // namespace gcmpi::apps::awp

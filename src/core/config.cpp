@@ -15,7 +15,6 @@ CompressionConfig CompressionConfig::off() { return {}; }
 
 CompressionConfig CompressionConfig::mpc_naive(int dimensionality) {
   CompressionConfig c;
-  c.enabled = true;
   c.algorithm = Algorithm::MPC;
   c.mpc_dimensionality = dimensionality;
   c.use_buffer_pool = false;
@@ -27,7 +26,6 @@ CompressionConfig CompressionConfig::mpc_naive(int dimensionality) {
 
 CompressionConfig CompressionConfig::mpc_opt(int dimensionality) {
   CompressionConfig c;
-  c.enabled = true;
   c.algorithm = Algorithm::MPC;
   c.mpc_dimensionality = dimensionality;
   return c;
@@ -35,7 +33,6 @@ CompressionConfig CompressionConfig::mpc_opt(int dimensionality) {
 
 CompressionConfig CompressionConfig::zfp_naive(int rate) {
   CompressionConfig c;
-  c.enabled = true;
   c.algorithm = Algorithm::ZFP;
   c.zfp_rate = rate;
   c.use_buffer_pool = false;
@@ -47,7 +44,6 @@ CompressionConfig CompressionConfig::zfp_naive(int rate) {
 
 CompressionConfig CompressionConfig::zfp_opt(int rate) {
   CompressionConfig c;
-  c.enabled = true;
   c.algorithm = Algorithm::ZFP;
   c.zfp_rate = rate;
   return c;

@@ -27,7 +27,7 @@ struct PartitionRule {
 };
 
 struct CompressionConfig {
-  bool enabled = false;
+  /// The codec; Algorithm::None turns compression off.
   Algorithm algorithm = Algorithm::None;
 
   /// Only device-resident messages of at least this size are compressed
@@ -42,7 +42,7 @@ struct CompressionConfig {
 
   // --- MPC control parameters (the "A" header fields of Fig. 4) ---
   int mpc_dimensionality = 1;
-  std::size_t mpc_chunk_values = 1024;
+  static constexpr std::size_t mpc_chunk_values = 1024;
 
   // --- ZFP control parameters ---
   int zfp_rate = 16;  // compressed bits per value

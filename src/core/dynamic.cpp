@@ -83,15 +83,12 @@ CandidateCost DynamicSelector::choose(std::span<const float> message) const {
 void DynamicSelector::apply(const CandidateCost& decision, CompressionConfig& config) {
   switch (decision.algorithm) {
     case Algorithm::None:
-      config.enabled = false;
       config.algorithm = Algorithm::None;
       break;
     case Algorithm::MPC:
-      config.enabled = true;
       config.algorithm = Algorithm::MPC;
       break;
     case Algorithm::ZFP:
-      config.enabled = true;
       config.algorithm = Algorithm::ZFP;
       config.zfp_rate = decision.zfp_rate;
       break;

@@ -24,16 +24,15 @@ void charge(Timeline& tl, Time t, Breakdown* bd, Phase phase) {
 
 CompressionManager::CompressionManager(gpu::Gpu& gpu, CompressionConfig config)
     : gpu_(gpu), config_(std::move(config)) {
-  if (config_.enabled && config_.use_buffer_pool) {
+  if (config_.algorithm != Algorithm::None && config_.use_buffer_pool) {
     // Pre-allocated at init time (MPI_Init), hence untimed (Sec. IV-B 1).
     pool_.emplace(gpu_, config_.pool_buffer_bytes, config_.pool_buffers);
   }
 }
 
 bool CompressionManager::should_compress(const void* buf, std::uint64_t bytes) const {
-  return config_.enabled && config_.algorithm != Algorithm::None &&
-         bytes >= config_.threshold_bytes && bytes % 4 == 0 && bytes >= 16 &&
-         gpu_.owns(buf);
+  return config_.algorithm != Algorithm::None && bytes >= config_.threshold_bytes &&
+         bytes % 4 == 0 && bytes >= 16 && gpu_.owns(buf);
 }
 
 CompressionManager::AdaptiveGuard::AdaptiveGuard(CompressionManager& mgr, Timeline& tl,
@@ -647,8 +646,7 @@ CompressionManager::ChunkWire CompressionManager::compress_chunk(
   ChunkWire ck;
   ck.wire.header.original_bytes = bytes;
   const auto eligible = [&] {
-    return config_.enabled && config_.algorithm != Algorithm::None && bytes % 4 == 0 &&
-           bytes >= 16;
+    return config_.algorithm != Algorithm::None && bytes % 4 == 0 && bytes >= 16;
   };
 
   // Per-chunk policy consultation: each chunk carries its own header, so

@@ -94,7 +94,6 @@ class CompressionManager {
   CompressionManager(gpu::Gpu& gpu, CompressionConfig config);
 
   [[nodiscard]] const CompressionConfig& config() const { return config_; }
-  CompressionConfig& mutable_config() { return config_; }
   [[nodiscard]] gpu::Gpu& gpu() { return gpu_; }
 
   /// Does this message qualify for on-the-fly compression? (device-resident
@@ -273,7 +272,6 @@ class CompressionManager {
   /// codec setup, and replay a captured launch graph. Off (the default)
   /// leaves every charge byte-identical to the uncached paths.
   void enable_plan_cache(bool on) { plan_cache_enabled_ = on; }
-  [[nodiscard]] bool plan_cache_enabled() const { return plan_cache_enabled_; }
   [[nodiscard]] const PlanCacheStats& plan_stats() const { return plan_stats_; }
   /// Every staging buffer acquisition (pool or naive), including plan-slot
   /// growth. Warm iterations on cached plans must not move this counter.

@@ -127,21 +127,6 @@ void Gpu::gdrcopy_small(Timeline& tl, void* dst, const void* src,
   std::memcpy(dst, src, bytes);
 }
 
-void Gpu::memcpy_d2d_async(Timeline& tl, Stream& stream, void* dst,
-                           const void* src, std::size_t bytes, Breakdown* bd) {
-  std::memmove(dst, src, bytes);  // real effect now; time modeled on stream
-  stream.launch(tl, spec_.costs.d2d_copy(bytes), bd, Phase::DataCopies);
-}
-
-void Gpu::memset_async(Timeline& tl, Stream& stream, void* p, int value,
-                       std::size_t bytes, Breakdown* bd) {
-  std::memset(p, value, bytes);
-  // Tiny device-side duration; enqueue cost dominates.
-  charge(tl, spec_.costs.cuda_memset_launch, bd, Phase::MemoryAllocation);
-  stream.launch(tl, sim::transfer_time(bytes, spec_.mem_bandwidth_gbs), bd,
-                Phase::MemoryAllocation);
-}
-
 int Gpu::query_max_grid_dim_via_properties(Timeline& tl, Breakdown* bd) {
   charge(tl, spec_.costs.device_properties_query, bd, Phase::DeviceQuery);
   return max_grid_dim_;

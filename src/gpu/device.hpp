@@ -108,12 +108,6 @@ class Gpu {
   /// GDRCopy read of a small control word (the MPC-OPT optimization).
   void gdrcopy_small(Timeline& tl, void* dst, const void* src,
                      std::size_t bytes, Breakdown* bd = nullptr);
-  /// Async D2D copy on `stream` (used to merge MPC-OPT partitions).
-  void memcpy_d2d_async(Timeline& tl, Stream& stream, void* dst,
-                        const void* src, std::size_t bytes, Breakdown* bd = nullptr);
-  /// Async memset (the d_off "-1" initialization).
-  void memset_async(Timeline& tl, Stream& stream, void* p, int value,
-                    std::size_t bytes, Breakdown* bd = nullptr);
 
   // --- device attribute queries (the ZFP-OPT fix, Sec. V) ---
 

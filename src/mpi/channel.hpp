@@ -8,9 +8,9 @@
 // channel amortizes all of it:
 //
 //   * warm-up — after the first successful cold delivery on an eligible
-//     (src, dst, tag, shape) route, the receiver pre-acquires staging for
-//     the shape, caches the compression-header template, and grants the
-//     sender N credits in ONE control packet;
+//     (src, dst, tag, shape) route, the receiver caches the
+//     compression-header template and grants the sender N credits in ONE
+//     control packet;
 //   * warm sends — while credits last the sender skips the RTS/CTS round
 //     trip entirely: the payload ships with a compact RepeatHeader (channel
 //     id + sequence + wire length + CRC) from which the receiver rebuilds
@@ -19,8 +19,10 @@
 //     notification, so a steady-state iteration costs zero control-plane
 //     round trips and zero staging acquisitions;
 //   * plan reuse — compression/decompression on a warm channel runs through
-//     the CompressionManager plan cache (core/plan_cache.hpp): held staging
-//     slots, skipped codec setup, CUDA-graph launch replay;
+//     the CompressionManager plan cache (core/plan_cache.hpp): each consume
+//     takes its decode staging from the shape's plan slots and returns it,
+//     like every other receive, so same-shape channels share one slot;
+//     codec setup is skipped and the launch graph replayed;
 //   * fault composition — a dropped or corrupted warm payload retransmits
 //     on the channel (per-message watchdog/NACK, same budget as the serial
 //     protocol) without tearing the channel down; a decompression fault
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "core/header.hpp"
-#include "core/manager.hpp"
 
 namespace gcmpi::mpi {
 
@@ -94,7 +95,7 @@ struct RepeatHeader {
     const core::CompressionHeader& first, std::uint64_t bytes);
 
 /// One persistent channel. Lives in the World's channel table; the sender
-/// side uses the credit/sequence fields, the receiver side the staging and
+/// side uses the credit/sequence fields, the receiver side the template and
 /// consume cursor (both ends of a simulated channel share the object, as
 /// the real implementation shares the channel state via the control plane).
 struct Channel {
@@ -109,8 +110,6 @@ struct Channel {
   // --- receiver side ---
   std::uint32_t next_consume_seq = 0;
   core::CompressionHeader tmpl;  // cached at warm-up, expands RepeatHeaders
-  core::Staging staging;  // held across iterations
-  bool staging_held = false;
 
   // --- telemetry (flushed as one ChannelRecord at end of run) ---
   std::uint32_t warmups = 0;        // cold->warm transitions (grants sent)

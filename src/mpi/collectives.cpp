@@ -16,8 +16,6 @@ namespace gcmpi::mpi {
 
 namespace {
 
-constexpr int kCollTagBase = 1 << 20;
-
 // The canonical accumulator-first fold shared with the collective engine
 // and the host oracle (see compress/reduce.hpp).
 void apply_op(float* acc, const float* in, std::size_t n, ReduceOp op) {

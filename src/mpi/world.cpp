@@ -39,11 +39,6 @@ std::uint32_t payload_crc(const std::vector<std::uint8_t>& payload) {
   return payload.empty() ? 0 : util::crc32c(payload.data(), payload.size());
 }
 
-/// Tags at/above this value are collective-internal (see collectives.cpp's
-/// kCollTagBase): a fresh one is minted per invocation, so a channel keyed
-/// on it would never see a second message.
-constexpr int kMaxUserTag = 1 << 20;
-
 /// Can this freshly compressed header ride the warm channel? The cached
 /// template only expands RepeatHeaders whose control parameters it holds;
 /// an adaptive codec/rate switch demotes the message to a cold send (which
@@ -185,7 +180,7 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
   // only: collective-internal tags mint a fresh value per invocation and
   // would never re-warm (engines ride wire channels).
   Channel* ch = nullptr;
-  if (options_.persistent.enabled && tag >= 0 && tag < kMaxUserTag) {
+  if (options_.persistent.enabled && tag >= 0 && tag < kCollTagBase) {
     ch = channel_for(ChannelKey{src, dst, tag, bytes});
   }
 
@@ -559,7 +554,7 @@ Channel* World::channel_for(const ChannelKey& key) {
 }
 
 void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeader& header,
-                               bool wire_mode, Time at) {
+                               Time at) {
   if (!options_.persistent.enabled) return;
   // The sender registered the channel at its first send: user p2p sends
   // under their exact tag, engine wire sends under the wildcard class.
@@ -574,8 +569,8 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
   // expansion needs. A raw first delivery (fallback) still records the
   // route's configured codec so later compressed messages stay expandable.
   core::CompressionHeader basis = header;
-  const bool allow = compresses(env.src, env.dst);
-  if (!header.compressed && allow && compression_.algorithm != core::Algorithm::None) {
+  if (!header.compressed && compresses(env.src, env.dst) &&
+      compression_.algorithm != core::Algorithm::None) {
     basis.algorithm = compression_.algorithm;
     basis.zfp_rate = static_cast<std::uint16_t>(compression_.zfp_rate);
     basis.mpc_dimensionality = static_cast<std::uint16_t>(compression_.mpc_dimensionality);
@@ -583,27 +578,10 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
   }
   ch->tmpl = make_channel_template(basis, env.bytes);
 
-  Timeline tl(at);  // receiver progress-engine work (one-time warm-up cost)
-  if (!wire_mode && ch->tmpl.algorithm != core::Algorithm::None && allow) {
-    // Pre-acquire the decode staging the warm consumes will reuse. Sized
-    // for the raw-fallback upper bound, so every per-iteration compressed
-    // size fits.
-    auto& state = ranks_[static_cast<std::size_t>(env.dst)];
-    core::CompressionHeader synth = ch->tmpl;
-    synth.compressed = true;
-    synth.compressed_bytes = env.bytes;
-    if (synth.algorithm == core::Algorithm::MPC) {
-      synth.partition_bytes.assign(
-          static_cast<std::size_t>(compression_.partitions_for(env.bytes)), 0);
-    }
-    ch->staging = state.mgr->prepare_receive(tl, synth);
-    ch->staging_held = true;
-  }
-
   // ONE control packet grants the full credit window; refills piggyback on
   // the (zero-cost) consume notifications from then on.
   ++ch->warmups;
-  const Time t_grant = fabric_->control(tl.now(), env.dst, env.src, kGrantBytes);
+  const Time t_grant = fabric_->control(at, env.dst, env.src, kGrantBytes);
   engine_.schedule(t_grant, [ch]() {
     ch->warm = true;
     ch->credits = kChannelCredits;
@@ -693,24 +671,21 @@ void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
     // Engine wire receive: hand over the compressed form as-is.
     *recv.wire_out = msg;
   } else {
-    if (msg.header.compressed && !ch->staging_held) {
-      // Channel warmed on wire-form deliveries; the first buffer-form
-      // consume acquires the staging, which is then held like the rest.
-      core::CompressionHeader synth = msg.header;
-      synth.compressed_bytes = tx->env.bytes;
-      ch->staging = state.mgr->prepare_receive(tl, synth);
-      ch->staging_held = true;
-    }
-    const bool planned = ch->staging.planned();
+    // Decode staging comes from the plan cache, as for every receive: a
+    // steady-state consume finds the shape's slot free and reuses it.
+    core::Staging staging = state.mgr->prepare_receive(tl, msg.header);
+    const bool planned = staging.planned();
     try {
-      land(tl, tx->env.dst, msg, ch->staging, recv.buf, recv.capacity);
+      land(tl, tx->env.dst, msg, staging, recv.buf, recv.capacity);
     } catch (const core::CodecFaultError&) {
       // Intact stream, faulting kernel: repost the receive so the raw
       // redelivery finds it, and ask the sender to degrade this message.
+      state.mgr->release(tl, staging);
       state.posted.push_front(std::move(recv));
       nack_segment(tx, 0, tl.now(), true);
       return;
     }
+    state.mgr->release(tl, staging);
     if (msg.header.compressed) ++(planned ? ch->plan_hits : ch->plan_misses);
   }
 
@@ -735,7 +710,11 @@ void World::drain_warm_heads(int dst) {
       const WarmPtr tx = *parked;
       if (tx->seq != tx->ch->next_consume_seq) continue;
       auto recv = take_posted(state, tx->env);
-      if (!recv) continue;
+      if (!recv) {
+        // A new head with no receive: a blocked probe may match it now.
+        wake_probers(state, tx->env);
+        continue;
+      }
       state.unexpected.erase(it);
       Timeline tl(engine_.now());
       consume_warm(tx, std::move(*recv), tl);
@@ -916,7 +895,7 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
     complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
     // A successful cold exchange is the channel's warm-up exchange: the
     // receiver now grants credits so the next message can skip the handshake.
-    maybe_warm_channel(tx->env, msg.header, tx->recv.wire_out != nullptr, tl.now());
+    maybe_warm_channel(tx->env, msg.header, tl.now());
     return;
   }
 

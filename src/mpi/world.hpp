@@ -71,6 +71,10 @@ namespace gcmpi::mpi {
 
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+/// Tags at/above this value are collective-internal: each collective call
+/// mints a fresh one (Rank::next_coll_tag), so a persistent channel keyed
+/// on it would never see a second message.
+inline constexpr int kCollTagBase = 1 << 20;
 
 /// Why a request finished unsuccessfully. Only the reliability layer
 /// produces non-None values today.
@@ -146,7 +150,7 @@ struct WorldOptions {
   /// Persistent channels (see mpi/channel.hpp): repeated same-shape
   /// exchanges skip the RTS/CTS handshake after a one-time warm-up (one
   /// grant of world.cpp's kChannelCredits) and reuse cached compression
-  /// plans + held receiver staging. Off by default: the cold protocol is
+  /// plans and their staging slots. Off by default: the cold protocol is
   /// reproduced bit-for-bit.
   struct PersistentOptions {
     bool enabled = false;
@@ -617,10 +621,11 @@ class World {
   // --- persistent channels (see mpi/channel.hpp) ---
   /// Find-or-create the channel for a key (assigns the id on creation).
   Channel* channel_for(const ChannelKey& key);
-  /// Receiver-side warm-up after a successful cold delivery: pre-acquire
-  /// staging, cache the header template, send the one-time credit grant.
+  /// Receiver-side warm-up after a successful cold delivery: cache the
+  /// header template and send the one-time credit grant. Warm consumes take
+  /// their decode staging from the plan cache, like every other receive.
   void maybe_warm_channel(const Envelope& env, const core::CompressionHeader& header,
-                          bool wire_mode, sim::Time at);
+                          sim::Time at);
   /// Handshake-free warm send: consume a credit (or stall), ship the
   /// payload with a RepeatHeader. `header` is the freshly compressed wire
   /// header; `payload` the staged wire bytes.
@@ -636,8 +641,9 @@ class World {
   /// failed message completes the receive with RetryLimit instead.
   void consume_warm(const WarmPtr& tx, PostedRecv recv, sim::Timeline& tl);
   /// After a consume bumped next_consume_seq, a parked out-of-order
-  /// successor in the unexpected queue may have become the head: try to
-  /// match it.
+  /// successor in the unexpected queue may have become the head: match it
+  /// to a posted receive, or else wake a blocked probe that matches it (no
+  /// arrival will announce it).
   void drain_warm_heads(int dst);
   /// Sender-side credit refill (piggybacked on the zero-cost completion
   /// notification): un-stall the oldest parked send if any.

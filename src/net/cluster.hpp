@@ -35,7 +35,6 @@ struct ClusterSpec {
   /// Lowest rank on `rank`'s node: the node's representative in the
   /// hierarchical collectives' inter-node leader ring.
   [[nodiscard]] int node_leader(int rank) const { return node_of(rank) * gpus_per_node; }
-  [[nodiscard]] bool is_node_leader(int rank) const { return rank == node_leader(rank); }
   /// The ranks on `node` in rank order, leader first: gpus_per_node
   /// consecutive ranks under the block distribution.
   [[nodiscard]] auto node_ranks(int node) const {
@@ -101,7 +100,6 @@ class Fabric {
 
   /// Install (or clear, with nullptr) the deterministic fault injector.
   void set_fault_injector(fault::FaultInjector* injector) { fault_ = injector; }
-  [[nodiscard]] fault::FaultInjector* fault_injector() const { return fault_; }
 
   [[nodiscard]] const ClusterSpec& spec() const { return spec_; }
   [[nodiscard]] std::uint64_t bytes_moved() const { return bytes_moved_; }

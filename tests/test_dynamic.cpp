@@ -91,13 +91,12 @@ TEST(DynamicSelector, ApplyWritesConfig) {
   core::CompressionConfig cfg = core::CompressionConfig::mpc_opt();
   core::CandidateCost zfp{Algorithm::ZFP, 8, 4.0, sim::Time::us(10)};
   DynamicSelector::apply(zfp, cfg);
-  EXPECT_TRUE(cfg.enabled);
   EXPECT_EQ(cfg.algorithm, Algorithm::ZFP);
   EXPECT_EQ(cfg.zfp_rate, 8);
 
   core::CandidateCost none{Algorithm::None, 0, 1.0, sim::Time::us(10)};
   DynamicSelector::apply(none, cfg);
-  EXPECT_FALSE(cfg.enabled);
+  EXPECT_EQ(cfg.algorithm, Algorithm::None);
 }
 
 TEST(DynamicSelectorProperty, ChooseNeverPicksLossyWhenLossyDisallowed) {
