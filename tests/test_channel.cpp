@@ -489,4 +489,165 @@ TEST(PersistentChannel, ProbeWakesWhenParkedWarmMessageBecomesHead) {
                                  << (bad_seeds.empty() ? 0 : bad_seeds.front());
 }
 
+// --- Non-overtaking on warm channels ------------------------------------
+// A warm message that is stalled on credits, dropped, or decode-faulted is
+// still the earlier message: a later send under the same tag must not take
+// the receive it is due to fill. Every scenario also runs with channels off,
+// where the cold protocol already keeps this order.
+
+constexpr std::size_t kWarmFloats = 1 << 16;  // 256 KiB: a rendezvous shape
+constexpr std::size_t kEagerBytes = 1 << 10;  // 1 KiB: rides the eager path
+constexpr int kOrderTag = 7;
+
+/// Message m (0..6) of a run: a smooth (MPC-compressible) field shifted by
+/// m, so every message has distinct bytes.
+const std::vector<float>& warm_message(int m) {
+  static const auto messages = [] {
+    std::vector<std::vector<float>> all(7, data::smooth_field(kWarmFloats, 1e-4, 8));
+    for (std::size_t k = 0; k < all.size(); ++k) {
+      for (auto& x : all[k]) x += static_cast<float>(k);
+    }
+    return all;
+  }();
+  return messages.at(static_cast<std::size_t>(m));
+}
+
+std::vector<std::uint8_t> eager_message() {
+  std::vector<std::uint8_t> v(kEagerBytes);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  return v;
+}
+
+/// Rank 0 warms tag 7 with one rendezvous send, then (after a barrier)
+/// isends `warm` more rendezvous messages and one 1 KiB eager message on
+/// tag 7; rank 1 posts one irecv(0, 7) per message, `post_delay` after the
+/// barrier. Returns the
+/// receives that got another message than the one sent in their position
+/// (a RetryLimit failure of a rendezvous message in its own position is
+/// not a misorder). -1 if the run deadlocked. `stalls` gets the channel's
+/// credit stalls.
+int misordered_receives(int warm, core::CompressionConfig cfg, bool persistent,
+                        fault::FaultInjector* injector = nullptr,
+                        Time post_delay = Time::zero(), std::uint64_t* stalls = nullptr) {
+  sim::Engine engine;
+  mpi::WorldOptions opts;
+  opts.fault = injector;
+  opts.persistent.enabled = persistent;
+  World world(engine, net::longhorn(2, 1), cfg, opts);
+  constexpr std::size_t kBytes = kWarmFloats * 4;
+  const auto eager = eager_message();
+  int misordered = 0;
+  try {
+    world.run([&](Rank& R) {
+      if (R.rank() == 0) {
+        auto* dev = static_cast<float*>(R.gpu_malloc(kBytes * static_cast<std::size_t>(warm + 1)));
+        for (int m = 0; m <= warm; ++m) {
+          std::memcpy(dev + static_cast<std::size_t>(m) * kWarmFloats, warm_message(m).data(),
+                      kBytes);
+        }
+        R.send(dev, kBytes, 1, kOrderTag);  // cold: warms the channel
+        R.barrier();
+        std::vector<mpi::Request> reqs;
+        for (int m = 1; m <= warm; ++m) {
+          reqs.push_back(R.isend(dev + static_cast<std::size_t>(m) * kWarmFloats, kBytes, 1,
+                                 kOrderTag));
+        }
+        reqs.push_back(R.isend(eager.data(), kEagerBytes, 1, kOrderTag));
+        R.waitall(reqs);
+        R.gpu_free(dev);
+        return;
+      }
+      std::vector<float> first(kWarmFloats);
+      (void)R.recv(first.data(), kBytes, 0, kOrderTag);
+      R.barrier();
+      R.compute(post_delay);
+      std::vector<std::vector<float>> got(static_cast<std::size_t>(warm) + 1,
+                                          std::vector<float>(kWarmFloats));
+      std::vector<mpi::Request> reqs;
+      for (auto& g : got) reqs.push_back(R.irecv(g.data(), kBytes, 0, kOrderTag));
+      for (int k = 0; k <= warm; ++k) {
+        const auto st = R.wait(reqs[static_cast<std::size_t>(k)]);
+        const auto& g = got[static_cast<std::size_t>(k)];
+        if (k < warm) {
+          const auto& expect = warm_message(k + 1);
+          const bool mine = st.ok() ? st.bytes == kBytes &&
+                                          std::memcmp(g.data(), expect.data(), kBytes) == 0
+                                    : st.error == mpi::StatusError::RetryLimit;
+          if (!mine) ++misordered;
+        } else if (!st.ok() || st.bytes != kEagerBytes ||
+                   std::memcmp(g.data(), eager.data(), kEagerBytes) != 0) {
+          ++misordered;
+        }
+      }
+    });
+  } catch (const std::exception&) {
+    return -1;  // Engine::run: deadlock
+  }
+  if (stalls != nullptr) {
+    *stalls = 0;
+    for (const auto& [key, ch] : world.channels()) *stalls += ch.credit_stalls;
+  }
+  return misordered;
+}
+
+TEST(PersistentChannel, CreditStalledWarmMessagesAreNotOvertaken) {
+  // Six warm sends against four credits: two stall at the sender. The eager
+  // message sent after them must still take the seventh receive. Raw sends
+  // outrun the consumes even with the receives posted up front; compressed
+  // ones stall when the receives are posted 1 ms late.
+  for (const auto& cfg : {core::CompressionConfig::off(), core::CompressionConfig::mpc_opt()}) {
+    for (const Time delay : {Time::zero(), Time::ms(1)}) {
+      for (const bool persistent : {false, true}) {
+        std::uint64_t stalls = 0;
+        EXPECT_EQ(misordered_receives(6, cfg, persistent, nullptr, delay, &stalls), 0)
+            << core::algorithm_name(cfg.algorithm) << " delay " << delay.count_ns()
+            << " channels " << persistent;
+        const bool must_stall =
+            persistent && (cfg.algorithm == core::Algorithm::None || delay > Time::zero());
+        if (must_stall) {
+          EXPECT_EQ(stalls, 2u);
+        }
+      }
+    }
+  }
+}
+
+TEST(PersistentChannel, DroppedWarmMessageIsNotOvertaken) {
+  // A warm message in retransmission recovery keeps its receive: the eager
+  // message sent after it arrives first but takes the second receive.
+  for (const bool persistent : {false, true}) {
+    std::vector<std::uint64_t> bad_seeds;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      fault::FaultInjector injector(fault::FaultPlan::lossy(seed, 0.5, 0.0));
+      if (misordered_receives(1, core::CompressionConfig::off(), persistent, &injector) != 0) {
+        bad_seeds.push_back(seed);
+      }
+    }
+    EXPECT_TRUE(bad_seeds.empty()) << "channels " << persistent << ": " << bad_seeds.size()
+                                   << " seeds misordered, first "
+                                   << (bad_seeds.empty() ? 0 : bad_seeds.front());
+  }
+}
+
+TEST(PersistentChannel, DecodeFaultedWarmMessageKeepsItsReceive) {
+  // A decode fault degrades the warm message to a raw re-push; its receive
+  // stays bound to it, so the eager message cannot take it meanwhile.
+  for (const bool persistent : {false, true}) {
+    std::vector<std::uint64_t> bad_seeds;
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+      fault::FaultPlan plan;
+      plan.seed = seed;
+      plan.decompress_fail_probability = 0.5;
+      fault::FaultInjector injector(plan);
+      if (misordered_receives(1, core::CompressionConfig::mpc_opt(), persistent, &injector) !=
+          0) {
+        bad_seeds.push_back(seed);
+      }
+    }
+    EXPECT_TRUE(bad_seeds.empty()) << "channels " << persistent << ": " << bad_seeds.size()
+                                   << " seeds misordered, first "
+                                   << (bad_seeds.empty() ? 0 : bad_seeds.front());
+  }
+}
+
 }  // namespace

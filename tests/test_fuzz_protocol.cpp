@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/header.hpp"
+#include "fault/injector.hpp"
 #include "mpi/world.hpp"
 #include "sim/rng.hpp"
 #include "support/payloads.hpp"
@@ -122,40 +123,48 @@ TEST(FuzzProtocol, BoundarySizesThroughSendRecvAndBcast) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST(FuzzProtocol, WildcardMatchingPreservesPairOrderUnderRandomTraffic) {
-  // Every rank fires random-size random-tag messages at random peers;
-  // receivers drain with (any-source, any-tag). MPI non-overtaking: for a
-  // fixed (src, dst) pair, messages arrive in send order regardless of
-  // which protocol (eager vs rendezvous) each message used.
-  const int P = 5;
-  const int kPerRank = 30;
-  sim::Engine engine;
-  mpi::WorldOptions opts;
-  opts.eager_threshold = 2048;
-  World world(engine, net::frontera_liquid(P, 1), core::CompressionConfig::off(), opts);
+/// One message of a random-traffic plan.
+struct Planned {
+  int dst;
+  int tag;
+  std::uint64_t bytes;
+};
 
-  sim::Rng rng(suite_seed(0x1d));
-  struct Planned {
-    int dst;
-    int tag;
-    std::uint64_t bytes;
-  };
-  std::vector<std::vector<Planned>> plan(P);
-  std::vector<int> expected(P, 0);
-  for (int s = 0; s < P; ++s) {
-    for (int m = 0; m < kPerRank; ++m) {
-      const int d = static_cast<int>(rng.next_below(P - 1));
-      Planned p{d >= s ? d + 1 : d, static_cast<int>(rng.next_below(5)),
-                rng.next_below(3 * opts.eager_threshold) + 8};
-      plan[static_cast<std::size_t>(s)].push_back(p);
-      ++expected[static_cast<std::size_t>(p.dst)];
+/// Every rank isends its plan (after `warmup`, if any, and a barrier);
+/// receivers drain with (any-source, any-tag). MPI non-overtaking: for a
+/// fixed (src, dst) pair, messages arrive in send order regardless of which
+/// protocol (eager, rendezvous, warm channel) each message used. Counts body
+/// or marker mismatches in `failures` and pair-order violations in
+/// `violations`; returns the number of messages received.
+int run_wildcard_traffic(World& world, const std::vector<std::vector<Planned>>& warmup,
+                         const std::vector<std::vector<Planned>>& plan, std::uint64_t max_bytes,
+                         int& failures, int& violations) {
+  const int P = world.size();
+  auto inbound = [&](const std::vector<std::vector<Planned>>& sends) {
+    std::vector<int> n(static_cast<std::size_t>(P), 0);
+    for (const auto& list : sends) {
+      for (const auto& p : list) ++n[static_cast<std::size_t>(p.dst)];
     }
-  }
-
-  int failures = 0;
-  std::vector<std::map<int, std::vector<int>>> seqs(P);  // dst -> src -> seq list
+    return n;
+  };
+  const std::vector<int> warm_in = inbound(warmup);
+  const std::vector<int> expected = inbound(plan);
+  std::vector<std::map<int, std::vector<int>>> seqs(static_cast<std::size_t>(P));
   world.run([&](Rank& R) {
     const int me = R.rank();
+    std::vector<std::uint8_t> buf(max_bytes + 64);
+    if (!warmup.empty()) {
+      std::vector<std::uint8_t> zeros(max_bytes);
+      std::vector<mpi::Request> sends;
+      for (const auto& p : warmup[static_cast<std::size_t>(me)]) {
+        sends.push_back(R.isend(zeros.data(), p.bytes, p.dst, p.tag));
+      }
+      for (int m = 0; m < warm_in[static_cast<std::size_t>(me)]; ++m) {
+        if (!R.recv(buf.data(), buf.size(), mpi::kAnySource, mpi::kAnyTag).ok()) ++failures;
+      }
+      R.waitall(sends);
+      R.barrier();
+    }
     std::vector<mpi::Request> sends;
     std::vector<std::vector<std::uint8_t>> live;
     int seq = 0;
@@ -167,7 +176,6 @@ TEST(FuzzProtocol, WildcardMatchingPreservesPairOrderUnderRandomTraffic) {
       sends.push_back(R.isend(live.back().data(), p.bytes, p.dst, p.tag));
       ++seq;
     }
-    std::vector<std::uint8_t> buf(3 * opts.eager_threshold + 64);
     for (int m = 0; m < expected[static_cast<std::size_t>(me)]; ++m) {
       const auto st = R.recv(buf.data(), buf.size(), mpi::kAnySource, mpi::kAnyTag);
       const int src = buf[0];
@@ -183,16 +191,103 @@ TEST(FuzzProtocol, WildcardMatchingPreservesPairOrderUnderRandomTraffic) {
     }
     R.waitall(sends);
   });
-  EXPECT_EQ(failures, 0);
   int total = 0;
-  for (int d = 0; d < P; ++d) {
-    for (const auto& [src, list] : seqs[static_cast<std::size_t>(d)]) {
+  for (const auto& by_src : seqs) {
+    for (const auto& [src, list] : by_src) {
       (void)src;
-      for (std::size_t i = 1; i < list.size(); ++i) EXPECT_LT(list[i - 1], list[i]);
+      for (std::size_t i = 1; i < list.size(); ++i) violations += list[i - 1] < list[i] ? 0 : 1;
       total += static_cast<int>(list.size());
     }
   }
+  return total;
+}
+
+TEST(FuzzProtocol, WildcardMatchingPreservesPairOrderUnderRandomTraffic) {
+  // Every rank fires random-size random-tag messages at random peers.
+  const int P = 5;
+  const int kPerRank = 30;
+  sim::Engine engine;
+  mpi::WorldOptions opts;
+  opts.eager_threshold = 2048;
+  World world(engine, net::frontera_liquid(P, 1), core::CompressionConfig::off(), opts);
+
+  sim::Rng rng(suite_seed(0x1d));
+  std::vector<std::vector<Planned>> plan(P);
+  for (int s = 0; s < P; ++s) {
+    for (int m = 0; m < kPerRank; ++m) {
+      const int d = static_cast<int>(rng.next_below(P - 1));
+      Planned p{d >= s ? d + 1 : d, static_cast<int>(rng.next_below(5)),
+                rng.next_below(3 * opts.eager_threshold) + 8};
+      plan[static_cast<std::size_t>(s)].push_back(p);
+    }
+  }
+
+  int failures = 0;
+  int violations = 0;
+  const int total =
+      run_wildcard_traffic(world, {}, plan, 3 * opts.eager_threshold, failures, violations);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(violations, 0);
   EXPECT_EQ(total, P * kPerRank);
+}
+
+/// The persistent-channel variant: a warm-up exchange sends every
+/// (dst, tag, rendezvous shape) once, so the burst's rendezvous messages
+/// ride warm channels, stall on credits, and (under `drop`) retransmit,
+/// while eager messages of the same pairs and tags overtake them on the wire.
+void warm_wildcard_traffic(double drop) {
+  const int P = 3;
+  const int kPerRank = 60;
+  const int kTags = 2;
+  const std::uint64_t kSizes[] = {1000, 3500, 6000};
+  fault::FaultInjector injector(fault::FaultPlan::lossy(suite_seed(0x3a7), drop, 0.0));
+  sim::Engine engine;
+  mpi::WorldOptions opts;
+  opts.eager_threshold = 2048;
+  opts.persistent.enabled = true;
+  if (drop > 0) opts.fault = &injector;
+  World world(engine, net::frontera_liquid(P, 1), core::CompressionConfig::off(), opts);
+
+  std::vector<std::vector<Planned>> warmup(P), plan(P);
+  for (int s = 0; s < P; ++s) {
+    for (int d = 0; d < P; ++d) {
+      if (d == s) continue;
+      for (int tag = 0; tag < kTags; ++tag) {
+        for (const std::uint64_t bytes : kSizes) {
+          if (bytes > opts.eager_threshold) {
+            warmup[static_cast<std::size_t>(s)].push_back({d, tag, bytes});
+          }
+        }
+      }
+    }
+  }
+  sim::Rng rng(suite_seed(0x3a8));
+  for (int s = 0; s < P; ++s) {
+    for (int m = 0; m < kPerRank; ++m) {
+      const int d = static_cast<int>(rng.next_below(P - 1));
+      plan[static_cast<std::size_t>(s)].push_back(
+          {d >= s ? d + 1 : d, static_cast<int>(rng.next_below(kTags)),
+           kSizes[rng.next_below(3)]});
+    }
+  }
+
+  int failures = 0;
+  int violations = 0;
+  const int total = run_wildcard_traffic(world, warmup, plan, 6000, failures, violations);
+  EXPECT_EQ(failures, 0);
+  EXPECT_EQ(violations, 0);
+  EXPECT_EQ(total, P * kPerRank);
+  std::uint64_t warm_sends = 0;
+  for (const auto& [key, ch] : world.channels()) warm_sends += ch.warm_sends;
+  EXPECT_GT(warm_sends, 0u);  // the burst really rode warm channels
+}
+
+TEST(FuzzProtocol, WarmChannelsPreservePairOrderUnderWildcardTraffic) {
+  warm_wildcard_traffic(0.0);
+}
+
+TEST(FuzzProtocol, WarmChannelsPreservePairOrderUnderWildcardTrafficWithDrops) {
+  warm_wildcard_traffic(0.2);
 }
 
 TEST(FuzzProtocol, TagMatchingIsIndependentOfArrivalOrder) {
