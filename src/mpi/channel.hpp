@@ -12,12 +12,17 @@
 //     compression-header template and grants the sender N credits in ONE
 //     control packet;
 //   * warm sends — while credits last the sender skips the RTS/CTS round
-//     trip entirely: the payload ships with a compact RepeatHeader (channel
-//     id + sequence + wire length + CRC) from which the receiver rebuilds
-//     the full header using the cached template. Credits refill as the
-//     receiver consumes, piggybacked on the (zero-cost) completion
-//     notification, so a steady-state iteration costs zero control-plane
-//     round trips and zero staging acquisitions;
+//     trip entirely: the message is the *pushed* start of World's one
+//     rendezvous transfer, a credit standing in for the CTS. The payload
+//     ships with a compact RepeatHeader (channel id + sequence + wire
+//     length + CRC) from which the receiver rebuilds the full header using
+//     the cached template. Credits refill as the receiver consumes,
+//     piggybacked on the (zero-cost) completion notification, so a
+//     steady-state iteration costs zero control-plane round trips and zero
+//     staging acquisitions. A warm message is matched to receives by the
+//     same non-overtaking rule as every other message, so a later send
+//     under its tag never takes its receive while it is stalled on credits
+//     or retransmitting;
 //   * plan reuse — compression/decompression on a warm channel runs through
 //     the CompressionManager plan cache (core/plan_cache.hpp): each consume
 //     takes its decode staging from the shape's plan slots and returns it,
@@ -26,7 +31,8 @@
 //   * fault composition — a dropped or corrupted warm payload retransmits
 //     on the channel (per-message watchdog/NACK, same budget as the serial
 //     protocol) without tearing the channel down; a decompression fault
-//     degrades THAT message to a raw resend while the channel stays warm.
+//     degrades THAT message to a raw resend into the same receive while
+//     the channel stays warm.
 //
 // Channels are strictly opt-in (WorldOptions::persistent). Off, the wire
 // format and every charge are byte-identical to the cold protocol, so the
@@ -61,7 +67,8 @@ inline constexpr int kWireTagClass = -1;
 /// channel. The cold protocol ships an RTS + a full serialized
 /// CompressionHeader and answers with a CTS; a warm message carries
 /// only what changes between iterations: which channel, which sequence
-/// number, how many wire bytes, their CRC, and (MPC) the per-partition
+/// number (the message's per-(src, dst) send order), how many wire bytes,
+/// their CRC, and (MPC) the per-partition
 /// split. Everything else is reconstructed from the channel's cached
 /// template.
 struct RepeatHeader {
@@ -95,9 +102,9 @@ struct RepeatHeader {
     const core::CompressionHeader& first, std::uint64_t bytes);
 
 /// One persistent channel. Lives in the World's channel table; the sender
-/// side uses the credit/sequence fields, the receiver side the template and
-/// consume cursor (both ends of a simulated channel share the object, as
-/// the real implementation shares the channel state via the control plane).
+/// side uses the credit fields, the receiver side the template (both ends
+/// of a simulated channel share the object, as the real implementation
+/// shares the channel state via the control plane).
 struct Channel {
   std::uint32_t id = 0;
   ChannelKey key;
@@ -105,10 +112,8 @@ struct Channel {
   // --- sender side ---
   bool warm = false;
   int credits = 0;
-  std::uint32_t next_send_seq = 0;
 
   // --- receiver side ---
-  std::uint32_t next_consume_seq = 0;
   core::CompressionHeader tmpl;  // cached at warm-up, expands RepeatHeaders
 
   // --- telemetry (flushed as one ChannelRecord at end of run) ---

@@ -38,7 +38,8 @@
 namespace gcmpi::mpi {
 
 WireMessage Rank::make_intra_wire(const void* buf, std::uint64_t bytes) {
-  if (world_.compression_.compress_intra_node) return make_wire(buf, bytes);
+  // Every intra-node route shares one gate, so this rank's own answers.
+  if (world_.compresses(rank_, rank_)) return make_wire(buf, bytes);
   return world_.make_raw_wire(buf, bytes);
 }
 
@@ -100,7 +101,7 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
   // NVLink traffic (members decode in parallel); otherwise decode once here
   // and fan the raw bytes out. Either way the decode is off the inter-node
   // critical path — the tree forwards above were already posted.
-  const bool forward = world_.compression_.compress_intra_node;
+  const bool forward = world_.compresses(rank_, rank_);
   const auto decode_own = [&] {
     if (rank_ == root) return;
     const sim::Time t3 = ctx_.now();

@@ -147,19 +147,19 @@ void World::complete_at(const Request& req, Status status, Time at) {
 Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
                         std::uint64_t bytes, int dst, int tag) {
   if (dst < 0 || dst >= cluster_.ranks()) throw std::invalid_argument("isend: bad destination");
-  auto req = std::make_shared<RequestState>();
-  Envelope env{src, dst, tag, bytes};
+  const Envelope env = stamp(src, dst, tag, bytes);
 
   // Self-sends and small messages use the eager path: the payload is staged
   // (buffered-send semantics) and the send completes locally.
   if (dst == src || bytes <= options_.eager_threshold) {
+    auto req = std::make_shared<RequestState>();
     auto payload = std::make_shared<std::vector<std::uint8_t>>(
         static_cast<const std::uint8_t*>(buf),
         static_cast<const std::uint8_t*>(buf) + bytes);
-    if (reliability_) env.crc = payload_crc(*payload);
+    EagerMsg msg{env, std::move(payload)};
+    if (reliability_) msg.env.crc = payload_crc(*msg.payload);
     ctx.advance(kHostSendOverhead);
     const Time t_arr = fabric_->transfer(ctx.now(), src, dst, bytes + kEnvelopeBytes);
-    EagerMsg msg{env, std::move(payload)};
     engine_.schedule(t_arr, [this, msg = std::move(msg)]() mutable {
       on_eager_arrival(std::move(msg));
     });
@@ -170,7 +170,7 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
   // Chunked pipelined rendezvous: large compressible messages overlap
   // compression, wire transfer, and decompression chunk by chunk.
   if (const std::uint64_t cb = pipelined_chunk_bytes(src, dst, buf, bytes); cb != 0) {
-    return pipeline_isend(ctx, src, buf, bytes, dst, tag, cb);
+    return pipeline_isend(ctx, env, buf, cb);
   }
 
   // Persistent channels: repeated sends on the same (src, dst, tag, shape)
@@ -196,20 +196,44 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
     const auto& plan1 = ranks_[static_cast<std::size_t>(src)].mgr->plan_stats();
     ch->plan_hits += plan1.hits - plan0.hits;
     ch->plan_misses += plan1.misses - plan0.misses;
-    if (ch->warm && warm_compatible(*ch, wire.header)) {
-      return warm_isend(ctx, ch, env, wire.header, std::move(wire.payload), buf);
-    }
   }
-  post_rts(ctx, RtsMsg{env, std::move(wire.header), std::move(wire.payload), req, buf});
-  return req;
+  return start_serial(ctx, env, std::move(wire), buf, ch);
 }
 
-void World::post_rts(sim::ActorContext& ctx, RtsMsg rts) {
+World::Envelope World::stamp(int src, int dst, int tag, std::uint64_t bytes) {
+  Envelope env{src, dst, tag, bytes};
+  env.seq = ranks_[static_cast<std::size_t>(src)].next_seq[dst]++;
+  ranks_[static_cast<std::size_t>(dst)].unmatched.emplace(std::pair{src, env.seq}, tag);
+  return env;
+}
+
+Request World::start_serial(sim::ActorContext& ctx, const Envelope& env, WireMessage wire,
+                            const void* sender_buf, Channel* ch) {
+  auto tx = std::make_shared<RndvTransfer>();
+  tx->env = env;
+  tx->send_req = std::make_shared<RequestState>();
+  tx->sender_buf = sender_buf;
+  tx->chunk_bytes = env.bytes;
+  tx->chunks = 1;
+  Segment& seg = tx->segments.emplace_back();
+  seg.header = std::move(wire.header);
+  seg.payload = std::move(wire.payload);
+  if (ch != nullptr && ch->warm && warm_compatible(*ch, seg.header)) {
+    push_warm(ctx, tx, ch);
+  } else {
+    post_rts(ctx, tx, seg.header);
+  }
+  return tx->send_req;
+}
+
+void World::post_rts(sim::ActorContext& ctx, const RndvPtr& tx,
+                     const core::CompressionHeader& header) {
   ctx.advance(kHostSendOverhead);
-  const Time t_rts = fabric_->control(ctx.now(), rts.env.src, rts.env.dst,
-                                      kRtsBytes + rts.header.wire_bytes());
-  engine_.schedule(t_rts, [this, rts = std::move(rts)]() mutable {
-    on_rts_arrival(std::move(rts));
+  const Time t_rts =
+      fabric_->control(ctx.now(), tx->env.src, tx->env.dst, kRtsBytes + header.wire_bytes());
+  engine_.schedule(t_rts, [this, tx]() {
+    Timeline tl(engine_.now() + kProgressOverhead);
+    arrive(tx, tl);
   });
 }
 
@@ -283,29 +307,23 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
   if (dst < 0 || dst >= cluster_.ranks()) throw std::invalid_argument("isend_wire: bad destination");
   if (dst == src) throw std::invalid_argument("isend_wire: self-send unsupported");
   if (!msg.payload) throw std::invalid_argument("isend_wire: empty message");
-  Envelope env{src, dst, tag, msg.original_bytes()};
+  WireMessage wire = msg;
   // A forwarded payload is byte-identical to the original, so recomputing
   // the CRC here both covers wire messages minted before the reliability
   // layer was on and reproduces the original value otherwise.
-  core::CompressionHeader hdr = msg.header;
-  if (reliability_) hdr.payload_crc32c = payload_crc(*msg.payload);
+  if (reliability_) wire.header.payload_crc32c = payload_crc(*msg.payload);
 
   // Engine wire sends ride tag-wildcard channels: the collective tag
   // changes every invocation, but the (src, dst, shape) route repeats, so
   // iteration two onward skips the RTS/CTS round trip entirely.
-  if (options_.persistent.enabled) {
-    Channel* ch = channel_for(ChannelKey{src, dst, kWireTagClass, msg.original_bytes()});
-    if (ch->warm && warm_compatible(*ch, hdr)) {
-      return warm_isend(ctx, ch, env, hdr, msg.payload, nullptr);
-    }
-  }
-
-  auto req = std::make_shared<RequestState>();
+  Channel* ch = options_.persistent.enabled
+                    ? channel_for(ChannelKey{src, dst, kWireTagClass, msg.original_bytes()})
+                    : nullptr;
   // Forwarding a pre-built wire representation: protocol costs only — the
   // whole point of the compression-aware collectives. No raw fallback for
   // forwards: there is no original user buffer to resend.
-  post_rts(ctx, RtsMsg{env, std::move(hdr), msg.payload, req});
-  return req;
+  return start_serial(ctx, stamp(src, dst, tag, msg.original_bytes()), std::move(wire),
+                      nullptr, ch);
 }
 
 // Eager delivery failures complete the receive with a clean StatusError
@@ -328,9 +346,17 @@ Status World::deliver_eager(const PostedRecv& recv, const EagerMsg& msg) {
   return status;
 }
 
+bool World::overtakes(const RankState& state, const Envelope& env, int tag) {
+  const auto earlier = state.unmatched.lower_bound({env.src, 0});
+  const auto self = state.unmatched.lower_bound({env.src, env.seq});
+  return std::any_of(earlier, self,
+                     [&](const auto& u) { return tag == kAnyTag || u.second == tag; });
+}
+
 std::optional<World::PostedRecv> World::take_posted(RankState& state, const Envelope& env) {
-  const auto it = std::find_if(state.posted.begin(), state.posted.end(),
-                               [&](const PostedRecv& r) { return matches(r, env); });
+  const auto it = std::find_if(state.posted.begin(), state.posted.end(), [&](const PostedRecv& r) {
+    return matches(r.src, r.tag, env) && !overtakes(state, env, r.tag);
+  });
   if (it == state.posted.end()) return std::nullopt;
   PostedRecv recv = std::move(*it);
   state.posted.erase(it);
@@ -339,7 +365,7 @@ std::optional<World::PostedRecv> World::take_posted(RankState& state, const Enve
 
 void World::wake_probers(RankState& state, const Envelope& env) {
   for (auto it = state.probe_waiters.begin(); it != state.probe_waiters.end(); ++it) {
-    if (matches(it->src, it->tag, env)) {
+    if (matches(it->src, it->tag, env) && !overtakes(state, env, it->tag)) {
       const sim::ActorId actor = it->actor;
       state.probe_waiters.erase(it);
       engine_.wake(actor, engine_.now());
@@ -349,28 +375,65 @@ void World::wake_probers(RankState& state, const Envelope& env) {
 }
 
 void World::on_eager_arrival(EagerMsg msg) {
-  auto& state = ranks_[static_cast<std::size_t>(msg.env.dst)];
   // Eager messages ride the reliable control plane, so this checksum is an
   // end-to-end assertion rather than a recovery trigger: a mismatch is
   // surfaced as StatusError::ChecksumMismatch on the matching receive.
   msg.crc_ok = !reliability_ || msg.env.crc == payload_crc(*msg.payload);
-  if (const auto recv = take_posted(state, msg.env)) {
-    complete(recv->req, deliver_eager(*recv, msg));
-    return;
-  }
-  wake_probers(state, msg.env);
-  state.unexpected.push_back(std::move(msg));
+  Timeline tl(engine_.now());
+  arrive(std::move(msg), tl);
 }
 
-void World::on_rts_arrival(RtsMsg rts) {
-  auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
-  if (auto recv = take_posted(state, rts.env)) {
-    Timeline tl(engine_.now() + kProgressOverhead);
-    begin_rndv_receive(tl, std::move(rts), std::move(*recv));
+void World::arrive(Unexpected u, Timeline& tl) {
+  const Envelope env = envelope_of(u);
+  auto& state = ranks_[static_cast<std::size_t>(env.dst)];
+  if (auto recv = take_posted(state, env)) {
+    bind(std::move(u), std::move(*recv), tl);
+    rematch(env.dst, env.src);
     return;
   }
-  wake_probers(state, rts.env);
-  state.unexpected.push_back(std::move(rts));
+  wake_probers(state, env);
+  state.unexpected.push_back(std::move(u));
+}
+
+void World::bind(Unexpected u, PostedRecv recv, Timeline& tl) {
+  const Envelope& env = envelope_of(u);
+  ranks_[static_cast<std::size_t>(env.dst)].unmatched.erase({env.src, env.seq});
+  if (const auto* eager = std::get_if<EagerMsg>(&u)) {
+    complete(recv.req, deliver_eager(recv, *eager));
+    return;
+  }
+  const RndvPtr tx = std::get<RndvPtr>(std::move(u));
+  tx->recv = std::move(recv);
+  if (!tx->pushed()) {
+    begin_rndv_receive(tl, tx);
+  } else if (tx->done) {
+    // It ran out of retries before anything matched it: the receive it was
+    // due to fill fails in its place, so later messages pair correctly.
+    fail_requests(tx->env, nullptr, tx->recv.req, tl.now());
+  } else {
+    land_message(tx, std::exchange(tx->delivered, nullptr), tl);
+  }
+}
+
+void World::rematch(int dst, int src) {
+  auto& state = ranks_[static_cast<std::size_t>(dst)];
+  const auto first = state.unmatched.lower_bound({src, 0});
+  // Every queued message is still unmatched: none from src, nothing to retry.
+  if (first == state.unmatched.end() || first->first.first != src) return;
+  for (auto it = state.unexpected.begin(); it != state.unexpected.end();) {
+    const Envelope& env = envelope_of(*it);
+    auto recv = env.src == src ? take_posted(state, env) : std::nullopt;
+    if (!recv) {
+      if (env.src == src) wake_probers(state, env);
+      ++it;
+      continue;
+    }
+    Unexpected u = std::move(*it);
+    state.unexpected.erase(it);
+    Timeline tl(engine_.now());
+    bind(std::move(u), std::move(*recv), tl);
+    it = state.unexpected.begin();  // the bind may unblock earlier entries too
+  }
 }
 
 void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
@@ -389,23 +452,12 @@ void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Sta
   if (!payload.empty()) std::memcpy(buf, payload.data(), payload.size());
 }
 
-void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
-  const bool pipelined = rts.header.pipeline_chunks >= 2;
-  if (pipelined && recv.wire_out == nullptr && recv.capacity < rts.env.bytes) {
+void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
+  if (tx->pipelined() && tx->recv.wire_out == nullptr && tx->recv.capacity < tx->env.bytes) {
     throw std::runtime_error("MiniMPI: rendezvous truncation (receive buffer too small)");
   }
-  auto& state = ranks_[static_cast<std::size_t>(rts.env.dst)];
-  auto tx = std::make_shared<RndvTransfer>();
-  tx->env = rts.env;
-  tx->send_req = std::move(rts.send_req);
-  tx->recv = std::move(recv);
-  tx->sender_buf = rts.sender_buf;
-  if (pipelined) {
-    tx->chunk_bytes = rts.header.pipeline_chunk_bytes;
-    tx->chunks = static_cast<int>(rts.header.pipeline_chunks);
-    tx->window = std::min(tx->chunks, kPipelineWindow);
-    tx->blocks = pipeline_chunk_blocks(cluster_.gpu, kPipelineWindow, tx->chunks);
-    tx->segments.resize(static_cast<std::size_t>(tx->chunks));
+  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+  if (tx->pipelined()) {
     // One staging acquisition for the whole transfer, sub-divided into
     // `window` slices; chunk i stages in slice i % window. A chunk's slice is
     // only touched within its own arrival event, so the reuse is safe.
@@ -415,16 +467,11 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
       // as a raw wire view (the per-chunk streams are not forwardable).
       tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
     }
-  } else {
+  } else if (tx->recv.wire_out == nullptr) {
     // Receiver prepares the temporary device buffer for the compressed
     // payload (Algorithm 2). Wire-form receives keep the payload
     // compressed, so no staging buffer is needed.
-    if (tx->recv.wire_out == nullptr) tx->staging = state.mgr->prepare_receive(tl, rts.header);
-    tx->chunk_bytes = tx->env.bytes;
-    tx->chunks = 1;
-    Segment& seg = tx->segments.emplace_back();
-    seg.header = std::move(rts.header);
-    seg.payload = std::move(rts.payload);
+    tx->staging = state.mgr->prepare_receive(tl, tx->segments[0].header);
   }
   // Clear the sender to send.
   tx->recv_cursor = tl.now();
@@ -432,14 +479,60 @@ void World::begin_rndv_receive(Timeline& tl, RtsMsg rts, PostedRecv recv) {
   engine_.schedule(t_cts, [this, tx]() { start_rndv_sender(tx); });
 }
 
+void World::land_message(const RndvPtr& tx, const Payload& delivered, Timeline& tl) {
+  Segment& seg = tx->segment(0);
+  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+  const WireMessage msg{tx->pushed() ? tx->repeat().expand(tx->ch->tmpl) : seg.header,
+                        delivered};
+  if (tx->recv.wire_out != nullptr) {
+    // Deliver the wire representation as-is; the application decompresses
+    // later (or forwards it on).
+    *tx->recv.wire_out = msg;
+  } else {
+    // A compressed payload lands in the receiver's temporary device buffer
+    // and decompresses into the user buffer (Algorithm 2, steps 6-7). A
+    // pulled message took that buffer at its CTS; a pushed one takes it from
+    // the plan cache now, and a steady-state consume reuses the shape's slot.
+    if (tx->pushed()) tx->staging = state.mgr->prepare_receive(tl, msg.header);
+    const bool planned = tx->staging.planned();
+    try {
+      land(tl, tx->env.dst, msg, tx->staging, tx->recv.buf, tx->recv.capacity);
+    } catch (const core::CodecFaultError&) {
+      // The stream is intact (CRC passed) but the kernel failed; ask the
+      // sender for the raw buffer instead of relaunching on the same data.
+      // The receive stays bound to this transfer.
+      if (tx->pushed()) state.mgr->release(tl, tx->staging);
+      nack_segment(tx, 0, tl.now(), true);
+      return;
+    }
+    // Also frees the staging a decode-fault fallback to raw left unused
+    // (a no-op when none was taken).
+    state.mgr->release(tl, tx->staging);
+    if (tx->pushed() && msg.header.compressed) {
+      ++(planned ? tx->ch->plan_hits : tx->ch->plan_misses);
+    }
+  }
+  seg.done = true;
+  sim::Engine::cancel(seg.watchdog);
+  complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
+  complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
+  if (tx->pushed()) {
+    // Credit refill piggybacks on the (zero-cost) consume notification.
+    refill_credit(tx->ch, tl.now());
+  } else {
+    // A successful cold exchange is the channel's warm-up exchange: the
+    // receiver now grants credits so the next message can skip the handshake.
+    maybe_warm_channel(tx->env, msg.header, tl.now());
+  }
+}
+
 // ---------------------------------------------------------------------------
-// The segment cycle: one reliability loop for every transfer kind. Only
-// segment payloads can be dropped or corrupted; NACKs ride the reliable
-// control plane.
+// The segment cycle: one reliability loop for every transfer. Only segment
+// payloads can be dropped or corrupted; NACKs ride the reliable control
+// plane.
 // ---------------------------------------------------------------------------
 
-template <class Tx>
-net::Fabric::Delivery World::push_segment(const std::shared_ptr<Tx>& tx, int i, Time start) {
+net::Fabric::Delivery World::push_segment(const RndvPtr& tx, int i, Time start) {
   Segment& seg = tx->segment(i);
   seg.recovery_pending = false;
   ++seg.attempts;
@@ -477,9 +570,7 @@ net::Fabric::Delivery World::push_segment(const std::shared_ptr<Tx>& tx, int i, 
   return d;
 }
 
-template <class Tx>
-bool World::segment_intact(const std::shared_ptr<Tx>& tx, int i, const Payload& delivered,
-                           Time at) {
+bool World::segment_intact(const RndvPtr& tx, int i, const Payload& delivered, Time at) {
   const Segment& seg = tx->segment(i);
   if (!reliability_ || payload_crc(*delivered) == seg.header.payload_crc32c) return true;
   // A flipped bit anywhere in the payload — detected before any of it can
@@ -493,8 +584,7 @@ bool World::segment_intact(const std::shared_ptr<Tx>& tx, int i, const Payload& 
   return false;
 }
 
-template <class Tx>
-void World::nack_segment(const std::shared_ptr<Tx>& tx, int i, Time at, bool decode_fail) {
+void World::nack_segment(const RndvPtr& tx, int i, Time at, bool decode_fail) {
   Segment& seg = tx->segment(i);
   if (seg.done || seg.recovery_pending) return;
   sim::Engine::cancel(seg.watchdog);
@@ -539,9 +629,115 @@ void World::fail_requests(const Envelope& env, const Request& send_req,
   if (recv_req) complete_at(recv_req, status, at);
 }
 
+void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) {
+  Segment& seg = tx->segment(i);
+  if (seg.done) return;  // failed transfer, or a stale duplicate
+  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
+  Timeline tl(std::max(engine_.now() + kProgressOverhead, tx->recv_cursor));
+  if (!segment_intact(tx, i, delivered, tl.now())) return;
+
+  if (!tx->pipelined()) {
+    if (tx->recv.req) {
+      land_message(tx, delivered, tl);
+    } else {
+      // A pushed message is matched when it first arrives intact.
+      tx->delivered = delivered;
+      arrive(tx, tl);
+    }
+    return;
+  }
+
+  const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
+  const std::uint64_t len = pipeline_chunk_len(tx, i);
+  auto* out = (tx->recv.wire_out != nullptr ? tx->assemble->data()
+                                            : static_cast<std::uint8_t*>(tx->recv.buf)) +
+              off;
+  if (seg.header.compressed) {
+    void* slice = tx->staging.slice(i);
+    std::memcpy(slice, delivered->data(), delivered->size());
+    Time kernel_time;
+    try {
+      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
+                                                    tx->blocks, &kernel_time);
+      tx->recv_done = std::max(tx->recv_done, done);
+      tx->decompress_busy += kernel_time;
+    } catch (const core::CodecFaultError&) {
+      // Intact stream (CRC passed), faulting kernel: ask the sender to
+      // resend just this chunk raw.
+      nack_segment(tx, i, tl.now(), true);
+      return;
+    }
+  } else {
+    if (!delivered->empty()) std::memcpy(out, delivered->data(), delivered->size());
+    tx->recv_done = std::max(tx->recv_done, tl.now());
+  }
+  seg.done = true;
+  sim::Engine::cancel(seg.watchdog);
+  tx->recv_cursor = tl.now();
+  ++tx->arrived;
+  if (tx->arrived == tx->chunks) {
+    engine_.schedule(std::max(tx->recv_done, tl.now()), [this, tx]() { finish_pipeline(tx); });
+  }
+}
+
+void World::resend_segment(const RndvPtr& tx, int i, bool decode_fail) {
+  Segment& seg = tx->segment(i);
+  ++tx->retransmits;
+  if (tx->pushed()) ++tx->ch->retransmits;
+  if (decode_fail) {
+    // Only the faulting segment degrades to raw, from the still-live user
+    // buffer. Forwarded wire messages have none, hence no raw fallback. A
+    // pushed message degrades alone; its channel stays warm.
+    const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
+    if (degrade_segment(seg, static_cast<const std::uint8_t*>(tx->sender_buf) + off,
+                        pipeline_chunk_len(tx, i)) &&
+        tx->pushed()) {
+      ++tx->ch->raw_degrades;
+    }
+  }
+  // A serial re-push waits for the sender's progress engine, as its first
+  // push after the CTS did; a pushed or chunk re-push does not (DESIGN.md §7).
+  const bool serial = !tx->pipelined() && !tx->pushed();
+  const Time at = engine_.now() + (serial ? kProgressOverhead : Time::zero());
+  const net::Fabric::Delivery d = push_segment(tx, i, at);
+  tx->wire_total += seg.payload->size();
+  tx->transfer_busy += d.wire;
+}
+
+void World::fail_transfer(const RndvPtr& tx, Time at) {
+  tx->done = true;
+  for (auto& seg : tx->segments) {
+    seg.done = true;
+    sim::Engine::cancel(seg.watchdog);
+  }
+  if (tx->staging.valid()) {
+    Timeline tl(at);
+    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, tx->staging);
+  }
+  fail_requests(tx->env, tx->send_req, nullptr, at);
+  if (tx->pushed()) {
+    // Demote the channel to cold (it re-warms on the next successful cold
+    // exchange) and push its stalled sends: no credit will refill it.
+    Channel* ch = tx->ch;
+    ch->warm = false;
+    ch->credits = 0;
+    if (auto it = stalled_.find(ch->id); it != stalled_.end()) {
+      std::deque<RndvPtr> pending = std::move(it->second);
+      stalled_.erase(it);
+      for (auto& p : pending) push_segment(p, 0, at);
+    }
+  }
+  if (tx->recv.req) {
+    fail_requests(tx->env, nullptr, tx->recv.req, at);
+  } else {
+    Timeline tl(at);
+    arrive(tx, tl);
+  }
+}
+
 // ---------------------------------------------------------------------------
-// Persistent channels (see mpi/channel.hpp): one segment per warm message,
-// cleared by credits instead of RTS/CTS.
+// Persistent channels (see mpi/channel.hpp): the pushed start of a serial
+// rendezvous, cleared by a credit instead of RTS/CTS.
 // ---------------------------------------------------------------------------
 
 Channel* World::channel_for(const ChannelKey& key) {
@@ -588,22 +784,11 @@ void World::maybe_warm_channel(const Envelope& env, const core::CompressionHeade
   });
 }
 
-Request World::warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& env,
-                          const core::CompressionHeader& header, Payload payload,
-                          const void* sender_buf) {
-  auto req = std::make_shared<RequestState>();
-  auto tx = std::make_shared<WarmTransfer>();
+void World::push_warm(sim::ActorContext& ctx, const RndvPtr& tx, Channel* ch) {
   tx->ch = ch;
-  tx->env = env;
-  tx->seg.header = header;
-  tx->seg.payload = std::move(payload);
-  tx->send_req = req;
-  tx->sender_buf = sender_buf;
-  tx->seq = ch->next_send_seq++;
-
   ++ch->warm_sends;
-  const std::size_t cold_ctrl = kRtsBytes + header.wire_bytes() + kCtsBytes;
-  const std::size_t warm_ctrl = tx->segment_header_bytes(0);
+  const std::uint64_t cold_ctrl = kRtsBytes + tx->segments[0].header.wire_bytes() + kCtsBytes;
+  const std::uint64_t warm_ctrl = tx->segment_header_bytes(0);
   ch->header_bytes_saved += cold_ctrl > warm_ctrl ? cold_ctrl - warm_ctrl : 0;
 
   ctx.advance(kHostSendOverhead);
@@ -612,17 +797,17 @@ Request World::warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& e
     // consume notification funds the push.
     ++ch->credit_stalls;
     stalled_[ch->id].push_back(tx);
-    return req;
+    return;
   }
   --ch->credits;
   push_segment(tx, 0, ctx.now());
-  return req;
 }
 
-RepeatHeader World::WarmTransfer::repeat() const {
+RepeatHeader World::RndvTransfer::repeat() const {
+  const Segment& seg = segments[0];
   RepeatHeader rh;
   rh.channel = ch->id;
-  rh.seq = seq;
+  rh.seq = env.seq;
   rh.wire_len = seg.payload->size();
   rh.crc32c = seg.header.payload_crc32c;
   rh.flags = seg.header.compressed ? RepeatHeader::kCompressed
@@ -632,135 +817,11 @@ RepeatHeader World::WarmTransfer::repeat() const {
   return rh;
 }
 
-void World::on_segment_data(const WarmPtr& tx, int, const Payload& delivered) {
-  if (tx->seg.done) return;
-  Timeline tl(engine_.now() + kProgressOverhead);
-  if (!segment_intact(tx, 0, delivered, tl.now())) return;
-  tx->delivered = delivered;
-  match_or_park_warm(tx, tl);
-}
-
-void World::match_or_park_warm(const WarmPtr& tx, Timeline& tl) {
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  // Only the channel's next in-order message may consume (non-overtaking
-  // under retransmission gaps); successors park until the gap closes.
-  if (tx->seq == tx->ch->next_consume_seq) {
-    if (auto recv = take_posted(state, tx->env)) {
-      consume_warm(tx, std::move(*recv), tl);
-      drain_warm_heads(tx->env.dst);
-      return;
-    }
-  }
-  wake_probers(state, tx->env);
-  state.unexpected.push_back(tx);
-}
-
-void World::consume_warm(const WarmPtr& tx, PostedRecv recv, Timeline& tl) {
-  Channel* ch = tx->ch;
-  if (tx->failed) {
-    // The message ran out of retries: the receive it was due to fill fails
-    // in its place, so later messages still pair with the right receives.
-    ++ch->next_consume_seq;
-    fail_requests(tx->env, nullptr, recv.req, tl.now());
-    return;
-  }
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  const WireMessage msg{tx->repeat().expand(ch->tmpl), tx->delivered};
-
-  if (recv.wire_out != nullptr) {
-    // Engine wire receive: hand over the compressed form as-is.
-    *recv.wire_out = msg;
-  } else {
-    // Decode staging comes from the plan cache, as for every receive: a
-    // steady-state consume finds the shape's slot free and reuses it.
-    core::Staging staging = state.mgr->prepare_receive(tl, msg.header);
-    const bool planned = staging.planned();
-    try {
-      land(tl, tx->env.dst, msg, staging, recv.buf, recv.capacity);
-    } catch (const core::CodecFaultError&) {
-      // Intact stream, faulting kernel: repost the receive so the raw
-      // redelivery finds it, and ask the sender to degrade this message.
-      state.mgr->release(tl, staging);
-      state.posted.push_front(std::move(recv));
-      nack_segment(tx, 0, tl.now(), true);
-      return;
-    }
-    state.mgr->release(tl, staging);
-    if (msg.header.compressed) ++(planned ? ch->plan_hits : ch->plan_misses);
-  }
-
-  tx->seg.done = true;
-  tx->delivered.reset();
-  sim::Engine::cancel(tx->seg.watchdog);
-  ++ch->next_consume_seq;
-  complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
-  complete_at(recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
-  // Credit refill piggybacks on the (zero-cost) consume notification.
-  refill_credit(ch, tl.now());
-}
-
-void World::drain_warm_heads(int dst) {
-  auto& state = ranks_[static_cast<std::size_t>(dst)];
-  bool progress = true;
-  while (progress) {
-    progress = false;
-    for (auto it = state.unexpected.begin(); it != state.unexpected.end(); ++it) {
-      const auto* parked = std::get_if<WarmPtr>(&*it);
-      if (parked == nullptr) continue;
-      const WarmPtr tx = *parked;
-      if (tx->seq != tx->ch->next_consume_seq) continue;
-      auto recv = take_posted(state, tx->env);
-      if (!recv) {
-        // A new head with no receive: a blocked probe may match it now.
-        wake_probers(state, tx->env);
-        continue;
-      }
-      state.unexpected.erase(it);
-      Timeline tl(engine_.now());
-      consume_warm(tx, std::move(*recv), tl);
-      progress = true;
-      break;  // iterators invalidated; rescan for the next head
-    }
-  }
-}
-
-void World::resend_segment(const WarmPtr& tx, int, bool decode_fail) {
-  ++tx->ch->retransmits;
-  // A decode fault degrades THIS message to a raw resend; the channel
-  // stays warm and the next iteration compresses again.
-  if (decode_fail && degrade_segment(tx->seg, tx->sender_buf, tx->env.bytes)) {
-    ++tx->ch->raw_degrades;
-  }
-  push_segment(tx, 0, engine_.now());
-}
-
-void World::fail_transfer(const WarmPtr& tx, Time at) {
-  // Fail the send and demote the channel to cold (it re-warms on the next
-  // successful cold exchange). Successor messages already staged keep
-  // flowing: the consume path does not check warmth.
-  tx->seg.done = true;
-  tx->failed = true;
-  Channel* ch = tx->ch;
-  ch->warm = false;
-  ch->credits = 0;
-  fail_requests(tx->env, tx->send_req, nullptr, at);
-  // Flush the stall queue: no credits will ever refill a demoted channel.
-  auto it = stalled_.find(ch->id);
-  if (it != stalled_.end()) {
-    std::deque<WarmPtr> pending = std::move(it->second);
-    stalled_.erase(it);
-    for (auto& p : pending) push_segment(p, 0, at);
-  }
-  // The receiver consumes the failure in sequence order, like a message.
-  Timeline tl(at);
-  match_or_park_warm(tx, tl);
-}
-
 void World::refill_credit(Channel* ch, Time at) {
   ++ch->credits;
   auto it = stalled_.find(ch->id);
   if (it == stalled_.end() || it->second.empty()) return;
-  WarmPtr tx = it->second.front();
+  RndvPtr tx = it->second.front();
   it->second.pop_front();
   --ch->credits;
   push_segment(tx, 0, at);
@@ -785,22 +846,28 @@ std::uint64_t World::pipelined_chunk_bytes(int src, int dst, const void* buf,
   return (bytes + chunk - 1) / chunk >= 2 ? chunk : 0;
 }
 
-Request World::pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
-                              std::uint64_t bytes, int dst, int tag,
+Request World::pipeline_isend(sim::ActorContext& ctx, const Envelope& env, const void* buf,
                               std::uint64_t chunk_bytes) {
-  auto req = std::make_shared<RequestState>();
-  Envelope env{src, dst, tag, bytes};
+  auto tx = std::make_shared<RndvTransfer>();
+  tx->env = env;
+  tx->send_req = std::make_shared<RequestState>();
+  tx->sender_buf = buf;
+  tx->chunk_bytes = chunk_bytes;
+  tx->chunks = static_cast<int>((env.bytes + chunk_bytes - 1) / chunk_bytes);
+  tx->window = std::min(tx->chunks, kPipelineWindow);
+  tx->blocks = pipeline_chunk_blocks(cluster_.gpu, kPipelineWindow, tx->chunks);
+  tx->segments.resize(static_cast<std::size_t>(tx->chunks));
   // The RTS announces the chunk geometry; compression has NOT run yet — it
   // is overlapped with the transfers once the CTS arrives. Per-chunk
   // headers (sizes, CRCs) travel with each chunk's envelope instead.
   core::CompressionHeader announce;
   announce.algorithm = compression_.algorithm;
-  announce.original_bytes = bytes;
-  announce.compressed_bytes = bytes;
-  announce.pipeline_chunks = static_cast<std::uint32_t>((bytes + chunk_bytes - 1) / chunk_bytes);
+  announce.original_bytes = env.bytes;
+  announce.compressed_bytes = env.bytes;
+  announce.pipeline_chunks = static_cast<std::uint32_t>(tx->chunks);
   announce.pipeline_chunk_bytes = chunk_bytes;
-  post_rts(ctx, RtsMsg{env, std::move(announce), nullptr, req, buf});
-  return req;
+  post_rts(ctx, tx, announce);
+  return tx->send_req;
 }
 
 void World::start_rndv_sender(const RndvPtr& tx) {
@@ -861,95 +928,6 @@ void World::pipeline_chunk_ready(const RndvPtr& tx, int chunk,
   launch_pipeline_chunk(tx);
 }
 
-void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) {
-  Segment& seg = tx->segment(i);
-  if (seg.done) return;  // failed transfer, or a stale duplicate
-  auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  Timeline tl(std::max(engine_.now() + kProgressOverhead, tx->recv_cursor));
-  if (!segment_intact(tx, i, delivered, tl.now())) return;
-
-  if (!tx->pipelined()) {
-    const WireMessage msg{seg.header, delivered};
-    if (tx->recv.wire_out != nullptr) {
-      // Deliver the wire representation as-is; the application decompresses
-      // later (or forwards it on).
-      *tx->recv.wire_out = msg;
-    } else {
-      // A compressed payload landed in the receiver's temporary device
-      // buffer and decompresses into the user buffer (Algorithm 2, steps 6-7).
-      try {
-        land(tl, tx->env.dst, msg, tx->staging, tx->recv.buf, tx->recv.capacity);
-      } catch (const core::CodecFaultError&) {
-        // The stream is intact (CRC passed) but the kernel failed; ask the
-        // sender for the raw buffer instead of relaunching on the same data.
-        nack_segment(tx, i, tl.now(), true);
-        return;
-      }
-      // Also frees the staging a decode-fault fallback to raw left unused
-      // (a no-op when none was taken).
-      state.mgr->release(tl, tx->staging);
-    }
-    seg.done = true;
-    sim::Engine::cancel(seg.watchdog);
-    complete(tx->send_req, Status{tx->env.dst, tx->env.tag, tx->env.bytes});
-    complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
-    // A successful cold exchange is the channel's warm-up exchange: the
-    // receiver now grants credits so the next message can skip the handshake.
-    maybe_warm_channel(tx->env, msg.header, tl.now());
-    return;
-  }
-
-  const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
-  const std::uint64_t len = pipeline_chunk_len(tx, i);
-  auto* out = (tx->recv.wire_out != nullptr ? tx->assemble->data()
-                                            : static_cast<std::uint8_t*>(tx->recv.buf)) +
-              off;
-  if (seg.header.compressed) {
-    void* slice = tx->staging.slice(i);
-    std::memcpy(slice, delivered->data(), delivered->size());
-    Time kernel_time;
-    try {
-      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
-                                                    tx->blocks, &kernel_time);
-      tx->recv_done = std::max(tx->recv_done, done);
-      tx->decompress_busy += kernel_time;
-    } catch (const core::CodecFaultError&) {
-      // Intact stream (CRC passed), faulting kernel: ask the sender to
-      // resend just this chunk raw.
-      nack_segment(tx, i, tl.now(), true);
-      return;
-    }
-  } else {
-    if (!delivered->empty()) std::memcpy(out, delivered->data(), delivered->size());
-    tx->recv_done = std::max(tx->recv_done, tl.now());
-  }
-  seg.done = true;
-  sim::Engine::cancel(seg.watchdog);
-  tx->recv_cursor = tl.now();
-  ++tx->arrived;
-  if (tx->arrived == tx->chunks) {
-    engine_.schedule(std::max(tx->recv_done, tl.now()), [this, tx]() { finish_pipeline(tx); });
-  }
-}
-
-void World::resend_segment(const RndvPtr& tx, int i, bool decode_fail) {
-  Segment& seg = tx->segment(i);
-  ++tx->retransmits;
-  if (decode_fail) {
-    // Only the faulting segment degrades to raw, from the still-live user
-    // buffer. Forwarded wire messages have none, hence no raw fallback.
-    const std::uint64_t off = static_cast<std::uint64_t>(i) * tx->chunk_bytes;
-    degrade_segment(seg, static_cast<const std::uint8_t*>(tx->sender_buf) + off,
-                    pipeline_chunk_len(tx, i));
-  }
-  // A serial re-push waits for the sender's progress engine, as its first
-  // push did; a chunk re-push does not (DESIGN.md §7).
-  const Time at = engine_.now() + (tx->pipelined() ? Time::zero() : kProgressOverhead);
-  const net::Fabric::Delivery d = push_segment(tx, i, at);
-  tx->wire_total += seg.payload->size();
-  tx->transfer_busy += d.wire;
-}
-
 void World::finish_pipeline(const RndvPtr& tx) {
   if (tx->done) return;
   tx->done = true;
@@ -972,34 +950,16 @@ void World::finish_pipeline(const RndvPtr& tx) {
   complete_at(tx->recv.req, Status{tx->env.src, tx->env.tag, tx->env.bytes}, tl.now());
 }
 
-void World::fail_transfer(const RndvPtr& tx, Time at) {
-  tx->done = true;
-  for (auto& seg : tx->segments) {
-    seg.done = true;
-    sim::Engine::cancel(seg.watchdog);
-  }
-  if (tx->staging.valid()) {
-    Timeline tl(at);
-    ranks_[static_cast<std::size_t>(tx->env.dst)].mgr->release(tl, tx->staging);
-  }
-  fail_requests(tx->env, tx->send_req, tx->recv.req, at);
-}
-
 const World::Envelope& World::envelope_of(const Unexpected& u) {
-  if (const auto* tx = std::get_if<WarmPtr>(&u)) return (*tx)->env;
-  if (const auto* rts = std::get_if<RtsMsg>(&u)) return rts->env;
+  if (const auto* tx = std::get_if<RndvPtr>(&u)) return (*tx)->env;
   return std::get<EagerMsg>(u).env;
 }
 
 std::deque<World::Unexpected>::iterator World::find_unexpected(RankState& state, int src,
                                                                 int tag) {
   return std::find_if(state.unexpected.begin(), state.unexpected.end(), [&](const Unexpected& u) {
-    // A predecessor in retransmission recovery blocks a warm successor.
-    if (const auto* tx = std::get_if<WarmPtr>(&u);
-        tx != nullptr && (*tx)->seq != (*tx)->ch->next_consume_seq) {
-      return false;
-    }
-    return matches(src, tag, envelope_of(u));
+    const Envelope& env = envelope_of(u);
+    return matches(src, tag, env) && !overtakes(state, env, tag);
   });
 }
 
@@ -1009,8 +969,8 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
   auto& state = ranks_[static_cast<std::size_t>(dst)];
   PostedRecv self{buf, capacity, src, tag, req, wire_out};
 
-  // The oldest matching arrival, so a later message can never overtake an
-  // earlier one.
+  // The oldest arrival this receive may take, so a later message can never
+  // overtake an earlier one.
   const auto it = find_unexpected(state, src, tag);
   if (it == state.unexpected.end()) {
     // Nothing waiting: post the receive.
@@ -1018,27 +978,16 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
     ctx.advance(kHostRecvOverhead);
     return req;
   }
-  if (const auto* eager = std::get_if<EagerMsg>(&*it)) {
-    const Status status = deliver_eager(self, *eager);
-    state.unexpected.erase(it);
-    ctx.advance(kHostRecvOverhead);
-    req->status = status;
-    req->complete = true;
-    return req;
-  }
-  Timeline tl(ctx.now());
-  if (auto* rts = std::get_if<RtsMsg>(&*it)) {
-    RtsMsg msg = std::move(*rts);
-    state.unexpected.erase(it);
-    begin_rndv_receive(tl, std::move(msg), std::move(self));
-    ctx.advance_to(tl.now());
-    return req;
-  }
-  const WarmPtr tx = std::get<WarmPtr>(*it);
+  Unexpected u = std::move(*it);
   state.unexpected.erase(it);
-  consume_warm(tx, std::move(self), tl);
+  const int from = envelope_of(u).src;
+  // Copying out an eager message costs the host receive overhead; a
+  // rendezvous receive charges its own steps.
+  Timeline tl(ctx.now() +
+              (std::holds_alternative<EagerMsg>(u) ? kHostRecvOverhead : Time::zero()));
+  bind(std::move(u), std::move(self), tl);
   ctx.advance_to(tl.now());
-  drain_warm_heads(dst);
+  rematch(dst, from);
   return req;
 }
 

@@ -14,12 +14,19 @@
 //                 A pipelined rendezvous (mpi/pipeline.hpp) announces its
 //                 chunk geometry in the RTS and compresses chunk by chunk
 //                 after the CTS; a serial one is the same transfer with a
-//                 single segment.
+//                 single segment. On a warm persistent channel
+//                 (mpi/channel.hpp) the same transfer is pushed: a channel
+//                 credit stands in for the CTS and a RepeatHeader for the
+//                 RTS header.
 //
-// Matching: arrivals no posted receive wants (eager messages, RTSs, warm
-// channel messages) wait in one queue in arrival order. A receive takes
-// the first match and a probe reports that same message, so order alone
-// gives MPI's non-overtaking rule.
+// Matching: arrivals no posted receive wants (eager messages, RTSs, pushed
+// messages) wait in one queue in arrival order. Every send is stamped with
+// a per-(src, dst) sequence number at the send call, and a message may take
+// a receive only when no earlier message from the same sender that the
+// same receive would match is still unmatched: MPI's non-overtaking rule,
+// also for a pushed message that is stalled on credits or retransmitting,
+// or an RTS that a latency spike delayed.
+// A receive takes the first such message and a probe reports that same one.
 //
 // Each rank is an actor fiber; the receiver side of the protocol runs in
 // engine events, modeling MVAPICH2-GDR's asynchronous progress engine.
@@ -38,9 +45,8 @@
 //     StatusError::RetryLimit (no hangs);
 //   * a decompression kernel fault NACKs with decode_fail, and the sender
 //     falls back to resending that segment raw from the user buffer.
-// One segment cycle implements this for both transfer kinds: a rendezvous
-// is cleared by RTS/CTS and has one segment (serial) or one per chunk
-// (pipelined); a warm-channel message is one segment cleared by a credit.
+// One segment cycle implements this for every rendezvous: one segment
+// (serial or pushed) or one per chunk (pipelined).
 // Control packets (RTS/CTS/NACK) and eager messages ride the modeled
 // link-level-reliable control plane and are never dropped.
 #pragma once
@@ -49,13 +55,13 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <variant>
 #include <vector>
-
-#include <map>
 
 #include "core/adapt.hpp"
 #include "core/collective.hpp"
@@ -380,6 +386,7 @@ class World {
     int tag = 0;
     std::uint64_t bytes = 0;   // original message size
     std::uint32_t crc = 0;     // eager payload CRC32C (reliability layer)
+    std::uint32_t seq = 0;     // per-(src, dst) send order, stamped at the send call
   };
 
   using Payload = std::shared_ptr<std::vector<std::uint8_t>>;
@@ -388,14 +395,6 @@ class World {
     Envelope env;
     Payload payload;
     bool crc_ok = true;  // end-to-end CRC verdict (reliability layer)
-  };
-
-  struct RtsMsg {
-    Envelope env;
-    core::CompressionHeader header;
-    Payload payload;  // wire bytes, staged at send time
-    Request send_req;
-    const void* sender_buf = nullptr;  // user buffer, for raw-resend fallback
   };
 
   struct PostedRecv {
@@ -408,9 +407,9 @@ class World {
   };
 
   /// One reliably delivered unit of payload: the whole message of a serial
-  /// rendezvous or warm send, or one chunk of a pipelined send. Every kind
-  /// runs the same cycle on it (push_segment -> segment_intact ->
-  /// nack_segment -> resend_segment, raw degrade, RetryLimit).
+  /// or pushed rendezvous, or one chunk of a pipelined one. Each runs the
+  /// same cycle (push_segment -> segment_intact -> nack_segment ->
+  /// resend_segment, raw degrade, RetryLimit).
   struct Segment {
     core::CompressionHeader header;  // wire header; carries the payload CRC
     Payload payload;                 // staged wire bytes, re-pushed on NACK
@@ -421,51 +420,32 @@ class World {
     sim::Engine::CancelToken watchdog;
   };
 
-  // Each transfer kind below exposes the same three accessors to the
-  // segment cycle: segment(i), the per-segment header bytes riding with the
-  // payload, and the codec its telemetry events report.
-
-  /// One in-flight warm-channel message (persistent channels): the payload
-  /// ships with a compact RepeatHeader instead of the RTS/CTS handshake.
-  /// Recovery is scoped to the message and never tears the channel down.
-  struct WarmTransfer {
-    Channel* ch = nullptr;
-    Envelope env;
-    Segment seg;
-    Request send_req;
-    const void* sender_buf = nullptr;  // raw-degrade source (user p2p only)
-    std::uint32_t seq = 0;
-    bool failed = false;  // retry budget exhausted; its receive fails in order
-    Payload delivered;    // arrived bytes, kept while parked
-
-    /// The compact header this message carries, derived from its segment.
-    [[nodiscard]] RepeatHeader repeat() const;
-    Segment& segment(int) { return seg; }
-    [[nodiscard]] std::uint64_t segment_header_bytes(int) const {
-      return repeat().wire_bytes();
-    }
-    [[nodiscard]] core::Algorithm codec(int) const { return ch->tmpl.algorithm; }
-  };
-  using WarmPtr = std::shared_ptr<WarmTransfer>;
-
   /// One in-flight rendezvous, kept alive until verified delivery or retry
-  /// exhaustion. Serial (chunks == 1): its one segment is the RTS header
-  /// and the payload compressed before the RTS. Pipelined (chunks >= 2,
-  /// announced by an RTS whose header carries pipeline_chunks):
-  /// compression, wire transfer, and decompression of consecutive chunks
-  /// overlap after the CTS; each chunk is its own segment, so a lost or
-  /// corrupted chunk re-pushes only itself.
+  /// exhaustion. It starts one of two ways:
+  ///   * pulled: an RTS carries the header and the receiver's CTS clears
+  ///     the sender. Serial (chunks == 1): its one segment is the RTS
+  ///     header and the payload compressed before the RTS. Pipelined
+  ///     (chunks >= 2, announced by an RTS whose header carries
+  ///     pipeline_chunks): compression, wire transfer, and decompression of
+  ///     consecutive chunks overlap after the CTS; each chunk is its own
+  ///     segment, so a lost or corrupted chunk re-pushes only itself;
+  ///   * pushed (`ch` set): a warm channel's credit stands in for the CTS
+  ///     and a RepeatHeader for the RTS header. One segment, matched when
+  ///     it first arrives intact; recovery never tears the channel down.
+  /// A receive, once matched, stays bound to the transfer (`recv`).
   struct RndvTransfer {
     Envelope env;
     Request send_req;
-    PostedRecv recv;
+    PostedRecv recv;                   // the bound receive (req set once matched)
+    Channel* ch = nullptr;             // pushed: the warm channel whose credit cleared it
     const void* sender_buf = nullptr;  // user buffer: chunk and raw-degrade source
-    std::uint64_t chunk_bytes = 0;     // serial: the whole message
+    std::uint64_t chunk_bytes = 0;     // serial and pushed: the whole message
     int chunks = 0;
     int window = 0;  // max chunks concurrently in flight
     int blocks = 0;  // thread blocks per chunk kernel (SMs / window)
     core::Staging staging;  // receiver decode staging (pipelined: per-chunk slices)
     Payload assemble;  // pipelined wire-form receivers: chunks reassemble here
+    Payload delivered;  // pushed: verified bytes waiting for a receive
 
     // Progress-thread host cursors: per-chunk host work (launches, size
     // readbacks, CRC handling) serializes on the owning side's cursor even
@@ -476,7 +456,7 @@ class World {
     sim::Time recv_done;    // max over chunk decompression completions
     int next_chunk = 0;     // next chunk to launch compression for
     int arrived = 0;        // chunks verified + consumed at the receiver
-    bool done = false;
+    bool done = false;      // pipelined delivery finished, or the transfer failed
 
     std::vector<Segment> segments;  // one per chunk (serial: one), own header and CRC
 
@@ -488,13 +468,19 @@ class World {
     sim::Time decompress_busy;
 
     [[nodiscard]] bool pipelined() const { return chunks >= 2; }
+    [[nodiscard]] bool pushed() const { return ch != nullptr; }
     Segment& segment(int i) { return segments[static_cast<std::size_t>(i)]; }
-    /// A serial header rode the RTS; a chunk carries its own sub-header.
+    /// The compact header a pushed message carries, derived from its segment.
+    [[nodiscard]] RepeatHeader repeat() const;
+    /// A serial header rode the RTS; a chunk carries its own sub-header and
+    /// a pushed message its RepeatHeader.
     [[nodiscard]] std::uint64_t segment_header_bytes(int i) const {
+      if (pushed()) return repeat().wire_bytes();
       return pipelined() ? segments[static_cast<std::size_t>(i)].header.wire_bytes() : 0;
     }
+    /// The codec telemetry reports: a pushed message's is its channel's.
     [[nodiscard]] core::Algorithm codec(int i) const {
-      return segments[static_cast<std::size_t>(i)].header.algorithm;
+      return pushed() ? ch->tmpl.algorithm : segments[static_cast<std::size_t>(i)].header.algorithm;
     }
   };
   using RndvPtr = std::shared_ptr<RndvTransfer>;
@@ -505,8 +491,9 @@ class World {
     sim::ActorId actor = sim::kNoActor;
   };
 
-  /// An arrival no posted receive has matched yet.
-  using Unexpected = std::variant<EagerMsg, RtsMsg, WarmPtr>;
+  /// An arrival no posted receive has matched yet: an eager message, or a
+  /// transfer whose RTS (pulled) or intact payload or failure (pushed) arrived.
+  using Unexpected = std::variant<EagerMsg, RndvPtr>;
 
   struct RankState {
     std::unique_ptr<gpu::Gpu> gpu;
@@ -514,23 +501,30 @@ class World {
     std::deque<PostedRecv> posted;
     std::deque<Unexpected> unexpected;  // arrival order
     std::vector<ProbeWaiter> probe_waiters;
+    /// Sender side: the next sequence number per destination.
+    std::map<int, std::uint32_t> next_seq;
+    /// Receiver side: every message sent here that no receive has taken
+    /// yet, in flight or waiting, as (src, seq) -> tag.
+    std::map<std::pair<int, std::uint32_t>, int> unmatched;
   };
 
   [[nodiscard]] static bool matches(int src, int tag, const Envelope& e) {
     return (src == kAnySource || src == e.src) && (tag == kAnyTag || tag == e.tag);
   }
-  [[nodiscard]] static bool matches(const PostedRecv& r, const Envelope& e) {
-    return matches(r.src, r.tag, e);
-  }
-  /// Remove and return the oldest posted receive matching `env`, if any.
+  /// The non-overtaking rule: is an earlier message from env.src that a
+  /// receive for `tag` would also match still unmatched?
+  [[nodiscard]] static bool overtakes(const RankState& state, const Envelope& env, int tag);
+  /// Remove and return the oldest posted receive `env` may take, if any.
   static std::optional<PostedRecv> take_posted(RankState& state, const Envelope& env);
   [[nodiscard]] static const Envelope& envelope_of(const Unexpected& u);
-  /// The oldest unexpected arrival matching (src, tag): what the next such
-  /// receive takes and what a probe reports. A warm message matches only
-  /// as its channel's next in order.
+  /// The oldest unexpected arrival a (src, tag) receive may take: what the
+  /// next such receive takes and what a probe reports.
   static std::deque<Unexpected>::iterator find_unexpected(RankState& state, int src, int tag);
 
   // Protocol steps (see .cpp). Receiver-side handlers run in engine events.
+  /// The envelope of a new message: stamps its sequence number and counts
+  /// it as unmatched at the destination.
+  Envelope stamp(int src, int dst, int tag, std::uint64_t bytes);
   Request do_isend(sim::ActorContext& ctx, int src, const void* buf,
                    std::uint64_t bytes, int dst, int tag);
   Request do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_t capacity,
@@ -553,49 +547,62 @@ class World {
   WireMessage make_raw_wire(const void* buf, std::uint64_t bytes) const;
   Request do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage& msg, int dst,
                         int tag);
-  /// Charge the host send overhead, send the RTS control packet (with its
-  /// piggybacked header) and schedule its arrival at the receiver.
-  void post_rts(sim::ActorContext& ctx, RtsMsg rts);
+  /// Start a serial rendezvous of `wire`: pushed when `ch` is warm and its
+  /// template expands the header, else pulled by an RTS.
+  Request start_serial(sim::ActorContext& ctx, const Envelope& env, WireMessage wire,
+                       const void* sender_buf, Channel* ch);
+  /// Charge the host send overhead, send the RTS control packet (carrying
+  /// `header`) and schedule its arrival at the receiver.
+  void post_rts(sim::ActorContext& ctx, const RndvPtr& tx, const core::CompressionHeader& header);
   void on_eager_arrival(EagerMsg msg);
-  void on_rts_arrival(RtsMsg rts);
+  /// Match an arrival to the oldest posted receive it may take, or queue it
+  /// (and wake a probe that may now report it).
+  void arrive(Unexpected u, sim::Timeline& tl);
+  /// Bind a matched arrival to its receive: an eager message is delivered,
+  /// a pulled transfer answers with the CTS, a pushed one lands its bytes
+  /// (or, if it failed first, fails the receive).
+  void bind(Unexpected u, PostedRecv recv, sim::Timeline& tl);
+  /// Matching a message from `src` may let later messages from `src` take
+  /// posted receives, or a blocked probe report them.
+  void rematch(int dst, int src);
   /// Deliver an arrived message into `buf` on `rank`: a compressed payload
   /// is copied into `staging` and decoded from there (a CodecFaultError
   /// propagates to the caller, which owns recovery and the staging); a raw
   /// one is capacity-checked and copied.
   void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
             void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
-  /// Receiver side of a matched RTS: build the transfer (serial or
-  /// pipelined), acquire its decode staging and send the CTS.
-  void begin_rndv_receive(sim::Timeline& tl, RtsMsg rts, PostedRecv recv);
+  /// Receiver side of a matched RTS: acquire the decode staging (serial or
+  /// pipelined) and send the CTS.
+  void begin_rndv_receive(sim::Timeline& tl, const RndvPtr& tx);
+  /// Deliver the verified payload of a serial or pushed transfer to its
+  /// bound receive; a decode fault asks the sender for a raw re-push.
+  void land_message(const RndvPtr& tx, const Payload& delivered, sim::Timeline& tl);
 
-  // --- the segment cycle, shared by every transfer kind ---
+  // --- the segment cycle, shared by every transfer ---
   /// Push (or re-push) segment i: bit-flip delivery of a private copy on
   /// corruption, a backoff watchdog on a drop.
-  template <class Tx>
-  net::Fabric::Delivery push_segment(const std::shared_ptr<Tx>& tx, int i, sim::Time start);
+  net::Fabric::Delivery push_segment(const RndvPtr& tx, int i, sim::Time start);
   /// Receiver-side CRC check of an arrival; a mismatch is recorded and NACKed.
-  template <class Tx>
-  bool segment_intact(const std::shared_ptr<Tx>& tx, int i, const Payload& delivered,
-                      sim::Time at);
+  bool segment_intact(const RndvPtr& tx, int i, const Payload& delivered, sim::Time at);
   /// NACK segment i back to the sender, or fail its transfer once the
   /// retry budget is spent.
-  template <class Tx>
-  void nack_segment(const std::shared_ptr<Tx>& tx, int i, sim::Time at, bool decode_fail);
+  void nack_segment(const RndvPtr& tx, int i, sim::Time at, bool decode_fail);
   /// Switch a segment to a raw copy of the live user bytes (graceful
   /// degradation after a decode fault). False if it already is raw.
   bool degrade_segment(Segment& seg, const void* src, std::uint64_t len);
   /// Complete the given requests with StatusError::RetryLimit and 0 bytes.
   void fail_requests(const Envelope& env, const Request& send_req, const Request& recv_req,
                      sim::Time at);
-
-  // What each kind adds to the cycle: arrival handling, the sender's
-  // reaction to a NACK, and the cleanup when the budget is spent.
+  /// A verified arrival of segment i: match a pushed message, land a serial
+  /// one, or decode a chunk into its slice of the user buffer.
   void on_segment_data(const RndvPtr& tx, int i, const Payload& delivered);
-  void on_segment_data(const WarmPtr& tx, int i, const Payload& delivered);
+  /// The sender's reaction to a NACK: count it, degrade to raw on a decode
+  /// fault, and re-push.
   void resend_segment(const RndvPtr& tx, int i, bool decode_fail);
-  void resend_segment(const WarmPtr& tx, int i, bool decode_fail);
+  /// Retry budget spent: release the staging, demote a pushed message's
+  /// channel, and fail both requests. A pushed message nobody matched yet
+  /// still arrives as a failure, so its receive fails in its place.
   void fail_transfer(const RndvPtr& tx, sim::Time at);
-  void fail_transfer(const WarmPtr& tx, sim::Time at);
 
   // Chunked pipelined rendezvous (see mpi/pipeline.hpp and DESIGN.md).
   /// Chunk size of a pipelined send of this message, or 0 when it takes
@@ -603,8 +610,7 @@ class World {
   /// route, or fewer than two chunks).
   [[nodiscard]] std::uint64_t pipelined_chunk_bytes(int src, int dst, const void* buf,
                                                     std::uint64_t bytes) const;
-  Request pipeline_isend(sim::ActorContext& ctx, int src, const void* buf,
-                         std::uint64_t bytes, int dst, int tag,
+  Request pipeline_isend(sim::ActorContext& ctx, const Envelope& env, const void* buf,
                          std::uint64_t chunk_bytes);
   /// CTS arrival at the sender: push a serial payload, or start the
   /// compression window of a pipelined one.
@@ -622,29 +628,13 @@ class World {
   /// Find-or-create the channel for a key (assigns the id on creation).
   Channel* channel_for(const ChannelKey& key);
   /// Receiver-side warm-up after a successful cold delivery: cache the
-  /// header template and send the one-time credit grant. Warm consumes take
-  /// their decode staging from the plan cache, like every other receive.
+  /// header template and send the one-time credit grant. Pushed messages
+  /// take their decode staging from the plan cache, like every other receive.
   void maybe_warm_channel(const Envelope& env, const core::CompressionHeader& header,
                           sim::Time at);
-  /// Handshake-free warm send: consume a credit (or stall), ship the
-  /// payload with a RepeatHeader. `header` is the freshly compressed wire
-  /// header; `payload` the staged wire bytes.
-  Request warm_isend(sim::ActorContext& ctx, Channel* ch, const Envelope& env,
-                     const core::CompressionHeader& header, Payload payload,
-                     const void* sender_buf);
-  /// Receiver side of a verified (or failed) warm message: consume it now
-  /// if it is the channel's next in order and a receive is posted, else
-  /// park it until one is.
-  void match_or_park_warm(const WarmPtr& tx, sim::Timeline& tl);
-  /// Deliver a verified, in-order warm message to a matching posted
-  /// receive; consumes a credit refill slot and drains the stall queue. A
-  /// failed message completes the receive with RetryLimit instead.
-  void consume_warm(const WarmPtr& tx, PostedRecv recv, sim::Timeline& tl);
-  /// After a consume bumped next_consume_seq, a parked out-of-order
-  /// successor in the unexpected queue may have become the head: match it
-  /// to a posted receive, or else wake a blocked probe that matches it (no
-  /// arrival will announce it).
-  void drain_warm_heads(int dst);
+  /// The pushed start: count the channel's savings, then consume a credit
+  /// and push the one segment, or stall until a consume refills one.
+  void push_warm(sim::ActorContext& ctx, const RndvPtr& tx, Channel* ch);
   /// Sender-side credit refill (piggybacked on the zero-cost completion
   /// notification): un-stall the oldest parked send if any.
   void refill_credit(Channel* ch, sim::Time at);
@@ -655,6 +645,7 @@ class World {
   Status deliver_eager(const PostedRecv& recv, const EagerMsg& msg);
   bool do_iprobe(int rank, int src, int tag, Status* status);
   Status do_probe(sim::ActorContext& ctx, int rank, int src, int tag);
+  /// Wake the first blocked probe that may now report `env`.
   void wake_probers(RankState& state, const Envelope& env);
 
   sim::Engine& engine_;
@@ -669,8 +660,8 @@ class World {
   // flush; entries are pointed into, so node stability matters.
   std::map<ChannelKey, Channel> channels_;
   std::uint32_t next_channel_id_ = 0;
-  /// Per-send stall queue for credit-exhausted channels (sender side).
-  std::map<std::uint32_t, std::deque<WarmPtr>> stalled_;
+  /// Per-channel queue of pushed sends waiting for a credit (sender side).
+  std::map<std::uint32_t, std::deque<RndvPtr>> stalled_;
 };
 
 }  // namespace gcmpi::mpi

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "data/datasets.hpp"
+#include "fault/injector.hpp"
 #include "mpi/world.hpp"
 
 namespace {
@@ -73,6 +74,40 @@ TEST(MiniMpi, MessagesDoNotOvertakePerPair) {
     }
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(MiniMpi, SpikedRtsIsNotOvertakenByALaterEagerMessage) {
+  // A latency spike on the control plane delays a 64 KiB message's RTS
+  // past the 100-byte eager message sent after it under the same tag. The
+  // eager message still must take the second receive, not the first.
+  std::vector<std::uint64_t> bad_seeds;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    fault::FaultPlan plan;
+    plan.seed = seed;
+    plan.latency_spike_probability = 0.5;
+    fault::FaultInjector injector(plan);
+    sim::Engine engine;
+    mpi::WorldOptions opts;
+    opts.fault = &injector;
+    World world(engine, net::longhorn(2, 1), no_compression(), opts);
+    const std::vector<std::uint8_t> big(64 << 10, 1), small(100, 2);
+    bool ok = false;
+    world.run([&](Rank& R) {
+      if (R.rank() == 0) {
+        std::vector<mpi::Request> reqs{R.isend(big.data(), big.size(), 1, 3),
+                                       R.isend(small.data(), small.size(), 1, 3)};
+        R.waitall(reqs);
+        return;
+      }
+      std::vector<std::uint8_t> first(big.size()), second(big.size());
+      mpi::Request r1 = R.irecv(first.data(), first.size(), 0, 3);
+      mpi::Request r2 = R.irecv(second.data(), second.size(), 0, 3);
+      ok = R.wait(r1).bytes == big.size() && R.wait(r2).bytes == small.size();
+    });
+    if (!ok) bad_seeds.push_back(seed);
+  }
+  EXPECT_TRUE(bad_seeds.empty()) << bad_seeds.size() << " seeds misordered, first "
+                                 << (bad_seeds.empty() ? 0 : bad_seeds.front());
 }
 
 TEST(MiniMpi, WildcardSourceAndTag) {
