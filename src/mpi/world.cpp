@@ -32,11 +32,8 @@ constexpr double kRetransmitBackoff = 2.0;
 constexpr int kChannelCredits = 4;
 constexpr std::uint64_t kGrantBytes = 32;
 
-/// CRC32C of a staged payload. Checksums are charged zero virtual time:
-/// real NICs fold the ICRC into the DMA engine, so the paper's timing
-/// model is unchanged by turning the reliability layer on.
-std::uint32_t payload_crc(const std::vector<std::uint8_t>& payload) {
-  return payload.empty() ? 0 : util::crc32c(payload.data(), payload.size());
+std::span<const std::uint8_t> view(const void* data, std::uint64_t bytes) {
+  return {static_cast<const std::uint8_t*>(data), bytes};
 }
 
 /// Can this freshly compressed header ride the warm channel? The cached
@@ -153,11 +150,8 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
   // (buffered-send semantics) and the send completes locally.
   if (dst == src || bytes <= options_.eager_threshold) {
     auto req = std::make_shared<RequestState>();
-    auto payload = std::make_shared<std::vector<std::uint8_t>>(
-        static_cast<const std::uint8_t*>(buf),
-        static_cast<const std::uint8_t*>(buf) + bytes);
-    EagerMsg msg{env, std::move(payload)};
-    if (reliability_) msg.env.crc = payload_crc(*msg.payload);
+    EagerMsg msg{env, copy(host_.eager, view(buf, bytes))};
+    if (reliability_) msg.env.crc = checksum(host_.crc_eager_stamp, msg.payload.bytes);
     ctx.advance(kHostSendOverhead);
     const Time t_arr = fabric_->transfer(ctx.now(), src, dst, bytes + kEnvelopeBytes);
     engine_.schedule(t_arr, [this, msg = std::move(msg)]() mutable {
@@ -186,18 +180,19 @@ Request World::do_isend(sim::ActorContext& ctx, int src, const void* buf,
 
   // Rendezvous: compress on the sender GPU (Algorithm 1 / 3), then RTS with
   // the piggybacked compression header. Intra-node paths may be exempted
-  // from compression (see compresses).
+  // from compression (see compresses). Raw bytes leave from `buf` itself.
   const core::PlanCacheStats plan0 =
       ch != nullptr ? ranks_[static_cast<std::size_t>(src)].mgr->plan_stats()
                     : core::PlanCacheStats{};
-  WireMessage wire = compresses(src, dst) ? do_make_wire(ctx, src, buf, bytes)
-                                          : make_raw_wire(buf, bytes);
+  auto [header, payload] =
+      compresses(src, dst) ? compress_send(ctx, src, buf, bytes, /*minted=*/false)
+                           : std::pair{raw_header(bytes, 0), Payload{view(buf, bytes), nullptr}};
   if (ch != nullptr) {
     const auto& plan1 = ranks_[static_cast<std::size_t>(src)].mgr->plan_stats();
     ch->plan_hits += plan1.hits - plan0.hits;
     ch->plan_misses += plan1.misses - plan0.misses;
   }
-  return start_serial(ctx, env, std::move(wire), buf, ch);
+  return start_serial(ctx, env, std::move(header), std::move(payload), buf, ch);
 }
 
 World::Envelope World::stamp(int src, int dst, int tag, std::uint64_t bytes) {
@@ -207,7 +202,8 @@ World::Envelope World::stamp(int src, int dst, int tag, std::uint64_t bytes) {
   return env;
 }
 
-Request World::start_serial(sim::ActorContext& ctx, const Envelope& env, WireMessage wire,
+Request World::start_serial(sim::ActorContext& ctx, const Envelope& env,
+                            core::CompressionHeader header, Payload payload,
                             const void* sender_buf, Channel* ch) {
   auto tx = std::make_shared<RndvTransfer>();
   tx->env = env;
@@ -216,8 +212,7 @@ Request World::start_serial(sim::ActorContext& ctx, const Envelope& env, WireMes
   tx->chunk_bytes = env.bytes;
   tx->chunks = 1;
   Segment& seg = tx->segments.emplace_back();
-  seg.header = std::move(wire.header);
-  seg.payload = std::move(wire.payload);
+  fill_segment(seg, std::move(header), std::move(payload));
   if (ch != nullptr && ch->warm && warm_compatible(*ch, seg.header)) {
     push_warm(ctx, tx, ch);
   } else {
@@ -237,27 +232,48 @@ void World::post_rts(sim::ActorContext& ctx, const RndvPtr& tx,
   });
 }
 
-WireMessage World::stage_wire(const core::CompressionHeader& header, const void* data,
-                              std::uint64_t bytes) const {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  WireMessage msg{header, std::make_shared<std::vector<std::uint8_t>>(p, p + bytes)};
-  if (reliability_) msg.header.payload_crc32c = payload_crc(*msg.payload);
-  return msg;
+World::Payload World::copy(HostCounters::Copies& site, std::span<const std::uint8_t> bytes) {
+  ++site.buffers;
+  site.bytes += bytes.size();
+  auto owner = std::make_shared<std::vector<std::uint8_t>>(bytes.begin(), bytes.end());
+  return {*owner, owner};
 }
 
-WireMessage World::make_raw_wire(const void* buf, std::uint64_t bytes) const {
-  return stage_wire(raw_header(bytes, 0), buf, bytes);
+World::Payload World::take(const core::CompressionManager::WireBlock& w, bool minted) {
+  if (!minted && !w.header.compressed) return {view(w.data, w.bytes), nullptr};
+  return copy(minted ? host_.minted_wire : host_.compressed_segment,
+              view(w.data, w.bytes));
 }
 
-WireMessage World::do_make_wire(sim::ActorContext& ctx, int rank, const void* buf,
-                                std::uint64_t bytes) {
+/// Checksums are charged zero virtual time: real NICs fold the ICRC into
+/// the DMA engine, so the paper's timing model is unchanged by turning the
+/// reliability layer on.
+std::uint32_t World::checksum(std::uint64_t& site, std::span<const std::uint8_t> bytes) {
+  site += bytes.size();
+  return bytes.empty() ? 0 : util::crc32c(bytes.data(), bytes.size());
+}
+
+void World::fill_segment(Segment& seg, core::CompressionHeader header, Payload payload) {
+  seg.header = std::move(header);
+  seg.payload = std::move(payload);
+  if (reliability_) {
+    seg.header.payload_crc32c = checksum(host_.crc_segment_stamp, seg.payload.bytes);
+  }
+}
+
+WireMessage World::make_raw_wire(const void* buf, std::uint64_t bytes) {
+  return {raw_header(bytes, 0), copy(host_.minted_wire, view(buf, bytes)).owner};
+}
+
+std::pair<core::CompressionHeader, World::Payload> World::compress_send(
+    sim::ActorContext& ctx, int rank, const void* buf, std::uint64_t bytes, bool minted) {
   auto& state = ranks_[static_cast<std::size_t>(rank)];
   Timeline tl(ctx.now());
   auto wire = state.mgr->compress_for_send(tl, buf, bytes);
-  WireMessage msg = stage_wire(wire.header, wire.data, wire.bytes);
+  Payload payload = take(wire, minted);
   state.mgr->release(tl, wire.staging);
   ctx.advance_to(tl.now());
-  return msg;
+  return {std::move(wire.header), std::move(payload)};
 }
 
 std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int rank,
@@ -284,7 +300,7 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
     auto batch = state.mgr->compress_batch(tl, inputs);
     for (std::size_t k = 0; k < index.size(); ++k) {
       const auto& b = batch.blocks[k];
-      out[index[k]] = stage_wire(b.header, b.data, b.bytes);
+      out[index[k]] = WireMessage{b.header, take(b, /*minted=*/true).owner};
     }
     state.mgr->release(tl, batch.staging);
   }
@@ -307,11 +323,6 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
   if (dst < 0 || dst >= cluster_.ranks()) throw std::invalid_argument("isend_wire: bad destination");
   if (dst == src) throw std::invalid_argument("isend_wire: self-send unsupported");
   if (!msg.payload) throw std::invalid_argument("isend_wire: empty message");
-  WireMessage wire = msg;
-  // A forwarded payload is byte-identical to the original, so recomputing
-  // the CRC here both covers wire messages minted before the reliability
-  // layer was on and reproduces the original value otherwise.
-  if (reliability_) wire.header.payload_crc32c = payload_crc(*msg.payload);
 
   // Engine wire sends ride tag-wildcard channels: the collective tag
   // changes every invocation, but the (src, dst, shape) route repeats, so
@@ -322,8 +333,8 @@ Request World::do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage&
   // Forwarding a pre-built wire representation: protocol costs only — the
   // whole point of the compression-aware collectives. No raw fallback for
   // forwards: there is no original user buffer to resend.
-  return start_serial(ctx, stamp(src, dst, tag, msg.original_bytes()), std::move(wire),
-                      nullptr, ch);
+  return start_serial(ctx, stamp(src, dst, tag, msg.original_bytes()), msg.header,
+                      Payload{*msg.payload, msg.payload}, nullptr, ch);
 }
 
 // Eager delivery failures complete the receive with a clean StatusError
@@ -334,13 +345,13 @@ Status World::deliver_eager(const PostedRecv& recv, const EagerMsg& msg) {
   if (!msg.crc_ok) {
     status.error = StatusError::ChecksumMismatch;
   } else if (recv.wire_out != nullptr) {
-    *recv.wire_out = WireMessage{raw_header(msg.env.bytes, msg.env.crc), msg.payload};
+    *recv.wire_out = WireMessage{raw_header(msg.env.bytes, msg.env.crc), msg.payload.owner};
   } else if (recv.capacity < msg.env.bytes) {
     status.error = StatusError::Truncated;
-  } else if (!msg.payload->empty()) {
+  } else if (!msg.payload.bytes.empty()) {
     // Zero-byte messages are legal (match + status only); memcpy with a
     // null src/dst is not, even for size 0.
-    std::memcpy(recv.buf, msg.payload->data(), msg.payload->size());
+    std::memcpy(recv.buf, msg.payload.bytes.data(), msg.payload.bytes.size());
   }
   if (!status.ok()) status.bytes = 0;
   return status;
@@ -378,7 +389,7 @@ void World::on_eager_arrival(EagerMsg msg) {
   // Eager messages ride the reliable control plane, so this checksum is an
   // end-to-end assertion rather than a recovery trigger: a mismatch is
   // surfaced as StatusError::ChecksumMismatch on the matching receive.
-  msg.crc_ok = !reliability_ || msg.env.crc == payload_crc(*msg.payload);
+  msg.crc_ok = !reliability_ || msg.env.crc == checksum(host_.crc_eager_verify, msg.payload.bytes);
   Timeline tl(engine_.now());
   arrive(std::move(msg), tl);
 }
@@ -411,7 +422,7 @@ void World::bind(Unexpected u, PostedRecv recv, Timeline& tl) {
     // due to fill fails in its place, so later messages pair correctly.
     fail_requests(tx->env, nullptr, tx->recv.req, tl.now());
   } else {
-    land_message(tx, std::exchange(tx->delivered, nullptr), tl);
+    land_message(tx, std::exchange(tx->delivered, {}), tl);
   }
 }
 
@@ -436,13 +447,13 @@ void World::rematch(int dst, int src) {
   }
 }
 
-void World::land(Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
-                 void* buf, std::uint64_t capacity, bool synchronize, int stream_hint) {
-  const std::vector<std::uint8_t>& payload = *msg.payload;
-  if (msg.header.compressed) {
+void World::land(Timeline& tl, int rank, const core::CompressionHeader& header,
+                 std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
+                 std::uint64_t capacity, bool synchronize, int stream_hint) {
+  if (header.compressed) {
     std::memcpy(staging.data, payload.data(), payload.size());
     ranks_[static_cast<std::size_t>(rank)].mgr->decompress_received(
-        tl, msg.header, staging, buf, capacity, synchronize, stream_hint);
+        tl, header, staging, buf, capacity, synchronize, stream_hint);
     return;
   }
   if (capacity < payload.size()) {
@@ -466,6 +477,8 @@ void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
       // Wire-form receivers of a pipelined send get the reassembled message
       // as a raw wire view (the per-chunk streams are not forwardable).
       tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
+      ++host_.assemble.buffers;
+      host_.assemble.bytes += tx->env.bytes;
     }
   } else if (tx->recv.wire_out == nullptr) {
     // Receiver prepares the temporary device buffer for the compressed
@@ -482,21 +495,24 @@ void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
 void World::land_message(const RndvPtr& tx, const Payload& delivered, Timeline& tl) {
   Segment& seg = tx->segment(0);
   auto& state = ranks_[static_cast<std::size_t>(tx->env.dst)];
-  const WireMessage msg{tx->pushed() ? tx->repeat().expand(tx->ch->tmpl) : seg.header,
-                        delivered};
+  const core::CompressionHeader header =
+      tx->pushed() ? tx->repeat().expand(tx->ch->tmpl) : seg.header;
   if (tx->recv.wire_out != nullptr) {
     // Deliver the wire representation as-is; the application decompresses
-    // later (or forwards it on).
-    *tx->recv.wire_out = msg;
+    // later (or forwards it on). That WireMessage outlives the send, so a
+    // borrowed payload is copied here; an owned one is shared.
+    auto owner = delivered.owner ? delivered.owner : copy(host_.wire_out, delivered.bytes).owner;
+    *tx->recv.wire_out = WireMessage{header, std::move(owner)};
   } else {
     // A compressed payload lands in the receiver's temporary device buffer
     // and decompresses into the user buffer (Algorithm 2, steps 6-7). A
     // pulled message took that buffer at its CTS; a pushed one takes it from
     // the plan cache now, and a steady-state consume reuses the shape's slot.
-    if (tx->pushed()) tx->staging = state.mgr->prepare_receive(tl, msg.header);
+    if (tx->pushed()) tx->staging = state.mgr->prepare_receive(tl, header);
     const bool planned = tx->staging.planned();
     try {
-      land(tl, tx->env.dst, msg, tx->staging, tx->recv.buf, tx->recv.capacity);
+      land(tl, tx->env.dst, header, delivered.bytes, tx->staging, tx->recv.buf,
+           tx->recv.capacity);
     } catch (const core::CodecFaultError&) {
       // The stream is intact (CRC passed) but the kernel failed; ask the
       // sender for the raw buffer instead of relaunching on the same data.
@@ -508,7 +524,7 @@ void World::land_message(const RndvPtr& tx, const Payload& delivered, Timeline& 
     // Also frees the staging a decode-fault fallback to raw left unused
     // (a no-op when none was taken).
     state.mgr->release(tl, tx->staging);
-    if (tx->pushed() && msg.header.compressed) {
+    if (tx->pushed() && header.compressed) {
       ++(planned ? tx->ch->plan_hits : tx->ch->plan_misses);
     }
   }
@@ -522,7 +538,7 @@ void World::land_message(const RndvPtr& tx, const Payload& delivered, Timeline& 
   } else {
     // A successful cold exchange is the channel's warm-up exchange: the
     // receiver now grants credits so the next message can skip the handshake.
-    maybe_warm_channel(tx->env, msg.header, tl.now());
+    maybe_warm_channel(tx->env, header, tl.now());
   }
 }
 
@@ -537,19 +553,19 @@ net::Fabric::Delivery World::push_segment(const RndvPtr& tx, int i, Time start) 
   seg.recovery_pending = false;
   ++seg.attempts;
   const std::uint64_t wire_bytes =
-      seg.payload->size() + kEnvelopeBytes + tx->segment_header_bytes(i);
+      seg.payload.bytes.size() + kEnvelopeBytes + tx->segment_header_bytes(i);
   const net::Fabric::Delivery d =
       fabric_->transfer_data(start, tx->env.src, tx->env.dst, wire_bytes);
 
   if (!d.dropped) {
     Payload delivered = seg.payload;
     if (d.corrupted) {
-      // Flip one bit of a private copy; the sender's staged payload must
-      // stay intact for the retransmission the receiver will ask for.
-      delivered = std::make_shared<std::vector<std::uint8_t>>(*seg.payload);
-      if (!delivered->empty()) {
-        const std::uint64_t bit = d.corrupt_bits % (delivered->size() * 8);
-        (*delivered)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      // Flip one bit of a private copy; the sender's payload must stay
+      // intact for the retransmission the receiver will ask for.
+      delivered = copy(host_.corrupt_copy, seg.payload.bytes);
+      if (!delivered.bytes.empty()) {
+        const std::uint64_t bit = d.corrupt_bits % (delivered.bytes.size() * 8);
+        (*delivered.owner)[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
       }
     }
     engine_.schedule(d.at, [this, tx, i, delivered]() { on_segment_data(tx, i, delivered); });
@@ -572,12 +588,13 @@ net::Fabric::Delivery World::push_segment(const RndvPtr& tx, int i, Time start) 
 
 bool World::segment_intact(const RndvPtr& tx, int i, const Payload& delivered, Time at) {
   const Segment& seg = tx->segment(i);
-  if (!reliability_ || payload_crc(*delivered) == seg.header.payload_crc32c) return true;
+  if (!reliability_) return true;
+  if (checksum(host_.crc_segment_verify, delivered.bytes) == seg.header.payload_crc32c) return true;
   // A flipped bit anywhere in the payload — detected before any of it can
   // reach a decompression kernel or the user buffer.
   if (options_.telemetry != nullptr) {
     options_.telemetry->record({at, tx->env.dst, core::EventKind::CorruptionDetected,
-                                tx->codec(i), seg.header.original_bytes, delivered->size(),
+                                tx->codec(i), seg.header.original_bytes, delivered.bytes.size(),
                                 Time::zero()});
   }
   nack_segment(tx, i, at, false);
@@ -595,7 +612,7 @@ void World::nack_segment(const RndvPtr& tx, int i, Time at, bool decode_fail) {
   seg.recovery_pending = true;
   if (options_.telemetry != nullptr) {
     options_.telemetry->record({at, tx->env.dst, core::EventKind::Retransmit, tx->codec(i),
-                                seg.header.original_bytes, seg.payload->size(),
+                                seg.header.original_bytes, seg.payload.bytes.size(),
                                 Time::zero()});
   }
   // NACK rides the reliable control plane back to the sender. For drop
@@ -609,13 +626,11 @@ void World::nack_segment(const RndvPtr& tx, int i, Time at, bool decode_fail) {
 
 bool World::degrade_segment(Segment& seg, const void* src, std::uint64_t len) {
   // Decompression keeps failing on an intact stream: resend the original
-  // user bytes uncompressed. The send request is still pending, so MPI
-  // semantics keep that buffer alive and unchanged.
+  // user bytes uncompressed, straight from the user buffer. The send request
+  // is still pending, so MPI semantics keep that buffer alive and unchanged.
   if (src == nullptr || seg.fell_back_raw) return false;
   seg.fell_back_raw = true;
-  WireMessage raw = make_raw_wire(src, len);
-  seg.header = std::move(raw.header);
-  seg.payload = std::move(raw.payload);
+  fill_segment(seg, raw_header(len, 0), {view(src, len), nullptr});
   return true;
 }
 
@@ -654,7 +669,7 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
               off;
   if (seg.header.compressed) {
     void* slice = tx->staging.slice(i);
-    std::memcpy(slice, delivered->data(), delivered->size());
+    std::memcpy(slice, delivered.bytes.data(), delivered.bytes.size());
     Time kernel_time;
     try {
       const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
@@ -668,7 +683,7 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
       return;
     }
   } else {
-    if (!delivered->empty()) std::memcpy(out, delivered->data(), delivered->size());
+    if (!delivered.bytes.empty()) std::memcpy(out, delivered.bytes.data(), delivered.bytes.size());
     tx->recv_done = std::max(tx->recv_done, tl.now());
   }
   seg.done = true;
@@ -700,7 +715,7 @@ void World::resend_segment(const RndvPtr& tx, int i, bool decode_fail) {
   const bool serial = !tx->pipelined() && !tx->pushed();
   const Time at = engine_.now() + (serial ? kProgressOverhead : Time::zero());
   const net::Fabric::Delivery d = push_segment(tx, i, at);
-  tx->wire_total += seg.payload->size();
+  tx->wire_total += seg.payload.bytes.size();
   tx->transfer_busy += d.wire;
 }
 
@@ -808,7 +823,7 @@ RepeatHeader World::RndvTransfer::repeat() const {
   RepeatHeader rh;
   rh.channel = ch->id;
   rh.seq = env.seq;
-  rh.wire_len = seg.payload->size();
+  rh.wire_len = seg.payload.bytes.size();
   rh.crc32c = seg.header.payload_crc32c;
   rh.flags = seg.header.compressed ? RepeatHeader::kCompressed
              : seg.fell_back_raw   ? RepeatHeader::kRawDegrade
@@ -915,14 +930,12 @@ void World::pipeline_chunk_ready(const RndvPtr& tx, int chunk,
   const auto* user = static_cast<const std::uint8_t*>(tx->sender_buf) + off;
   Timeline tl(std::max(engine_.now(), tx->send_cursor));
   state.mgr->finish_chunk(tl, *ck, user, len);
-  WireMessage staged = stage_wire(ck->wire.header, ck->wire.data, ck->wire.bytes);
   Segment& seg = tx->segment(chunk);
-  seg.header = std::move(staged.header);
-  seg.payload = std::move(staged.payload);
+  fill_segment(seg, ck->wire.header, take(ck->wire, /*minted=*/false));
   state.mgr->release(tl, ck->wire.staging);
   tx->send_cursor = tl.now();
   const net::Fabric::Delivery d = push_segment(tx, chunk, tx->send_cursor);
-  tx->wire_total += seg.payload->size();
+  tx->wire_total += seg.payload.bytes.size();
   tx->transfer_busy += d.wire;  // occupancy including retransmitted pushes
   // Keep the window full: one finished chunk funds the next launch.
   launch_pipeline_chunk(tx);
@@ -937,8 +950,8 @@ void World::finish_pipeline(const RndvPtr& tx) {
   tl.advance(state.gpu->costs().stream_sync);
   state.mgr->release(tl, tx->staging);
   if (tx->recv.wire_out != nullptr) {
-    const std::uint32_t crc = reliability_ ? payload_crc(*tx->assemble) : 0;
-    *tx->recv.wire_out = WireMessage{raw_header(tx->env.bytes, crc), tx->assemble};
+    // Every chunk was verified on arrival; a forward stamps its own CRC.
+    *tx->recv.wire_out = WireMessage{raw_header(tx->env.bytes, 0), tx->assemble};
   }
   if (options_.telemetry != nullptr) {
     options_.telemetry->record_pipeline(
@@ -1042,7 +1055,8 @@ Request Rank::irecv(void* buf, std::uint64_t capacity, int src, int tag) {
 }
 
 WireMessage Rank::make_wire(const void* buf, std::uint64_t bytes) {
-  return world_.do_make_wire(ctx_, rank_, buf, bytes);
+  auto [header, payload] = world_.compress_send(ctx_, rank_, buf, bytes, /*minted=*/true);
+  return {std::move(header), std::move(payload.owner)};
 }
 
 std::vector<WireMessage> Rank::make_wire_batch(const std::vector<WireBlock>& blocks) {

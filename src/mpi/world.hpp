@@ -119,6 +119,24 @@ struct WireMessage {
   [[nodiscard]] std::uint64_t original_bytes() const { return header.original_bytes; }
 };
 
+/// Deterministic host work of the protocol that the virtual clock does not
+/// charge: fresh payload buffers and their bytes per copy site, and bytes
+/// checksummed per CRC site. Raw rendezvous bytes are borrowed from the
+/// sender's buffer, so they appear at no copy site.
+struct HostCounters {
+  struct Copies { std::uint64_t buffers = 0, bytes = 0; };
+  Copies eager;               // buffered-send copy of an eager message
+  Copies compressed_segment;  // compressed bytes out of the sender's staging
+  Copies corrupt_copy;        // private copy a corrupted delivery flips a bit in
+  Copies wire_out;            // borrowed bytes delivered to a wire-form receive
+  Copies assemble;            // pipelined message reassembled for a wire-form receive
+  Copies minted_wire;         // make_wire, make_wire_batch and raw intra-node wires
+  std::uint64_t crc_eager_stamp = 0;
+  std::uint64_t crc_eager_verify = 0;
+  std::uint64_t crc_segment_stamp = 0;   // once per segment payload (re-push: none)
+  std::uint64_t crc_segment_verify = 0;  // every arrival
+};
+
 /// Reduction operators for reduce/allreduce on float data (the canonical
 /// accumulator-first primitives from compress/reduce.hpp).
 using ReduceOp = core::ReduceOp;
@@ -376,6 +394,7 @@ class World {
   /// Persistent-channel table (inspection/tests); empty unless
   /// WorldOptions::persistent is enabled.
   [[nodiscard]] const std::map<ChannelKey, Channel>& channels() const { return channels_; }
+  [[nodiscard]] const HostCounters& host_counters() const { return host_; }
 
  private:
   friend class Rank;
@@ -389,7 +408,15 @@ class World {
     std::uint32_t seq = 0;     // per-(src, dst) send order, stamped at the send call
   };
 
-  using Payload = std::shared_ptr<std::vector<std::uint8_t>>;
+  /// Payload bytes of an eager message or a segment: a view plus its owner.
+  /// A borrowed payload (no owner) points into the sender's user buffer,
+  /// which MPI keeps live and unchanged until the send request completes;
+  /// no send completes before delivery or failure, and every pending event
+  /// checks that its segment is not done before it reads.
+  struct Payload {
+    std::span<const std::uint8_t> bytes;
+    std::shared_ptr<std::vector<std::uint8_t>> owner;
+  };
 
   struct EagerMsg {
     Envelope env;
@@ -409,10 +436,12 @@ class World {
   /// One reliably delivered unit of payload: the whole message of a serial
   /// or pushed rendezvous, or one chunk of a pipelined one. Each runs the
   /// same cycle (push_segment -> segment_intact -> nack_segment ->
-  /// resend_segment, raw degrade, RetryLimit).
+  /// resend_segment, raw degrade, RetryLimit). Raw bytes (a raw send, a raw
+  /// chunk, a raw degrade) are borrowed from the sender's buffer; compressed
+  /// and forwarded bytes are owned.
   struct Segment {
     core::CompressionHeader header;  // wire header; carries the payload CRC
-    Payload payload;                 // staged wire bytes, re-pushed on NACK
+    Payload payload;                 // wire bytes, re-pushed on NACK
     int attempts = 0;                // payload pushes so far
     bool done = false;               // delivered, or its transfer failed
     bool fell_back_raw = false;      // decode faults switched it to raw
@@ -432,19 +461,21 @@ class World {
   ///   * pushed (`ch` set): a warm channel's credit stands in for the CTS
   ///     and a RepeatHeader for the RTS header. One segment, matched when
   ///     it first arrives intact; recovery never tears the channel down.
-  /// A receive, once matched, stays bound to the transfer (`recv`).
+  /// A receive, once matched, stays bound to the transfer (`recv`). The
+  /// send request completes only at delivery or failure, so `sender_buf`
+  /// outlives every read of a borrowed segment payload.
   struct RndvTransfer {
     Envelope env;
     Request send_req;
     PostedRecv recv;                   // the bound receive (req set once matched)
     Channel* ch = nullptr;             // pushed: the warm channel whose credit cleared it
-    const void* sender_buf = nullptr;  // user buffer: chunk and raw-degrade source
+    const void* sender_buf = nullptr;  // user buffer: chunk, raw and raw-degrade source
     std::uint64_t chunk_bytes = 0;     // serial and pushed: the whole message
     int chunks = 0;
     int window = 0;  // max chunks concurrently in flight
     int blocks = 0;  // thread blocks per chunk kernel (SMs / window)
     core::Staging staging;  // receiver decode staging (pipelined: per-chunk slices)
-    Payload assemble;  // pipelined wire-form receivers: chunks reassemble here
+    std::shared_ptr<std::vector<std::uint8_t>> assemble;  // pipelined wire-form receivers
     Payload delivered;  // pushed: verified bytes waiting for a receive
 
     // Progress-thread host cursors: per-chunk host work (launches, size
@@ -529,8 +560,11 @@ class World {
                    std::uint64_t bytes, int dst, int tag);
   Request do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_t capacity,
                    int src, int tag, WireMessage* wire_out = nullptr);
-  WireMessage do_make_wire(sim::ActorContext& ctx, int rank, const void* buf,
-                           std::uint64_t bytes);
+  /// compress_for_send on `rank`, charged to `ctx`. A minted result owns
+  /// its bytes; a segment's borrows raw bytes from `buf`.
+  std::pair<core::CompressionHeader, Payload> compress_send(sim::ActorContext& ctx, int rank,
+                                                            const void* buf, std::uint64_t bytes,
+                                                            bool minted);
   std::vector<WireMessage> do_make_wire_batch(sim::ActorContext& ctx, int rank,
                                               const std::vector<Rank::WireBlock>& blocks);
   /// Does the src -> dst route compress at all? Intra-node routes are
@@ -540,17 +574,24 @@ class World {
   /// routing a block through the batched compress path or the pipeline)
   [[nodiscard]] bool batch_compress_eligible(int src, int dst, const void* buf,
                                              std::uint64_t bytes) const;
-  /// Copy wire bytes into a staged payload, stamping the CRC when the
-  /// reliability layer is on.
-  WireMessage stage_wire(const core::CompressionHeader& header, const void* data,
-                         std::uint64_t bytes) const;
-  WireMessage make_raw_wire(const void* buf, std::uint64_t bytes) const;
+  /// A fresh owned copy of `bytes`, counted at `site`.
+  Payload copy(HostCounters::Copies& site, std::span<const std::uint8_t> bytes);
+  /// The payload of a sender-side wire view whose staging the caller
+  /// releases next: raw bytes are borrowed (a minted wire copies them too),
+  /// compressed ones copied.
+  Payload take(const core::CompressionManager::WireBlock& w, bool minted);
+  /// CRC32C of `bytes`, counted at `site`.
+  std::uint32_t checksum(std::uint64_t& site, std::span<const std::uint8_t> bytes);
+  /// Give a segment its bytes, stamping their CRC when the reliability
+  /// layer is on: the one place a segment CRC is computed.
+  void fill_segment(Segment& seg, core::CompressionHeader header, Payload payload);
+  WireMessage make_raw_wire(const void* buf, std::uint64_t bytes);
   Request do_isend_wire(sim::ActorContext& ctx, int src, const WireMessage& msg, int dst,
                         int tag);
-  /// Start a serial rendezvous of `wire`: pushed when `ch` is warm and its
-  /// template expands the header, else pulled by an RTS.
-  Request start_serial(sim::ActorContext& ctx, const Envelope& env, WireMessage wire,
-                       const void* sender_buf, Channel* ch);
+  /// Start a serial rendezvous of one segment: pushed when `ch` is warm and
+  /// its template expands the header, else pulled by an RTS.
+  Request start_serial(sim::ActorContext& ctx, const Envelope& env, core::CompressionHeader header,
+                       Payload payload, const void* sender_buf, Channel* ch);
   /// Charge the host send overhead, send the RTS control packet (carrying
   /// `header`) and schedule its arrival at the receiver.
   void post_rts(sim::ActorContext& ctx, const RndvPtr& tx, const core::CompressionHeader& header);
@@ -569,8 +610,13 @@ class World {
   /// is copied into `staging` and decoded from there (a CodecFaultError
   /// propagates to the caller, which owns recovery and the staging); a raw
   /// one is capacity-checked and copied.
+  void land(sim::Timeline& tl, int rank, const core::CompressionHeader& header,
+            std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
+            std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
   void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
-            void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
+            void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0) {
+    land(tl, rank, msg.header, *msg.payload, staging, buf, capacity, synchronize, stream_hint);
+  }
   /// Receiver side of a matched RTS: acquire the decode staging (serial or
   /// pipelined) and send the CTS.
   void begin_rndv_receive(sim::Timeline& tl, const RndvPtr& tx);
@@ -587,8 +633,8 @@ class World {
   /// NACK segment i back to the sender, or fail its transfer once the
   /// retry budget is spent.
   void nack_segment(const RndvPtr& tx, int i, sim::Time at, bool decode_fail);
-  /// Switch a segment to a raw copy of the live user bytes (graceful
-  /// degradation after a decode fault). False if it already is raw.
+  /// Re-point a segment at the live user bytes, raw (graceful degradation
+  /// after a decode fault). False if it already is raw.
   bool degrade_segment(Segment& seg, const void* src, std::uint64_t len);
   /// Complete the given requests with StatusError::RetryLimit and 0 bytes.
   void fail_requests(const Envelope& env, const Request& send_req, const Request& recv_req,
@@ -655,6 +701,7 @@ class World {
   std::unique_ptr<net::Fabric> fabric_;
   std::vector<RankState> ranks_;
   bool reliability_ = false;  // fault injector installed
+  HostCounters host_;
 
   // Persistent channels: table ordered by key for deterministic telemetry
   // flush; entries are pointed into, so node stability matters.

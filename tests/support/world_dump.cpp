@@ -26,7 +26,23 @@ std::uint64_t fnv1a(const void* data, std::size_t bytes) {
 
 }  // namespace
 
-std::string run_world_dump(const WorldScenario& s) {
+std::string host_counters_line(const mpi::HostCounters& c) {
+  std::ostringstream out;
+  const auto site = [&](const char* name, const mpi::HostCounters::Copies& copies) {
+    out << name << "=" << copies.buffers << "/" << copies.bytes << " ";
+  };
+  site("eager", c.eager);
+  site("compressed", c.compressed_segment);
+  site("corrupt", c.corrupt_copy);
+  site("wire_out", c.wire_out);
+  site("assemble", c.assemble);
+  site("minted", c.minted_wire);
+  out << "crc=" << c.crc_eager_stamp << "/" << c.crc_eager_verify << "/"
+      << c.crc_segment_stamp << "/" << c.crc_segment_verify;
+  return out.str();
+}
+
+std::string run_world_dump(const WorldScenario& s, mpi::HostCounters* host) {
   const int P = s.nodes * s.gpus_per_node;
 
   // Plan all p2p traffic up front, deterministically in the scenario seed.
@@ -296,6 +312,7 @@ std::string run_world_dump(const WorldScenario& s) {
     }
   }
   dump << "engine_final_ns=" << engine.now().count_ns() << "\n";
+  if (host != nullptr) *host = world.host_counters();
   return dump.str();
 }
 

@@ -11,6 +11,10 @@
 #include <cstdint>
 #include <string>
 
+namespace gcmpi::mpi {
+struct HostCounters;
+}
+
 namespace gcmpi::testing {
 
 struct WorldScenario {
@@ -77,7 +81,13 @@ struct WorldScenario {
   std::size_t flat_block_values = 0;
 };
 
-[[nodiscard]] std::string run_world_dump(const WorldScenario& s);
+/// `host`, when given, receives the world's host work counters.
+[[nodiscard]] std::string run_world_dump(const WorldScenario& s,
+                                         mpi::HostCounters* host = nullptr);
+
+/// One line of every host work counter, for pinning: per copy site
+/// "site=buffers/bytes", then the bytes checksummed per CRC site.
+[[nodiscard]] std::string host_counters_line(const mpi::HostCounters& c);
 
 /// Locate the first diverging line between two dumps and format a
 /// human-readable diff snippet (line number, both lines, context).

@@ -16,6 +16,7 @@
 #include "fault/injector.hpp"
 #include "mpi/channel.hpp"
 #include "mpi/world.hpp"
+#include "support/freed_sends.hpp"
 
 namespace {
 
@@ -647,6 +648,40 @@ TEST(PersistentChannel, DecodeFaultedWarmMessageKeepsItsReceive) {
     EXPECT_TRUE(bad_seeds.empty()) << "channels " << persistent << ": " << bad_seeds.size()
                                    << " seeds misordered, first "
                                    << (bad_seeds.empty() ? 0 : bad_seeds.front());
+  }
+}
+
+TEST(PersistentChannel, RawWarmMessagesSurviveAFreedSendBuffer) {
+  // A raw pushed message leaves straight from the sender's buffer, also
+  // when it arrives before its receive is posted and waits for it. The
+  // sender overwrites and frees each buffer as soon as its send completes.
+  // Raw because compression is off, or because a decode fault degraded it
+  // to a raw re-push from the same buffer.
+  const std::size_t n = 1 << 16;
+  const auto payload = data::smooth_field(n, 1e-4, 8);
+  fault::FaultPlan plan;
+  plan.seed = 99;
+  plan.decompress_fail_probability = 1.0;
+  for (const bool degrade : {false, true}) {
+    fault::FaultInjector injector(plan);
+    sim::Engine engine;
+    mpi::WorldOptions opts;
+    opts.persistent.enabled = true;
+    if (degrade) opts.fault = &injector;
+    World world(engine, net::longhorn(2, 1),
+                degrade ? core::CompressionConfig::mpc_opt() : core::CompressionConfig::off(),
+                opts);
+    const auto r = gcmpi::testing::send_from_freed_buffers(world, payload, 8);
+    ASSERT_EQ(r.received.size(), 8u);
+    for (const auto& st : r.received) EXPECT_TRUE(st.ok());
+    EXPECT_EQ(r.mismatches, 0) << "degrade " << degrade;
+    ASSERT_EQ(world.channels().size(), 1u);
+    const Channel& ch = world.channels().begin()->second;
+    EXPECT_GT(ch.warm_sends, 0u);
+    EXPECT_EQ(ch.raw_degrades > 0, degrade);
+    if (!degrade) {
+      EXPECT_EQ(gcmpi::testing::copied_bytes(world.host_counters()), 0u);
+    }
   }
 }
 

@@ -85,6 +85,17 @@ std::string digest(const std::string& dump) {
       {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()});
 }
 
+/// The dump of `s`, with its host work counters (fresh payload buffers per
+/// site, bytes checksummed per CRC site) checked against `pinned`. The
+/// virtual clock does not charge that work, so the dump digest cannot see a
+/// payload copy or a checksum put back; these counters do.
+std::string pinned_dump(const WorldScenario& s, const std::string& pinned) {
+  mpi::HostCounters host;
+  std::string dump = run_world_dump(s, &host);
+  EXPECT_EQ(support::host_counters_line(host), pinned);
+  return dump;
+}
+
 TEST(Determinism, FaultyWorldIsByteIdentical) {
   // Retransmissions, NACKs, watchdog timeouts, and raw-resend fallbacks
   // must replay identically run to run.
@@ -103,7 +114,10 @@ TEST(Determinism, FaultyWorldDumpMatchesPinnedDigest) {
   // Golden for the serial reliability cycle: a rerun-vs-rerun check passes
   // a change that shifts every retransmit consistently; this pin does not.
   // The seed is fixed (not test_seed()) so the digest means one schedule.
-  const std::string dump = run_world_dump(faulty_scenario(0xC0DECULL ^ 0xfa));
+  const std::string dump = pinned_dump(
+      faulty_scenario(0xC0DECULL ^ 0xfa),
+      "eager=433/916908 compressed=0/0 corrupt=1/21376 "
+      "wire_out=0/0 assemble=0/0 minted=0/0 crc=916908/916908/3832316/3853692");
   ASSERT_NE(dump.find(",retransmit,"), std::string::npos);
   EXPECT_EQ(digest(dump), "5707688bf41a76a847c2ec297a3245bf5bd9decb0d539c578f516499646cac3d");
 }
@@ -171,7 +185,10 @@ TEST(Determinism, PipelinedFaultyWorldIsByteIdentical) {
 
 TEST(Determinism, PipelinedFaultyWorldDumpMatchesPinnedDigest) {
   // Golden for the per-chunk reliability cycle (fixed seed, see above).
-  const std::string dump = run_world_dump(pipelined_faulty_scenario(0xC0DECULL ^ 0x9199));
+  const std::string dump = pinned_dump(
+      pipelined_faulty_scenario(0xC0DECULL ^ 0x9199),
+      "eager=18/29254 compressed=1/8728 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=0/0 crc=29254/29254/1712652/1712652");
   ASSERT_NE(dump.find("pipeline_transfers="), std::string::npos);
   ASSERT_NE(dump.find(",retransmit,"), std::string::npos);
   EXPECT_EQ(digest(dump), "966b31a29d3e5b7ef94540037ba8b66cefa1e62e9cf69b5641a058c52f0c87fb");
@@ -219,6 +236,9 @@ TEST(Determinism, LossyWarmChannelMatchesPinnedDigest) {
   telemetry.write_csv(out);
   telemetry.write_channel_csv(out);
   EXPECT_EQ(digest(out.str()), "1b624497366141b394ab92e6017c7e653eab7f5b8251f04d2fbd96990d20cfab");
+  EXPECT_EQ(support::host_counters_line(world.host_counters()),
+            "eager=0/0 compressed=16/2656384 corrupt=3/498072 "
+            "wire_out=0/0 assemble=0/0 minted=0/0 crc=0/0/3180672/3678744");
 }
 
 TEST(Determinism, SerialDumpIsUnchangedByThePipelinePR) {
@@ -229,7 +249,10 @@ TEST(Determinism, SerialDumpIsUnchangedByThePipelinePR) {
   // min_bytes is perfectly inert — not one byte of the dump moves.
   WorldScenario s;
   s.seed = 0xC0DEC;
-  const std::string serial = run_world_dump(s);
+  const std::string serial = pinned_dump(
+      s,
+      "eager=298/690224 compressed=0/0 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=0/0 crc=0/0/0/0");
   EXPECT_EQ(serial.size(), 14355u);
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(serial.data()), serial.size()}),
@@ -283,8 +306,11 @@ TEST(Determinism, HierarchicalAllreduceWorldIsByteIdentical) {
 TEST(Determinism, HierarchicalAllreduceWorldDumpMatchesPinnedDigest) {
   // Golden for the hierarchical allreduce: member folds at the leader, the
   // leader ring's two halves and the intra-node hand-back.
-  EXPECT_EQ(digest(run_world_dump(hier_allreduce_scenario())),
-            "11e5161a0b943566008e16c4289f73b1442202deaf3d0a6b5ec594974ddb347a");
+  const std::string dump = pinned_dump(
+      hier_allreduce_scenario(),
+      "eager=138/287600 compressed=0/0 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=48/922528 crc=0/0/0/0");
+  EXPECT_EQ(digest(dump), "11e5161a0b943566008e16c4289f73b1442202deaf3d0a6b5ec594974ddb347a");
 }
 
 TEST(Determinism, RingWorldDumpMatchesPinnedDigest) {
@@ -292,7 +318,10 @@ TEST(Determinism, RingWorldDumpMatchesPinnedDigest) {
   // the forced-Ring scenario is pinned, so any change to the engine's fold
   // order, cost charges, telemetry, or wire schedule shows up as a digest
   // mismatch. Update deliberately, never casually.
-  const std::string dump = run_world_dump(ring_scenario());
+  const std::string dump = pinned_dump(
+      ring_scenario(),
+      "eager=61/176892 compressed=0/0 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=40/362528 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
             "c1213e83bb81756e9493d4d9fde6a748688a3962410e4a022cdc4ef3a097daf2");
@@ -330,7 +359,10 @@ TEST(Determinism, BatchedAlltoallWorldDumpMatchesPinnedDigest) {
   // cost charges, the scattered wire schedule, the per-slice decode
   // streams, or the telemetry rows shows up as a digest mismatch. Update
   // deliberately, never casually.
-  const std::string dump = run_world_dump(alltoall_scenario());
+  const std::string dump = pinned_dump(
+      alltoall_scenario(),
+      "eager=72/184784 compressed=0/0 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=24/1204488 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
             "bd22615693184ee41457b8ff8a0632a382aa90fc6effb7a63b7c76c62b808da3");
@@ -369,7 +401,10 @@ TEST(Determinism, HierarchicalMovingWorldDumpMatchesPinnedDigest) {
   // the representative tree, the leader ring, the slab staging costs, or
   // the telemetry rows shows up as a digest mismatch. Update deliberately,
   // never casually.
-  const std::string dump = run_world_dump(hier_scenario());
+  const std::string dump = pinned_dump(
+      hier_scenario(),
+      "eager=162/258080 compressed=20/1194236 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=20/2963800 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
             "9df52d9c11df81fe8a1afe9fb8d9b96854dd8ab848fdad631fdc9caf7e9c7479");
@@ -396,7 +431,10 @@ TEST(Determinism, FlatWireWorldDumpMatchesPinnedDigest) {
   // Golden for the flat compressed bodies: any change to the binomial
   // tree's post order, the ring's decode overlap or the reduce's fold and
   // drain points shows up as a digest mismatch. Update deliberately.
-  const std::string dump = run_world_dump(flat_scenario());
+  const std::string dump = pinned_dump(
+      flat_scenario(),
+      "eager=82/176204 compressed=0/0 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=16/808112 crc=0/0/0/0");
   ASSERT_NE(dump.find("reduce,linear"), std::string::npos);
   EXPECT_EQ(digest(dump), "03991629d645f0f3386ada452b1fdfe8f14d89645b264ce8266ff0ec14fcb848");
 }
@@ -408,9 +446,34 @@ TEST(Determinism, FlatPipelinedWorldDumpMatchesPinnedDigest) {
   s.pipeline = true;
   s.pipeline_min_bytes = 32ull << 10;
   s.pipeline_chunk_bytes = 32ull << 10;
-  const std::string dump = run_world_dump(s);
+  const std::string dump = pinned_dump(
+      s,
+      "eager=82/176204 compressed=12/297552 corrupt=0/0 "
+      "wire_out=0/0 assemble=0/0 minted=6/304028 crc=0/0/0/0");
   ASSERT_NE(dump.find(" pipelined="), std::string::npos);
   EXPECT_EQ(digest(dump), "f2aec807f0dc2ead36b6c6ff99392a5607055c114a0fbd53075552923319d516");
+}
+
+TEST(Determinism, ReliableRunChecksumsEachPayloadByteOnceEachSide) {
+  // Reliability on, no fault firing: every eager payload and every segment
+  // is stamped once by its sender and verified once by its receiver. The
+  // collective scenarios mint wire messages and forward received ones, each
+  // hop its own segment; a second stamp of one payload (when its wire
+  // message is minted, again at its send, or on a reassembled pipelined
+  // wire-form receive) breaks the equality.
+  WorldScenario flat_pipelined = flat_scenario();
+  flat_pipelined.pipeline = true;
+  flat_pipelined.pipeline_min_bytes = 32ull << 10;
+  flat_pipelined.pipeline_chunk_bytes = 32ull << 10;
+  for (WorldScenario s : {flat_scenario(), flat_pipelined, ring_scenario(), alltoall_scenario(),
+                          hier_scenario(), hier_allreduce_scenario()}) {
+    s.fault_seed = 123;  // installed, but every rate is 0.0
+    mpi::HostCounters host;
+    (void)run_world_dump(s, &host);
+    EXPECT_GT(host.crc_segment_stamp, 0u) << s.seed;
+    EXPECT_EQ(host.crc_segment_stamp, host.crc_segment_verify) << s.seed;
+    EXPECT_EQ(host.crc_eager_stamp, host.crc_eager_verify) << s.seed;
+  }
 }
 
 TEST(Determinism, AllreduceIsDeliveryOrderInvariant) {

@@ -12,6 +12,8 @@
 #include "data/datasets.hpp"
 #include "fault/injector.hpp"
 #include "mpi/world.hpp"
+#include "support/freed_sends.hpp"
+#include "support/payloads.hpp"
 
 namespace {
 
@@ -463,6 +465,166 @@ TEST(MiniMpiProbe, ProbeReportsTheMessageTheNextReceiveTakes) {
   EXPECT_EQ(probed.bytes, big);
   EXPECT_EQ(first.bytes, probed.bytes);
   EXPECT_EQ(second.bytes, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Borrowed payloads: a raw rendezvous payload leaves straight from the
+// sender's buffer. In each case the sender overwrites and frees that buffer
+// as soon as its send completes; the receiver must still get the original
+// bytes, and the ASan build must report no use after free.
+// ---------------------------------------------------------------------------
+
+using gcmpi::testing::copied_bytes;
+using gcmpi::testing::FreedSends;
+using gcmpi::testing::send_from_freed_buffers;
+
+mpi::WorldOptions pipelined(std::uint64_t chunk_bytes) {
+  mpi::WorldOptions o;
+  o.pipeline.enabled = true;
+  o.pipeline.chunk_bytes = chunk_bytes;
+  return o;
+}
+
+/// Floats MPC cannot shrink (2 MiB by default): every pipeline chunk falls
+/// back to raw.
+std::vector<float> noise(std::size_t n = 1 << 19) {
+  return gcmpi::testing::make_floats(gcmpi::testing::PayloadKind::HighEntropy, n, 44);
+}
+
+void expect_delivered(const FreedSends& r, std::size_t iters) {
+  ASSERT_EQ(r.received.size(), iters);
+  ASSERT_EQ(r.sent.size(), iters);
+  for (std::size_t i = 0; i < iters; ++i) {
+    EXPECT_TRUE(r.sent[i].ok()) << "iter " << i;
+    EXPECT_TRUE(r.received[i].ok()) << "iter " << i;
+  }
+  EXPECT_EQ(r.mismatches, 0);
+}
+
+TEST(BorrowedPayload, RawSerialRendezvousSurvivesAFreedSendBuffer) {
+  // Compression off on an inter-node route, and MPC-OPT on an intra-node
+  // route that compress_intra_node exempts: both send 1 MiB raw in one
+  // segment.
+  const auto payload = data::smooth_field(1 << 18, 1e-4, 8);
+  auto intra_exempt = core::CompressionConfig::mpc_opt();
+  intra_exempt.compress_intra_node = false;
+  for (const auto& [cluster, cfg] : {std::pair{net::longhorn(2, 1), no_compression()},
+                                     std::pair{net::longhorn(1, 2), intra_exempt}}) {
+    sim::Engine engine;
+    World world(engine, cluster, cfg);
+    expect_delivered(send_from_freed_buffers(world, payload, 4), 4);
+    EXPECT_EQ(world.compression_of(0).stats().messages_compressed, 0u);
+  }
+}
+
+TEST(BorrowedPayload, RawPipelineChunksSurviveAFreedSendBuffer) {
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(),
+              pipelined(256 << 10));
+  expect_delivered(send_from_freed_buffers(world, noise(), 2), 2);
+  const auto& st = world.compression_of(0).stats();
+  EXPECT_EQ(st.pipelined_messages, 2u);
+  EXPECT_GT(st.pipeline_chunks_raw, 0u);
+}
+
+TEST(BorrowedPayload, DecodeFaultRawDegradeSurvivesAFreedSendBuffer) {
+  // Every decode faults, so every compressed segment is re-pushed raw from
+  // the sender's buffer: the serial message, and each pipelined chunk.
+  const auto payload = data::smooth_field(1 << 19, 1e-4, 8);
+  for (const mpi::WorldOptions& base : {mpi::WorldOptions{}, pipelined(256 << 10)}) {
+    fault::FaultPlan plan;
+    plan.seed = 7;
+    plan.decompress_fail_probability = 1.0;
+    fault::FaultInjector injector(plan);
+    mpi::WorldOptions opts = base;
+    opts.fault = &injector;
+    sim::Engine engine;
+    World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(), opts);
+    expect_delivered(send_from_freed_buffers(world, payload, 2), 2);
+    EXPECT_GT(injector.stats().decompress_faults, 0u);
+  }
+}
+
+TEST(BorrowedPayload, WireFormReceiveOfARawRendezvousOwnsItsBytes) {
+  // A WireMessage from irecv_wire outlives the send, so a borrowed payload
+  // is copied when it is delivered there: decompress_wire after the sender
+  // freed its buffer still yields the original bytes.
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 1), no_compression());
+  const std::size_t n = 1 << 18;
+  const auto payload = data::smooth_field(n, 1e-4, 8);
+  std::vector<float> out(n);
+  world.run([&](Rank& R) {
+    if (R.rank() == 0) {
+      void* dev = R.gpu_malloc(n * 4);
+      std::memcpy(dev, payload.data(), n * 4);
+      R.send(dev, n * 4, 1, 4);
+      std::memset(dev, 0xFF, n * 4);
+      R.gpu_free(dev);
+      const int freed = 1;
+      R.send(&freed, 4, 1, 5);
+    } else {
+      mpi::WireMessage wire;
+      mpi::Request req = R.irecv_wire(&wire, 0, 4);
+      ASSERT_TRUE(R.wait(req).ok());
+      int freed = 0;
+      R.recv(&freed, 4, 0, 5);  // the sender's buffer is gone now
+      R.decompress_wire(wire, out.data(), n * 4);
+    }
+  });
+  EXPECT_EQ(std::memcmp(out.data(), payload.data(), n * 4), 0);
+  EXPECT_EQ(world.host_counters().wire_out.buffers, 1u);
+  EXPECT_EQ(world.host_counters().wire_out.bytes, n * 4);
+}
+
+TEST(BorrowedPayload, RetryLimitSendMayFreeItsBufferWithEventsStillPending) {
+  // 8 MiB of raw chunks over a fabric that drops most pushes, one re-push
+  // allowed: the first chunk out of retries fails the transfer while later
+  // chunks' intact arrivals (five on this seed), re-pushes and watchdogs are
+  // still scheduled. The sender frees its buffer as soon as its failed wait
+  // returns; those events must find their segments done and read nothing.
+  fault::FaultInjector injector(fault::FaultPlan::lossy(1, 0.7, 0.0));
+  mpi::WorldOptions opts = pipelined(256 << 10);
+  opts.fault = &injector;
+  opts.max_data_retries = 1;
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(), opts);
+  const FreedSends r = send_from_freed_buffers(world, noise(1 << 21), 1);
+  ASSERT_EQ(r.sent.size(), 1u);
+  ASSERT_EQ(r.received.size(), 1u);
+  EXPECT_EQ(r.sent[0].error, mpi::StatusError::RetryLimit);
+  EXPECT_EQ(r.received[0].error, mpi::StatusError::RetryLimit);
+  EXPECT_GT(engine.now(), r.ended);  // events ran after both ranks were done
+}
+
+TEST(BorrowedPayload, RawSendsCopyNoPayloadBytes) {
+  // A raw serial, raw pipelined or raw pushed send moves its bytes from the
+  // user buffer into the receive buffer with no fresh host buffer between.
+  const auto payload = data::smooth_field(1 << 18, 1e-4, 8);
+  {
+    sim::Engine engine;
+    World world(engine, net::longhorn(2, 1), no_compression());
+    expect_delivered(send_from_freed_buffers(world, payload, 2), 2);
+    EXPECT_EQ(copied_bytes(world.host_counters()), 0u) << "serial";
+  }
+  {
+    sim::Engine engine;
+    World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt(),
+                pipelined(256 << 10));
+    expect_delivered(send_from_freed_buffers(world, noise(), 2), 2);
+    ASSERT_EQ(world.compression_of(0).stats().pipeline_chunks_compressed, 0u);
+    EXPECT_EQ(copied_bytes(world.host_counters()), 0u) << "pipelined";
+  }
+  {
+    mpi::WorldOptions opts;
+    opts.persistent.enabled = true;
+    sim::Engine engine;
+    World world(engine, net::longhorn(2, 1), no_compression(), opts);
+    expect_delivered(send_from_freed_buffers(world, payload, 6), 6);
+    ASSERT_EQ(world.channels().size(), 1u);
+    ASSERT_GT(world.channels().begin()->second.warm_sends, 0u);
+    EXPECT_EQ(copied_bytes(world.host_counters()), 0u) << "pushed";
+  }
 }
 
 }  // namespace
