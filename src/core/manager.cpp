@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "fault/injector.hpp"
+#include "util/pages.hpp"
 
 namespace gcmpi::core {
 
@@ -291,7 +292,8 @@ CompressionManager::LastKernel CompressionManager::decode(Timeline& tl,
   const bool replay = launch.plan != nullptr && launch.plan->graph_ready;
   const auto* in = static_cast<const std::uint8_t*>(staged);
   const std::size_t n = header.original_bytes / 4;
-  std::vector<float> decoded(fold != nullptr ? n : 0);
+  // Fused decode-reduce scratch: the decoder overwrites all n values.
+  std::vector<float, util::PageAllocator<float>> decoded(fold != nullptr ? n : 0);
   float* dst = fold != nullptr ? decoded.data() : out;
 
   LastKernel last;

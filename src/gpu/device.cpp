@@ -1,6 +1,9 @@
 #include "gpu/device.hpp"
 
 #include <cstring>
+#include <new>
+
+#include "util/pages.hpp"
 
 namespace gcmpi::gpu {
 
@@ -70,30 +73,40 @@ Gpu::Gpu(GpuSpec spec, int num_streams) : spec_(spec) {
   for (int i = 0; i < num_streams; ++i) streams_.emplace_back(*this);
 }
 
-void* Gpu::malloc_device_untimed(std::size_t bytes) {
+void Gpu::Release::operator()(std::byte* p) const noexcept {
+  if (paged) {
+    util::free_pages(p, bytes);
+  } else {
+    ::operator delete(p);
+  }
+}
+
+void* Gpu::allocate(std::size_t bytes, bool paged) {
   if (bytes == 0) bytes = 1;
   if (bytes_in_use_ + bytes > spec_.memory_bytes) {
     throw std::runtime_error("Gpu: out of device memory");
   }
-  // Default-initialized, like cudaMalloc: pages stay unmapped until written.
-  auto storage = std::make_unique_for_overwrite<std::byte[]>(bytes);
-  void* p = storage.get();
-  allocations_.emplace(reinterpret_cast<std::uintptr_t>(p),
-                       std::make_pair(std::move(storage), bytes));
+  // Left uninitialised, like cudaMalloc: pages stay unmapped until written.
+  Block block(static_cast<std::byte*>(paged ? util::allocate_pages(bytes) : ::operator new(bytes)),
+              Release{bytes, paged});
+  void* p = block.get();
+  allocations_.emplace(reinterpret_cast<std::uintptr_t>(p), std::move(block));
   bytes_in_use_ += bytes;
   return p;
 }
 
+void* Gpu::malloc_device_untimed(std::size_t bytes) { return allocate(bytes, false); }
+
 void Gpu::free_device_untimed(void* p) {
   auto it = allocations_.find(reinterpret_cast<std::uintptr_t>(p));
   if (it == allocations_.end()) throw std::invalid_argument("Gpu::free: unknown pointer");
-  bytes_in_use_ -= it->second.second;
+  bytes_in_use_ -= it->second.get_deleter().bytes;
   allocations_.erase(it);
 }
 
 void* Gpu::malloc_device(Timeline& tl, std::size_t bytes, Breakdown* bd) {
   charge(tl, spec_.costs.cuda_malloc(bytes), bd, Phase::MemoryAllocation);
-  return malloc_device_untimed(bytes);
+  return allocate(bytes, true);
 }
 
 void Gpu::free_device(Timeline& tl, void* p, Breakdown* bd) {
@@ -106,13 +119,13 @@ bool Gpu::owns(const void* p) const {
   auto it = allocations_.upper_bound(addr);
   if (it == allocations_.begin()) return false;
   --it;
-  return addr < it->first + it->second.second;
+  return addr < it->first + it->second.get_deleter().bytes;
 }
 
 std::size_t Gpu::allocation_size(const void* p) const {
   auto it = allocations_.find(reinterpret_cast<std::uintptr_t>(p));
   if (it == allocations_.end()) throw std::invalid_argument("Gpu::allocation_size: not a base pointer");
-  return it->second.second;
+  return it->second.get_deleter().bytes;
 }
 
 void Gpu::memcpy_d2h_small(Timeline& tl, void* dst, const void* src,

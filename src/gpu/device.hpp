@@ -81,15 +81,19 @@ class Gpu {
   //
   // Fresh device memory has indeterminate contents, as with cudaMalloc:
   // callers must write bytes before they read them. The asan-ubsan CI job
-  // enforces this by filling every fresh allocation with 0xA5.
+  // enforces this by filling every fresh allocation with 0xA5: the
+  // sanitizer's malloc_fill_byte fills heap blocks, and util::allocate_pages
+  // fills the mapped ones.
 
   /// cudaMalloc: real allocation + virtual-time driver cost. Contents are
-  /// indeterminate.
+  /// indeterminate. Callers write the block in full, so a block of 2 MiB or
+  /// more is a 2 MiB-aligned huge-page mapping (util::allocate_pages).
   void* malloc_device(Timeline& tl, std::size_t bytes, Breakdown* bd = nullptr);
   /// cudaFree (charged off the critical path rarely matters; still modeled).
   void free_device(Timeline& tl, void* p, Breakdown* bd = nullptr);
   /// Allocation with *no* time charge — used at init time (MPI_Init pools).
-  /// Contents are indeterminate; untouched pages are never faulted in.
+  /// Contents are indeterminate. Heap-backed at any size, so pages past the
+  /// prefix a pool buffer's users write are never faulted in.
   void* malloc_device_untimed(std::size_t bytes);
   void free_device_untimed(void* p);
 
@@ -125,11 +129,21 @@ class Gpu {
 
  private:
   friend class Stream;
+  /// Frees one allocation: page-allocated (`paged`) or plain heap.
+  struct Release {
+    std::size_t bytes = 0;
+    bool paged = false;
+    void operator()(std::byte* p) const noexcept;
+  };
+  using Block = std::unique_ptr<std::byte, Release>;
+
+  void* allocate(std::size_t bytes, bool paged);
+
   GpuSpec spec_;
   std::vector<Stream> streams_;
-  // Heap: start address -> owning storage. std::map keeps ordering for the
-  // `owns` containment query.
-  std::map<std::uintptr_t, std::pair<std::unique_ptr<std::byte[]>, std::size_t>> allocations_;
+  // Heap: start address -> owning storage, which knows its size. std::map
+  // keeps ordering for the `owns` containment query.
+  std::map<std::uintptr_t, Block> allocations_;
   std::size_t bytes_in_use_ = 0;
   bool attr_cached_ = false;
   int max_grid_dim_ = 2147483647;  // CUDA maxGridSize[0] on both parts

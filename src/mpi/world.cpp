@@ -235,7 +235,8 @@ void World::post_rts(sim::ActorContext& ctx, const RndvPtr& tx,
 World::Payload World::copy(HostCounters::Copies& site, std::span<const std::uint8_t> bytes) {
   ++site.buffers;
   site.bytes += bytes.size();
-  auto owner = std::make_shared<std::vector<std::uint8_t>>(bytes.begin(), bytes.end());
+  auto owner = std::make_shared<util::Bytes>(bytes.size());
+  if (!bytes.empty()) std::memcpy(owner->data(), bytes.data(), bytes.size());
   return {*owner, owner};
 }
 
@@ -476,7 +477,7 @@ void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
     if (tx->recv.wire_out != nullptr) {
       // Wire-form receivers of a pipelined send get the reassembled message
       // as a raw wire view (the per-chunk streams are not forwardable).
-      tx->assemble = std::make_shared<std::vector<std::uint8_t>>(tx->env.bytes);
+      tx->assemble = std::make_shared<util::Bytes>(tx->env.bytes);
       ++host_.assemble.buffers;
       host_.assemble.bytes += tx->env.bytes;
     }

@@ -72,6 +72,7 @@
 #include "mpi/pipeline.hpp"
 #include "net/cluster.hpp"
 #include "sim/engine.hpp"
+#include "util/pages.hpp"
 
 namespace gcmpi::mpi {
 
@@ -115,7 +116,7 @@ using Request = std::shared_ptr<RequestState>;
 /// design; see Sec. VI-B reproduction notes in DESIGN.md).
 struct WireMessage {
   core::CompressionHeader header;
-  std::shared_ptr<std::vector<std::uint8_t>> payload;
+  std::shared_ptr<util::Bytes> payload;
   [[nodiscard]] std::uint64_t original_bytes() const { return header.original_bytes; }
 };
 
@@ -412,10 +413,11 @@ class World {
   /// A borrowed payload (no owner) points into the sender's user buffer,
   /// which MPI keeps live and unchanged until the send request completes;
   /// no send completes before delivery or failure, and every pending event
-  /// checks that its segment is not done before it reads.
+  /// checks that its segment is not done before it reads. Owned bytes are
+  /// written in full when they are made, so they live in util::Bytes.
   struct Payload {
     std::span<const std::uint8_t> bytes;
-    std::shared_ptr<std::vector<std::uint8_t>> owner;
+    std::shared_ptr<util::Bytes> owner;
   };
 
   struct EagerMsg {
@@ -475,7 +477,7 @@ class World {
     int window = 0;  // max chunks concurrently in flight
     int blocks = 0;  // thread blocks per chunk kernel (SMs / window)
     core::Staging staging;  // receiver decode staging (pipelined: per-chunk slices)
-    std::shared_ptr<std::vector<std::uint8_t>> assemble;  // pipelined wire-form receivers
+    std::shared_ptr<util::Bytes> assemble;  // pipelined wire-form receivers
     Payload delivered;  // pushed: verified bytes waiting for a receive
 
     // Progress-thread host cursors: per-chunk host work (launches, size

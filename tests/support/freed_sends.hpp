@@ -2,6 +2,8 @@
 // payload leaves straight from the sender's buffer (no host copy), so these
 // runs catch a send that completes before its bytes stop being read: the
 // receiver sees the overwrite, or the ASan build reports the use after free.
+// A send buffer of 2 MiB or more is its own mapping (util::allocate_pages),
+// unmapped when freed, so a late read of one faults in any build.
 #pragma once
 
 #include <algorithm>

@@ -656,31 +656,33 @@ TEST(PersistentChannel, RawWarmMessagesSurviveAFreedSendBuffer) {
   // when it arrives before its receive is posted and waits for it. The
   // sender overwrites and frees each buffer as soon as its send completes.
   // Raw because compression is off, or because a decode fault degraded it
-  // to a raw re-push from the same buffer.
-  const std::size_t n = 1 << 16;
-  const auto payload = data::smooth_field(n, 1e-4, 8);
+  // to a raw re-push from the same buffer. 4 MiB messages leave huge-page
+  // mapped send buffers.
   fault::FaultPlan plan;
   plan.seed = 99;
   plan.decompress_fail_probability = 1.0;
-  for (const bool degrade : {false, true}) {
-    fault::FaultInjector injector(plan);
-    sim::Engine engine;
-    mpi::WorldOptions opts;
-    opts.persistent.enabled = true;
-    if (degrade) opts.fault = &injector;
-    World world(engine, net::longhorn(2, 1),
-                degrade ? core::CompressionConfig::mpc_opt() : core::CompressionConfig::off(),
-                opts);
-    const auto r = gcmpi::testing::send_from_freed_buffers(world, payload, 8);
-    ASSERT_EQ(r.received.size(), 8u);
-    for (const auto& st : r.received) EXPECT_TRUE(st.ok());
-    EXPECT_EQ(r.mismatches, 0) << "degrade " << degrade;
-    ASSERT_EQ(world.channels().size(), 1u);
-    const Channel& ch = world.channels().begin()->second;
-    EXPECT_GT(ch.warm_sends, 0u);
-    EXPECT_EQ(ch.raw_degrades > 0, degrade);
-    if (!degrade) {
-      EXPECT_EQ(gcmpi::testing::copied_bytes(world.host_counters()), 0u);
+  for (const std::size_t n : {std::size_t{1} << 16, std::size_t{1} << 20}) {
+    const auto payload = data::smooth_field(n, 1e-4, 8);
+    for (const bool degrade : {false, true}) {
+      fault::FaultInjector injector(plan);
+      sim::Engine engine;
+      mpi::WorldOptions opts;
+      opts.persistent.enabled = true;
+      if (degrade) opts.fault = &injector;
+      World world(engine, net::longhorn(2, 1),
+                  degrade ? core::CompressionConfig::mpc_opt() : core::CompressionConfig::off(),
+                  opts);
+      const auto r = gcmpi::testing::send_from_freed_buffers(world, payload, 8);
+      ASSERT_EQ(r.received.size(), 8u);
+      for (const auto& st : r.received) EXPECT_TRUE(st.ok());
+      EXPECT_EQ(r.mismatches, 0) << "n " << n << " degrade " << degrade;
+      ASSERT_EQ(world.channels().size(), 1u);
+      const Channel& ch = world.channels().begin()->second;
+      EXPECT_GT(ch.warm_sends, 0u);
+      EXPECT_EQ(ch.raw_degrades > 0, degrade);
+      if (!degrade) {
+        EXPECT_EQ(gcmpi::testing::copied_bytes(world.host_counters()), 0u);
+      }
     }
   }
 }

@@ -213,21 +213,29 @@ TEST_F(CollectiveMatrix, SizeAndRankSweep) {
 }
 
 TEST_F(CollectiveMatrix, CodecSweep) {
-  for (Codec codec : {Codec::Raw, Codec::Mpc, Codec::Zfp}) {
-    for (auto algo : {CollectiveAlgorithm::Linear, CollectiveAlgorithm::Ring,
-                      CollectiveAlgorithm::Hierarchical}) {
-      MatrixCase c;
-      c.nodes = 4;
-      c.gpus_per_node = 2;
-      c.n = 16411;
-      c.codec = codec;
-      c.algorithm = algo;
-      if (codec == Codec::Zfp && algo == CollectiveAlgorithm::Linear) {
-        // The linear path moves host accumulators (never compressed), so
-        // ZFP-vs-oracle equality is trivially exact there.
-        continue;
+  // The 2-rank case has ring shards just over 2 MiB, so the fused
+  // decode-reduce scratch and the shard buffers are huge-page mapped.
+  struct Shape {
+    int nodes, gpus_per_node;
+    std::size_t n;
+  };
+  for (const Shape shape : {Shape{4, 2, 16411}, Shape{2, 1, (std::size_t{1} << 20) + 7}}) {
+    for (Codec codec : {Codec::Raw, Codec::Mpc, Codec::Zfp}) {
+      for (auto algo : {CollectiveAlgorithm::Linear, CollectiveAlgorithm::Ring,
+                        CollectiveAlgorithm::Hierarchical}) {
+        MatrixCase c;
+        c.nodes = shape.nodes;
+        c.gpus_per_node = shape.gpus_per_node;
+        c.n = shape.n;
+        c.codec = codec;
+        c.algorithm = algo;
+        if (codec == Codec::Zfp && algo == CollectiveAlgorithm::Linear) {
+          // The linear path moves host accumulators (never compressed), so
+          // ZFP-vs-oracle equality is trivially exact there.
+          continue;
+        }
+        check(c);
       }
-      check(c);
     }
   }
 }

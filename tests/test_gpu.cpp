@@ -2,11 +2,23 @@
 // buffer pool behaviour, attribute caching.
 #include <gtest/gtest.h>
 #include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <string>
 
 #include "gpu/buffer.hpp"
 #include "gpu/buffer_pool.hpp"
 #include "gpu/device.hpp"
 #include "sim/timeline.hpp"
+#include "util/pages.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace {
 
@@ -15,6 +27,33 @@ using gcmpi::sim::Breakdown;
 using gcmpi::sim::Phase;
 using gcmpi::sim::Time;
 using gcmpi::sim::Timeline;
+using gcmpi::util::kHugePageBytes;
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+/// Resident bytes of this process (/proc/self/statm, read only).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t size = 0, resident = 0;
+  statm >> size >> resident;
+  return resident * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
+
+/// The bracketed transparent huge page mode ("always", "madvise", "never"),
+/// or "" where the kernel does not report one. Read only.
+std::string thp_mode() {
+  std::ifstream f("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  std::getline(f, line);
+  const auto open = line.find('[');
+  const auto close = line.find(']');
+  if (open == std::string::npos || close == std::string::npos) return "";
+  return line.substr(open + 1, close - open - 1);
+}
 
 TEST(GpuSpecs, Presets) {
   EXPECT_EQ(v100_spec().sm_count, 80);
@@ -38,6 +77,89 @@ TEST(GpuHeap, OwnershipAndContainment) {
   EXPECT_EQ(gpu.bytes_in_use(), 2000u);
   gpu.free_device(tl, b);
   EXPECT_THROW(gpu.free_device_untimed(b), std::invalid_argument);
+}
+
+// malloc_device keeps the same heap accounting on both sides of the size at
+// which blocks become huge-page mappings.
+class GpuHeapSizes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GpuHeapSizes, AccountingAndAlignment) {
+  const std::size_t bytes = GetParam();
+  Gpu gpu(v100_spec());
+  Timeline tl(Time::zero());
+  void* p = gpu.malloc_device(tl, bytes);
+  const auto* c = static_cast<const char*>(p);
+  EXPECT_TRUE(gpu.owns(p));
+  EXPECT_TRUE(gpu.owns(c + bytes - 1));
+  EXPECT_FALSE(gpu.owns(c + bytes));
+  EXPECT_EQ(gpu.allocation_size(p), bytes);
+  EXPECT_EQ(gpu.bytes_in_use(), bytes);
+  EXPECT_EQ(gpu.allocation_count(), 1u);
+  if (bytes >= kHugePageBytes) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes, 0u);
+  }
+  std::memset(p, 0x5A, bytes);  // the whole block is writable
+  gpu.free_device(tl, p);
+  EXPECT_FALSE(gpu.owns(p));
+  EXPECT_EQ(gpu.bytes_in_use(), 0u);
+  EXPECT_EQ(gpu.allocation_count(), 0u);
+}
+
+TEST_P(GpuHeapSizes, OutOfMemoryThrowsAtTheSameSize) {
+  const std::size_t bytes = GetParam();
+  GpuSpec spec = v100_spec();
+  spec.memory_bytes = bytes - 1;
+  Gpu tight(spec);
+  Timeline tl(Time::zero());
+  EXPECT_THROW((void)tight.malloc_device(tl, bytes), std::runtime_error);
+  EXPECT_EQ(tight.allocation_count(), 0u);
+  spec.memory_bytes = bytes;
+  Gpu exact(spec);
+  void* p = exact.malloc_device(tl, bytes);
+  EXPECT_EQ(exact.bytes_in_use(), bytes);
+  exact.free_device(tl, p);
+}
+
+INSTANTIATE_TEST_SUITE_P(AroundTheHugePageSize, GpuHeapSizes,
+                         ::testing::Values(kHugePageBytes - 1, kHugePageBytes,
+                                           kHugePageBytes + 1, std::size_t{16} << 20));
+
+TEST(GpuHeap, FreshMappedBlockHoldsTheSanitizerFill) {
+#if defined(__SANITIZE_ADDRESS__)
+  // The sanitizer's malloc_fill_byte does not reach mmap, and a fresh
+  // mapping reads as zeros: a read of unwritten device bytes must see the
+  // same 0xA5 as on the heap, and the slack past the block must trap.
+  constexpr std::size_t kBytes = std::size_t{4} << 20;
+  Gpu gpu(v100_spec());
+  Timeline tl(Time::zero());
+  const auto* p = static_cast<const std::uint8_t*>(gpu.malloc_device(tl, kBytes));
+  EXPECT_TRUE(std::all_of(p, p + kBytes, [](std::uint8_t b) { return b == 0xA5; }));
+  const auto* q = static_cast<const std::uint8_t*>(gpu.malloc_device(tl, kBytes + 1));
+  EXPECT_EQ(q[kBytes], 0xA5);
+  EXPECT_TRUE(__asan_address_is_poisoned(q + kBytes + 1));
+#else
+  GTEST_SKIP() << "the 0xA5 fill of mapped blocks is an AddressSanitizer-build contract";
+#endif
+}
+
+TEST(GpuHeap, LargeBlockFaultsInAsHugePages) {
+#if defined(__SANITIZE_ADDRESS__)
+  GTEST_SKIP() << "the sanitizer fill touches every page at allocation";
+#else
+  const std::string mode = thp_mode();
+  if (mode.empty() || mode == "never") {
+    GTEST_SKIP() << "transparent huge pages are off (mode '" << mode << "')";
+  }
+  constexpr std::size_t kBytes = std::size_t{16} << 20;  // 4096 base pages
+  Gpu gpu(v100_spec());
+  Timeline tl(Time::zero());
+  void* p = gpu.malloc_device(tl, kBytes);
+  const long before = minor_faults();
+  std::memset(p, 1, kBytes);
+  const long faults = minor_faults() - before;
+  EXPECT_LT(faults, 64) << "writing 16 MiB of device memory took " << faults << " faults";
+  gpu.free_device(tl, p);
+#endif
 }
 
 TEST(GpuHeap, OutOfMemoryThrows) {
@@ -245,11 +367,6 @@ TEST(BufferPool, FreshPoolIsNotFaultedIn) {
   constexpr std::size_t kBufferBytes = std::size_t{40} << 20;
   constexpr std::size_t kCount = 4;
   constexpr long kPages = static_cast<long>(kBufferBytes * kCount / 4096);
-  auto minor_faults = [] {
-    rusage ru{};
-    getrusage(RUSAGE_SELF, &ru);
-    return ru.ru_minflt;
-  };
   Gpu gpu(v100_spec());
   const long before = minor_faults();
   BufferPool pool(gpu, kBufferBytes, kCount);
@@ -257,6 +374,30 @@ TEST(BufferPool, FreshPoolIsNotFaultedIn) {
   EXPECT_EQ(pool.total_buffers(), kCount);
   EXPECT_LT(faults, kPages / 100) << "pool construction faulted in " << faults
                                   << " of " << kPages << " pages";
+#endif
+}
+
+TEST(BufferPool, ReservationsStayOnBasePages) {
+#ifdef __SANITIZE_ADDRESS__
+  GTEST_SKIP() << "ASan's malloc fill touches every page on purpose";
+#else
+  if (thp_mode() == "always") {
+    GTEST_SKIP() << "every large heap block may take huge pages in THP mode 'always'";
+  }
+  // A pool buffer is a reservation of which only the written prefix may
+  // become resident; on huge pages a 64 KiB write would make 2 MiB resident.
+  constexpr std::size_t kBufferBytes = std::size_t{40} << 20;
+  constexpr std::size_t kWritten = std::size_t{64} << 10;
+  Gpu gpu(v100_spec());
+  BufferPool pool(gpu, kBufferBytes, 1);
+  Timeline tl(Time::zero());
+  const std::size_t before = resident_bytes();
+  auto lease = pool.acquire(tl, kWritten);
+  std::memset(lease.data, 1, kWritten);
+  const std::size_t after = resident_bytes();
+  const std::size_t added = after > before ? after - before : 0;
+  EXPECT_LT(added, std::size_t{1} << 20) << "64 KiB written made " << added << " bytes resident";
+  pool.release(lease);
 #endif
 }
 

@@ -503,17 +503,19 @@ void expect_delivered(const FreedSends& r, std::size_t iters) {
 
 TEST(BorrowedPayload, RawSerialRendezvousSurvivesAFreedSendBuffer) {
   // Compression off on an inter-node route, and MPC-OPT on an intra-node
-  // route that compress_intra_node exempts: both send 1 MiB raw in one
-  // segment.
-  const auto payload = data::smooth_field(1 << 18, 1e-4, 8);
+  // route that compress_intra_node exempts: both send 1 MiB and 4 MiB (a
+  // huge-page mapped send buffer) raw in one segment.
   auto intra_exempt = core::CompressionConfig::mpc_opt();
   intra_exempt.compress_intra_node = false;
-  for (const auto& [cluster, cfg] : {std::pair{net::longhorn(2, 1), no_compression()},
-                                     std::pair{net::longhorn(1, 2), intra_exempt}}) {
-    sim::Engine engine;
-    World world(engine, cluster, cfg);
-    expect_delivered(send_from_freed_buffers(world, payload, 4), 4);
-    EXPECT_EQ(world.compression_of(0).stats().messages_compressed, 0u);
+  for (const std::size_t n : {std::size_t{1} << 18, std::size_t{1} << 20}) {
+    const auto payload = data::smooth_field(n, 1e-4, 8);
+    for (const auto& [cluster, cfg] : {std::pair{net::longhorn(2, 1), no_compression()},
+                                       std::pair{net::longhorn(1, 2), intra_exempt}}) {
+      sim::Engine engine;
+      World world(engine, cluster, cfg);
+      expect_delivered(send_from_freed_buffers(world, payload, 4), 4);
+      EXPECT_EQ(world.compression_of(0).stats().messages_compressed, 0u);
+    }
   }
 }
 
@@ -548,33 +550,46 @@ TEST(BorrowedPayload, DecodeFaultRawDegradeSurvivesAFreedSendBuffer) {
 TEST(BorrowedPayload, WireFormReceiveOfARawRendezvousOwnsItsBytes) {
   // A WireMessage from irecv_wire outlives the send, so a borrowed payload
   // is copied when it is delivered there: decompress_wire after the sender
-  // freed its buffer still yields the original bytes.
-  sim::Engine engine;
-  World world(engine, net::longhorn(2, 1), no_compression());
-  const std::size_t n = 1 << 18;
-  const auto payload = data::smooth_field(n, 1e-4, 8);
-  std::vector<float> out(n);
-  world.run([&](Rank& R) {
-    if (R.rank() == 0) {
-      void* dev = R.gpu_malloc(n * 4);
-      std::memcpy(dev, payload.data(), n * 4);
-      R.send(dev, n * 4, 1, 4);
-      std::memset(dev, 0xFF, n * 4);
-      R.gpu_free(dev);
-      const int freed = 1;
-      R.send(&freed, 4, 1, 5);
-    } else {
-      mpi::WireMessage wire;
-      mpi::Request req = R.irecv_wire(&wire, 0, 4);
-      ASSERT_TRUE(R.wait(req).ok());
-      int freed = 0;
-      R.recv(&freed, 4, 0, 5);  // the sender's buffer is gone now
-      R.decompress_wire(wire, out.data(), n * 4);
-    }
-  });
-  EXPECT_EQ(std::memcmp(out.data(), payload.data(), n * 4), 0);
-  EXPECT_EQ(world.host_counters().wire_out.buffers, 1u);
-  EXPECT_EQ(world.host_counters().wire_out.bytes, n * 4);
+  // freed its buffer still yields the original bytes. A pipelined send
+  // reaches a wire-form receive as its reassembled buffer instead. 4 MiB
+  // messages put both buffers on huge pages.
+  struct Case {
+    std::size_t n;
+    bool pipeline;
+  };
+  for (const Case c : {Case{1 << 18, false}, Case{1 << 20, false}, Case{1 << 20, true}}) {
+    const std::size_t n = c.n;
+    sim::Engine engine;
+    World world(engine, net::longhorn(2, 1),
+                c.pipeline ? core::CompressionConfig::mpc_opt() : no_compression(),
+                c.pipeline ? pipelined(256 << 10) : mpi::WorldOptions{});
+    const auto payload = data::smooth_field(n, 1e-4, 8);
+    std::vector<float> out(n);
+    world.run([&](Rank& R) {
+      if (R.rank() == 0) {
+        void* dev = R.gpu_malloc(n * 4);
+        std::memcpy(dev, payload.data(), n * 4);
+        R.send(dev, n * 4, 1, 4);
+        std::memset(dev, 0xFF, n * 4);
+        R.gpu_free(dev);
+        const int freed = 1;
+        R.send(&freed, 4, 1, 5);
+      } else {
+        mpi::WireMessage wire;
+        mpi::Request req = R.irecv_wire(&wire, 0, 4);
+        ASSERT_TRUE(R.wait(req).ok());
+        int freed = 0;
+        R.recv(&freed, 4, 0, 5);  // the sender's buffer is gone now
+        R.decompress_wire(wire, out.data(), n * 4);
+      }
+    });
+    EXPECT_EQ(std::memcmp(out.data(), payload.data(), n * 4), 0) << n;
+    const auto& copies = world.host_counters();
+    const auto& site = c.pipeline ? copies.assemble : copies.wire_out;
+    EXPECT_EQ(site.buffers, 1u) << n;
+    EXPECT_EQ(site.bytes, n * 4) << n;
+    EXPECT_EQ(world.compression_of(0).stats().pipelined_messages, c.pipeline ? 1u : 0u);
+  }
 }
 
 TEST(BorrowedPayload, RetryLimitSendMayFreeItsBufferWithEventsStillPending) {
