@@ -50,8 +50,17 @@ struct PhysicsParams {
 enum class Field : std::uint8_t { P = 0, Vx = 1, Vy = 2, Vz = 3 };
 inline constexpr int kFields = 4;
 
+/// The Gaussian pulse's term for each squared distance r2 = min_r2,
+/// min_r2 + 1, ...: static_cast<float>(amplitude * std::exp(-r2 / (2 sigma^2))),
+/// computed exactly so. The table stops after `max_r2`, or earlier where the
+/// term provably rounds to static_cast<float>(amplitude * 0.0) for that and
+/// every larger r2.
+[[nodiscard]] std::vector<float> pulse_terms(std::uint64_t min_r2, std::uint64_t max_r2,
+                                             double amplitude, double sigma);
+
 /// Single-domain solver operating on caller-provided field storage (the
-/// distributed driver allocates the fields in simulated GPU memory).
+/// distributed driver allocates the fields in simulated GPU memory). The
+/// four fields' storage must not overlap.
 class Solver {
  public:
   Solver(Grid grid, PhysicsParams params, std::span<float> p, std::span<float> vx,
