@@ -8,14 +8,14 @@
 // blocks and packs them into one wire slab), then serves every destination
 // its slice over the scattered pairwise schedule — at step t, rank r sends
 // to (r+t)%P and receives from (r-t)%P, so no port sees two slices at
-// once. Receivers enqueue each arriving slice's decompression on a
-// DecodeQueue (no stream sync, so it overlaps the remaining transfers) and
-// synchronize once at the end.
+// once. Receivers enqueue each arriving slice's decompression on the
+// call's Rank::Collective (no stream sync, so it overlaps the remaining
+// transfers) and synchronize once at the end.
 //
 // Every slice is a WireMessage moved with isend_wire/irecv_wire, so it
 // rides the rendezvous reliability layer: a dropped or corrupted slice is
 // CRC-detected and retransmits only itself, and injected decode faults are
-// recovered by local kernel relaunch (Rank::DecodeQueue).
+// recovered by local kernel relaunch (Rank::Collective::decode).
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -25,8 +25,7 @@ namespace gcmpi::mpi {
 void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_bytes,
                             std::uint8_t* recvbuf, int tag) {
   const int P = size();
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "alltoall", core::CollectiveAlgorithm::BatchedPairwise);
 
   // One batched compression launch for the P-1 outgoing blocks, built in
   // the scattered send order so wires[step-1] is step's destination.
@@ -39,7 +38,7 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
   }
   const sim::Time c0 = ctx_.now();
   std::vector<WireMessage> wires = make_wire_batch(blocks);
-  st.compress_busy += ctx_.now() - c0;
+  c.compress_busy += ctx_.now() - c0;
 
   // Every slice already exists in the wire slab, so post the whole schedule
   // at once: the P-1 rendezvous handshakes and wire transfers pipeline on
@@ -62,26 +61,23 @@ void Rank::alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_byt
   // the P-1 decompressions are independent, so they run concurrently
   // instead of queueing on one stream, overlap the remaining transfers,
   // and are drained once, below.
-  DecodeQueue queue(*this);
   for (int step = 1; step < P; ++step) {
     const int src = (rank_ - step + P) % P;
 
     const sim::Time t0 = ctx_.now();
     (void)wait(rreqs[static_cast<std::size_t>(step - 1)]);
-    st.transfer_busy += ctx_.now() - t0;
-    ++st.hops;
+    c.transfer_busy += ctx_.now() - t0;
+    ++c.hops;
 
-    st.reduce_busy += queue.decode(inbox[static_cast<std::size_t>(step - 1)],
-                                   recvbuf + static_cast<std::uint64_t>(src) * block_bytes,
-                                   block_bytes, /*stream_hint=*/step - 1);
+    c.decode(inbox[static_cast<std::size_t>(step - 1)],
+             recvbuf + static_cast<std::uint64_t>(src) * block_bytes, block_bytes,
+             /*stream_hint=*/step - 1);
   }
   const sim::Time w0 = ctx_.now();
   waitall(sreqs);
-  st.transfer_busy += ctx_.now() - w0;
-  st.reduce_busy += queue.drain();
-
-  record_collective("alltoall", core::CollectiveAlgorithm::BatchedPairwise,
-                    static_cast<std::uint64_t>(P) * block_bytes, started, st);
+  c.transfer_busy += ctx_.now() - w0;
+  c.reduce_busy += c.drain();
+  c.finish(static_cast<std::uint64_t>(P) * block_bytes);
 }
 
 std::vector<Request> Rank::isend_batched(const std::vector<WireBlock>& blocks) {

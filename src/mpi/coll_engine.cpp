@@ -1,6 +1,8 @@
 // Collective algorithm engine: compression-aware ring reduce-scatter /
 // allgather allreduce and the hierarchical intra-node + leader-ring
 // variant (gZCCL/ZCCL-style, folded onto the paper's wire primitives).
+// Both are allreduce_grouped: the ring is its case of one-rank groups, the
+// hierarchical one its case of one-node groups.
 //
 // Every inter-rank hop moves a WireMessage, so it rides the rendezvous
 // reliability layer: a dropped or corrupted hop re-pushes only that hop's
@@ -17,13 +19,14 @@
 // across runs and delivery timings.
 //
 // The steps every compressed collective body shares live here too:
-// Rank::DecodeQueue absorbs arrived wire messages into device slices (the
-// staging, the unsynchronized decode or fused reduce, the drain), and
-// ring_allgather_members is the one ring allgather, run by the flat
-// allgather, the hierarchical leader ring and both allreduce rings.
+// Rank::Collective is one call's state (stage totals, decode stagings, the
+// CollectiveRecord it appends) and absorbs arrived wire messages into
+// device slices (the staging, the unsynchronized decode or fused reduce,
+// the drain); ring_reduce_scatter_members and ring_allgather_members run
+// on it, the latter as the one ring allgather of the flat allgather, the
+// hierarchical leader ring and the allreduce ring.
 #include <algorithm>
 #include <cstring>
-#include <ranges>
 #include <vector>
 
 #include "mpi/world.hpp"
@@ -49,28 +52,24 @@ core::CollectiveAlgorithm Rank::select_collective(core::CollectiveOp op,
       cl.nodes, cl.gpus_per_node);
 }
 
-void Rank::record_collective(const char* op, core::CollectiveAlgorithm algorithm,
-                             std::uint64_t bytes, sim::Time started,
-                             const CollStats& st) {
-  core::Telemetry* t = world_.options().telemetry;
+void Rank::Collective::finish(std::uint64_t bytes) {
+  core::Telemetry* t = rank_.world_.options().telemetry;
   if (t == nullptr) return;
-  core::CollectiveRecord rec;
-  rec.at = started;
-  rec.rank = rank_;
-  rec.op = op;
-  rec.algorithm = core::collective_algorithm_name(algorithm);
-  rec.bytes = bytes;
-  rec.hops = st.hops;
-  rec.reduces = st.reduces;
-  rec.span = ctx_.now() - started;
-  rec.compress_busy = st.compress_busy;
-  rec.transfer_busy = st.transfer_busy;
-  rec.reduce_busy = st.reduce_busy;
-  t->record_collective(rec);
+  t->record_collective({.at = started_,
+                        .rank = rank_.rank_,
+                        .op = op_,
+                        .algorithm = core::collective_algorithm_name(algorithm_),
+                        .bytes = bytes,
+                        .hops = hops,
+                        .reduces = reduces,
+                        .span = rank_.ctx_.now() - started_,
+                        .compress_busy = compress_busy,
+                        .transfer_busy = transfer_busy,
+                        .reduce_busy = reduce_busy});
 }
 
-sim::Time Rank::DecodeQueue::decode(const WireMessage& in, void* dst, std::uint64_t bytes,
-                                    int stream_hint) {
+void Rank::Collective::decode(const WireMessage& in, void* dst, std::uint64_t bytes,
+                              int stream_hint) {
   const sim::Time started = rank_.ctx_.now();
   sim::Timeline tl(started);
   const core::Staging staging = in.header.compressed ? stage(tl, in) : core::Staging{};
@@ -79,11 +78,10 @@ sim::Time Rank::DecodeQueue::decode(const WireMessage& in, void* dst, std::uint6
                       stream_hint);
   });
   pending_ = true;
-  return settle(tl, started);
+  reduce_busy += settle(tl, started);
 }
 
-sim::Time Rank::DecodeQueue::reduce(const WireMessage& in, float* acc, std::size_t n,
-                                    ReduceOp op) {
+void Rank::Collective::reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op) {
   const sim::Time started = rank_.ctx_.now();
   sim::Timeline tl(started);
   auto& mgr = rank_.compression();
@@ -98,10 +96,11 @@ sim::Time Rank::DecodeQueue::reduce(const WireMessage& in, float* acc, std::size
                             op, /*synchronize=*/false);
   }
   pending_ = true;
-  return settle(tl, started);
+  reduce_busy += settle(tl, started);
+  ++reduces;
 }
 
-sim::Time Rank::DecodeQueue::drain() {
+sim::Time Rank::Collective::drain() {
   const sim::Time started = rank_.ctx_.now();
   sim::Timeline tl(started);
   auto& mgr = rank_.compression();
@@ -112,11 +111,11 @@ sim::Time Rank::DecodeQueue::drain() {
   return settle(tl, started);
 }
 
-const core::Staging& Rank::DecodeQueue::stage(sim::Timeline& tl, const WireMessage& in) {
+const core::Staging& Rank::Collective::stage(sim::Timeline& tl, const WireMessage& in) {
   return stagings_.emplace_back(rank_.compression().prepare_receive(tl, in.header));
 }
 
-sim::Time Rank::DecodeQueue::settle(const sim::Timeline& tl, sim::Time started) {
+sim::Time Rank::Collective::settle(const sim::Timeline& tl, sim::Time started) {
   rank_.ctx_.advance_to(tl.now());
   return rank_.ctx_.now() - started;
 }
@@ -153,7 +152,7 @@ std::vector<std::span<std::uint8_t>> shard_slices(float* acc, std::size_t n, int
 
 void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
                                        float* acc, std::size_t n, ReduceOp op, int tag,
-                                       CollStats& st) {
+                                       Collective& c) {
   const int N = static_cast<int>(members.size());
   if (N <= 1 || n == 0) return;
   const int right = members[static_cast<std::size_t>((pos + 1) % N)];
@@ -162,7 +161,6 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
   // Offset -1 schedule: at step t this member sends shard (pos-t-1) and
   // receives shard (pos-t-2), so after N-1 steps position s owns the fully
   // reduced shard s (MPI_Reduce_scatter_block placement for free).
-  DecodeQueue queue(*this);
   for (int step = 0; step < N - 1; ++step) {
     const int send_s = (pos - step - 1 + 2 * N) % N;
     const int recv_s = (pos - step - 2 + 2 * N) % N;
@@ -176,9 +174,9 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
     WireMessage out;
     if (slen > 0) {
       const sim::Time t0 = ctx_.now();
-      if (queue.pending()) (void)queue.drain();
+      if (c.pending()) (void)c.drain();
       out = make_wire(acc + slo, slen * 4);
-      st.compress_busy += ctx_.now() - t0;
+      c.compress_busy += ctx_.now() - t0;
     }
 
     // Empty shards are skipped on both sides: the sender's shard at step t
@@ -189,25 +187,22 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
     if (rlen > 0) rr = irecv_wire(&in, left, tag);
     if (slen > 0) {
       sr = isend_wire(out, right, tag);
-      ++st.hops;
+      ++c.hops;
     }
     if (rr) (void)wait(rr);
     if (sr) (void)wait(sr);
-    st.transfer_busy += ctx_.now() - t1;
+    c.transfer_busy += ctx_.now() - t1;
 
-    if (rlen > 0) {
-      st.reduce_busy += queue.reduce(in, acc + rlo, rlen, op);
-      ++st.reduces;
-    }
+    if (rlen > 0) c.reduce(in, acc + rlo, rlen, op);
   }
   // Own shard's fused reduce finished the schedule; drain before callers
   // read or recompress the accumulator.
-  if (queue.pending()) st.reduce_busy += queue.drain();
+  if (c.pending()) c.reduce_busy += c.drain();
 }
 
 sim::Time Rank::ring_allgather_members(const std::vector<int>& members, int pos,
                                        const std::vector<std::span<std::uint8_t>>& slices,
-                                       const void* own, int tag, CollStats& st) {
+                                       const void* own, int tag, Collective& c) {
   const int N = static_cast<int>(members.size());
   if (N <= 1 || std::all_of(slices.begin(), slices.end(), [](auto s) { return s.empty(); })) {
     return {};
@@ -223,10 +218,9 @@ sim::Time Rank::ring_allgather_members(const std::vector<int>& members, int pos,
     const sim::Time t0 = ctx_.now();
     wires[static_cast<std::size_t>(pos)] =
         make_wire(own, slices[static_cast<std::size_t>(pos)].size());
-    st.compress_busy += ctx_.now() - t0;
+    c.compress_busy += ctx_.now() - t0;
   }
 
-  DecodeQueue queue(*this);
   for (int step = 0; step < N - 1; ++step) {
     const auto send_s = static_cast<std::size_t>((pos - step + N) % N);
     const auto recv_s = static_cast<std::size_t>((pos - step - 1 + N) % N);
@@ -238,117 +232,84 @@ sim::Time Rank::ring_allgather_members(const std::vector<int>& members, int pos,
     if (!into.empty()) rr = irecv_wire(&in, left, tag);
     if (!slices[send_s].empty()) {
       sr = isend_wire(wires[send_s], right, tag);
-      ++st.hops;
+      ++c.hops;
     }
     if (rr) (void)wait(rr);
     if (sr) (void)wait(sr);
-    st.transfer_busy += ctx_.now() - t0;
+    c.transfer_busy += ctx_.now() - t0;
 
     if (!into.empty()) {
-      st.reduce_busy += queue.decode(in, into.data(), into.size());
+      c.decode(in, into.data(), into.size());
       wires[recv_s] = std::move(in);
     }
   }
-  return queue.drain();
+  return c.drain();
 }
 
-void Rank::allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n,
-                          ReduceOp op, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
-  const int P = size();
+void Rank::allreduce_grouped(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
+                             int tag, core::CollectiveAlgorithm algorithm) {
+  Collective c(*this, "allreduce", algorithm);
+  const int group = algorithm == core::CollectiveAlgorithm::Hierarchical
+                        ? world_.cluster().gpus_per_node
+                        : 1;
+  const int leader = rank_ - rank_ % group;
 
   // Device accumulator: the engine always reduces on-GPU, so compression
   // applies even when the caller passed host memory.
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
-  std::memcpy(acc, sendbuf, n * 4);
-  compute(gpu().costs().d2d_copy(n * 4));
-
-  const std::vector<int> members = strided_ranks(P, 1);
-  ring_reduce_scatter_members(members, rank_, acc, n, op, tag, st);
-  const auto shards = shard_slices(acc, n, P);
-  (void)ring_allgather_members(members, rank_, shards,
-                               shards[static_cast<std::size_t>(rank_)].data(), tag, st);
-
-  if (n != 0) std::memcpy(recvbuf, acc, n * 4);
-  compute(gpu().costs().d2d_copy(n * 4));
-  gpu_free(acc);
-  record_collective("allreduce", core::CollectiveAlgorithm::Ring, n * 4, started, st);
-}
-
-void Rank::allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::size_t n,
-                                  ReduceOp op, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
-  const auto& cl = world_.cluster();
-  const int leader = cl.node_leader(rank_);
-  const int my_node = cl.node_of(rank_);
-  const auto members = cl.node_ranks(my_node) | std::views::drop(1);
-
-  auto* acc = static_cast<float*>(gpu_malloc(n * 4));
-  std::memcpy(acc, sendbuf, n * 4);
+  if (n != 0) std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
 
   if (rank_ != leader) {
-    // Member: ship the contribution to the node leader, receive the final
+    // Member: ship the contribution to the group leader, receive the final
     // vector back in wire form.
     sim::Time t0 = ctx_.now();
     WireMessage w = make_intra_wire(acc, n * 4);
-    st.compress_busy += ctx_.now() - t0;
+    c.compress_busy += ctx_.now() - t0;
     t0 = ctx_.now();
     Request sr = isend_wire(w, leader, tag);
     (void)wait(sr);
-    ++st.hops;
+    ++c.hops;
     WireMessage in;
     Request rr = irecv_wire(&in, leader, tag);
     (void)wait(rr);
-    st.transfer_busy += ctx_.now() - t0;
+    c.transfer_busy += ctx_.now() - t0;
     t0 = ctx_.now();
     decompress_wire(in, acc, n * 4);
-    st.reduce_busy += ctx_.now() - t0;
+    c.reduce_busy += ctx_.now() - t0;
   } else {
-    // Phase 1: fold the node's members into the leader accumulator in
+    // Phase 1: fold the group's members into the leader accumulator in
     // ascending rank order (the canonical intra-node order), fused on-GPU,
     // and drain before the leader ring recompresses shards of it.
-    DecodeQueue queue(*this);
-    for (int m : members) {
+    for (int m = leader + 1; m < leader + group; ++m) {
       const sim::Time t0 = ctx_.now();
       WireMessage in;
       Request rr = irecv_wire(&in, m, tag);
       (void)wait(rr);
-      st.transfer_busy += ctx_.now() - t0;
-      st.reduce_busy += queue.reduce(in, acc, n, op);
-      ++st.reduces;
+      c.transfer_busy += ctx_.now() - t0;
+      c.reduce(in, acc, n, op);
     }
-    if (queue.pending()) (void)queue.drain();
+    if (c.pending()) (void)c.drain();
 
-    // Phase 2: ring allreduce of node partials across the leader ring.
-    const std::vector<int> leaders = strided_ranks(cl.nodes, cl.gpus_per_node);
-    ring_reduce_scatter_members(leaders, my_node, acc, n, op, tag, st);
-    const auto shards = shard_slices(acc, n, cl.nodes);
-    (void)ring_allgather_members(leaders, my_node, shards,
-                                 shards[static_cast<std::size_t>(my_node)].data(), tag, st);
+    // Phase 2: ring allreduce of the group partials across the leaders.
+    const int groups = size() / group;
+    const int pos = rank_ / group;
+    const std::vector<int> leaders = strided_ranks(groups, group);
+    ring_reduce_scatter_members(leaders, pos, acc, n, op, tag, c);
+    const auto shards = shard_slices(acc, n, groups);
+    (void)ring_allgather_members(leaders, pos, shards,
+                                 shards[static_cast<std::size_t>(pos)].data(), tag, c);
 
-    // Phase 3: hand the result back to the node's members (compressed once,
-    // wire-forwarded to each).
-    if (!members.empty()) {
-      sim::Time t0 = ctx_.now();
-      WireMessage w = make_intra_wire(acc, n * 4);
-      st.compress_busy += ctx_.now() - t0;
-      t0 = ctx_.now();
-      std::vector<Request> sends;
-      for (int m : members) sends.push_back(isend_wire(w, m, tag));
-      waitall(sends);
-      st.hops += static_cast<std::uint32_t>(sends.size());
-      st.transfer_busy += ctx_.now() - t0;
-    }
+    // Phase 3: hand the result back to the group's members. hand_back
+    // serves the whole node, so a Ring group (one rank, whose node-mates
+    // are leaders themselves) skips it.
+    if (group > 1) hand_back(acc, n * 4, tag, c);
   }
 
   if (n != 0) std::memcpy(recvbuf, acc, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
   gpu_free(acc);
-  record_collective("allreduce", core::CollectiveAlgorithm::Hierarchical, n * 4, started,
-                    st);
+  c.finish(n * 4);
 }
 
 void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recvcount,
@@ -357,7 +318,7 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
   const int P = size();
   const std::size_t n = recvcount * static_cast<std::size_t>(P);
   if (P == 1) {
-    std::memcpy(recvbuf, sendbuf, recvcount * 4);
+    if (recvcount != 0) std::memcpy(recvbuf, sendbuf, recvcount * 4);
     return;
   }
   if (select_collective(core::CollectiveOp::Allreduce, n * 4) ==
@@ -370,18 +331,16 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
   }
   // Ring reduce-scatter: with n = P*recvcount the balanced shards are
   // exactly the recvcount-sized blocks, so position r ends owning block r.
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "reduce_scatter", core::CollectiveAlgorithm::Ring);
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
   if (n != 0) std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
-  ring_reduce_scatter_members(strided_ranks(P, 1), rank_, acc, n, op, tag, st);
+  ring_reduce_scatter_members(strided_ranks(P, 1), rank_, acc, n, op, tag, c);
   const auto [lo, hi] = core::shard_range(n, P, rank_);
   if (hi != lo) std::memcpy(recvbuf, acc + lo, (hi - lo) * 4);
   compute(gpu().costs().d2d_copy((hi - lo) * 4));
   gpu_free(acc);
-  record_collective("reduce_scatter", core::CollectiveAlgorithm::Ring, n * 4, started,
-                    st);
+  c.finish(n * 4);
 }
 
 }  // namespace gcmpi::mpi

@@ -5,7 +5,10 @@
 // Algorithms follow the classic MPICH choices: binomial broadcast/reduce,
 // ring allgather (bandwidth-optimal for large messages), Rabenseifner-style
 // non-power-of-two folding + recursive doubling for allreduce, pairwise
-// exchange for alltoall, dissemination barrier.
+// exchange for alltoall, dissemination barrier. The compressed bodies here
+// (flat allgather ring, rendezvous reduce) run on one Rank::Collective per
+// call, like the engines'. MPI allows a zero count with any buffer, NULL
+// included, so each local copy a zero count reaches is guarded by it.
 #include <cstring>
 #include <ranges>
 #include <vector>
@@ -87,7 +90,9 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   const int tag = next_coll_tag();
   const int P = size();
   auto* out = static_cast<std::uint8_t*>(recvbuf);
-  std::memcpy(out + static_cast<std::uint64_t>(rank_) * block_bytes, sendbuf, block_bytes);
+  if (block_bytes != 0) {
+    std::memcpy(out + static_cast<std::uint64_t>(rank_) * block_bytes, sendbuf, block_bytes);
+  }
   if (P == 1) return;
   const WorldOptions& opt = world_.options();
   const bool eager = block_bytes <= opt.eager_threshold;
@@ -135,11 +140,11 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
 
   // Compression-aware ring: each block is compressed once by its owner and
   // circulates in wire form; decodes overlap the remaining ring steps, with
-  // one device synchronization at the end. The flat ring records no
-  // collective, so its stage accounting is dropped.
-  CollStats unrecorded;
+  // one device synchronization at the end. The flat ring never calls
+  // finish(), so it records no collective.
+  Collective c(*this, "allgather", core::CollectiveAlgorithm::Linear);
   (void)ring_allgather_members(strided_ranks(P, 1), rank_, block_slices(out, block_bytes, P),
-                               sendbuf, tag, unrecorded);
+                               sendbuf, tag, c);
 }
 
 void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
@@ -161,7 +166,7 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
       apply_op(accum.data(), tmp.data(), n, op);
     }
     if (tree.parent >= 0) send(accum.data(), n * 4, real(tree.parent), tag);
-    if (rank_ == root) std::memcpy(recvbuf, accum.data(), n * 4);
+    if (rank_ == root && n != 0) std::memcpy(recvbuf, accum.data(), n * 4);
     return;
   }
 
@@ -171,41 +176,38 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
   // stream sync, so the decode of one child overlaps the wait for the
   // next). The fold order is identical to the host path, so results are
   // bit-identical.
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "reduce", core::CollectiveAlgorithm::Linear);
   auto* acc = static_cast<float*>(gpu_malloc(n * 4));
   std::memcpy(acc, sendbuf, n * 4);
   compute(gpu().costs().d2d_copy(n * 4));
 
-  DecodeQueue queue(*this);
   for (int child : children) {
     WireMessage in;
     Request rr = irecv_wire(&in, real(child), tag);
     const sim::Time t0 = ctx_.now();
     (void)wait(rr);
-    st.transfer_busy += ctx_.now() - t0;
-    st.reduce_busy += queue.reduce(in, acc, n, op);
-    ++st.reduces;
+    c.transfer_busy += ctx_.now() - t0;
+    c.reduce(in, acc, n, op);
   }
   // The accumulator ships upward (or the root reads it): drain the pending
   // fused folds first, then compress it once for the single parent hop.
-  if (queue.pending()) st.reduce_busy += queue.drain();
+  if (c.pending()) c.reduce_busy += c.drain();
   if (tree.parent >= 0) {
     const sim::Time t0 = ctx_.now();
     WireMessage w = make_wire(acc, n * 4);
-    st.compress_busy += ctx_.now() - t0;
+    c.compress_busy += ctx_.now() - t0;
     const sim::Time t1 = ctx_.now();
     Request sr = isend_wire(w, real(tree.parent), tag);
     (void)wait(sr);
-    ++st.hops;
-    st.transfer_busy += ctx_.now() - t1;
+    ++c.hops;
+    c.transfer_busy += ctx_.now() - t1;
   }
   if (rank_ == root) {
     std::memcpy(recvbuf, acc, n * 4);
     compute(gpu().costs().d2d_copy(n * 4));
   }
   gpu_free(acc);
-  record_collective("reduce", core::CollectiveAlgorithm::Linear, n * 4, started, st);
+  c.finish(n * 4);
 }
 
 void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op) {
@@ -215,16 +217,12 @@ void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, Reduce
     if (n != 0) std::memcpy(recvbuf, sendbuf, n * 4);
     return;
   }
-  switch (select_collective(core::CollectiveOp::Allreduce, n * 4)) {
-    case core::CollectiveAlgorithm::Ring:
-      allreduce_ring(sendbuf, recvbuf, n, op, tag);
-      return;
-    case core::CollectiveAlgorithm::Hierarchical:
-      allreduce_hierarchical(sendbuf, recvbuf, n, op, tag);
-      return;
-    default:
-      allreduce_linear(sendbuf, recvbuf, n, op, tag);
-      return;
+  const core::CollectiveAlgorithm algorithm =
+      select_collective(core::CollectiveOp::Allreduce, n * 4);
+  if (algorithm == core::CollectiveAlgorithm::Linear) {
+    allreduce_linear(sendbuf, recvbuf, n, op, tag);
+  } else {
+    allreduce_grouped(sendbuf, recvbuf, n, op, tag, algorithm);
   }
 }
 
@@ -310,7 +308,9 @@ void Rank::gather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
   }
   if (rank_ == root) {
     auto* out = static_cast<std::uint8_t*>(recvbuf);
-    std::memcpy(out + static_cast<std::uint64_t>(root) * block_bytes, sendbuf, block_bytes);
+    if (block_bytes != 0) {
+      std::memcpy(out + static_cast<std::uint64_t>(root) * block_bytes, sendbuf, block_bytes);
+    }
     // Post every irecv up front so arrivals complete in whatever order the
     // senders finish — a blocking recv in rank order would serialize the
     // root on the slowest early sender (head-of-line blocking).
@@ -340,7 +340,9 @@ void Rank::scatter(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf
   }
   if (rank_ == root) {
     const auto* in = static_cast<const std::uint8_t*>(sendbuf);
-    std::memcpy(recvbuf, in + static_cast<std::uint64_t>(root) * block_bytes, block_bytes);
+    if (block_bytes != 0) {
+      std::memcpy(recvbuf, in + static_cast<std::uint64_t>(root) * block_bytes, block_bytes);
+    }
     // The root's P-1 outgoing blocks are a natural batch: compress them in
     // one launch and keep every send in flight at once.
     std::vector<WireBlock> blocks;

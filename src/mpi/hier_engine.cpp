@@ -20,6 +20,11 @@
 //              single kernel launch (isend_batched); leaders fan the
 //              blocks out intra-node.
 //
+// The leaders' two intra-node steps have one home each: collect_node_blocks
+// (allgather and gather staging) and hand_back (the allgather and
+// allreduce fan-out). Every body accounts its stages on one
+// Rank::Collective.
+//
 // Intra-node hops honor the compress_intra_node gate: when it is off the
 // staging traffic moves raw over NVLink (make_intra_wire), exactly like
 // the point-to-point path. Every inter-node hop is a WireMessage on the
@@ -37,15 +42,51 @@
 
 namespace gcmpi::mpi {
 
+namespace {
+
+/// The ranks of `rank`'s node after its leader, in rank order.
+auto node_members(const net::ClusterSpec& cl, int rank) {
+  return cl.node_ranks(cl.node_of(rank)) | std::views::drop(1);
+}
+
+}  // namespace
+
 WireMessage Rank::make_intra_wire(const void* buf, std::uint64_t bytes) {
   // Every intra-node route shares one gate, so this rank's own answers.
   if (world_.compresses(rank_, rank_)) return make_wire(buf, bytes);
   return world_.make_raw_wire(buf, bytes);
 }
 
+void Rank::hand_back(const void* buf, std::uint64_t bytes, int tag, Collective& c) {
+  const auto members = node_members(world_.cluster(), rank_);
+  if (members.empty()) return;
+  const sim::Time t0 = ctx_.now();
+  WireMessage w = make_intra_wire(buf, bytes);
+  c.compress_busy += ctx_.now() - t0;
+  const sim::Time t1 = ctx_.now();
+  std::vector<Request> sends;
+  for (int m : members) sends.push_back(isend_wire(w, m, tag));
+  waitall(sends);
+  c.hops += static_cast<std::uint32_t>(sends.size());
+  c.transfer_busy += ctx_.now() - t1;
+}
+
+void Rank::collect_node_blocks(std::uint8_t* slab, const void* sendbuf,
+                               std::uint64_t block_bytes, int tag, Collective& c) {
+  std::memcpy(slab, sendbuf, block_bytes);
+  compute(gpu().costs().d2d_copy(block_bytes));
+  const sim::Time t0 = ctx_.now();
+  std::vector<Request> reqs;
+  for (int m : node_members(world_.cluster(), rank_)) {
+    reqs.push_back(irecv(slab + static_cast<std::uint64_t>(m - rank_) * block_bytes,
+                         block_bytes, m, tag));
+  }
+  waitall(reqs);
+  c.transfer_busy += ctx_.now() - t0;
+}
+
 void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "bcast", core::CollectiveAlgorithm::Hierarchical);
   const auto& cl = world_.cluster();
   const int nodes = cl.nodes;
   const int root_node = cl.node_of(root);
@@ -64,11 +105,11 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
     Request rr = irecv_wire(&in, rep, tag);
     const sim::Time t0 = ctx_.now();
     (void)wait(rr);
-    st.transfer_busy += ctx_.now() - t0;
+    c.transfer_busy += ctx_.now() - t0;
     const sim::Time t1 = ctx_.now();
     decompress_wire(in, buf, bytes);
-    st.reduce_busy += ctx_.now() - t1;
-    record_collective("bcast", core::CollectiveAlgorithm::Hierarchical, bytes, started, st);
+    c.reduce_busy += ctx_.now() - t1;
+    c.finish(bytes);
     return;
   }
 
@@ -81,11 +122,11 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
     Request rr = irecv_wire(&msg, rep_of_vnode(tree.parent), tag);
     const sim::Time t0 = ctx_.now();
     (void)wait(rr);
-    st.transfer_busy += ctx_.now() - t0;
+    c.transfer_busy += ctx_.now() - t0;
   } else {
     const sim::Time t0 = ctx_.now();
     msg = make_wire(buf, bytes);
-    st.compress_busy += ctx_.now() - t0;
+    c.compress_busy += ctx_.now() - t0;
   }
 
   // Forward the SAME wire form down the tree — no recompression anywhere.
@@ -94,7 +135,7 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
   std::vector<Request> sends;
   for (int child : tree.children) {
     sends.push_back(isend_wire(msg, rep_of_vnode(child), tag));
-    ++st.hops;
+    ++c.hops;
   }
 
   // Intra-node fan-out: forward the wire form when the intra gate compresses
@@ -106,30 +147,28 @@ void Rank::bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag)
     if (rank_ == root) return;
     const sim::Time t3 = ctx_.now();
     decompress_wire(msg, buf, bytes);
-    st.reduce_busy += ctx_.now() - t3;
+    c.reduce_busy += ctx_.now() - t3;
   };
   if (!forward) decode_own();
   const WireMessage fan = forward ? msg : world_.make_raw_wire(buf, bytes);
   for (int m : cl.node_ranks(my_node)) {
     if (m == rep) continue;
     sends.push_back(isend_wire(fan, m, tag));
-    ++st.hops;
+    ++c.hops;
   }
   if (forward) decode_own();
   waitall(sends);
-  st.transfer_busy += ctx_.now() - t2;
-  record_collective("bcast", core::CollectiveAlgorithm::Hierarchical, bytes, started, st);
+  c.transfer_busy += ctx_.now() - t2;
+  c.finish(bytes);
 }
 
 void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
                                   void* recvbuf, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "allgather", core::CollectiveAlgorithm::Hierarchical);
   const auto& cl = world_.cluster();
   const int gpn = cl.gpus_per_node;
   const int my_node = cl.node_of(rank_);
   const int leader = cl.node_leader(rank_);
-  const auto members = cl.node_ranks(my_node) | std::views::drop(1);
   auto* out = static_cast<std::uint8_t*>(recvbuf);
   const std::uint64_t total = static_cast<std::uint64_t>(size()) * block_bytes;
 
@@ -137,16 +176,15 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
     // Member: stage the block at the leader, receive the assembled vector.
     const sim::Time t0 = ctx_.now();
     send(sendbuf, block_bytes, leader, tag);
-    ++st.hops;
+    ++c.hops;
     WireMessage in;
     Request rr = irecv_wire(&in, leader, tag);
     (void)wait(rr);
-    st.transfer_busy += ctx_.now() - t0;
+    c.transfer_busy += ctx_.now() - t0;
     const sim::Time t1 = ctx_.now();
     decompress_wire(in, out, total);
-    st.reduce_busy += ctx_.now() - t1;
-    record_collective("allgather", core::CollectiveAlgorithm::Hierarchical, total, started,
-                      st);
+    c.reduce_busy += ctx_.now() - t1;
+    c.finish(total);
     return;
   }
 
@@ -157,55 +195,30 @@ void Rank::allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes
 
   // Leader phase 1: collect the node's blocks contiguously (the node's
   // ranks are consecutive, so they land in place in the assembled vector).
-  std::memcpy(full + static_cast<std::uint64_t>(rank_) * block_bytes, sendbuf, block_bytes);
-  compute(gpu().costs().d2d_copy(block_bytes));
-  {
-    const sim::Time t0 = ctx_.now();
-    std::vector<Request> reqs;
-    for (int m : members) {
-      reqs.push_back(irecv(full + static_cast<std::uint64_t>(m) * block_bytes, block_bytes,
-                           m, tag));
-    }
-    waitall(reqs);
-    st.transfer_busy += ctx_.now() - t0;
-  }
+  collect_node_blocks(full + static_cast<std::uint64_t>(leader) * block_bytes, sendbuf,
+                      block_bytes, tag, c);
 
   // Leader phase 2: the ring allgather over node leaders, circulating node
   // SLABS in wire form — each leader compresses its own slab exactly once
   // and forwards the others; the final drain, which precedes the fan-out,
   // counts as decode time here.
   const auto slabs = block_slices(full, static_cast<std::uint64_t>(gpn) * block_bytes, cl.nodes);
-  const sim::Time drained =
-      ring_allgather_members(strided_ranks(cl.nodes, gpn), my_node, slabs,
-                             slabs[static_cast<std::size_t>(my_node)].data(), tag, st);
-  st.reduce_busy += drained;
+  c.reduce_busy += ring_allgather_members(strided_ranks(cl.nodes, gpn), my_node, slabs,
+                                          slabs[static_cast<std::size_t>(my_node)].data(),
+                                          tag, c);
 
   // Leader phase 3: intra-node bcast of the assembled vector (compressed
   // once when the intra gate is on, raw otherwise).
-  if (!members.empty()) {
-    const sim::Time t0 = ctx_.now();
-    WireMessage w = make_intra_wire(full, total);
-    st.compress_busy += ctx_.now() - t0;
-    const sim::Time t1 = ctx_.now();
-    std::vector<Request> sends;
-    for (int m : members) {
-      sends.push_back(isend_wire(w, m, tag));
-      ++st.hops;
-    }
-    waitall(sends);
-    st.transfer_busy += ctx_.now() - t1;
-  }
+  hand_back(full, total, tag, c);
   std::memcpy(out, full, total);
   compute(gpu().costs().d2d_copy(total));
   gpu_free(full);
-  record_collective("allgather", core::CollectiveAlgorithm::Hierarchical, total, started,
-                    st);
+  c.finish(total);
 }
 
 void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
                                void* recvbuf, int root, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "gather", core::CollectiveAlgorithm::Hierarchical);
   const auto& cl = world_.cluster();
   const int P = size();
   const int root_node = cl.node_of(root);
@@ -233,9 +246,8 @@ void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
     }
     const sim::Time t0 = ctx_.now();
     waitall(reqs);
-    st.transfer_busy += ctx_.now() - t0;
-    record_collective("gather", core::CollectiveAlgorithm::Hierarchical,
-                      static_cast<std::uint64_t>(P) * block_bytes, started, st);
+    c.transfer_busy += ctx_.now() - t0;
+    c.finish(static_cast<std::uint64_t>(P) * block_bytes);
     return;
   }
 
@@ -256,31 +268,18 @@ void Rank::gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   // pays; rendezvous compression (and its CRC/NACK recovery) applies to
   // the whole slab.
   auto* slab = static_cast<std::uint8_t*>(gpu_malloc(slab_bytes));
-  std::memcpy(slab, sendbuf, block_bytes);
-  compute(gpu().costs().d2d_copy(block_bytes));
-  {
-    const sim::Time t0 = ctx_.now();
-    std::vector<Request> reqs;
-    for (int m : cl.node_ranks(my_node) | std::views::drop(1)) {
-      reqs.push_back(irecv(slab + static_cast<std::uint64_t>(m - leader) * block_bytes,
-                           block_bytes, m, tag));
-    }
-    waitall(reqs);
-    st.transfer_busy += ctx_.now() - t0;
-  }
+  collect_node_blocks(slab, sendbuf, block_bytes, tag, c);
   const sim::Time t1 = ctx_.now();
   send(slab, slab_bytes, root, tag);
-  ++st.hops;
-  st.transfer_busy += ctx_.now() - t1;
+  ++c.hops;
+  c.transfer_busy += ctx_.now() - t1;
   gpu_free(slab);
-  record_collective("gather", core::CollectiveAlgorithm::Hierarchical,
-                    static_cast<std::uint64_t>(P) * block_bytes, started, st);
+  c.finish(static_cast<std::uint64_t>(P) * block_bytes);
 }
 
 void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
                                 void* recvbuf, int root, int tag) {
-  const sim::Time started = ctx_.now();
-  CollStats st;
+  Collective c(*this, "scatter", core::CollectiveAlgorithm::Hierarchical);
   const auto& cl = world_.cluster();
   const int P = size();
   const int root_node = cl.node_of(root);
@@ -309,11 +308,10 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
     }
     const sim::Time t0 = ctx_.now();
     auto reqs = isend_batched(blocks);
-    st.hops += static_cast<std::uint32_t>(blocks.size());
+    c.hops += static_cast<std::uint32_t>(blocks.size());
     waitall(reqs);
-    st.transfer_busy += ctx_.now() - t0;
-    record_collective("scatter", core::CollectiveAlgorithm::Hierarchical,
-                      static_cast<std::uint64_t>(P) * block_bytes, started, st);
+    c.transfer_busy += ctx_.now() - t0;
+    c.finish(static_cast<std::uint64_t>(P) * block_bytes);
     return;
   }
 
@@ -332,23 +330,20 @@ void Rank::scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
   auto* slab = static_cast<std::uint8_t*>(gpu_malloc(slab_bytes));
   const sim::Time t0 = ctx_.now();
   (void)recv(slab, slab_bytes, root, tag);
-  st.transfer_busy += ctx_.now() - t0;
+  c.transfer_busy += ctx_.now() - t0;
   std::memcpy(recvbuf, slab, block_bytes);
   compute(gpu().costs().d2d_copy(block_bytes));
-  {
-    const sim::Time t1 = ctx_.now();
-    std::vector<Request> sends;
-    for (int m : cl.node_ranks(my_node) | std::views::drop(1)) {
-      sends.push_back(isend(slab + static_cast<std::uint64_t>(m - leader) * block_bytes,
-                            block_bytes, m, tag));
-      ++st.hops;
-    }
-    waitall(sends);
-    st.transfer_busy += ctx_.now() - t1;
+  const sim::Time t1 = ctx_.now();
+  std::vector<Request> sends;
+  for (int m : node_members(cl, rank_)) {
+    sends.push_back(isend(slab + static_cast<std::uint64_t>(m - leader) * block_bytes,
+                          block_bytes, m, tag));
+    ++c.hops;
   }
+  waitall(sends);
+  c.transfer_busy += ctx_.now() - t1;
   gpu_free(slab);
-  record_collective("scatter", core::CollectiveAlgorithm::Hierarchical,
-                    static_cast<std::uint64_t>(P) * block_bytes, started, st);
+  c.finish(static_cast<std::uint64_t>(P) * block_bytes);
 }
 
 }  // namespace gcmpi::mpi

@@ -270,14 +270,6 @@ class Rank {
   int next_coll_tag();
 
   // --- collective algorithm engine (coll_engine.cpp) ---
-  /// Per-hop stage accounting for one engine collective on this rank.
-  struct CollStats {
-    std::uint32_t hops = 0;
-    std::uint32_t reduces = 0;
-    sim::Time compress_busy;
-    sim::Time transfer_busy;
-    sim::Time reduce_busy;
-  };
   /// The schedule `op` runs for `bytes` (see DESIGN.md §9, "Collective
   /// selection"): the static policy, or the adaptive controller under Auto,
   /// through one admission rule. reduce_scatter asks as Allreduce.
@@ -285,38 +277,53 @@ class Rank {
                                                             std::uint64_t bytes) const;
   void allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
                         int tag);
-  void allreduce_ring(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
-                      int tag);
-  void allreduce_hierarchical(const float* sendbuf, float* recvbuf, std::size_t n,
-                              ReduceOp op, int tag);
-  void record_collective(const char* op, core::CollectiveAlgorithm algorithm,
-                         std::uint64_t bytes, sim::Time started, const CollStats& st);
+  /// Ring and hierarchical allreduce, one body over groups of consecutive
+  /// ranks (one rank for Ring, one node for Hierarchical): members fold
+  /// into their group leader, the leaders run the ring reduce-scatter and
+  /// allgather, and each leader hands the result back to its members.
+  void allreduce_grouped(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
+                         int tag, core::CollectiveAlgorithm algorithm);
 
   // --- steps shared by the compressed collective bodies (coll_engine.cpp) ---
-  /// Absorbs arrived wire messages into device slices. A compressed payload
-  /// is staged and its decode (or fused decode+reduce) enqueued without a
-  /// stream sync, retried on injected decode faults; a raw one is copied
-  /// (or reduced on-device). Every staging stays alive until drain(). Each
-  /// call returns the virtual time it charged, for the caller's CollStats.
-  class DecodeQueue {
+  /// One compressed collective call on this rank: its stage totals, the
+  /// stagings of its enqueued decodes, and the CollectiveRecord it appends.
+  /// decode() and reduce() absorb an arrived wire message into a device
+  /// slice: a compressed payload is staged and its decode (or fused
+  /// decode+reduce) enqueued without a stream sync, retried on injected
+  /// decode faults; a raw one is copied (or reduced on-device). Both charge
+  /// reduce_busy, and reduce() counts a reduce. Every staging stays alive
+  /// until drain().
+  class Collective {
    public:
-    explicit DecodeQueue(Rank& rank) : rank_(rank) {}
+    Collective(Rank& rank, const char* op, core::CollectiveAlgorithm algorithm)
+        : rank_(rank), op_(op), algorithm_(algorithm), started_(rank.ctx_.now()) {}
     /// Decode `in` into `dst` (`bytes` of capacity) on stream `stream_hint`.
-    sim::Time decode(const WireMessage& in, void* dst, std::uint64_t bytes,
-                     int stream_hint = 0);
+    void decode(const WireMessage& in, void* dst, std::uint64_t bytes, int stream_hint = 0);
     /// Fold `in` into the n-float device accumulator: acc = op(acc, in).
-    sim::Time reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op);
+    void reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op);
     /// Synchronize the device (charged even when nothing is queued) and
-    /// release every staging.
+    /// release every staging. Returns the time it took, for the caller to
+    /// charge to whichever stage its window falls in.
     sim::Time drain();
     /// Something was enqueued since the last drain.
     [[nodiscard]] bool pending() const { return pending_; }
+    /// Append this call's CollectiveRecord of `bytes` (when telemetry is on).
+    void finish(std::uint64_t bytes);
+
+    std::uint32_t hops = 0;
+    std::uint32_t reduces = 0;
+    sim::Time compress_busy;
+    sim::Time transfer_busy;
+    sim::Time reduce_busy;
 
    private:
     const core::Staging& stage(sim::Timeline& tl, const WireMessage& in);
     sim::Time settle(const sim::Timeline& tl, sim::Time started);
 
     Rank& rank_;
+    const char* op_;
+    core::CollectiveAlgorithm algorithm_;
+    sim::Time started_;
     std::vector<core::Staging> stagings_;
     bool pending_ = false;
   };
@@ -324,7 +331,7 @@ class Rank {
   /// N-1 steps the member at position s owns the fully reduced shard s of
   /// the device accumulator `acc` (n floats).
   void ring_reduce_scatter_members(const std::vector<int>& members, int pos, float* acc,
-                                   std::size_t n, ReduceOp op, int tag, CollStats& st);
+                                   std::size_t n, ReduceOp op, int tag, Collective& c);
   /// Ring allgather over `members` (this rank at `members[pos]`): position
   /// s contributes `slices[s]`. This member compresses its slice once from
   /// `own`; every slice then circulates in wire form and is decoded as it
@@ -333,7 +340,7 @@ class Rank {
   /// the final drain charged (zero when nothing moved).
   sim::Time ring_allgather_members(const std::vector<int>& members, int pos,
                                    const std::vector<std::span<std::uint8_t>>& slices,
-                                   const void* own, int tag, CollStats& st);
+                                   const void* own, int tag, Collective& c);
   /// Ranks 0, stride, 2*stride, ... (`count` of them): all ranks as one
   /// ring, or the node leaders as the leader ring.
   [[nodiscard]] static std::vector<int> strided_ranks(int count, int stride);
@@ -359,11 +366,18 @@ class Rank {
   /// payload this rank holds raw: compressed when the compress_intra_node
   /// gate is on, raw otherwise. Every intra-node collective hop uses it.
   [[nodiscard]] WireMessage make_intra_wire(const void* buf, std::uint64_t bytes);
+  /// Leader step: compress `bytes` of `buf` once (make_intra_wire) and send
+  /// the wire form to every other rank of this node.
+  void hand_back(const void* buf, std::uint64_t bytes, int tag, Collective& c);
+  /// Leader step: copy this rank's block into `slab`, then receive every
+  /// other rank of this node into the block at its offset from the leader.
+  void collect_node_blocks(std::uint8_t* slab, const void* sendbuf, std::uint64_t block_bytes,
+                           int tag, Collective& c);
 
   // --- alltoall engine (alltoall_engine.cpp) ---
   /// Batched alltoall: ONE compression launch for the P-1 outgoing blocks,
   /// slab slices exchanged over the scattered pairwise schedule, decodes
-  /// enqueued per arriving slice on a DecodeQueue drained once at the end.
+  /// enqueued per arriving slice and drained once at the end.
   /// The caller already placed the rank's own block in `recvbuf`.
   void alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_bytes,
                         std::uint8_t* recvbuf, int tag);

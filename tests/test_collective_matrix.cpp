@@ -992,6 +992,68 @@ TEST_F(MovingMatrix, BcastInterNodeTransitBudget) {
   EXPECT_EQ(inj.stats().inter_node_data_packets, static_cast<std::uint64_t>(c.nodes - 1));
 }
 
+// --- rooted reduce conformance ---
+//
+// Rank::reduce folds on the binomial tree: each rank takes its own vector,
+// then each child's subtree result nearest child first, accumulator-first.
+// Below the eager threshold it folds on the host; above it every hop is a
+// wire form folded by the fused decompress+reduce kernels. Both must equal
+// the host replay bit-exactly for lossless codecs.
+
+/// The subtree result of virtual rank `vrank` for a reduce rooted at `root`.
+std::vector<float> reduce_oracle(const std::vector<std::vector<float>>& contribs, ReduceOp op,
+                                 int root, int vrank) {
+  const int P = static_cast<int>(contribs.size());
+  std::vector<float> acc = contribs[static_cast<std::size_t>((vrank + root) % P)];
+  const core::BinomialTree tree = core::binomial_tree(vrank, P);
+  for (auto child = tree.children.rbegin(); child != tree.children.rend(); ++child) {
+    const auto sub = reduce_oracle(contribs, op, root, *child);
+    comp::reduce_inplace(acc.data(), sub.data(), acc.size(), op);
+  }
+  return acc;
+}
+
+TEST(ReduceMatrix, RootedReduceMatchesBinomialFold) {
+  const std::pair<int, int> topos[] = {{2, 2}, {3, 1}};
+  for (auto [swept_nodes, swept_gpn] : topos) {
+    const auto [nodes, gpn] = moving_topology(swept_nodes, swept_gpn);
+    const int P = nodes * gpn;
+    for (int root : {0, P - 1}) {
+      for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{16411}}) {
+        for (Codec codec : {Codec::Raw, Codec::Mpc}) {
+          for (ReduceOp op : {ReduceOp::Sum, ReduceOp::Max}) {
+            const MatrixCase c{.nodes = nodes, .gpus_per_node = gpn, .n = n, .op = op,
+                               .codec = codec, .algorithm = CollectiveAlgorithm::Linear};
+            sim::Engine engine;
+            core::Telemetry telemetry;
+            mpi::WorldOptions opts;
+            opts.telemetry = &telemetry;
+            World world(engine, net::longhorn(nodes, gpn), config_for(c), opts);
+            std::vector<float> out(n, -1.0f);
+            world.run([&](Rank& R) {
+              const auto mine = contribution(R.rank(), n);
+              auto* dev = static_cast<float*>(R.gpu_malloc(n * 4));
+              std::copy(mine.begin(), mine.end(), dev);
+              R.reduce(dev, R.rank() == root ? out.data() : nullptr, n, op, root);
+              R.gpu_free(dev);
+            });
+
+            std::vector<std::vector<float>> contribs;
+            for (int r = 0; r < P; ++r) contribs.push_back(contribution(r, n));
+            const auto oracle = reduce_oracle(contribs, op, root, 0);
+            EXPECT_TRUE(bits_equal(out.data(), oracle.data(), n * 4))
+                << describe(c) << " root=" << root;
+            // Rendezvous-sized vectors run the wire body, which records.
+            const bool wire = n * 4 > mpi::WorldOptions{}.eager_threshold;
+            EXPECT_EQ(count_records(telemetry, "reduce"), wire ? std::size_t(P) : 0u)
+                << describe(c) << " root=" << root;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- oracle self-checks ---
 
 TEST(OracleSanity, RingOracleMatchesNaiveSumOnIntegers) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "data/datasets.hpp"
@@ -199,6 +200,52 @@ TEST(CollectivesCompressed, BcastWithCompressionIsFasterOnCompressibleData) {
   const auto baseline = run_one(core::CompressionConfig::off());
   const auto mpc = run_one(core::CompressionConfig::mpc_opt());
   EXPECT_LT(mpc, baseline);  // Fig. 11(a): biggest win on msg_sppm
+}
+
+TEST(Collectives, ZeroCountWithNullBuffers) {
+  // MPI allows a zero count with any buffer, NULL included: no collective
+  // may pass a null pointer to memcpy, under any forced algorithm. The
+  // sanitizer build turns such a call into a failure.
+  using core::CollectiveAlgorithm;
+  const std::pair<int, int> topologies[] = {{1, 1}, {2, 1}, {2, 2}};
+  for (auto [nodes, gpn] : topologies) {
+    for (const CollectiveAlgorithm algorithm :
+         {CollectiveAlgorithm::Auto, CollectiveAlgorithm::Linear, CollectiveAlgorithm::Ring,
+          CollectiveAlgorithm::Hierarchical, CollectiveAlgorithm::BatchedPairwise}) {
+      sim::Engine engine;
+      mpi::WorldOptions opts;
+      opts.collectives.forced.fill(algorithm);
+      World world(engine, net::longhorn(nodes, gpn), core::CompressionConfig::mpc_opt(), opts);
+      int done = 0;
+      world.run([&](Rank& R) {
+        const int last = R.size() - 1;
+        R.bcast(nullptr, 0, last);
+        R.allgather(nullptr, 0, nullptr);
+        R.reduce(nullptr, nullptr, 0, mpi::ReduceOp::Sum, last);
+        R.allreduce(nullptr, nullptr, 0, mpi::ReduceOp::Sum);
+        R.reduce_scatter(nullptr, nullptr, 0, mpi::ReduceOp::Sum);
+        R.alltoall(nullptr, 0, nullptr);
+        R.gather(nullptr, 0, nullptr, last);
+        R.scatter(nullptr, 0, nullptr, last);
+        ++done;
+      });
+      EXPECT_EQ(done, nodes * gpn) << nodes << "x" << gpn << " "
+                                   << core::collective_algorithm_name(algorithm);
+    }
+  }
+
+  // Valid buffers: the eager reduce's accumulator is an empty vector, whose
+  // data() is null.
+  sim::Engine engine;
+  World world(engine, net::longhorn(2, 1), core::CompressionConfig::mpc_opt());
+  float result = -1.0f;
+  world.run([&](Rank& R) {
+    const float a = 1.0f;
+    float b = -1.0f;
+    R.reduce(&a, &b, 0, mpi::ReduceOp::Sum, 0);
+    if (R.rank() == 0) result = b;
+  });
+  EXPECT_EQ(result, -1.0f);
 }
 
 }  // namespace
