@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -12,6 +13,7 @@
 #endif
 
 #include "compress/bit_transpose.hpp"
+#include "util/parallel.hpp"
 
 namespace gcmpi::comp {
 
@@ -386,6 +388,29 @@ template <class E>
   throw E(std::string(f.name) + what);
 }
 
+// From kSplitChunks chunks on, a stream's chunks are encoded and decoded on
+// the parallel pool in ranges of kRangeChunks; a shorter stream is one range.
+constexpr std::size_t kSplitChunks = 128;
+constexpr std::size_t kRangeChunks = 32;
+
+std::size_t range_chunks(std::size_t chunks) {
+  return chunks < kSplitChunks ? std::max<std::size_t>(chunks, 1) : kRangeChunks;
+}
+
+// Where the ranges after the first are encoded before they are copied into
+// place: kept per thread and grown to the largest stream encoded so far.
+// Only the bytes a range writes are touched.
+std::uint8_t* encode_scratch(std::size_t bytes) {
+  thread_local std::unique_ptr<std::uint8_t[]> buf;
+  thread_local std::size_t capacity = 0;
+  if (bytes > capacity) {
+    buf.reset();
+    buf = std::make_unique_for_overwrite<std::uint8_t[]>(bytes);
+    capacity = bytes;
+  }
+  return buf.get();
+}
+
 std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_t* in,
                           std::size_t n, int dim, std::size_t chunk, std::uint8_t* out) {
   const std::size_t chunks = (n + chunk - 1) / chunk;
@@ -396,14 +421,37 @@ std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_
   store<std::uint32_t>(out + 16, static_cast<std::uint32_t>(chunks));
   std::uint8_t* size_table = out + kFixedHeaderWords * 4;
   std::uint8_t* payload = size_table + chunks * 4;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t words = encode(in + begin * f.word_bytes, std::min(chunk, n - begin),
-                                     static_cast<std::size_t>(dim), payload);
-    store<std::uint32_t>(size_table + c * 4, static_cast<std::uint32_t>(words));
-    payload += words * f.word_bytes;
-  }
-  return static_cast<std::size_t>(payload - out);
+
+  // Range 0 is encoded straight into `out`, every later range into its own
+  // scratch slot sized for its worst case; the slots are then copied into
+  // place behind range 0, in order.
+  const std::size_t per_range = range_chunks(chunks);
+  const std::size_t ranges = (chunks + per_range - 1) / per_range;
+  const std::size_t tile = 8 * f.word_bytes;
+  const std::size_t slot = per_range * ((chunk + tile - 1) / tile) * (tile + 1) * f.word_bytes;
+  std::uint8_t* scratch = ranges > 1 ? encode_scratch((ranges - 1) * slot) : nullptr;
+  const auto slot_of = [&](std::size_t r) { return r == 0 ? payload : scratch + (r - 1) * slot; };
+  std::vector<std::size_t> range_bytes(ranges);
+  util::parallel_for(chunks, per_range, [&](std::size_t first, std::size_t last) {
+    std::uint8_t* const dst = slot_of(first / per_range);
+    std::uint8_t* p = dst;
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t begin = c * chunk;
+      const std::size_t words = encode(in + begin * f.word_bytes, std::min(chunk, n - begin),
+                                       static_cast<std::size_t>(dim), p);
+      store<std::uint32_t>(size_table + c * 4, static_cast<std::uint32_t>(words));
+      p += words * f.word_bytes;
+    }
+    range_bytes[first / per_range] = static_cast<std::size_t>(p - dst);
+  });
+  std::vector<std::uint8_t*> at(ranges + 1, payload);
+  for (std::size_t r = 0; r < ranges; ++r) at[r + 1] = at[r] + range_bytes[r];
+  util::parallel_for(ranges, 1, [&](std::size_t first, std::size_t last) {
+    for (std::size_t r = std::max<std::size_t>(first, 1); r < last; ++r) {
+      std::memcpy(at[r], slot_of(r), range_bytes[r]);
+    }
+  });
+  return static_cast<std::size_t>(at[ranges] - out);
 }
 
 std::size_t decode_stream(const Format& f, DecodeChunk decode, std::span<const std::uint8_t> in,
@@ -427,17 +475,29 @@ std::size_t decode_stream(const Format& f, DecodeChunk decode, std::span<const s
   const std::size_t table_bytes = (kFixedHeaderWords + chunks) * 4;
   if (in.size() < table_bytes) fail<std::invalid_argument>(f, ": truncated size table");
 
+  // The whole size table is checked against the payload, and each range's
+  // first word found, before any chunk decodes.
   const std::uint8_t* size_table = base + kFixedHeaderWords * 4;
   const std::uint8_t* payload = base + table_bytes;
+  const std::size_t per_range = range_chunks(chunks);
+  std::vector<std::size_t> range_word((chunks + per_range - 1) / per_range);
   std::size_t words_left = (in.size() - table_bytes) / f.word_bytes;
-  for (std::size_t c = 0; c < chunks; ++c) {
+  for (std::size_t c = 0, word = 0; c < chunks; ++c) {
+    if (c % per_range == 0) range_word[c / per_range] = word;
     const std::size_t words = load<std::uint32_t>(size_table + c * 4);
     if (words > words_left) fail<std::runtime_error>(f, ": truncated payload");
-    const std::size_t begin = c * chunk;
-    decode(payload, words, std::min(chunk, n - begin), dim, out + begin * f.word_bytes);
-    payload += words * f.word_bytes;
     words_left -= words;
+    word += words;
   }
+  util::parallel_for(chunks, per_range, [&](std::size_t first, std::size_t last) {
+    const std::uint8_t* p = payload + range_word[first / per_range] * f.word_bytes;
+    for (std::size_t c = first; c < last; ++c) {
+      const std::size_t words = load<std::uint32_t>(size_table + c * 4);
+      const std::size_t begin = c * chunk;
+      decode(p, words, std::min(chunk, n - begin), dim, out + begin * f.word_bytes);
+      p += words * f.word_bytes;
+    }
+  });
   return n;
 }
 

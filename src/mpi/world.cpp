@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "util/crc32c.hpp"
+#include "util/parallel.hpp"
 
 namespace gcmpi::mpi {
 
@@ -452,7 +453,7 @@ void World::land(Timeline& tl, int rank, const core::CompressionHeader& header,
                  std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
                  std::uint64_t capacity, bool synchronize, int stream_hint) {
   if (header.compressed) {
-    std::memcpy(staging.data, payload.data(), payload.size());
+    util::copy_bytes(staging.data, payload.data(), payload.size());
     ranks_[static_cast<std::size_t>(rank)].mgr->decompress_received(
         tl, header, staging, buf, capacity, synchronize, stream_hint);
     return;
@@ -460,8 +461,7 @@ void World::land(Timeline& tl, int rank, const core::CompressionHeader& header,
   if (capacity < payload.size()) {
     throw std::runtime_error("MiniMPI: receive buffer too small for the message");
   }
-  // Zero-byte messages are legal; memcpy with a null src/dst is not.
-  if (!payload.empty()) std::memcpy(buf, payload.data(), payload.size());
+  util::copy_bytes(buf, payload.data(), payload.size());
 }
 
 void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
@@ -670,7 +670,7 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
               off;
   if (seg.header.compressed) {
     void* slice = tx->staging.slice(i);
-    std::memcpy(slice, delivered.bytes.data(), delivered.bytes.size());
+    util::copy_bytes(slice, delivered.bytes.data(), delivered.bytes.size());
     Time kernel_time;
     try {
       const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
@@ -684,7 +684,7 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
       return;
     }
   } else {
-    if (!delivered.bytes.empty()) std::memcpy(out, delivered.bytes.data(), delivered.bytes.size());
+    util::copy_bytes(out, delivered.bytes.data(), delivered.bytes.size());
     tx->recv_done = std::max(tx->recv_done, tl.now());
   }
   seg.done = true;

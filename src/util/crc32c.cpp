@@ -2,10 +2,13 @@
 
 #include <array>
 #include <cstring>
+#include <vector>
 
 #if defined(__x86_64__)
 #include <nmmintrin.h>
 #endif
+
+#include "util/parallel.hpp"
 
 namespace gcmpi::util {
 
@@ -39,11 +42,6 @@ const Tables& tables() {
   return tb;
 }
 
-#if defined(__x86_64__)
-
-// Bytes per lane per round of the three-lane loop.
-constexpr std::size_t kLane = 4096;
-
 // a * b mod P in the reflected representation, where bit 31 is x^0.
 constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
   std::uint32_t product = 0;
@@ -54,15 +52,29 @@ constexpr std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
   return product;
 }
 
-// x^(8·kLane) mod P: multiplying a raw CRC state by it is the same as
-// running the state over kLane zero bytes.
-constexpr std::uint32_t lane_shift() {
-  std::uint32_t p = 1u << 30;  // x^1
-  for (std::size_t bits = 1; bits < 8 * kLane; bits *= 2) p = multmodp(p, p);
+// x^(8·bytes) mod P: multiplying a raw CRC state by it is the same as
+// running the state over `bytes` zero bytes.
+constexpr std::uint32_t zeros_shift(std::size_t bytes) {
+  std::uint32_t p = 1u << 31;       // x^0
+  std::uint32_t square = 1u << 23;  // x^8, then x^16, x^32, ...
+  for (; bytes != 0; bytes >>= 1) {
+    if (bytes & 1u) p = multmodp(square, p);
+    square = multmodp(square, square);
+  }
   return p;
 }
 
-constexpr std::uint32_t kLaneShift = lane_shift();
+// crc32c() splits a buffer of kSplitBytes or more into kPieceBytes pieces,
+// checksums them on the parallel pool and combines the piece CRCs in order.
+constexpr std::size_t kSplitBytes = std::size_t{512} << 10;
+constexpr std::size_t kPieceBytes = std::size_t{128} << 10;
+constexpr std::uint32_t kPieceShift = zeros_shift(kPieceBytes);
+
+#if defined(__x86_64__)
+
+// Bytes per lane per round of the three-lane loop.
+constexpr std::size_t kLane = 4096;
+constexpr std::uint32_t kLaneShift = zeros_shift(kLane);
 
 std::uint64_t load64(const std::uint8_t* p) {
   std::uint64_t v;
@@ -116,7 +128,20 @@ Crc32cFn select_crc32c() {
 
 std::uint32_t crc32c(const void* data, std::size_t bytes, std::uint32_t crc) {
   static const Crc32cFn impl = select_crc32c();
-  return impl(data, bytes, crc);
+  if (bytes < kSplitBytes) return impl(data, bytes, crc);
+  // The CRC of A then B, chained onto crc, is crc(A, crc) · x^(8|B|) xor
+  // crc(B, 0): piece 0 takes the incoming crc, the others start fresh.
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::vector<std::uint32_t> piece_crc((bytes + kPieceBytes - 1) / kPieceBytes);
+  parallel_for(bytes, kPieceBytes, [&](std::size_t begin, std::size_t end) {
+    piece_crc[begin / kPieceBytes] = impl(p + begin, end - begin, begin == 0 ? crc : 0);
+  });
+  crc = piece_crc[0];
+  for (std::size_t i = 1; i + 1 < piece_crc.size(); ++i) {
+    crc = multmodp(kPieceShift, crc) ^ piece_crc[i];
+  }
+  const std::size_t last = bytes - (piece_crc.size() - 1) * kPieceBytes;
+  return multmodp(zeros_shift(last), crc) ^ piece_crc.back();
 }
 
 std::uint32_t crc32c_portable(const void* data, std::size_t bytes, std::uint32_t crc) {
