@@ -28,12 +28,21 @@
 // always run the scalar path so tests can compare the two on any host.
 // MpcCodec64 has the scalar path only.
 //
-// Both paths read the caller's `in` and write the caller's `out` in place,
-// with no staging copies or per-call allocations. compress() writes only the
-// returned prefix of `out`, and decompress() only out[0, n) and never reads
-// outside `in`: every size-table entry is
+// Both paths read the caller's `in` and write the caller's `out` in place.
+// A stream of 128 chunks or more is split across util::parallel_for's
+// pool in ranges of 32 chunks, as the GPU kernel runs its thread blocks at
+// once. Decoding checks the whole size table and finds every range's
+// first word before any chunk decodes, then decodes the ranges into their
+// disjoint slices of `out`. Encoding writes range 0 straight into `out`
+// and every later range into a per-thread scratch buffer, kept across
+// calls and grown to the largest stream's worst case, then copies them
+// into place behind range 0 in order; the bytes are those of the serial
+// loop. A shorter stream is one range, run inline with no scratch.
+// compress() writes only the returned prefix of `out`, and decompress()
+// only out[0, n) and never reads outside `in`: every size-table entry is
 // checked against the bytes left, and every tile mask against the words
-// left in its chunk, before the words are gathered; a violation throws.
+// left in its chunk, before the words are gathered; a violation throws
+// (the lowest failing range's exception, after every range has run).
 #pragma once
 
 #include <cstddef>

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "mpi/world.hpp"
+#include "util/parallel.hpp"
 
 namespace gcmpi::mpi {
 
@@ -87,7 +88,7 @@ void Rank::Collective::reduce(const WireMessage& in, float* acc, std::size_t n, 
   auto& mgr = rank_.compression();
   if (in.header.compressed) {
     const core::Staging& staging = stage(tl, in);
-    std::memcpy(staging.data, in.payload->data(), in.payload->size());
+    util::copy_bytes(staging.data, in.payload->data(), in.payload->size());
     core::CompressionManager::retry_decode([&] {
       mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op, /*synchronize=*/false);
     });

@@ -6,7 +6,11 @@
 // time and advances a single global virtual clock. Actor code therefore reads
 // like ordinary blocking MPI code while the whole simulation stays
 // deterministic and data-race free; a handoff is a swapcontext, not a
-// kernel wake-up.
+// kernel wake-up. The large host kernel bodies an actor or callback runs
+// (CRC, MPC chunk loops, reductions, delivery copies) may fork onto
+// util::parallel_for's worker threads, but they join before the body
+// returns, inside the one engine step that started them: no other actor
+// or event runs while they do, and none sees their output half written.
 //
 // Scheduling model:
 //   * The engine owns a priority queue of events ordered by (time, seq).

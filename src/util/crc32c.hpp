@@ -5,8 +5,12 @@
 // runs the crc32 instruction on three interleaved lanes over 4 KiB blocks
 // and folds them with a GF(2) multiply; elsewhere it falls back to
 // software slice-by-8 (crc32c_portable). The path is chosen once, at the
-// first call, and both return identical values. On real NICs the ICRC is
-// computed in hardware, so the simulator charges zero virtual time for it.
+// first call, and both return identical values. From 512 KiB on, crc32c()
+// checksums 128 KiB pieces on util::parallel_for's pool and combines them
+// in order with the same multiply (crc(AB) = crc(A)·x^(8|B|) xor crc(B)
+// from 0); crc32c_portable always runs serially and is the reference. On
+// real NICs the ICRC is computed in hardware, so the simulator charges
+// zero virtual time for it.
 //
 // Incremental use: pass the previous return value as `crc` to extend a
 // running checksum over split buffers; the default 0 starts a fresh one.
