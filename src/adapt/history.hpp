@@ -88,7 +88,6 @@ class History {
   using StreakKey = std::tuple<int, int, int>;       // scope, bucket, family
   using CollKey = std::tuple<int, int, int>;         // op, algorithm, bucket
 
-  void fold_compression(int scope, const core::TelemetryEvent& ev, int candidate);
   CodecStats& cell(int scope, int bucket, int candidate);
   void ewma(double& value, std::uint64_t& samples, double sample);
 

@@ -24,8 +24,8 @@ struct AwpConfig {
   /// GPU-time charge per cell per step. Default calibrated so that the
   /// baseline compute/communication split matches Fig. 2(b) (compute is
   /// roughly 55-75% of a step at the paper's scales).
-  double model_flops_per_cell = Solver::kModelFlopsPerCell;
-  double gpu_efficiency = 0.018;  // fraction of peak FP32 sustained
+  static constexpr double model_flops_per_cell = Solver::kModelFlopsPerCell;
+  static constexpr double gpu_efficiency = 0.018;  // fraction of peak FP32 sustained
 };
 
 struct AwpReport {

@@ -1,4 +1,4 @@
-// In-place bit-matrix transposes for MPC's tile stage.
+// In-place bit-matrix transpose for MPC's tile stage.
 //
 // Convention: row r of the matrix is word a[r], and bit c (LSB-first) of
 // that word is column c, i.e. M[r][c] = (a[r] >> c) & 1. The transpose
@@ -12,7 +12,7 @@
 // Each level is its own fixed-stride loop with a constant shift and mask,
 // which the compiler unrolls to straight-line code: log2(N) levels of N/2
 // exchanges replace the naive N*N double loop (the 32x32 tile runs them on
-// 64-bit words, 48 exchanges instead of 5 x 16). Each function is an
+// 64-bit words, 48 exchanges instead of 5 x 16). The transpose is an
 // involution: applying it twice is the identity, which is what lets MPC
 // decompression reuse the forward transpose.
 #pragma once
@@ -24,16 +24,16 @@ namespace gcmpi::comp {
 
 namespace detail {
 
-/// One block-swap level over N words: for every word k with bit S of k
+/// One block-swap level over 16 words: for every word k with bit S of k
 /// clear, words k and k + S exchange the bits selected by M (in k + S) and
 /// M << J (in k).
-template <class W, int N, int S, int J, W M>
-inline void swap_blocks(W* a) {
-#pragma GCC unroll 32
-  for (int row = 0; row < N; row += 2 * S) {
-#pragma GCC unroll 32
+template <int S, int J, std::uint64_t M>
+inline void swap_blocks(std::uint64_t* a) {
+#pragma GCC unroll 16
+  for (int row = 0; row < 16; row += 2 * S) {
+#pragma GCC unroll 16
     for (int k = row; k < row + S; ++k) {
-      const W t = ((a[k] >> J) ^ a[k + S]) & M;
+      const std::uint64_t t = ((a[k] >> J) ^ a[k + S]) & M;
       a[k] ^= t << J;
       a[k + S] ^= t;
     }
@@ -53,27 +53,16 @@ inline void bit_transpose32(std::uint32_t a[32]) {
   using W = std::uint64_t;
   W w[16];
   std::memcpy(w, a, sizeof w);
-  detail::swap_blocks<W, 16, 8, 16, 0x0000FFFF0000FFFFull>(w);
-  detail::swap_blocks<W, 16, 4, 8, 0x00FF00FF00FF00FFull>(w);
-  detail::swap_blocks<W, 16, 2, 4, 0x0F0F0F0F0F0F0F0Full>(w);
-  detail::swap_blocks<W, 16, 1, 2, 0x3333333333333333ull>(w);
+  detail::swap_blocks<8, 16, 0x0000FFFF0000FFFFull>(w);
+  detail::swap_blocks<4, 8, 0x00FF00FF00FF00FFull>(w);
+  detail::swap_blocks<2, 4, 0x0F0F0F0F0F0F0F0Full>(w);
+  detail::swap_blocks<1, 2, 0x3333333333333333ull>(w);
 #pragma GCC unroll 16
   for (W& x : w) {
     const W t = ((x >> 31) ^ x) & 0x00000000AAAAAAAAull;
     x ^= t ^ (t << 31);
   }
   std::memcpy(a, w, sizeof w);
-}
-
-/// Transpose a 64x64 bit matrix in place.
-inline void bit_transpose64(std::uint64_t a[64]) {
-  using W = std::uint64_t;
-  detail::swap_blocks<W, 64, 32, 32, 0x00000000FFFFFFFFull>(a);
-  detail::swap_blocks<W, 64, 16, 16, 0x0000FFFF0000FFFFull>(a);
-  detail::swap_blocks<W, 64, 8, 8, 0x00FF00FF00FF00FFull>(a);
-  detail::swap_blocks<W, 64, 4, 4, 0x0F0F0F0F0F0F0F0Full>(a);
-  detail::swap_blocks<W, 64, 2, 2, 0x3333333333333333ull>(a);
-  detail::swap_blocks<W, 64, 1, 1, 0x5555555555555555ull>(a);
 }
 
 }  // namespace gcmpi::comp

@@ -31,34 +31,35 @@ namespace gcmpi::comp {
 using gcmpi::gpu::GpuSpec;
 using sim::Time;
 
+/// Calibrated constants: every instance prices kernels alike.
 struct KernelCostModel {
   // MPC read/write cost split: time = (read_w*in + write_w*out) / base_bw.
   // With the Table-III CR of ~1.4 (out/in ~ 0.71) this reproduces 205 Gb/s.
-  double mpc_read_weight = 0.5;
-  double mpc_write_weight = 0.7;
-  double mpc_compress_base_gbs = 25.6;    // GB/s input-referenced at CR 1.4
-  double mpc_decompress_base_gbs = 23.1;  // ~185 Gb/s
-  double mpc_sync_us_per_block = 0.35;    // busy-wait inter-block sync
-  double mpc_block_half_saturation = 8.0; // blocks at which eff = 50%
+  static constexpr double mpc_read_weight = 0.5;
+  static constexpr double mpc_write_weight = 0.7;
+  static constexpr double mpc_compress_base_gbs = 25.6;     // GB/s input-referenced at CR 1.4
+  static constexpr double mpc_decompress_base_gbs = 23.1;   // ~185 Gb/s
+  static constexpr double mpc_sync_us_per_block = 0.35;     // busy-wait inter-block sync
+  static constexpr double mpc_block_half_saturation = 8.0;  // blocks at which eff = 50%
 
   // ZFP: time = bits / throughput(rate); throughput = K / (c0 + rate) Gb/s.
   // c0 = 0: the embedded coder touches exactly `rate` bit planes per value,
   // so kernel time is proportional to the rate — rate 4 runs ~4x faster
   // than rate 16, which is what makes ZFP-OPT(4) profitable even against
   // NVLink for large messages (Fig. 9c).
-  double zfp_c0 = 0.0;
-  double zfp_compress_k_gbs = 7200.0;    // => 450 Gb/s at rate 16 (Table III)
-  double zfp_decompress_k_gbs = 11760.0; // => 735 Gb/s at rate 16
-  Time zfp_kernel_floor = Time::us(8);   // scheduling floor per kernel
+  static constexpr double zfp_c0 = 0.0;
+  static constexpr double zfp_compress_k_gbs = 7200.0;     // => 450 Gb/s at rate 16 (Table III)
+  static constexpr double zfp_decompress_k_gbs = 11760.0;  // => 735 Gb/s at rate 16
+  static constexpr Time zfp_kernel_floor = Time::us(8);    // scheduling floor per kernel
 
   // Elementwise reduce (acc = op(acc, in)): memory-bound — reads both
   // operands and writes the accumulator back, at a fraction of peak memory
   // bandwidth (strided collective shards do not stream perfectly).
-  double reduce_bandwidth_fraction = 0.75;
+  static constexpr double reduce_bandwidth_fraction = 0.75;
   // Fusing the reduce into a decompression kernel only adds the extra
   // accumulator traffic (read + write), not a second kernel pass: the
   // decoded values are combined in registers before the store.
-  double fused_reduce_traffic_bytes_per_byte = 2.0;
+  static constexpr double fused_reduce_traffic_bytes_per_byte = 2.0;
 
   /// MPC compression kernel over `in_bytes` producing `out_bytes`, run with
   /// `blocks` thread blocks on `gpu`.

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <stdexcept>
-#include <string>
-#include <type_traits>
+#include <vector>
 
 #if defined(__x86_64__)
 #include <immintrin.h>
@@ -19,46 +18,34 @@ namespace gcmpi::comp {
 
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4d504331u;    // "MPC1"
-constexpr std::uint32_t kMagic64 = 0x4d504338u;  // "MPC8"
+constexpr std::uint32_t kMagic = 0x4d504331u;  // "MPC1"
 
-// Header layout (little-endian u32 words), shared by both widths:
+// Header layout (little-endian u32 words):
 //   [0] magic  [1] n_values  [2] dimensionality  [3] chunk_values
 //   [4] n_chunks  [5 .. 5+n_chunks) compressed words per chunk
-// then the chunk payloads back to back, in words of the value width. In a
-// chunk, each tile of W-bit values (W values per tile) is one mask word
-// followed by the tile's nonzero transposed words in bit order.
+// then the chunk payloads back to back, in u32 words. In a chunk, each tile
+// of 32 values is one mask word followed by the tile's nonzero transposed
+// words in bit order.
 constexpr std::size_t kFixedHeaderWords = 5;
+constexpr std::size_t kTile = 32;  // values per tile == bits per word
 
-template <class W>
-[[nodiscard]] W load(const std::uint8_t* p) {
-  W v = 0;
+[[nodiscard]] std::uint32_t load(const std::uint8_t* p) {
+  std::uint32_t v = 0;
   std::memcpy(&v, p, sizeof v);
   return v;
 }
 
-template <class W>
-void store(std::uint8_t* p, W v) {
-  std::memcpy(p, &v, sizeof v);
-}
+void store(std::uint8_t* p, std::uint32_t v) { std::memcpy(p, &v, sizeof v); }
 
 /// Map a signed residual so that small magnitudes have small unsigned
 /// values (zig-zag). This plays the role of MPC's residual conditioning:
 /// it makes the high bit planes of near-predictable data all zero so the
 /// transpose + zero-elimination stages can delete them.
-template <class W>
-[[nodiscard]] W zigzag(W r) {
-  const auto s = static_cast<std::make_signed_t<W>>(r);
-  return (r << 1) ^ static_cast<W>(s >> (8 * sizeof(W) - 1));
+[[nodiscard]] std::uint32_t zigzag(std::uint32_t r) {
+  return (r << 1) ^ static_cast<std::uint32_t>(static_cast<std::int32_t>(r) >> 31);
 }
 
-template <class W>
-[[nodiscard]] W unzigzag(W z) {
-  return (z >> 1) ^ (~(z & 1u) + 1u);
-}
-
-void transpose(std::uint32_t* tile) { bit_transpose32(tile); }
-void transpose(std::uint64_t* tile) { bit_transpose64(tile); }
+[[nodiscard]] std::uint32_t unzigzag(std::uint32_t z) { return (z >> 1) ^ (~(z & 1u) + 1u); }
 
 // A chunk routine reads and writes the caller's buffers in place, through
 // byte pointers with no alignment assumed. Encoding returns the words it
@@ -71,100 +58,94 @@ using DecodeChunk = void (*)(const std::uint8_t* in, std::size_t in_words, std::
                              std::size_t d, std::uint8_t* out);
 
 // ---------------------------------------------------------------------------
-// Portable path (both widths): one tile of W values at a time.
+// Portable path: one tile of 32 values at a time.
 // ---------------------------------------------------------------------------
 
 /// Stages 1+2 for the tile at `base`: dimension-stride residual, zig-zag.
 /// Values before the chunk predict as 0; tail padding encodes as 0.
-template <class W>
 void load_residuals(const std::uint8_t* in, std::size_t base, std::size_t n, std::size_t d,
-                    W* tile) {
-  constexpr std::size_t kN = 8 * sizeof(W);
-  if (base >= d && base + kN <= n) {
+                    std::uint32_t* tile) {
+  if (base >= d && base + kTile <= n) {
     // Interior tile: no clamping, no padding, so the loop vectorizes.
-    W cur[kN];
-    W prev[kN];
-    std::memcpy(cur, in + base * sizeof(W), sizeof cur);
-    std::memcpy(prev, in + (base - d) * sizeof(W), sizeof prev);
-    for (std::size_t j = 0; j < kN; ++j) tile[j] = zigzag<W>(cur[j] - prev[j]);
+    std::uint32_t cur[kTile];
+    std::uint32_t prev[kTile];
+    std::memcpy(cur, in + base * 4, sizeof cur);
+    std::memcpy(prev, in + (base - d) * 4, sizeof prev);
+    for (std::size_t j = 0; j < kTile; ++j) tile[j] = zigzag(cur[j] - prev[j]);
     return;
   }
-  for (std::size_t j = 0; j < kN; ++j) {
+  for (std::size_t j = 0; j < kTile; ++j) {
     const std::size_t i = base + j;
     if (i >= n) {
       tile[j] = 0;
       continue;
     }
-    const W prev = i >= d ? load<W>(in + (i - d) * sizeof(W)) : W{0};
-    tile[j] = zigzag<W>(load<W>(in + i * sizeof(W)) - prev);
+    const std::uint32_t prev = i >= d ? load(in + (i - d) * 4) : 0;
+    tile[j] = zigzag(load(in + i * 4) - prev);
   }
 }
 
-template <class W>
 std::size_t encode_chunk_portable(const std::uint8_t* in, std::size_t n, std::size_t d,
                                   std::uint8_t* out) {
-  constexpr std::size_t kN = 8 * sizeof(W);
   std::size_t words = 0;
-  W tile[kN];
-  for (std::size_t base = 0; base < n; base += kN) {
+  std::uint32_t tile[kTile];
+  for (std::size_t base = 0; base < n; base += kTile) {
     load_residuals(in, base, n, d, tile);
     // All-zero tile (constant or slowly-varying data hits this constantly):
     // the transpose of zero is zero, so the tile is just an empty mask.
-    W any = 0;
-    for (std::size_t j = 0; j < kN; ++j) any |= tile[j];
+    std::uint32_t any = 0;
+    for (const std::uint32_t r : tile) any |= r;
     if (any == 0) {
-      store<W>(out + sizeof(W) * words++, 0);
+      store(out + 4 * words++, 0);
       continue;
     }
     // Stage 3: bit transpose. Stage 4: zero elimination behind a presence
     // mask; the store loop walks only the mask's set bits.
-    transpose(tile);
-    W mask = 0;
-    for (std::size_t b = 0; b < kN; ++b) mask |= static_cast<W>(tile[b] != 0) << b;
-    store<W>(out + sizeof(W) * words++, mask);
-    for (W m = mask; m != 0; m &= m - 1) {
-      store<W>(out + sizeof(W) * words++, tile[std::countr_zero(m)]);
+    bit_transpose32(tile);
+    std::uint32_t mask = 0;
+    for (std::size_t b = 0; b < kTile; ++b) mask |= static_cast<std::uint32_t>(tile[b] != 0) << b;
+    store(out + 4 * words++, mask);
+    for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+      store(out + 4 * words++, tile[std::countr_zero(m)]);
     }
   }
   return words;
 }
 
-template <class W>
 void decode_chunk_portable(const std::uint8_t* in, std::size_t in_words, std::size_t n,
                            std::size_t d, std::uint8_t* out) {
-  constexpr std::size_t kN = 8 * sizeof(W);
   std::size_t pos = 0;
-  W last = 0;  // the d = 1 predictor, carried in a register
-  W tile[kN];
-  for (std::size_t base = 0; base < n; base += kN) {
+  std::uint32_t last = 0;  // the d = 1 predictor, carried in a register
+  std::uint32_t tile[kTile];
+  for (std::size_t base = 0; base < n; base += kTile) {
     if (pos >= in_words) throw std::runtime_error("MPC: truncated chunk");
-    const W mask = load<W>(in + sizeof(W) * pos++);
-    const std::size_t count = std::min(kN, n - base);
+    const std::uint32_t mask = load(in + 4 * pos++);
+    const std::size_t count = std::min(kTile, n - base);
     if (mask == 0 && d == 1) {
       // Empty tile: every residual is zero, so each value is its predictor.
-      for (std::size_t j = 0; j < count; ++j) store<W>(out + sizeof(W) * (base + j), last);
+      for (std::size_t j = 0; j < count; ++j) store(out + 4 * (base + j), last);
       continue;
     }
-    std::fill_n(tile, kN, W{0});
+    std::fill_n(tile, kTile, 0u);
     if (mask != 0) {
       if (static_cast<std::size_t>(std::popcount(mask)) > in_words - pos) {
         throw std::runtime_error("MPC: tile mask overruns chunk");
       }
-      for (W m = mask; m != 0; m &= m - 1) {
-        tile[std::countr_zero(m)] = load<W>(in + sizeof(W) * pos++);
+      for (std::uint32_t m = mask; m != 0; m &= m - 1) {
+        tile[std::countr_zero(m)] = load(in + 4 * pos++);
       }
-      transpose(tile);  // involution: same transpose inverts
+      bit_transpose32(tile);  // involution: same transpose inverts
     }
     if (d == 1) {
       for (std::size_t j = 0; j < count; ++j) {
         last += unzigzag(tile[j]);
-        store<W>(out + sizeof(W) * (base + j), last);
+        store(out + 4 * (base + j), last);
       }
     } else {
       for (std::size_t j = 0; j < count; ++j) {
         const std::size_t i = base + j;
-        const W prev = i >= d ? load<W>(out + sizeof(W) * (i - d)) : W{0};
-        store<W>(out + sizeof(W) * i, unzigzag(tile[j]) + prev);
+        const std::uint32_t prev = i >= d ? load(out + 4 * (i - d)) : 0;
+        store(out + 4 * i, unzigzag(tile[j]) + prev);
       }
     }
   }
@@ -291,13 +272,13 @@ GCMPI_AVX512 std::size_t encode_chunk_avx512(const std::uint8_t* in, std::size_t
     __m512i hi = residuals(x_hi, valid_hi, near, pred_idx, back2, back1);
     const __m512i any = _mm512_or_si512(lo, hi);
     if (_mm512_test_epi32_mask(any, any) == 0) {
-      store<std::uint32_t>(out + 4 * words++, 0);
+      store(out + 4 * words++, 0);
       continue;
     }
     transpose_tile(lo, hi);
     const __mmask16 keep_lo = _mm512_test_epi32_mask(lo, lo);
     const __mmask16 keep_hi = _mm512_test_epi32_mask(hi, hi);
-    store<std::uint32_t>(out + 4 * words++, keep_lo | static_cast<std::uint32_t>(keep_hi) << 16);
+    store(out + 4 * words++, keep_lo | static_cast<std::uint32_t>(keep_hi) << 16);
     words = store_kept(out, words, lo, keep_lo);
     words = store_kept(out, words, hi, keep_hi);
   }
@@ -331,7 +312,7 @@ GCMPI_AVX512 void decode_chunk_avx512(const std::uint8_t* in, std::size_t in_wor
   std::size_t pos = 0;
   for (std::size_t base = 0; base < n; base += 32) {
     if (pos >= in_words) throw std::runtime_error("MPC: truncated chunk");
-    const std::uint32_t mask = load<std::uint32_t>(in + 4 * pos++);
+    const std::uint32_t mask = load(in + 4 * pos++);
     __m512i r[2] = {zero, zero};
     if (mask != 0) {
       const auto kept = static_cast<std::size_t>(std::popcount(mask));
@@ -369,24 +350,8 @@ GCMPI_AVX512 void decode_chunk_avx512(const std::uint8_t* in, std::size_t in_wor
 #endif  // __x86_64__
 
 // ---------------------------------------------------------------------------
-// Stream layer: header, size table and the chunk loop, shared by both paths
-// and both widths.
+// Stream layer: header, size table and the chunk loop, shared by both paths.
 // ---------------------------------------------------------------------------
-
-struct Format {
-  std::uint32_t magic;
-  std::size_t word_bytes;
-  std::size_t max_dim;
-  const char* name;
-};
-
-constexpr Format kFloat{kMagic, 4, 32, "MpcCodec"};
-constexpr Format kDouble{kMagic64, 8, 64, "MpcCodec64"};
-
-template <class E>
-[[noreturn]] void fail(const Format& f, const char* what) {
-  throw E(std::string(f.name) + what);
-}
 
 // From kSplitChunks chunks on, a stream's chunks are encoded and decoded on
 // the parallel pool in ranges of kRangeChunks; a shorter stream is one range.
@@ -411,14 +376,21 @@ std::uint8_t* encode_scratch(std::size_t bytes) {
   return buf.get();
 }
 
-std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_t* in,
-                          std::size_t n, int dim, std::size_t chunk, std::uint8_t* out) {
-  const std::size_t chunks = (n + chunk - 1) / chunk;
-  store<std::uint32_t>(out + 0, f.magic);
-  store<std::uint32_t>(out + 4, static_cast<std::uint32_t>(n));
-  store<std::uint32_t>(out + 8, static_cast<std::uint32_t>(dim));
-  store<std::uint32_t>(out + 12, static_cast<std::uint32_t>(chunk));
-  store<std::uint32_t>(out + 16, static_cast<std::uint32_t>(chunks));
+std::size_t encode_stream(const MpcCodec& codec, EncodeChunk encode, std::span<const float> values,
+                          std::span<std::uint8_t> stream) {
+  if (stream.size() < codec.max_compressed_bytes(values.size())) {
+    throw std::invalid_argument("MpcCodec::compress: output buffer too small");
+  }
+  const auto* in = reinterpret_cast<const std::uint8_t*>(values.data());
+  const std::size_t n = values.size();
+  const std::size_t chunk = codec.chunk_values();
+  const std::size_t chunks = codec.chunk_count(n);
+  std::uint8_t* const out = stream.data();
+  store(out + 0, kMagic);
+  store(out + 4, static_cast<std::uint32_t>(n));
+  store(out + 8, static_cast<std::uint32_t>(codec.dimensionality()));
+  store(out + 12, static_cast<std::uint32_t>(chunk));
+  store(out + 16, static_cast<std::uint32_t>(chunks));
   std::uint8_t* size_table = out + kFixedHeaderWords * 4;
   std::uint8_t* payload = size_table + chunks * 4;
 
@@ -427,8 +399,7 @@ std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_
   // place behind range 0, in order.
   const std::size_t per_range = range_chunks(chunks);
   const std::size_t ranges = (chunks + per_range - 1) / per_range;
-  const std::size_t tile = 8 * f.word_bytes;
-  const std::size_t slot = per_range * ((chunk + tile - 1) / tile) * (tile + 1) * f.word_bytes;
+  const std::size_t slot = per_range * ((chunk + kTile - 1) / kTile) * (kTile + 1) * 4;
   std::uint8_t* scratch = ranges > 1 ? encode_scratch((ranges - 1) * slot) : nullptr;
   const auto slot_of = [&](std::size_t r) { return r == 0 ? payload : scratch + (r - 1) * slot; };
   std::vector<std::size_t> range_bytes(ranges);
@@ -437,10 +408,11 @@ std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_
     std::uint8_t* p = dst;
     for (std::size_t c = first; c < last; ++c) {
       const std::size_t begin = c * chunk;
-      const std::size_t words = encode(in + begin * f.word_bytes, std::min(chunk, n - begin),
-                                       static_cast<std::size_t>(dim), p);
-      store<std::uint32_t>(size_table + c * 4, static_cast<std::uint32_t>(words));
-      p += words * f.word_bytes;
+      const std::size_t words =
+          encode(in + begin * 4, std::min(chunk, n - begin),
+                 static_cast<std::size_t>(codec.dimensionality()), p);
+      store(size_table + c * 4, static_cast<std::uint32_t>(words));
+      p += words * 4;
     }
     range_bytes[first / per_range] = static_cast<std::size_t>(p - dst);
   });
@@ -454,48 +426,49 @@ std::size_t encode_stream(const Format& f, EncodeChunk encode, const std::uint8_
   return static_cast<std::size_t>(at[ranges] - out);
 }
 
-std::size_t decode_stream(const Format& f, DecodeChunk decode, std::span<const std::uint8_t> in,
-                          std::uint8_t* out, std::size_t out_values) {
-  if (in.size() < kFixedHeaderWords * 4) fail<std::invalid_argument>(f, ": truncated input");
+std::size_t decode_stream(DecodeChunk decode, std::span<const std::uint8_t> in,
+                          std::span<float> values) {
+  if (in.size() < kFixedHeaderWords * 4) throw std::invalid_argument("MpcCodec: truncated input");
   const std::uint8_t* base = in.data();
-  if (load<std::uint32_t>(base) != f.magic) fail<std::invalid_argument>(f, ": bad magic");
-  const std::size_t n = load<std::uint32_t>(base + 4);
-  const std::size_t dim = load<std::uint32_t>(base + 8);
-  const std::size_t chunk = load<std::uint32_t>(base + 12);
-  const std::size_t chunks = load<std::uint32_t>(base + 16);
-  if (dim < 1 || dim > f.max_dim || chunk == 0 || chunk % (8 * f.word_bytes) != 0) {
-    fail<std::invalid_argument>(f, ": corrupt header");
+  if (load(base) != kMagic) throw std::invalid_argument("MpcCodec: bad magic");
+  const std::size_t n = load(base + 4);
+  const std::size_t dim = load(base + 8);
+  const std::size_t chunk = load(base + 12);
+  const std::size_t chunks = load(base + 16);
+  if (dim < 1 || dim > kTile || chunk == 0 || chunk % kTile != 0) {
+    throw std::invalid_argument("MpcCodec: corrupt header");
   }
   // Also for n == 0: a chunk count the values do not need would decode
   // chunks past the end of `out`.
   if (chunks != (n + chunk - 1) / chunk) {
-    fail<std::invalid_argument>(f, ": inconsistent chunk count");
+    throw std::invalid_argument("MpcCodec: inconsistent chunk count");
   }
-  if (out_values < n) fail<std::invalid_argument>(f, "::decompress: output too small");
+  if (values.size() < n) throw std::invalid_argument("MpcCodec::decompress: output too small");
   const std::size_t table_bytes = (kFixedHeaderWords + chunks) * 4;
-  if (in.size() < table_bytes) fail<std::invalid_argument>(f, ": truncated size table");
+  if (in.size() < table_bytes) throw std::invalid_argument("MpcCodec: truncated size table");
 
   // The whole size table is checked against the payload, and each range's
   // first word found, before any chunk decodes.
   const std::uint8_t* size_table = base + kFixedHeaderWords * 4;
   const std::uint8_t* payload = base + table_bytes;
+  auto* out = reinterpret_cast<std::uint8_t*>(values.data());
   const std::size_t per_range = range_chunks(chunks);
   std::vector<std::size_t> range_word((chunks + per_range - 1) / per_range);
-  std::size_t words_left = (in.size() - table_bytes) / f.word_bytes;
+  std::size_t words_left = (in.size() - table_bytes) / 4;
   for (std::size_t c = 0, word = 0; c < chunks; ++c) {
     if (c % per_range == 0) range_word[c / per_range] = word;
-    const std::size_t words = load<std::uint32_t>(size_table + c * 4);
-    if (words > words_left) fail<std::runtime_error>(f, ": truncated payload");
+    const std::size_t words = load(size_table + c * 4);
+    if (words > words_left) throw std::runtime_error("MpcCodec: truncated payload");
     words_left -= words;
     word += words;
   }
   util::parallel_for(chunks, per_range, [&](std::size_t first, std::size_t last) {
-    const std::uint8_t* p = payload + range_word[first / per_range] * f.word_bytes;
+    const std::uint8_t* p = payload + range_word[first / per_range] * 4;
     for (std::size_t c = first; c < last; ++c) {
-      const std::size_t words = load<std::uint32_t>(size_table + c * 4);
+      const std::size_t words = load(size_table + c * 4);
       const std::size_t begin = c * chunk;
-      decode(p, words, std::min(chunk, n - begin), dim, out + begin * f.word_bytes);
-      p += words * f.word_bytes;
+      decode(p, words, std::min(chunk, n - begin), dim, out + begin * 4);
+      p += words * 4;
     }
   });
   return n;
@@ -510,8 +483,7 @@ struct ChunkPath {
   DecodeChunk decode;
 };
 
-constexpr ChunkPath kPortable{encode_chunk_portable<std::uint32_t>,
-                              decode_chunk_portable<std::uint32_t>};
+constexpr ChunkPath kPortable{encode_chunk_portable, decode_chunk_portable};
 
 ChunkPath select_path() {
 #if defined(__x86_64__)
@@ -527,20 +499,6 @@ ChunkPath select_path() {
 const ChunkPath& dispatched() {
   static const ChunkPath path = select_path();
   return path;
-}
-
-std::size_t compress_floats(const MpcCodec& codec, EncodeChunk encode, std::span<const float> in,
-                            std::span<std::uint8_t> out) {
-  if (out.size() < codec.max_compressed_bytes(in.size())) {
-    throw std::invalid_argument("MpcCodec::compress: output buffer too small");
-  }
-  return encode_stream(kFloat, encode, reinterpret_cast<const std::uint8_t*>(in.data()), in.size(),
-                       codec.dimensionality(), codec.chunk_values(), out.data());
-}
-
-std::size_t decompress_floats(DecodeChunk decode, std::span<const std::uint8_t> in,
-                              std::span<float> out) {
-  return decode_stream(kFloat, decode, in, reinterpret_cast<std::uint8_t*>(out.data()), out.size());
 }
 
 }  // namespace
@@ -562,81 +520,28 @@ std::size_t MpcCodec::max_compressed_bytes(std::size_t n_values) const {
 }
 
 std::size_t MpcCodec::compress(std::span<const float> in, std::span<std::uint8_t> out) const {
-  return compress_floats(*this, dispatched().encode, in, out);
+  return encode_stream(*this, dispatched().encode, in, out);
 }
 
 std::size_t MpcCodec::compress_portable(std::span<const float> in,
                                         std::span<std::uint8_t> out) const {
-  return compress_floats(*this, kPortable.encode, in, out);
+  return encode_stream(*this, kPortable.encode, in, out);
 }
 
 std::size_t MpcCodec::encoded_values(std::span<const std::uint8_t> in) {
-  if (in.size() < kFixedHeaderWords * 4 || load<std::uint32_t>(in.data()) != kMagic) {
+  if (in.size() < kFixedHeaderWords * 4 || load(in.data()) != kMagic) {
     throw std::invalid_argument("MpcCodec: bad header");
   }
-  return load<std::uint32_t>(in.data() + 4);
+  return load(in.data() + 4);
 }
 
 std::size_t MpcCodec::decompress(std::span<const std::uint8_t> in, std::span<float> out) const {
-  return decompress_floats(dispatched().decode, in, out);
+  return decode_stream(dispatched().decode, in, out);
 }
 
 std::size_t MpcCodec::decompress_portable(std::span<const std::uint8_t> in,
                                           std::span<float> out) const {
-  return decompress_floats(kPortable.decode, in, out);
-}
-
-int MpcCodec::tune_dimensionality(std::span<const float> data, std::size_t sample_values) {
-  const std::size_t n = std::min(sample_values, data.size());
-  if (n < 64) return 1;
-  const std::span<const float> sample = data.subspan(0, n);
-  int best_dim = 1;
-  std::size_t best_size = static_cast<std::size_t>(-1);
-  // The size bound is dimensionality-independent, so one allocation serves
-  // all eight candidate codecs.
-  std::vector<std::uint8_t> buf(MpcCodec(1).max_compressed_bytes(n));
-  for (int d = 1; d <= 8; ++d) {
-    MpcCodec codec(d);
-    const std::size_t size = codec.compress(sample, buf);
-    if (size < best_size) {
-      best_size = size;
-      best_dim = d;
-    }
-  }
-  return best_dim;
-}
-
-// ---------------------------------------------------------------------------
-// Double-precision variant: same stream at 64-bit width, portable path only.
-// ---------------------------------------------------------------------------
-
-MpcCodec64::MpcCodec64(int dimensionality, std::size_t chunk_values)
-    : dim_(dimensionality), chunk_(chunk_values) {
-  if (dim_ < 1 || dim_ > 64) throw std::invalid_argument("MpcCodec64: dimensionality must be 1..64");
-  if (chunk_ == 0 || chunk_ % 64 != 0) {
-    throw std::invalid_argument("MpcCodec64: chunk_values must be a positive multiple of 64");
-  }
-}
-
-std::size_t MpcCodec64::max_compressed_bytes(std::size_t n_values) const {
-  const std::size_t chunks = n_values == 0 ? 0 : chunk_count(n_values);
-  const std::size_t tiles = (n_values + 63) / 64 + chunks;
-  return (kFixedHeaderWords + chunks) * 4 + 65 * tiles * 8;
-}
-
-std::size_t MpcCodec64::compress(std::span<const double> in, std::span<std::uint8_t> out) const {
-  if (out.size() < max_compressed_bytes(in.size())) {
-    throw std::invalid_argument("MpcCodec64::compress: output buffer too small");
-  }
-  return encode_stream(kDouble, encode_chunk_portable<std::uint64_t>,
-                       reinterpret_cast<const std::uint8_t*>(in.data()), in.size(), dim_, chunk_,
-                       out.data());
-}
-
-std::size_t MpcCodec64::decompress(std::span<const std::uint8_t> in,
-                                   std::span<double> out) const {
-  return decode_stream(kDouble, decode_chunk_portable<std::uint64_t>, in,
-                       reinterpret_cast<std::uint8_t*>(out.data()), out.size());
+  return decode_stream(kPortable.decode, in, out);
 }
 
 }  // namespace gcmpi::comp

@@ -26,7 +26,6 @@
 // and a 16-lane strided prefix sum for the decode recurrence). The path is
 // chosen once, at the first call; compress_portable()/decompress_portable()
 // always run the scalar path so tests can compare the two on any host.
-// MpcCodec64 has the scalar path only.
 //
 // Both paths read the caller's `in` and write the caller's `out` in place.
 // A stream of 128 chunks or more is split across util::parallel_for's
@@ -48,7 +47,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace gcmpi::comp {
 
@@ -84,33 +82,6 @@ class MpcCodec {
 
   /// Number of float values encoded in a compressed buffer (header peek).
   [[nodiscard]] static std::size_t encoded_values(std::span<const std::uint8_t> in);
-
-  /// Pick the dimensionality in [1, 8] giving the best ratio on a sample
-  /// prefix of the data — the "fine-tuned dimensionality" of Table III.
-  [[nodiscard]] static int tune_dimensionality(std::span<const float> data,
-                                               std::size_t sample_values = 1u << 16);
-
- private:
-  int dim_;
-  std::size_t chunk_;
-};
-
-/// Double-precision MPC (the published algorithm supports both widths):
-/// identical pipeline with 64-bit residuals, 64x64 bit-transpose tiles,
-/// and 64-bit zero-elimination masks.
-class MpcCodec64 {
- public:
-  explicit MpcCodec64(int dimensionality = 1, std::size_t chunk_values = 1024);
-
-  [[nodiscard]] int dimensionality() const { return dim_; }
-  [[nodiscard]] std::size_t chunk_values() const { return chunk_; }
-  [[nodiscard]] std::size_t chunk_count(std::size_t n_values) const {
-    return (n_values + chunk_ - 1) / chunk_;
-  }
-  [[nodiscard]] std::size_t max_compressed_bytes(std::size_t n_values) const;
-
-  std::size_t compress(std::span<const double> in, std::span<std::uint8_t> out) const;
-  std::size_t decompress(std::span<const std::uint8_t> in, std::span<double> out) const;
 
  private:
   int dim_;

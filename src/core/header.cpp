@@ -1,26 +1,13 @@
 #include "core/header.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace gcmpi::core {
 
 namespace {
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-template <typename T>
-T get(std::span<const std::uint8_t> in, std::size_t& pos) {
-  if (pos + sizeof(T) > in.size()) throw std::invalid_argument("CompressionHeader: truncated");
-  T v;
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return v;
-}
+using wire::get;
+using wire::put;
+constexpr const char* kTruncated = "CompressionHeader: truncated";
 }  // namespace
 
 std::size_t CompressionHeader::wire_bytes() const {
@@ -51,25 +38,25 @@ std::vector<std::uint8_t> CompressionHeader::serialize() const {
 CompressionHeader CompressionHeader::deserialize(std::span<const std::uint8_t> in) {
   CompressionHeader h;
   std::size_t pos = 0;
-  const auto alg = get<std::uint8_t>(in, pos);
+  const auto alg = get<std::uint8_t>(in, pos, kTruncated);
   if (alg > 2) throw std::invalid_argument("CompressionHeader: bad algorithm");
   h.algorithm = static_cast<Algorithm>(alg);
-  h.compressed = get<std::uint8_t>(in, pos) != 0;
-  h.original_bytes = get<std::uint64_t>(in, pos);
-  h.compressed_bytes = get<std::uint64_t>(in, pos);
-  h.payload_crc32c = get<std::uint32_t>(in, pos);
-  h.mpc_dimensionality = get<std::uint16_t>(in, pos);
-  h.mpc_chunk_values = get<std::uint32_t>(in, pos);
-  h.zfp_rate = get<std::uint16_t>(in, pos);
-  const auto nparts = get<std::uint16_t>(in, pos);
+  h.compressed = get<std::uint8_t>(in, pos, kTruncated) != 0;
+  h.original_bytes = get<std::uint64_t>(in, pos, kTruncated);
+  h.compressed_bytes = get<std::uint64_t>(in, pos, kTruncated);
+  h.payload_crc32c = get<std::uint32_t>(in, pos, kTruncated);
+  h.mpc_dimensionality = get<std::uint16_t>(in, pos, kTruncated);
+  h.mpc_chunk_values = get<std::uint32_t>(in, pos, kTruncated);
+  h.zfp_rate = get<std::uint16_t>(in, pos, kTruncated);
+  const auto nparts = get<std::uint16_t>(in, pos, kTruncated);
   h.partition_bytes.reserve(nparts);
   for (std::uint16_t i = 0; i < nparts; ++i) {
-    h.partition_bytes.push_back(get<std::uint32_t>(in, pos));
+    h.partition_bytes.push_back(get<std::uint32_t>(in, pos, kTruncated));
   }
   if (pos != in.size()) {
     // Pipeline announcement record, present only on pipelined RTS headers.
-    h.pipeline_chunks = get<std::uint32_t>(in, pos);
-    h.pipeline_chunk_bytes = get<std::uint64_t>(in, pos);
+    h.pipeline_chunks = get<std::uint32_t>(in, pos, kTruncated);
+    h.pipeline_chunk_bytes = get<std::uint64_t>(in, pos, kTruncated);
     if (h.pipeline_chunks < 2) {
       throw std::invalid_argument("CompressionHeader: bad pipeline record");
     }

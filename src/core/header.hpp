@@ -9,7 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/config.hpp"
@@ -58,5 +60,29 @@ struct CompressionHeader {
 
   bool operator==(const CompressionHeader&) const = default;
 };
+
+/// Field serializer shared by the wire headers (this one and the warm
+/// channel's RepeatHeader): fixed-width fields in host byte order.
+namespace wire {
+
+template <typename T>
+void put(std::vector<std::uint8_t>& out, T v) {
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &v, sizeof(T));
+}
+
+/// Read the field at `pos` and advance past it; a field that runs past the
+/// end of `in` throws std::invalid_argument(`truncated`).
+template <typename T>
+T get(std::span<const std::uint8_t> in, std::size_t& pos, const char* truncated) {
+  if (pos + sizeof(T) > in.size()) throw std::invalid_argument(truncated);
+  T v;
+  std::memcpy(&v, in.data() + pos, sizeof(T));
+  pos += sizeof(T);
+  return v;
+}
+
+}  // namespace wire
 
 }  // namespace gcmpi::core

@@ -65,27 +65,6 @@ sim::Time FaultInjector::timing_fault(int src, int dst) {
   return sim::Time::zero();
 }
 
-WindowEffect FaultInjector::window_at(sim::Time t, int src_node, int dst_node) {
-  WindowEffect e;
-  e.defer_until = t;
-  for (const auto& w : plan_.windows) {
-    if (w.node != -1 && w.node != src_node && w.node != dst_node) continue;
-    if (!w.contains(e.defer_until)) continue;
-    if (w.down) {
-      // NIC stall: the transfer cannot start before the window closes.
-      // Re-check remaining windows from the deferred start.
-      if (w.end > e.defer_until) {
-        e.defer_until = w.end;
-        ++stats_.stalls;
-      }
-    } else if (w.bandwidth_scale < e.bandwidth_scale) {
-      e.bandwidth_scale = w.bandwidth_scale;
-      ++stats_.degradations;
-    }
-  }
-  return e;
-}
-
 CodecFault FaultInjector::on_compress(int rank) {
   CodecFault f;
   if (plan_.compress_fail_probability > 0.0 &&

@@ -9,7 +9,7 @@
 //
 // The simulator consults the injector at well-defined points:
 //   * net::Fabric::transfer_data  -> on_data_packet (drop/corrupt/spike)
-//   * net::Fabric::transfer       -> timing_fault   (spike only) + window_at
+//   * net::Fabric::transfer       -> timing_fault   (spike only)
 //   * core::CompressionManager    -> on_compress / on_decompress
 #pragma once
 
@@ -36,12 +36,6 @@ struct CodecFault {
   [[nodiscard]] bool any() const { return fail || truncate; }
 };
 
-/// Effect of the link-state windows on a transfer starting at `t`.
-struct WindowEffect {
-  sim::Time defer_until = sim::Time::zero();  // > t when a down window stalls
-  double bandwidth_scale = 1.0;               // < 1 while degraded
-};
-
 /// Injection counters, for tests and the chaos bench. The inter_node_*
 /// counters split out the packets whose src and dst sit on different nodes
 /// (as reported by the Fabric), so topology-aware collectives can assert
@@ -55,8 +49,6 @@ struct FaultStats {
   std::uint64_t inter_node_drops = 0;
   std::uint64_t inter_node_corruptions = 0;
   std::uint64_t latency_spikes = 0;
-  std::uint64_t stalls = 0;        // transfers deferred by a down window
-  std::uint64_t degradations = 0;  // transfers slowed by a degraded window
   std::uint64_t compress_faults = 0;
   std::uint64_t decompress_faults = 0;
 };
@@ -76,10 +68,6 @@ class FaultInjector {
 
   /// Extra propagation latency for any non-data packet src -> dst.
   sim::Time timing_fault(int src, int dst);
-
-  /// Combined effect of every window matching an inter-node transfer
-  /// between `src_node` and `dst_node` that starts at `t`.
-  WindowEffect window_at(sim::Time t, int src_node, int dst_node);
 
   /// Sender-side codec verdict for one compression of `bytes`.
   CodecFault on_compress(int rank);

@@ -1,7 +1,6 @@
 // FaultPlan: the declarative description of everything that is allowed to
 // go wrong in a simulated run — per-packet wire faults (drop, payload bit
-// corruption, latency spikes), time-bounded link degradation windows (NIC
-// flaps, bandwidth brownouts), and per-operation codec faults (compression
+// corruption, latency spikes) and per-operation codec faults (compression
 // kernel failure, truncated output, decompression kernel failure).
 //
 // A plan is pure data; the seeded FaultInjector turns it into a
@@ -11,25 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "sim/time.hpp"
 
 namespace gcmpi::fault {
-
-/// A time window during which one (or every) inter-node link misbehaves.
-/// `down` models a NIC stall/flap: transfers attempting to start inside the
-/// window are deferred to its end. Otherwise `bandwidth_scale` < 1 models a
-/// degraded link (serialization time divided by the scale).
-struct LinkFaultWindow {
-  int node = -1;  // matches transfers whose src OR dst node is `node`; -1 = any
-  sim::Time begin = sim::Time::zero();
-  sim::Time end = sim::Time::zero();
-  double bandwidth_scale = 1.0;
-  bool down = false;
-
-  [[nodiscard]] bool contains(sim::Time t) const { return t >= begin && t < end; }
-};
 
 struct FaultPlan {
   std::uint64_t seed = 1;
@@ -46,13 +30,6 @@ struct FaultPlan {
   double compress_fail_probability = 0.0;      // kernel launch/exec failure
   double compress_truncate_probability = 0.0;  // kernel reports short output
   double decompress_fail_probability = 0.0;    // receiver-side kernel failure
-
-  // --- deterministic link-state windows ---
-  std::vector<LinkFaultWindow> windows;
-
-  [[nodiscard]] bool has_packet_faults() const {
-    return drop_probability > 0.0 || corrupt_probability > 0.0;
-  }
 
   /// Lossy-wire preset: `drop` / `corrupt` per data packet.
   [[nodiscard]] static FaultPlan lossy(std::uint64_t seed, double drop, double corrupt) {

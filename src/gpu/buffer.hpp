@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <utility>
 
 #include "gpu/device.hpp"
@@ -46,11 +45,6 @@ class DeviceBuffer {
   [[nodiscard]] void* data() const { return ptr_; }
   [[nodiscard]] std::size_t size() const { return bytes_; }
   [[nodiscard]] bool empty() const { return ptr_ == nullptr; }
-
-  template <typename T>
-  [[nodiscard]] std::span<T> as_span() const {
-    return {static_cast<T*>(ptr_), bytes_ / sizeof(T)};
-  }
 
  private:
   Gpu* gpu_ = nullptr;

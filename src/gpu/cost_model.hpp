@@ -29,7 +29,6 @@ struct CostModel {
   Time cuda_memset_launch = Time::us(4);     // async memset enqueue
   Time kernel_launch = Time::us(6);          // host-side enqueue cost
   Time stream_sync = Time::us(4);            // cudaStreamSynchronize overhead
-  Time event_record = Time::us(1);
   // CUDA-graph replay: a captured launch sequence (memset + kernels) is
   // re-submitted with one cudaGraphLaunch regardless of node count. The
   // capture + cudaGraphInstantiate cost is paid once, at plan warm-up.
@@ -41,8 +40,6 @@ struct CostModel {
 
   // --- on-device copy engines (GB/s) ---
   double d2d_bandwidth_gbs = 790.0;   // device-to-device copy engine
-  double h2d_bandwidth_gbs = 11.0;    // over PCIe
-  double d2h_bandwidth_gbs = 11.0;
 
   /// cudaMalloc(bytes): base driver cost plus a size-dependent term.
   [[nodiscard]] Time cuda_malloc(std::uint64_t bytes) const {
@@ -53,14 +50,6 @@ struct CostModel {
   /// Bulk cudaMemcpyDeviceToDevice of `bytes` (async on a stream).
   [[nodiscard]] Time d2d_copy(std::uint64_t bytes) const {
     return sim::transfer_time(bytes, d2d_bandwidth_gbs);
-  }
-
-  [[nodiscard]] Time h2d_copy(std::uint64_t bytes) const {
-    return cuda_memcpy_d2h_small + sim::transfer_time(bytes, h2d_bandwidth_gbs);
-  }
-
-  [[nodiscard]] Time d2h_copy(std::uint64_t bytes) const {
-    return cuda_memcpy_d2h_small + sim::transfer_time(bytes, d2h_bandwidth_gbs);
   }
 };
 

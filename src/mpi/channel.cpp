@@ -1,26 +1,13 @@
 #include "mpi/channel.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace gcmpi::mpi {
 
 namespace {
-template <typename T>
-void put(std::vector<std::uint8_t>& out, T v) {
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &v, sizeof(T));
-}
-
-template <typename T>
-T get(std::span<const std::uint8_t> in, std::size_t& pos) {
-  if (pos + sizeof(T) > in.size()) throw std::invalid_argument("RepeatHeader: truncated");
-  T v;
-  std::memcpy(&v, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return v;
-}
+using core::wire::get;
+using core::wire::put;
+constexpr const char* kTruncated = "RepeatHeader: truncated";
 }  // namespace
 
 std::size_t RepeatHeader::wire_bytes() const {
@@ -43,15 +30,15 @@ std::vector<std::uint8_t> RepeatHeader::serialize() const {
 RepeatHeader RepeatHeader::deserialize(std::span<const std::uint8_t> in) {
   RepeatHeader r;
   std::size_t pos = 0;
-  r.channel = get<std::uint32_t>(in, pos);
-  r.seq = get<std::uint32_t>(in, pos);
-  r.wire_len = get<std::uint64_t>(in, pos);
-  r.crc32c = get<std::uint32_t>(in, pos);
-  r.flags = get<std::uint8_t>(in, pos);
-  const auto nparts = get<std::uint8_t>(in, pos);
+  r.channel = get<std::uint32_t>(in, pos, kTruncated);
+  r.seq = get<std::uint32_t>(in, pos, kTruncated);
+  r.wire_len = get<std::uint64_t>(in, pos, kTruncated);
+  r.crc32c = get<std::uint32_t>(in, pos, kTruncated);
+  r.flags = get<std::uint8_t>(in, pos, kTruncated);
+  const auto nparts = get<std::uint8_t>(in, pos, kTruncated);
   r.partition_bytes.reserve(nparts);
   for (std::uint8_t i = 0; i < nparts; ++i) {
-    r.partition_bytes.push_back(get<std::uint32_t>(in, pos));
+    r.partition_bytes.push_back(get<std::uint32_t>(in, pos, kTruncated));
   }
   if (pos != in.size()) throw std::invalid_argument("RepeatHeader: trailing bytes");
   return r;

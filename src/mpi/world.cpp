@@ -376,17 +376,6 @@ std::optional<World::PostedRecv> World::take_posted(RankState& state, const Enve
   return recv;
 }
 
-void World::wake_probers(RankState& state, const Envelope& env) {
-  for (auto it = state.probe_waiters.begin(); it != state.probe_waiters.end(); ++it) {
-    if (matches(it->src, it->tag, env) && !overtakes(state, env, it->tag)) {
-      const sim::ActorId actor = it->actor;
-      state.probe_waiters.erase(it);
-      engine_.wake(actor, engine_.now());
-      return;  // one arrival satisfies one prober; others re-scan on wake
-    }
-  }
-}
-
 void World::on_eager_arrival(EagerMsg msg) {
   // Eager messages ride the reliable control plane, so this checksum is an
   // end-to-end assertion rather than a recovery trigger: a mismatch is
@@ -404,7 +393,6 @@ void World::arrive(Unexpected u, Timeline& tl) {
     rematch(env.dst, env.src);
     return;
   }
-  wake_probers(state, env);
   state.unexpected.push_back(std::move(u));
 }
 
@@ -437,7 +425,6 @@ void World::rematch(int dst, int src) {
     const Envelope& env = envelope_of(*it);
     auto recv = env.src == src ? take_posted(state, env) : std::nullopt;
     if (!recv) {
-      if (env.src == src) wake_probers(state, env);
       ++it;
       continue;
     }
@@ -1005,25 +992,6 @@ Request World::do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_
   return req;
 }
 
-bool World::do_iprobe(int rank, int src, int tag, Status* status) {
-  auto& state = ranks_[static_cast<std::size_t>(rank)];
-  const auto it = find_unexpected(state, src, tag);
-  if (it == state.unexpected.end()) return false;
-  const Envelope& env = envelope_of(*it);
-  if (status != nullptr) *status = Status{env.src, env.tag, env.bytes};
-  return true;
-}
-
-Status World::do_probe(sim::ActorContext& ctx, int rank, int src, int tag) {
-  Status status;
-  while (!do_iprobe(rank, src, tag, &status)) {
-    auto& state = ranks_[static_cast<std::size_t>(rank)];
-    state.probe_waiters.push_back(ProbeWaiter{src, tag, ctx.id()});
-    ctx.block();
-  }
-  return status;
-}
-
 // ---------------------------------------------------------------------------
 // Rank facade
 // ---------------------------------------------------------------------------
@@ -1108,12 +1076,6 @@ void Rank::send(const void* buf, std::uint64_t bytes, int dst, int tag) {
 Status Rank::recv(void* buf, std::uint64_t capacity, int src, int tag) {
   Request req = irecv(buf, capacity, src, tag);
   return wait(req);
-}
-
-Status Rank::probe(int src, int tag) { return world_.do_probe(ctx_, rank_, src, tag); }
-
-bool Rank::iprobe(int src, int tag, Status* status) {
-  return world_.do_iprobe(rank_, src, tag, status);
 }
 
 void Rank::sendrecv(const void* sendbuf, std::uint64_t send_bytes, int dst, int sendtag,

@@ -26,7 +26,7 @@
 // same receive would match is still unmatched: MPI's non-overtaking rule,
 // also for a pushed message that is stalled on credits or retransmitting,
 // or an RTS that a latency spike delayed.
-// A receive takes the first such message and a probe reports that same one.
+// A receive takes the first such message.
 //
 // Each rank is an actor fiber; the receiver side of the protocol runs in
 // engine events, modeling MVAPICH2-GDR's asynchronous progress engine.
@@ -241,11 +241,6 @@ class Rank {
   [[nodiscard]] std::vector<Request> isend_batched(const std::vector<WireBlock>& blocks);
   void send(const void* buf, std::uint64_t bytes, int dst, int tag);
   Status recv(void* buf, std::uint64_t capacity, int src, int tag);
-  /// Block until a matching message is available without receiving it
-  /// (MPI_Probe); the status reports source, tag, and size.
-  Status probe(int src, int tag);
-  /// Non-blocking probe (MPI_Iprobe); true if a matching message waits.
-  bool iprobe(int src, int tag, Status* status = nullptr);
   Status wait(Request& req);
   void waitall(std::vector<Request>& reqs);
   void sendrecv(const void* sendbuf, std::uint64_t send_bytes, int dst, int sendtag,
@@ -532,12 +527,6 @@ class World {
   };
   using RndvPtr = std::shared_ptr<RndvTransfer>;
 
-  struct ProbeWaiter {
-    int src = kAnySource;
-    int tag = kAnyTag;
-    sim::ActorId actor = sim::kNoActor;
-  };
-
   /// An arrival no posted receive has matched yet: an eager message, or a
   /// transfer whose RTS (pulled) or intact payload or failure (pushed) arrived.
   using Unexpected = std::variant<EagerMsg, RndvPtr>;
@@ -547,7 +536,6 @@ class World {
     std::unique_ptr<core::CompressionManager> mgr;
     std::deque<PostedRecv> posted;
     std::deque<Unexpected> unexpected;  // arrival order
-    std::vector<ProbeWaiter> probe_waiters;
     /// Sender side: the next sequence number per destination.
     std::map<int, std::uint32_t> next_seq;
     /// Receiver side: every message sent here that no receive has taken
@@ -565,7 +553,7 @@ class World {
   static std::optional<PostedRecv> take_posted(RankState& state, const Envelope& env);
   [[nodiscard]] static const Envelope& envelope_of(const Unexpected& u);
   /// The oldest unexpected arrival a (src, tag) receive may take: what the
-  /// next such receive takes and what a probe reports.
+  /// next such receive takes.
   static std::deque<Unexpected>::iterator find_unexpected(RankState& state, int src, int tag);
 
   // Protocol steps (see .cpp). Receiver-side handlers run in engine events.
@@ -612,15 +600,14 @@ class World {
   /// `header`) and schedule its arrival at the receiver.
   void post_rts(sim::ActorContext& ctx, const RndvPtr& tx, const core::CompressionHeader& header);
   void on_eager_arrival(EagerMsg msg);
-  /// Match an arrival to the oldest posted receive it may take, or queue it
-  /// (and wake a probe that may now report it).
+  /// Match an arrival to the oldest posted receive it may take, or queue it.
   void arrive(Unexpected u, sim::Timeline& tl);
   /// Bind a matched arrival to its receive: an eager message is delivered,
   /// a pulled transfer answers with the CTS, a pushed one lands its bytes
   /// (or, if it failed first, fails the receive).
   void bind(Unexpected u, PostedRecv recv, sim::Timeline& tl);
   /// Matching a message from `src` may let later messages from `src` take
-  /// posted receives, or a blocked probe report them.
+  /// posted receives.
   void rematch(int dst, int src);
   /// Deliver an arrived message into `buf` on `rank`: a compressed payload
   /// is copied into `staging` and decoded from there (a CodecFaultError
@@ -705,10 +692,6 @@ class World {
   void complete_at(const Request& req, Status status, sim::Time at);
   /// Deliver an eager message to a matched receive (buffer or wire form).
   Status deliver_eager(const PostedRecv& recv, const EagerMsg& msg);
-  bool do_iprobe(int rank, int src, int tag, Status* status);
-  Status do_probe(sim::ActorContext& ctx, int rank, int src, int tag);
-  /// Wake the first blocked probe that may now report `env`.
-  void wake_probers(RankState& state, const Envelope& env);
 
   sim::Engine& engine_;
   net::ClusterSpec cluster_;

@@ -76,15 +76,7 @@ Time Fabric::occupy_and_arrive(Time earliest, int src_rank, int dst_rank,
   Time start = earliest;
   if (tx.busy_until > start) start = tx.busy_until;
   if (rx.busy_until > start) start = rx.busy_until;
-  Time wire = link.wire_time(bytes) + link.per_message_overhead;
-  if (fault_ != nullptr && !spec_.same_node(src_rank, dst_rank)) {
-    const auto w = fault_->window_at(start, spec_.node_of(src_rank), spec_.node_of(dst_rank));
-    if (w.defer_until > start) start = w.defer_until;  // NIC stall/flap
-    if (w.bandwidth_scale < 1.0) {                     // degraded link
-      wire = Time::ns(static_cast<std::int64_t>(
-          static_cast<double>(wire.count_ns()) / w.bandwidth_scale));
-    }
-  }
+  const Time wire = link.wire_time(bytes) + link.per_message_overhead;
   tx.busy_until = start + wire;
   rx.busy_until = start + wire;
   bytes_moved_ += bytes;

@@ -60,9 +60,9 @@ class Fabric {
 
   /// Move `bytes` from `src_rank` to `dst_rank` starting no earlier than
   /// `earliest`. Returns arrival time of the full message. Subject to the
-  /// installed fault injector's timing faults (latency spikes, link-state
-  /// windows) but never dropped or corrupted — the eager/control plane is
-  /// modeled as link-level reliable, like small-MTU IB packets.
+  /// installed fault injector's latency spikes but never dropped or
+  /// corrupted — the eager/control plane is modeled as link-level
+  /// reliable, like small-MTU IB packets.
   [[nodiscard]] Time transfer(Time earliest, int src_rank, int dst_rank,
                               std::uint64_t bytes);
 
@@ -117,8 +117,8 @@ class Fabric {
   }
   Port& tx_port(int src, int dst);
   Port& rx_port(int src, int dst);
-  /// Shared port/serialization core: applies link-state windows, occupies
-  /// the ports, and returns the arrival time (before any latency spike).
+  /// Shared port/serialization core: occupies the ports and returns the
+  /// arrival time (before any latency spike).
   /// `start_out`/`wire_out` report the occupancy window when non-null.
   Time occupy_and_arrive(Time earliest, int src_rank, int dst_rank, std::uint64_t bytes,
                          Time* start_out = nullptr, Time* wire_out = nullptr);

@@ -34,9 +34,6 @@ struct LinkSpec {
 [[nodiscard]] inline LinkSpec ib_fdr() {
   return {"InfiniBand FDR", 6.8, Time::us(1.7), Time::us(0.9)};
 }
-[[nodiscard]] inline LinkSpec ib_hdr() {
-  return {"InfiniBand HDR", 25.0, Time::us(1.3), Time::us(0.7)};
-}
 [[nodiscard]] inline LinkSpec nvlink3() {  // 3-lane NVLink2 (Sierra/Longhorn class)
   return {"NVLink 3-lane", 75.0, Time::us(1.0), Time::us(0.4)};
 }

@@ -100,9 +100,6 @@ class Engine {
   /// Schedule a callback on the engine's stack at absolute time `t`.
   void schedule(Time t, std::function<void()> fn);
 
-  /// Schedule a callback `dt` after the current time.
-  void schedule_after(Time dt, std::function<void()> fn) { schedule(now_ + dt, std::move(fn)); }
-
   /// Cancelable timeout: like schedule(), but the returned token can later
   /// be passed to cancel() to turn the pending callback into a no-op (the
   /// queue slot still drains at `t`). Used for protocol watchdog timers
@@ -115,9 +112,6 @@ class Engine {
   /// Wake a blocked actor at absolute time `t` (>= now). It is an error to
   /// wake an actor that is not blocked.
   void wake(ActorId id, Time t);
-
-  /// Wake a blocked actor `dt` after the current time.
-  void wake_after(ActorId id, Time dt) { wake(id, now_ + dt); }
 
   [[nodiscard]] std::size_t actor_count() const { return actors_.size(); }
   [[nodiscard]] const std::string& actor_name(ActorId id) const { return actors_[id]->name; }

@@ -25,10 +25,4 @@ std::vector<std::pair<Phase, Time>> Breakdown::nonzero() const {
   return out;
 }
 
-double Summary::variance() const {
-  if (n_ < 2) return 0.0;
-  const double m = mean();
-  return sum2_ / static_cast<double>(n_) - m * m;
-}
-
 }  // namespace gcmpi::sim

@@ -53,25 +53,4 @@ class Breakdown {
   std::array<Time, kPhases> totals_{};
 };
 
-/// Streaming scalar statistics (latency samples, ratios, ...).
-class Summary {
- public:
-  void add(double x) {
-    ++n_;
-    sum_ += x;
-    sum2_ += x * x;
-    if (n_ == 1 || x < min_) min_ = x;
-    if (n_ == 1 || x > max_) max_ = x;
-  }
-  [[nodiscard]] std::uint64_t count() const { return n_; }
-  [[nodiscard]] double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  [[nodiscard]] double min() const { return min_; }
-  [[nodiscard]] double max() const { return max_; }
-  [[nodiscard]] double variance() const;
-
- private:
-  std::uint64_t n_ = 0;
-  double sum_ = 0.0, sum2_ = 0.0, min_ = 0.0, max_ = 0.0;
-};
-
 }  // namespace gcmpi::sim

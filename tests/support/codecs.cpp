@@ -143,20 +143,6 @@ Property<float> huffman_prop() {
   };
 }
 
-Property<double> mpc64_prop(int dim, std::size_t chunk) {
-  return [dim, chunk](std::span<const double> in) -> std::optional<std::string> {
-    const comp::MpcCodec64 codec(dim, chunk);
-    std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-    const std::size_t size = codec.compress(in, buf);
-    if (size > buf.size()) return "compress overran max_compressed_bytes";
-    std::vector<double> out(in.size(), -99.0);
-    if (codec.decompress({buf.data(), size}, out) != in.size()) {
-      return "decompress returned wrong count";
-    }
-    return first_bit_divergence(in, std::span<const double>(out));
-  };
-}
-
 Property<double> fpc_prop(unsigned lg) {
   return [lg](std::span<const double> in) -> std::optional<std::string> {
     const comp::FpcCodec codec(lg);
@@ -208,8 +194,6 @@ std::vector<FloatCodecCheck> float_codec_checks() {
 
 std::vector<DoubleCodecCheck> double_codec_checks() {
   std::vector<DoubleCodecCheck> checks;
-  checks.push_back({"mpc64_dim1_chunk1024", false, 1u << 15, mpc64_prop(1, 1024)});
-  checks.push_back({"mpc64_dim2_chunk64", false, 1u << 15, mpc64_prop(2, 64)});
   checks.push_back({"fpc_lg10", false, 1u << 15, fpc_prop(10)});
   checks.push_back({"fpc_lg16", false, 1u << 15, fpc_prop(16)});
   checks.push_back({"gfc_chunk32", false, 1u << 15, gfc_prop(32)});

@@ -301,12 +301,13 @@ std::string run_world_dump(const WorldScenario& s, mpi::HostCounters* host) {
     // Only emitted when something actually fired, so an idle plan's dump
     // stays byte-identical to a run with no injector at all.
     const auto& fs = injector->stats();
-    if (fs.drops + fs.corruptions + fs.latency_spikes + fs.stalls + fs.degradations +
-            fs.compress_faults + fs.decompress_faults >
+    if (fs.drops + fs.corruptions + fs.latency_spikes + fs.compress_faults +
+            fs.decompress_faults >
         0) {
+      // Literal zeros for the removed link-window counters keep the pinned bytes.
       dump << "fault_stats data_packets=" << fs.data_packets << " drops=" << fs.drops
            << " corruptions=" << fs.corruptions << " spikes=" << fs.latency_spikes
-           << " stalls=" << fs.stalls << " degradations=" << fs.degradations
+           << " stalls=0 degradations=0"
            << " compress_faults=" << fs.compress_faults
            << " decompress_faults=" << fs.decompress_faults << "\n";
     }

@@ -445,51 +445,6 @@ TEST(PersistentChannel, SameShapeChannelsShareOneReceiveStaging) {
   EXPECT_EQ(t8.plan_misses, 0u);
 }
 
-TEST(PersistentChannel, ProbeWakesWhenParkedWarmMessageBecomesHead) {
-  // On a lossy wire the second warm message can overtake the first and
-  // park. When the first is consumed the parked one becomes its channel's
-  // head; a blocked probe must wake for it, or the run deadlocks.
-  constexpr std::size_t kBytes = 64 << 10;
-  constexpr int kTag = 5;
-  std::vector<std::vector<std::uint8_t>> sent;
-  for (int m = 0; m < 3; ++m) sent.emplace_back(kBytes, static_cast<std::uint8_t>(m + 1));
-  std::vector<std::uint64_t> bad_seeds;
-  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
-    fault::FaultInjector injector(fault::FaultPlan::lossy(seed, 0.5, 0.0));
-    sim::Engine engine;
-    mpi::WorldOptions opts;
-    opts.fault = &injector;
-    opts.persistent.enabled = true;
-    World world(engine, net::longhorn(2, 1), core::CompressionConfig::off(), opts);
-    bool ok = false;
-    try {
-      world.run([&](Rank& R) {
-        if (R.rank() == 0) {
-          R.send(sent[0].data(), kBytes, 1, kTag);  // warms the channel
-          R.barrier();
-          std::vector<mpi::Request> reqs{R.isend(sent[1].data(), kBytes, 1, kTag),
-                                         R.isend(sent[2].data(), kBytes, 1, kTag)};
-          R.waitall(reqs);
-          return;
-        }
-        std::vector<std::vector<std::uint8_t>> got(3, std::vector<std::uint8_t>(kBytes));
-        bool all = R.recv(got[0].data(), kBytes, 0, kTag).ok();
-        R.barrier();
-        mpi::Request first = R.irecv(got[1].data(), kBytes, 0, kTag);
-        all = R.probe(0, kTag).bytes == kBytes && all;
-        all = R.recv(got[2].data(), kBytes, 0, kTag).ok() && all;
-        all = R.wait(first).ok() && all;
-        ok = all && got == sent;
-      });
-    } catch (const std::exception&) {
-      ok = false;  // Engine::run: deadlock
-    }
-    if (!ok) bad_seeds.push_back(seed);
-  }
-  EXPECT_TRUE(bad_seeds.empty()) << bad_seeds.size() << " seeds failed, first "
-                                 << (bad_seeds.empty() ? 0 : bad_seeds.front());
-}
-
 // --- Non-overtaking on warm channels ------------------------------------
 // A warm message that is stalled on credits, dropped, or decode-faulted is
 // still the earlier message: a later send under the same tag must not take

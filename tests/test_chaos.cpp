@@ -373,35 +373,6 @@ TEST(Chaos, CompressionKernelFaultsDegradeToRaw) {
   EXPECT_EQ(world.compression_of(0).stats().messages_fallback_raw, 4u);
 }
 
-TEST(Chaos, NicFlapWindowDefersDelivery) {
-  // Node 0's NIC is down for the first 2 ms: a rendezvous payload sent at
-  // t~0 cannot complete before the window closes.
-  fault::FaultPlan plan;
-  plan.seed = 3;
-  plan.windows.push_back(
-      fault::LinkFaultWindow{0, Time::zero(), Time::ms(2), 1.0, true});
-  fault::FaultInjector injector(plan);
-  sim::Engine engine;
-  mpi::WorldOptions opts;
-  opts.fault = &injector;
-  World world(engine, net::longhorn(2, 1), core::CompressionConfig::off(), opts);
-
-  const std::size_t n = 65536;
-  Time recv_done = Time::zero();
-  world.run([&](Rank& R) {
-    std::vector<float> buf(n, 2.0f);
-    if (R.rank() == 0) {
-      R.send(buf.data(), n * 4, 1, 0);
-    } else {
-      R.recv(buf.data(), n * 4, 0, 0);
-      recv_done = R.now();
-      EXPECT_EQ(buf[0], 2.0f);
-    }
-  });
-  EXPECT_GE(recv_done, Time::ms(2));
-  EXPECT_GT(injector.stats().stalls, 0u);
-}
-
 // --- one reliability contract, three transfer kinds ----------------------
 //
 // Serial rendezvous, pipelined chunks, and warm-channel messages all ride

@@ -16,7 +16,6 @@ namespace {
 using namespace gcmpi;
 using fault::FaultInjector;
 using fault::FaultPlan;
-using fault::LinkFaultWindow;
 using fault::PacketFault;
 using sim::Time;
 
@@ -151,62 +150,6 @@ TEST(FaultInjector, CodecRatesApproximateProbability) {
   int hits = 0;
   for (int i = 0; i < n; ++i) hits += inj.on_decompress(2) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits), 0.1 * n, 3 * std::sqrt(0.1 * 0.9 * n));
-}
-
-TEST(FaultWindows, DownWindowDefersTransferStart) {
-  FaultPlan plan;
-  plan.windows.push_back(LinkFaultWindow{-1, Time::zero(), Time::us(100), 1.0, true});
-  fault::FaultInjector inj(plan);
-
-  const net::ClusterSpec c = net::longhorn(2, 1);
-  net::Fabric clean(c);
-  net::Fabric faulty(c);
-  faulty.set_fault_injector(&inj);
-
-  const std::uint64_t bytes = 1 << 20;
-  const Time t_clean = clean.transfer(Time::zero(), 0, 1, bytes);
-  const Time t_faulty = faulty.transfer(Time::zero(), 0, 1, bytes);
-  // The NIC flap pushes the start from 0 to the window's end.
-  EXPECT_EQ(t_faulty, t_clean + Time::us(100));
-  EXPECT_EQ(inj.stats().stalls, 1u);
-
-  // A transfer starting after the window is unaffected.
-  net::Fabric faulty2(c);
-  faulty2.set_fault_injector(&inj);
-  EXPECT_EQ(faulty2.transfer(Time::us(200), 0, 1, bytes),
-            clean.transfer(Time::us(200), 0, 1, bytes) + Time::zero());
-}
-
-TEST(FaultWindows, DegradedWindowStretchesWireTime) {
-  FaultPlan plan;
-  plan.windows.push_back(LinkFaultWindow{0, Time::zero(), Time::seconds(10), 0.5, false});
-  fault::FaultInjector inj(plan);
-
-  const net::ClusterSpec c = net::longhorn(2, 1);
-  net::Fabric clean(c);
-  net::Fabric degraded(c);
-  degraded.set_fault_injector(&inj);
-
-  const std::uint64_t bytes = 12'500'000;  // 1 ms of EDR wire time
-  const Time t_clean = clean.transfer(Time::zero(), 0, 1, bytes);
-  const Time t_degraded = degraded.transfer(Time::zero(), 0, 1, bytes);
-  EXPECT_GT(t_degraded, t_clean);
-  // Serialization term roughly doubles at half bandwidth.
-  EXPECT_NEAR(static_cast<double>((t_degraded - t_clean).count_ns()), 1e6, 5e4);
-  EXPECT_EQ(inj.stats().degradations, 1u);
-}
-
-TEST(FaultWindows, IntraNodeTransfersIgnoreWindows) {
-  FaultPlan plan;
-  plan.windows.push_back(LinkFaultWindow{-1, Time::zero(), Time::seconds(1), 1.0, true});
-  fault::FaultInjector inj(plan);
-  const net::ClusterSpec c = net::longhorn(1, 2);  // both ranks on one node
-  net::Fabric clean(c);
-  net::Fabric faulty(c);
-  faulty.set_fault_injector(&inj);
-  const Time a = clean.transfer(Time::zero(), 0, 1, 1 << 20);
-  const Time b = faulty.transfer(Time::zero(), 0, 1, 1 << 20);
-  EXPECT_EQ(a, b);  // NVLink path has no NIC to flap
 }
 
 TEST(FaultInjector, DroppedDataPacketsStillOccupyPorts) {

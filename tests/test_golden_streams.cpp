@@ -48,14 +48,10 @@ constexpr GoldenEntry kGolden[] = {
     {"mpc/d4/interleaved/32768", "e79d851056e9c2aa55f3a1302b67f098c6c5cb47cb10ffc29d7e1ed56c26044e"},
     {"mpc/d1/special/4099", "ff94e458fbee7835a75298c105b5273dc5c348b6ee3e5e32609ed0c62f542aef"},
     {"mpc/d3/plateaus/4131", "50794dc39dd4fbeb931557d5c5b9ba443f8ae0c94f2403ac1ab87db66dfa7802"},
-    {"mpc64/d1/smooth/32768", "742b1c17e7e251bdff2590de6976a4b2e696daf67ab4bab758e1569ec9184735"},
-    {"mpc64/d2/special/4097", "0b9d6029b04168b3d789f0392823260ba83a673afbbd8b6b9a0de45415d1c598"},
     {"mpc/d1/smooth/1048579",
      "65f12add5fcfa25bf6af6f514e3925c6ab0a5695f6b9b3ff10d1deb72c9a8688"},
     {"mpc/d3/interleaved/524323",
      "ba58ae07ff57d593f2e83fe6e549ea090ff4308cac91a15fa913258010a62958"},
-    {"mpc64/d1/smooth/262147",
-     "fc84f8a98c42d670c5c67191cb34f574cc0d453db254d84cc8ebfc12cd8495a5"},
     {"zfp/r4/d1/65536", "47a49718211adf30cf7e6c2c5124476905fd467f7ea253a8e1b18af23baf54d2"},
     {"zfp/r8/d1/4099", "51d39314f5d7139cac7a1da0a26f46bc8d3082f2dcc318e10afc9ff5ee016a96"},
     {"zfp/r16/d1/65536", "284761de7fc182d801d75f5c773fee544c893b6b582613d14ac04eced90d17db"},
@@ -83,15 +79,6 @@ std::vector<std::uint8_t> mpc_stream(int dim, gt::PayloadKind kind, std::size_t 
                                      std::uint64_t seed) {
   const auto in = gt::make_floats(kind, n, seed);
   comp::MpcCodec codec(dim);
-  std::vector<std::uint8_t> out(codec.max_compressed_bytes(in.size()));
-  out.resize(codec.compress(in, out));
-  return out;
-}
-
-std::vector<std::uint8_t> mpc64_stream(int dim, gt::PayloadKind kind, std::size_t n,
-                                       std::uint64_t seed) {
-  const auto in = gt::make_doubles(kind, n, seed);
-  comp::MpcCodec64 codec(dim);
   std::vector<std::uint8_t> out(codec.max_compressed_bytes(in.size()));
   out.resize(codec.compress(in, out));
   return out;
@@ -170,17 +157,12 @@ std::vector<std::pair<std::string, MakeStream>> corpus() {
                  [] { return mpc_stream(4, K::Interleaved, 32768, 12); });
   c.emplace_back("mpc/d1/special/4099", [] { return mpc_stream(1, K::SpecialValues, 4099, 13); });
   c.emplace_back("mpc/d3/plateaus/4131", [] { return mpc_stream(3, K::Plateaus, 4131, 14); });
-  c.emplace_back("mpc64/d1/smooth/32768", [] { return mpc64_stream(1, K::SmoothField, 32768, 15); });
-  c.emplace_back("mpc64/d2/special/4097",
-                 [] { return mpc64_stream(2, K::SpecialValues, 4097, 16); });
   // Streams of more than 128 chunks, each ending in a partial chunk: the
   // sizes at which the codec splits a message across cores.
   c.emplace_back("mpc/d1/smooth/1048579",
                  [] { return mpc_stream(1, K::SmoothField, 1048579, 17); });
   c.emplace_back("mpc/d3/interleaved/524323",
                  [] { return mpc_stream(3, K::Interleaved, 524323, 18); });
-  c.emplace_back("mpc64/d1/smooth/262147",
-                 [] { return mpc64_stream(1, K::SmoothField, 262147, 19); });
   for (const ZfpCase& z : zfp_cases()) {
     c.emplace_back(z.name, [z] { return zfp_stream(z.codec, z.field, z.kind, z.seed); });
   }
@@ -242,15 +224,7 @@ TEST(GoldenStreams, StreamsRoundTrip) {
     if (name.rfind("huffman/", 0) == 0) continue;  // raw table+codes, no self-framing
     const std::vector<std::uint8_t> bytes = make();
     SCOPED_TRACE(name);
-    if (name.rfind("mpc64/", 0) == 0) {
-      std::uint32_t n32 = 0;  // mpc64 shares the header layout but not the magic
-      std::memcpy(&n32, bytes.data() + 4, 4);
-      const std::size_t n = n32;
-      std::vector<double> out(n);
-      const int dim = name.find("/d2/") != std::string::npos ? 2 : 1;
-      comp::MpcCodec64 codec(dim);
-      EXPECT_EQ(codec.decompress(bytes, out), n);
-    } else if (name.rfind("mpc/", 0) == 0) {
+    if (name.rfind("mpc/", 0) == 0) {
       const std::size_t n = comp::MpcCodec::encoded_values(bytes);
       std::vector<float> out(n);
       int dim = 1;
@@ -287,11 +261,6 @@ TEST(GoldenStreams, LargeMpcStreamsDecodeToTheirInput) {
     ASSERT_EQ(codec.decompress_portable(bytes, portable), c.n);
     EXPECT_EQ(std::memcmp(portable.data(), in.data(), c.n * sizeof(float)), 0);
   }
-  const auto in = gt::make_doubles(K::SmoothField, 262147, 19);
-  const auto bytes = mpc64_stream(1, K::SmoothField, 262147, 19);
-  std::vector<double> out(in.size());
-  ASSERT_EQ(comp::MpcCodec64(1).decompress(bytes, out), in.size());
-  EXPECT_EQ(std::memcmp(out.data(), in.data(), in.size() * sizeof(double)), 0);
 }
 
 }  // namespace

@@ -112,7 +112,6 @@ TEST(Mpc, DimensionalityMatchesInterleaving) {
   auto out = roundtrip(MpcCodec(4), in, &size_d4);
   expect_bit_exact(in, out);
   EXPECT_LT(size_d4, size_d1);
-  EXPECT_EQ(MpcCodec::tune_dimensionality(in), 4);
 }
 
 TEST(Mpc, ChunkCountMatchesThreadBlocks) {
@@ -153,24 +152,24 @@ TEST(Mpc, CorruptInputsThrow) {
 // `kept` words, the size-table entry says so, and the stream ends exactly
 // at the end of its own heap allocation: a read past the kept words is a
 // read past the allocation. Returns the owner and its size.
-template <class Word>
 std::pair<std::unique_ptr<std::uint8_t[]>, std::size_t> forge_last_chunk(
-    const std::vector<std::uint8_t>& stream, std::size_t size, Word mask, std::size_t kept) {
+    const std::vector<std::uint8_t>& stream, std::size_t size, std::uint32_t mask,
+    std::size_t kept) {
   std::uint32_t chunks = 0;
   std::memcpy(&chunks, stream.data() + 16, 4);
   const std::size_t entry = 20 + 4 * (chunks - 1);
   std::uint32_t last_words = 0;
   std::memcpy(&last_words, stream.data() + entry, 4);
-  const std::size_t last_chunk = size - last_words * sizeof(Word);
-  const std::size_t forged_size = last_chunk + (1 + kept) * sizeof(Word);
+  const std::size_t last_chunk = size - last_words * 4;
+  const std::size_t forged_size = last_chunk + (1 + kept) * 4;
   std::unique_ptr<std::uint8_t[]> forged(new std::uint8_t[forged_size]);
   std::memcpy(forged.get(), stream.data(), last_chunk);
   const auto words = static_cast<std::uint32_t>(1 + kept);
   std::memcpy(forged.get() + entry, &words, 4);
-  std::memcpy(forged.get() + last_chunk, &mask, sizeof(Word));
+  std::memcpy(forged.get() + last_chunk, &mask, 4);
   for (std::size_t i = 0; i < kept; ++i) {
-    const Word w = ~Word{0};
-    std::memcpy(forged.get() + last_chunk + (1 + i) * sizeof(Word), &w, sizeof(Word));
+    const std::uint32_t w = ~0u;
+    std::memcpy(forged.get() + last_chunk + (1 + i) * 4, &w, 4);
   }
   return {std::move(forged), forged_size};
 }
@@ -311,29 +310,6 @@ TEST(Mpc, BitTranspose32MatchesNaiveAndInverts) {
   }
 }
 
-TEST(Mpc, BitTranspose64MatchesNaiveAndInverts) {
-  gcmpi::sim::Rng rng(202);
-  for (int trial = 0; trial < 32; ++trial) {
-    std::uint64_t tile[64];
-    for (auto& w : tile) w = rng.next_u64();
-
-    std::uint64_t naive[64] = {};
-    for (int r = 0; r < 64; ++r) {
-      for (int c = 0; c < 64; ++c) {
-        naive[r] |= ((tile[c] >> r) & 1ull) << c;
-      }
-    }
-
-    std::uint64_t fast[64];
-    std::memcpy(fast, tile, sizeof(tile));
-    gcmpi::comp::bit_transpose64(fast);
-    EXPECT_EQ(std::memcmp(fast, naive, sizeof(naive)), 0);
-
-    gcmpi::comp::bit_transpose64(fast);
-    EXPECT_EQ(std::memcmp(fast, tile, sizeof(tile)), 0);
-  }
-}
-
 class MpcDimSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(MpcDimSweep, LosslessAtEveryDimensionality) {
@@ -346,106 +322,5 @@ TEST_P(MpcDimSweep, LosslessAtEveryDimensionality) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, MpcDimSweep, ::testing::Values(1, 2, 3, 4, 8, 16, 32));
-
-}  // namespace
-
-namespace {
-
-using gcmpi::comp::MpcCodec64;
-
-std::vector<double> roundtrip64(const MpcCodec64& codec, const std::vector<double>& in,
-                                std::size_t* compressed_size = nullptr) {
-  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-  const std::size_t size = codec.compress(in, buf);
-  EXPECT_LE(size, buf.size());
-  if (compressed_size != nullptr) *compressed_size = size;
-  std::vector<double> out(in.size(), -99.0);
-  EXPECT_EQ(codec.decompress({buf.data(), size}, out), in.size());
-  return out;
-}
-
-TEST(Mpc64, RejectsBadParameters) {
-  EXPECT_THROW(MpcCodec64(0), std::invalid_argument);
-  EXPECT_THROW(MpcCodec64(65), std::invalid_argument);
-  EXPECT_THROW(MpcCodec64(1, 100), std::invalid_argument);  // not multiple of 64
-}
-
-TEST(Mpc64, LosslessOnSmoothDoubles) {
-  std::vector<double> in(20000);
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    in[i] = std::sin(0.0007 * static_cast<double>(i)) * 42.0;
-  }
-  MpcCodec64 codec(1);
-  std::size_t size = 0;
-  auto out = roundtrip64(codec, in, &size);
-  ASSERT_EQ(std::memcmp(in.data(), out.data(), in.size() * 8), 0);
-  EXPECT_LT(size, in.size() * 8);
-}
-
-TEST(Mpc64, LosslessOnRandomDoubleBits) {
-  gcmpi::sim::Rng rng(31);
-  std::vector<double> in(4099);
-  for (auto& x : in) {
-    const std::uint64_t bits = rng.next_u64();
-    std::memcpy(&x, &bits, 8);
-  }
-  MpcCodec64 codec(1);
-  auto out = roundtrip64(codec, in);
-  ASSERT_EQ(std::memcmp(in.data(), out.data(), in.size() * 8), 0);
-}
-
-TEST(Mpc64, ConstantDoublesCompressHard) {
-  std::vector<double> in(1 << 15, -2.5);
-  MpcCodec64 codec(1);
-  std::size_t size = 0;
-  auto out = roundtrip64(codec, in, &size);
-  ASSERT_EQ(std::memcmp(in.data(), out.data(), in.size() * 8), 0);
-  // Constant doubles: per-tile masks bound the ratio near 64/5.
-  EXPECT_GT(static_cast<double>(in.size() * 8) / static_cast<double>(size), 10.0);
-}
-
-TEST(Mpc64, SpecialDoubleValues) {
-  std::vector<double> in = {0.0, -0.0, INFINITY, -INFINITY, NAN, 5e-324, 1.7e308, -1.0};
-  in.resize(128, NAN);
-  MpcCodec64 codec(2);
-  auto out = roundtrip64(codec, in);
-  ASSERT_EQ(std::memcmp(in.data(), out.data(), in.size() * 8), 0);
-}
-
-TEST(Mpc64, CorruptHeaderRejected) {
-  std::vector<double> in(256, 1.0);
-  MpcCodec64 codec(1);
-  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-  const std::size_t size = codec.compress(in, buf);
-  std::vector<double> out(in.size());
-  buf[0] ^= 0xFF;
-  EXPECT_THROW((void)codec.decompress({buf.data(), size}, out), std::invalid_argument);
-}
-
-TEST(Mpc64, CorruptMaskNeverReadsPastInput) {
-  MpcCodec64 codec(1);
-  std::vector<double> in(2 * 1024 + 5);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(0.001 * static_cast<double>(i));
-  std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-  const std::size_t size = codec.compress(in, buf);
-  std::vector<double> out(in.size());
-  for (const std::size_t kept : {0u, 1u, 31u, 63u}) {
-    const std::uint64_t mask = kept == 63 ? ~0ull : (2ull << kept) - 1;
-    const auto [forged, forged_size] = forge_last_chunk(buf, size, mask, kept);
-    EXPECT_THROW((void)codec.decompress({forged.get(), forged_size}, out), std::runtime_error)
-        << "kept " << kept;
-  }
-}
-
-TEST(Mpc64, FloatStreamIsNotADoubleStream) {
-  // Cross-width confusion must be rejected by magic.
-  const auto fin = gcmpi::data::smooth_field(512, 1e-3, 1);
-  MpcCodec fcodec(1);
-  std::vector<std::uint8_t> buf(fcodec.max_compressed_bytes(fin.size()));
-  const std::size_t size = fcodec.compress(fin, buf);
-  MpcCodec64 dcodec(1);
-  std::vector<double> out(512);
-  EXPECT_THROW((void)dcodec.decompress({buf.data(), size}, out), std::invalid_argument);
-}
 
 }  // namespace

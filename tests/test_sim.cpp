@@ -340,16 +340,6 @@ TEST(Breakdown, AccumulatesAndMerges) {
   EXPECT_EQ(a.total(), Time::zero());
 }
 
-TEST(Summary, Moments) {
-  Summary s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.variance(), 1.25, 1e-12);
-}
-
 }  // namespace
 
 namespace {

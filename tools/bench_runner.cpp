@@ -196,17 +196,6 @@ void bench_all(bool quick, std::vector<bench::Row>& results) {
         for (std::size_t i = 0; i < din.size(); ++i) din[i] = in[i * 2];
 
         {
-          comp::MpcCodec64 codec(1);
-          std::vector<std::uint8_t> buf(codec.max_compressed_bytes(din.size()));
-          const std::size_t csize = codec.compress(din, buf);
-          std::vector<double> back(din.size());
-          const double t_c = time_seconds([&] { (void)codec.compress(din, buf); }, min_s);
-          const double t_d = time_seconds(
-              [&] { (void)codec.decompress({buf.data(), csize}, back); }, min_s);
-          push_pair(results, "mpc64", ds, bytes, t_c, t_d,
-                    static_cast<double>(bytes) / static_cast<double>(csize), 0.0, 0.0);
-        }
-        {
           comp::FpcCodec codec;
           std::vector<std::uint8_t> buf(codec.max_compressed_bytes(din.size()));
           const std::size_t csize = codec.compress(din, buf);
