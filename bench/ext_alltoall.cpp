@@ -17,12 +17,9 @@
 // regressed beyond the threshold, or (b) the engine's acceptance bar fails:
 // batched+MPC must beat the naive pairwise path by >= 25% at 8 ranks / 4 MiB
 // blocks, with exactly one compression launch per rank recorded in telemetry.
-#include <sstream>
-
 #include "common.hpp"
 #include "core/collective.hpp"
 #include "core/telemetry.hpp"
-#include "harness.hpp"
 
 using namespace gcmpi;
 using namespace gcmpi::bench;
@@ -33,67 +30,40 @@ const Schema kSchema{"gcmpi-bench-alltoall-v1",
                      {{"mbps", "total alltoall payload (P*P*block) MB per simulated second, "
                                "both barriers included"}}};
 
-struct RunResult {
-  sim::Time latency;
-  core::Telemetry::Summary summary;
-};
-
-RunResult run_alltoall(core::CollectiveAlgorithm algorithm, core::CompressionConfig cfg,
-                       const std::vector<float>& payload, std::size_t block_bytes,
-                       int ranks) {
-  sim::Engine engine;
+Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
+             core::CompressionConfig cfg, std::size_t block_bytes, int ranks) {
+  const auto payload = data::generate("msg_sppm", block_bytes / 4);
   core::Telemetry telemetry;
   cfg.pool_buffer_bytes =
       static_cast<std::size_t>(ranks) * (block_bytes + (1u << 16)) + (1u << 20);
   cfg.pool_buffers = 24;  // the batch slab + P-1 decompressions in flight
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
-  opts.collectives[core::CollectiveOp::Alltoall] = algorithm;
-  mpi::World world(engine, net::longhorn(ranks, 1), cfg, opts);
-  sim::Time t = sim::Time::zero();
-  world.run([&](mpi::Rank& R) {
+  opts.collectives[core::CollectiveOp::Alltoall] = a;
+  const sim::Time t = time_op(net::longhorn(ranks, 1), cfg, opts, [&](mpi::Rank& R) {
     const auto P = static_cast<std::size_t>(R.size());
     auto* send = static_cast<std::uint8_t*>(R.gpu_malloc(block_bytes * P));
-    std::vector<std::uint8_t> recv(block_bytes * P);
     for (std::size_t b = 0; b < P; ++b) {
       std::memcpy(send + b * block_bytes, payload.data(), block_bytes);
     }
-    R.barrier();
-    const sim::Time t0 = R.now();
-    R.alltoall(send, block_bytes, recv.data());
-    R.barrier();
-    if (R.rank() == 0) t = R.now() - t0;
-    R.gpu_free(send);
+    return [&R, send, block_bytes, recv = std::vector<std::uint8_t>(block_bytes * P)]() mutable {
+      R.alltoall(send, block_bytes, recv.data());
+    };
   });
-  RunResult res;
-  res.latency = t;
-  res.summary = telemetry.summarize();
-  return res;
-}
-
-Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
-             core::CompressionConfig cfg, std::size_t block_bytes, int ranks) {
-  const auto payload = data::generate("msg_sppm", block_bytes / 4);
-  const RunResult res = run_alltoall(a, std::move(cfg), payload, block_bytes, ranks);
-  std::ostringstream name;
-  name << "alltoall/" << algo << "/" << codec << "/" << size_label(block_bytes) << "@"
-       << ranks << "x1";
-  const double latency_us = res.latency.to_seconds() * 1e6;
+  const core::Telemetry::Summary summary = telemetry.summarize();
   const double total =
       static_cast<double>(block_bytes) * static_cast<double>(ranks) * ranks;
-  const double mbps = total / 1e6 / res.latency.to_seconds();
-  const double compress_us = res.summary.compression_time.to_seconds() * 1e6;
-  const double decompress_us = res.summary.decompression_time.to_seconds() * 1e6;
-  Row r{name.str()};
-  r.count("bytes", block_bytes)  // per-destination block bytes
-      .fixed("latency_us", latency_us, 3)
-      .fixed("mbps", mbps, 1)
-      .fixed("compress_us", compress_us, 3)  // telemetry: summed compression event time
+  const double compress_us = summary.compression_time.to_seconds() * 1e6;
+  const double decompress_us = summary.decompression_time.to_seconds() * 1e6;
+  // bytes: per-destination block bytes; compress_us: summed compression
+  // event time from telemetry.
+  Row r = collective_row("alltoall", algo, codec, block_bytes, ranks, 1, t, total);
+  r.fixed("compress_us", compress_us, 3)
       .fixed("decompress_us", decompress_us, 3)
-      .count("compress_events", res.summary.compressions);
+      .count("compress_events", summary.compressions);
   std::printf("%-34s %10.1f us %9.1f MB/s  c=%8.1fus d=%8.1fus launches=%llu\n",
-              r.name.c_str(), latency_us, mbps, compress_us, decompress_us,
-              static_cast<unsigned long long>(res.summary.compressions));
+              r.name.c_str(), r.number("latency_us"), r.number("mbps"), compress_us,
+              decompress_us, static_cast<unsigned long long>(summary.compressions));
   return r;
 }
 

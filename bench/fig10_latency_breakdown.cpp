@@ -53,11 +53,8 @@ void pipeline_panel(const char* title, const core::CompressionConfig& cfg) {
     std::uint32_t chunks = 0;
     double overlap = 0.0;
     if (!telemetry.pipelines().empty()) {
-      const auto& p = telemetry.pipelines().front();
-      chunks = p.chunks;
-      const double busy =
-          (p.compress_busy + p.transfer_busy + p.decompress_busy).to_seconds();
-      if (busy > 0.0) overlap = (1.0 - p.span.to_seconds() / busy) * 100.0;
+      chunks = telemetry.pipelines().front().chunks;
+      overlap = overlap_pct(telemetry.pipelines().front());
     }
     std::printf("%8s %10.1fus %10.1fus %6.1f%% | %6u %8.1f%%\n", size_label(bytes),
                 serial.one_way.to_us(), piped.one_way.to_us(),

@@ -20,11 +20,8 @@
 // it and linear+raw IS the linear+MPC baseline; at 8 MiB the ring's per-hop
 // MPC kernels still eat most of the wire win — the gap opens decisively from
 // 16 MiB on, which is the smallest size the gate pins.)
-#include <sstream>
-
 #include "common.hpp"
 #include "core/collective.hpp"
-#include "harness.hpp"
 
 using namespace gcmpi;
 using namespace gcmpi::bench;
@@ -35,13 +32,10 @@ enum class Coll { Bcast, Allgather };
 
 sim::Time run_collective(Coll which, core::CompressionConfig cfg,
                          const std::vector<float>& payload) {
-  sim::Engine engine;
-  cfg.pool_buffer_bytes = payload.size() * 4 + (1u << 20);
-  cfg.pool_buffers = 24;  // the ring keeps P-1 decompressions in flight
-  mpi::World world(engine, net::frontera_liquid(8, 2), cfg);
-  sim::Time t = sim::Time::zero();
   const std::size_t bytes = payload.size() * 4;
-  world.run([&](mpi::Rank& R) {
+  cfg.pool_buffer_bytes = bytes + (1u << 20);
+  cfg.pool_buffers = 24;  // the ring keeps P-1 decompressions in flight
+  return time_op(net::frontera_liquid(8, 2), cfg, {}, [&](mpi::Rank& R) {
     const std::size_t total = which == Coll::Bcast
                                   ? bytes
                                   : bytes * static_cast<std::size_t>(R.size());
@@ -51,19 +45,14 @@ sim::Time run_collective(Coll which, core::CompressionConfig cfg,
     // allocated outside the timed region like OMB does.
     auto* mine = static_cast<float*>(R.gpu_malloc(bytes));
     std::memcpy(mine, payload.data(), bytes);
-    R.barrier();
-    const sim::Time t0 = R.now();
-    if (which == Coll::Bcast) {
-      R.bcast(dev, bytes, 0);
-    } else {
-      R.allgather(mine, bytes, dev);
-    }
-    R.barrier();
-    if (R.rank() == 0) t = R.now() - t0;
-    R.gpu_free(mine);
-    R.gpu_free(dev);
+    return [&R, which, dev, mine, bytes] {
+      if (which == Coll::Bcast) {
+        R.bcast(dev, bytes, 0);
+      } else {
+        R.allgather(mine, bytes, dev);
+      }
+    };
   });
-  return t;
 }
 
 void panel(const char* title, Coll which, std::size_t message_bytes) {
@@ -91,42 +80,24 @@ const Schema kSchema{"gcmpi-bench-collectives-v1",
                      {{"mbps", "original MB per simulated second, full allreduce including "
                                "both barriers"}}};
 
-sim::Time run_allreduce(core::CollectiveAlgorithm algorithm, core::CompressionConfig cfg,
-                        const std::vector<float>& payload, int nodes, int gpn) {
-  sim::Engine engine;
-  const std::size_t bytes = payload.size() * 4;
-  cfg.pool_buffer_bytes = bytes + (1u << 20);
-  cfg.pool_buffers = 24;
-  mpi::WorldOptions opts;
-  opts.collectives[core::CollectiveOp::Allreduce] = algorithm;
-  mpi::World world(engine, net::longhorn(nodes, gpn), cfg, opts);
-  sim::Time t = sim::Time::zero();
-  world.run([&](mpi::Rank& R) {
-    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
-    std::memcpy(dev, payload.data(), bytes);
-    std::vector<float> out(payload.size());
-    R.barrier();
-    const sim::Time t0 = R.now();
-    R.allreduce(dev, out.data(), payload.size(), mpi::ReduceOp::Sum);
-    R.barrier();
-    if (R.rank() == 0) t = R.now() - t0;
-    R.gpu_free(dev);
-  });
-  return t;
-}
-
 Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
              core::CompressionConfig cfg, std::size_t bytes, int nodes, int gpn) {
   const auto payload = data::generate("msg_sppm", bytes / 4);
-  const auto t = run_allreduce(a, std::move(cfg), payload, nodes, gpn);
-  std::ostringstream name;
-  name << "allreduce/" << algo << "/" << codec << "/" << size_label(bytes) << "@" << nodes
-       << "x" << gpn;
-  const double latency_us = t.to_seconds() * 1e6;
-  const double mbps = static_cast<double>(bytes) / 1e6 / t.to_seconds();
-  Row r{name.str()};
-  r.count("bytes", bytes).fixed("latency_us", latency_us, 3).fixed("mbps", mbps, 1);
-  std::printf("%-36s %10.1f us %9.1f MB/s\n", r.name.c_str(), latency_us, mbps);
+  cfg.pool_buffer_bytes = bytes + (1u << 20);
+  cfg.pool_buffers = 24;
+  mpi::WorldOptions opts;
+  opts.collectives[core::CollectiveOp::Allreduce] = a;
+  const sim::Time t = time_op(net::longhorn(nodes, gpn), cfg, opts, [&](mpi::Rank& R) {
+    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
+    std::memcpy(dev, payload.data(), bytes);
+    return [&R, dev, out = std::vector<float>(payload.size())]() mutable {
+      R.allreduce(dev, out.data(), out.size(), mpi::ReduceOp::Sum);
+    };
+  });
+  Row r = collective_row("allreduce", algo, codec, bytes, nodes, gpn, t,
+                         static_cast<double>(bytes));
+  std::printf("%-36s %10.1f us %9.1f MB/s\n", r.name.c_str(), r.number("latency_us"),
+              r.number("mbps"));
   return r;
 }
 

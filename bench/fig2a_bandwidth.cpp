@@ -10,46 +10,13 @@
 using namespace gcmpi;
 using namespace gcmpi::bench;
 
-namespace {
-
-double bandwidth_gbs(std::size_t bytes, int window) {
-  sim::Engine engine;
-  mpi::World world(engine, net::longhorn(2, 1), core::CompressionConfig::off());
-  double gbs = 0.0;
-  world.run([&](mpi::Rank& R) {
-    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
-    std::memset(dev, 0, bytes);
-    R.barrier();
-    if (R.rank() == 0) {
-      const sim::Time t0 = R.now();
-      std::vector<mpi::Request> reqs;
-      reqs.reserve(static_cast<std::size_t>(window));
-      for (int i = 0; i < window; ++i) reqs.push_back(R.isend(dev, bytes, 1, i));
-      R.waitall(reqs);
-      char ack = 0;
-      R.recv(&ack, 1, 1, 999);
-      const double secs = (R.now() - t0).to_seconds();
-      gbs = static_cast<double>(bytes) * window / secs / 1e9;
-    } else {
-      std::vector<mpi::Request> reqs;
-      for (int i = 0; i < window; ++i) reqs.push_back(R.irecv(dev, bytes, 0, i));
-      R.waitall(reqs);
-      char ack = 0;
-      R.send(&ack, 1, 0, 999);
-    }
-    R.gpu_free(dev);
-  });
-  return gbs;
-}
-
-}  // namespace
-
 int main() {
   print_header("Fig 2(a): Longhorn inter-node D-D bandwidth (baseline MPI, no compression)");
   std::printf("%10s %14s %14s\n", "size", "BW (GB/s)", "of peak 12.5");
   for (std::size_t bytes = 16 << 10; bytes <= (64u << 20); bytes <<= 2) {
     const int window = bytes >= (16u << 20) ? 4 : 16;
-    const double bw = bandwidth_gbs(bytes, window);
+    const double bw = osu_bw_gbs(net::longhorn(2, 1), core::CompressionConfig::off(),
+                                 std::vector<float>(bytes / 4, 0.0f), window);
     std::printf("%10s %14.2f %13.1f%%\n", size_label(bytes), bw, bw / 12.5 * 100.0);
   }
   std::printf("\nPaper: MVAPICH2-GDR and Spectrum MPI both saturate IB EDR for large\n"

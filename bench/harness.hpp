@@ -21,16 +21,22 @@
 // the baseline file, and its "mbps" must not fall more than --threshold
 // below the baseline's. The reader only looks for the "name" and "mbps"
 // keys of each results line, so any file this writer produced is a valid
-// baseline. Acceptance bars report through `gate`.
+// baseline. Acceptance bars report through `gate`; `time_seconds` is the
+// one wall-clock timer.
+//
+// The header includes no simulator or MPI header, because tools/bench_runner
+// links none of those libraries; the simulated runners live in common.hpp.
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -225,6 +231,35 @@ inline int compare_baseline(const std::vector<Row>& rows, const Baseline& base,
   std::printf("\n");
   va_end(args);
   return 1;
+}
+
+/// Wall-clock seconds per call of `fn`: after one warm-up call, the
+/// iteration count grows until one repeat lasts at least `min_seconds` (a
+/// one-shot timing of a sub-millisecond call is mostly clock noise); the
+/// result is the fastest of three such repeats.
+inline double time_seconds(const std::function<void()>& fn, double min_seconds) {
+  using Clock = std::chrono::steady_clock;
+  fn();  // warm caches, fault in pages
+  std::size_t iters = 1;
+  double elapsed = 0.0;
+  for (;;) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i) fn();
+    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
+    if (elapsed >= min_seconds || iters > (1u << 24)) break;
+    const double scale = elapsed > 1e-9 ? min_seconds / elapsed : 16.0;
+    iters = std::max(iters + 1, static_cast<std::size_t>(
+                                    static_cast<double>(iters) * std::min(scale * 1.3, 16.0)));
+  }
+  double best = elapsed / static_cast<double>(iters);
+  for (int r = 0; r < 2; ++r) {
+    const auto t0 = Clock::now();
+    for (std::size_t i = 0; i < iters; ++i) fn();
+    const double t = std::chrono::duration<double>(Clock::now() - t0).count() /
+                     static_cast<double>(iters);
+    best = std::min(best, t);
+  }
+  return best;
 }
 
 /// Writes `rows` to `opt.out`, then runs the regression gate when

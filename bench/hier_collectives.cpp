@@ -15,13 +15,10 @@
 // hierarchical+MPC must beat the flat schedule by >= 30% at 16 MiB on 4 nodes
 // x 4 GPUs, with exactly one inter-node wire transit per non-root node
 // (nodes-1).
-#include <sstream>
-
 #include "common.hpp"
 #include "core/collective.hpp"
 #include "core/telemetry.hpp"
 #include "fault/injector.hpp"
-#include "harness.hpp"
 
 using namespace gcmpi;
 using namespace gcmpi::bench;
@@ -33,16 +30,9 @@ const Schema kSchema{
     {{"mbps", "bcast message MB per simulated second, both barriers included"},
      {"inter_packets", "inter-node rendezvous data packets on a clean fabric"}}};
 
-struct RunResult {
-  sim::Time latency;
-  core::Telemetry::Summary summary;
-  std::uint64_t inter_packets = 0;
-};
-
-RunResult run_bcast(core::CollectiveAlgorithm algorithm, core::CompressionConfig cfg,
-                    const std::vector<float>& payload, std::size_t bytes, int nodes,
-                    int gpn) {
-  sim::Engine engine;
+Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
+             core::CompressionConfig cfg, std::size_t bytes, int nodes, int gpn) {
+  const auto payload = data::generate("obs_error", bytes / 4);
   core::Telemetry telemetry;
   fault::FaultInjector counter{fault::FaultPlan{}};  // inert: pure packet counting
   cfg.pool_buffer_bytes = bytes + (1u << 20);
@@ -50,48 +40,24 @@ RunResult run_bcast(core::CollectiveAlgorithm algorithm, core::CompressionConfig
   mpi::WorldOptions opts;
   opts.telemetry = &telemetry;
   opts.fault = &counter;
-  opts.collectives[core::CollectiveOp::Bcast] = algorithm;
-  mpi::World world(engine, net::longhorn(nodes, gpn), cfg, opts);
+  opts.collectives[core::CollectiveOp::Bcast] = a;
   const int root = 1;  // off-leader root: the representative tree is not aligned
-  sim::Time t = sim::Time::zero();
-  world.run([&](mpi::Rank& R) {
+  const sim::Time t = time_op(net::longhorn(nodes, gpn), cfg, opts, [&](mpi::Rank& R) {
     auto* dev = static_cast<std::uint8_t*>(R.gpu_malloc(bytes));
     if (R.rank() == root) std::memcpy(dev, payload.data(), bytes);
-    R.barrier();
-    const sim::Time t0 = R.now();
-    R.bcast(dev, bytes, root);
-    R.barrier();
-    if (R.rank() == 0) t = R.now() - t0;
-    R.gpu_free(dev);
+    return [&R, dev, bytes, root] { R.bcast(dev, bytes, root); };
   });
-  RunResult res;
-  res.latency = t;
-  res.summary = telemetry.summarize();
-  res.inter_packets = counter.stats().inter_node_data_packets;
-  return res;
-}
-
-Row make_row(const char* algo, const char* codec, core::CollectiveAlgorithm a,
-             core::CompressionConfig cfg, std::size_t bytes, int nodes, int gpn) {
-  const auto payload = data::generate("obs_error", bytes / 4);
-  const RunResult res = run_bcast(a, std::move(cfg), payload, bytes, nodes, gpn);
-  std::ostringstream name;
-  name << "bcast/" << algo << "/" << codec << "/" << size_label(bytes) << "@" << nodes
-       << "x" << gpn;
-  const double latency_us = res.latency.to_seconds() * 1e6;
-  const double mbps = static_cast<double>(bytes) / 1e6 / res.latency.to_seconds();
-  const double compress_us = res.summary.compression_time.to_seconds() * 1e6;
-  const double decompress_us = res.summary.decompression_time.to_seconds() * 1e6;
-  Row r{name.str()};
-  r.count("bytes", bytes)
-      .fixed("latency_us", latency_us, 3)
-      .fixed("mbps", mbps, 1)
-      .fixed("compress_us", compress_us, 3)
+  const core::Telemetry::Summary summary = telemetry.summarize();
+  const std::uint64_t inter_packets = counter.stats().inter_node_data_packets;
+  const double compress_us = summary.compression_time.to_seconds() * 1e6;
+  const double decompress_us = summary.decompression_time.to_seconds() * 1e6;
+  Row r = collective_row("bcast", algo, codec, bytes, nodes, gpn, t, static_cast<double>(bytes));
+  r.fixed("compress_us", compress_us, 3)
       .fixed("decompress_us", decompress_us, 3)
-      .count("inter_packets", res.inter_packets);
+      .count("inter_packets", inter_packets);
   std::printf("%-32s %10.1f us %9.1f MB/s  c=%8.1fus d=%8.1fus ib_transits=%llu\n",
-              r.name.c_str(), latency_us, mbps, compress_us, decompress_us,
-              static_cast<unsigned long long>(res.inter_packets));
+              r.name.c_str(), r.number("latency_us"), r.number("mbps"), compress_us,
+              decompress_us, static_cast<unsigned long long>(inter_packets));
   return r;
 }
 

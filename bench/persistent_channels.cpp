@@ -31,7 +31,6 @@
 
 #include "common.hpp"
 #include "core/telemetry.hpp"
-#include "harness.hpp"
 #include "mpi/world.hpp"
 #include "net/cluster.hpp"
 #include "sim/engine.hpp"

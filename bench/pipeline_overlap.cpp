@@ -20,7 +20,6 @@
 
 #include "common.hpp"
 #include "core/telemetry.hpp"
-#include "harness.hpp"
 #include "net/cluster.hpp"
 
 namespace {
@@ -57,12 +56,11 @@ bench::Row run_row(const std::string& codec_label, const core::CompressionConfig
       .fixed("mbps", mbps, 1)
       .count("chunks", p != nullptr ? p->chunks : 0u);
   if (p != nullptr) {
-    const double busy_sum = (p->compress_busy + p->transfer_busy + p->decompress_busy).to_seconds();
-    const double overlap = busy_sum > 0.0 ? (1.0 - p->span.to_seconds() / busy_sum) * 100.0 : 0.0;
     std::printf(
         "%-36s %10.1f us %9.1f MB/s  chunks=%2u  c/w/d=%.0f/%.0f/%.0f us  overlap=%4.1f%%\n",
         row.name.c_str(), latency_us, mbps, p->chunks, p->compress_busy.to_seconds() * 1e6,
-        p->transfer_busy.to_seconds() * 1e6, p->decompress_busy.to_seconds() * 1e6, overlap);
+        p->transfer_busy.to_seconds() * 1e6, p->decompress_busy.to_seconds() * 1e6,
+        bench::overlap_pct(*p));
   } else {
     std::printf("%-36s %10.1f us %9.1f MB/s\n", row.name.c_str(), latency_us, mbps);
   }

@@ -3,7 +3,6 @@
 // compressors are an order of magnitude too slow for 100 Gb/s fabrics
 // while GPU schemes are not — with real wall-clock measurements of our FPC
 // (CPU, serial) implementation vs the modeled GPU throughputs of MPC/ZFP.
-#include <chrono>
 #include <cmath>
 
 #include "common.hpp"
@@ -21,11 +20,7 @@ using namespace gcmpi::bench;
 namespace {
 
 double wall_gbps(std::uint64_t bytes, const std::function<void()>& fn) {
-  const auto t0 = std::chrono::steady_clock::now();
-  fn();
-  const auto t1 = std::chrono::steady_clock::now();
-  const double secs = std::chrono::duration<double>(t1 - t0).count();
-  return static_cast<double>(bytes) * 8 / secs / 1e9;
+  return static_cast<double>(bytes) * 8 / time_seconds(fn, 0.05) / 1e9;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "adapt/controller.hpp"
 
 #include <algorithm>
-#include <array>
 #include <iterator>
 
 #include "sim/rng.hpp"
@@ -19,14 +18,12 @@ constexpr std::uint32_t kQuarantineAfter = 3;  // consecutive fallbacks/faults
 constexpr std::uint32_t kQuarantineBackoff = 32;  // decisions excluded before re-entry
 constexpr double kPriorMpcRatio = 2.0;  // assumed CR until the first measurement
 constexpr int kMinZfpRate = 8;          // the static prior's lowest admitted ZFP rate
-constexpr std::array<int, 2> kZfpRates = {16, 8};  // ZFP candidates, in evaluation order
 
 }  // namespace
 
 AdaptiveController::AdaptiveController(const gpu::GpuSpec& gpu, double network_gbs,
                                        AdaptiveOptions opts)
-    : gpu_(gpu),
-      network_gbs_(network_gbs),
+    : network_gbs_(network_gbs),
       opts_(opts),
       prior_(gpu, network_gbs, opts_.lossy_allowed, kMinZfpRate),
       history_(kEwmaAlpha) {}
@@ -80,54 +77,36 @@ std::vector<AdaptiveController::Candidate> AdaptiveController::evaluate(
     return ch.quarantined_until.count(static_cast<int>(family)) != 0;
   };
 
-  std::vector<Candidate> out;
-  out.push_back({candidate_id(core::Algorithm::None, 0), core::Algorithm::None, 0,
-                 wire_us(static_cast<double>(bytes)), false});
+  // The eq. 2 prior prices every candidate at the measured MPC ratio; each
+  // codec's ratio and kernel terms then take their measured values.
+  const int mpc = candidate_id(core::Algorithm::MPC, 0);
+  const CodecStats& mpc_ex = history_.codec(scope, bytes, mpc);
+  const CodecStats& mpc_any = history_.codec_any_scope(bytes, mpc);
+  const double mpc_cr = std::max(1.0, pick_term(mpc_ex.ratio, mpc_ex.ratio_samples,
+                                                mpc_any.ratio, mpc_any.ratio_samples,
+                                                kPriorMpcRatio));
 
-  {  // MPC: measured ratio/throughputs over the eq. 2 prior.
-    const int cand = candidate_id(core::Algorithm::MPC, 0);
+  std::vector<Candidate> out;
+  for (const core::CandidateCost& prior : prior_.evaluate(bytes, mpc_cr)) {
+    const int cand = candidate_id(prior.algorithm, prior.zfp_rate);
+    if (prior.algorithm == core::Algorithm::None) {
+      out.push_back({cand, prior.algorithm, 0, wire_us(static_cast<double>(bytes)), false});
+      continue;
+    }
     const CodecStats& ex = history_.codec(scope, bytes, cand);
     const CodecStats& any = history_.codec_any_scope(bytes, cand);
-    const double cr = std::max(
-        1.0, pick_term(ex.ratio, ex.ratio_samples, any.ratio, any.ratio_samples,
-                       kPriorMpcRatio));
-    const auto comp_b = static_cast<std::uint64_t>(static_cast<double>(bytes) / cr);
-    const int blocks = std::max(1, gpu_.sm_count / 4);
-    const double prior_comp =
-        model_.mpc_compress(bytes / 4, comp_b / 4, blocks, gpu_).to_us();
-    const double prior_dec =
-        model_.mpc_decompress(comp_b / 4, bytes / 4, blocks, gpu_).to_us();
+    const double cr = std::max(1.0, pick_term(ex.ratio, ex.ratio_samples, any.ratio,
+                                              any.ratio_samples, prior.estimated_cr));
     const double comp =
         pick_term(ex.compress_us_per_mb * mb, ex.compress_samples,
-                  any.compress_us_per_mb * mb, any.compress_samples, prior_comp);
+                  any.compress_us_per_mb * mb, any.compress_samples, prior.compress.to_us());
     const double dec =
         pick_term(ex.decompress_us_per_mb * mb, ex.decompress_samples,
-                  any.decompress_us_per_mb * mb, any.decompress_samples, prior_dec);
-    out.push_back({cand, core::Algorithm::MPC, 0,
+                  any.decompress_us_per_mb * mb, any.decompress_samples,
+                  prior.decompress.to_us());
+    out.push_back({cand, prior.algorithm, prior.zfp_rate,
                    comp + wire_us(static_cast<double>(bytes) / cr) + dec,
-                   quarantined(core::Algorithm::MPC)});
-  }
-
-  if (opts_.lossy_allowed) {
-    for (int rate : kZfpRates) {
-      const int cand = candidate_id(core::Algorithm::ZFP, rate);
-      const CodecStats& ex = history_.codec(scope, bytes, cand);
-      const CodecStats& any = history_.codec_any_scope(bytes, cand);
-      const double cr =
-          std::max(1.0, pick_term(ex.ratio, ex.ratio_samples, any.ratio,
-                                  any.ratio_samples, 32.0 / rate));
-      const double prior_comp = model_.zfp_compress(bytes, rate, gpu_).to_us();
-      const double prior_dec = model_.zfp_decompress(bytes, rate, gpu_).to_us();
-      const double comp =
-          pick_term(ex.compress_us_per_mb * mb, ex.compress_samples,
-                    any.compress_us_per_mb * mb, any.compress_samples, prior_comp);
-      const double dec =
-          pick_term(ex.decompress_us_per_mb * mb, ex.decompress_samples,
-                    any.decompress_us_per_mb * mb, any.decompress_samples, prior_dec);
-      out.push_back({cand, core::Algorithm::ZFP, rate,
-                     comp + wire_us(static_cast<double>(bytes) / cr) + dec,
-                     quarantined(core::Algorithm::ZFP)});
-    }
+                   quarantined(prior.algorithm)});
   }
 
   // Best-first; ties broken by candidate id so the order (and with it the

@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "adapt/history.hpp"
-#include "compress/kernel_cost.hpp"
 #include "core/adapt.hpp"
 #include "core/dynamic.hpp"
 #include "core/telemetry.hpp"
@@ -124,10 +123,8 @@ class AdaptiveController final : public core::AdaptivePolicy,
                                               std::uint64_t bytes, int ranks, int nodes,
                                               int gpus_per_node);
 
-  gpu::GpuSpec gpu_;
   double network_gbs_;
   AdaptiveOptions opts_;
-  comp::KernelCostModel model_;
   core::DynamicSelector prior_;
   History history_;
   core::Telemetry* telemetry_ = nullptr;

@@ -45,17 +45,18 @@ std::vector<CandidateCost> DynamicSelector::evaluate(std::uint64_t message_bytes
   std::vector<CandidateCost> out;
 
   // No compression: T = S/B (eq. 1, setup time common to all candidates).
-  out.push_back({Algorithm::None, 0, 1.0, wire(static_cast<double>(message_bytes))});
+  out.push_back({Algorithm::None, 0, 1.0, wire(static_cast<double>(message_bytes)),
+                 Time::zero(), Time::zero()});
 
   // MPC: partitioned kernels on both sides + compressed wire (eq. 2).
   {
     const auto compressed =
         static_cast<std::uint64_t>(static_cast<double>(message_bytes) / std::max(1.0, mpc_cr));
     const int blocks = std::max(1, gpu_.sm_count / 4);
-    const Time t = model_.mpc_compress(message_bytes / 4, compressed / 4, blocks, gpu_) +
-                   wire(static_cast<double>(compressed)) +
-                   model_.mpc_decompress(compressed / 4, message_bytes / 4, blocks, gpu_);
-    out.push_back({Algorithm::MPC, 0, mpc_cr, t});
+    const Time comp = model_.mpc_compress(message_bytes / 4, compressed / 4, blocks, gpu_);
+    const Time dec = model_.mpc_decompress(compressed / 4, message_bytes / 4, blocks, gpu_);
+    out.push_back({Algorithm::MPC, 0, mpc_cr, comp + wire(static_cast<double>(compressed)) + dec,
+                   comp, dec});
   }
 
   // ZFP at the allowed fixed rates.
@@ -63,10 +64,10 @@ std::vector<CandidateCost> DynamicSelector::evaluate(std::uint64_t message_bytes
     for (int rate : {16, 8, 4}) {
       if (rate < min_zfp_rate_) continue;
       const double cr = 32.0 / rate;
-      const Time t = model_.zfp_compress(message_bytes, rate, gpu_) +
-                     wire(static_cast<double>(message_bytes) / cr) +
-                     model_.zfp_decompress(message_bytes, rate, gpu_);
-      out.push_back({Algorithm::ZFP, rate, cr, t});
+      const Time comp = model_.zfp_compress(message_bytes, rate, gpu_);
+      const Time dec = model_.zfp_decompress(message_bytes, rate, gpu_);
+      out.push_back({Algorithm::ZFP, rate, cr,
+                     comp + wire(static_cast<double>(message_bytes) / cr) + dec, comp, dec});
     }
   }
 

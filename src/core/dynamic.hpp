@@ -30,6 +30,8 @@ struct CandidateCost {
   int zfp_rate = 0;          // 0 for None/MPC
   double estimated_cr = 1.0;
   Time predicted;            // end-to-end predicted transfer latency
+  Time compress;             // the kernel terms of `predicted` (zero for None)
+  Time decompress;
 };
 
 class DynamicSelector {

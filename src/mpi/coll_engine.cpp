@@ -112,6 +112,20 @@ sim::Time Rank::Collective::drain() {
   return settle(tl, started);
 }
 
+void Rank::Collective::exchange(WireMessage* in, int left, const WireMessage* out, int right,
+                                int tag) {
+  const sim::Time started = rank_.ctx_.now();
+  Request rr, sr;
+  if (in != nullptr) rr = rank_.irecv_wire(in, left, tag);
+  if (out != nullptr) {
+    sr = rank_.isend_wire(*out, right, tag);
+    ++hops;
+  }
+  if (rr) (void)rank_.wait(rr);
+  if (sr) (void)rank_.wait(sr);
+  transfer_busy += rank_.ctx_.now() - started;
+}
+
 const core::Staging& Rank::Collective::stage(sim::Timeline& tl, const WireMessage& in) {
   return stagings_.emplace_back(rank_.compression().prepare_receive(tl, in.header));
 }
@@ -182,18 +196,8 @@ void Rank::ring_reduce_scatter_members(const std::vector<int>& members, int pos,
 
     // Empty shards are skipped on both sides: the sender's shard at step t
     // is exactly its right neighbor's receive shard, so the skip agrees.
-    const sim::Time t1 = ctx_.now();
-    Request rr, sr;
     WireMessage in;
-    if (rlen > 0) rr = irecv_wire(&in, left, tag);
-    if (slen > 0) {
-      sr = isend_wire(out, right, tag);
-      ++c.hops;
-    }
-    if (rr) (void)wait(rr);
-    if (sr) (void)wait(sr);
-    c.transfer_busy += ctx_.now() - t1;
-
+    c.exchange(rlen > 0 ? &in : nullptr, left, slen > 0 ? &out : nullptr, right, tag);
     if (rlen > 0) c.reduce(in, acc + rlo, rlen, op);
   }
   // Own shard's fused reduce finished the schedule; drain before callers
@@ -227,18 +231,9 @@ sim::Time Rank::ring_allgather_members(const std::vector<int>& members, int pos,
     const auto recv_s = static_cast<std::size_t>((pos - step - 1 + N) % N);
     const std::span<std::uint8_t> into = slices[recv_s];
 
-    const sim::Time t0 = ctx_.now();
-    Request rr, sr;
     WireMessage in;
-    if (!into.empty()) rr = irecv_wire(&in, left, tag);
-    if (!slices[send_s].empty()) {
-      sr = isend_wire(wires[send_s], right, tag);
-      ++c.hops;
-    }
-    if (rr) (void)wait(rr);
-    if (sr) (void)wait(sr);
-    c.transfer_busy += ctx_.now() - t0;
-
+    c.exchange(into.empty() ? nullptr : &in, left,
+               slices[send_s].empty() ? nullptr : &wires[send_s], right, tag);
     if (!into.empty()) {
       c.decode(in, into.data(), into.size());
       wires[recv_s] = std::move(in);

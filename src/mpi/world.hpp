@@ -300,6 +300,10 @@ class Rank {
     /// release every staging. Returns the time it took, for the caller to
     /// charge to whichever stage its window falls in.
     sim::Time drain();
+    /// One ring step: post the receive of `*in` from `left` (if `in` is
+    /// set), send `*out` to `right` (if `out` is set, counting a hop), wait
+    /// for both and charge the wait to transfer_busy.
+    void exchange(WireMessage* in, int left, const WireMessage* out, int right, int tag);
     /// Something was enqueued since the last drain.
     [[nodiscard]] bool pending() const { return pending_; }
     /// Append this call's CollectiveRecord of `bytes` (when telemetry is on).

@@ -1,8 +1,9 @@
 // Adaptive control-plane tests (the paper's Sec. IX closed loop): decision
 // determinism across reruns, convergence to the best fixed codec on a
 // stationary workload, codec quarantine under an injected fault storm, and
-// the all-ranks-agree contract for adaptive collective selection, plus a
-// pinned digest of every adaptive collective decision.
+// the all-ranks-agree contract for adaptive collective selection, plus
+// pinned digests of the codec decisions and of every adaptive collective
+// decision.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -173,6 +174,28 @@ TEST(Adaptive, QuarantinesFaultyCodecAndDegradesToRaw) {
   EXPECT_EQ(mpc_after_quarantine, 0);
   // The codec faults actually happened (the streak fed on real events).
   EXPECT_GE(telemetry.summarize().codec_faults, 3u);
+}
+
+// The codec decision logs of (a)'s lossy stream and (c)'s fault storm,
+// pinned: a change to how the controller prices a codec that moves any
+// decision, probe or predicted latency changes the digest.
+TEST(Adaptive, CodecDecisionsArePinned) {
+  const auto payload = data::generate("msg_sppm", (4u << 20) / 4);
+  std::string text;
+  for (const bool storm : {false, true}) {
+    fault::FaultInjector injector(fault::FaultPlan::flaky_codec(7, 1.0));
+    Telemetry telemetry;
+    AdaptiveOptions aopts;
+    aopts.lossy_allowed = !storm;
+    AdaptiveController controller(gpu::v100_spec(), kNetworkGbs, aopts);
+    run_p2p_stream(core::CompressionConfig::mpc_opt(), &controller, &telemetry,
+                   storm ? &injector : nullptr, payload, 24);
+    text += decision_csv(telemetry);
+  }
+  EXPECT_EQ(text.size(), 1946u);
+  EXPECT_EQ(gcmpi::testing::sha256_hex(
+                {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}),
+            "8bb5b9b275b3a2ae45e8978f1b99e9d5487ccb7cea244cbd418b9e437c36dfbc");
 }
 
 // (d) Collectives: the shared decision sequence keeps every rank on the

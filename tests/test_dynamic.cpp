@@ -89,12 +89,12 @@ TEST(DynamicSelector, MinRateConstraintRespected) {
 
 TEST(DynamicSelector, ApplyWritesConfig) {
   core::CompressionConfig cfg = core::CompressionConfig::mpc_opt();
-  core::CandidateCost zfp{Algorithm::ZFP, 8, 4.0, sim::Time::us(10)};
+  core::CandidateCost zfp{Algorithm::ZFP, 8, 4.0, sim::Time::us(10), {}, {}};
   DynamicSelector::apply(zfp, cfg);
   EXPECT_EQ(cfg.algorithm, Algorithm::ZFP);
   EXPECT_EQ(cfg.zfp_rate, 8);
 
-  core::CandidateCost none{Algorithm::None, 0, 1.0, sim::Time::us(10)};
+  core::CandidateCost none{Algorithm::None, 0, 1.0, sim::Time::us(10), {}, {}};
   DynamicSelector::apply(none, cfg);
   EXPECT_EQ(cfg.algorithm, Algorithm::None);
 }

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <vector>
 
-#include "data/datasets.hpp"
-#include "mpi/world.hpp"
+#include "common.hpp"
 
 namespace {
 
@@ -15,28 +14,10 @@ using mpi::Rank;
 using mpi::World;
 using sim::Time;
 
-/// One osu_latency-style ping-pong of `bytes` of `dataset` floats between
-/// ranks 0 and 1; returns the one-way latency (half round trip).
-Time pingpong_latency(const net::ClusterSpec& cluster, core::CompressionConfig cfg,
-                      std::size_t bytes, const std::vector<float>& payload) {
-  sim::Engine engine;
-  World world(engine, cluster, cfg);
-  Time rtt = Time::zero();
-  world.run([&](Rank& R) {
-    auto* dev = static_cast<float*>(R.gpu_malloc(bytes));
-    std::memcpy(dev, payload.data(), bytes);
-    if (R.rank() == 0) {
-      const Time t0 = R.now();
-      R.send(dev, bytes, 1, 1);
-      R.recv(dev, bytes, 1, 2);
-      rtt = R.now() - t0;
-    } else if (R.rank() == 1) {
-      R.recv(dev, bytes, 0, 1);
-      R.send(dev, bytes, 0, 2);
-    }
-    R.gpu_free(dev);
-  });
-  return Time::ns(rtt.count_ns() / 2);
+/// osu_latency's one-way latency of `payload` from rank 0 to rank 1.
+Time latency(const net::ClusterSpec& cluster, core::CompressionConfig cfg,
+             const std::vector<float>& payload) {
+  return bench::ping_pong(cluster, std::move(cfg), payload, /*warmup=*/false).one_way;
 }
 
 class InterNodeLatency : public ::testing::TestWithParam<std::size_t> {};
@@ -46,9 +27,9 @@ TEST_P(InterNodeLatency, Fig9ShapeOnLonghorn) {
   const auto payload = data::plateau_field(bytes / 4, 200, 256, 31);  // OMB-style dummy data
   const auto cluster = net::longhorn(2, 1);
 
-  const Time base = pingpong_latency(cluster, core::CompressionConfig::off(), bytes, payload);
-  const Time mpc = pingpong_latency(cluster, core::CompressionConfig::mpc_opt(), bytes, payload);
-  const Time zfp4 = pingpong_latency(cluster, core::CompressionConfig::zfp_opt(4), bytes, payload);
+  const Time base = latency(cluster, core::CompressionConfig::off(), payload);
+  const Time mpc = latency(cluster, core::CompressionConfig::mpc_opt(), payload);
+  const Time zfp4 = latency(cluster, core::CompressionConfig::zfp_opt(4), payload);
 
   if (bytes >= (4u << 20)) {
     // Fig. 9(a): MPC-OPT and ZFP-OPT(4) both beat the baseline at >= 4MB.
@@ -69,16 +50,13 @@ TEST(Integration, NaiveIntegrationIsWorseThanBaseline) {
   const std::size_t bytes = 1u << 20;
   const auto payload = data::smooth_field(bytes / 4, 1e-4, 3);
   const auto cluster = net::longhorn(2, 1);
-  const Time base = pingpong_latency(cluster, core::CompressionConfig::off(), bytes, payload);
-  const Time naive_mpc =
-      pingpong_latency(cluster, core::CompressionConfig::mpc_naive(), bytes, payload);
-  const Time naive_zfp =
-      pingpong_latency(cluster, core::CompressionConfig::zfp_naive(16), bytes, payload);
+  const Time base = latency(cluster, core::CompressionConfig::off(), payload);
+  const Time naive_mpc = latency(cluster, core::CompressionConfig::mpc_naive(), payload);
+  const Time naive_zfp = latency(cluster, core::CompressionConfig::zfp_naive(16), payload);
   EXPECT_GT(naive_mpc, base);
   EXPECT_GT(naive_zfp, base);
   // ... and the OPT schemes fix it (4x claim of Fig. 6 at larger sizes).
-  const Time opt_mpc =
-      pingpong_latency(cluster, core::CompressionConfig::mpc_opt(), bytes, payload);
+  const Time opt_mpc = latency(cluster, core::CompressionConfig::mpc_opt(), payload);
   EXPECT_LT(opt_mpc, naive_mpc);
 }
 
@@ -88,8 +66,8 @@ TEST(Integration, NvlinkMakesMpcUnprofitable) {
   const std::size_t bytes = 8u << 20;
   const auto payload = data::plateau_field(bytes / 4, 200, 256, 5);
   const auto cluster = net::longhorn(1, 2);  // intra-node pair
-  const Time base = pingpong_latency(cluster, core::CompressionConfig::off(), bytes, payload);
-  const Time mpc = pingpong_latency(cluster, core::CompressionConfig::mpc_opt(), bytes, payload);
+  const Time base = latency(cluster, core::CompressionConfig::off(), payload);
+  const Time mpc = latency(cluster, core::CompressionConfig::mpc_opt(), payload);
   EXPECT_GT(mpc, base);
 }
 
@@ -99,9 +77,9 @@ TEST(Integration, PcieIntraNodeBenefitsFromCompression) {
   const std::size_t bytes = 16u << 20;
   const auto payload = data::plateau_field(bytes / 4, 200, 256, 5);
   const auto cluster = net::frontera_liquid(1, 2);
-  const Time base = pingpong_latency(cluster, core::CompressionConfig::off(), bytes, payload);
-  const Time mpc = pingpong_latency(cluster, core::CompressionConfig::mpc_opt(), bytes, payload);
-  const Time zfp = pingpong_latency(cluster, core::CompressionConfig::zfp_opt(4), bytes, payload);
+  const Time base = latency(cluster, core::CompressionConfig::off(), payload);
+  const Time mpc = latency(cluster, core::CompressionConfig::mpc_opt(), payload);
+  const Time zfp = latency(cluster, core::CompressionConfig::zfp_opt(4), payload);
   EXPECT_LT(mpc, base);
   EXPECT_LT(zfp, base);
 }
@@ -110,9 +88,9 @@ TEST(Integration, LowerZfpRateLowerLatency) {
   const std::size_t bytes = 16u << 20;
   const auto payload = data::smooth_field(bytes / 4, 1e-4, 9);
   const auto cluster = net::frontera_liquid(2, 1);
-  const Time r16 = pingpong_latency(cluster, core::CompressionConfig::zfp_opt(16), bytes, payload);
-  const Time r8 = pingpong_latency(cluster, core::CompressionConfig::zfp_opt(8), bytes, payload);
-  const Time r4 = pingpong_latency(cluster, core::CompressionConfig::zfp_opt(4), bytes, payload);
+  const Time r16 = latency(cluster, core::CompressionConfig::zfp_opt(16), payload);
+  const Time r8 = latency(cluster, core::CompressionConfig::zfp_opt(8), payload);
+  const Time r4 = latency(cluster, core::CompressionConfig::zfp_opt(4), payload);
   EXPECT_LT(r8, r16);
   EXPECT_LT(r4, r8);
 }

@@ -17,11 +17,8 @@
 // --baseline   compare against a previous BENCH_codecs.json; exit 1 if any
 //              entry is missing from it or regressed by more than --threshold
 // --threshold  allowed fractional regression vs. baseline (default 0.25)
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,38 +35,11 @@
 namespace {
 
 using namespace gcmpi;
-using Clock = std::chrono::steady_clock;
+using bench::time_seconds;
 
 const bench::Schema kSchema{
     "gcmpi-bench-codecs-v1",
     {{"mbps", "input MB/s wall-clock"}, {"sim_gbs", "calibrated V100 model Gb/s"}}};
-
-/// Median-of-repeats wall time of `fn`, auto-scaling the iteration count so
-/// each repeat runs at least `min_seconds` (one-shot timings of a sub-ms
-/// codec call are dominated by clock noise).
-double time_seconds(const std::function<void()>& fn, double min_seconds) {
-  fn();  // warm caches, fault in pages
-  std::size_t iters = 1;
-  double elapsed = 0.0;
-  for (;;) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-    if (elapsed >= min_seconds || iters > (1u << 24)) break;
-    const double scale = elapsed > 1e-9 ? min_seconds / elapsed : 16.0;
-    iters = std::max(iters + 1, static_cast<std::size_t>(
-                                    static_cast<double>(iters) * std::min(scale * 1.3, 16.0)));
-  }
-  double best = elapsed / static_cast<double>(iters);
-  for (int r = 0; r < 2; ++r) {
-    const auto t0 = Clock::now();
-    for (std::size_t i = 0; i < iters; ++i) fn();
-    const double t = std::chrono::duration<double>(Clock::now() - t0).count() /
-                     static_cast<double>(iters);
-    best = std::min(best, t);
-  }
-  return best;
-}
 
 std::string size_label(std::size_t bytes) {
   char buf[32];
