@@ -1,16 +1,13 @@
 // google-benchmark microbenchmarks of the REAL codec implementations (CPU
 // wall-clock, this machine): MPC and ZFP (at several rates) on their
-// dispatched and portable paths, FPC, plus the CRC32C wire checksum on its
+// dispatched and portable paths, plus the CRC32C wire checksum on its
 // hardware and portable paths. These measure our from-scratch
 // implementations honestly — the GPU throughputs used in the simulation
 // come from the calibrated model, not from these numbers.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-
 #include <vector>
 
-#include "compress/fpc.hpp"
 #include "compress/mpc.hpp"
 #include "compress/zfp.hpp"
 #include "data/datasets.hpp"
@@ -140,18 +137,6 @@ void BM_ZfpDecompressPortable(benchmark::State& state) {
   BM_ZfpDecompressImpl<&comp::ZfpCodec::decompress_portable>(state);
 }
 BENCHMARK(BM_ZfpDecompressPortable)->Arg(4)->Arg(8)->Arg(16);
-
-void BM_FpcCompress(benchmark::State& state) {
-  std::vector<double> in((2u << 20) / 8);
-  for (std::size_t i = 0; i < in.size(); ++i) in[i] = std::sin(1e-3 * static_cast<double>(i));
-  comp::FpcCodec codec;
-  std::vector<std::uint8_t> out(codec.max_compressed_bytes(in.size()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(codec.compress(in, out));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * in.size() * 8));
-}
-BENCHMARK(BM_FpcCompress);
 
 template <std::uint32_t (*Crc)(const void*, std::size_t, std::uint32_t)>
 void BM_Crc32cImpl(benchmark::State& state) {

@@ -22,8 +22,7 @@ namespace {
 constexpr std::size_t kSplitValues = std::size_t{128} << 10;
 constexpr std::size_t kPieceValues = std::size_t{32} << 10;
 
-template <typename T>
-void reduce_range(T* acc, const T* in, std::size_t begin, std::size_t end, ReduceOp op) {
+void reduce_range(float* acc, const float* in, std::size_t begin, std::size_t end, ReduceOp op) {
   switch (op) {
     case ReduceOp::Sum:
       for (std::size_t i = begin; i < end; ++i) acc[i] += in[i];
@@ -37,22 +36,13 @@ void reduce_range(T* acc, const T* in, std::size_t begin, std::size_t end, Reduc
   }
 }
 
-template <typename T>
-void reduce_impl(T* acc, const T* in, std::size_t n, ReduceOp op) {
+}  // namespace
+
+void reduce_inplace(float* acc, const float* in, std::size_t n, ReduceOp op) {
   util::parallel_for(n, n < kSplitValues ? n : kPieceValues,
                      [=](std::size_t begin, std::size_t end) {
                        reduce_range(acc, in, begin, end, op);
                      });
-}
-
-}  // namespace
-
-void reduce_inplace(float* acc, const float* in, std::size_t n, ReduceOp op) {
-  reduce_impl(acc, in, n, op);
-}
-
-void reduce_inplace(double* acc, const double* in, std::size_t n, ReduceOp op) {
-  reduce_impl(acc, in, n, op);
 }
 
 }  // namespace gcmpi::comp

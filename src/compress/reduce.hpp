@@ -28,6 +28,5 @@ enum class ReduceOp : std::uint8_t { Sum, Max, Min };
 
 /// acc[i] = op(acc[i], in[i]) for i in [0, n).
 void reduce_inplace(float* acc, const float* in, std::size_t n, ReduceOp op);
-void reduce_inplace(double* acc, const double* in, std::size_t n, ReduceOp op);
 
 }  // namespace gcmpi::comp

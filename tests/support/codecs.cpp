@@ -6,11 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
-#include "compress/fpc.hpp"
-#include "compress/gfc.hpp"
-#include "compress/huffman.hpp"
 #include "compress/mpc.hpp"
-#include "compress/sz.hpp"
 #include "compress/zfp.hpp"
 
 namespace gcmpi::testing {
@@ -20,24 +16,20 @@ namespace {
 using comp::ZfpCodec;
 using comp::ZfpField;
 
-template <typename T>
-std::string hex_bits(T v) {
-  using U = std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>;
+std::string hex_bits(float v) {
   std::ostringstream os;
-  os << "0x" << std::hex << std::setw(sizeof(T) * 2) << std::setfill('0')
-     << std::bit_cast<U>(v);
+  os << "0x" << std::hex << std::setw(8) << std::setfill('0') << std::bit_cast<std::uint32_t>(v);
   return os.str();
 }
 
-template <typename T>
-std::optional<std::string> first_bit_divergence(std::span<const T> in,
-                                                std::span<const T> out) {
+std::optional<std::string> first_bit_divergence(std::span<const float> in,
+                                                std::span<const float> out) {
   if (in.size() != out.size()) {
     return "restored " + std::to_string(out.size()) + " of " +
            std::to_string(in.size()) + " values";
   }
   for (std::size_t i = 0; i < in.size(); ++i) {
-    if (std::memcmp(&in[i], &out[i], sizeof(T)) != 0) {
+    if (std::memcmp(&in[i], &out[i], sizeof(float)) != 0) {
       return "first divergence at [" + std::to_string(i) + "]: wrote " +
              hex_bits(in[i]) + " read " + hex_bits(out[i]);
     }
@@ -97,80 +89,6 @@ Property<float> zfp_rate_prop(int rate) {
   };
 }
 
-Property<float> sz_prop(double bound, int quant_bits) {
-  return [bound, quant_bits](std::span<const float> in) -> std::optional<std::string> {
-    const comp::SzCodec codec(bound, quant_bits);
-    std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-    const std::size_t size = codec.compress(in, buf);
-    if (size > buf.size()) return "compress overran max_compressed_bytes";
-    if (comp::SzCodec::encoded_values({buf.data(), size}) != in.size()) {
-      return "encoded_values header peek mismatch";
-    }
-    std::vector<float> out(in.size(), -99.0f);
-    if (codec.decompress({buf.data(), size}, out) != in.size()) {
-      return "decompress returned wrong count";
-    }
-    return bound_divergence(in, std::span<const float>(out), bound);
-  };
-}
-
-/// Huffman over the raw bit patterns of the payload (the SZ quantization
-/// codes in production): table + stream must restore every symbol.
-Property<float> huffman_prop() {
-  return [](std::span<const float> in) -> std::optional<std::string> {
-    if (in.empty()) return std::nullopt;
-    std::vector<std::uint32_t> symbols(in.size());
-    std::memcpy(symbols.data(), in.data(), in.size() * sizeof(float));
-    comp::BitWriter w;
-    const comp::HuffmanEncoder enc(symbols);
-    enc.write_table(w);
-    for (std::uint32_t s : symbols) enc.encode(w, s);
-    const auto bytes = w.take();
-    comp::BitReader r(bytes);
-    const comp::HuffmanDecoder dec(r);
-    if (dec.distinct_symbols() != enc.distinct_symbols()) {
-      return "decoder rebuilt a different codebook size";
-    }
-    for (std::size_t i = 0; i < symbols.size(); ++i) {
-      const std::uint32_t got = dec.decode(r);
-      if (got != symbols[i]) {
-        return "first divergence at [" + std::to_string(i) + "]: wrote " +
-               hex_bits(std::bit_cast<float>(symbols[i])) + " read " +
-               hex_bits(std::bit_cast<float>(got));
-      }
-    }
-    return std::nullopt;
-  };
-}
-
-Property<double> fpc_prop(unsigned lg) {
-  return [lg](std::span<const double> in) -> std::optional<std::string> {
-    const comp::FpcCodec codec(lg);
-    std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-    const std::size_t size = codec.compress(in, buf);
-    if (size > buf.size()) return "compress overran max_compressed_bytes";
-    std::vector<double> out(in.size(), -99.0);
-    if (codec.decompress({buf.data(), size}, out) != in.size()) {
-      return "decompress returned wrong count";
-    }
-    return first_bit_divergence(in, std::span<const double>(out));
-  };
-}
-
-Property<double> gfc_prop(std::size_t chunk) {
-  return [chunk](std::span<const double> in) -> std::optional<std::string> {
-    const comp::GfcCodec codec(chunk);
-    std::vector<std::uint8_t> buf(codec.max_compressed_bytes(in.size()));
-    const std::size_t size = codec.compress(in, buf);
-    if (size > buf.size()) return "compress overran max_compressed_bytes";
-    std::vector<double> out(in.size(), -99.0);
-    if (codec.decompress({buf.data(), size}, out) != in.size()) {
-      return "decompress returned wrong count";
-    }
-    return first_bit_divergence(in, std::span<const double>(out));
-  };
-}
-
 }  // namespace
 
 std::vector<FloatCodecCheck> float_codec_checks() {
@@ -186,18 +104,6 @@ std::vector<FloatCodecCheck> float_codec_checks() {
   for (int rate : {4, 8, 16, 32}) {
     checks.push_back({"zfp_rate" + std::to_string(rate), true, 1u << 15, zfp_rate_prop(rate)});
   }
-  checks.push_back({"sz_1e_2_q16", true, 1u << 15, sz_prop(1e-2, 16)});
-  checks.push_back({"sz_1e_4_q12", true, 1u << 15, sz_prop(1e-4, 12)});
-  checks.push_back({"huffman_bits", false, 1u << 14, huffman_prop()});
-  return checks;
-}
-
-std::vector<DoubleCodecCheck> double_codec_checks() {
-  std::vector<DoubleCodecCheck> checks;
-  checks.push_back({"fpc_lg10", false, 1u << 15, fpc_prop(10)});
-  checks.push_back({"fpc_lg16", false, 1u << 15, fpc_prop(16)});
-  checks.push_back({"gfc_chunk32", false, 1u << 15, gfc_prop(32)});
-  checks.push_back({"gfc_chunk1024", false, 1u << 15, gfc_prop(1024)});
   return checks;
 }
 

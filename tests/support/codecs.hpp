@@ -1,9 +1,9 @@
-// Uniform round-trip properties for every codec in src/compress, shaped
+// Uniform round-trip properties for the two codecs in src/compress, shaped
 // for the property harness: each entry is a named Property that compresses
-// a payload, decompresses it, and validates either bit-exactness (MPC,
-// FPC, GFC, Huffman) or the codec's published error bound (ZFP fixed
-// rate/accuracy, SZ). The fuzz suite iterates these against all payload
-// kinds; the failure message pinpoints the first diverging value.
+// a float32 payload, decompresses it, and validates either bit-exactness
+// (MPC) or the codec's published error bound (ZFP fixed rate). The fuzz
+// suite iterates these against all payload kinds; the failure message
+// pinpoints the first diverging value.
 #pragma once
 
 #include <string>
@@ -21,19 +21,8 @@ struct FloatCodecCheck {
   Property<float> prop;
 };
 
-struct DoubleCodecCheck {
-  std::string name;
-  bool finite_only = false;
-  std::size_t max_values = 1u << 15;
-  Property<double> prop;
-};
-
 /// All float32 codec round-trip properties: MPC at several dimensionalities
-/// and chunk sizes, ZFP at every paper rate plus the variable-size modes,
-/// SZ at loose and tight bounds, and Huffman over the raw bit patterns.
+/// and chunk sizes, and fixed-rate ZFP at every paper rate.
 [[nodiscard]] std::vector<FloatCodecCheck> float_codec_checks();
-
-/// All float64 codec properties: MPC64, FPC, GFC.
-[[nodiscard]] std::vector<DoubleCodecCheck> double_codec_checks();
 
 }  // namespace gcmpi::testing

@@ -11,7 +11,6 @@ namespace gcmpi::testing {
 namespace {
 
 float from_bits(std::uint32_t bits) { return std::bit_cast<float>(bits); }
-double from_bits64(std::uint64_t bits) { return std::bit_cast<double>(bits); }
 
 std::vector<float> constant(std::size_t n, sim::Rng& rng) {
   const float v = static_cast<float>(rng.uniform(-1e4, 1e4));
@@ -196,38 +195,6 @@ std::vector<float> make_floats(PayloadKind kind, std::size_t n, std::uint64_t se
     case PayloadKind::kCount: break;
   }
   return {};
-}
-
-std::vector<double> make_doubles(PayloadKind kind, std::size_t n, std::uint64_t seed) {
-  if (kind == PayloadKind::HighEntropy) {
-    sim::Rng rng(seed * 0x100000001b3ULL + static_cast<std::uint64_t>(kind));
-    std::vector<double> v(n);
-    for (auto& x : v) x = from_bits64(rng.next_u64());
-    return v;
-  }
-  if (kind == PayloadKind::SpecialValues) {
-    sim::Rng rng(seed * 0x100000001b3ULL + static_cast<std::uint64_t>(kind));
-    static const double kEdge[] = {
-        0.0, -0.0,
-        std::numeric_limits<double>::infinity(), -std::numeric_limits<double>::infinity(),
-        std::numeric_limits<double>::quiet_NaN(),
-        from_bits64(0x7ff0000000000001ULL),  // signaling-NaN bit pattern
-        std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
-        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
-        -std::numeric_limits<double>::max(), 1.0, -1.0,
-    };
-    std::vector<double> v(n);
-    for (auto& x : v) {
-      x = rng.next_double() < 0.7 ? kEdge[rng.next_below(sizeof(kEdge) / sizeof(kEdge[0]))]
-                                  : rng.normal();
-    }
-    return v;
-  }
-  // Widen the float generators: exact in double, keeps the same structure.
-  const auto f = make_floats(kind, n, seed);
-  std::vector<double> v(f.size());
-  for (std::size_t i = 0; i < f.size(); ++i) v[i] = static_cast<double>(f[i]);
-  return v;
 }
 
 PayloadCase draw_case(sim::Rng& rng, std::size_t max_values, bool finite_only) {

@@ -40,8 +40,6 @@ enum class PayloadKind : int {
 
 [[nodiscard]] std::vector<float> make_floats(PayloadKind kind, std::size_t n,
                                              std::uint64_t seed);
-[[nodiscard]] std::vector<double> make_doubles(PayloadKind kind, std::size_t n,
-                                               std::uint64_t seed);
 
 /// One drawn fuzz case: everything needed to regenerate the payload.
 struct PayloadCase {

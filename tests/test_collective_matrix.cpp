@@ -5,15 +5,12 @@
 // oracle BIT-exactly; ZFP is lossy per hop, so ring results are compared
 // within a P-scaled tolerance of the oracle on smooth payloads.
 //
-// The FPC codec is double-precision and has no manager-level wire
-// algorithm, so its fused-reduce conformance lives at the codec level in
-// tests/test_fuzz_reduce.cpp.
-//
 // The full cross product would be ~1800 worlds; this suite runs a curated
 // ~90-world cover: every dimension is swept fully against a fixed setting
 // of the others, plus the interesting interactions (multi-chunk pipeline,
-// Auto selection crossover). Labeled `collectives` in ctest (see
-// tests/CMakeLists.txt); CI runs `ctest -L collectives` as its own step.
+// Auto selection crossover). Each test case is its own ctest entry,
+// labeled `collectives` (see tests/CMakeLists.txt); CI runs
+// `ctest -L collectives` as its own step.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,6 +1,6 @@
 // Shrinking property tests for the fused decompress+reduce path that the
 // collective engine rides (core::CompressionManager::decompress_reduce and
-// reduce_device), plus codec-level reduce conformance for FPC doubles.
+// reduce_device).
 //
 // Core property: for any payload `a` and accumulator `b`,
 //     decompress_reduce(compress(a), acc = b)
@@ -20,7 +20,6 @@
 #include <sstream>
 #include <vector>
 
-#include "compress/fpc.hpp"
 #include "compress/reduce.hpp"
 #include "core/manager.hpp"
 #include "fault/injector.hpp"
@@ -31,7 +30,6 @@
 namespace {
 
 using namespace gcmpi::core;
-using gcmpi::comp::FpcCodec;
 using gcmpi::comp::reduce_inplace;
 using gcmpi::comp::ReduceOp;
 using gcmpi::gpu::Gpu;
@@ -39,7 +37,6 @@ using gcmpi::gpu::v100_spec;
 using gcmpi::sim::Time;
 using gcmpi::sim::Timeline;
 using gcmpi::testing::check_property;
-using gcmpi::testing::make_doubles;
 using gcmpi::testing::make_floats;
 using gcmpi::testing::PayloadCase;
 using gcmpi::testing::PayloadKind;
@@ -177,36 +174,6 @@ TEST(FuzzReduce, ReduceDeviceMatchesHostFold) {
   };
   auto report = check_property<float>("reduce-device", 40, test_seed() + 2, 1 << 14,
                                       /*finite_only=*/false, gen, prop);
-  EXPECT_FALSE(report.has_value()) << *report;
-}
-
-TEST(FuzzReduce, FpcDoubleRoundTripThenReduceIsLossless) {
-  // The wire algorithms are float-only; FPC covers the double-precision
-  // reduce story at the codec level: compress/decompress must round-trip
-  // bit-exactly, so reduce_inplace over decoded doubles == over originals.
-  const FpcCodec codec;
-  const auto gen = [](const PayloadCase& c) { return make_doubles(c.kind, c.n, c.seed); };
-  const Property<double> prop = [&](std::span<const double> v) -> std::optional<std::string> {
-    std::vector<std::uint8_t> wire(codec.max_compressed_bytes(v.size()));
-    const std::size_t used = codec.compress(v, wire);
-    std::vector<double> decoded(v.size(), -1.0);
-    codec.decompress(std::span<const std::uint8_t>(wire.data(), used), decoded);
-    for (ReduceOp op : kOps) {
-      std::vector<double> expect(v.size()), acc(v.size());
-      for (std::size_t i = 0; i < v.size(); ++i) {
-        expect[i] = acc[i] = 1.0 / (1.0 + static_cast<double>(i));
-      }
-      reduce_inplace(expect.data(), v.data(), v.size(), op);
-      reduce_inplace(acc.data(), decoded.data(), v.size(), op);
-      if (!v.empty() && std::memcmp(expect.data(), acc.data(), v.size() * 8) != 0) {
-        return std::string("op=") + gcmpi::comp::reduce_op_name(op) +
-               ": decoded-fold diverged from original-fold";
-      }
-    }
-    return std::nullopt;
-  };
-  auto report = check_property<double>("fpc-reduce", 40, test_seed() + 3, 1 << 13,
-                                       /*finite_only=*/false, gen, prop);
   EXPECT_FALSE(report.has_value()) << *report;
 }
 

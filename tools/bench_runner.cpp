@@ -1,13 +1,13 @@
 // bench_runner — the repo's wall-clock perf trajectory.
 //
-// Sweeps every real codec implementation (MPC/MPC64, ZFP at several rates,
-// FPC, SZ, GFC) over the Table-III synthetic datasets at several message
-// sizes, measures host wall-clock throughput (MB/s, input-referenced), and
-// writes BENCH_codecs.json so each PR leaves a machine-readable perf record
-// behind. For the codecs the paper's GPU cost model covers (MPC, ZFP) the
-// calibrated simulated throughput (Gb/s) is reported next to the measured
-// number — the simulation column is what the paper's figures use; the
-// wall-clock column is what this repo's experiments actually pay.
+// Sweeps both codecs messages run (MPC, and ZFP at rates 4, 8 and 16) over
+// the Table-III synthetic datasets at several message sizes, measures host
+// wall-clock throughput (MB/s, input-referenced), and writes
+// BENCH_codecs.json so each change leaves a machine-readable perf record
+// behind. The calibrated simulated throughput (Gb/s) of the paper's GPU cost
+// model is reported next to the measured number — the simulation column is
+// what the paper's figures use; the wall-clock column is what this repo's
+// experiments actually pay.
 //
 // Usage:
 //   bench_runner [--quick] [--out FILE] [--baseline FILE] [--threshold FRAC]
@@ -22,11 +22,8 @@
 #include <string>
 #include <vector>
 
-#include "compress/fpc.hpp"
-#include "compress/gfc.hpp"
 #include "compress/kernel_cost.hpp"
 #include "compress/mpc.hpp"
-#include "compress/sz.hpp"
 #include "compress/zfp.hpp"
 #include "data/datasets.hpp"
 #include "gpu/cost_model.hpp"
@@ -75,7 +72,7 @@ double sim_gbs_zfp(bool compress, std::size_t in_bytes, int rate) {
 /// Prints and appends the rows <codec>.<op>/<dataset>/<size> for op =
 /// compress, decompress and roundtrip. mbps is wall-clock and
 /// input-referenced, ratio is in/out, sim_gbs the calibrated GPU-model
-/// throughput (0 = not modeled).
+/// throughput.
 void push_pair(std::vector<bench::Row>& out, const std::string& codec, const std::string& dataset,
                std::size_t bytes, double t_comp, double t_dec, double ratio, double sim_c,
                double sim_d) {
@@ -147,46 +144,6 @@ void bench_all(bool quick, std::vector<bench::Row>& results) {
         push_pair(results, label, ds, bytes, t_c, t_d,
                   static_cast<double>(bytes) / static_cast<double>(csize),
                   sim_gbs_zfp(true, bytes, rate), sim_gbs_zfp(false, bytes, rate));
-      }
-
-      {  // SZ error-bounded (float)
-        comp::SzCodec codec(1e-3);
-        std::vector<std::uint8_t> buf(codec.max_compressed_bytes(n));
-        const std::size_t csize = codec.compress(in, buf);
-        std::vector<float> back(n);
-        const double t_c = time_seconds([&] { (void)codec.compress(in, buf); }, min_s);
-        const double t_d = time_seconds(
-            [&] { (void)codec.decompress({buf.data(), csize}, back); }, min_s);
-        push_pair(results, "sz", ds, bytes, t_c, t_d,
-                  static_cast<double>(bytes) / static_cast<double>(csize), 0.0, 0.0);
-      }
-
-      if (ds == float_sets.front()) {  // double codecs: one dataset is enough
-        std::vector<double> din(bytes / 8);
-        for (std::size_t i = 0; i < din.size(); ++i) din[i] = in[i * 2];
-
-        {
-          comp::FpcCodec codec;
-          std::vector<std::uint8_t> buf(codec.max_compressed_bytes(din.size()));
-          const std::size_t csize = codec.compress(din, buf);
-          std::vector<double> back(din.size());
-          const double t_c = time_seconds([&] { (void)codec.compress(din, buf); }, min_s);
-          const double t_d = time_seconds(
-              [&] { (void)codec.decompress({buf.data(), csize}, back); }, min_s);
-          push_pair(results, "fpc", ds, bytes, t_c, t_d,
-                    static_cast<double>(bytes) / static_cast<double>(csize), 0.0, 0.0);
-        }
-        {
-          comp::GfcCodec codec;
-          std::vector<std::uint8_t> buf(codec.max_compressed_bytes(din.size()));
-          const std::size_t csize = codec.compress(din, buf);
-          std::vector<double> back(din.size());
-          const double t_c = time_seconds([&] { (void)codec.compress(din, buf); }, min_s);
-          const double t_d = time_seconds(
-              [&] { (void)codec.decompress({buf.data(), csize}, back); }, min_s);
-          push_pair(results, "gfc", ds, bytes, t_c, t_d,
-                    static_cast<double>(bytes) / static_cast<double>(csize), 0.0, 0.0);
-        }
       }
     }
   }

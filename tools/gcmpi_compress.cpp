@@ -1,4 +1,4 @@
-// gcmpi_compress: command-line file compressor exposing every codec in the
+// gcmpi_compress: command-line file compressor exposing both codecs in the
 // library — the offline counterpart of the on-the-fly framework, handy for
 // inspecting how a dataset will behave before enabling compression in the
 // MPI path.
@@ -11,9 +11,6 @@
 // codecs (param):
 //   mpc [dimensionality]      float32, lossless
 //   zfp [rate]                float32, fixed-rate lossy
-//   sz  [error_bound]         float32, error-bounded lossy
-//   fpc                       float64, lossless (CPU baseline)
-//   gfc                       float64, lossless (GPU-style baseline)
 //
 // `crc` prints the CRC32C (Castagnoli) of each file — the same checksum
 // the reliability layer stamps on every wire payload, so a transferred
@@ -33,10 +30,7 @@
 #include <vector>
 
 #include "adapt/controller.hpp"
-#include "compress/fpc.hpp"
-#include "compress/gfc.hpp"
 #include "compress/mpc.hpp"
-#include "compress/sz.hpp"
 #include "compress/zfp.hpp"
 #include "core/telemetry.hpp"
 #include "data/datasets.hpp"
@@ -60,19 +54,18 @@ void write_file(const std::string& path, const std::uint8_t* data, std::size_t s
   out.write(reinterpret_cast<const char*>(data), static_cast<std::streamsize>(size));
 }
 
-template <typename T>
-std::vector<T> as_values(const std::vector<std::uint8_t>& bytes) {
-  if (bytes.size() % sizeof(T) != 0) {
+std::vector<float> as_floats(const std::vector<std::uint8_t>& bytes) {
+  if (bytes.size() % sizeof(float) != 0) {
     throw std::runtime_error("input size is not a multiple of the value size");
   }
-  std::vector<T> v(bytes.size() / sizeof(T));
+  std::vector<float> v(bytes.size() / sizeof(float));
   std::memcpy(v.data(), bytes.data(), bytes.size());
   return v;
 }
 
 int usage() {
   std::fprintf(stderr,
-               "usage: gcmpi_compress c|d mpc|zfp|sz|fpc|gfc <in> <out> [param]\n"
+               "usage: gcmpi_compress c|d mpc|zfp <in> <out> [param]\n"
                "       gcmpi_compress crc <in> [...]\n"
                "       gcmpi_compress trace [out.json] [dataset]\n");
   return 2;
@@ -131,12 +124,12 @@ int run_trace(const std::string& out_path, const std::string& dataset) {
 }
 
 // The zfp container needs the value count for decompression; prepend a
-// tiny header for the CLI format.
+// tiny header for the CLI format. `param` is the mpc dimensionality or the
+// zfp rate.
 struct CliHeader {
   std::uint32_t magic = 0x47434d43u;  // "GCMC"
   std::uint32_t param = 0;
   std::uint64_t values = 0;
-  double fparam = 0.0;
 };
 
 }  // namespace
@@ -170,7 +163,7 @@ int main(int argc, char** argv) {
   const std::string out_path = argv[4];
   const double param = argc > 5 ? std::atof(argv[5]) : 0.0;
   const bool compressing = op == "c";
-  if (!compressing && op != "d") return usage();
+  if ((!compressing && op != "d") || (codec != "mpc" && codec != "zfp")) return usage();
 
   try {
     const auto input = read_file(in_path);
@@ -178,44 +171,21 @@ int main(int argc, char** argv) {
     std::vector<std::uint8_t> out;
 
     if (compressing) {
+      const auto values = as_floats(input);
       CliHeader hdr;
+      hdr.values = values.size();
       std::vector<std::uint8_t> body;
       if (codec == "mpc") {
-        const auto values = as_values<float>(input);
         MpcCodec c(param > 0 ? static_cast<int>(param) : 1);
         body.resize(c.max_compressed_bytes(values.size()));
         body.resize(c.compress(values, body));
         hdr.param = static_cast<std::uint32_t>(c.dimensionality());
-        hdr.values = values.size();
-      } else if (codec == "zfp") {
-        const auto values = as_values<float>(input);
+      } else {
         ZfpCodec c(param > 0 ? static_cast<int>(param) : 16);
         const ZfpField f = ZfpField::d1(values.size());
         body.resize(c.compressed_bytes(f));
         body.resize(c.compress(values, f, body));
         hdr.param = static_cast<std::uint32_t>(c.rate());
-        hdr.values = values.size();
-      } else if (codec == "sz") {
-        const auto values = as_values<float>(input);
-        SzCodec c(param > 0 ? param : 1e-3);
-        body.resize(c.max_compressed_bytes(values.size()));
-        body.resize(c.compress(values, body));
-        hdr.fparam = c.error_bound();
-        hdr.values = values.size();
-      } else if (codec == "fpc") {
-        const auto values = as_values<double>(input);
-        FpcCodec c;
-        body.resize(c.max_compressed_bytes(values.size()));
-        body.resize(c.compress(values, body));
-        hdr.values = values.size();
-      } else if (codec == "gfc") {
-        const auto values = as_values<double>(input);
-        GfcCodec c;
-        body.resize(c.max_compressed_bytes(values.size()));
-        body.resize(c.compress(values, body));
-        hdr.values = values.size();
-      } else {
-        return usage();
       }
       out.resize(sizeof(CliHeader) + body.size());
       std::memcpy(out.data(), &hdr, sizeof(hdr));
@@ -227,48 +197,19 @@ int main(int argc, char** argv) {
       if (hdr.magic != 0x47434d43u) throw std::runtime_error("not a gcmpi_compress file");
       const std::span<const std::uint8_t> body{input.data() + sizeof(hdr),
                                                input.size() - sizeof(hdr)};
-      // The output is sized from the header; a stream holding fewer values
-      // would leave its tail as zeros. (zfp's fixed-rate size check covers
-      // this case.)
-      const auto expect_values = [&hdr](std::size_t decoded) {
-        if (decoded != hdr.values) {
+      std::vector<float> values(hdr.values);
+      if (codec == "mpc") {
+        // The output is sized from the header; a stream holding fewer values
+        // would leave its tail as zeros. (zfp's fixed-rate size check covers
+        // this case.)
+        if (MpcCodec(static_cast<int>(hdr.param)).decompress(body, values) != hdr.values) {
           throw std::runtime_error("container header disagrees with its stream");
         }
-      };
-      if (codec == "mpc") {
-        MpcCodec c(static_cast<int>(hdr.param));
-        std::vector<float> values(hdr.values);
-        expect_values(c.decompress(body, values));
-        out.resize(values.size() * 4);
-        std::memcpy(out.data(), values.data(), out.size());
-      } else if (codec == "zfp") {
-        const ZfpCodec c(static_cast<int>(hdr.param));
-        const ZfpField f = ZfpField::d1(hdr.values);
-        std::vector<float> values(hdr.values);
-        c.decompress(body, f, values);
-        out.resize(values.size() * 4);
-        std::memcpy(out.data(), values.data(), out.size());
-      } else if (codec == "sz") {
-        SzCodec c(hdr.fparam);
-        std::vector<float> values(hdr.values);
-        expect_values(c.decompress(body, values));
-        out.resize(values.size() * 4);
-        std::memcpy(out.data(), values.data(), out.size());
-      } else if (codec == "fpc") {
-        FpcCodec c;
-        std::vector<double> values(hdr.values);
-        expect_values(c.decompress(body, values));
-        out.resize(values.size() * 8);
-        std::memcpy(out.data(), values.data(), out.size());
-      } else if (codec == "gfc") {
-        GfcCodec c;
-        std::vector<double> values(hdr.values);
-        expect_values(c.decompress(body, values));
-        out.resize(values.size() * 8);
-        std::memcpy(out.data(), values.data(), out.size());
       } else {
-        return usage();
+        ZfpCodec(static_cast<int>(hdr.param)).decompress(body, ZfpField::d1(hdr.values), values);
       }
+      out.resize(values.size() * 4);
+      std::memcpy(out.data(), values.data(), out.size());
     }
 
     const auto t1 = std::chrono::steady_clock::now();
