@@ -4,7 +4,7 @@
 // MPI_Alltoall algorithm sweep on the Longhorn preset: the naive pairwise
 // sendrecv loop (one compression launch + sync per destination block, P-1
 // of them serialized) against the batched engine (ONE launch for all P-1
-// blocks via CompressionManager::compress_batch, slab slices exchanged
+// blocks in one CompressionManager launch, slab slices exchanged
 // over the scattered pairwise schedule, decodes overlapped). Per-stage
 // breakdowns come from the telemetry event log. The simulation is
 // deterministic, so the JSON this writes (BENCH_alltoall.json) is an exact

@@ -34,7 +34,7 @@ struct PlanEntry;
 
 /// One staging device buffer and who owns it: a BufferPool lease (OPT), a
 /// timed cudaMalloc (naive), or a slot held by a cached plan. Handed out by
-/// the CompressionManager's compress/prepare calls and returned with
+/// the CompressionManager's launch/prepare calls and returned with
 /// CompressionManager::release, whichever call acquired it. A copy refers
 /// to the same buffer; release exactly one of them.
 struct Staging {
@@ -56,13 +56,17 @@ struct Staging {
   }
 };
 
+/// Encode launches key their plan by (kernel count << 16 | MPC blocks per
+/// kernel or ZFP rate); see CompressionManager::launch.
 enum class PlanKind : std::uint8_t {
-  SendP2P,   // compress_for_send: staging + launch round (param: partitions / zfp rate)
-  Recv,      // prepare_receive staging + decompress_received / decompress_reduce round
-  Batch,     // compress_batch slab + offset table + batched launch round
-  ChunkSend, // compress_chunk: per-chunk staging + single-kernel launch
-  ChunkRecv, // decompress_chunk: launch graph only (decodes into a pipeline slice)
-  PipeRecv,  // prepare_pipeline_receive slice slab (staging only)
+  SendP2P,   // message launch: staging + launch round
+  Recv,      // prepare_receive staging + the decode round of a received message
+             // (param: partitions / zfp rate)
+  Batch,     // batch launch: slab + offset table + one launch round
+  ChunkSend, // pipeline chunk launch: per-chunk staging + single-kernel launch
+  ChunkRecv, // pipeline chunk decode: launch graph only, decodes into a pipeline
+             // slice (param: blocks)
+  PipeRecv,  // prepare_pipeline_receive slice slab (staging only; param: slices)
 };
 
 struct PlanKey {

@@ -4,8 +4,8 @@
 // The naive alltoall compresses each of the P-1 per-destination blocks
 // with its own kernel launch and sync, so launch overhead scales O(P) per
 // rank. The batched engine compresses ALL outgoing blocks in one launch
-// round (CompressionManager::compress_batch divides the SMs across the
-// blocks and packs them into one wire slab), then serves every destination
+// round (a CompressionManager launch at the batch placement divides the SMs
+// across the blocks and packs them into one wire slab), then serves every destination
 // its slice over the scattered pairwise schedule — at step t, rank r sends
 // to (r+t)%P and receives from (r-t)%P, so no port sees two slices at
 // once. Receivers enqueue each arriving slice's decompression on the

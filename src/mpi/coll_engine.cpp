@@ -71,34 +71,28 @@ void Rank::Collective::finish(std::uint64_t bytes) {
 
 void Rank::Collective::decode(const WireMessage& in, void* dst, std::uint64_t bytes,
                               int stream_hint) {
-  const sim::Time started = rank_.ctx_.now();
-  sim::Timeline tl(started);
-  const core::Staging staging = in.header.compressed ? stage(tl, in) : core::Staging{};
-  core::CompressionManager::retry_decode([&] {
-    rank_.world_.land(tl, rank_.rank_, in, staging, dst, bytes, /*synchronize=*/false,
-                      stream_hint);
-  });
-  pending_ = true;
-  reduce_busy += settle(tl, started);
+  land(in, dst, bytes, core::CompressionManager::Placement::message(stream_hint, false),
+       std::nullopt);
 }
 
 void Rank::Collective::reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op) {
+  land(in, acc, n * 4, core::CompressionManager::Placement::message(0, false), op);
+  ++reduces;
+}
+
+void Rank::Collective::land(const WireMessage& in, void* dst, std::uint64_t bytes,
+                            const core::CompressionManager::Placement& at,
+                            std::optional<ReduceOp> fold) {
   const sim::Time started = rank_.ctx_.now();
   sim::Timeline tl(started);
-  auto& mgr = rank_.compression();
+  core::Staging staging;
   if (in.header.compressed) {
-    const core::Staging& staging = stage(tl, in);
-    util::copy_bytes(staging.data, in.payload->data(), in.payload->size());
-    core::CompressionManager::retry_decode([&] {
-      mgr.decompress_reduce(tl, in.header, staging, acc, n * 4, op, /*synchronize=*/false);
-    });
-  } else {
-    (void)mgr.reduce_device(tl, reinterpret_cast<const float*>(in.payload->data()), acc, n,
-                            op, /*synchronize=*/false);
+    staging = stagings_.emplace_back(rank_.compression().prepare_receive(tl, in.header));
   }
+  core::CompressionManager::retry_decode(
+      [&] { rank_.world_.land(tl, rank_.rank_, in, staging, dst, bytes, at, fold); });
   pending_ = true;
   reduce_busy += settle(tl, started);
-  ++reduces;
 }
 
 sim::Time Rank::Collective::drain() {
@@ -124,10 +118,6 @@ void Rank::Collective::exchange(WireMessage* in, int left, const WireMessage* ou
   if (rr) (void)rank_.wait(rr);
   if (sr) (void)rank_.wait(sr);
   transfer_busy += rank_.ctx_.now() - started;
-}
-
-const core::Staging& Rank::Collective::stage(sim::Timeline& tl, const WireMessage& in) {
-  return stagings_.emplace_back(rank_.compression().prepare_receive(tl, in.header));
 }
 
 sim::Time Rank::Collective::settle(const sim::Timeline& tl, sim::Time started) {

@@ -241,7 +241,7 @@ World::Payload World::copy(HostCounters::Copies& site, std::span<const std::uint
   return {*owner, owner};
 }
 
-World::Payload World::take(const core::CompressionManager::WireBlock& w, bool minted) {
+World::Payload World::take(const Manager::WireBlock& w, bool minted) {
   if (!minted && !w.header.compressed) return {view(w.data, w.bytes), nullptr};
   return copy(minted ? host_.minted_wire : host_.compressed_segment,
               view(w.data, w.bytes));
@@ -271,11 +271,13 @@ std::pair<core::CompressionHeader, World::Payload> World::compress_send(
     sim::ActorContext& ctx, int rank, const void* buf, std::uint64_t bytes, bool minted) {
   auto& state = ranks_[static_cast<std::size_t>(rank)];
   Timeline tl(ctx.now());
-  auto wire = state.mgr->compress_for_send(tl, buf, bytes);
-  Payload payload = take(wire, minted);
-  state.mgr->release(tl, wire.staging);
+  const Manager::Message msg{buf, bytes};
+  Manager::Launch sent = state.mgr->launch(tl, {&msg, 1}, Manager::Placement::message());
+  state.mgr->finish(tl, sent);
+  Payload payload = take(sent.wires[0], minted);
+  state.mgr->release(tl, sent.staging);
   ctx.advance_to(tl.now());
-  return {std::move(wire.header), std::move(payload)};
+  return {std::move(sent.wires[0].header), std::move(payload)};
 }
 
 std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int rank,
@@ -286,7 +288,7 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
 
   // Blocks to intra-node peers may be exempt from compression (mirroring
   // do_isend); they skip the batch and go raw.
-  std::vector<core::CompressionManager::BatchInput> inputs;
+  std::vector<Manager::Message> inputs;
   std::vector<std::size_t> index;
   for (std::size_t i = 0; i < blocks.size(); ++i) {
     const auto& b = blocks[i];
@@ -299,9 +301,10 @@ std::vector<WireMessage> World::do_make_wire_batch(sim::ActorContext& ctx, int r
   }
 
   if (!inputs.empty()) {
-    auto batch = state.mgr->compress_batch(tl, inputs);
+    Manager::Launch batch = state.mgr->launch(tl, inputs, Manager::Placement::batch());
+    state.mgr->finish(tl, batch);
     for (std::size_t k = 0; k < index.size(); ++k) {
-      const auto& b = batch.blocks[k];
+      const auto& b = batch.wires[k];
       out[index[k]] = WireMessage{b.header, take(b, /*minted=*/true).owner};
     }
     state.mgr->release(tl, batch.staging);
@@ -438,17 +441,20 @@ void World::rematch(int dst, int src) {
 
 void World::land(Timeline& tl, int rank, const core::CompressionHeader& header,
                  std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
-                 std::uint64_t capacity, bool synchronize, int stream_hint) {
+                 std::uint64_t capacity, const Manager::Placement& at,
+                 std::optional<ReduceOp> fold) {
+  const void* staged = payload.data();
   if (header.compressed) {
     util::copy_bytes(staging.data, payload.data(), payload.size());
-    ranks_[static_cast<std::size_t>(rank)].mgr->decompress_received(
-        tl, header, staging, buf, capacity, synchronize, stream_hint);
+    staged = staging.data;
+  } else if (!fold) {
+    if (capacity < payload.size()) {
+      throw std::runtime_error("MiniMPI: receive buffer too small for the message");
+    }
+    util::copy_bytes(buf, payload.data(), payload.size());
     return;
   }
-  if (capacity < payload.size()) {
-    throw std::runtime_error("MiniMPI: receive buffer too small for the message");
-  }
-  util::copy_bytes(buf, payload.data(), payload.size());
+  ranks_[static_cast<std::size_t>(rank)].mgr->decode(tl, header, staged, buf, capacity, fold, at);
 }
 
 void World::begin_rndv_receive(Timeline& tl, const RndvPtr& tx) {
@@ -658,12 +664,11 @@ void World::on_segment_data(const RndvPtr& tx, int i, const Payload& delivered) 
   if (seg.header.compressed) {
     void* slice = tx->staging.slice(i);
     util::copy_bytes(slice, delivered.bytes.data(), delivered.bytes.size());
-    Time kernel_time;
     try {
-      const Time done = state.mgr->decompress_chunk(tl, seg.header, slice, out, len, i,
-                                                    tx->blocks, &kernel_time);
-      tx->recv_done = std::max(tx->recv_done, done);
-      tx->decompress_busy += kernel_time;
+      const Manager::Kernel k = state.mgr->decode(tl, seg.header, slice, out, len, std::nullopt,
+                                                  Manager::Placement::pipelined(i, tx->blocks));
+      tx->recv_done = std::max(tx->recv_done, k.done);
+      tx->decompress_busy += k.cost;
     } catch (const core::CodecFaultError&) {
       // Intact stream (CRC passed), faulting kernel: ask the sender to
       // resend just this chunk raw.
@@ -882,7 +887,6 @@ void World::start_rndv_sender(const RndvPtr& tx) {
     push_segment(tx, 0, tx->send_cursor);
     return;
   }
-  ranks_[static_cast<std::size_t>(tx->env.src)].mgr->note_pipelined_message();
   for (int i = 0; i < tx->window; ++i) launch_pipeline_chunk(tx);
 }
 
@@ -893,8 +897,9 @@ void World::launch_pipeline_chunk(const RndvPtr& tx) {
   const std::uint64_t len = pipeline_chunk_len(tx, ci);
   auto& state = ranks_[static_cast<std::size_t>(tx->env.src)];
   Timeline tl(tx->send_cursor);
-  auto ck = std::make_shared<core::CompressionManager::ChunkWire>(state.mgr->compress_chunk(
-      tl, static_cast<const std::uint8_t*>(tx->sender_buf) + off, len, ci, tx->blocks));
+  const Manager::Message msg{static_cast<const std::uint8_t*>(tx->sender_buf) + off, len};
+  auto ck = std::make_shared<Manager::Launch>(
+      state.mgr->launch(tl, {&msg, 1}, Manager::Placement::pipelined(ci, tx->blocks)));
   tx->send_cursor = tl.now();
   tx->compress_busy += ck->kernel_time;
   // Host-side completion (size readback, fallback decision, push) runs
@@ -904,23 +909,20 @@ void World::launch_pipeline_chunk(const RndvPtr& tx) {
 }
 
 void World::pipeline_chunk_ready(const RndvPtr& tx, int chunk,
-                                 const std::shared_ptr<core::CompressionManager::ChunkWire>& ck) {
+                                 const std::shared_ptr<Manager::Launch>& ck) {
   auto& state = ranks_[static_cast<std::size_t>(tx->env.src)];
   if (tx->done) {
     // The transfer failed while this chunk was compressing: nothing will
     // push it, so hand its staging back.
     Timeline tl(engine_.now());
-    state.mgr->release(tl, ck->wire.staging);
+    state.mgr->release(tl, ck->staging);
     return;
   }
-  const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;
-  const std::uint64_t len = pipeline_chunk_len(tx, chunk);
-  const auto* user = static_cast<const std::uint8_t*>(tx->sender_buf) + off;
   Timeline tl(std::max(engine_.now(), tx->send_cursor));
-  state.mgr->finish_chunk(tl, *ck, user, len);
+  state.mgr->finish(tl, *ck);
   Segment& seg = tx->segment(chunk);
-  fill_segment(seg, ck->wire.header, take(ck->wire, /*minted=*/false));
-  state.mgr->release(tl, ck->wire.staging);
+  fill_segment(seg, ck->wires[0].header, take(ck->wires[0], /*minted=*/false));
+  state.mgr->release(tl, ck->staging);
   tx->send_cursor = tl.now();
   const net::Fabric::Delivery d = push_segment(tx, chunk, tx->send_cursor);
   tx->wire_total += seg.payload.bytes.size();
@@ -1044,8 +1046,7 @@ void Rank::decompress_wire(const WireMessage& msg, void* buf, std::uint64_t capa
   if (!msg.payload) throw std::invalid_argument("decompress_wire: empty message");
   auto& mgr = compression();
   sim::Timeline tl(ctx_.now());
-  core::Staging staging =
-      msg.header.compressed ? mgr.prepare_receive(tl, msg.header) : core::Staging{};
+  core::Staging staging = mgr.prepare_receive(tl, msg.header);
   // Wire-form receives have no protocol-level resend path, so injected
   // decompression faults are recovered by relaunching the kernels.
   core::CompressionManager::retry_decode(

@@ -229,9 +229,10 @@ class Rank {
     int peer = -1;
     int tag = 0;
   };
-  /// Compress every eligible block of the batch in ONE batched kernel
-  /// launch (CompressionManager::compress_batch): the launch+sync overhead
-  /// is paid once for the whole batch instead of once per destination.
+  /// Compress every eligible block of the batch in ONE kernel launch (a
+  /// CompressionManager launch at the batch placement): the launch+sync
+  /// overhead is paid once for the whole batch instead of once per
+  /// destination.
   /// Returns one wire message per block, aligned with the input.
   [[nodiscard]] std::vector<WireMessage> make_wire_batch(const std::vector<WireBlock>& blocks);
   /// Multi-destination send (shuffles, scatter roots): blocks that qualify
@@ -316,7 +317,10 @@ class Rank {
     sim::Time reduce_busy;
 
    private:
-    const core::Staging& stage(sim::Timeline& tl, const WireMessage& in);
+    /// Stage `in` (when compressed) and land it into `dst` at `at`, folded
+    /// by `fold` when set; charges reduce_busy.
+    void land(const WireMessage& in, void* dst, std::uint64_t bytes,
+              const core::CompressionManager::Placement& at, std::optional<ReduceOp> fold);
     sim::Time settle(const sim::Timeline& tl, sim::Time started);
 
     Rank& rank_;
@@ -412,6 +416,7 @@ class World {
 
  private:
   friend class Rank;
+  using Manager = core::CompressionManager;
 
   struct Envelope {
     int src = -1;
@@ -568,8 +573,9 @@ class World {
                    std::uint64_t bytes, int dst, int tag);
   Request do_irecv(sim::ActorContext& ctx, int dst, void* buf, std::uint64_t capacity,
                    int src, int tag, WireMessage* wire_out = nullptr);
-  /// compress_for_send on `rank`, charged to `ctx`. A minted result owns
-  /// its bytes; a segment's borrows raw bytes from `buf`.
+  /// Compress one message on `rank` (a launch at the message placement,
+  /// finished at once), charged to `ctx`. A minted result owns its bytes;
+  /// a segment's borrows raw bytes from `buf`.
   std::pair<core::CompressionHeader, Payload> compress_send(sim::ActorContext& ctx, int rank,
                                                             const void* buf, std::uint64_t bytes,
                                                             bool minted);
@@ -587,7 +593,7 @@ class World {
   /// The payload of a sender-side wire view whose staging the caller
   /// releases next: raw bytes are borrowed (a minted wire copies them too),
   /// compressed ones copied.
-  Payload take(const core::CompressionManager::WireBlock& w, bool minted);
+  Payload take(const Manager::WireBlock& w, bool minted);
   /// CRC32C of `bytes`, counted at `site`.
   std::uint32_t checksum(std::uint64_t& site, std::span<const std::uint8_t> bytes);
   /// Give a segment its bytes, stamping their CRC when the reliability
@@ -614,15 +620,20 @@ class World {
   /// posted receives.
   void rematch(int dst, int src);
   /// Deliver an arrived message into `buf` on `rank`: a compressed payload
-  /// is copied into `staging` and decoded from there (a CodecFaultError
-  /// propagates to the caller, which owns recovery and the staging); a raw
-  /// one is capacity-checked and copied.
+  /// is copied into `staging` and decoded from there at `at` (a
+  /// CodecFaultError propagates to the caller, which owns recovery and the
+  /// staging); a raw one is capacity-checked and copied. With a `fold` the
+  /// payload is reduced into `buf` instead (compressed: the fused decode;
+  /// raw: one reduce kernel).
   void land(sim::Timeline& tl, int rank, const core::CompressionHeader& header,
             std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
-            std::uint64_t capacity, bool synchronize = true, int stream_hint = 0);
+            std::uint64_t capacity, const Manager::Placement& at = Manager::Placement::message(),
+            std::optional<ReduceOp> fold = std::nullopt);
   void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
-            void* buf, std::uint64_t capacity, bool synchronize = true, int stream_hint = 0) {
-    land(tl, rank, msg.header, *msg.payload, staging, buf, capacity, synchronize, stream_hint);
+            void* buf, std::uint64_t capacity,
+            const Manager::Placement& at = Manager::Placement::message(),
+            std::optional<ReduceOp> fold = std::nullopt) {
+    land(tl, rank, msg.header, *msg.payload, staging, buf, capacity, at, fold);
   }
   /// Receiver side of a matched RTS: acquire the decode staging (serial or
   /// pipelined) and send the CTS.
@@ -670,7 +681,7 @@ class World {
   void start_rndv_sender(const RndvPtr& tx);
   void launch_pipeline_chunk(const RndvPtr& tx);
   void pipeline_chunk_ready(const RndvPtr& tx, int chunk,
-                            const std::shared_ptr<core::CompressionManager::ChunkWire>& ck);
+                            const std::shared_ptr<Manager::Launch>& ck);
   void finish_pipeline(const RndvPtr& tx);
   [[nodiscard]] std::uint64_t pipeline_chunk_len(const RndvPtr& tx, int chunk) const {
     const std::uint64_t off = static_cast<std::uint64_t>(chunk) * tx->chunk_bytes;

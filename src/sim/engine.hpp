@@ -131,6 +131,7 @@ class Engine {
     ucontext_t context{};
     std::unique_ptr<void, UnmapStack> stack;  // guard page + stack, mapped on first resume
     void* asan_fake_stack = nullptr;  // ASan's bookkeeping for this fiber
+    void* tsan_fiber = nullptr;       // TSan's, created on first resume
     ActorState state = ActorState::NotStarted;
     std::exception_ptr error;
   };
@@ -170,6 +171,7 @@ class Engine {
   void* asan_engine_fake_stack_ = nullptr;
   const void* asan_engine_stack_bottom_ = nullptr;
   std::size_t asan_engine_stack_size_ = 0;
+  void* tsan_engine_fiber_ = nullptr;
 };
 
 /// Thrown out of blocking primitives when the engine aborts a simulation

@@ -167,6 +167,20 @@ TEST_F(Cli, CorruptContainersAreRejected) {
     const Outcome rcut = run({"d", codec, path("cut"), path("out")});
     EXPECT_EQ(rcut.exit_code, 1) << rcut.output;
     EXPECT_FALSE(fs::exists(path("out")));
+
+    // A claim of 2^62 values is rejected by the codec's own mismatch check
+    // before anything is allocated for it.
+    auto huge = good;
+    values = std::uint64_t{1} << 62;
+    std::memcpy(huge.data() + kValuesOffset, &values, sizeof values);
+    write("huge", huge);
+    const Outcome rhuge = run({"d", codec, path("huge"), path("out")});
+    EXPECT_EQ(rhuge.exit_code, 1) << rhuge.output;
+    EXPECT_FALSE(fs::exists(path("out")));
+    EXPECT_NE(rhuge.output.find(codec == "mpc" ? "container header disagrees with its stream"
+                                               : "input shorter than the fixed-rate stream"),
+              std::string::npos)
+        << rhuge.output;
   }
 }
 

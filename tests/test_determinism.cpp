@@ -355,7 +355,7 @@ TEST(Determinism, BatchedAlltoallWorldIsByteIdentical) {
 
 TEST(Determinism, BatchedAlltoallWorldDumpMatchesPinnedDigest) {
   // Golden for the alltoall engine: the full observable dump of the
-  // forced-batched scenario is pinned, so any change to compress_batch's
+  // forced-batched scenario is pinned, so any change to the batch launch's
   // cost charges, the scattered wire schedule, the per-slice decode
   // streams, or the telemetry rows shows up as a digest mismatch. Update
   // deliberately, never casually.

@@ -1,9 +1,9 @@
 // Shrinking property tests for the fused decompress+reduce path that the
-// collective engine rides (core::CompressionManager::decompress_reduce and
-// reduce_device).
+// collective engine rides (core::CompressionManager::decode with a fold, on
+// a compressed or a raw header).
 //
 // Core property: for any payload `a` and accumulator `b`,
-//     decompress_reduce(compress(a), acc = b)
+//     decode(compress(a), acc = b, fold)
 // must equal the host-side
 //     reduce_inplace(b, decode(compress(a)))
 // BIT-exactly — the fused kernel is the same canonical accumulator-first
@@ -36,6 +36,7 @@ using gcmpi::gpu::Gpu;
 using gcmpi::gpu::v100_spec;
 using gcmpi::sim::Time;
 using gcmpi::sim::Timeline;
+using Placement = CompressionManager::Placement;
 using gcmpi::testing::check_property;
 using gcmpi::testing::make_floats;
 using gcmpi::testing::PayloadCase;
@@ -78,18 +79,22 @@ std::optional<std::string> fused_matches_host(const CompressionConfig& cfg,
   std::copy(payload.begin(), payload.end(), dev);
   Timeline tl(Time::zero());
 
-  auto wire = mgr.compress_for_send(tl, dev, n * 4);
+  const CompressionManager::Message msg{dev, n * 4};
+  auto sent = mgr.launch(tl, {&msg, 1}, Placement::message());
+  mgr.finish(tl, sent);
+  const auto& wire = sent.wires[0];
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const CompressionHeader header = wire.header;
-  mgr.release(tl, wire.staging);
+  mgr.release(tl, sent.staging);
 
   // Reference: whatever the plain decompress path yields, folded on host.
   std::vector<float> decoded(n, -1.0f);
   if (header.compressed) {
     auto staging = mgr.prepare_receive(tl, header);
     std::memcpy(staging.data, staged.data(), staged.size());
-    mgr.decompress_received(tl, header, staging, decoded.data(), n * 4);
+    mgr.decode(tl, header, staging.data, decoded.data(), n * 4, std::nullopt,
+               Placement::message());
     mgr.release(tl, staging);
   } else if (!staged.empty()) {
     std::memcpy(decoded.data(), staged.data(), staged.size());
@@ -100,15 +105,11 @@ std::optional<std::string> fused_matches_host(const CompressionConfig& cfg,
     reduce_inplace(expect.data(), decoded.data(), n, op);
 
     std::vector<float> acc = accumulator_for(n);
-    if (header.compressed) {
-      auto staging = mgr.prepare_receive(tl, header);
-      std::memcpy(staging.data, staged.data(), staged.size());
-      mgr.decompress_reduce(tl, header, staging, acc.data(), n * 4, op);
-      mgr.release(tl, staging);
-    } else {
-      if (!staged.empty()) std::memcpy(decoded.data(), staged.data(), staged.size());
-      mgr.reduce_device(tl, decoded.data(), acc.data(), n, op);
-    }
+    auto staging = mgr.prepare_receive(tl, header);
+    if (header.compressed) std::memcpy(staging.data, staged.data(), staged.size());
+    mgr.decode(tl, header, header.compressed ? staging.data : staged.data(), acc.data(), n * 4,
+               op, Placement::message());
+    mgr.release(tl, staging);
     if (auto err = bit_mismatch(expect, acc.data(), n)) {
       return std::string("op=") + gcmpi::comp::reduce_op_name(op) + " " + *err +
              (header.compressed ? " (compressed path)" : " (raw path)");
@@ -155,7 +156,7 @@ TEST(FuzzReduce, AllZeroPayloadReducesExactly) {
   }
 }
 
-TEST(FuzzReduce, ReduceDeviceMatchesHostFold) {
+TEST(FuzzReduce, RawFoldMatchesHostFold) {
   const auto gen = [](const PayloadCase& c) { return make_floats(c.kind, c.n, c.seed); };
   const Property<float> prop = [](std::span<const float> v) -> std::optional<std::string> {
     Gpu gpu{v100_spec()};
@@ -165,7 +166,9 @@ TEST(FuzzReduce, ReduceDeviceMatchesHostFold) {
       std::vector<float> expect = accumulator_for(v.size());
       reduce_inplace(expect.data(), v.data(), v.size(), op);
       std::vector<float> acc = accumulator_for(v.size());
-      mgr.reduce_device(tl, v.data(), acc.data(), v.size(), op);
+      CompressionHeader raw;
+      raw.original_bytes = raw.compressed_bytes = v.size() * 4;
+      mgr.decode(tl, raw, v.data(), acc.data(), v.size() * 4, op, Placement::message());
       if (auto err = bit_mismatch(expect, acc.data(), v.size())) {
         return std::string("op=") + gcmpi::comp::reduce_op_name(op) + " " + *err;
       }
@@ -196,12 +199,15 @@ TEST(FuzzReduce, FusedFaultRetryLeavesAccumulatorIntact) {
   std::memcpy(dev, payload.data(), n * 4);
   Timeline tl(Time::zero());
 
-  auto wire = mgr.compress_for_send(tl, dev, n * 4);
+  const CompressionManager::Message msg{dev, n * 4};
+  auto sent = mgr.launch(tl, {&msg, 1}, Placement::message());
+  mgr.finish(tl, sent);
+  const auto& wire = sent.wires[0];
   ASSERT_TRUE(wire.header.compressed);
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const CompressionHeader header = wire.header;
-  mgr.release(tl, wire.staging);
+  mgr.release(tl, sent.staging);
 
   std::vector<float> expect = accumulator_for(n);
   reduce_inplace(expect.data(), payload.data(), n, ReduceOp::Sum);
@@ -213,7 +219,10 @@ TEST(FuzzReduce, FusedFaultRetryLeavesAccumulatorIntact) {
     std::memcpy(staging.data, staged.data(), staged.size());
     const auto before = mgr.stats().codec_faults;
     CompressionManager::retry_decode(
-        [&] { mgr.decompress_reduce(tl, header, staging, acc.data(), n * 4, ReduceOp::Sum); });
+        [&] {
+          mgr.decode(tl, header, staging.data, acc.data(), n * 4, ReduceOp::Sum,
+                     Placement::message());
+        });
     mgr.release(tl, staging);
     if (mgr.stats().codec_faults > before) ++faulted_runs;
     ASSERT_EQ(std::memcmp(expect.data(), acc.data(), n * 4), 0)

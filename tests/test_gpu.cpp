@@ -145,6 +145,8 @@ TEST(GpuHeap, FreshMappedBlockHoldsTheSanitizerFill) {
 TEST(GpuHeap, LargeBlockFaultsInAsHugePages) {
 #if defined(__SANITIZE_ADDRESS__)
   GTEST_SKIP() << "the sanitizer fill touches every page at allocation";
+#elif defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "ThreadSanitizer's shadow of the block faults in 4 KiB at a time";
 #else
   const std::string mode = thp_mode();
   if (mode.empty() || mode == "never") {

@@ -183,17 +183,21 @@ TEST_P(ManagerConfigMatrix, EveryToggleComboRoundTripsLosslessly) {
   std::memcpy(dev, data.data(), n * 4);
 
   sim::Timeline tl(Time::zero());
-  auto wire = mgr.compress_for_send(tl, dev, n * 4);
+  const core::CompressionManager::Message msg{dev, n * 4};
+  auto sent = mgr.launch(tl, {&msg, 1}, core::CompressionManager::Placement::message());
+  mgr.finish(tl, sent);
+  const auto& wire = sent.wires[0];
   std::vector<std::uint8_t> staged(static_cast<const std::uint8_t*>(wire.data),
                                    static_cast<const std::uint8_t*>(wire.data) + wire.bytes);
   const auto header = wire.header;
-  mgr.release(tl, wire.staging);
+  mgr.release(tl, sent.staging);
   ASSERT_TRUE(header.compressed);
 
   std::vector<float> out(n);
   auto staging = mgr.prepare_receive(tl, header);
   std::memcpy(staging.data, staged.data(), staged.size());
-  mgr.decompress_received(tl, header, staging, out.data(), n * 4);
+  mgr.decode(tl, header, staging.data, out.data(), n * 4, std::nullopt,
+             core::CompressionManager::Placement::message());
   mgr.release(tl, staging);
   EXPECT_EQ(std::memcmp(out.data(), data.data(), n * 4), 0) << "toggle bits " << bits;
   EXPECT_GT(tl.now(), Time::zero());

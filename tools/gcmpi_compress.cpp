@@ -197,16 +197,27 @@ int main(int argc, char** argv) {
       if (hdr.magic != 0x47434d43u) throw std::runtime_error("not a gcmpi_compress file");
       const std::span<const std::uint8_t> body{input.data() + sizeof(hdr),
                                                input.size() - sizeof(hdr)};
-      std::vector<float> values(hdr.values);
+      // The output is sized from the header, so its value count is checked
+      // against the stream before anything is allocated for it.
+      const int codec_param = static_cast<int>(hdr.param);
       if (codec == "mpc") {
-        // The output is sized from the header; a stream holding fewer values
-        // would leave its tail as zeros. (zfp's fixed-rate size check covers
-        // this case.)
-        if (MpcCodec(static_cast<int>(hdr.param)).decompress(body, values) != hdr.values) {
+        if (MpcCodec::encoded_values(body) != hdr.values) {
           throw std::runtime_error("container header disagrees with its stream");
         }
       } else {
-        ZfpCodec(static_cast<int>(hdr.param)).decompress(body, ZfpField::d1(hdr.values), values);
+        // Fixed rate: 4 * rate bits per 4-value block, compared by division
+        // since the claimed stream size can overflow (2^62 values at rate 32
+        // is 2^64 bytes).
+        const std::uint64_t blocks = hdr.values / 4 + (hdr.values % 4 != 0 ? 1 : 0);
+        if (blocks > body.size() * 2 / static_cast<std::uint64_t>(ZfpCodec(codec_param).rate())) {
+          throw std::runtime_error("input shorter than the fixed-rate stream");
+        }
+      }
+      std::vector<float> values(hdr.values);
+      if (codec == "mpc") {
+        MpcCodec(codec_param).decompress(body, values);
+      } else {
+        ZfpCodec(codec_param).decompress(body, ZfpField::d1(hdr.values), values);
       }
       out.resize(values.size() * 4);
       std::memcpy(out.data(), values.data(), out.size());
