@@ -5,10 +5,11 @@
 // Algorithms follow the classic MPICH choices: binomial broadcast/reduce,
 // ring allgather (bandwidth-optimal for large messages), Rabenseifner-style
 // non-power-of-two folding + recursive doubling for allreduce, pairwise
-// exchange for alltoall, dissemination barrier. The compressed bodies here
-// (flat allgather ring, rendezvous reduce) run on one Rank::Collective per
-// call, like the engines'. MPI allows a zero count with any buffer, NULL
-// included, so each local copy a zero count reaches is guarded by it.
+// exchange for alltoall, dissemination barrier. Each op picks its path
+// here: the eager, pipelined and linear bodies are direct point-to-point
+// calls; every compressed body is a schedule (mpi/schedule.hpp) run by
+// Rank::Collective. MPI allows a zero count with any buffer, NULL included,
+// so each local copy a zero count reaches is guarded by it.
 #include <cstring>
 #include <ranges>
 #include <vector>
@@ -16,16 +17,6 @@
 #include "mpi/world.hpp"
 
 namespace gcmpi::mpi {
-
-namespace {
-
-// The canonical accumulator-first fold shared with the collective engine
-// and the host oracle (see compress/reduce.hpp).
-void apply_op(float* acc, const float* in, std::size_t n, ReduceOp op) {
-  comp::reduce_inplace(acc, in, n, op);
-}
-
-}  // namespace
 
 int Rank::next_coll_tag() { return kCollTagBase + (coll_seq_++ & 0xFFFF); }
 
@@ -50,10 +41,10 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
   const bool eager = bytes <= opt.eager_threshold;
 
   // Topology-aware staging: one inter-node wire transit per node instead of
-  // one per rank (see hier_engine.cpp).
+  // one per rank.
   if (!eager && select_collective(core::CollectiveOp::Bcast, bytes) ==
                     core::CollectiveAlgorithm::Hierarchical) {
-    bcast_hierarchical(buf, bytes, root, tag);
+    Collective(*this).run(sched::bcast_hierarchical, bytes, root, buf, buf, tag);
     return;
   }
 
@@ -70,20 +61,9 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
     return;
   }
 
-  // Compression-aware binomial broadcast: the root compresses ONCE; every
-  // intermediate rank forwards the wire representation to its children
-  // before decompressing its own copy, so neither recompression nor
-  // decompression sits on the tree's critical path.
-  WireMessage msg;
-  if (tree.parent >= 0) {
-    Request r = irecv_wire(&msg, real(tree.parent), tag);
-    (void)wait(r);
-  } else {
-    msg = make_wire(buf, bytes);
-  }
-  for (int child : tree.children) sends.push_back(isend_wire(msg, real(child), tag));
-  if (tree.parent >= 0) decompress_wire(msg, buf, bytes);  // overlaps the forwards
-  waitall(sends);
+  // Compression-aware binomial broadcast: the root compresses ONCE and
+  // every intermediate rank forwards the wire form.
+  Collective(*this).run(sched::bcast_tree, bytes, root, buf, buf, tag);
 }
 
 void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf) {
@@ -115,10 +95,10 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   }
 
   // Topology-aware staging: leaders ring node slabs so each node pays
-  // nodes-1 inter-node transits instead of P-1 (see hier_engine.cpp).
+  // nodes-1 inter-node transits instead of P-1.
   if (!eager && select_collective(core::CollectiveOp::Allgather, block_bytes) ==
                     core::CollectiveAlgorithm::Hierarchical) {
-    allgather_hierarchical(sendbuf, block_bytes, recvbuf, tag);
+    Collective(*this).run(sched::allgather_hierarchical, block_bytes, 0, sendbuf, recvbuf, tag);
     return;
   }
 
@@ -139,12 +119,8 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   }
 
   // Compression-aware ring: each block is compressed once by its owner and
-  // circulates in wire form; decodes overlap the remaining ring steps, with
-  // one device synchronization at the end. The flat ring never calls
-  // finish(), so it records no collective.
-  Collective c(*this, "allgather", core::CollectiveAlgorithm::Linear);
-  (void)ring_allgather_members(strided_ranks(P, 1), rank_, block_slices(out, block_bytes, P),
-                               sendbuf, tag, c);
+  // circulates in wire form.
+  Collective(*this).run(sched::allgather_ring, block_bytes, 0, sendbuf, recvbuf, tag);
 }
 
 void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
@@ -163,51 +139,17 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
     std::vector<float> tmp(n);
     for (int child : children) {
       (void)recv(tmp.data(), n * 4, real(child), tag);
-      apply_op(accum.data(), tmp.data(), n, op);
+      comp::reduce_inplace(accum.data(), tmp.data(), n, op);
     }
     if (tree.parent >= 0) send(accum.data(), n * 4, real(tree.parent), tag);
     if (rank_ == root && n != 0) std::memcpy(recvbuf, accum.data(), n * 4);
     return;
   }
 
-  // Rendezvous-sized vectors: same binomial schedule, but each hop moves a
-  // wire form and arriving contributions fold into a device accumulator
-  // with the manager's FUSED decompress+reduce kernels (enqueued without a
-  // stream sync, so the decode of one child overlaps the wait for the
-  // next). The fold order is identical to the host path, so results are
-  // bit-identical.
-  Collective c(*this, "reduce", core::CollectiveAlgorithm::Linear);
-  auto* acc = static_cast<float*>(gpu_malloc(n * 4));
-  std::memcpy(acc, sendbuf, n * 4);
-  compute(gpu().costs().d2d_copy(n * 4));
-
-  for (int child : children) {
-    WireMessage in;
-    Request rr = irecv_wire(&in, real(child), tag);
-    const sim::Time t0 = ctx_.now();
-    (void)wait(rr);
-    c.transfer_busy += ctx_.now() - t0;
-    c.reduce(in, acc, n, op);
-  }
-  // The accumulator ships upward (or the root reads it): drain the pending
-  // fused folds first, then compress it once for the single parent hop.
-  if (c.pending()) c.reduce_busy += c.drain();
-  if (tree.parent >= 0) {
-    const sim::Time t0 = ctx_.now();
-    WireMessage w = make_wire(acc, n * 4);
-    c.compress_busy += ctx_.now() - t0;
-    const sim::Time t1 = ctx_.now();
-    Request sr = isend_wire(w, real(tree.parent), tag);
-    (void)wait(sr);
-    ++c.hops;
-    c.transfer_busy += ctx_.now() - t1;
-  }
-  if (rank_ == root) {
-    std::memcpy(recvbuf, acc, n * 4);
-    compute(gpu().costs().d2d_copy(n * 4));
-  }
-  gpu_free(acc);
-  c.finish(n * 4);
+  // Rendezvous-sized vectors: the same binomial schedule, folded into a
+  // device accumulator with fused decode+reduce kernels. The fold order is
+  // the host path's, so results are bit-identical.
+  Collective(*this).run(sched::reduce_tree, n * 4, root, sendbuf, recvbuf, tag, op);
 }
 
 void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op) {
@@ -221,9 +163,32 @@ void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, Reduce
       select_collective(core::CollectiveOp::Allreduce, n * 4);
   if (algorithm == core::CollectiveAlgorithm::Linear) {
     allreduce_linear(sendbuf, recvbuf, n, op, tag);
-  } else {
-    allreduce_grouped(sendbuf, recvbuf, n, op, tag, algorithm);
+    return;
   }
+  Collective(*this).run(algorithm == core::CollectiveAlgorithm::Hierarchical
+                            ? sched::allreduce_hierarchical
+                            : sched::allreduce_ring,
+                        n * 4, 0, sendbuf, recvbuf, tag, op);
+}
+
+void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recvcount,
+                          ReduceOp op) {
+  const int tag = next_coll_tag();
+  const int P = size();
+  const std::size_t n = recvcount * static_cast<std::size_t>(P);
+  if (P == 1) {
+    if (recvcount != 0) std::memcpy(recvbuf, sendbuf, recvcount * 4);
+    return;
+  }
+  if (select_collective(core::CollectiveOp::Allreduce, n * 4) ==
+      core::CollectiveAlgorithm::Linear) {
+    // Small/low-rank: binomial reduce to rank 0, then scatter the shards.
+    std::vector<float> full(rank_ == 0 ? n : 0);
+    reduce(sendbuf, full.data(), n, op, 0);
+    scatter(full.data(), recvcount * 4, recvbuf, 0);
+    return;
+  }
+  Collective(*this).run(sched::reduce_scatter_ring, n * 4, 0, sendbuf, recvbuf, tag, op);
 }
 
 void Rank::allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n,
@@ -243,7 +208,7 @@ void Rank::allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n,
       newrank = -1;
     } else {
       (void)recv(tmp.data(), n * 4, rank_ + 1, tag);
-      apply_op(accum.data(), tmp.data(), n, op);
+      comp::reduce_inplace(accum.data(), tmp.data(), n, op);
       newrank = rank_ / 2;
     }
   } else {
@@ -255,7 +220,7 @@ void Rank::allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n,
       const int peer_new = newrank ^ mask;
       const int peer = peer_new < rem ? peer_new * 2 : peer_new + rem;
       sendrecv(accum.data(), n * 4, peer, tag, tmp.data(), n * 4, peer, tag);
-      apply_op(accum.data(), tmp.data(), n, op);
+      comp::reduce_inplace(accum.data(), tmp.data(), n, op);
     }
   }
 
@@ -282,9 +247,8 @@ void Rank::alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbu
   if (P > 1 && block_bytes > 0 &&
       select_collective(core::CollectiveOp::Alltoall, block_bytes) ==
           core::CollectiveAlgorithm::BatchedPairwise) {
-    // One batched compression launch for all P-1 outgoing blocks; see
-    // alltoall_engine.cpp.
-    alltoall_batched(in, block_bytes, out, tag);
+    // One batched compression launch for all P-1 outgoing blocks.
+    Collective(*this).run(sched::alltoall_batched, block_bytes, 0, in, out, tag);
     return;
   }
   for (int step = 1; step < P; ++step) {
@@ -302,8 +266,8 @@ void Rank::gather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
       select_collective(core::CollectiveOp::Gather, block_bytes) ==
           core::CollectiveAlgorithm::Hierarchical) {
     // Leader-staged: remote nodes ship one assembled slab each instead of
-    // gpus_per_node individual blocks (see hier_engine.cpp).
-    gather_hierarchical(sendbuf, block_bytes, recvbuf, root, tag);
+    // gpus_per_node individual blocks.
+    Collective(*this).run(sched::gather_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
     return;
   }
   if (rank_ == root) {
@@ -334,8 +298,8 @@ void Rank::scatter(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf
       select_collective(core::CollectiveOp::Scatter, block_bytes) ==
           core::CollectiveAlgorithm::Hierarchical) {
     // Root batch-compresses one slab per remote node in a single launch;
-    // leaders fan the blocks out intra-node (see hier_engine.cpp).
-    scatter_hierarchical(sendbuf, block_bytes, recvbuf, root, tag);
+    // leaders fan the blocks out intra-node.
+    Collective(*this).run(sched::scatter_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
     return;
   }
   if (rank_ == root) {

@@ -1034,6 +1034,33 @@ std::vector<WireMessage> Rank::make_wire_batch(const std::vector<WireBlock>& blo
   return world_.do_make_wire_batch(ctx_, rank_, blocks);
 }
 
+std::vector<Request> Rank::isend_batched(const std::vector<WireBlock>& blocks) {
+  // Batch-compress only the blocks the normal isend path would compress,
+  // and only when there are at least two of them to amortize the launch
+  // over; everything else (small, host-resident, intra-node-exempt blocks)
+  // takes the ordinary eager/rendezvous path, posted after the batch.
+  std::vector<std::size_t> batched;
+  std::vector<WireBlock> sub;
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const auto& b = blocks[i];
+    if (b.peer != rank_ && world_.batch_compress_eligible(rank_, b.peer, b.buf, b.bytes)) {
+      batched.push_back(i);
+      sub.push_back(b);
+    }
+  }
+  std::vector<Request> reqs(blocks.size());
+  if (sub.size() >= 2) {
+    const std::vector<WireMessage> wires = make_wire_batch(sub);
+    for (std::size_t k = 0; k < sub.size(); ++k) {
+      reqs[batched[k]] = isend_wire(wires[k], sub[k].peer, sub[k].tag);
+    }
+  }
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    if (!reqs[i]) reqs[i] = isend(blocks[i].buf, blocks[i].bytes, blocks[i].peer, blocks[i].tag);
+  }
+  return reqs;
+}
+
 Request Rank::isend_wire(const WireMessage& msg, int dst, int tag) {
   return world_.do_isend_wire(ctx_, rank_, msg, dst, tag);
 }
@@ -1043,16 +1070,23 @@ Request Rank::irecv_wire(WireMessage* out, int src, int tag) {
 }
 
 void Rank::decompress_wire(const WireMessage& msg, void* buf, std::uint64_t capacity) {
-  if (!msg.payload) throw std::invalid_argument("decompress_wire: empty message");
-  auto& mgr = compression();
   sim::Timeline tl(ctx_.now());
-  core::Staging staging = mgr.prepare_receive(tl, msg.header);
+  core::Staging staging = land_wire(tl, msg, buf, capacity);
+  compression().release(tl, staging);
+  ctx_.advance_to(tl.now());
+}
+
+core::Staging Rank::land_wire(sim::Timeline& tl, const WireMessage& msg, void* buf,
+                              std::uint64_t capacity,
+                              const core::CompressionManager::Placement& at,
+                              std::optional<ReduceOp> fold) {
+  if (!msg.payload) throw std::invalid_argument("decompress_wire: empty message");
+  core::Staging staging = compression().prepare_receive(tl, msg.header);
   // Wire-form receives have no protocol-level resend path, so injected
   // decompression faults are recovered by relaunching the kernels.
   core::CompressionManager::retry_decode(
-      [&] { world_.land(tl, rank_, msg, staging, buf, capacity); });
-  mgr.release(tl, staging);
-  ctx_.advance_to(tl.now());
+      [&] { world_.land(tl, rank_, msg, staging, buf, capacity, at, fold); });
+  return staging;
 }
 
 Status Rank::wait(Request& req) {

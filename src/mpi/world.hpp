@@ -70,6 +70,7 @@
 #include "gpu/device.hpp"
 #include "mpi/channel.hpp"
 #include "mpi/pipeline.hpp"
+#include "mpi/schedule.hpp"
 #include "net/cluster.hpp"
 #include "sim/engine.hpp"
 #include "util/pages.hpp"
@@ -255,7 +256,7 @@ class Rank {
   void reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op, int root);
   void allreduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op);
   /// MPI_Reduce_scatter_block: reduce a P*recvcount vector, leave shard r
-  /// (recvcount floats) at rank r. Ring-capable (see coll_engine.cpp).
+  /// (recvcount floats) at rank r. Ring-capable (see mpi/schedule.hpp).
   void reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recvcount,
                       ReduceOp op);
   void alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf);
@@ -265,125 +266,39 @@ class Rank {
  private:
   int next_coll_tag();
 
-  // --- collective algorithm engine (coll_engine.cpp) ---
+  // --- collective selection and the schedule executor (coll_engine.cpp) ---
   /// The schedule `op` runs for `bytes` (see DESIGN.md §9, "Collective
   /// selection"): the static policy, or the adaptive controller under Auto,
   /// through one admission rule. reduce_scatter asks as Allreduce.
   [[nodiscard]] core::CollectiveAlgorithm select_collective(core::CollectiveOp op,
                                                             std::uint64_t bytes) const;
-  void allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
-                        int tag);
-  /// Ring and hierarchical allreduce, one body over groups of consecutive
-  /// ranks (one rank for Ring, one node for Hierarchical): members fold
-  /// into their group leader, the leaders run the ring reduce-scatter and
-  /// allgather, and each leader hands the result back to its members.
-  void allreduce_grouped(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
-                         int tag, core::CollectiveAlgorithm algorithm);
-
-  // --- steps shared by the compressed collective bodies (coll_engine.cpp) ---
-  /// One compressed collective call on this rank: its stage totals, the
-  /// stagings of its enqueued decodes, and the CollectiveRecord it appends.
-  /// decode() and reduce() absorb an arrived wire message into a device
-  /// slice: a compressed payload is staged and its decode (or fused
-  /// decode+reduce) enqueued without a stream sync, retried on injected
-  /// decode faults; a raw one is copied (or reduced on-device). Both charge
-  /// reduce_busy, and reduce() counts a reduce. Every staging stays alive
-  /// until drain().
+  /// Stage `msg` and land it into `buf` (`capacity` bytes) at `at`, folded
+  /// by `fold` when set, retrying injected decode faults. Returns the
+  /// staging, for the caller to release once the decode has finished:
+  /// decompress_wire at once, a collective's unsynchronized decodes at the
+  /// next drain.
+  core::Staging land_wire(sim::Timeline& tl, const WireMessage& msg, void* buf,
+                          std::uint64_t capacity,
+                          const core::CompressionManager::Placement& at =
+                              core::CompressionManager::Placement::message(),
+                          std::optional<ReduceOp> fold = std::nullopt);
+  /// The one executor of the compressed collectives. run() builds this
+  /// rank's Schedule of `build` for `bytes` at `root` (mpi/schedule.hpp),
+  /// posts its steps in order, charges each step's elapsed time to the busy
+  /// column of its kind, allocates the scratch first and frees it last, and
+  /// appends the CollectiveRecord the schedule asks for (when telemetry is
+  /// on). Folds reduce with `op`.
   class Collective {
    public:
-    Collective(Rank& rank, const char* op, core::CollectiveAlgorithm algorithm)
-        : rank_(rank), op_(op), algorithm_(algorithm), started_(rank.ctx_.now()) {}
-    /// Decode `in` into `dst` (`bytes` of capacity) on stream `stream_hint`.
-    void decode(const WireMessage& in, void* dst, std::uint64_t bytes, int stream_hint = 0);
-    /// Fold `in` into the n-float device accumulator: acc = op(acc, in).
-    void reduce(const WireMessage& in, float* acc, std::size_t n, ReduceOp op);
-    /// Synchronize the device (charged even when nothing is queued) and
-    /// release every staging. Returns the time it took, for the caller to
-    /// charge to whichever stage its window falls in.
-    sim::Time drain();
-    /// One ring step: post the receive of `*in` from `left` (if `in` is
-    /// set), send `*out` to `right` (if `out` is set, counting a hop), wait
-    /// for both and charge the wait to transfer_busy.
-    void exchange(WireMessage* in, int left, const WireMessage* out, int right, int tag);
-    /// Something was enqueued since the last drain.
-    [[nodiscard]] bool pending() const { return pending_; }
-    /// Append this call's CollectiveRecord of `bytes` (when telemetry is on).
-    void finish(std::uint64_t bytes);
-
-    std::uint32_t hops = 0;
-    std::uint32_t reduces = 0;
-    sim::Time compress_busy;
-    sim::Time transfer_busy;
-    sim::Time reduce_busy;
+    explicit Collective(Rank& rank) : rank_(rank) {}
+    void run(sched::Builder build, std::uint64_t bytes, int root, const void* sendbuf,
+             void* recvbuf, int tag, ReduceOp op = ReduceOp::Sum);
 
    private:
-    /// Stage `in` (when compressed) and land it into `dst` at `at`, folded
-    /// by `fold` when set; charges reduce_busy.
-    void land(const WireMessage& in, void* dst, std::uint64_t bytes,
-              const core::CompressionManager::Placement& at, std::optional<ReduceOp> fold);
-    sim::Time settle(const sim::Timeline& tl, sim::Time started);
-
     Rank& rank_;
-    const char* op_;
-    core::CollectiveAlgorithm algorithm_;
-    sim::Time started_;
-    std::vector<core::Staging> stagings_;
-    bool pending_ = false;
   };
-  /// Ring reduce-scatter over `members` (this rank at `members[pos]`): after
-  /// N-1 steps the member at position s owns the fully reduced shard s of
-  /// the device accumulator `acc` (n floats).
-  void ring_reduce_scatter_members(const std::vector<int>& members, int pos, float* acc,
-                                   std::size_t n, ReduceOp op, int tag, Collective& c);
-  /// Ring allgather over `members` (this rank at `members[pos]`): position
-  /// s contributes `slices[s]`. This member compresses its slice once from
-  /// `own`; every slice then circulates in wire form and is decoded as it
-  /// arrives, overlapping the remaining steps. Empty slices move nothing.
-  /// On return every slice holds its owner's bytes; the result is the time
-  /// the final drain charged (zero when nothing moved).
-  sim::Time ring_allgather_members(const std::vector<int>& members, int pos,
-                                   const std::vector<std::span<std::uint8_t>>& slices,
-                                   const void* own, int tag, Collective& c);
-  /// Ranks 0, stride, 2*stride, ... (`count` of them): all ranks as one
-  /// ring, or the node leaders as the leader ring.
-  [[nodiscard]] static std::vector<int> strided_ranks(int count, int stride);
-  /// `count` consecutive `bytes`-sized slices of `base`.
-  [[nodiscard]] static std::vector<std::span<std::uint8_t>> block_slices(
-      void* base, std::uint64_t bytes, int count);
-
-  // --- hierarchical moving collectives (hier_engine.cpp) ---
-  // Two-level staging for bcast/allgather/gather/scatter: one wire transit
-  // crosses IB per node (forwarded compressed form), intra-node traffic
-  // rides NVLink, decode happens once per node off the inter-node critical
-  // path. Chosen by select_collective. The node-level bcast tree is
-  // core::binomial_tree over nodes; the leader ring is
-  // ring_allgather_members over node slabs.
-  void bcast_hierarchical(void* buf, std::uint64_t bytes, int root, int tag);
-  void allgather_hierarchical(const void* sendbuf, std::uint64_t block_bytes,
-                              void* recvbuf, int tag);
-  void gather_hierarchical(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
-                           int root, int tag);
-  void scatter_hierarchical(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
-                            int root, int tag);
-  /// Wire form of an intra-node hop (member<->leader staging, fan-out) of a
-  /// payload this rank holds raw: compressed when the compress_intra_node
-  /// gate is on, raw otherwise. Every intra-node collective hop uses it.
-  [[nodiscard]] WireMessage make_intra_wire(const void* buf, std::uint64_t bytes);
-  /// Leader step: compress `bytes` of `buf` once (make_intra_wire) and send
-  /// the wire form to every other rank of this node.
-  void hand_back(const void* buf, std::uint64_t bytes, int tag, Collective& c);
-  /// Leader step: copy this rank's block into `slab`, then receive every
-  /// other rank of this node into the block at its offset from the leader.
-  void collect_node_blocks(std::uint8_t* slab, const void* sendbuf, std::uint64_t block_bytes,
-                           int tag, Collective& c);
-
-  // --- alltoall engine (alltoall_engine.cpp) ---
-  /// Batched alltoall: ONE compression launch for the P-1 outgoing blocks,
-  /// slab slices exchanged over the scattered pairwise schedule, decodes
-  /// enqueued per arriving slice and drained once at the end.
-  /// The caller already placed the rank's own block in `recvbuf`.
-  void alltoall_batched(const std::uint8_t* sendbuf, std::uint64_t block_bytes,
-                        std::uint8_t* recvbuf, int tag);
+  void allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
+                        int tag);
 
   World& world_;
   int rank_;

@@ -339,10 +339,10 @@ TEST(Adaptive, CollectiveDecisionsArePinned) {
                          "scatter:hierarchical"}) {
     EXPECT_EQ(decisions[op], 8) << op;
   }
-  EXPECT_EQ(text.size(), 26611u);
+  EXPECT_EQ(text.size(), 26486u);
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}),
-            "c0f6314d01fc5092fda3064cd8336b9819e27d698744beaf3ec042e1992f3976");
+            "96e0012deba1e707ec7760cd4de4edde2566274b56c05305d5184e9c7df12c49");
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/telemetry.hpp"
 #include "data/datasets.hpp"
 #include "mpi/world.hpp"
 
@@ -200,6 +201,66 @@ TEST(CollectivesCompressed, BcastWithCompressionIsFasterOnCompressibleData) {
   const auto baseline = run_one(core::CompressionConfig::off());
   const auto mpc = run_one(core::CompressionConfig::mpc_opt());
   EXPECT_LT(mpc, baseline);  // Fig. 11(a): biggest win on msg_sppm
+}
+
+/// The CollectiveRecords of one 4 MiB `op` (rooted at rank 1) on
+/// longhorn(nodes, gpn) under MPC-OPT, with `algorithm` forced.
+std::vector<core::CollectiveRecord> records_of(int nodes, int gpn, core::CollectiveOp op,
+                                               core::CollectiveAlgorithm algorithm) {
+  const std::size_t n = (4u << 20) / 4;
+  const auto dataset = data::generate("msg_sppm", n);
+  core::Telemetry telemetry;
+  mpi::WorldOptions opts;
+  opts.telemetry = &telemetry;
+  opts.collectives[op] = algorithm;
+  sim::Engine engine;
+  World world(engine, net::longhorn(nodes, gpn), core::CompressionConfig::mpc_opt(), opts);
+  world.run([&](Rank& R) {
+    auto* buf = static_cast<float*>(R.gpu_malloc(n * 4));
+    auto* out = static_cast<float*>(R.gpu_malloc(n * 4));
+    std::memcpy(buf, dataset.data(), n * 4);
+    if (op == core::CollectiveOp::Bcast) {
+      R.bcast(buf, n * 4, 1);
+    } else {
+      R.allreduce(buf, out, n, mpi::ReduceOp::Sum);
+    }
+    R.gpu_free(out);
+    R.gpu_free(buf);
+  });
+  return telemetry.collectives();
+}
+
+sim::Time busy(const core::CollectiveRecord& r) {
+  return r.compress_busy + r.transfer_busy + r.reduce_busy;
+}
+
+TEST(CollectiveBusy, HierarchicalBcastChargesEveryStepOnce) {
+  // The representatives decode off the inter-node critical path; that
+  // decode is reduce time only, never transfer time as well.
+  const auto records = records_of(3, 2, core::CollectiveOp::Bcast,
+                                  core::CollectiveAlgorithm::Hierarchical);
+  ASSERT_EQ(records.size(), 6u);
+  for (const auto& r : records) EXPECT_LE(busy(r), r.span) << "rank " << r.rank;
+}
+
+TEST(CollectiveBusy, AllreduceBusyColumnsPartitionTheSpan) {
+  // Every step of the schedule is charged to one column, so all that is
+  // left of the span is the device accumulator's cudaMalloc and cudaFree
+  // and the copies into and out of it. Members and leaders alike: the
+  // leaders' drains are reduce time.
+  const gpu::CostModel& costs = net::longhorn(2, 2).gpu.costs;
+  const std::uint64_t bytes = 4u << 20;
+  const sim::Time residue =
+      costs.cuda_malloc(bytes) + costs.cuda_free + costs.d2d_copy(bytes) + costs.d2d_copy(bytes);
+  for (const auto algorithm :
+       {core::CollectiveAlgorithm::Ring, core::CollectiveAlgorithm::Hierarchical}) {
+    const auto records = records_of(2, 2, core::CollectiveOp::Allreduce, algorithm);
+    ASSERT_EQ(records.size(), 4u);
+    for (const auto& r : records) {
+      EXPECT_EQ((r.span - busy(r)).count_ns(), residue.count_ns())
+          << r.algorithm << " rank " << r.rank;
+    }
+  }
 }
 
 TEST(Collectives, ZeroCountWithNullBuffers) {

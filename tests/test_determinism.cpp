@@ -310,7 +310,7 @@ TEST(Determinism, HierarchicalAllreduceWorldDumpMatchesPinnedDigest) {
       hier_allreduce_scenario(),
       "eager=138/287600 compressed=0/0 corrupt=0/0 "
       "wire_out=0/0 assemble=0/0 minted=48/922528 crc=0/0/0/0");
-  EXPECT_EQ(digest(dump), "11e5161a0b943566008e16c4289f73b1442202deaf3d0a6b5ec594974ddb347a");
+  EXPECT_EQ(digest(dump), "928db1754755943f665ea64041bc792582813660e2e34bebda5a30b25f58ccd6");
 }
 
 TEST(Determinism, RingWorldDumpMatchesPinnedDigest) {
@@ -324,7 +324,7 @@ TEST(Determinism, RingWorldDumpMatchesPinnedDigest) {
       "wire_out=0/0 assemble=0/0 minted=40/362528 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
-            "c1213e83bb81756e9493d4d9fde6a748688a3962410e4a022cdc4ef3a097daf2");
+            "c1c9738ac3c6108bf4ef3abe754ea07ea76d5a142e72577c0c03292af02b8ea7");
 }
 
 WorldScenario alltoall_scenario() {
@@ -365,7 +365,7 @@ TEST(Determinism, BatchedAlltoallWorldDumpMatchesPinnedDigest) {
       "wire_out=0/0 assemble=0/0 minted=24/1204488 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
-            "bd22615693184ee41457b8ff8a0632a382aa90fc6effb7a63b7c76c62b808da3");
+            "20daaa39ef2d282bd7affde87fadedeeff4e943cbfcd701e8f7c80145b24fb7c");
 }
 
 WorldScenario hier_scenario() {
@@ -407,7 +407,7 @@ TEST(Determinism, HierarchicalMovingWorldDumpMatchesPinnedDigest) {
       "wire_out=0/0 assemble=0/0 minted=20/2963800 crc=0/0/0/0");
   EXPECT_EQ(gcmpi::testing::sha256_hex(
                 {reinterpret_cast<const std::uint8_t*>(dump.data()), dump.size()}),
-            "9df52d9c11df81fe8a1afe9fb8d9b96854dd8ab848fdad631fdc9caf7e9c7479");
+            "4e28864feadf9d1e3f9a32c3c8d42e5feb45ab2fc553f1a5585b3613e7ee03d6");
 }
 
 WorldScenario flat_scenario() {
@@ -436,7 +436,7 @@ TEST(Determinism, FlatWireWorldDumpMatchesPinnedDigest) {
       "eager=82/176204 compressed=0/0 corrupt=0/0 "
       "wire_out=0/0 assemble=0/0 minted=16/808112 crc=0/0/0/0");
   ASSERT_NE(dump.find("reduce,linear"), std::string::npos);
-  EXPECT_EQ(digest(dump), "03991629d645f0f3386ada452b1fdfe8f14d89645b264ce8266ff0ec14fcb848");
+  EXPECT_EQ(digest(dump), "c4fd00ddb904dfc1afcff6a78ee9fb7a5f7648f316119e72ec4690003069de17");
 }
 
 WorldScenario flat_pipelined_scenario() {
@@ -455,7 +455,7 @@ TEST(Determinism, FlatPipelinedWorldDumpMatchesPinnedDigest) {
       "eager=82/176204 compressed=12/297552 corrupt=0/0 "
       "wire_out=0/0 assemble=0/0 minted=6/304028 crc=0/0/0/0");
   ASSERT_NE(dump.find(" pipelined="), std::string::npos);
-  EXPECT_EQ(digest(dump), "f2aec807f0dc2ead36b6c6ff99392a5607055c114a0fbd53075552923319d516");
+  EXPECT_EQ(digest(dump), "ef1f2457d1642d1e93d63fa8594b38db9ab0f0150ca27c17e8e7d9227d5b4520");
 }
 
 /// `dump` with the last three fields of every collective-CSV row blanked:
