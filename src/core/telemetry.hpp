@@ -65,11 +65,12 @@ struct PipelineRecord {
   sim::Time decompress_busy;  // sum of chunk decompression kernel time
 };
 
-/// One completed collective on one rank, as executed by the ring or
-/// hierarchical engine (the linear p2p composition predates this record
-/// and stays silent so legacy dumps are unchanged). Stage busy times
-/// follow the PipelineRecord convention: sums of per-hop busy intervals
-/// against the collective's span, overlap included.
+/// One completed collective on one rank, as run by the schedule executor
+/// (mpi/schedule.hpp; the linear p2p composition predates this record and
+/// stays silent so legacy dumps are unchanged). Each step's elapsed time is
+/// charged to one busy column by its kind, so unlike a PipelineRecord's the
+/// columns never overlap: they and the uncharged allocations and copies
+/// add up to the span.
 struct CollectiveRecord {
   sim::Time at;  // collective entry on this rank
   int rank = -1;
@@ -79,9 +80,9 @@ struct CollectiveRecord {
   std::uint32_t hops = 0;         // wire messages this rank sent
   std::uint32_t reduces = 0;      // fused/raw reduce launches on this rank
   sim::Time span;                 // entry -> result available
-  sim::Time compress_busy;        // shard (re)compression time
-  sim::Time transfer_busy;        // blocked in wire sends/receives
-  sim::Time reduce_busy;          // fused decompress+reduce (and final decode)
+  sim::Time compress_busy;        // encode steps
+  sim::Time transfer_busy;        // send, recv and wait steps
+  sim::Time reduce_busy;          // decode (folded or not) and drain steps
 };
 
 /// One persistent channel's lifetime totals (mpi/channel.hpp), flushed at
