@@ -63,6 +63,15 @@ void Rank::Collective::run(sched::Builder build, std::uint64_t bytes, int root,
   const auto wire = [&](const Operand& o) -> WireMessage& {
     return wires[static_cast<std::size_t>(o.wire)];
   };
+  // A slot is dropped after the last step that reads it, so a received or
+  // encoded payload lives no longer than the message that used it.
+  std::vector<std::size_t> last_read(wires.size(), s.steps.size());
+  for (std::size_t i = 0; i < s.steps.size(); ++i) {
+    if (s.steps[i].kind != Step::Kind::Send && s.steps[i].kind != Step::Kind::Decode) continue;
+    for (const Operand& o : s.steps[i].ops) {
+      if (o.wire >= 0) last_read[static_cast<std::size_t>(o.wire)] = i;
+    }
+  }
   std::vector<std::vector<Request>> posted(s.steps.size());
   std::vector<core::Staging> stagings;  // enqueued decodes' stagings, released by a drain
   std::uint32_t hops = 0, reduces = 0;
@@ -129,6 +138,9 @@ void Rank::Collective::run(sched::Builder build, std::uint64_t bytes, int root,
     }
     if (sim::Time* busy = column[static_cast<std::size_t>(step.kind)]) {
       *busy += R.ctx_.now() - t0;
+    }
+    for (const Operand& x : step.ops) {
+      if (x.wire >= 0 && last_read[static_cast<std::size_t>(x.wire)] == i) wire(x) = {};
     }
   }
   if (s.scratch) R.gpu_free(scratch);
