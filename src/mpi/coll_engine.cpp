@@ -40,16 +40,14 @@ core::CollectiveAlgorithm Rank::select_collective(core::CollectiveOp op,
       cl.nodes, cl.gpus_per_node);
 }
 
-void Rank::Collective::run(sched::Builder build, std::uint64_t bytes, int root,
-                           const void* sendbuf, void* recvbuf, int tag, ReduceOp op) {
-  Rank& R = rank_;
+void Rank::run_schedule(sched::Builder build, std::uint64_t bytes, int root,
+                        const void* sendbuf, void* recvbuf, int tag, ReduceOp op) {
   // Every intra-node route shares one gate, so this rank's own answers.
-  const Schedule s = build(R.world_.cluster(), {.rank = R.rank_, .bytes = bytes, .root = root,
-                                                .intra_compress = R.world_.compresses(
-                                                    R.rank_, R.rank_)});
-  auto& mgr = R.compression();
-  const sim::Time started = R.ctx_.now();
-  void* scratch = s.scratch ? R.gpu_malloc(*s.scratch) : nullptr;
+  const Schedule s = build(world_.cluster(), {.rank = rank_, .bytes = bytes, .root = root,
+                                              .intra_compress = world_.compresses(rank_, rank_)});
+  auto& mgr = compression();
+  const sim::Time started = ctx_.now();
+  void* scratch = s.scratch ? gpu_malloc(*s.scratch) : nullptr;
   void* const base[] = {const_cast<void*>(sendbuf), recvbuf, scratch};  // Buffer order
   const auto at = [&](const Slice& x) {
     return static_cast<std::uint8_t*>(base[static_cast<std::size_t>(x.buffer)]) + x.offset;
@@ -84,80 +82,72 @@ void Rank::Collective::run(sched::Builder build, std::uint64_t bytes, int root,
   for (std::size_t i = 0; i < s.steps.size(); ++i) {
     const Step& step = s.steps[i];
     const Operand& o = step.ops.empty() ? Operand{} : step.ops[0];
-    const sim::Time t0 = R.ctx_.now();
+    const sim::Time t0 = ctx_.now();
     switch (step.kind) {
       case Step::Kind::Encode:
         if (step.at.slab) {  // the batch placement: one launch for every block
-          std::vector<WireMessage> out = R.make_wire_batch(blocks(step));
+          std::vector<WireMessage> out = world_.do_make_wire_batch(ctx_, rank_, blocks(step));
           for (std::size_t k = 0; k < out.size(); ++k) wire(step.ops[k]) = std::move(out[k]);
         } else {
-          wire(o) = step.raw ? R.world_.make_raw_wire(at(o.slice), o.slice.bytes)
-                             : R.make_wire(at(o.slice), o.slice.bytes);
+          wire(o) = step.raw ? world_.make_raw_wire(at(o.slice), o.slice.bytes)
+                             : make_wire(at(o.slice), o.slice.bytes);
         }
         break;
       case Step::Kind::Send:
         if (step.ops.size() > 1) {  // raw slices to several peers: one batched send
-          posted[i] = R.isend_batched(blocks(step));
+          posted[i] = isend_batched(blocks(step));
         } else {
-          posted[i].push_back(o.wire >= 0 ? R.isend_wire(wire(o), o.peer, tag)
-                                          : R.isend(at(o.slice), o.slice.bytes, o.peer, tag));
+          posted[i].push_back(o.wire >= 0 ? isend_wire(wire(o), o.peer, tag)
+                                          : isend(at(o.slice), o.slice.bytes, o.peer, tag));
         }
         hops += static_cast<std::uint32_t>(step.ops.size());
         break;
       case Step::Kind::Recv:
-        posted[i].push_back(o.wire >= 0 ? R.irecv_wire(&wire(o), o.peer, tag)
-                                        : R.irecv(at(o.slice), o.slice.bytes, o.peer, tag));
+        posted[i].push_back(o.wire >= 0 ? irecv_wire(&wire(o), o.peer, tag)
+                                        : irecv(at(o.slice), o.slice.bytes, o.peer, tag));
         break;
       case Step::Kind::Wait:
-        for (int post : step.waits) R.waitall(posted[static_cast<std::size_t>(post)]);
+        for (int post : step.waits) waitall(posted[static_cast<std::size_t>(post)]);
         break;
       case Step::Kind::Decode: {
         sim::Timeline tl(t0);
-        stagings.push_back(R.land_wire(tl, wire(o), at(o.slice), o.slice.bytes, step.at,
-                                       step.fold ? std::optional(op) : std::nullopt));
+        stagings.push_back(land_wire(tl, wire(o), at(o.slice), o.slice.bytes, step.at,
+                                     step.fold ? std::optional(op) : std::nullopt));
         if (step.at.synchronize) {
           mgr.release(tl, stagings.back());
           stagings.pop_back();
         }
-        R.ctx_.advance_to(tl.now());
+        ctx_.advance_to(tl.now());
         reduces += step.fold ? 1 : 0;
         break;
       }
       case Step::Kind::Drain: {
         sim::Timeline tl(t0);
-        R.gpu().device_synchronize(tl, &mgr.receiver_breakdown());
+        gpu().device_synchronize(tl, &mgr.receiver_breakdown());
         for (auto& staging : stagings) mgr.release(tl, staging);
         stagings.clear();
-        R.ctx_.advance_to(tl.now());
+        ctx_.advance_to(tl.now());
         break;
       }
       case Step::Kind::Copy:
         if (o.slice.bytes != 0) std::memcpy(at(step.ops[1].slice), at(o.slice), o.slice.bytes);
-        if (step.device) R.compute(R.gpu().costs().d2d_copy(o.slice.bytes));
+        if (step.device) compute(gpu().costs().d2d_copy(o.slice.bytes));
         break;
     }
-    if (sim::Time* busy = column[static_cast<std::size_t>(step.kind)]) {
-      *busy += R.ctx_.now() - t0;
-    }
+    if (sim::Time* busy = column[static_cast<std::size_t>(step.kind)]) *busy += ctx_.now() - t0;
     for (const Operand& x : step.ops) {
       if (x.wire >= 0 && last_read[static_cast<std::size_t>(x.wire)] == i) wire(x) = {};
     }
   }
-  if (s.scratch) R.gpu_free(scratch);
+  if (s.scratch) gpu_free(scratch);
 
-  core::Telemetry* t = R.world_.options().telemetry;
+  core::Telemetry* t = world_.options().telemetry;
   if (!s.record || t == nullptr) return;
-  t->record_collective({.at = started,
-                        .rank = R.rank_,
-                        .op = s.op,
+  t->record_collective({.at = started, .rank = rank_, .op = s.op,
                         .algorithm = core::collective_algorithm_name(s.algorithm),
-                        .bytes = *s.record,
-                        .hops = hops,
-                        .reduces = reduces,
-                        .span = R.ctx_.now() - started,
-                        .compress_busy = compress_busy,
-                        .transfer_busy = transfer_busy,
-                        .reduce_busy = reduce_busy});
+                        .bytes = *s.record, .hops = hops, .reduces = reduces,
+                        .span = ctx_.now() - started, .compress_busy = compress_busy,
+                        .transfer_busy = transfer_busy, .reduce_busy = reduce_busy});
 }
 
 }  // namespace gcmpi::mpi

@@ -8,8 +8,8 @@
 // exchange for alltoall, dissemination barrier. Each op picks its path
 // here: the eager, pipelined and linear bodies are direct point-to-point
 // calls; every compressed body is a schedule (mpi/schedule.hpp) run by
-// Rank::Collective. MPI allows a zero count with any buffer, NULL included,
-// so each local copy a zero count reaches is guarded by it.
+// Rank::run_schedule. MPI allows a zero count with any buffer, NULL
+// included, so each local copy a zero count reaches is guarded by it.
 #include <cstring>
 #include <ranges>
 #include <vector>
@@ -44,7 +44,7 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
   // one per rank.
   if (!eager && select_collective(core::CollectiveOp::Bcast, bytes) ==
                     core::CollectiveAlgorithm::Hierarchical) {
-    Collective(*this).run(sched::bcast_hierarchical, bytes, root, buf, buf, tag);
+    run_schedule(sched::bcast_hierarchical, bytes, root, buf, buf, tag);
     return;
   }
 
@@ -63,7 +63,7 @@ void Rank::bcast(void* buf, std::uint64_t bytes, int root) {
 
   // Compression-aware binomial broadcast: the root compresses ONCE and
   // every intermediate rank forwards the wire form.
-  Collective(*this).run(sched::bcast_tree, bytes, root, buf, buf, tag);
+  run_schedule(sched::bcast_tree, bytes, root, buf, buf, tag);
 }
 
 void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf) {
@@ -98,7 +98,7 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
   // nodes-1 inter-node transits instead of P-1.
   if (!eager && select_collective(core::CollectiveOp::Allgather, block_bytes) ==
                     core::CollectiveAlgorithm::Hierarchical) {
-    Collective(*this).run(sched::allgather_hierarchical, block_bytes, 0, sendbuf, recvbuf, tag);
+    run_schedule(sched::allgather_hierarchical, block_bytes, 0, sendbuf, recvbuf, tag);
     return;
   }
 
@@ -120,7 +120,7 @@ void Rank::allgather(const void* sendbuf, std::uint64_t block_bytes, void* recvb
 
   // Compression-aware ring: each block is compressed once by its owner and
   // circulates in wire form.
-  Collective(*this).run(sched::allgather_ring, block_bytes, 0, sendbuf, recvbuf, tag);
+  run_schedule(sched::allgather_ring, block_bytes, 0, sendbuf, recvbuf, tag);
 }
 
 void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
@@ -149,7 +149,7 @@ void Rank::reduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp 
   // Rendezvous-sized vectors: the same binomial schedule, folded into a
   // device accumulator with fused decode+reduce kernels. The fold order is
   // the host path's, so results are bit-identical.
-  Collective(*this).run(sched::reduce_tree, n * 4, root, sendbuf, recvbuf, tag, op);
+  run_schedule(sched::reduce_tree, n * 4, root, sendbuf, recvbuf, tag, op);
 }
 
 void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op) {
@@ -165,10 +165,9 @@ void Rank::allreduce(const float* sendbuf, float* recvbuf, std::size_t n, Reduce
     allreduce_linear(sendbuf, recvbuf, n, op, tag);
     return;
   }
-  Collective(*this).run(algorithm == core::CollectiveAlgorithm::Hierarchical
-                            ? sched::allreduce_hierarchical
-                            : sched::allreduce_ring,
-                        n * 4, 0, sendbuf, recvbuf, tag, op);
+  run_schedule(algorithm == core::CollectiveAlgorithm::Hierarchical ? sched::allreduce_hierarchical
+                                                                   : sched::allreduce_ring,
+               n * 4, 0, sendbuf, recvbuf, tag, op);
 }
 
 void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recvcount,
@@ -188,7 +187,7 @@ void Rank::reduce_scatter(const float* sendbuf, float* recvbuf, std::size_t recv
     scatter(full.data(), recvcount * 4, recvbuf, 0);
     return;
   }
-  Collective(*this).run(sched::reduce_scatter_ring, n * 4, 0, sendbuf, recvbuf, tag, op);
+  run_schedule(sched::reduce_scatter_ring, n * 4, 0, sendbuf, recvbuf, tag, op);
 }
 
 void Rank::allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n,
@@ -248,7 +247,7 @@ void Rank::alltoall(const void* sendbuf, std::uint64_t block_bytes, void* recvbu
       select_collective(core::CollectiveOp::Alltoall, block_bytes) ==
           core::CollectiveAlgorithm::BatchedPairwise) {
     // One batched compression launch for all P-1 outgoing blocks.
-    Collective(*this).run(sched::alltoall_batched, block_bytes, 0, in, out, tag);
+    run_schedule(sched::alltoall_batched, block_bytes, 0, in, out, tag);
     return;
   }
   for (int step = 1; step < P; ++step) {
@@ -267,7 +266,7 @@ void Rank::gather(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf,
           core::CollectiveAlgorithm::Hierarchical) {
     // Leader-staged: remote nodes ship one assembled slab each instead of
     // gpus_per_node individual blocks.
-    Collective(*this).run(sched::gather_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
+    run_schedule(sched::gather_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
     return;
   }
   if (rank_ == root) {
@@ -299,7 +298,7 @@ void Rank::scatter(const void* sendbuf, std::uint64_t block_bytes, void* recvbuf
           core::CollectiveAlgorithm::Hierarchical) {
     // Root batch-compresses one slab per remote node in a single launch;
     // leaders fan the blocks out intra-node.
-    Collective(*this).run(sched::scatter_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
+    run_schedule(sched::scatter_hierarchical, block_bytes, root, sendbuf, recvbuf, tag);
     return;
   }
   if (rank_ == root) {

@@ -38,7 +38,6 @@ namespace gcmpi::mpi {
 namespace {
 
 using core::CollectiveAlgorithm;
-using Placement = core::CompressionManager::Placement;
 
 const Placement kEnqueued = Placement::message(0, false);  // finished by the next drain
 const Placement kSynced = Placement::message();             // finished before the next step
@@ -269,10 +268,9 @@ Schedule alltoall_batched(const net::ClusterSpec& topology, const Shape& sh) {
   std::vector<int> recvs, sends;
   for (const Operand& o : in) recvs.push_back(s.recv(o.wire, o.peer));
   for (const Operand& o : out) sends.push_back(s.send(o.wire, o.peer));
-  for (int k = 0; k < P - 1; ++k) {
-    const Operand& o = in[static_cast<std::size_t>(k)];
-    s.wait({recvs[static_cast<std::size_t>(k)]});
-    s.decode(o.wire, o.slice, false, Placement::message(k, false));
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    s.wait({recvs[k]});
+    s.decode(in[k].wire, in[k].slice, false, Placement::message(static_cast<int>(k), false));
   }
   s.wait(sends);
   s.drain();
@@ -291,9 +289,7 @@ Schedule bcast_hierarchical(const net::ClusterSpec& topology, const Shape& sh) {
   Schedule s{.op = "bcast", .algorithm = CollectiveAlgorithm::Hierarchical, .record = sh.bytes};
   const int root_node = topology.node_of(sh.root), my_node = topology.node_of(sh.rank);
   // The root carries its own node's traffic, the node leader every other's.
-  const auto rep_of = [&](int node) {
-    return node == root_node ? sh.root : node * topology.gpus_per_node;
-  };
+  const auto rep_of = [&](int n) { return n == root_node ? sh.root : n * topology.gpus_per_node; };
   const int rep = rep_of(my_node);
   const Slice buf = recv_at(0, sh.bytes);
   const int w = s.wire();

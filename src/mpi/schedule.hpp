@@ -1,6 +1,6 @@
 // Collectives as schedules: one rank's part of a compressed collective is an
 // ordered list of steps on wire slots and buffer slices, written by a pure
-// builder and run by one executor (Rank::Collective::run).
+// builder and run by one executor (Rank::run_schedule).
 //
 // A builder is a function of the topology, this rank, the byte count, the
 // root and the intra-node compression gate, and of nothing else: it takes
@@ -36,6 +36,8 @@
 
 namespace gcmpi::mpi {
 
+using Placement = core::CompressionManager::Placement;
+
 /// The caller's send and receive buffers, and the schedule's device scratch.
 enum class Buffer : std::uint8_t { Send, Recv, Scratch };
 
@@ -62,13 +64,12 @@ struct Step {
   bool raw = false;            // Encode: a raw wire (the intra-node gate is off)
   bool fold = false;           // Decode: reduce into the slice instead of overwriting it
   bool device = true;          // Copy: charge a device-to-device copy
-  core::CompressionManager::Placement at{};  // Encode (message or batch), Decode
+  Placement at{};              // Encode (message or batch), Decode
 };
 
 /// One rank's part of one compressed collective.
 struct Schedule {
   using Kind = Step::Kind;
-  using Placement = core::CompressionManager::Placement;
 
   const char* op = "";                    // the CollectiveRecord this rank appends,
   core::CollectiveAlgorithm algorithm{};  // when `record` holds its byte count

@@ -1030,10 +1030,6 @@ WireMessage Rank::make_wire(const void* buf, std::uint64_t bytes) {
   return {std::move(header), std::move(payload.owner)};
 }
 
-std::vector<WireMessage> Rank::make_wire_batch(const std::vector<WireBlock>& blocks) {
-  return world_.do_make_wire_batch(ctx_, rank_, blocks);
-}
-
 std::vector<Request> Rank::isend_batched(const std::vector<WireBlock>& blocks) {
   // Batch-compress only the blocks the normal isend path would compress,
   // and only when there are at least two of them to amortize the launch
@@ -1050,7 +1046,7 @@ std::vector<Request> Rank::isend_batched(const std::vector<WireBlock>& blocks) {
   }
   std::vector<Request> reqs(blocks.size());
   if (sub.size() >= 2) {
-    const std::vector<WireMessage> wires = make_wire_batch(sub);
+    const std::vector<WireMessage> wires = world_.do_make_wire_batch(ctx_, rank_, sub);
     for (std::size_t k = 0; k < sub.size(); ++k) {
       reqs[batched[k]] = isend_wire(wires[k], sub[k].peer, sub[k].tag);
     }
@@ -1077,8 +1073,7 @@ void Rank::decompress_wire(const WireMessage& msg, void* buf, std::uint64_t capa
 }
 
 core::Staging Rank::land_wire(sim::Timeline& tl, const WireMessage& msg, void* buf,
-                              std::uint64_t capacity,
-                              const core::CompressionManager::Placement& at,
+                              std::uint64_t capacity, const Placement& at,
                               std::optional<ReduceOp> fold) {
   if (!msg.payload) throw std::invalid_argument("decompress_wire: empty message");
   core::Staging staging = compression().prepare_receive(tl, msg.header);

@@ -132,7 +132,7 @@ struct HostCounters {
   Copies corrupt_copy;        // private copy a corrupted delivery flips a bit in
   Copies wire_out;            // borrowed bytes delivered to a wire-form receive
   Copies assemble;            // pipelined message reassembled for a wire-form receive
-  Copies minted_wire;         // make_wire, make_wire_batch and raw intra-node wires
+  Copies minted_wire;         // make_wire, do_make_wire_batch and raw intra-node wires
   std::uint64_t crc_eager_stamp = 0;
   std::uint64_t crc_eager_verify = 0;
   std::uint64_t crc_segment_stamp = 0;   // once per segment payload (re-push: none)
@@ -230,16 +230,11 @@ class Rank {
     int peer = -1;
     int tag = 0;
   };
-  /// Compress every eligible block of the batch in ONE kernel launch (a
-  /// CompressionManager launch at the batch placement): the launch+sync
-  /// overhead is paid once for the whole batch instead of once per
-  /// destination.
-  /// Returns one wire message per block, aligned with the input.
-  [[nodiscard]] std::vector<WireMessage> make_wire_batch(const std::vector<WireBlock>& blocks);
   /// Multi-destination send (shuffles, scatter roots): blocks that qualify
-  /// for batched compression (>= 2 of them) go through make_wire_batch +
-  /// isend_wire; the rest take the normal isend path. Returns one request
-  /// per block, aligned with the input.
+  /// for batched compression (>= 2 of them) are compressed in one launch
+  /// (World::do_make_wire_batch) and sent with isend_wire; the rest take the
+  /// normal isend path. Returns one request per block, aligned with the
+  /// input.
   [[nodiscard]] std::vector<Request> isend_batched(const std::vector<WireBlock>& blocks);
   void send(const void* buf, std::uint64_t bytes, int dst, int tag);
   Status recv(void* buf, std::uint64_t capacity, int src, int tag);
@@ -278,25 +273,16 @@ class Rank {
   /// decompress_wire at once, a collective's unsynchronized decodes at the
   /// next drain.
   core::Staging land_wire(sim::Timeline& tl, const WireMessage& msg, void* buf,
-                          std::uint64_t capacity,
-                          const core::CompressionManager::Placement& at =
-                              core::CompressionManager::Placement::message(),
+                          std::uint64_t capacity, const Placement& at = Placement::message(),
                           std::optional<ReduceOp> fold = std::nullopt);
-  /// The one executor of the compressed collectives. run() builds this
-  /// rank's Schedule of `build` for `bytes` at `root` (mpi/schedule.hpp),
-  /// posts its steps in order, charges each step's elapsed time to the busy
-  /// column of its kind, allocates the scratch first and frees it last, and
-  /// appends the CollectiveRecord the schedule asks for (when telemetry is
-  /// on). Folds reduce with `op`.
-  class Collective {
-   public:
-    explicit Collective(Rank& rank) : rank_(rank) {}
-    void run(sched::Builder build, std::uint64_t bytes, int root, const void* sendbuf,
-             void* recvbuf, int tag, ReduceOp op = ReduceOp::Sum);
-
-   private:
-    Rank& rank_;
-  };
+  /// The one executor of the compressed collectives: builds this rank's
+  /// Schedule of `build` for `bytes` at `root` (mpi/schedule.hpp), posts its
+  /// steps in order, charges each step's elapsed time to the busy column of
+  /// its kind, allocates the scratch first and frees it last, and appends
+  /// the CollectiveRecord the schedule asks for (when telemetry is on).
+  /// Folds reduce with `op`.
+  void run_schedule(sched::Builder build, std::uint64_t bytes, int root, const void* sendbuf,
+                    void* recvbuf, int tag, ReduceOp op = ReduceOp::Sum);
   void allreduce_linear(const float* sendbuf, float* recvbuf, std::size_t n, ReduceOp op,
                         int tag);
 
@@ -494,6 +480,11 @@ class World {
   std::pair<core::CompressionHeader, Payload> compress_send(sim::ActorContext& ctx, int rank,
                                                             const void* buf, std::uint64_t bytes,
                                                             bool minted);
+  /// Compress every block of the batch whose route compresses in ONE kernel
+  /// launch (a CompressionManager launch at the batch placement), so the
+  /// launch+sync overhead is paid once for the whole batch instead of once
+  /// per destination; the rest become raw wires. Returns one wire message
+  /// per block, aligned with the input.
   std::vector<WireMessage> do_make_wire_batch(sim::ActorContext& ctx, int rank,
                                               const std::vector<Rank::WireBlock>& blocks);
   /// Does the src -> dst route compress at all? Intra-node routes are

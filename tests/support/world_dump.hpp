@@ -89,6 +89,12 @@ struct WorldScenario {
 /// "site=buffers/bytes", then the bytes checksummed per CRC site.
 [[nodiscard]] std::string host_counters_line(const mpi::HostCounters& c);
 
+/// `dump` with the last three fields of every collective-CSV row blanked:
+/// the busy columns (compress, transfer, reduce), which only the stage
+/// accounting writes. A CSV is found by its "collective_records=N" line,
+/// followed by the header row and N rows. Every other byte is kept.
+[[nodiscard]] std::string mask_busy_columns(const std::string& dump);
+
 /// Locate the first diverging line between two dumps and format a
 /// human-readable diff snippet (line number, both lines, context).
 [[nodiscard]] std::string first_divergence(const std::string& a, const std::string& b);

@@ -29,6 +29,7 @@ namespace {
 using namespace gcmpi;
 namespace support = gcmpi::testing;
 using support::first_divergence;
+using support::mask_busy_columns;
 using support::run_world_dump;
 using support::WorldScenario;
 
@@ -456,31 +457,6 @@ TEST(Determinism, FlatPipelinedWorldDumpMatchesPinnedDigest) {
       "wire_out=0/0 assemble=0/0 minted=6/304028 crc=0/0/0/0");
   ASSERT_NE(dump.find(" pipelined="), std::string::npos);
   EXPECT_EQ(digest(dump), "ef1f2457d1642d1e93d63fa8594b38db9ab0f0150ca27c17e8e7d9227d5b4520");
-}
-
-/// `dump` with the last three fields of every collective-CSV row blanked:
-/// the busy columns (compress, transfer, reduce), which only the stage
-/// accounting writes. Every other byte of the dump is kept.
-std::string mask_busy_columns(const std::string& dump) {
-  std::istringstream in(dump);
-  std::ostringstream out;
-  std::string line;
-  std::size_t rows = 0;
-  bool header = false;
-  while (std::getline(in, line)) {
-    if (rows > 0 && !header) {
-      for (int field = 0; field < 3; ++field) line.erase(line.rfind(','));
-      line += ",,,";
-      --rows;
-    }
-    header = false;
-    if (line.starts_with("collective_records=")) {
-      rows = std::stoul(line.substr(line.find('=') + 1));
-      header = true;  // the CSV header row follows
-    }
-    out << line << '\n';
-  }
-  return out.str();
 }
 
 TEST(Determinism, CollectiveDumpsOutsideTheBusyColumnsMatchPinnedDigests) {
