@@ -18,6 +18,7 @@
 #include "fault/injector.hpp"
 #include "mpi/world.hpp"
 #include "support/sha256.hpp"
+#include "support/world_dump.hpp"
 
 namespace {
 
@@ -260,7 +261,9 @@ TEST(Adaptive, AllreduceAgreesAcrossRanksAndMatchesOracle) {
 // displaces the prior once the prior's own schedule has enough samples. The
 // decision log, the collective records and the final virtual clock are
 // hashed together, so a selection refactor that moves any adaptive
-// decision (or the schedule it runs) changes the digest.
+// decision (or the schedule it runs) changes the digest. The decisions with
+// the clock, and the records with their busy columns blanked, are pinned
+// apart as well: a change to stage accounting alone moves only the whole.
 TEST(Adaptive, CollectiveDecisionsArePinned) {
   constexpr std::uint64_t KiB = 1024, MiB = 1024 * KiB;
   Telemetry telemetry;
@@ -324,6 +327,17 @@ TEST(Adaptive, CollectiveDecisionsArePinned) {
   telemetry.write_collective_csv(log);
   log << "now_ns=" << engine.now().count_ns() << "\n";
   const std::string text = log.str();
+  const auto sha = [](const std::string& s) {
+    return gcmpi::testing::sha256_hex({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  };
+  std::ostringstream decisions_and_clock, records;
+  decisions_and_clock << decision_csv(telemetry) << "now_ns=" << engine.now().count_ns() << "\n";
+  records << "collective_records=" << telemetry.collectives().size() << "\n";
+  telemetry.write_collective_csv(records);
+  EXPECT_EQ(sha(decisions_and_clock.str()),
+            "cf41d44158300d95ba200db219ba3e21b5417ea83b09fb7f333f669450718f42");
+  EXPECT_EQ(sha(gcmpi::testing::mask_busy_columns(records.str())),
+            "16d8e99d6e25114ecf2c0b8d80ddd3f8401f8cb1721f07de2de13ae44eff6b9e");
 
   // One decision per collective call (reduce_scatter shares allreduce's
   // sequence), and the two fed-in alternatives displaced the prior.
@@ -340,9 +354,7 @@ TEST(Adaptive, CollectiveDecisionsArePinned) {
     EXPECT_EQ(decisions[op], 8) << op;
   }
   EXPECT_EQ(text.size(), 26486u);
-  EXPECT_EQ(gcmpi::testing::sha256_hex(
-                {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()}),
-            "96e0012deba1e707ec7760cd4de4edde2566274b56c05305d5184e9c7df12c49");
+  EXPECT_EQ(sha(text), "96e0012deba1e707ec7760cd4de4edde2566274b56c05305d5184e9c7df12c49");
 }
 
 }  // namespace
