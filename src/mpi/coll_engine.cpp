@@ -143,11 +143,17 @@ void Rank::run_schedule(sched::Builder build, std::uint64_t bytes, int root,
 
   core::Telemetry* t = world_.options().telemetry;
   if (!s.record || t == nullptr) return;
-  t->record_collective({.at = started, .rank = rank_, .op = s.op,
+  t->record_collective({.at = started,
+                        .rank = rank_,
+                        .op = s.op,
                         .algorithm = core::collective_algorithm_name(s.algorithm),
-                        .bytes = *s.record, .hops = hops, .reduces = reduces,
-                        .span = ctx_.now() - started, .compress_busy = compress_busy,
-                        .transfer_busy = transfer_busy, .reduce_busy = reduce_busy});
+                        .bytes = *s.record,
+                        .hops = hops,
+                        .reduces = reduces,
+                        .span = ctx_.now() - started,
+                        .compress_busy = compress_busy,
+                        .transfer_busy = transfer_busy,
+                        .reduce_busy = reduce_busy});
 }
 
 }  // namespace gcmpi::mpi
