@@ -12,6 +12,8 @@
 //   and, for the zfp decode digests, kZfpDecoded)
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,6 +52,12 @@ constexpr GoldenEntry kGolden[] = {
     {"zfp/r4/d1/65536", "47a49718211adf30cf7e6c2c5124476905fd467f7ea253a8e1b18af23baf54d2"},
     {"zfp/r8/d1/4099", "51d39314f5d7139cac7a1da0a26f46bc8d3082f2dcc318e10afc9ff5ee016a96"},
     {"zfp/r16/d1/65536", "284761de7fc182d801d75f5c773fee544c893b6b582613d14ac04eced90d17db"},
+    {"zfp/r4/d1/1048579",
+     "f99e5c4ab2402fed724c1ad7b8b2a0578b81a1c673d47dd3305be0d935a0c479"},
+    {"zfp/r8/d1/1048579",
+     "1727844bdbeeaed141536da68981354ba90d4f8a37cf4cc15a468398a77035a7"},
+    {"zfp/r16/d1/1048579",
+     "286ad5e2e02c3cb58e9e2991206f19591e397d2d33f629c31a728329f859a8dd"},
 };
 
 // Pinned digests of the floats each zfp golden stream decodes to. The
@@ -59,6 +67,12 @@ constexpr GoldenEntry kZfpDecoded[] = {
     {"zfp/r4/d1/65536", "bb5266f582468684820e3e05baa2ecdad2cea63b5c52bc3334cdcd32c6bbd99f"},
     {"zfp/r8/d1/4099", "252f04cc3001560065a0601f77bb79963b4123d3831fa55ae1b7db3cfb7ec254"},
     {"zfp/r16/d1/65536", "67cb840007ab33c51112986ef440e693fd9b8b657d2b023c294e392ab26671f7"},
+    {"zfp/r4/d1/1048579",
+     "0295259afc10e860f79052492bace5540905549d1fd3b6b64d4594fadea6f5ef"},
+    {"zfp/r8/d1/1048579",
+     "074c7b89cf92d062d7c3fde5c628d2469f5a855dd89ef349664ce414367a55f6"},
+    {"zfp/r16/d1/1048579",
+     "67527b986e80ca736fa99ef3bf7a24ae53f52a7bbba2f8b6c7c29dc0850b8a05"},
 };
 
 using MakeStream = std::function<std::vector<std::uint8_t>()>;
@@ -96,6 +110,11 @@ std::vector<ZfpCase> zfp_cases() {
       {"zfp/r4/d1/65536", ZfpCodec(4), ZfpField::d1(65536), K::SmoothField, 21},
       {"zfp/r8/d1/4099", ZfpCodec(8), ZfpField::d1(4099), K::VelocityPlane, 22},
       {"zfp/r16/d1/65536", ZfpCodec(16), ZfpField::d1(65536), K::SmoothField, 23},
+      // 1 Mi + 3 values: many split pieces, then a partial 16-block group
+      // ending in a partial block.
+      {"zfp/r4/d1/1048579", ZfpCodec(4), ZfpField::d1(1048579), K::SmoothField, 24},
+      {"zfp/r8/d1/1048579", ZfpCodec(8), ZfpField::d1(1048579), K::VelocityPlane, 25},
+      {"zfp/r16/d1/1048579", ZfpCodec(16), ZfpField::d1(1048579), K::SmoothField, 26},
   };
 }
 
@@ -179,8 +198,9 @@ TEST(GoldenStreams, StreamsRoundTrip) {
 }
 
 // The streams large enough to be split across cores must decode to their
-// input bit for bit, on the dispatched and on the portable path.
-TEST(GoldenStreams, LargeMpcStreamsDecodeToTheirInput) {
+// input on the dispatched and on the portable path: MPC bit for bit, ZFP
+// to the same floats on both paths, within the codec's error bound.
+TEST(GoldenStreams, LargeStreamsDecodeToTheirInput) {
   using K = gt::PayloadKind;
   struct Case {
     int dim;
@@ -199,6 +219,28 @@ TEST(GoldenStreams, LargeMpcStreamsDecodeToTheirInput) {
     std::vector<float> portable(c.n);
     ASSERT_EQ(codec.decompress_portable(bytes, portable), c.n);
     EXPECT_EQ(std::memcmp(portable.data(), in.data(), c.n * sizeof(float)), 0);
+  }
+  for (const ZfpCase& z : zfp_cases()) {
+    if (z.field.values() < (std::size_t{1} << 20)) continue;
+    SCOPED_TRACE(z.name);
+    const auto in = gt::make_floats(z.kind, z.field.values(), z.seed);
+    const auto bytes = zfp_stream(z.codec, z.field, z.kind, z.seed);
+    std::vector<std::uint8_t> portable_bytes(bytes.size());
+    ASSERT_EQ(z.codec.compress_portable(in, z.field, portable_bytes), bytes.size());
+    EXPECT_EQ(portable_bytes, bytes);
+    std::vector<float> out(in.size());
+    std::vector<float> portable(in.size());
+    z.codec.decompress(bytes, z.field, out);
+    z.codec.decompress_portable(bytes, z.field, portable);
+    EXPECT_EQ(std::memcmp(out.data(), portable.data(), out.size() * sizeof(float)), 0);
+    float max_abs = 0.0f;
+    for (const float v : in) max_abs = std::max(max_abs, std::fabs(v));
+    const double bound = z.codec.error_bound(max_abs);
+    std::size_t over = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+      over += std::fabs(static_cast<double>(out[i]) - in[i]) > bound ? 1 : 0;
+    }
+    EXPECT_EQ(over, 0u) << "values past the error bound " << bound;
   }
 }
 
