@@ -6,6 +6,7 @@
 // come from the calibrated model, not from these numbers.
 #include <benchmark/benchmark.h>
 
+#include <optional>
 #include <vector>
 
 #include "compress/mpc.hpp"
@@ -55,7 +56,7 @@ void BM_MpcDecompressImpl(benchmark::State& state) {
   const std::size_t size = codec.compress(in, buf);
   std::vector<float> out(in.size());
   for (auto _ : state) {
-    benchmark::DoNotOptimize((codec.*Decompress)({buf.data(), size}, out));
+    benchmark::DoNotOptimize((codec.*Decompress)({buf.data(), size}, out, std::nullopt));
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -108,7 +109,7 @@ void BM_ZfpDecompressImpl(benchmark::State& state) {
   (void)codec.compress(in, field, buf);
   std::vector<float> out(in.size());
   for (auto _ : state) {
-    (codec.*Decompress)(buf, field, out);
+    (codec.*Decompress)(buf, field, out, std::nullopt);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }

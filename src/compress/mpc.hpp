@@ -42,11 +42,18 @@
 // checked against the bytes left, and every tile mask against the words
 // left in its chunk, before the words are gathered; a violation throws
 // (the lowest failing range's exception, after every range has run).
+// A folding decode (decompress with a ReduceOp) decodes each chunk into a
+// per-thread buffer and folds it into `out` at once; a chunk that fails
+// its checks throws before it folds, but chunks of other ranges may
+// already have folded.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+
+#include "compress/reduce.hpp"
 
 namespace gcmpi::comp {
 
@@ -71,14 +78,17 @@ class MpcCodec {
   /// Compress `in` into `out`; returns bytes written.
   std::size_t compress(std::span<const float> in, std::span<std::uint8_t> out) const;
 
-  /// Decompress; returns number of values restored (must equal out.size()
-  /// capacity check is enforced).
-  std::size_t decompress(std::span<const std::uint8_t> in, std::span<float> out) const;
+  /// Decompress; returns number of values restored (out.size() must hold
+  /// them). With a `fold`, `out` is an accumulator: out[i] = op(out[i],
+  /// decoded[i]), the reduce_inplace convention.
+  std::size_t decompress(std::span<const std::uint8_t> in, std::span<float> out,
+                         std::optional<ReduceOp> fold = std::nullopt) const;
 
   /// compress()/decompress() on the portable scalar path: what they run on
   /// CPUs without AVX-512. Same bytes and same checks on every host.
   std::size_t compress_portable(std::span<const float> in, std::span<std::uint8_t> out) const;
-  std::size_t decompress_portable(std::span<const std::uint8_t> in, std::span<float> out) const;
+  std::size_t decompress_portable(std::span<const std::uint8_t> in, std::span<float> out,
+                                  std::optional<ReduceOp> fold = std::nullopt) const;
 
   /// Number of float values encoded in a compressed buffer (header peek).
   [[nodiscard]] static std::size_t encoded_values(std::span<const std::uint8_t> in);

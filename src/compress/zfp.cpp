@@ -7,6 +7,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/parallel.hpp"
+
 #if defined(__x86_64__)
 // GCC 12 reports -Wmaybe-uninitialized inside the AVX-512 intrinsic headers:
 // their unmasked forms pass an undefined vector through as the merge source.
@@ -457,6 +459,16 @@ template <bool Wide>
   }
 }
 
+// A group of 16 blocks (64 values) codes to 8 * rate bytes, a whole number
+// of 64-bit words at every rate: the vector kernel's unit, and the unit the
+// pool splits a stream on.
+constexpr std::size_t kGroupBlocks = 16;
+constexpr std::size_t kGroupValues = 4 * kGroupBlocks;
+
+[[nodiscard]] constexpr std::size_t group_bytes(int rate) {
+  return kGroupBlocks * 4 * static_cast<std::size_t>(rate) / 8;
+}
+
 // Whole streams: n values to or from the fixed-rate stream at `out`/`in`.
 using EncodeStream = void (*)(const float* in, std::size_t n, int rate, std::uint8_t* out);
 using DecodeStream = void (*)(const std::uint8_t* in, std::size_t size, std::size_t n, int rate,
@@ -513,13 +525,6 @@ void decode_portable(const std::uint8_t* in, std::size_t size, std::size_t n, in
 // ---------------------------------------------------------------------------
 
 #if defined(__x86_64__)
-
-constexpr std::size_t kGroupBlocks = 16;
-constexpr std::size_t kGroupValues = 4 * kGroupBlocks;
-
-[[nodiscard]] constexpr std::size_t group_bytes(int rate) {
-  return kGroupBlocks * 4 * static_cast<std::size_t>(rate) / 8;
-}
 
 #define GCMPI_AVX512 __attribute__((target("avx512f,avx512bw,avx512vl,avx512cd")))
 
@@ -904,25 +909,62 @@ const FixedRatePath& dispatched() {
   return path;
 }
 
+// From kSplitGroups groups on, a stream is encoded and decoded on the
+// parallel pool in pieces of kPieceGroups groups; every piece starts on a
+// group, so at a whole word of the stream, and the last one takes the
+// ragged tail. A folding decode runs each piece kFoldValues at a time
+// through a buffer on the stack and folds that into the accumulator.
+constexpr std::size_t kSplitGroups = 1024;
+constexpr std::size_t kPieceGroups = 256;
+constexpr std::size_t kFoldValues = 16 * kGroupValues;
+
+[[nodiscard]] std::size_t piece_values(std::size_t n) {
+  return n / kGroupValues < kSplitGroups ? n : kPieceGroups * kGroupValues;
+}
+
+/// Bytes of the stream before value `first`, a multiple of kGroupValues.
+[[nodiscard]] std::size_t stream_offset(std::size_t first, int rate) {
+  return first / kGroupValues * group_bytes(rate);
+}
+
 std::size_t compress_with(const ZfpCodec& codec, EncodeStream encode,
                           std::span<const float> in, const ZfpField& field,
                           std::span<std::uint8_t> out) {
   if (in.size() < field.values()) throw std::invalid_argument("ZfpCodec::compress: input too small");
   const std::size_t need = codec.compressed_bytes(field);
   if (out.size() < need) throw std::invalid_argument("ZfpCodec::compress: output too small");
-  encode(in.data(), field.nx, codec.rate(), out.data());
+  const int rate = codec.rate();
+  util::parallel_for(field.nx, piece_values(field.nx), [&](std::size_t first, std::size_t last) {
+    encode(in.data() + first, last - first, rate, out.data() + stream_offset(first, rate));
+  });
   return need;
 }
 
 void decompress_with(const ZfpCodec& codec, DecodeStream decode,
                      std::span<const std::uint8_t> in, const ZfpField& field,
-                     std::span<float> out) {
+                     std::span<float> out, std::optional<ReduceOp> fold) {
   if (out.size() < field.values()) throw std::invalid_argument("ZfpCodec::decompress: output too small");
   // A short stream would otherwise decode its missing blocks as zeros.
   if (in.size() < codec.compressed_bytes(field)) {
     throw std::invalid_argument("ZfpCodec::decompress: input shorter than the fixed-rate stream");
   }
-  decode(in.data(), in.size(), field.nx, codec.rate(), out.data());
+  const int rate = codec.rate();
+  const auto decode_at = [&](std::size_t first, std::size_t count, float* dst) {
+    const std::size_t at = stream_offset(first, rate);
+    decode(in.data() + at, in.size() - at, count, rate, dst);
+  };
+  util::parallel_for(field.nx, piece_values(field.nx), [&](std::size_t first, std::size_t last) {
+    if (!fold) {
+      decode_at(first, last - first, out.data() + first);
+      return;
+    }
+    float decoded[kFoldValues];
+    for (std::size_t i = first; i < last; i += kFoldValues) {
+      const std::size_t count = std::min(kFoldValues, last - i);
+      decode_at(i, count, decoded);
+      reduce_inplace(out.data() + i, decoded, count, *fold);
+    }
+  });
 }
 
 }  // namespace
@@ -950,13 +992,13 @@ std::size_t ZfpCodec::compress_portable(std::span<const float> in, const ZfpFiel
 }
 
 void ZfpCodec::decompress(std::span<const std::uint8_t> in, const ZfpField& field,
-                          std::span<float> out) const {
-  decompress_with(*this, dispatched().decode, in, field, out);
+                          std::span<float> out, std::optional<ReduceOp> fold) const {
+  decompress_with(*this, dispatched().decode, in, field, out, fold);
 }
 
 void ZfpCodec::decompress_portable(std::span<const std::uint8_t> in, const ZfpField& field,
-                                   std::span<float> out) const {
-  decompress_with(*this, kPortable.decode, in, field, out);
+                                   std::span<float> out, std::optional<ReduceOp> fold) const {
+  decompress_with(*this, kPortable.decode, in, field, out, fold);
 }
 
 double ZfpCodec::error_bound(double max_abs) const {

@@ -24,11 +24,20 @@
 // once, at the first call, and both give the same bytes.
 // compress_portable() and decompress_portable() always run the scalar code
 // so tests can compare the two on any host.
+//
+// A group of 16 blocks codes to a whole number of 64-bit words, so a
+// stream of 1024 groups or more is encoded and decoded on
+// util::parallel_for's pool in pieces of 256 groups, each into its own
+// words of `out` (or from its own words of `in`); the last piece takes the
+// partial group at the end. The bytes are those of the serial loop.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <span>
+
+#include "compress/reduce.hpp"
 
 namespace gcmpi::comp {
 
@@ -63,16 +72,19 @@ class ZfpCodec {
 
   /// Decompress into `out` (field.values() floats). `in` must hold
   /// compressed_bytes(field) bytes; a shorter stream throws
-  /// std::invalid_argument.
+  /// std::invalid_argument before any value is written. With a `fold`,
+  /// `out` is an accumulator: out[i] = op(out[i], decoded[i]), the
+  /// reduce_inplace convention, applied by each piece to its own values.
   void decompress(std::span<const std::uint8_t> in, const ZfpField& field,
-                  std::span<float> out) const;
+                  std::span<float> out, std::optional<ReduceOp> fold = std::nullopt) const;
 
   /// compress()/decompress() on the portable scalar path: what they run on
   /// CPUs without AVX-512. Same bytes and same checks on every host.
   std::size_t compress_portable(std::span<const float> in, const ZfpField& field,
                                 std::span<std::uint8_t> out) const;
   void decompress_portable(std::span<const std::uint8_t> in, const ZfpField& field,
-                           std::span<float> out) const;
+                           std::span<float> out,
+                           std::optional<ReduceOp> fold = std::nullopt) const;
 
   /// Upper bound on the pointwise absolute error for data whose magnitude
   /// is at most `max_abs` (fixed-rate truncation bound).

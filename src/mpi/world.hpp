@@ -526,20 +526,19 @@ class World {
   /// posted receives.
   void rematch(int dst, int src);
   /// Deliver an arrived message into `buf` on `rank`: a compressed payload
-  /// is copied into `staging` and decoded from there at `at` (a
+  /// is decoded at `at` straight from the delivered bytes (a
   /// CodecFaultError propagates to the caller, which owns recovery and the
-  /// staging); a raw one is capacity-checked and copied. With a `fold` the
-  /// payload is reduced into `buf` instead (compressed: the fused decode;
-  /// raw: one reduce kernel).
+  /// staging it holds for the modelled decode); a raw one is
+  /// capacity-checked and copied. With a `fold` the payload is reduced into
+  /// `buf` instead (compressed: the fused decode; raw: one reduce kernel).
   void land(sim::Timeline& tl, int rank, const core::CompressionHeader& header,
-            std::span<const std::uint8_t> payload, const core::Staging& staging, void* buf,
-            std::uint64_t capacity, const Manager::Placement& at = Manager::Placement::message(),
-            std::optional<ReduceOp> fold = std::nullopt);
-  void land(sim::Timeline& tl, int rank, const WireMessage& msg, const core::Staging& staging,
-            void* buf, std::uint64_t capacity,
+            std::span<const std::uint8_t> payload, void* buf, std::uint64_t capacity,
             const Manager::Placement& at = Manager::Placement::message(),
+            std::optional<ReduceOp> fold = std::nullopt);
+  void land(sim::Timeline& tl, int rank, const WireMessage& msg, void* buf,
+            std::uint64_t capacity, const Manager::Placement& at = Manager::Placement::message(),
             std::optional<ReduceOp> fold = std::nullopt) {
-    land(tl, rank, msg.header, *msg.payload, staging, buf, capacity, at, fold);
+    land(tl, rank, msg.header, *msg.payload, buf, capacity, at, fold);
   }
   /// Receiver side of a matched RTS: acquire the decode staging (serial or
   /// pipelined) and send the CTS.

@@ -1,11 +1,11 @@
 // Storage for large buffers that are written in full right after they are
-// allocated: simulated cudaMalloc blocks, owned wire payloads and the fused
-// decode-reduce scratch. A request of at least kHugePageBytes gets its own
-// anonymous mapping aligned to 2 MiB, and the whole 2 MiB pages of it are
-// advised MADV_HUGEPAGE, so the kernel faults it in 2 MiB at a time rather
-// than 4 KiB at a time (real cudaMalloc is 2 MiB-granular as well). A
-// smaller request comes from the heap. Where transparent huge pages are
-// off, the advice has no effect and the mapping faults in base pages.
+// allocated: simulated cudaMalloc blocks and owned wire payloads. A request
+// of at least kHugePageBytes gets its own anonymous mapping aligned to
+// 2 MiB, and the whole 2 MiB pages of it are advised MADV_HUGEPAGE, so the
+// kernel faults it in 2 MiB at a time rather than 4 KiB at a time (real
+// cudaMalloc is 2 MiB-granular as well). A smaller request comes from the
+// heap. Where transparent huge pages are off, the advice has no effect and
+// the mapping faults in base pages.
 //
 // A buffer of which only a prefix may ever be written (a staging-pool
 // reservation) does not belong here: a touched huge page makes all of its

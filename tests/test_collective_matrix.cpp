@@ -210,8 +210,8 @@ TEST_F(CollectiveMatrix, SizeAndRankSweep) {
 }
 
 TEST_F(CollectiveMatrix, CodecSweep) {
-  // The 2-rank case has ring shards just over 2 MiB, so the fused
-  // decode-reduce scratch and the shard buffers are huge-page mapped.
+  // The 2-rank case has ring shards just over 2 MiB, so the shard
+  // buffers are huge-page mapped and the decodes split across the pool.
   struct Shape {
     int nodes, gpus_per_node;
     std::size_t n;
