@@ -43,17 +43,10 @@ struct Staging {
   sim::Breakdown* bd = nullptr;  // side (sender/receiver) its naive cudaFree is charged to
   PlanEntry* plan = nullptr;     // set when the buffer is a held plan slot
   int plan_slot = -1;
-  // Pipelined receives carve the buffer into equal per-chunk slices.
-  std::size_t slice_bytes = 0;
-  int slices = 1;
 
   [[nodiscard]] bool valid() const { return data != nullptr; }
   /// The plan's launch sequence is captured: the next use replays it.
   [[nodiscard]] bool planned() const;
-  [[nodiscard]] void* slice(int chunk_index) const {
-    return static_cast<std::uint8_t*>(data) +
-           static_cast<std::size_t>(chunk_index % slices) * slice_bytes;
-  }
 };
 
 /// Encode launches key their plan by (kernel count << 16 | MPC blocks per
@@ -64,8 +57,8 @@ enum class PlanKind : std::uint8_t {
              // (param: partitions / zfp rate)
   Batch,     // batch launch: slab + offset table + one launch round
   ChunkSend, // pipeline chunk launch: per-chunk staging + single-kernel launch
-  ChunkRecv, // pipeline chunk decode: launch graph only, decodes into a pipeline
-             // slice (param: blocks)
+  ChunkRecv, // pipeline chunk decode: launch graph only, no staging of its own
+             // (param: blocks, for ZFP blocks << 16 | rate)
   PipeRecv,  // prepare_pipeline_receive slice slab (staging only; param: slices)
 };
 
